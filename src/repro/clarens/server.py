@@ -67,8 +67,6 @@ class _Account:
 class ClarensServer:
     """One JClarens instance on one grid host."""
 
-    _session_counter = itertools.count(1)
-
     def __init__(
         self,
         name: str,
@@ -87,6 +85,9 @@ class ClarensServer:
             "grid": _Account("grid", "grid", frozenset({"users", "admin"}))
         }
         self._sessions: dict[str, str] = {}  # session id -> user
+        # per server: session ids (and so request bytes and sim ms) must
+        # not depend on how many federations this process built before
+        self._session_counter = itertools.count(1)
         #: method full-name -> groups allowed to call it (absent = everyone)
         self._acl: dict[str, frozenset] = {}
         self.method_stats: dict[str, MethodStats] = {}

@@ -7,29 +7,40 @@ unsupported vendor goes through the Unity/JDBC path (expensive — a
 fresh connect + authenticate per query); a sub-query whose table is not
 registered locally is forwarded to the remote JClarens server the RLS
 named. Remote forwarding is implemented by the service, which injects
-``remote_fetch``.
+``remote_fetch``. The standalone Unity driver is the ``force_jdbc``
+special case.
 """
 
 from __future__ import annotations
 
 from typing import Callable
 
+from repro.common.errors import FederationError
 from repro.common.types import SQLType
+from repro.core.pipeline import QueryContext
 from repro.dialects import get_dialect
 from repro.driver.connection import connect
 from repro.driver.directory import Directory
 from repro.engine.storage import estimate_row_bytes
 from repro.net import costs
+from repro.net.simclock import SimClock
 from repro.poolral.ral import PoolRAL
 from repro.unity.decompose import SubQuery
 
 
+def _no_remote_fetch(sub: SubQuery, params: tuple):
+    raise FederationError(
+        f"sub-query for {sub.binding!r} needs remote forwarding, "
+        "but this router has no remote_fetch"
+    )
+
+
 class SubQueryRouter:
-    """A :class:`~repro.unity.driver.SubQueryRunner` with routing."""
+    """The innermost stage of the sub-query pipeline: route and run."""
 
     def __init__(
         self,
-        ral: PoolRAL,
+        ral: PoolRAL | None,
         directory: Directory,
         clock=None,
         network=None,
@@ -43,20 +54,16 @@ class SubQueryRouter:
     ):
         self.ral = ral
         self.directory = directory
-        self.clock = clock
+        self.clock = clock or SimClock()
         self.network = network
         self.host = host
         self.user = user
         self.password = password
         self.force_jdbc = force_jdbc
-        self.remote_fetch = remote_fetch
+        self.remote_fetch = remote_fetch or _no_remote_fetch
         #: optional ConnectionPool: reuse JDBC connections instead of the
         #: prototype's connect-per-query behaviour (the pooling ablation)
         self.jdbc_pool = jdbc_pool
-        #: set per-query by a caching service on a plan-cache hit: the
-        #: participants' XSpec metadata was parsed when the plan was
-        #: cached, so the JDBC path must not re-pay UNITY_METADATA_PARSE_MS
-        self.metadata_cached = False
         if metrics is None:
             from repro.obs.metrics import MetricsRegistry
 
@@ -75,67 +82,78 @@ class SubQueryRouter:
         self.metrics.counter(f"subqueries.{via}").inc()
         self.metrics.counter("rows_moved").inc(len(rows))
 
-    # -- cost helpers ------------------------------------------------------------
-
-    def _charge(self, ms: float) -> None:
-        if self.clock is not None:
-            self.clock.advance_ms(ms)
-
     def _transfer_rows(self, from_host: str, rows: list[tuple]) -> None:
-        if self.network is None or self.host is None or self.clock is None:
+        if self.network is None or self.host is None:
             return
         nbytes = sum(estimate_row_bytes(r) for r in rows) + 256
         self.network.transfer(from_host, self.host, nbytes, self.clock)
 
+    # -- the rule ----------------------------------------------------------------
+
+    def route_of(self, sub: SubQuery) -> str:
+        """'remote', 'pool' or 'jdbc': where ``sub`` will run."""
+        if sub.location.is_remote:
+            return "remote"
+        if not self.force_jdbc and self.ral.supports_url(sub.location.url):
+            return "pool"
+        return "jdbc"
+
+    def host_of(self, sub: SubQuery) -> str | None:
+        """The host serving ``sub`` (None when its database is not running)."""
+        loc = sub.location
+        if loc.is_remote:
+            return loc.remote_server
+        try:
+            return self.directory.lookup(loc.url).host_name
+        except Exception:  # noqa: BLE001 - labelling must never fail a query
+            return None
+
     # -- the runner --------------------------------------------------------------
 
     def __call__(
-        self, sub: SubQuery, params: tuple = ()
+        self, sub: SubQuery, ctx: QueryContext
     ) -> tuple[list[str], list[SQLType], list[tuple], str]:
-        if sub.location.is_remote:
-            if self.remote_fetch is None:
-                from repro.common.errors import FederationError
+        loc = sub.location
+        start_ms = self.clock.now_ms
+        via = self.route_of(sub)
+        if via == "remote":
+            columns, types, rows = self.remote_fetch(sub, ctx.params)
+            self._count_route(via, rows)
+            host = loc.remote_server
+        else:
+            fetch = self._via_pool if via == "pool" else self._via_jdbc
+            columns, types, rows = fetch(sub, ctx)
+            self._count_route(via, rows)
+            host = self.directory.lookup(loc.url).host_name
+            self._transfer_rows(host, rows)
+        ctx.provenance[sub.binding] = (
+            start_ms, self.clock.now_ms, host, loc.database_name, loc.url,
+        )
+        return columns, types, rows, via
 
-                raise FederationError(
-                    f"sub-query for {sub.binding!r} needs remote forwarding, "
-                    "but this router has no remote_fetch"
-                )
-            columns, types, rows = self.remote_fetch(sub, params)
-            self._count_route("remote", rows)
-            return columns, types, rows, "remote"
-        if not self.force_jdbc and self.ral.supports_url(sub.location.url):
-            return self._via_pool(sub, params)
-        return self._via_jdbc(sub, params)
-
-    def _via_pool(self, sub, params):
+    def _via_pool(self, sub: SubQuery, ctx: QueryContext):
         dialect = get_dialect(sub.location.vendor)
         vendor_sql = dialect.render_select(sub.select)
-        cursor = self.ral.execute_sql(sub.location.url, vendor_sql, params)
+        cursor = self.ral.execute_sql(sub.location.url, vendor_sql, ctx.params)
         rows = cursor.fetchall()
-        self._count_route("pool", rows)
-        binding = self.directory.lookup(sub.location.url)
-        self._transfer_rows(binding.host_name, rows)
-        return cursor.columns, cursor.types, rows, "pool"
+        return cursor.columns, cursor.types, rows
 
-    def _via_jdbc(self, sub, params):
-        # The Unity/JDBC path re-parses the database's XSpec metadata and
+    def _via_jdbc(self, sub: SubQuery, ctx: QueryContext):
+        # The Unity/JDBC path parses the database's XSpec metadata and
         # opens a fresh, authenticated connection for every query — the
-        # dominant term in Table 1's distributed rows. With a pool, the
-        # metadata is cached alongside the connection and both costs
-        # disappear on a hit.
+        # dominant term in Table 1's distributed rows. A query that
+        # already parsed the metadata (the driver's planning, a cached
+        # plan) skips the parse; with a pool, the metadata is cached
+        # alongside the connection and both costs disappear on a hit.
         dialect = get_dialect(sub.location.vendor)
         if self.jdbc_pool is not None:
             connection = self.jdbc_pool.get(sub.location.url, self.user, self.password)
-            try:
-                vendor_sql = dialect.render_select(sub.select)
-                cursor = connection.execute(vendor_sql, params)
-                rows = cursor.fetchall()
-                columns, types = cursor.columns, cursor.types
-            finally:
+
+            def release():
                 self.jdbc_pool.release(connection, self.user)
         else:
-            if not self.metadata_cached:
-                self._charge(costs.UNITY_METADATA_PARSE_MS)
+            if sub.location.database_name not in ctx.parsed:
+                self.clock.advance_ms(costs.UNITY_METADATA_PARSE_MS)
             connection = connect(
                 sub.location.url,
                 self.user,
@@ -143,14 +161,11 @@ class SubQueryRouter:
                 directory=self.directory,
                 clock=self.clock,
             )
-            try:
-                vendor_sql = dialect.render_select(sub.select)
-                cursor = connection.execute(vendor_sql, params)
-                rows = cursor.fetchall()
-                columns, types = cursor.columns, cursor.types
-            finally:
-                connection.close()
-        self._count_route("jdbc", rows)
-        binding = self.directory.lookup(sub.location.url)
-        self._transfer_rows(binding.host_name, rows)
-        return columns, types, rows, "jdbc"
+            release = connection.close
+        try:
+            vendor_sql = dialect.render_select(sub.select)
+            cursor = connection.execute(vendor_sql, ctx.params)
+            rows = cursor.fetchall()
+            return cursor.columns, cursor.types, rows
+        finally:
+            release()

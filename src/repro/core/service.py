@@ -24,14 +24,17 @@ from repro.common.errors import (
     TableNotRegisteredError,
 )
 from repro.common.types import SQLType
+from repro.cache import normalize_sql
+from repro.core.pipeline import QueryContext, SubQueryPipeline
 from repro.core.router import SubQueryRouter
 from repro.driver.directory import Directory
 from repro.metadata.dictionary import DataDictionary
 from repro.metadata.tracker import SchemaTracker
 from repro.metadata.xspec import LowerXSpec
 from repro.net import costs
+from repro.net.simclock import SimClock
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.trace import NOOP_SPAN, QueryRecord, Tracer
+from repro.obs.trace import QueryRecord, Tracer
 from repro.poolral.ral import PoolRAL
 from repro.rls.client import RLSClient
 from repro.sql import ast
@@ -109,11 +112,13 @@ class DataAccessService(ClarensService):
     ):
         self.preflight = preflight
         self.server_ = server  # 'server' attr is set by register_service too
+        #: the server's virtual clock (a fresh one for a clock-less server)
+        self.clock = server.clock or SimClock()
         self.directory = directory
         self.rls = rls_client
         self.server_resolver = server_resolver
         self.dictionary = DataDictionary()
-        self.ral = PoolRAL(directory, server.clock)
+        self.ral = PoolRAL(directory, self.clock)
         self.tracker = SchemaTracker()
         self.tracker.subscribe(self._on_schema_change)
         #: single source of truth for operational counters (always on —
@@ -124,11 +129,11 @@ class DataAccessService(ClarensService):
         if jdbc_pooling:
             from repro.driver.pool import ConnectionPool
 
-            jdbc_pool = ConnectionPool(directory, clock=server.clock)
+            jdbc_pool = ConnectionPool(directory, clock=self.clock)
         self.router = SubQueryRouter(
             ral=self.ral,
             directory=directory,
-            clock=server.clock,
+            clock=self.clock,
             network=server.network,
             host=server.host,
             force_jdbc=force_jdbc,
@@ -136,22 +141,8 @@ class DataAccessService(ClarensService):
             jdbc_pool=jdbc_pool,
             metrics=self.metrics,
         )
-        self._peer_client = ClarensClient(server.host, server.network, server.clock)
+        self._peer_client = ClarensClient(server.host, server.network, self.clock)
         self._service_url = f"clarens://{server.host}/{server.name}"
-        # Multi-level query caching is opt-in: with cache off, no cache
-        # objects exist and every query walks the prototype's cold path.
-        self.cache = None
-        if cache:
-            from repro.cache import CacheManager
-
-            self.cache = CacheManager(
-                clock=server.clock, metrics=self.metrics, epochs=epochs
-            )
-            # level 3 rides inside the peer client, where forwarded
-            # sub-queries pay the wire
-            self._peer_client.answer_cache = self.cache.remote
-            # the §4.9 tracker is the schema-side invalidation source
-            self.tracker.epochs = self.cache.epochs
         # §4.9's "after a fixed interval of time, a thread is run": in
         # virtual time the poll fires lazily once the interval elapsed.
         self.schema_poll_interval_ms = schema_poll_interval_ms
@@ -163,39 +154,48 @@ class DataAccessService(ClarensService):
             self.replica_selector = ReplicaSelector(
                 server.network, directory, server.host
             )
-        # Retry/backoff + circuit breakers are opt-in: with resilience
-        # off, no manager or breaker objects exist and every failure
-        # path behaves exactly as the prototype's single bare retry.
+        # The opt-in layers (span tracing, caching, retry + breakers and
+        # the obs v2 analysis layers) exist only when switched on; the
+        # sub-query pipeline below is composed from the ones that do.
+        self.tracer: Tracer | None = None
+        self.cache = None
         self.resilience = None
+        self.monitor = None
+        self.profiler = None
+        self.archiver = None
+        self.slo = None
+        if observe:
+            self.tracer = Tracer(self.clock, server.name)
+        if cache:
+            from repro.cache import CacheManager
+
+            self.cache = CacheManager(
+                clock=self.clock, metrics=self.metrics, epochs=epochs
+            )
+            # level 3 rides inside the peer client, where forwarded
+            # sub-queries pay the wire
+            self._peer_client.answer_cache = self.cache.remote
+            # the §4.9 tracker is the schema-side invalidation source
+            self.tracker.epochs = self.cache.epochs
         if resilience:
             from repro.resilience import ResilienceConfig, ResilienceManager
 
             config = resilience if isinstance(resilience, ResilienceConfig) else None
             self.resilience = ResilienceManager(
-                clock=server.clock, metrics=self.metrics, config=config
+                clock=self.clock, metrics=self.metrics, config=config,
+                tracer=self.tracer,
             )
-            if rls_client is not None:
-                rls_client.resilience = self.resilience
-        # Span tracing + R-GMA monitor tables + the obs v2 analysis
-        # layers (profiler, archiver, SLO engine) are opt-in: with
-        # observe off, none of these objects is ever allocated.
-        self.tracer: Tracer | None = None
-        self.monitor = None
-        self.profiler = None
-        self.archiver = None
-        self.slo = None
         if observe:
             from repro.obs.archive import MetricsArchiver
             from repro.obs.monitor import MonitorDatabase
             from repro.obs.profiler import QueryProfiler
             from repro.obs.slo import SLOEngine
 
-            self.tracer = Tracer(server.clock, server.name)
-            self.profiler = QueryProfiler(server.clock)
-            self.archiver = MetricsArchiver(self.metrics, server.clock)
+            self.profiler = QueryProfiler(self.clock)
+            self.archiver = MetricsArchiver(self.metrics, self.clock)
             self.slo = SLOEngine(
                 self.archiver,
-                clock=server.clock,
+                clock=self.clock,
                 slos=slos,
                 resilience=self.resilience,
                 cache=self.cache,
@@ -206,21 +206,27 @@ class DataAccessService(ClarensService):
                 metrics=self.metrics,
                 cache=self.cache,
                 resilience=self.resilience,
-                clock=server.clock,
+                clock=self.clock,
                 profiler=self.profiler,
                 archiver=self.archiver,
                 slo=self.slo,
             )
             server.network.add_observer(self._on_transfer)
-            if rls_client is not None:
-                rls_client.tracer = self.tracer
-            if self.resilience is not None:
-                self.resilience.tracer = self.tracer
+        self.pipeline = SubQueryPipeline(
+            self.router,
+            host=server.host,
+            cache=self.cache,
+            resilience=self.resilience,
+            tracer=self.tracer,
+            failover=self._failover,
+        )
         # failed transfers must be visible in dataaccess.metrics even
         # without tracing — the partition-timeout path counts here
         server.network.add_failure_observer(self._on_transfer_failed)
         if rls_client is not None:
             rls_client.metrics = self.metrics
+            rls_client.tracer = self.tracer
+            rls_client.resilience = self.resilience
 
     # ------------------------------------------------------------------
     # administration (local only — not web-exposed)
@@ -230,11 +236,6 @@ class DataAccessService(ClarensService):
     def service_url(self) -> str:
         """This service's clarens:// address (as published to the RLS)."""
         return self._service_url
-
-    @property
-    def clock(self):
-        """The server's virtual clock."""
-        return self.server_.clock
 
     @property
     def queries_served(self) -> int:
@@ -247,9 +248,7 @@ class DataAccessService(ClarensService):
 
     def _span(self, stage: str, **attrs):
         """A tracer span, or the shared no-op when tracing is off."""
-        if self.tracer is None:
-            return NOOP_SPAN
-        return self.tracer.span(stage, **attrs)
+        return self.pipeline.span(stage, **attrs)
 
     def _observe_tick(self) -> None:
         """Archive a metrics snapshot when the cadence interval elapsed.
@@ -263,13 +262,13 @@ class DataAccessService(ClarensService):
             self.slo.evaluate()
 
     def _on_transfer(self, src: str, dst: str, nbytes: int, ms: float) -> None:
-        """Network observer: account link traffic touching this host."""
+        """Network observer (observing services): link traffic of this host."""
         host = self.server_.host
         if host != src and host != dst:
             return
         self.metrics.counter(f"net.bytes.{src}->{dst}").inc(nbytes)
         self.metrics.counter("net.messages").inc()
-        if self.tracer is not None and self.tracer.active is not None:
+        if self.tracer.active is not None:
             end = self.tracer.now_ms
             self.tracer.record(
                 "transfer", end - ms, end, src=src, dst=dst, bytes=int(nbytes)
@@ -287,12 +286,22 @@ class DataAccessService(ClarensService):
                 "transfer_failed", end - ms, end, src=src, dst=dst, bytes=int(nbytes)
             )
 
-    def _host_of(self, url: str) -> str | None:
-        """Host name serving a database URL (for span/trace labelling)."""
-        try:
-            return self.directory.lookup(url).host_name
-        except Exception:  # noqa: BLE001 - labelling must never fail a query
-            return None
+    def _dictionary_changed(self, dropped: str = "") -> None:
+        """Flush cached plans (and a dropped database's sub-results)."""
+        if self.cache is None:
+            return
+        self.cache.bump_dictionary()
+        if dropped:
+            self.cache.epochs.bump(dropped)
+
+    def _publish(self, tables) -> None:
+        if self.rls is not None:
+            self.rls.publish_many(tables, self._service_url)
+
+    def _unpublish(self, tables) -> None:
+        if self.rls is not None:
+            for table in tables:
+                self.rls.server.unpublish(table, self._service_url)
 
     def register_database(
         self,
@@ -310,27 +319,22 @@ class DataAccessService(ClarensService):
         binding = self.directory.lookup(url)
         spec = self.tracker.watch(binding.database, logical_names)
         self.dictionary.add_database(spec, url)
-        if self.cache is not None:
-            self.cache.bump_dictionary()
+        self._dictionary_changed()
         if self.ral.supports_url(url):
             self.ral.initialize(url, binding.user, binding.password)
-        if publish and self.rls is not None:
-            self.rls.publish_many(spec.logical_table_names(), self._service_url)
+        if publish:
+            self._publish(spec.logical_table_names())
         return spec
 
     def unregister_database(self, database_name: str) -> None:
         """Remove a database: dictionary, tracker, RLS and POOL handle."""
         spec = self.dictionary.spec_for(database_name)
         url = self.dictionary.url_for(database_name)
-        if self.rls is not None:
-            for table in spec.logical_table_names():
-                self.rls.server.unpublish(table, self._service_url)
+        self._unpublish(spec.logical_table_names())
         self.dictionary.remove_database(database_name)
         self.tracker.unwatch(database_name)
         self.ral.release(url)
-        if self.cache is not None:
-            self.cache.bump_dictionary()
-            self.cache.epochs.bump(database_name)
+        self._dictionary_changed(dropped=database_name)
 
     def _on_schema_change(self, database_name: str, new_spec: LowerXSpec) -> None:
         """Tracker callback: refresh dictionary and RLS publications.
@@ -340,18 +344,15 @@ class DataAccessService(ClarensService):
         needs flushing, because the refreshed dictionary may decompose
         queries differently.
         """
-        if self.cache is not None:
-            self.cache.bump_dictionary()
+        self._dictionary_changed()
         url = self.dictionary.url_for(database_name)
         old_tables = set(self.dictionary.spec_for(database_name).logical_table_names())
         self.dictionary.add_database(new_spec, url)
-        if self.rls is not None:
-            new_tables = set(new_spec.logical_table_names())
-            for gone in old_tables - new_tables:
-                self.rls.server.unpublish(gone, self._service_url)
-            added = sorted(new_tables - old_tables)
-            if added:
-                self.rls.publish_many(added, self._service_url)
+        new_tables = set(new_spec.logical_table_names())
+        self._unpublish(old_tables - new_tables)
+        added = sorted(new_tables - old_tables)
+        if added:
+            self._publish(added)
 
     # ------------------------------------------------------------------
     # query execution
@@ -394,85 +395,29 @@ class DataAccessService(ClarensService):
         :class:`~repro.resilience.SubQueryFailure` per lost branch.
         """
         self._maybe_poll_schemas()
-        if self.resilience is not None:
-            # arm the per-query retry deadline budget from this instant
-            self.resilience.start_deadline()
-        plan_key = None
-        cached_plan = None
-        if self.cache is not None:
-            from repro.cache import normalize_sql
-
-            plan_key = normalize_sql(sql)
-            cached_plan = self.cache.get_plan(plan_key)
+        ctx = self.pipeline.context(params, allow_partial)
+        plan_key = normalize_sql(sql)
+        cached_plan = self.pipeline.plans.get_plan(plan_key)
         if cached_plan is not None:
             select = cached_plan.select
         else:
             select = parse_select(sql) if isinstance(sql, str) else sql
-        tracer = self.tracer
-        start_ms = self.clock.now_ms if self.clock is not None else 0.0
-        if tracer is None:
-            try:
-                answer = self._execute_query(
-                    select, params, no_forward, None, plan_key, cached_plan,
-                    allow_partial,
-                )
-            except Exception:
-                self.metrics.counter("query_errors").inc()
-                raise
-            self._account_query(answer, start_ms)
-            return answer
+        start_ms = self.clock.now_ms
         self._observe_tick()
-        span_mark = len(tracer.spans)
-        with tracer.span("query") as root:
-            root.set("sql", select.unparse())
+        with self._span("query") as root:
             try:
                 answer = self._execute_query(
-                    select, params, no_forward, root, plan_key, cached_plan,
-                    allow_partial,
+                    select, ctx, no_forward, plan_key, cached_plan
                 )
             except Exception as exc:
                 self.metrics.counter("query_errors").inc()
-                duration = (
-                    self.clock.now_ms - start_ms if self.clock is not None else 0.0
-                )
-                tracer.queries.append(
-                    QueryRecord(
-                        trace_id=root.trace_id,
-                        server=self.server_.name,
-                        sql=select.unparse(),
-                        distributed=False,
-                        row_count=0,
-                        duration_ms=duration,
-                        servers=0,
-                        status=f"error: {type(exc).__name__}",
-                        end_ms=start_ms + duration,
-                    )
-                )
+                self._record_query(root, select, start_ms, f"error: {type(exc).__name__}")
                 self._observe_tick()
                 raise
-        duration = self.clock.now_ms - start_ms if self.clock is not None else 0.0
         self._account_query(answer, start_ms)
-        tracer.queries.append(
-            QueryRecord(
-                trace_id=root.trace_id,
-                server=self.server_.name,
-                sql=select.unparse(),
-                distributed=answer.distributed,
-                row_count=answer.row_count,
-                duration_ms=duration,
-                servers=answer.servers_accessed,
-                status="partial" if answer.partial else "ok",
-                end_ms=start_ms + duration,
-            )
+        self._record_query(
+            root, select, start_ms, "partial" if answer.partial else "ok", answer
         )
-        if self.profiler is not None and root.parent_id is None:
-            # fold this query's finished span tree (imported remote
-            # spans included) into the per-operator cost model
-            answer.profile = self.profiler.record(
-                root,
-                [s for s in tracer.spans[span_mark:] if s.trace_id == root.trace_id],
-                shape=select.unparse(),
-            )
         self._observe_tick()
         return answer
 
@@ -484,67 +429,98 @@ class DataAccessService(ClarensService):
         if answer.distributed:
             self.metrics.counter("queries_distributed").inc()
         self.metrics.counter("rows_returned").inc(answer.row_count)
-        if self.clock is not None:
-            self.metrics.histogram("query_ms").observe(self.clock.now_ms - start_ms)
+        self.metrics.histogram("query_ms").observe(self.clock.now_ms - start_ms)
+
+    def _record_query(self, root, select, start_ms, status, answer=None) -> None:
+        """Observing services: label the root span, add the query's
+        ``monitor_queries`` row, and fold a locally rooted query's span
+        tree (imported remote spans included) into its cost profile."""
+        if self.tracer is None:
+            return
+        ok = answer is not None
+        sql = select.unparse()
+        root.set("sql", sql)
+        if ok and answer.partial:
+            root.set("partial", True).set("failed_subqueries", len(answer.failures))
+        duration = self.clock.now_ms - start_ms
+        self.tracer.queries.append(
+            QueryRecord(
+                trace_id=root.trace_id,
+                server=self.server_.name,
+                sql=sql,
+                distributed=ok and answer.distributed,
+                row_count=answer.row_count if ok else 0,
+                duration_ms=duration,
+                servers=answer.servers_accessed if ok else 0,
+                status=status,
+                end_ms=start_ms + duration,
+            )
+        )
+        if ok and root.parent_id is None:
+            answer.profile = self.profiler.record(
+                root, self.tracer.trace_spans(root), shape=sql
+            )
+
+    def _plan(self, select: ast.Select, ctx: QueryContext, no_forward: bool):
+        """Preflight, RLS discovery and decomposition: (plan, remote servers)."""
+        preflighted = True
+        if self.preflight:
+            with self._span("preflight"):
+                preflighted = self._run_preflight(select)
+
+        remote_servers = set()
+        with self._span("decompose") as decompose_span:
+            self.clock.advance_ms(costs.DECOMPOSE_MS)
+            for ref in select.referenced_tables():
+                if not self.dictionary.has_table(ref.name):
+                    if no_forward:
+                        raise TableNotRegisteredError(ref.name)
+                    remote_servers.add(self._discover_remote(ref.name, ctx))
+                else:
+                    loc = self.dictionary.locate(ref.name)
+                    if loc.is_remote:
+                        remote_servers.add(loc.remote_server)
+            if not preflighted:
+                # discovery has registered the remote tables; check now,
+                # before any sub-query ships
+                with self._span("preflight"):
+                    self._run_preflight(select)
+
+            prefer = None
+            if self.replica_selector is not None:
+                prefer = self.replica_selector.preferences(
+                    self.dictionary,
+                    [ref.name for ref in select.referenced_tables()],
+                )
+            plan = decompose(select, self.dictionary, prefer_databases=prefer)
+            decompose_span.set("subqueries", len(plan.subqueries))
+            decompose_span.set("distributed", plan.is_distributed)
+        return plan, remote_servers
 
     def _execute_query(
         self,
         select: ast.Select,
-        params: tuple,
+        ctx: QueryContext,
         no_forward: bool,
-        root_span,
         plan_key=None,
         cached_plan=None,
-        allow_partial: bool = False,
     ) -> QueryAnswer:
         """The query pipeline: preflight → decompose → fetch → merge.
 
         On a plan-cache hit (``cached_plan``), preflight, discovery and
         decomposition are skipped entirely — the plan was validated when
         it was cached, and the participants' XSpec metadata travels with
-        it (so the JDBC route skips the per-query metadata parse too).
+        it (so the JDBC route skips their per-query metadata parse).
         """
         if cached_plan is not None:
             plan = cached_plan.plan
             remote_servers = set(cached_plan.remote_servers)
+            ctx.parsed = frozenset(plan.databases)
         else:
-            preflighted = True
-            if self.preflight:
-                with self._span("preflight"):
-                    preflighted = self._run_preflight(select)
-
-            remote_servers = set()
-            with self._span("decompose") as decompose_span:
-                if self.clock is not None:
-                    self.clock.advance_ms(costs.DECOMPOSE_MS)
-                for ref in select.referenced_tables():
-                    if not self.dictionary.has_table(ref.name):
-                        if no_forward:
-                            raise TableNotRegisteredError(ref.name)
-                        remote_servers.add(self._discover_remote(ref.name))
-                    else:
-                        loc = self.dictionary.locate(ref.name)
-                        if loc.is_remote:
-                            remote_servers.add(loc.remote_server)
-                if not preflighted:
-                    # discovery has registered the remote tables; check now,
-                    # before any sub-query ships
-                    with self._span("preflight"):
-                        self._run_preflight(select)
-
-                prefer = None
-                if self.replica_selector is not None:
-                    prefer = self.replica_selector.preferences(
-                        self.dictionary,
-                        [ref.name for ref in select.referenced_tables()],
-                    )
-                plan = decompose(select, self.dictionary, prefer_databases=prefer)
-                decompose_span.set("subqueries", len(plan.subqueries))
-                decompose_span.set("distributed", plan.is_distributed)
-            if self.cache is not None and plan_key is not None:
-                # cached after discovery so the dictionary bumps discovery
-                # caused have already flushed older generations
-                self.cache.put_plan(plan_key, select, plan, remote_servers)
+            plan, remote_servers = self._plan(select, ctx, no_forward)
+            # cached after discovery so the dictionary bumps discovery
+            # caused have already flushed older generations
+            self.pipeline.plans.put_plan(plan_key, select, plan, remote_servers)
 
         # Group sub-queries: each remote server's batch runs on that
         # server, and each distinct *local* database is its own branch
@@ -562,58 +538,29 @@ class DataAccessService(ClarensService):
             groups.setdefault(group_key, []).append(sub)
 
         collected: dict[str, tuple] = {}
-        sub_meta: dict[str, tuple] | None = {} if self.tracer is not None else None
-        failures: list = []
 
         def run_group(subs: list[SubQuery]):
             def _run():
                 for sub in subs:
-                    try:
-                        collected[sub.binding] = self._run_with_failover(
-                            sub, params, sub_meta
-                        )
-                    except ConnectionFailedError as exc:
-                        if not allow_partial:
-                            raise
-                        # graceful degradation: the branch contributes
-                        # zero rows, flagged with failure provenance
-                        from repro.resilience import SubQueryFailure
-
-                        failures.append(SubQueryFailure.from_exception(sub, exc))
-                        collected[sub.binding] = self._empty_sub_result(sub, params)
+                    collected[sub.binding] = self._run_branch_subquery(sub, ctx)
 
             return _run
 
-        self.router.metadata_cached = cached_plan is not None
-        try:
-            branches = [run_group(subs) for subs in groups.values()]
-            if len(branches) > 1 and self.clock is not None:
-                self.clock.run_parallel(branches)
-            else:
-                # a clock-less service still runs every branch — there
-                # is just no virtual time to fork/join
-                for branch in branches:
-                    branch()
-        finally:
-            self.router.metadata_cached = False
+        self.clock.run_parallel([run_group(subs) for subs in groups.values()])
 
         def replay_runner(sub: SubQuery, _params: tuple):
             return collected[sub.binding]
 
         with self._span("merge") as merge_span:
-            result = execute_plan(plan, replay_runner, params, self.clock)
+            result = execute_plan(plan, replay_runner, ctx.params, self.clock)
             merge_span.set("rows", len(result.rows))
-        if sub_meta:
-            # replace the replayed traces' provenance/timing with what the
-            # real (possibly failed-over) execution recorded
-            for trace in result.traces:
-                meta = sub_meta.get(trace.binding)
-                if meta is None:
-                    continue
+        # the replayed traces get the provenance and timing of the real
+        # (possibly failed-over) execution; a lost branch keeps the plan's
+        for trace in result.traces:
+            meta = ctx.provenance.get(trace.binding)
+            if meta is not None:
                 trace.start_ms, trace.end_ms, trace.replica_host = meta[0:3]
                 trace.database, trace.url = meta[3:5]
-        if failures and root_span is not None:
-            root_span.set("partial", True).set("failed_subqueries", len(failures))
         return QueryAnswer(
             columns=result.columns,
             types=result.types,
@@ -624,102 +571,31 @@ class DataAccessService(ClarensService):
             tables_accessed=len(plan.original.referenced_tables()),
             routes=[t.via for t in result.traces],
             traces=list(result.traces),
-            partial=bool(failures),
-            failures=failures,
+            partial=bool(ctx.failures),
+            failures=ctx.failures,
         )
+
+    def _run_branch_subquery(self, sub: SubQuery, ctx: QueryContext):
+        """One sub-query of a branch; a lost one degrades when allowed."""
+        try:
+            return self.pipeline.run(sub, ctx)
+        except ConnectionFailedError as exc:
+            if not ctx.allow_partial:
+                raise
+            # graceful degradation: the branch contributes zero rows,
+            # flagged with failure provenance
+            from repro.resilience import SubQueryFailure
+
+            ctx.failures.append(SubQueryFailure.from_exception(sub, exc))
+            return self._empty_sub_result(sub, ctx.params)
 
     def _maybe_poll_schemas(self) -> None:
         """Fire the periodic schema poll when its interval has elapsed."""
-        if self.schema_poll_interval_ms is None or self.clock is None:
+        if self.schema_poll_interval_ms is None:
             return
         if self.clock.now_ms - self._last_schema_poll_ms >= self.schema_poll_interval_ms:
             self._last_schema_poll_ms = self.clock.now_ms
             self.tracker.poll()
-
-    def _attempt(self, sub: SubQuery, params: tuple, sub_meta: dict | None):
-        """One routed sub-query execution, wrapped in its own span.
-
-        Each attempt's span closes before any retry opens, so a failed
-        attempt and its failover retry show up as *siblings* in the
-        trace — the failed one carrying ``error=...``.
-        """
-        if self.tracer is None:
-            return self.router(sub, params)
-        loc = sub.location
-        host = loc.remote_server if loc.is_remote else self._host_of(loc.url)
-        with self.tracer.span(
-            "subquery",
-            binding=sub.binding,
-            database=loc.database_name,
-            table=loc.logical_table,
-            host=host or "?",
-        ) as span:
-            t0 = self.clock.now_ms
-            columns, types, rows, via = self.router(sub, params)
-            span.set("route", via).set("rows", len(rows))
-            if sub_meta is not None:
-                sub_meta[sub.binding] = (
-                    t0, self.clock.now_ms, host, loc.database_name, loc.url,
-                )
-            return columns, types, rows, via
-
-    def _serve_cached(self, sub: SubQuery, hit: tuple, sub_meta: dict | None):
-        """Answer one sub-query from the sub-result cache.
-
-        Costs ``CACHE_HIT_MS`` on the simulated clock instead of
-        connect + execute + transfer, shows up as route ``cache`` in
-        provenance, and (when tracing) contributes a ``subquery`` span
-        so warm queries remain fully observable.
-        """
-        columns, types, rows, _via = hit
-        loc = sub.location
-        t0 = self.clock.now_ms if self.clock is not None else 0.0
-
-        def serve():
-            if self.clock is not None:
-                self.clock.advance_ms(costs.CACHE_HIT_MS)
-            self.cache.record_hit_latency(costs.CACHE_HIT_MS)
-
-        if self.tracer is None:
-            serve()
-        else:
-            with self.tracer.span(
-                "subquery",
-                binding=sub.binding,
-                database=loc.database_name,
-                table=loc.logical_table,
-                host=self.server_.host,
-            ) as span:
-                serve()
-                span.set("route", "cache").set("rows", len(rows))
-            if sub_meta is not None:
-                sub_meta[sub.binding] = (
-                    t0, self.clock.now_ms, self.server_.host,
-                    loc.database_name, loc.url,
-                )
-        return list(columns), list(types), list(rows), "cache"
-
-    def _breaker_key(self, sub: SubQuery) -> str:
-        """Breaker identity of the backend one sub-query touches."""
-        loc = sub.location
-        if loc.is_remote:
-            return f"peer:{loc.remote_server}"
-        return f"db:{loc.database_name}"
-
-    def _guarded_attempt(self, sub: SubQuery, params: tuple, sub_meta: dict | None):
-        """One attempt, behind the resilience layer when it is on.
-
-        With resilience off this is exactly ``_attempt``; with it on,
-        the backend's circuit breaker gates the call (an open breaker
-        refuses instantly instead of costing ``PARTITION_TIMEOUT_MS``)
-        and transient connection failures retry with backoff within the
-        per-query deadline budget.
-        """
-        if self.resilience is None:
-            return self._attempt(sub, params, sub_meta)
-        return self.resilience.call(
-            self._breaker_key(sub), lambda: self._attempt(sub, params, sub_meta)
-        )
 
     def _empty_sub_result(self, sub: SubQuery, params: tuple):
         """Zero-row stand-in for a sub-query whose backend is lost.
@@ -742,61 +618,43 @@ class DataAccessService(ClarensService):
         columns = _logicalize_columns(list(result.columns), sub)
         return columns, list(result.types), [], "failed"
 
-    def _run_with_failover(
-        self, sub: SubQuery, params: tuple, sub_meta: dict | None = None
-    ):
+    def _failover(self, run, sub: SubQuery, ctx: QueryContext):
         """Run one sub-query; on a dead database, fail over to a replica.
 
-        The alternate replica may use different physical naming, so the
-        sub-query is re-planned from its logical form against a
-        one-location dictionary for the alternate.
-
-        With caching on, a local sub-query consults the sub-result
-        cache *before* any connect or transfer: a hit costs only
-        ``CACHE_HIT_MS``. Results served by a failover replica are not
-        cached (their freshness would hang off the wrong database's
-        epoch).
+        The pipeline's failover stage: ``run`` is the guarded, traced
+        inner chain. The alternate replica may use different physical
+        naming, so the sub-query is re-planned from its logical form
+        against a one-location dictionary for the alternate.
         """
-        cache_key = None
-        if self.cache is not None and not sub.location.is_remote:
-            cache_key = self.cache.sub_key(sub, params)
-            hit = self.cache.lookup_sub(cache_key)
-            if hit is not None:
-                return self._serve_cached(sub, hit, sub_meta)
         try:
-            result = self._guarded_attempt(sub, params, sub_meta)
-            if cache_key is not None:
-                self.cache.store_sub(
-                    cache_key, result, tag=sub.location.database_name
-                )
-            return result
+            return run(sub, ctx)
         except ConnectionFailedError as primary_exc:
             self.metrics.counter("failovers").inc()
             failed = sub.location.database_name
             table = sub.location.logical_table
-            alternates = [
-                loc
-                for loc in self.dictionary.locations(table)
-                if loc.database_name != failed
-            ]
-            if not alternates and self.rls is not None:
+
+            def alternates():
+                return [
+                    loc
+                    for loc in self.dictionary.locations(table)
+                    if loc.database_name != failed
+                ]
+
+            candidates = alternates()
+            if not candidates:
                 # no local replica — maybe another JClarens server hosts
                 # one. Only *expected* discovery failures are swallowed;
                 # a programming error here must propagate, not be
                 # silently replaced by the connection error.
                 try:
-                    self._discover_remote(table, exclude_own=True)
+                    self._discover_remote(table, ctx, exclude_own=True)
                 except (FederationError, ClarensFault):
                     pass
-                alternates = [
-                    loc
-                    for loc in self.dictionary.locations(table)
-                    if loc.database_name != failed
-                ]
-            if not alternates or sub.logical_select is None:
+                candidates = alternates()
+            if not candidates or sub.logical_select is None:
                 raise
             last_error: Exception | None = None
-            for alternate in alternates:
+            for alternate in candidates:
                 mini = DataDictionary()
                 mini.add_database(
                     self.dictionary.spec_for(alternate.database_name),
@@ -807,8 +665,8 @@ class DataAccessService(ClarensService):
                 retry = replanned.subqueries[0]
                 # keep the original binding so the integrator finds it;
                 # the logical form travels too (remote alternates are
-                # forwarded by logical SQL). No recursion: the retry goes
-                # straight to the router, not back through failover.
+                # forwarded by logical SQL). No recursion: the retry runs
+                # the inner chain, not this failover stage again.
                 retry = SubQuery(
                     binding=sub.binding,
                     location=retry.location,
@@ -818,7 +676,7 @@ class DataAccessService(ClarensService):
                 )
                 self.metrics.counter("failover_retries").inc()
                 try:
-                    return self._guarded_attempt(retry, params, sub_meta)
+                    return run(retry, ctx)
                 except ConnectionFailedError as exc:
                     last_error = exc
             if last_error is not None:
@@ -841,7 +699,9 @@ class DataAccessService(ClarensService):
             raise FederationError(f"cannot resolve remote server {service_url!r}")
         return peer
 
-    def _discover_remote(self, logical_table: str, exclude_own: bool = False) -> str:
+    def _discover_remote(
+        self, logical_table: str, ctx: QueryContext, exclude_own: bool = False
+    ) -> str:
         """RLS lookup + remote describe; registers the remote location.
 
         The RLS may return several replica servers; dead or stale ones
@@ -851,22 +711,20 @@ class DataAccessService(ClarensService):
         if self.rls is None:
             raise TableNotRegisteredError(logical_table)
         with self._span("rls_lookup", table=logical_table):
-            urls = self.rls.lookup(logical_table)
+            urls = self.rls.lookup(logical_table, ctx.deadline_at_ms)
             if exclude_own:
                 urls = [u for u in urls if u != self._service_url]
             last_error: Exception | None = None
             for service_url in urls:
                 try:
                     peer = self._resolve_peer(service_url)
-                    describe = lambda: self._peer_client.call(  # noqa: E731
-                        peer, "dataaccess.describe", logical_table
+                    description = self.pipeline.guard(
+                        f"peer:{service_url}",
+                        lambda: self._peer_client.call(
+                            peer, "dataaccess.describe", logical_table
+                        ),
+                        ctx,
                     )
-                    if self.resilience is not None:
-                        description = self.resilience.call(
-                            f"peer:{service_url}", describe
-                        )
-                    else:
-                        description = describe()
                 # a partitioned/dead peer (ConnectionFailedError) is as
                 # skippable as a stale RLS entry: move on to the next
                 # replica server instead of failing the lookup
@@ -877,8 +735,7 @@ class DataAccessService(ClarensService):
                 self.dictionary.add_database(
                     spec, description["url"], remote_server=service_url
                 )
-                if self.cache is not None:
-                    self.cache.bump_dictionary()
+                self._dictionary_changed()
                 return service_url
         raise last_error if last_error else TableNotRegisteredError(logical_table)
 
@@ -1082,26 +939,19 @@ class DataAccessService(ClarensService):
         engine EXPLAIN.
         """
         select = parse_select(sql)
+        ctx = self.pipeline.context()
         for ref in select.referenced_tables():
             if not self.dictionary.has_table(ref.name):
-                self._discover_remote(ref.name)
+                self._discover_remote(ref.name, ctx)
         plan = decompose(select, self.dictionary)
         subqueries = []
         for sub in plan.subqueries:
-            if sub.location.is_remote:
-                route = "remote"
-            elif not self.router.force_jdbc and self.ral.supports_url(
-                sub.location.url
-            ):
-                route = "pool"
-            else:
-                route = "jdbc"
             subqueries.append(
                 {
                     "binding": sub.binding,
                     "database": sub.location.database_name,
                     "vendor": sub.location.vendor,
-                    "route": route,
+                    "route": self.router.route_of(sub),
                     "sql": sub.sql,
                     "pushed_predicates": [c.unparse() for c in sub.pushed_conjuncts],
                 }
@@ -1142,15 +992,13 @@ class DataAccessService(ClarensService):
             )
         binding = self.directory.lookup(url)  # the database must be running
         self.dictionary.add_database(spec, url)
-        if self.cache is not None:
-            self.cache.bump_dictionary()
+        self._dictionary_changed()
         # Keep the plugged-in spec's logical naming when tracking.
         logical_names = {t.name: t.logical_name for t in spec.tables}
         self.tracker.watch(binding.database, logical_names)
         if self.ral.supports_url(url):
             self.ral.initialize(url, binding.user, binding.password)
-        if self.rls is not None:
-            self.rls.publish_many(spec.logical_table_names(), self._service_url)
+        self._publish(spec.logical_table_names())
         return spec.logical_table_names()
 
 

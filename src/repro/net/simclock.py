@@ -78,9 +78,13 @@ class SimClock:
         Returns the duration of the slowest branch. Each branch runs
         sequentially in real execution order but is charged from the
         same virtual start instant — the fork/join pattern the paper's
-        remote JClarens servers exhibit.
+        remote JClarens servers exhibit. A lone branch simply runs in
+        place: there is nothing to fork or join.
         """
         start = self.now_ms
+        if len(branches) == 1:
+            branches[0]()
+            return self.now_ms - start
         longest = 0.0
         for branch in branches:
             branch()

@@ -60,6 +60,8 @@ class Span:
     end_ms: float | None = None
     error: str | None = None
     attrs: dict = field(default_factory=dict)
+    #: length of the tracer's finished-span list when this span opened
+    mark: int = field(default=0, init=False, repr=False, compare=False)
 
     @property
     def duration_ms(self) -> float:
@@ -184,6 +186,7 @@ class Tracer:
             start_ms=self.now_ms,
             attrs=dict(attrs),
         )
+        span.mark = len(self.spans)
         span.__dict__["_tracer"] = self
         self._stack.append(span)
         return span
@@ -238,6 +241,10 @@ class Tracer:
         return imported
 
     # -- queries ----------------------------------------------------------------
+
+    def trace_spans(self, root: Span) -> list[Span]:
+        """Every span of ``root``'s trace finished since ``root`` opened."""
+        return [s for s in self.spans[root.mark:] if s.trace_id == root.trace_id]
 
     def spans_for(self, trace_id: str) -> list[Span]:
         """Every finished span of one trace."""

@@ -4,9 +4,9 @@ One manager lives inside each opted-in service/driver. Call sites wrap
 a backend touch as ``manager.call(key, fn)``; the manager consults the
 backend's circuit breaker, retries transient connection failures with
 exponential backoff (charged to the simulated clock), honours the
-per-query deadline budget, and feeds the metrics registry and tracer so
-every retry and fast-fail is visible in ``dataaccess.metrics`` and the
-span tree.
+deadline instant the calling query passes in, and feeds the metrics
+registry and tracer so every retry and fast-fail is visible in
+``dataaccess.metrics`` and the span tree.
 """
 
 from __future__ import annotations
@@ -32,9 +32,6 @@ class ResilienceManager:
         self.config = config or ResilienceConfig()
         self.policy = self.config.retry
         self._breakers: dict[str, CircuitBreaker] = {}
-        #: absolute simulated instant after which no more backoff sleeps
-        #: are scheduled for the current query (set by start_deadline)
-        self.deadline_at_ms: float | None = None
 
     # -- breakers -----------------------------------------------------------------
 
@@ -57,17 +54,10 @@ class ResilienceManager:
 
     # -- budgets ------------------------------------------------------------------
 
-    def start_deadline(self) -> None:
-        """Arm the per-query deadline budget from the current instant."""
-        if self.policy.deadline_ms is not None and self.clock is not None:
-            self.deadline_at_ms = self.clock.now_ms + self.policy.deadline_ms
-        else:
-            self.deadline_at_ms = None
-
-    def _budget_allows(self, delay_ms: float) -> bool:
-        if self.deadline_at_ms is None or self.clock is None:
+    def _budget_allows(self, delay_ms: float, deadline_at_ms: float | None) -> bool:
+        if deadline_at_ms is None or self.clock is None:
             return True
-        return self.clock.now_ms + delay_ms < self.deadline_at_ms
+        return self.clock.now_ms + delay_ms < deadline_at_ms
 
     # -- accounting ---------------------------------------------------------------
 
@@ -83,8 +73,18 @@ class ResilienceManager:
 
     # -- the call surface ---------------------------------------------------------
 
-    def call(self, key: str, fn, retry_on=(ConnectionFailedError,)):
+    def call(
+        self,
+        key: str,
+        fn,
+        deadline_at_ms: float | None = None,
+        retry_on=(ConnectionFailedError,),
+    ):
         """Run ``fn()`` under ``key``'s breaker with retry + backoff.
+
+        No backoff sleep is scheduled that would end at or after
+        ``deadline_at_ms`` (the simulated instant the calling query's
+        budget runs out; None: only ``max_attempts`` bounds retries).
 
         Raises :class:`CircuitOpenError` (a ``ConnectionFailedError``)
         instantly when the breaker is open, so callers' replica-failover
@@ -107,7 +107,7 @@ class ResilienceManager:
                 if attempt >= self.policy.max_attempts:
                     raise
                 delay = self.policy.backoff_ms(attempt)
-                if not self._budget_allows(delay):
+                if not self._budget_allows(delay, deadline_at_ms):
                     self._count("resilience.deadline_exhausted")
                     raise
                 if self.clock is not None and delay > 0:

@@ -53,7 +53,14 @@ class RLSClient:
         self.network.transfer(self.server.host, self.host, ack, self.clock)
         self._count("rls.publishes", len(tables))
 
-    def lookup(self, logical_table: str) -> list[str]:
+    def lookup(
+        self, logical_table: str, deadline_at_ms: float | None = None
+    ) -> list[str]:
+        """Replica server URLs for ``logical_table``.
+
+        ``deadline_at_ms`` is the calling query's retry deadline: with
+        resilience on, no backoff sleep is scheduled past it.
+        """
         from repro.obs.trace import NOOP_SPAN
 
         span = (
@@ -66,6 +73,7 @@ class RLSClient:
                 urls = self.resilience.call(
                     f"rls:{self.server.host}",
                     lambda: self._lookup_once(logical_table),
+                    deadline_at_ms,
                 )
             else:
                 urls = self._lookup_once(logical_table)

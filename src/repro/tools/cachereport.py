@@ -13,24 +13,13 @@ epoch-based invalidation with a live schema change::
 
 from __future__ import annotations
 
-import argparse
-import json
-import sys
-
-from repro.core.federation import GridFederation
-from repro.tools.tracereport import DEMO_SQL, _events_db, _runs_db
+from repro.tools.demo import report_main, run_checks, two_server_federation
+from repro.tools.tracereport import DEMO_SQL
 
 
 def build_cached_federation():
     """Two caching JClarens servers (no tracing), one database each."""
-    fed = GridFederation()
-    a = fed.create_server("jclarens-a", "tier2a.cern.ch", cache=True)
-    b = fed.create_server("jclarens-b", "tier2b.caltech.edu", cache=True)
-    events = _events_db()
-    runs = _runs_db()
-    fed.attach_database(a, events, logical_names={"EVT": "events"})
-    fed.attach_database(b, runs, logical_names={"RUN_INFO": "runs"})
-    return fed, a, b, events, runs
+    return two_server_federation(cache=True)
 
 
 def build_report() -> dict:
@@ -118,52 +107,19 @@ def _self_test() -> int:
             and report["post_invalidation_ms"] > report["warm_ms"],
         ),
     ]
-    failed = 0
-    for name, ok in checks:
-        if ok:
-            print(f"ok    {name}")
-        else:
-            failed += 1
-            print(f"FAIL  {name}")
-    if failed:
-        print(f"self-test: {failed} of {len(checks)} checks failed")
-        return 1
-    print(f"self-test: all {len(checks)} checks passed")
-    return 0
+    return run_checks(checks)
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(
+    return report_main(
+        argv,
         prog="python -m repro.tools.cachereport",
         description="cache effectiveness report for the demo federation",
+        checks="caching",
+        build_report=build_report,
+        print_human=_print_human,
+        self_test=_self_test,
     )
-    parser.add_argument(
-        "--json", action="store_true", help="emit the report as JSON"
-    )
-    parser.add_argument(
-        "--out", metavar="FILE", help="write the report to FILE instead of stdout"
-    )
-    parser.add_argument(
-        "--self-test", action="store_true",
-        help="run the built-in caching checks and exit",
-    )
-    args = parser.parse_args(argv)
-
-    if args.self_test:
-        return _self_test()
-
-    report = build_report()
-    if args.json:
-        text = json.dumps(report, indent=2, sort_keys=True)
-        if args.out:
-            with open(args.out, "w", encoding="utf-8") as handle:
-                handle.write(text + "\n")
-            print(f"wrote {args.out}", file=sys.stderr)
-        else:
-            print(text)
-        return 0
-    _print_human(report)
-    return 0
 
 
 if __name__ == "__main__":

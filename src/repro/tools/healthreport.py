@@ -17,15 +17,10 @@ against ``monitor_alerts`` / ``monitor_history``::
 
 from __future__ import annotations
 
-import argparse
-import json
-import sys
-
-from repro.core.federation import GridFederation
-from repro.engine.database import Database
 from repro.obs.archive import RAW_RESOLUTION_MS
 from repro.obs.slo import SLO
 from repro.resilience import BreakerConfig, ChaosSchedule, ResilienceConfig
+from repro.tools.demo import replicated_federation, report_main, run_checks
 
 DEMO_SQL = "SELECT COUNT(*), SUM(energy) FROM events"
 
@@ -46,33 +41,14 @@ DEMO_SLOS = (
 )
 
 
-def _events_db(name: str, vendor: str = "mysql", n: int = 40) -> Database:
-    db = Database(name, vendor)
-    db.execute("CREATE TABLE EVT (EVENT_ID INT PRIMARY KEY, ENERGY DOUBLE)")
-    for i in range(n):
-        db.execute(f"INSERT INTO EVT VALUES ({i}, {i * 0.5})")
-    return db
-
-
 def build_observed_federation():
     """One observed+resilient server, 'events' replicated on two hosts."""
-    fed = GridFederation()
     config = ResilienceConfig(
         breaker=BreakerConfig(cooldown_ms=BREAKER_COOLDOWN_MS)
     )
-    server = fed.create_server(
-        "jclarens-a", "tier2a.cern.ch",
-        observe=True, cache=True, resilience=config, slos=DEMO_SLOS,
+    return replicated_federation(
+        observe=True, cache=True, resilience=config, slos=DEMO_SLOS
     )
-    primary = _events_db("primary_mart")
-    replica = _events_db("replica_mart", vendor="sqlite")
-    fed.attach_database(
-        server, primary, db_host="db1.cern.ch", logical_names={"EVT": "events"}
-    )
-    fed.attach_database(
-        server, replica, db_host="db2.cern.ch", logical_names={"EVT": "events"}
-    )
-    return fed, server
 
 
 def _run_phase(fed, service, seq, n: int, allow_partial: bool) -> dict:
@@ -285,52 +261,19 @@ def _self_test() -> int:
             and all(c["conserved"] for c in report["conservation"].values()),
         ),
     ]
-    failed = 0
-    for name, ok in checks:
-        if ok:
-            print(f"ok    {name}")
-        else:
-            failed += 1
-            print(f"FAIL  {name}")
-    if failed:
-        print(f"self-test: {failed} of {len(checks)} checks failed")
-        return 1
-    print(f"self-test: all {len(checks)} checks passed")
-    return 0
+    return run_checks(checks)
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(
+    return report_main(
+        argv,
         prog="python -m repro.tools.healthreport",
         description="SLO/health report for the demo federation",
+        checks="obs-v2",
+        build_report=build_report,
+        print_human=_print_human,
+        self_test=_self_test,
     )
-    parser.add_argument(
-        "--json", action="store_true", help="emit the report as JSON"
-    )
-    parser.add_argument(
-        "--out", metavar="FILE", help="write the report to FILE instead of stdout"
-    )
-    parser.add_argument(
-        "--self-test", action="store_true",
-        help="run the built-in obs-v2 checks and exit",
-    )
-    args = parser.parse_args(argv)
-
-    if args.self_test:
-        return _self_test()
-
-    report = build_report()
-    if args.json:
-        text = json.dumps(report, indent=2, sort_keys=True)
-        if args.out:
-            with open(args.out, "w", encoding="utf-8") as handle:
-                handle.write(text + "\n")
-            print(f"wrote {args.out}", file=sys.stderr)
-        else:
-            print(text)
-        return 0
-    _print_human(report)
-    return 0
 
 
 if __name__ == "__main__":

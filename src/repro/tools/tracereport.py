@@ -16,13 +16,8 @@ The ``--json`` form is what the benchmark suite uses to emit its
 
 from __future__ import annotations
 
-import argparse
-import json
-import sys
-
-from repro.core.federation import GridFederation
-from repro.engine.database import Database
 from repro.obs.trace import Span, format_span_tree
+from repro.tools.demo import report_main, run_checks, two_server_federation
 
 #: the distributed query the demo federation runs (events on server A,
 #: runs on server B — so executing it on A forces an RLS lookup and a
@@ -35,29 +30,6 @@ DEMO_SQL = (
 MONITOR_SQL = "SELECT COUNT(*) FROM monitor_spans"
 
 
-def _events_db(n_events: int = 10) -> Database:
-    db = Database("mart_mysql", "mysql")
-    db.execute(
-        "CREATE TABLE EVT (EVENT_ID INT PRIMARY KEY, RUN_ID INT, "
-        "ENERGY DOUBLE, TAG VARCHAR(8))"
-    )
-    for i in range(n_events):
-        tag = "hot" if i % 2 else "cold"
-        db.execute(f"INSERT INTO EVT VALUES ({i}, {i % 3}, {i * 1.5}, '{tag}')")
-    return db
-
-
-def _runs_db() -> Database:
-    db = Database("mart_mssql", "mssql")
-    db.execute(
-        "CREATE TABLE RUN_INFO (RUN_ID INT PRIMARY KEY, DETECTOR NVARCHAR(20), "
-        "GOOD INT)"
-    )
-    for i, (det, good) in enumerate([("cms", 1), ("atlas", 1), ("lhcb", 0)]):
-        db.execute(f"INSERT INTO RUN_INFO VALUES ({i}, '{det}', {good})")
-    return db
-
-
 def build_observed_federation(cache: bool = False):
     """Two observing JClarens servers, one database each.
 
@@ -66,14 +38,7 @@ def build_observed_federation(cache: bool = False):
     monitor tables to the RLS. ``cache=True`` additionally turns on the
     multi-level query cache on both servers.
     """
-    fed = GridFederation()
-    a = fed.create_server("jclarens-a", "tier2a.cern.ch", observe=True, cache=cache)
-    b = fed.create_server(
-        "jclarens-b", "tier2b.caltech.edu", observe=True, cache=cache
-    )
-    fed.attach_database(a, _events_db(), logical_names={"EVT": "events"})
-    fed.attach_database(b, _runs_db(), logical_names={"RUN_INFO": "runs"})
-    return fed, a, b
+    return two_server_federation(observe=True, cache=cache)[:3]
 
 
 def build_report() -> dict:
@@ -229,52 +194,19 @@ def _self_test() -> int:
             report["warm_ms"] < report["total_ms"],
         ),
     ]
-    failed = 0
-    for name, ok in checks:
-        if ok:
-            print(f"ok    {name}")
-        else:
-            failed += 1
-            print(f"FAIL  {name}")
-    if failed:
-        print(f"self-test: {failed} of {len(checks)} checks failed")
-        return 1
-    print(f"self-test: all {len(checks)} checks passed")
-    return 0
+    return run_checks(checks)
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(
+    return report_main(
+        argv,
         prog="python -m repro.tools.tracereport",
         description="span-tree and metrics report for the demo federation",
+        checks="observability",
+        build_report=build_report,
+        print_human=_print_human,
+        self_test=_self_test,
     )
-    parser.add_argument(
-        "--json", action="store_true", help="emit the report as JSON"
-    )
-    parser.add_argument(
-        "--out", metavar="FILE", help="write the report to FILE instead of stdout"
-    )
-    parser.add_argument(
-        "--self-test", action="store_true",
-        help="run the built-in observability checks and exit",
-    )
-    args = parser.parse_args(argv)
-
-    if args.self_test:
-        return _self_test()
-
-    report = build_report()
-    if args.json:
-        text = json.dumps(report, indent=2, sort_keys=True)
-        if args.out:
-            with open(args.out, "w", encoding="utf-8") as handle:
-                handle.write(text + "\n")
-            print(f"wrote {args.out}", file=sys.stderr)
-        else:
-            print(text)
-        return 0
-    _print_human(report)
-    return 0
 
 
 if __name__ == "__main__":

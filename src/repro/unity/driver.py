@@ -12,13 +12,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Protocol
 
+from repro.cache import normalize_sql
 from repro.common.types import SQLType
 from repro.dialects import get_dialect
-from repro.driver.connection import connect
 from repro.driver.directory import Directory
-from repro.engine.storage import estimate_row_bytes
+from repro.engine.storage import estimate_row_bytes  # noqa: F401 - perfbench counts calls at this binding
 from repro.metadata.dictionary import DataDictionary
 from repro.net import costs
+from repro.net.simclock import SimClock
 from repro.sql import ast
 from repro.sql.parser import parse_select
 from repro.unity.decompose import DecomposedQuery, SubQuery, decompose
@@ -92,16 +93,13 @@ def execute_plan(
     clock=None,
 ) -> FederatedResult:
     """Run every sub-query through ``runner`` and integrate."""
-
-    def now() -> float:
-        return clock.now_ms if clock is not None else 0.0
-
+    clock = clock or SimClock()
     traces: list[SubQueryTrace] = []
     if plan.kind == "single":
         sub = plan.subqueries[0]
-        t0 = now()
+        t0 = clock.now_ms
         columns, types, rows, via = runner(sub, params)
-        t1 = now()
+        t1 = clock.now_ms
         columns = _logicalize_columns(columns, sub)
         if sub.select.limit is not None:
             vendor_dialect = get_dialect(sub.location.vendor)
@@ -112,9 +110,9 @@ def execute_plan(
 
     sub_results: dict[str, tuple[list[str], list[SQLType], list[tuple]]] = {}
     for sub in plan.subqueries:
-        t0 = now()
+        t0 = clock.now_ms
         columns, types, rows, via = runner(sub, params)
-        t1 = now()
+        t1 = clock.now_ms
         sub_results[sub.binding] = (columns, types, rows)
         traces.append(_trace(sub, len(rows), via, t0, t1))
     result = Integrator(clock).integrate(plan, sub_results, params)
@@ -146,7 +144,11 @@ def _logicalize_columns(columns: list[str], sub: SubQuery) -> list[str]:
 
 
 class UnityDriver:
-    """The federated driver in its standalone (pure JDBC) form."""
+    """The federated driver in its standalone (pure JDBC) form.
+
+    Its sub-queries take the data access service's pipeline and router
+    with every route but JDBC switched off (``force_jdbc``).
+    """
 
     def __init__(
         self,
@@ -164,17 +166,20 @@ class UnityDriver:
         epochs=None,
         resilience=False,
     ):
+        # the core package imports this module: bind its names lazily
+        from repro.core.pipeline import SubQueryPipeline
+        from repro.core.router import SubQueryRouter
+        from repro.obs.metrics import MetricsRegistry
+
         self.dictionary = dictionary
         self.directory = directory
-        self.clock = clock
+        self.clock = clock or SimClock()
         self.network = network
         self.host = host
         self.pushdown = pushdown
         self.user = user
         self.password = password
         self.preflight = preflight
-        from repro.obs.metrics import MetricsRegistry
-
         self.metrics = MetricsRegistry()
         self.tracer = None
         self.profiler = None
@@ -182,115 +187,34 @@ class UnityDriver:
             from repro.obs.profiler import QueryProfiler
             from repro.obs.trace import Tracer
 
-            self.tracer = Tracer(clock, host or "unity")
-            self.profiler = QueryProfiler(clock)
-        # Opt-in multi-level caching (plan + sub-results); with cache
-        # off no cache objects exist and execution is the prototype's.
+            self.tracer = Tracer(self.clock, host or "unity")
+            self.profiler = QueryProfiler(self.clock)
+        # Opt-in multi-level caching (plan + sub-results) and retry/backoff
+        # + per-database breakers: each exists only when switched on.
         self.cache = None
         if cache:
             from repro.cache import CacheManager
 
-            self.cache = CacheManager(clock=clock, metrics=self.metrics, epochs=epochs)
-        # Opt-in retry/backoff + per-database breakers; with resilience
-        # off no manager exists and a dead database fails as before.
+            self.cache = CacheManager(
+                clock=self.clock, metrics=self.metrics, epochs=epochs
+            )
         self.resilience = None
         if resilience:
             from repro.resilience import ResilienceConfig, ResilienceManager
 
             config = resilience if isinstance(resilience, ResilienceConfig) else None
             self.resilience = ResilienceManager(
-                clock=clock, metrics=self.metrics, config=config,
+                clock=self.clock, metrics=self.metrics, config=config,
                 tracer=self.tracer,
             )
-
-    def _span(self, stage: str, **attrs):
-        if self.tracer is None:
-            from repro.obs.trace import NOOP_SPAN
-
-            return NOOP_SPAN
-        return self.tracer.span(stage, **attrs)
-
-    # -- cost plumbing -----------------------------------------------------------
-
-    def _charge(self, ms: float) -> None:
-        if self.clock is not None:
-            self.clock.advance_ms(ms)
-
-    def _transfer_rows(self, from_host: str, rows: list[tuple]) -> None:
-        """Wire cost of shipping a sub-result to the driver's host."""
-        if self.network is None or self.host is None:
-            return
-        nbytes = sum(estimate_row_bytes(r) for r in rows) + 256
-        self.network.transfer(from_host, self.host, nbytes, self.clock)
-
-    # -- sub-query execution over JDBC ----------------------------------------------
-
-    def _fetch_jdbc(
-        self, sub: SubQuery, params: tuple
-    ) -> tuple[list[str], list[SQLType], list[tuple]]:
-        """One unprotected connect/execute/fetch round-trip."""
-        dialect = get_dialect(sub.location.vendor)
-        connection = connect(
-            sub.location.url,
-            self.user,
-            self.password,
-            directory=self.directory,
-            clock=self.clock,
+        self.router = SubQueryRouter(
+            None, directory, clock=self.clock, network=network, host=host,
+            user=user, password=password, force_jdbc=True, metrics=self.metrics,
         )
-        try:
-            vendor_sql = dialect.render_select(sub.select)
-            cursor = connection.execute(vendor_sql, params)
-            rows = cursor.fetchall()
-            types = cursor.types or [SQLType.text()] * len(cursor.columns)
-            columns = cursor.columns
-        finally:
-            connection.close()
-        binding = self.directory.lookup(sub.location.url)
-        self._transfer_rows(binding.host_name, rows)
-        return columns, types, rows
-
-    def run_subquery(
-        self, sub: SubQuery, params: tuple
-    ) -> tuple[list[str], list[SQLType], list[tuple], str]:
-        """Fresh connection per (query, database), like the prototype.
-
-        With caching on, a warm sub-result is served from memory for
-        ``CACHE_HIT_MS`` instead — route ``cache`` in the trace.
-        """
-        cache_key = None
-        if self.cache is not None:
-            cache_key = self.cache.sub_key(sub, params)
-            hit = self.cache.lookup_sub(cache_key)
-            if hit is not None:
-                with self._span(
-                    "subquery", binding=sub.binding,
-                    database=sub.location.database_name,
-                ) as span:
-                    self._charge(costs.CACHE_HIT_MS)
-                    self.cache.record_hit_latency(costs.CACHE_HIT_MS)
-                    columns, types, rows, _via = hit
-                    span.set("route", "cache").set("rows", len(rows))
-                return list(columns), list(types), list(rows), "cache"
-        with self._span(
-            "subquery", binding=sub.binding, database=sub.location.database_name
-        ) as span:
-            if self.resilience is not None:
-                columns, types, rows = self.resilience.call(
-                    f"db:{sub.location.database_name}",
-                    lambda: self._fetch_jdbc(sub, params),
-                )
-            else:
-                columns, types, rows = self._fetch_jdbc(sub, params)
-            self.metrics.counter("subqueries.jdbc").inc()
-            self.metrics.counter("rows_moved").inc(len(rows))
-            span.set("route", "jdbc").set("rows", len(rows))
-        if cache_key is not None:
-            self.cache.store_sub(
-                cache_key,
-                (columns, types, rows, "jdbc"),
-                tag=sub.location.database_name,
-            )
-        return columns, types, rows, "jdbc"
+        self.pipeline = SubQueryPipeline(
+            self.router, host=host, cache=self.cache,
+            resilience=self.resilience, tracer=self.tracer,
+        )
 
     # -- public API -------------------------------------------------------------------
 
@@ -310,30 +234,25 @@ class UnityDriver:
     def plan(
         self, sql: str | ast.Select, prefer_databases: dict[str, str] | None = None
     ) -> DecomposedQuery:
-        plan_key = None
-        if self.cache is not None:
-            from repro.cache import normalize_sql
-
-            prefer = tuple(sorted((prefer_databases or {}).items()))
-            plan_key = (normalize_sql(sql), prefer)
-            cached = self.cache.get_plan(plan_key)
-            if cached is not None:
-                # decomposition and the per-participant XSpec metadata
-                # parse were paid when the plan was cached
-                return cached.plan
+        prefer = tuple(sorted((prefer_databases or {}).items()))
+        plan_key = (normalize_sql(sql), prefer)
+        cached = self.pipeline.plans.get_plan(plan_key)
+        if cached is not None:
+            # decomposition and the per-participant XSpec metadata
+            # parse were paid when the plan was cached
+            return cached.plan
         select = parse_select(sql) if isinstance(sql, str) else sql
         if self.preflight:
             self._preflight(select, prefer_databases)
-        self._charge(costs.DECOMPOSE_MS)
+        self.clock.advance_ms(costs.DECOMPOSE_MS)
         plan = decompose(
             select, self.dictionary, pushdown=self.pushdown,
             prefer_databases=prefer_databases,
         )
         # Parsing each participant's XSpec metadata per query (§4.2's
         # N×S criticism) is a real per-query cost in the prototype.
-        self._charge(len(plan.databases) * costs.UNITY_METADATA_PARSE_MS)
-        if plan_key is not None:
-            self.cache.put_plan(plan_key, select, plan)
+        self.clock.advance_ms(len(plan.databases) * costs.UNITY_METADATA_PARSE_MS)
+        self.pipeline.plans.put_plan(plan_key, select, plan)
         return plan
 
     def execute(
@@ -342,27 +261,22 @@ class UnityDriver:
         params: tuple = (),
         prefer_databases: dict[str, str] | None = None,
     ) -> FederatedResult:
-        start_ms = self.clock.now_ms if self.clock is not None else 0.0
-        if self.resilience is not None:
-            self.resilience.start_deadline()
-        span_mark = len(self.tracer.spans) if self.tracer is not None else 0
-        with self._span("query") as span:
-            with self._span("decompose"):
+        start_ms = self.clock.now_ms
+        ctx = self.pipeline.context(params)
+        with self.pipeline.span("query") as span:
+            with self.pipeline.span("decompose"):
                 plan = self.plan(sql, prefer_databases)
-            result = execute_plan(plan, self.run_subquery, params, self.clock)
+            # planning parsed every participant's metadata (or the plan
+            # cache carried it): the JDBC route must not pay it again
+            ctx.parsed = frozenset(plan.databases)
+            result = execute_plan(
+                plan, lambda sub, _params: self.pipeline.run(sub, ctx),
+                params, self.clock,
+            )
             span.set("rows", len(result.rows))
         self.metrics.counter("queries").inc()
-        if self.clock is not None:
-            self.metrics.histogram("query_ms").observe(self.clock.now_ms - start_ms)
-        if self.profiler is not None and span.trace_id is not None:
+        self.metrics.histogram("query_ms").observe(self.clock.now_ms - start_ms)
+        if self.profiler is not None:
             shape = sql if isinstance(sql, str) else sql.unparse()
-            self.profiler.record(
-                span,
-                [
-                    s
-                    for s in self.tracer.spans[span_mark:]
-                    if s.trace_id == span.trace_id
-                ],
-                shape=shape,
-            )
+            self.profiler.record(span, self.tracer.trace_spans(span), shape=shape)
         return result

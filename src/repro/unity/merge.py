@@ -14,6 +14,7 @@ from repro.common.types import SQLType
 from repro.engine.database import Database, ExecResult
 from repro.engine.storage import Column
 from repro.net import costs
+from repro.net.simclock import SimClock
 from repro.unity.decompose import DecomposedQuery, SubQuery
 
 
@@ -21,11 +22,7 @@ class Integrator:
     """Builds the scratch database and runs the integration query."""
 
     def __init__(self, clock=None):
-        self.clock = clock
-
-    def _charge(self, ms: float) -> None:
-        if self.clock is not None:
-            self.clock.advance_ms(ms)
+        self.clock = clock or SimClock()
 
     def integrate(
         self,
@@ -51,13 +48,13 @@ class Integrator:
             storage.append_rows([list(row) for row in rows])
             total_rows += len(rows)
         # Building scratch tables is the "integration" cost of §5.2.
-        self._charge(total_rows * costs.MERGE_PER_ROW_MS)
+        self.clock.advance_ms(total_rows * costs.MERGE_PER_ROW_MS)
         if plan.integration.joins:
             # Hash-join build/probe work in the data access layer.
             sizes = sorted(len(r[2]) for r in sub_results.values())
             if sizes:
-                self._charge(sizes[0] * costs.XJOIN_BUILD_ROW_MS)
-                self._charge(sum(sizes[1:]) * costs.XJOIN_PROBE_ROW_MS)
+                self.clock.advance_ms(sizes[0] * costs.XJOIN_BUILD_ROW_MS)
+                self.clock.advance_ms(sum(sizes[1:]) * costs.XJOIN_PROBE_ROW_MS)
         return scratch.execute_statement(plan.integration, params)
 
 

@@ -237,3 +237,28 @@ class TestRLS:
         before = clock.now_ms
         client.lookup("events")
         assert clock.now_ms - before >= costs.RLS_LOOKUP_MS
+
+
+class TestSessionIds:
+    def test_session_ids_are_numbered_per_server(self):
+        network = Network()
+        network.add_host("pc1")
+        first = ClarensServer("jc", "pc1", network, SimClock())
+        for _ in range(12):
+            first.authenticate("grid", "grid")
+        second = ClarensServer("jc", "pc1", network, SimClock())
+        assert second.authenticate("grid", "grid") == "jc-session-1"
+
+    def test_identical_federations_answer_in_identical_time(self):
+        # session ids travel in every request, so a process-wide counter
+        # made a later federation's requests (and sim ms) longer
+        from repro.tools.tracereport import DEMO_SQL, build_observed_federation
+
+        def response_ms(sessions_before: int) -> float:
+            fed, a, _b = build_observed_federation()
+            for _ in range(sessions_before):
+                a.server.authenticate("grid", "grid")
+            fed2, a2, _b2 = build_observed_federation()
+            return fed2.query(fed2.client("laptop"), a2, DEMO_SQL).response_ms
+
+        assert response_ms(0) == response_ms(100)

@@ -282,11 +282,10 @@ class TestResilienceManager:
                 max_attempts=5, backoff_base_ms=400.0, deadline_ms=300.0
             )
         )
-        manager.start_deadline()
         backend = FlakyBackend(99)
         t0 = clock.now_ms
         with pytest.raises(ConnectionFailedError):
-            manager.call("db:x", backend)
+            manager.call("db:x", backend, deadline_at_ms=t0 + 300.0)
         assert backend.calls == 1  # no time left to back off and retry
         assert clock.now_ms == t0
         assert (

@@ -67,7 +67,7 @@ class TestDiscoveryExceptionNarrowed:
         )
         fed.directory.unregister(server.service.dictionary.url_for("only_mart"))
 
-        def broken_lookup(logical_table):
+        def broken_lookup(logical_table, deadline_at_ms=None):
             raise RuntimeError("bug in the RLS client")
 
         server.service.rls.lookup = broken_lookup
