@@ -58,7 +58,7 @@ class CacheManager:
 
     def __init__(
         self,
-        clock=None,
+        clock,
         metrics: MetricsRegistry | None = None,
         epochs: EpochRegistry | None = None,
         plan_entries: int = 256,

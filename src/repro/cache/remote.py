@@ -35,13 +35,14 @@ class _Answer:
     deadline_ms: float
 
 
+#: position of ``dataaccess.query``'s trace context: monitoring that rides
+#: the call, not part of the question the answer depends on
+TRACE_CTX_ARG = 3
+
+
 def _answer_bytes(value) -> int:
     """Approximate footprint of a wire answer (row payload + envelope)."""
-    nbytes = 256
-    if isinstance(value, dict):
-        for row in value.get("rows", ()):
-            nbytes += estimate_row_bytes(tuple(row))
-    return nbytes
+    return 256 + sum(estimate_row_bytes(tuple(row)) for row in value.get("rows", ()))
 
 
 class RemoteAnswerCache:
@@ -78,11 +79,9 @@ class RemoteAnswerCache:
         return method in self.CACHEABLE_METHODS
 
     def key(self, server_name: str, method: str, args: tuple):
-        return (server_name, method, repr(args))
-
-    @property
-    def now_ms(self) -> float:
-        return self.clock.now_ms if self.clock is not None else 0.0
+        """The call's identity, its trace context left out."""
+        question = args[:TRACE_CTX_ARG] + args[TRACE_CTX_ARG + 1:]
+        return (server_name, method, repr(question))
 
     def get(self, key):
         """The cached answer (deep copy) or None when absent/stale."""
@@ -90,7 +89,8 @@ class RemoteAnswerCache:
         if answer is None:
             self._count("cache.remote.misses")
             return None
-        if answer.generation != self.epochs.generation or self.now_ms > answer.deadline_ms:
+        now = self.clock.now_ms
+        if answer.generation != self.epochs.generation or now > answer.deadline_ms:
             self._lru.remove(key)
             self._count("cache.remote.misses")
             self._count("cache.invalidations")
@@ -100,12 +100,15 @@ class RemoteAnswerCache:
         return copy.deepcopy(answer.value)
 
     def put(self, key, value) -> None:
+        """Store an answer without its piggybacked spans: they belong to
+        the trace that fetched it, not to a later hit's."""
+        value = {k: v for k, v in value.items() if k != "spans"}
         self._lru.put(
             key,
             _Answer(
                 value=copy.deepcopy(value),
                 generation=self.epochs.generation,
-                deadline_ms=self.now_ms + self.ttl_ms,
+                deadline_ms=self.clock.now_ms + self.ttl_ms,
             ),
             nbytes=_answer_bytes(value),
         )

@@ -4,7 +4,9 @@ The paper's Data Access Service makes one decision per sub-query: run
 it through POOL-RAL, through JDBC/Unity, or forward it to the remote
 JClarens server hosting its table (§4.5), failing over to a replica
 when its backend is dead (§4.8). :class:`SubQueryPipeline` is that path,
-composed once at construction from the layers that are switched on::
+composed once at construction from the layers that are switched on,
+which it also builds — the one place the tracer, profiler, cache manager
+and resilience manager of a service or driver come from::
 
     cache -> failover -> breaker/retry -> span -> SubQueryRouter
 
@@ -18,8 +20,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from repro.cache import CacheManager
 from repro.net import costs
-from repro.obs.trace import NOOP_SPAN
+from repro.obs.profiler import QueryProfiler
+from repro.obs.trace import NOOP_SPAN, Tracer
+from repro.resilience import ResilienceConfig, ResilienceManager
 
 
 @dataclass
@@ -32,6 +37,9 @@ class QueryContext:
     #: simulated instant after which no retry backoff sleep starts
     #: (None: only the attempt limit bounds retries)
     deadline_at_ms: float | None = None
+    #: ``(trace_id, parent_span_id)`` of the server that forwarded this
+    #: query: its root span joins that trace (None: a locally rooted query)
+    trace_parent: tuple | None = None
     #: databases whose XSpec metadata this query has already parsed;
     #: the JDBC route charges UNITY_METADATA_PARSE_MS for any other one
     parsed: frozenset = frozenset()
@@ -63,43 +71,60 @@ class _NoPlanCache:
 
 
 class SubQueryPipeline:
-    """Runs a sub-query through every switched-on layer, then routes it.
+    """Builds the switched-on layers, runs a sub-query through them, then
+    routes it.
 
-    ``failover(run, sub, ctx)`` (the service's replica walk) receives the
-    guarded inner chain, so each replica attempt gets its own breaker,
-    retries and span. ``host`` labels cache hits, which this host serves.
+    The layers share the router's clock and metrics registry. ``observe``
+    builds a tracer (its spans labelled ``name``) and a profiler;
+    ``cache`` a cache manager on the shared ``epochs``; ``resilience``
+    (True or a ``ResilienceConfig``) a resilience manager. An off layer
+    is None. ``failover(run, sub, ctx)`` (the service's replica walk)
+    receives the guarded inner chain, so each replica attempt gets its
+    own breaker, retries and span. Cache hits are labelled with the
+    router's host, which serves them.
     """
 
-    def __init__(self, router, host=None, cache=None, resilience=None,
-                 tracer=None, failover=None):
-        self.clock = router.clock
-        #: span factory: the tracer's, or the shared no-op
-        self.span = _no_span if tracer is None else tracer.span
-        #: level-1 cache of decomposition plans (a no-op when cache is off)
-        self.plans = _NoPlanCache if cache is None else cache
-        #: ``guard(key, fn, ctx)``: fn() behind key's breaker and retries
-        self.guard = _unguarded
-        self._deadline_ms = None
+    #: the layers this pipeline built (None: switched off)
+    tracer = profiler = cache = resilience = None
+    #: span factory: the tracer's, or the shared no-op
+    span = staticmethod(_no_span)
+    #: level-1 cache of decomposition plans (a no-op when cache is off)
+    plans = _NoPlanCache
+    #: ``guard(key, fn, ctx)``: fn() behind key's breaker and retries
+    guard = staticmethod(_unguarded)
+    _deadline_ms = None
+
+    def __init__(self, router, name=None, observe=False, cache=False, epochs=None,
+                 resilience=False, failover=None):
+        clock = self.clock = router.clock
         run = router
-        if tracer is not None:
-            run = _traced(run, tracer, router)
-        if resilience is not None:
-            self._deadline_ms = resilience.policy.deadline_ms
-            self.guard = _guard(resilience)
-            run = _guarded(run, resilience)
+        if observe:
+            self.tracer = Tracer(clock, name)
+            self.profiler = QueryProfiler(clock)
+            self.span = self.tracer.span
+            run = _traced(run, self.tracer, router)
+        if resilience:
+            config = resilience if isinstance(resilience, ResilienceConfig) else None
+            self.resilience = ResilienceManager(clock, router.metrics, config, self.tracer)
+            self._deadline_ms = self.resilience.policy.deadline_ms
+            self.guard = _guard(self.resilience)
+            run = _guarded(run, self.guard)
         if failover is not None:
             run = _failing_over(run, failover)
-        if cache is not None:
-            run = _cached(run, cache, self.clock, self.span, host)
+        if cache:
+            self.cache = self.plans = CacheManager(clock, router.metrics, epochs)
+            run = _cached(run, self.cache, clock, self.span, router.host)
         #: ``run(sub, ctx) -> (columns, types, rows, via)``
         self.run = run
 
-    def context(self, params: tuple = (), allow_partial: bool = False) -> QueryContext:
+    def context(
+        self, params: tuple = (), allow_partial: bool = False, trace_parent=None
+    ) -> QueryContext:
         """A fresh context; the retry deadline budget starts now."""
         deadline = None
         if self._deadline_ms is not None:
             deadline = self.clock.now_ms + self._deadline_ms
-        return QueryContext(params, allow_partial, deadline)
+        return QueryContext(params, allow_partial, deadline, trace_parent)
 
 
 def _breaker_key(sub) -> str:
@@ -115,14 +140,12 @@ def _guard(resilience):
     return guard
 
 
-def _guarded(run, resilience):
+def _guarded(run, guard):
     """Breaker + retry: an open breaker refuses instantly instead of
     paying ``PARTITION_TIMEOUT_MS``; transient failures back off."""
 
     def guarded(sub, ctx: QueryContext):
-        return resilience.call(
-            _breaker_key(sub), lambda: run(sub, ctx), ctx.deadline_at_ms
-        )
+        return guard(_breaker_key(sub), lambda: run(sub, ctx), ctx)
 
     return guarded
 

@@ -34,13 +34,13 @@ from repro.metadata.xspec import LowerXSpec
 from repro.net import costs
 from repro.net.simclock import SimClock
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.trace import QueryRecord, Tracer
+from repro.obs.trace import QueryRecord
 from repro.poolral.ral import PoolRAL
 from repro.rls.client import RLSClient
 from repro.sql import ast
 from repro.sql.parser import parse_select
 from repro.unity.decompose import SubQuery, decompose
-from repro.unity.driver import execute_plan
+from repro.unity.driver import integrate_plan
 
 
 @dataclass
@@ -154,79 +154,54 @@ class DataAccessService(ClarensService):
             self.replica_selector = ReplicaSelector(
                 server.network, directory, server.host
             )
-        # The opt-in layers (span tracing, caching, retry + breakers and
-        # the obs v2 analysis layers) exist only when switched on; the
-        # sub-query pipeline below is composed from the ones that do.
-        self.tracer: Tracer | None = None
-        self.cache = None
-        self.resilience = None
-        self.monitor = None
-        self.profiler = None
-        self.archiver = None
-        self.slo = None
-        if observe:
-            self.tracer = Tracer(self.clock, server.name)
+        # The pipeline builds the opt-in layers that are switched on (span
+        # tracing + profiling, caching, retry + breakers); the rest of the
+        # obs layer and the cache's service-side hooks are wired here.
+        self.pipeline = SubQueryPipeline(
+            self.router, server.name, observe=observe, cache=cache, epochs=epochs,
+            resilience=resilience, failover=self._failover,
+        )
+        self.tracer = self.pipeline.tracer
+        self.profiler = self.pipeline.profiler
+        self.cache = self.pipeline.cache
+        self.resilience = self.pipeline.resilience
+        self.monitor = self.archiver = self.slo = None
         if cache:
-            from repro.cache import CacheManager
-
-            self.cache = CacheManager(
-                clock=self.clock, metrics=self.metrics, epochs=epochs
-            )
             # level 3 rides inside the peer client, where forwarded
             # sub-queries pay the wire
             self._peer_client.answer_cache = self.cache.remote
             # the §4.9 tracker is the schema-side invalidation source
             self.tracker.epochs = self.cache.epochs
-        if resilience:
-            from repro.resilience import ResilienceConfig, ResilienceManager
-
-            config = resilience if isinstance(resilience, ResilienceConfig) else None
-            self.resilience = ResilienceManager(
-                clock=self.clock, metrics=self.metrics, config=config,
-                tracer=self.tracer,
-            )
         if observe:
             from repro.obs.archive import MetricsArchiver
             from repro.obs.monitor import MonitorDatabase
-            from repro.obs.profiler import QueryProfiler
             from repro.obs.slo import SLOEngine
 
-            self.profiler = QueryProfiler(self.clock)
             self.archiver = MetricsArchiver(self.metrics, self.clock)
             self.slo = SLOEngine(
                 self.archiver,
-                clock=self.clock,
+                self.clock,
                 slos=slos,
                 resilience=self.resilience,
                 cache=self.cache,
             )
             self.monitor = MonitorDatabase(
                 f"monitor_{server.name}",
-                tracer=self.tracer,
-                metrics=self.metrics,
-                cache=self.cache,
-                resilience=self.resilience,
+                self.tracer,
+                self.metrics,
                 clock=self.clock,
                 profiler=self.profiler,
                 archiver=self.archiver,
                 slo=self.slo,
+                cache=self.cache,
+                resilience=self.resilience,
             )
             server.network.add_observer(self._on_transfer)
-        self.pipeline = SubQueryPipeline(
-            self.router,
-            host=server.host,
-            cache=self.cache,
-            resilience=self.resilience,
-            tracer=self.tracer,
-            failover=self._failover,
-        )
         # failed transfers must be visible in dataaccess.metrics even
         # without tracing — the partition-timeout path counts here
         server.network.add_failure_observer(self._on_transfer_failed)
         if rls_client is not None:
             rls_client.metrics = self.metrics
-            rls_client.tracer = self.tracer
-            rls_client.resilience = self.resilience
 
     # ------------------------------------------------------------------
     # administration (local only — not web-exposed)
@@ -268,11 +243,8 @@ class DataAccessService(ClarensService):
             return
         self.metrics.counter(f"net.bytes.{src}->{dst}").inc(nbytes)
         self.metrics.counter("net.messages").inc()
-        if self.tracer.active is not None:
-            end = self.tracer.now_ms
-            self.tracer.record(
-                "transfer", end - ms, end, src=src, dst=dst, bytes=int(nbytes)
-            )
+        end = self.clock.now_ms
+        self.tracer.record("transfer", end - ms, end, src=src, dst=dst, bytes=int(nbytes))
 
     def _on_transfer_failed(self, src: str, dst: str, nbytes: int, ms: float) -> None:
         """Network failure observer: account partition timeouts."""
@@ -280,8 +252,8 @@ class DataAccessService(ClarensService):
         if host != src and host != dst:
             return
         self.metrics.counter("net.partition_timeouts").inc()
-        if self.tracer is not None and self.tracer.active is not None:
-            end = self.tracer.now_ms
+        if self.tracer is not None:
+            end = self.clock.now_ms
             self.tracer.record(
                 "transfer_failed", end - ms, end, src=src, dst=dst, bytes=int(nbytes)
             )
@@ -386,6 +358,7 @@ class DataAccessService(ClarensService):
         params: tuple = (),
         no_forward: bool = False,
         allow_partial: bool = False,
+        trace_parent: tuple | None = None,
     ) -> QueryAnswer:
         """Execute a logical-name query; the local (non-RPC) entry point.
 
@@ -393,9 +366,11 @@ class DataAccessService(ClarensService):
         retry is exhausted degrades to zero rows instead of failing the
         whole query: the answer comes back ``partial=True`` with one
         :class:`~repro.resilience.SubQueryFailure` per lost branch.
+        ``trace_parent`` (``(trace_id, parent_span_id)``) makes the query's
+        root span join a forwarding server's trace.
         """
         self._maybe_poll_schemas()
-        ctx = self.pipeline.context(params, allow_partial)
+        ctx = self.pipeline.context(params, allow_partial, trace_parent)
         plan_key = normalize_sql(sql)
         cached_plan = self.pipeline.plans.get_plan(plan_key)
         if cached_plan is not None:
@@ -404,7 +379,7 @@ class DataAccessService(ClarensService):
             select = parse_select(sql) if isinstance(sql, str) else sql
         start_ms = self.clock.now_ms
         self._observe_tick()
-        with self._span("query") as root:
+        with self._span("query", parent=ctx.trace_parent) as root:
             try:
                 answer = self._execute_query(
                     select, ctx, no_forward, plan_key, cached_plan
@@ -537,30 +512,19 @@ class DataAccessService(ClarensService):
             )
             groups.setdefault(group_key, []).append(sub)
 
-        collected: dict[str, tuple] = {}
+        fetched: dict[str, tuple] = {}
 
         def run_group(subs: list[SubQuery]):
             def _run():
                 for sub in subs:
-                    collected[sub.binding] = self._run_branch_subquery(sub, ctx)
+                    fetched[sub.binding] = self._run_branch_subquery(sub, ctx)
 
             return _run
 
         self.clock.run_parallel([run_group(subs) for subs in groups.values()])
-
-        def replay_runner(sub: SubQuery, _params: tuple):
-            return collected[sub.binding]
-
         with self._span("merge") as merge_span:
-            result = execute_plan(plan, replay_runner, ctx.params, self.clock)
+            result = integrate_plan(plan, fetched, ctx, self.clock)
             merge_span.set("rows", len(result.rows))
-        # the replayed traces get the provenance and timing of the real
-        # (possibly failed-over) execution; a lost branch keeps the plan's
-        for trace in result.traces:
-            meta = ctx.provenance.get(trace.binding)
-            if meta is not None:
-                trace.start_ms, trace.end_ms, trace.replica_host = meta[0:3]
-                trace.database, trace.url = meta[3:5]
         return QueryAnswer(
             columns=result.columns,
             types=result.types,
@@ -711,7 +675,13 @@ class DataAccessService(ClarensService):
         if self.rls is None:
             raise TableNotRegisteredError(logical_table)
         with self._span("rls_lookup", table=logical_table):
-            urls = self.rls.lookup(logical_table, ctx.deadline_at_ms)
+            with self._span("rls_wire", table=logical_table) as wire:
+                urls = self.pipeline.guard(
+                    f"rls:{self.rls.server.host}",
+                    lambda: self.rls.lookup(logical_table),
+                    ctx,
+                )
+                wire.set("replicas", len(urls))
             if exclude_own:
                 urls = [u for u in urls if u != self._service_url]
             last_error: Exception | None = None
@@ -781,17 +751,12 @@ class DataAccessService(ClarensService):
         ``allow_partial`` the response may carry ``partial=True`` plus a
         ``failures`` list instead of a fault when backends are lost.
         """
-        adopted = bool(trace_ctx) and self.tracer is not None
-        mark = len(self.tracer.spans) if adopted else 0
-        if adopted:
-            self.tracer.adopt(trace_ctx["trace_id"], trace_ctx["parent_id"])
-        try:
-            answer = self.execute(
-                sql, tuple(params or ()), bool(no_forward), bool(allow_partial)
-            )
-        finally:
-            if adopted:
-                self.tracer.release()
+        joined = bool(trace_ctx) and self.tracer is not None
+        mark = len(self.tracer.spans) if joined else 0
+        answer = self.execute(
+            sql, tuple(params or ()), bool(no_forward), bool(allow_partial),
+            (trace_ctx["trace_id"], trace_ctx["parent_id"]) if joined else None,
+        )
         out = {
             "columns": list(answer.columns),
             "types": [str(t) for t in answer.types],
@@ -805,7 +770,7 @@ class DataAccessService(ClarensService):
             # only partial-tolerant callers pay the extra response bytes
             out["partial"] = answer.partial
             out["failures"] = [f.as_dict() for f in answer.failures]
-        if adopted:
+        if joined:
             out["spans"] = [s.as_dict() for s in self.tracer.spans[mark:]]
         return out
 

@@ -209,7 +209,7 @@ class MetricsArchiver:
     def __init__(
         self,
         registry,
-        clock=None,
+        clock,
         interval_ms: float = 100.0,
         resolutions: tuple = (1_000.0, 10_000.0),
         raw_cap: int = 512,
@@ -233,7 +233,7 @@ class MetricsArchiver:
 
     @property
     def now_ms(self) -> float:
-        return self.clock.now_ms if self.clock is not None else 0.0
+        return self.clock.now_ms
 
     def watch_threshold(self, metric: str, threshold: float) -> None:
         """Count ``metric`` observations beyond ``threshold`` as bad."""

@@ -103,13 +103,14 @@ class MonitorDatabase(Database):
         name: str,
         tracer: Tracer,
         metrics: MetricsRegistry,
-        vendor: str = "mysql",
+        *,
+        clock,
+        profiler,
+        archiver,
+        slo,
         cache=None,
         resilience=None,
-        clock=None,
-        profiler=None,
-        archiver=None,
-        slo=None,
+        vendor: str = "mysql",
     ):
         super().__init__(name, vendor)
         self.tracer = tracer
@@ -121,19 +122,15 @@ class MonitorDatabase(Database):
         self.resilience = resilience
         #: the simclock stamping every row's ``ts_ms``
         self.clock = clock
-        #: optional :class:`repro.obs.profiler.QueryProfiler` → monitor_profile
+        #: :class:`repro.obs.profiler.QueryProfiler` → monitor_profile
         self.profiler = profiler
-        #: optional :class:`repro.obs.archive.MetricsArchiver` → monitor_history
+        #: :class:`repro.obs.archive.MetricsArchiver` → monitor_history
         self.archiver = archiver
-        #: optional :class:`repro.obs.slo.SLOEngine` → monitor_alerts
+        #: :class:`repro.obs.slo.SLOEngine` → monitor_alerts
         self.slo = slo
         self._refreshing = False
         for ddl in _DDL:
             self.execute(ddl)
-
-    @property
-    def now_ms(self) -> float:
-        return self.clock.now_ms if self.clock is not None else 0.0
 
     # -- refresh-on-read ---------------------------------------------------------
 
@@ -145,7 +142,7 @@ class MonitorDatabase(Database):
     def refresh(self) -> None:
         """Regenerate every monitor table from the live telemetry stack."""
         self._refreshing = True
-        now = self.now_ms
+        now = self.clock.now_ms
         try:
             spans = self.catalog.get_table("monitor_spans")
             spans.replace_rows(
@@ -209,17 +206,11 @@ class MonitorDatabase(Database):
                 ]
             )
             history = self.catalog.get_table("monitor_history")
-            history.replace_rows(
-                [] if self.archiver is None else self.archiver.history_rows()
-            )
+            history.replace_rows(self.archiver.history_rows())
             profile = self.catalog.get_table("monitor_profile")
-            profile.replace_rows(
-                [] if self.profiler is None else self.profiler.profile_rows()
-            )
+            profile.replace_rows(self.profiler.profile_rows())
             alerts = self.catalog.get_table("monitor_alerts")
-            alerts.replace_rows(
-                [] if self.slo is None else self.slo.alert_rows()
-            )
+            alerts.replace_rows(self.slo.alert_rows())
         finally:
             self._refreshing = False
 

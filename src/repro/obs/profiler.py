@@ -195,7 +195,7 @@ def _stack_path(span, by_id: dict) -> str:
 class QueryProfiler:
     """Profiles completed span trees; retains the slowest, aggregates all."""
 
-    def __init__(self, clock=None, top_n: int = 20, max_shapes: int = 256):
+    def __init__(self, clock, top_n: int = 20, max_shapes: int = 256):
         self.clock = clock
         self.top_n = top_n
         self.max_shapes = max_shapes
@@ -207,10 +207,6 @@ class QueryProfiler:
         self.backends: dict[str, BackendStats] = {}
         self.profiled = 0
         self._by_trace: dict[str, QueryProfile] = {}
-
-    @property
-    def now_ms(self) -> float:
-        return self.clock.now_ms if self.clock is not None else 0.0
 
     # -- recording ---------------------------------------------------------------
 
@@ -253,7 +249,7 @@ class QueryProfiler:
             shape=shape,
             server=root.server or "?",
             total_ms=root_end - root.start_ms,
-            ts_ms=self.now_ms,
+            ts_ms=self.clock.now_ms,
             operators=sorted(
                 operators.values(), key=lambda op: (-op.self_ms, op.stage, op.server)
             ),

@@ -121,7 +121,7 @@ class SLOEngine:
     def __init__(
         self,
         archiver: MetricsArchiver,
-        clock=None,
+        clock,
         slos: tuple | None = None,
         resilience=None,
         cache=None,
@@ -138,10 +138,6 @@ class SLOEngine:
         for slo in self.slos:
             if slo.kind == "latency":
                 archiver.watch_threshold(slo.metric, slo.threshold_ms)
-
-    @property
-    def now_ms(self) -> float:
-        return self.clock.now_ms if self.clock is not None else 0.0
 
     # -- burn math ----------------------------------------------------------------
 
@@ -202,7 +198,7 @@ class SLOEngine:
         firing = key in self._firing
         if reading.burn is not None and reading.burn >= threshold and not firing:
             alert = Alert(
-                ts_ms=self.now_ms,
+                ts_ms=self.clock.now_ms,
                 slo=slo.name,
                 severity=severity,
                 state="firing",
@@ -220,7 +216,7 @@ class SLOEngine:
             # hysteresis: resolve at half the firing threshold
             del self._firing[key]
             alert = Alert(
-                ts_ms=self.now_ms,
+                ts_ms=self.clock.now_ms,
                 slo=slo.name,
                 severity=severity,
                 state="resolved",
@@ -275,7 +271,7 @@ class SLOEngine:
         when any page-severity alert is firing, degraded on ticket
         alerts or open circuit breakers.
         """
-        now = self.now_ms
+        now = self.clock.now_ms
         window_ms = max(slo.fast_window_ms for slo in self.slos)
         queries = self.archiver.window("queries", window_ms)
         errors = self.archiver.window("query_errors", window_ms)

@@ -6,9 +6,10 @@ carry *simulated* wall-time — the same milliseconds the paper's
 benchmarks report. Spans nest through a context-manager stack
 (``with tracer.span("decompose"): ...``), and trace/parent ids travel
 across Clarens hops: the origin server sends ``{trace_id, parent_id}``
-with a forwarded sub-query, the remote server *adopts* that context,
-and its spans come back piggybacked on the response and are imported
-into the origin's tracer — one federated query, one span tree.
+with a forwarded sub-query, the remote query's root span takes that
+parent (it travels in the remote query's ``QueryContext``), and its
+spans come back piggybacked on the response and are imported into the
+origin's tracer — one federated query, one span tree.
 
 Sibling sub-query spans executed by concurrent remote servers overlap
 in simulated time (the clock forks per branch and joins at the max),
@@ -139,7 +140,7 @@ class QueryRecord:
 class Tracer:
     """Deterministic span factory stamped from one server's SimClock."""
 
-    def __init__(self, clock=None, server: str | None = None):
+    def __init__(self, clock, server: str | None = None):
         self.clock = clock
         self.server = server
         #: finished spans, in finish order (includes imported remote spans)
@@ -148,15 +149,8 @@ class Tracer:
         self.queries: list[QueryRecord] = []
         self.last_trace_id: str | None = None
         self._stack: list[Span] = []
-        self._adopted: list[tuple[str, str]] = []
         self._span_ids = itertools.count(1)
         self._trace_ids = itertools.count(1)
-
-    # -- clock ------------------------------------------------------------------
-
-    @property
-    def now_ms(self) -> float:
-        return self.clock.now_ms if self.clock is not None else 0.0
 
     # -- span lifecycle ---------------------------------------------------------
 
@@ -165,25 +159,25 @@ class Tracer:
         """The innermost open span, if any."""
         return self._stack[-1] if self._stack else None
 
-    def _context(self) -> tuple[str, str | None]:
-        parent = self.active
-        if parent is not None:
-            return parent.trace_id, parent.span_id
-        if self._adopted:
-            return self._adopted[-1]
-        prefix = self.server or "local"
-        return f"{prefix}-t{next(self._trace_ids)}", None
+    def span(self, stage: str, parent: tuple[str, str] | None = None, **attrs) -> Span:
+        """Open a child span of the innermost open span (a context manager).
 
-    def span(self, stage: str, **attrs) -> Span:
-        """Open a child span of the current context (a context manager)."""
-        trace_id, parent_id = self._context()
+        With no span open, the new span starts a trace, or joins the
+        ``(trace_id, parent_id)`` of a forwarding server when ``parent``
+        names one.
+        """
+        active = self.active
+        if active is not None:
+            parent = (active.trace_id, active.span_id)
+        prefix = self.server or "local"
+        trace_id, parent_id = parent or (f"{prefix}-t{next(self._trace_ids)}", None)
         span = Span(
             trace_id=trace_id,
-            span_id=f"{self.server or 'local'}-s{next(self._span_ids)}",
+            span_id=f"{prefix}-s{next(self._span_ids)}",
             parent_id=parent_id,
             stage=stage,
             server=self.server,
-            start_ms=self.now_ms,
+            start_ms=self.clock.now_ms,
             attrs=dict(attrs),
         )
         span.mark = len(self.spans)
@@ -192,7 +186,7 @@ class Tracer:
         return span
 
     def _finish(self, span: Span) -> None:
-        span.end_ms = self.now_ms
+        span.end_ms = self.clock.now_ms
         if self._stack and self._stack[-1] is span:
             self._stack.pop()
         elif span in self._stack:  # defensive; should not happen
@@ -207,13 +201,13 @@ class Tracer:
         Only recorded while some span is open — an isolated transfer with
         no query in flight is not part of any trace.
         """
-        trace_id, parent_id = self._context()
-        if parent_id is None and not self._adopted:
+        parent = self.active
+        if parent is None:
             return None
         span = Span(
-            trace_id=trace_id,
+            trace_id=parent.trace_id,
             span_id=f"{self.server or 'local'}-s{next(self._span_ids)}",
-            parent_id=parent_id,
+            parent_id=parent.span_id,
             stage=stage,
             server=self.server,
             start_ms=start_ms,
@@ -224,15 +218,6 @@ class Tracer:
         return span
 
     # -- cross-server propagation ----------------------------------------------
-
-    def adopt(self, trace_id: str, parent_id: str) -> None:
-        """Enter a remote trace context: new root spans parent under it."""
-        self._adopted.append((trace_id, parent_id))
-
-    def release(self) -> None:
-        """Leave the innermost adopted context."""
-        if self._adopted:
-            self._adopted.pop()
 
     def import_spans(self, dicts: list[dict]) -> list[Span]:
         """Merge spans a remote server returned into this tracer."""

@@ -21,7 +21,7 @@ class ResilienceManager:
 
     def __init__(
         self,
-        clock=None,
+        clock,
         metrics=None,
         config: ResilienceConfig | None = None,
         tracer=None,
@@ -55,9 +55,7 @@ class ResilienceManager:
     # -- budgets ------------------------------------------------------------------
 
     def _budget_allows(self, delay_ms: float, deadline_at_ms: float | None) -> bool:
-        if deadline_at_ms is None or self.clock is None:
-            return True
-        return self.clock.now_ms + delay_ms < deadline_at_ms
+        return deadline_at_ms is None or self.clock.now_ms + delay_ms < deadline_at_ms
 
     # -- accounting ---------------------------------------------------------------
 
@@ -66,7 +64,7 @@ class ResilienceManager:
             self.metrics.counter(name).inc(n)
 
     def _record_backoff(self, key: str, attempt: int, t0: float, t1: float) -> None:
-        if self.tracer is not None and self.tracer.active is not None:
+        if self.tracer is not None:
             self.tracer.record(
                 "retry_backoff", t0, t1, backend=key, attempt=attempt
             )
@@ -110,7 +108,7 @@ class ResilienceManager:
                 if not self._budget_allows(delay, deadline_at_ms):
                     self._count("resilience.deadline_exhausted")
                     raise
-                if self.clock is not None and delay > 0:
+                if delay > 0:
                     t0 = self.clock.now_ms
                     self.clock.advance_ms(delay)
                     self._record_backoff(key, attempt, t0, self.clock.now_ms)

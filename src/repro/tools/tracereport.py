@@ -45,8 +45,9 @@ def build_report() -> dict:
     """Run the demo workload and assemble the full telemetry report.
 
     The demo query runs twice on a cached federation: the reported
-    trace is the cold run's; the warm repeat exercises the plan and
-    sub-result caches, whose stats land in the ``cache`` block.
+    trace is the cold run's; the warm repeat exercises the plan,
+    sub-result and remote-answer caches, whose stats land in the
+    ``cache`` block.
     """
     fed, a, b = build_observed_federation(cache=True)
     service = a.service
@@ -188,6 +189,10 @@ def _self_test() -> int:
         (
             "warm repeat hit the sub-result cache",
             report["cache"]["sub"]["hits"] >= 1,
+        ),
+        (
+            "warm repeat hit the remote-answer cache",
+            report["cache"]["remote"]["hits"] >= 1,
         ),
         (
             "warm repeat faster than the cold run",

@@ -1,16 +1,14 @@
 """The enhanced Unity driver: plan → fetch → integrate.
 
-``execute_plan`` is the shared orchestration used both here (pure
-JDBC, as the original Unity driver worked) and by the data access
-service (which routes each sub-query through POOL-RAL or JDBC, §4.5).
-A ``SubQueryRunner`` abstracts that choice: it executes one sub-query
-somewhere and reports how.
+Both this driver (pure JDBC, as the original Unity driver worked) and
+the data access service (which routes each sub-query through POOL-RAL,
+JDBC or a remote server, §4.5) fetch their sub-results through the
+sub-query pipeline, then hand them to ``integrate_plan``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Protocol
 
 from repro.cache import normalize_sql
 from repro.common.types import SQLType
@@ -30,10 +28,10 @@ from repro.unity.merge import Integrator
 class SubQueryTrace:
     """What happened to one sub-query (exposed to tests and benches).
 
-    ``start_ms``/``end_ms`` are simulated-clock stamps around the
-    runner call; ``replica_host`` is the host that actually served the
-    sub-query (after replica selection or failover), filled in by the
-    data access service when it knows better than the plan did.
+    Built from the query's provenance: ``start_ms``/``end_ms`` are
+    simulated-clock stamps around the execution that served the
+    sub-query, and ``database``/``url``/``replica_host`` name where it
+    ran (after replica selection or failover).
     """
 
     binding: str
@@ -78,61 +76,37 @@ class FederatedResult:
         raise KeyError(name)
 
 
-class SubQueryRunner(Protocol):
-    """Executes one sub-query and returns (columns, types, rows, via)."""
+def integrate_plan(plan: DecomposedQuery, fetched: dict, ctx, clock) -> FederatedResult:
+    """Integrate already-fetched sub-results into the final answer.
 
-    def __call__(
-        self, sub: SubQuery, params: tuple
-    ) -> tuple[list[str], list[SQLType], list[tuple], str]: ...
-
-
-def execute_plan(
-    plan: DecomposedQuery,
-    runner: SubQueryRunner,
-    params: tuple = (),
-    clock=None,
-) -> FederatedResult:
-    """Run every sub-query through ``runner`` and integrate."""
-    clock = clock or SimClock()
-    traces: list[SubQueryTrace] = []
-    if plan.kind == "single":
-        sub = plan.subqueries[0]
-        t0 = clock.now_ms
-        columns, types, rows, via = runner(sub, params)
-        t1 = clock.now_ms
-        columns = _logicalize_columns(columns, sub)
-        if sub.select.limit is not None:
-            vendor_dialect = get_dialect(sub.location.vendor)
-            if vendor_dialect.limit_applied_client_side:
-                rows = rows[: sub.select.limit]
-        traces.append(_trace(sub, len(rows), via, t0, t1))
-        return FederatedResult(columns, types, list(rows), plan, traces)
-
+    ``fetched`` maps each binding to its ``(columns, types, rows, via)``.
+    Each sub-query's trace comes from ``ctx.provenance``; a branch lost
+    to ``allow_partial`` has none, and keeps the plan's location stamped
+    with the integration instant.
+    """
+    now = clock.now_ms
     sub_results: dict[str, tuple[list[str], list[SQLType], list[tuple]]] = {}
+    traces: list[SubQueryTrace] = []
     for sub in plan.subqueries:
-        t0 = clock.now_ms
-        columns, types, rows, via = runner(sub, params)
-        t1 = clock.now_ms
+        loc = sub.location
+        columns, types, rows, via = fetched[sub.binding]
+        if plan.kind == "single":
+            columns = _logicalize_columns(columns, sub)
+            if sub.select.limit is not None and get_dialect(loc.vendor).limit_applied_client_side:
+                rows = rows[: sub.select.limit]
         sub_results[sub.binding] = (columns, types, rows)
-        traces.append(_trace(sub, len(rows), via, t0, t1))
-    result = Integrator(clock).integrate(plan, sub_results, params)
+        start_ms, end_ms, host, database, url = ctx.provenance.get(
+            sub.binding, (now, now, None, loc.database_name, loc.url)
+        )
+        traces.append(SubQueryTrace(
+            sub.binding, database, url, loc.vendor, sub.sql, len(rows), via,
+            start_ms, end_ms, host,
+        ))
+    if plan.kind == "single":
+        columns, types, rows = sub_results[plan.subqueries[0].binding]
+        return FederatedResult(columns, types, list(rows), plan, traces)
+    result = Integrator(clock).integrate(plan, sub_results, ctx.params)
     return FederatedResult(result.columns, result.types, result.rows, plan, traces)
-
-
-def _trace(
-    sub: SubQuery, rows: int, via: str, start_ms: float, end_ms: float
-) -> SubQueryTrace:
-    return SubQueryTrace(
-        binding=sub.binding,
-        database=sub.location.database_name,
-        url=sub.location.url,
-        vendor=sub.location.vendor,
-        sql=sub.sql,
-        rows=rows,
-        via=via,
-        start_ms=start_ms,
-        end_ms=end_ms,
-    )
 
 
 def _logicalize_columns(columns: list[str], sub: SubQuery) -> list[str]:
@@ -169,7 +143,6 @@ class UnityDriver:
         # the core package imports this module: bind its names lazily
         from repro.core.pipeline import SubQueryPipeline
         from repro.core.router import SubQueryRouter
-        from repro.obs.metrics import MetricsRegistry
 
         self.dictionary = dictionary
         self.directory = directory
@@ -180,41 +153,21 @@ class UnityDriver:
         self.user = user
         self.password = password
         self.preflight = preflight
-        self.metrics = MetricsRegistry()
-        self.tracer = None
-        self.profiler = None
-        if observe:
-            from repro.obs.profiler import QueryProfiler
-            from repro.obs.trace import Tracer
-
-            self.tracer = Tracer(self.clock, host or "unity")
-            self.profiler = QueryProfiler(self.clock)
-        # Opt-in multi-level caching (plan + sub-results) and retry/backoff
-        # + per-database breakers: each exists only when switched on.
-        self.cache = None
-        if cache:
-            from repro.cache import CacheManager
-
-            self.cache = CacheManager(
-                clock=self.clock, metrics=self.metrics, epochs=epochs
-            )
-        self.resilience = None
-        if resilience:
-            from repro.resilience import ResilienceConfig, ResilienceManager
-
-            config = resilience if isinstance(resilience, ResilienceConfig) else None
-            self.resilience = ResilienceManager(
-                clock=self.clock, metrics=self.metrics, config=config,
-                tracer=self.tracer,
-            )
         self.router = SubQueryRouter(
             None, directory, clock=self.clock, network=network, host=host,
-            user=user, password=password, force_jdbc=True, metrics=self.metrics,
+            user=user, password=password, force_jdbc=True,
         )
+        self.metrics = self.router.metrics
+        # the opt-in layers (spans + profiler, plan + sub-result caches,
+        # retry/backoff + per-database breakers) exist only when switched on
         self.pipeline = SubQueryPipeline(
-            self.router, host=host, cache=self.cache,
-            resilience=self.resilience, tracer=self.tracer,
+            self.router, host or "unity", observe=observe, cache=cache,
+            epochs=epochs, resilience=resilience,
         )
+        self.tracer = self.pipeline.tracer
+        self.profiler = self.pipeline.profiler
+        self.cache = self.pipeline.cache
+        self.resilience = self.pipeline.resilience
 
     # -- public API -------------------------------------------------------------------
 
@@ -269,10 +222,8 @@ class UnityDriver:
             # planning parsed every participant's metadata (or the plan
             # cache carried it): the JDBC route must not pay it again
             ctx.parsed = frozenset(plan.databases)
-            result = execute_plan(
-                plan, lambda sub, _params: self.pipeline.run(sub, ctx),
-                params, self.clock,
-            )
+            fetched = {sub.binding: self.pipeline.run(sub, ctx) for sub in plan.subqueries}
+            result = integrate_plan(plan, fetched, ctx, self.clock)
             span.set("rows", len(result.rows))
         self.metrics.counter("queries").inc()
         self.metrics.histogram("query_ms").observe(self.clock.now_ms - start_ms)

@@ -212,3 +212,46 @@ class TestRemoteAnswerCache:
         cache.put(key, {"rows": []})
         assert cache.flush() == 1
         assert len(cache) == 0
+
+    def test_trace_context_is_not_part_of_the_key(self, world):
+        _clock, _epochs, cache = world
+        plain = cache.key("srv", "dataaccess.query", ("sql", [], True))
+        traced = cache.key(
+            "srv", "dataaccess.query",
+            ("sql", [], True, {"trace_id": "a-t1", "parent_id": "a-s4"}),
+        )
+        assert traced == plain
+        partial = cache.key("srv", "dataaccess.query", ("sql", [], True, None, True))
+        assert partial != plain
+
+    def test_stored_answer_drops_piggybacked_spans(self, world):
+        _clock, _epochs, cache = world
+        answer = {"rows": [[1]], "spans": [{"span_id": "b-s1"}]}
+        cache.put("k", answer)
+        assert cache.get("k") == {"rows": [[1]]}
+        assert "spans" in answer
+
+
+class TestRemoteAnswerCacheWhileObserving:
+    """The trace context rides a forwarded query; it must not split the
+    remote-answer cache, nor may a hit replay an old trace's spans."""
+
+    @staticmethod
+    def warm_repeat(**layers):
+        from repro.tools.demo import two_server_federation
+        from repro.tools.tracereport import DEMO_SQL
+
+        fed, a, _b, _events, _runs = two_server_federation(cache=True, **layers)
+        a.service.execute(DEMO_SQL)
+        t0 = fed.clock.now_ms
+        a.service.execute(DEMO_SQL)
+        return fed.clock.now_ms - t0, a.service
+
+    def test_observed_warm_repeat_hits_like_the_unobserved_one(self):
+        plain_ms, _plain = self.warm_repeat()
+        observed_ms, service = self.warm_repeat(observe=True)
+        # equal up to float rounding: the cold runs end at different instants
+        assert observed_ms == pytest.approx(plain_ms, abs=1e-9)
+        assert service.cache.stats()["remote"]["hits"] >= 1
+        span_ids = [s.span_id for s in service.tracer.spans]
+        assert len(span_ids) == len(set(span_ids))

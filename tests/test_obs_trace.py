@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.common.errors import ConnectionFailedError
 from repro.core import GridFederation
 from repro.engine import Database
 from repro.net.simclock import SimClock
@@ -146,8 +147,30 @@ class TestRemoteHopTracing:
         )
         assert remote_query.parent_id == origin_sub.span_id
         assert all(s.parent_id in ids for s in remote)
-        # the remote tracer holds no leftover context after the hop
-        assert b.service.tracer._adopted == []
+        # the remote tracer holds no open span after the hop
+        assert b.service.tracer.active is None
+
+    def test_failed_forwarded_query_leaves_no_context_behind(self):
+        from repro.tools.tracereport import (
+            DEMO_SQL, MONITOR_SQL, build_observed_federation,
+        )
+
+        fed, a, b = build_observed_federation()
+        # B answers the forwarded sub-query, but its database is gone
+        fed.directory.unregister(b.service.dictionary.url_for("mart_mssql"))
+        with pytest.raises(ConnectionFailedError):
+            a.service.execute(DEMO_SQL)
+        tracer = b.service.tracer
+        forwarded = next(s for s in tracer.spans if s.stage == "query")
+        assert forwarded.error is not None
+        assert forwarded.trace_id == a.service.tracer.last_trace_id
+        assert tracer.active is None
+        # B's next locally rooted query starts a trace of its own
+        b.service.execute(MONITOR_SQL)
+        root = tracer.spans[-1]
+        assert root.stage == "query" and root.parent_id is None
+        assert root.trace_id != forwarded.trace_id
+        assert tracer.last_trace_id == root.trace_id
 
     def test_trace_wire_method(self):
         from repro.tools.tracereport import DEMO_SQL, build_observed_federation
