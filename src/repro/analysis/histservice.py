@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from repro.analysis.histogram import Histogram1D
 from repro.clarens.server import ClarensService
-from repro.common.errors import ClarensFault
+from repro.common.errors import ClarensFault, ColumnNotFoundError
 
 
 class HistogramService(ClarensService):
@@ -40,7 +40,7 @@ class HistogramService(ClarensService):
         answer = self.data_access.execute(sql)
         try:
             idx = answer.column_index(column)
-        except KeyError:
+        except ColumnNotFoundError:
             raise ClarensFault(
                 "histogram.h1d", f"result has no column {column!r}"
             ) from None

@@ -231,16 +231,4 @@ class GridFederation:
                 handle.server, "dataaccess.query", sql, list(params)
             )
         elapsed = self.clock.now_ms - start
-        answer = QueryAnswer(
-            columns=response["columns"],
-            types=[],
-            rows=[tuple(r) for r in response["rows"]],
-            distributed=response["distributed"],
-            databases=(),
-            servers_accessed=response["servers"],
-            tables_accessed=response["tables"],
-            routes=list(response.get("routes", [])),
-            partial=bool(response.get("partial", False)),
-            failures=list(response.get("failures", [])),
-        )
-        return QueryOutcome(answer=answer, response_ms=elapsed)
+        return QueryOutcome(answer=QueryAnswer.from_wire(response), response_ms=elapsed)

@@ -13,8 +13,6 @@ publishing table locations to the RLS (§4.8).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from repro.clarens.client import ClarensClient
 from repro.clarens.server import ClarensServer, ClarensService
 from repro.common.errors import (
@@ -23,7 +21,6 @@ from repro.common.errors import (
     FederationError,
     TableNotRegisteredError,
 )
-from repro.common.types import SQLType
 from repro.cache import normalize_sql
 from repro.core.pipeline import QueryContext, SubQueryPipeline
 from repro.core.router import SubQueryRouter
@@ -40,48 +37,7 @@ from repro.rls.client import RLSClient
 from repro.sql import ast
 from repro.sql.parser import parse_select
 from repro.unity.decompose import SubQuery, decompose
-from repro.unity.driver import integrate_plan
-
-
-@dataclass
-class QueryAnswer:
-    """A fully integrated answer plus provenance for tests/benches."""
-
-    columns: list[str]
-    types: list[SQLType]
-    rows: list[tuple]
-    distributed: bool
-    databases: tuple[str, ...]
-    servers_accessed: int
-    tables_accessed: int
-    routes: list[str] = field(default_factory=list)
-    #: per-sub-query provenance (timings, replica host) — see SubQueryTrace
-    traces: list = field(default_factory=list)
-    #: True when an ``allow_partial`` query lost at least one sub-query
-    #: branch — the rows are an under-approximation, never silently so
-    partial: bool = False
-    #: per-failed-sub-query provenance (see resilience.SubQueryFailure)
-    failures: list = field(default_factory=list)
-    #: per-operator cost breakdown (obs.profiler.QueryProfile) when the
-    #: serving service observes; None otherwise
-    profile: object = None
-
-    @property
-    def row_count(self) -> int:
-        """Number of result rows."""
-        return len(self.rows)
-
-    def to_vector(self) -> list[list]:
-        """The rows as a plain 2-D list (the paper's result shape)."""
-        return [list(r) for r in self.rows]
-
-    def column_index(self, name: str) -> int:
-        """Index of a result column by (case-insensitive) name."""
-        lowered = name.lower()
-        for i, c in enumerate(self.columns):
-            if c.lower() == lowered:
-                return i
-        raise KeyError(name)
+from repro.unity.driver import QueryAnswer, integrate_plan
 
 
 class DataAccessService(ClarensService):
@@ -442,35 +398,42 @@ class DataAccessService(ClarensService):
         if self.preflight:
             with self._span("preflight"):
                 preflighted = self._run_preflight(select)
-
-        remote_servers = set()
         with self._span("decompose") as decompose_span:
             self.clock.advance_ms(costs.DECOMPOSE_MS)
-            for ref in select.referenced_tables():
-                if not self.dictionary.has_table(ref.name):
-                    if no_forward:
-                        raise TableNotRegisteredError(ref.name)
-                    remote_servers.add(self._discover_remote(ref.name, ctx))
-                else:
-                    loc = self.dictionary.locate(ref.name)
-                    if loc.is_remote:
-                        remote_servers.add(loc.remote_server)
-            if not preflighted:
-                # discovery has registered the remote tables; check now,
-                # before any sub-query ships
-                with self._span("preflight"):
-                    self._run_preflight(select)
-
-            prefer = None
-            if self.replica_selector is not None:
-                prefer = self.replica_selector.preferences(
-                    self.dictionary,
-                    [ref.name for ref in select.referenced_tables()],
-                )
-            plan = decompose(select, self.dictionary, prefer_databases=prefer)
+            plan, remote_servers = self._decompose(
+                select, ctx, no_forward, preflight=not preflighted
+            )
             decompose_span.set("subqueries", len(plan.subqueries))
             decompose_span.set("distributed", plan.is_distributed)
         return plan, remote_servers
+
+    def _decompose(
+        self, select: ast.Select, ctx: QueryContext, no_forward: bool = False,
+        preflight: bool = False,
+    ):
+        """RLS discovery, replica preferences and decomposition, shared by
+        ``execute`` and ``explain``: (plan, remote servers). ``preflight``
+        runs the check deferred until discovery registered the remote
+        tables, still before any sub-query ships."""
+        remote_servers = set()
+        for ref in select.referenced_tables():
+            if not self.dictionary.has_table(ref.name):
+                if no_forward:
+                    raise TableNotRegisteredError(ref.name)
+                remote_servers.add(self._discover_remote(ref.name, ctx))
+            else:
+                loc = self.dictionary.locate(ref.name)
+                if loc.is_remote:
+                    remote_servers.add(loc.remote_server)
+        if preflight:
+            with self._span("preflight"):
+                self._run_preflight(select)
+        prefer = None
+        if self.replica_selector is not None:
+            prefer = self.replica_selector.preferences(
+                self.dictionary, [ref.name for ref in select.referenced_tables()]
+            )
+        return decompose(select, self.dictionary, prefer_databases=prefer), remote_servers
 
     def _execute_query(
         self,
@@ -523,21 +486,10 @@ class DataAccessService(ClarensService):
 
         self.clock.run_parallel([run_group(subs) for subs in groups.values()])
         with self._span("merge") as merge_span:
-            result = integrate_plan(plan, fetched, ctx, self.clock)
-            merge_span.set("rows", len(result.rows))
-        return QueryAnswer(
-            columns=result.columns,
-            types=result.types,
-            rows=result.rows,
-            distributed=plan.is_distributed,
-            databases=plan.databases,
-            servers_accessed=1 + len(remote_servers),
-            tables_accessed=len(plan.original.referenced_tables()),
-            routes=[t.via for t in result.traces],
-            traces=list(result.traces),
-            partial=bool(ctx.failures),
-            failures=ctx.failures,
-        )
+            answer = integrate_plan(plan, fetched, ctx, self.clock)
+            merge_span.set("rows", answer.row_count)
+        answer.servers_accessed += len(remote_servers)
+        return answer
 
     def _run_branch_subquery(self, sub: SubQuery, ctx: QueryContext):
         """One sub-query of a branch; a lost one degrades when allowed."""
@@ -727,9 +679,8 @@ class DataAccessService(ClarensService):
         response = self._peer_client.call(peer, "dataaccess.query", *call_args)
         if active is not None and response.get("spans"):
             self.tracer.import_spans(response["spans"])
-        types = [_type_from_text(t) for t in response["types"]]
-        rows = [tuple(r) for r in response["rows"]]
-        return response["columns"], types, rows
+        answer = QueryAnswer.from_wire(response)
+        return answer.columns, answer.types, answer.rows
 
     # ------------------------------------------------------------------
     # web-exposed methods (wire-safe values only)
@@ -757,19 +708,7 @@ class DataAccessService(ClarensService):
             sql, tuple(params or ()), bool(no_forward), bool(allow_partial),
             (trace_ctx["trace_id"], trace_ctx["parent_id"]) if joined else None,
         )
-        out = {
-            "columns": list(answer.columns),
-            "types": [str(t) for t in answer.types],
-            "rows": [list(r) for r in answer.rows],
-            "distributed": answer.distributed,
-            "servers": answer.servers_accessed,
-            "tables": answer.tables_accessed,
-            "routes": list(answer.routes),
-        }
-        if allow_partial:
-            # only partial-tolerant callers pay the extra response bytes
-            out["partial"] = answer.partial
-            out["failures"] = [f.as_dict() for f in answer.failures]
+        out = answer.to_wire(allow_partial)
         if joined:
             out["spans"] = [s.as_dict() for s in self.tracer.spans[mark:]]
         return out
@@ -903,12 +842,7 @@ class DataAccessService(ClarensService):
         the integration step — the distributed counterpart of a local
         engine EXPLAIN.
         """
-        select = parse_select(sql)
-        ctx = self.pipeline.context()
-        for ref in select.referenced_tables():
-            if not self.dictionary.has_table(ref.name):
-                self._discover_remote(ref.name, ctx)
-        plan = decompose(select, self.dictionary)
+        plan, _ = self._decompose(parse_select(sql), self.pipeline.context())
         subqueries = []
         for sub in plan.subqueries:
             subqueries.append(
@@ -965,9 +899,3 @@ class DataAccessService(ClarensService):
             self.ral.initialize(url, binding.user, binding.password)
         self._publish(spec.logical_table_names())
         return spec.logical_table_names()
-
-
-def _type_from_text(text: str) -> SQLType:
-    from repro.metadata.xspec import parse_type_text
-
-    return parse_type_text(text)

@@ -13,14 +13,7 @@ from repro.common.errors import DriverError
 from repro.driver.directory import Directory, GLOBAL_DIRECTORY
 from repro.driver.url import sniff_vendor
 from repro.engine.database import Database, ExecResult
-
-
-class _NullClock:
-    """Clock stub used when no virtual clock is supplied."""
-
-    def advance_ms(self, ms: float) -> None:  # pragma: no cover - trivial
-        """No-op time sink for unclocked connections."""
-        pass
+from repro.net.simclock import SimClock
 
 
 class Cursor:
@@ -176,11 +169,11 @@ def connect(
     """Open a connection to the database serving ``url``.
 
     Charges the vendor's connect and authentication latency to ``clock``
-    (any object with ``advance_ms``); with no clock the call is free,
-    which is what unit tests want.
+    (any object with ``advance_ms``); with no clock, a fresh
+    :class:`SimClock` takes the charges.
     """
     directory = directory or GLOBAL_DIRECTORY
-    clock = clock or _NullClock()
+    clock = clock or SimClock()
     dialect, _parsed = sniff_vendor(url)
     binding = directory.lookup(url)
     clock.advance_ms(dialect.cost.connect_ms)

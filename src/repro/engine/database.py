@@ -9,8 +9,6 @@ warehouse exposes its read-only analysis views.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from repro.common.errors import (
     IntegrityError,
     PlanningError,
@@ -19,50 +17,11 @@ from repro.common.errors import (
 )
 from repro.common.types import SQLType, coerce_value
 from repro.engine.catalog import Catalog, ViewDef
-from repro.engine.executor import ExecStats, QueryResult, SelectExecutor
+from repro.engine.executor import ExecResult, ExecStats, SelectExecutor
 from repro.engine.storage import Column, TableStorage
 from repro.sql import ast
 from repro.sql.eval import RowSchema, SchemaColumn, compile_expr, truthy
 from repro.sql.parser import parse_statement
-
-
-@dataclass
-class ExecResult:
-    """Outcome of one statement: a result set and/or an affected-row count."""
-
-    columns: list[str] = field(default_factory=list)
-    types: list[SQLType] = field(default_factory=list)
-    rows: list[tuple] = field(default_factory=list)
-    rowcount: int = 0
-    stats: ExecStats = field(default_factory=ExecStats)
-
-    @property
-    def row_count(self) -> int:
-        """Number of result rows."""
-        return len(self.rows)
-
-    def column_index(self, name: str) -> int:
-        """Index of a result column by (case-insensitive) name."""
-        lowered = name.lower()
-        for i, c in enumerate(self.columns):
-            if c.lower() == lowered:
-                return i
-        raise TableNotFoundError(name)
-
-    def to_dicts(self) -> list[dict]:
-        """Rows as dicts keyed by column name."""
-        return [dict(zip(self.columns, row)) for row in self.rows]
-
-    @staticmethod
-    def from_query(result: QueryResult) -> "ExecResult":
-        """Wrap an executor QueryResult as an ExecResult."""
-        return ExecResult(
-            columns=result.columns,
-            types=result.types,
-            rows=result.rows,
-            rowcount=len(result.rows),
-            stats=result.stats,
-        )
 
 
 class Database:
@@ -120,8 +79,7 @@ class Database:
     ) -> ExecResult:
         """Execute an already-parsed statement."""
         if isinstance(stmt, ast.Select):
-            result = SelectExecutor(self, params).execute(stmt)
-            return ExecResult.from_query(result)
+            return SelectExecutor(self, params).execute(stmt)
         if isinstance(stmt, ast.Union):
             return self._execute_union(stmt, params)
         if isinstance(stmt, ast.CreateTable):
@@ -200,8 +158,6 @@ class Database:
                 try:
                     types[i] = common_supertype(types[i], t)
                 except SQLTypeError:
-                    from repro.common.types import SQLType
-
                     types[i] = SQLType.text()
         rows: list[tuple] = []
         for branch in branches:

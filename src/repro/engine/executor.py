@@ -46,14 +46,9 @@ class ExecStats:
     join_strategy: list[str] = field(default_factory=list)
 
 
-@dataclass
-class QueryResult:
-    """A fully materialized result set."""
-
-    columns: list[str]
-    types: list[SQLType]
-    rows: list[tuple]
-    stats: ExecStats = field(default_factory=ExecStats)
+class RowSet:
+    """The 2-D result shape shared by engine results and federated
+    answers: ``columns`` names over ``rows`` tuples."""
 
     @property
     def row_count(self) -> int:
@@ -68,14 +63,59 @@ class QueryResult:
                 return i
         raise ColumnNotFoundError(name)
 
-    def column_values(self, name: str) -> list:
-        """All values of one column, in row order."""
-        idx = self.column_index(name)
-        return [row[idx] for row in self.rows]
+    def to_vector(self) -> list[list]:
+        """The rows as a plain 2-D list (the paper's result shape)."""
+        return [list(r) for r in self.rows]
 
     def to_dicts(self) -> list[dict]:
         """Rows as dicts keyed by column name."""
         return [dict(zip(self.columns, row)) for row in self.rows]
+
+
+@dataclass
+class ExecResult(RowSet):
+    """Outcome of one statement: a result set and/or an affected-row count."""
+
+    columns: list[str] = field(default_factory=list)
+    types: list[SQLType] = field(default_factory=list)
+    rows: list[tuple] = field(default_factory=list)
+    rowcount: int = 0
+    stats: ExecStats = field(default_factory=ExecStats)
+
+
+def equi_join_keys(conj: ast.Expr, lschema: RowSchema, rschema: RowSchema):
+    """``(left_ref, right_ref)`` when ``conj`` is ``col = col`` with one
+    column on each join input — a hash-join key pair — else None."""
+    if not (isinstance(conj, ast.BinaryOp) and conj.op == "="):
+        return None
+    a, b = conj.left, conj.right
+    if not (isinstance(a, ast.ColumnRef) and isinstance(b, ast.ColumnRef)):
+        return None
+
+    def side(ref: ast.ColumnRef) -> str | None:
+        in_left = in_right = False
+        try:
+            lschema.resolve(ref)
+            in_left = True
+        except ColumnNotFoundError:
+            pass
+        try:
+            rschema.resolve(ref)
+            in_right = True
+        except ColumnNotFoundError:
+            pass
+        if in_left and not in_right:
+            return "L"
+        if in_right and not in_left:
+            return "R"
+        return None
+
+    sa, sb = side(a), side(b)
+    if sa == "L" and sb == "R":
+        return a, b
+    if sa == "R" and sb == "L":
+        return b, a
+    return None
 
 
 @functools.total_ordering
@@ -130,7 +170,7 @@ class SelectExecutor:
 
     # -- entry point -------------------------------------------------------------
 
-    def execute(self, select: ast.Select) -> QueryResult:
+    def execute(self, select: ast.Select) -> ExecResult:
         """Run the SELECT through scan/join/filter/aggregate/sort/limit."""
         if not select.from_:
             self._typecheck(select, RowSchema([]))
@@ -156,7 +196,7 @@ class SelectExecutor:
         if select.limit is not None:
             result.rows = result.rows[: select.limit]
         result.stats = self.stats
-        self.stats.rows_returned = len(result.rows)
+        result.rowcount = self.stats.rows_returned = len(result.rows)
         return result
 
     def _typecheck(self, select: ast.Select, schema: RowSchema) -> None:
@@ -199,26 +239,20 @@ class SelectExecutor:
         self.stats.join_strategy.append("cross")
         return combined, rows
 
-    def _split_conjuncts(self, expr: ast.Expr) -> list[ast.Expr]:
-        if isinstance(expr, ast.BinaryOp) and expr.op == "AND":
-            return self._split_conjuncts(expr.left) + self._split_conjuncts(expr.right)
-        return [expr]
-
     def _join(self, lschema, lrows, rschema, rrows, join: ast.Join):
         combined = lschema.concat(rschema)
         if join.kind == "CROSS" or join.on is None:
             return self._cross_join(lschema, lrows, rschema, rrows)
-        conjuncts = self._split_conjuncts(join.on)
         left_keys: list[Callable] = []
         right_keys: list[Callable] = []
         residual: list[ast.Expr] = []
-        for conj in conjuncts:
-            pair = self._equi_pair(conj, lschema, rschema)
+        for conj in ast.conjuncts(join.on):
+            pair = equi_join_keys(conj, lschema, rschema)
             if pair is None:
                 residual.append(conj)
             else:
-                left_keys.append(pair[0])
-                right_keys.append(pair[1])
+                left_keys.append(self._compile(pair[0], lschema))
+                right_keys.append(self._compile(pair[1], rschema))
         if left_keys:
             residual_fn = None
             if residual:
@@ -234,43 +268,6 @@ class SelectExecutor:
             )
             self.stats.join_strategy.append("nested-loop")
         return combined, rows
-
-    def _equi_pair(self, conj: ast.Expr, lschema: RowSchema, rschema: RowSchema):
-        """If ``conj`` is ``left_col = right_col`` across inputs, return key fns."""
-        if not (isinstance(conj, ast.BinaryOp) and conj.op == "="):
-            return None
-        a, b = conj.left, conj.right
-        if not (isinstance(a, ast.ColumnRef) and isinstance(b, ast.ColumnRef)):
-            return None
-
-        def side(ref: ast.ColumnRef) -> str | None:
-            in_left = in_right = False
-            try:
-                lschema.resolve(ref)
-                in_left = True
-            except ColumnNotFoundError:
-                pass
-            try:
-                rschema.resolve(ref)
-                in_right = True
-            except ColumnNotFoundError:
-                pass
-            if in_left and not in_right:
-                return "L"
-            if in_right and not in_left:
-                return "R"
-            return None
-
-        sa, sb = side(a), side(b)
-        if sa == "L" and sb == "R":
-            la = self._compile(a, lschema)
-            rb = self._compile(b, rschema)
-            return la, rb
-        if sa == "R" and sb == "L":
-            lb = self._compile(b, lschema)
-            ra = self._compile(a, rschema)
-            return lb, ra
-        return None
 
     def _hash_join(
         self, lrows, rrows, left_keys, right_keys, kind, right_width, residual_fn=None
@@ -405,12 +402,12 @@ class SelectExecutor:
 
     def _execute_plain(
         self, select: ast.Select, schema: RowSchema, rows: list[tuple]
-    ) -> QueryResult:
+    ) -> ExecResult:
         output = self._expand_items(select.items, schema)
         if select.order_by:
             rows = self._sort_rows(rows, select.order_by, schema, output)
         projected = [tuple(fn(row) for _, _, fn in output) for row in rows]
-        return QueryResult(
+        return ExecResult(
             columns=[name for name, _, _ in output],
             types=[ctype for _, ctype, _ in output],
             rows=projected,
@@ -418,11 +415,11 @@ class SelectExecutor:
 
     # -- scalar select (no FROM) ----------------------------------------------------
 
-    def _execute_scalar(self, select: ast.Select) -> QueryResult:
+    def _execute_scalar(self, select: ast.Select) -> ExecResult:
         schema = RowSchema([])
         output = self._expand_items(select.items, schema)
         row = tuple(fn(()) for _, _, fn in output)
-        return QueryResult(
+        return ExecResult(
             columns=[name for name, _, _ in output],
             types=[ctype for _, ctype, _ in output],
             rows=[row],
@@ -432,7 +429,7 @@ class SelectExecutor:
 
     def _execute_aggregate(
         self, select: ast.Select, schema: RowSchema, rows: list[tuple]
-    ) -> QueryResult:
+    ) -> ExecResult:
         group_exprs = list(select.group_by)
         group_fns = [self._compile(g, schema) for g in group_exprs]
 
@@ -598,7 +595,7 @@ class SelectExecutor:
             )
             post_rows = self._sort_rows(post_rows, rewritten_order, post_schema, output)
         projected = [tuple(fn(row) for _, _, fn in output) for row in post_rows]
-        return QueryResult(
+        return ExecResult(
             columns=[name for name, _, _ in output],
             types=fixed_types,
             rows=projected,

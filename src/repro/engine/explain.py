@@ -8,18 +8,10 @@ executor would, against catalog metadata only.
 
 from __future__ import annotations
 
-from repro.common.errors import ColumnNotFoundError
+from repro.engine.executor import equi_join_keys
 from repro.sql import ast
 from repro.sql.eval import RowSchema, SchemaColumn
 from repro.sql.parser import parse_statement
-
-
-def _split_conjuncts(expr: ast.Expr | None) -> list[ast.Expr]:
-    if expr is None:
-        return []
-    if isinstance(expr, ast.BinaryOp) and expr.op == "AND":
-        return _split_conjuncts(expr.left) + _split_conjuncts(expr.right)
-    return [expr]
 
 
 def _schema_for(db, ref: ast.TableRef) -> RowSchema:
@@ -60,8 +52,8 @@ def explain_select(db, select: ast.Select, indent: str = "") -> list[str]:
             schema = schema.concat(rschema)
             continue
         equi, residual = [], []
-        for conj in _split_conjuncts(join.on):
-            if _is_equi_pair(conj, schema, rschema):
+        for conj in ast.conjuncts(join.on):
+            if equi_join_keys(conj, schema, rschema) is not None:
                 equi.append(conj.unparse())
             else:
                 residual.append(conj.unparse())
@@ -113,34 +105,6 @@ def explain_select(db, select: ast.Select, indent: str = "") -> list[str]:
             + (f" offset {select.offset}" if select.offset else "")
         )
     return lines
-
-
-def _is_equi_pair(conj: ast.Expr, lschema: RowSchema, rschema: RowSchema) -> bool:
-    if not (isinstance(conj, ast.BinaryOp) and conj.op == "="):
-        return False
-    a, b = conj.left, conj.right
-    if not (isinstance(a, ast.ColumnRef) and isinstance(b, ast.ColumnRef)):
-        return False
-
-    def side(ref):
-        in_l = in_r = False
-        try:
-            lschema.resolve(ref)
-            in_l = True
-        except ColumnNotFoundError:
-            pass
-        try:
-            rschema.resolve(ref)
-            in_r = True
-        except ColumnNotFoundError:
-            pass
-        if in_l and not in_r:
-            return "L"
-        if in_r and not in_l:
-            return "R"
-        return None
-
-    return {side(a), side(b)} == {"L", "R"}
 
 
 def explain_statement(db, sql: str | ast.Statement) -> list[str]:

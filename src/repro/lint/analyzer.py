@@ -317,14 +317,6 @@ class _ScopeTable:
             self.vendor = self.site = self.rows = self.database = None
 
 
-def _split_conjuncts(expr: ast.Expr | None) -> list[ast.Expr]:
-    if expr is None:
-        return []
-    if isinstance(expr, ast.BinaryOp) and expr.op == "AND":
-        return _split_conjuncts(expr.left) + _split_conjuncts(expr.right)
-    return [expr]
-
-
 class _Analyzer:
     """Analyzes one SELECT (plus nested SELECTs, engine context only)."""
 
@@ -546,7 +538,7 @@ class _Analyzer:
         for join in select.joins:
             right = join.table.binding.lower()
             if join.on is not None:
-                for conj in _split_conjuncts(join.on):
+                for conj in ast.conjuncts(join.on):
                     if self._is_cross_side_equi(conj, prior, right):
                         typer.resolve(conj.left)
                         typer.resolve(conj.right)
@@ -668,13 +660,13 @@ class _Analyzer:
 
         # Multi-site plan: mirror the decomposer's pushdown choices.
         pushed: dict[str, list[ast.Expr]] = {st.binding: [] for st in scope}
-        for conj in _split_conjuncts(select.where):
+        for conj in ast.conjuncts(select.where):
             owner = self._single_binding(conj, scope)
             if owner is not None:
                 pushed[owner.binding].append(conj)
         for join in select.joins:
             right = join.table.binding.lower()
-            for conj in _split_conjuncts(join.on):
+            for conj in ast.conjuncts(join.on):
                 owner = self._single_binding(conj, scope)
                 if owner is None:
                     continue

@@ -8,6 +8,7 @@ identical regeneration must produce byte-identical XML.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass
@@ -17,8 +18,13 @@ from repro.common.types import SQLType
 from repro.sql.parser import _Parser
 
 
+@functools.lru_cache(maxsize=256)
 def parse_type_text(text: str) -> SQLType:
-    """Parse a rendered type name (vendor or logical) back to SQLType."""
+    """Parse a rendered type name (vendor or logical) back to SQLType.
+
+    Memoized: every decoded ``dataaccess.query`` answer parses its
+    column types, and ``SQLType`` is frozen. Errors are not cached.
+    """
     parser = _Parser(text)
     try:
         return parser.parse_type()

@@ -265,6 +265,15 @@ def column_refs(expr: Expr) -> list[ColumnRef]:
     return [node for node in walk(expr) if isinstance(node, ColumnRef)]
 
 
+def conjuncts(expr: Expr | None) -> list[Expr]:
+    """The AND-ed terms of a WHERE or ON clause; ``[]`` for no clause."""
+    if expr is None:
+        return []
+    if isinstance(expr, BinaryOp) and expr.op == "AND":
+        return conjuncts(expr.left) + conjuncts(expr.right)
+    return [expr]
+
+
 # ---------------------------------------------------------------------------
 # Statements
 # ---------------------------------------------------------------------------

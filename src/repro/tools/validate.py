@@ -58,7 +58,7 @@ def _metadata():
     assert spec.fingerprint() == generate_lower_xspec(db).fingerprint()
 
 
-@check("federation: POOL + JDBC + RLS routing")
+@check("federation: POOL + JDBC + RLS routing, local = wire answer")
 def _federation():
     from repro.core import GridFederation
     from repro.engine import Database
@@ -74,11 +74,15 @@ def _federation():
     mssql.execute("CREATE TABLE B (K INT PRIMARY KEY)")
     mssql.execute("INSERT INTO B VALUES (1)")
     fed.attach_database(s2, mssql)
-    answer = s1.service.execute(
-        "SELECT COUNT(*) FROM a x JOIN b y ON x.k = y.k"
-    )
+    sql = "SELECT COUNT(*) FROM a x JOIN b y ON x.k = y.k"
+    answer = s1.service.execute(sql)
     assert answer.rows == [(1,)]
     assert set(answer.routes) == {"pool", "remote"}
+    # the web route decodes the same answer from the wire
+    wire = fed.query(fed.client("laptop"), s1, sql).answer
+    assert (wire.columns, wire.types, wire.rows) == (
+        answer.columns, answer.types, answer.rows
+    ), (wire, answer)
 
 
 @check("lint: static pre-flight analysis")

@@ -15,12 +15,12 @@ happens in middleware memory.
 
 from repro.unity.decompose import DecomposedQuery, SubQuery, decompose
 from repro.unity.merge import Integrator
-from repro.unity.driver import FederatedResult, UnityDriver
+from repro.unity.driver import QueryAnswer, UnityDriver
 
 __all__ = [
     "DecomposedQuery",
-    "FederatedResult",
     "Integrator",
+    "QueryAnswer",
     "SubQuery",
     "UnityDriver",
     "decompose",

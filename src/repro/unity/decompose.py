@@ -87,14 +87,6 @@ class _Binding:
             self.need(col.logical_name)
 
 
-def _split_conjuncts(expr: ast.Expr | None) -> list[ast.Expr]:
-    if expr is None:
-        return []
-    if isinstance(expr, ast.BinaryOp) and expr.op == "AND":
-        return _split_conjuncts(expr.left) + _split_conjuncts(expr.right)
-    return [expr]
-
-
 def decompose(
     select: ast.Select,
     dictionary: DataDictionary,
@@ -239,13 +231,13 @@ def decompose(
         return None
 
     if pushdown:
-        for conj in _split_conjuncts(select.where):
+        for conj in ast.conjuncts(select.where):
             owner = single_binding(conj)
             if owner is not None:
                 pushable[owner.name].append(conj)
         for join in select.joins:
             right_binding = join.table.binding.lower()
-            for conj in _split_conjuncts(join.on):
+            for conj in ast.conjuncts(join.on):
                 owner = single_binding(conj)
                 if owner is None:
                     continue

@@ -14,8 +14,10 @@ from repro.cache import normalize_sql
 from repro.common.types import SQLType
 from repro.dialects import get_dialect
 from repro.driver.directory import Directory
+from repro.engine.executor import RowSet
 from repro.engine.storage import estimate_row_bytes  # noqa: F401 - perfbench counts calls at this binding
 from repro.metadata.dictionary import DataDictionary
+from repro.metadata.xspec import parse_type_text
 from repro.net import costs
 from repro.net.simclock import SimClock
 from repro.sql import ast
@@ -52,37 +54,81 @@ class SubQueryTrace:
 
 
 @dataclass
-class FederatedResult:
-    """Final merged result: the paper's 2-D vector plus provenance."""
+class QueryAnswer(RowSet):
+    """A fully integrated answer (the paper's 2-D vector) plus provenance.
+
+    The one answer type of every route: ``UnityDriver.execute`` and
+    ``DataAccessService.execute`` return it, and ``from_wire`` rebuilds
+    it on the client side of ``dataaccess.query``. A decoded answer
+    leaves the fields the wire does not carry (``databases``,
+    ``traces``, ``profile``) empty.
+    """
 
     columns: list[str]
     types: list[SQLType]
     rows: list[tuple]
-    plan: DecomposedQuery
+    distributed: bool
+    databases: tuple[str, ...]
+    servers_accessed: int
+    tables_accessed: int
+    routes: list[str] = field(default_factory=list)
+    #: per-sub-query provenance (timings, replica host) — see SubQueryTrace
     traces: list[SubQueryTrace] = field(default_factory=list)
+    #: True when an ``allow_partial`` query lost at least one sub-query
+    #: branch — the rows are an under-approximation, never silently so
+    partial: bool = False
+    #: per-failed-sub-query provenance (resilience.SubQueryFailure; its
+    #: ``as_dict`` form on a decoded answer)
+    failures: list = field(default_factory=list)
+    #: per-operator cost breakdown (obs.profiler.QueryProfile) when the
+    #: serving service observes; None otherwise
+    profile: object = None
 
-    @property
-    def row_count(self) -> int:
-        return len(self.rows)
+    def to_wire(self, allow_partial: bool = False) -> dict:
+        """The ``dataaccess.query`` response struct (plain lists only).
 
-    def to_vector(self) -> list[list]:
-        return [list(r) for r in self.rows]
+        Only partial-tolerant callers get (and pay the bytes for) the
+        ``partial`` and ``failures`` keys.
+        """
+        out = {
+            "columns": list(self.columns),
+            "types": [str(t) for t in self.types],
+            "rows": [list(r) for r in self.rows],
+            "distributed": self.distributed,
+            "servers": self.servers_accessed,
+            "tables": self.tables_accessed,
+            "routes": list(self.routes),
+        }
+        if allow_partial:
+            out["partial"] = self.partial
+            out["failures"] = [f.as_dict() for f in self.failures]
+        return out
 
-    def column_index(self, name: str) -> int:
-        lowered = name.lower()
-        for i, c in enumerate(self.columns):
-            if c.lower() == lowered:
-                return i
-        raise KeyError(name)
+    @classmethod
+    def from_wire(cls, response: dict) -> "QueryAnswer":
+        """Decode a ``dataaccess.query`` response struct."""
+        return cls(
+            columns=list(response["columns"]),
+            types=[parse_type_text(t) for t in response["types"]],
+            rows=[tuple(r) for r in response["rows"]],
+            distributed=response["distributed"],
+            databases=(),
+            servers_accessed=response["servers"],
+            tables_accessed=response["tables"],
+            routes=list(response["routes"]),
+            partial=bool(response.get("partial", False)),
+            failures=list(response.get("failures", [])),
+        )
 
 
-def integrate_plan(plan: DecomposedQuery, fetched: dict, ctx, clock) -> FederatedResult:
+def integrate_plan(plan: DecomposedQuery, fetched: dict, ctx, clock) -> QueryAnswer:
     """Integrate already-fetched sub-results into the final answer.
 
     ``fetched`` maps each binding to its ``(columns, types, rows, via)``.
     Each sub-query's trace comes from ``ctx.provenance``; a branch lost
     to ``allow_partial`` has none, and keeps the plan's location stamped
-    with the integration instant.
+    with the integration instant. The answer counts one server; a
+    service forwarding to peers adds them.
     """
     now = clock.now_ms
     sub_results: dict[str, tuple[list[str], list[SQLType], list[tuple]]] = {}
@@ -104,9 +150,19 @@ def integrate_plan(plan: DecomposedQuery, fetched: dict, ctx, clock) -> Federate
         ))
     if plan.kind == "single":
         columns, types, rows = sub_results[plan.subqueries[0].binding]
-        return FederatedResult(columns, types, list(rows), plan, traces)
-    result = Integrator(clock).integrate(plan, sub_results, ctx.params)
-    return FederatedResult(result.columns, result.types, result.rows, plan, traces)
+        rows = list(rows)
+    else:
+        result = Integrator(clock).integrate(plan, sub_results, ctx.params)
+        columns, types, rows = result.columns, result.types, result.rows
+    return QueryAnswer(
+        columns, types, rows, plan.is_distributed, plan.databases,
+        servers_accessed=1,
+        tables_accessed=len(plan.original.referenced_tables()),
+        routes=[t.via for t in traces],
+        traces=traces,
+        partial=bool(ctx.failures),
+        failures=ctx.failures,
+    )
 
 
 def _logicalize_columns(columns: list[str], sub: SubQuery) -> list[str]:
@@ -213,7 +269,7 @@ class UnityDriver:
         sql: str | ast.Select,
         params: tuple = (),
         prefer_databases: dict[str, str] | None = None,
-    ) -> FederatedResult:
+    ) -> QueryAnswer:
         start_ms = self.clock.now_ms
         ctx = self.pipeline.context(params)
         with self.pipeline.span("query") as span:
@@ -223,11 +279,13 @@ class UnityDriver:
             # cache carried it): the JDBC route must not pay it again
             ctx.parsed = frozenset(plan.databases)
             fetched = {sub.binding: self.pipeline.run(sub, ctx) for sub in plan.subqueries}
-            result = integrate_plan(plan, fetched, ctx, self.clock)
-            span.set("rows", len(result.rows))
+            answer = integrate_plan(plan, fetched, ctx, self.clock)
+            span.set("rows", answer.row_count)
         self.metrics.counter("queries").inc()
         self.metrics.histogram("query_ms").observe(self.clock.now_ms - start_ms)
         if self.profiler is not None:
             shape = sql if isinstance(sql, str) else sql.unparse()
-            self.profiler.record(span, self.tracer.trace_spans(span), shape=shape)
-        return result
+            answer.profile = self.profiler.record(
+                span, self.tracer.trace_spans(span), shape=shape
+            )
+        return answer

@@ -56,8 +56,3 @@ class Integrator:
                 self.clock.advance_ms(sizes[0] * costs.XJOIN_BUILD_ROW_MS)
                 self.clock.advance_ms(sum(sizes[1:]) * costs.XJOIN_PROBE_ROW_MS)
         return scratch.execute_statement(plan.integration, params)
-
-
-def result_vector(result: ExecResult) -> list[list]:
-    """The paper's final product: a plain 2-D vector of values."""
-    return [list(row) for row in result.rows]

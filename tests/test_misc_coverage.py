@@ -3,11 +3,11 @@ auth-less servers, result helpers and statement edge paths."""
 
 import pytest
 
+from repro.common import ColumnNotFoundError
 from repro.clarens import ClarensClient, ClarensServer
 from repro.core import GridFederation
 from repro.engine import Database
 from repro.net import Network, SimClock
-from repro.unity.merge import result_vector
 
 
 class TestFederationHelpers:
@@ -73,7 +73,7 @@ class TestResultHelpers:
         from repro.engine.database import ExecResult
 
         result = ExecResult(columns=["a"], types=[], rows=[(1,), (2,)])
-        assert result_vector(result) == [[1], [2]]
+        assert result.to_vector() == [[1], [2]]
 
     def test_exec_result_to_dicts(self):
         db = Database("x", "mysql")
@@ -90,7 +90,7 @@ class TestResultHelpers:
             databases=(), servers_accessed=1, tables_accessed=1,
         )
         assert answer.column_index("a") == 0
-        with pytest.raises(KeyError):
+        with pytest.raises(ColumnNotFoundError):
             answer.column_index("zzz")
 
     def test_cursor_close_clears_result(self):
