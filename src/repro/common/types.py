@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import enum
 import math
+import re
 from dataclasses import dataclass
 
 from repro.common.errors import SQLTypeError
@@ -177,35 +178,64 @@ def common_supertype(a: SQLType, b: SQLType) -> SQLType:
     raise SQLTypeError(f"no common supertype for {a} and {b}")
 
 
+# SQL's numeric-literal grammar, ASCII digits only: Python's int()/float()
+# would also take 'NaN', 'inf', '1_000' and full-width digits.
+_SQL_INTEGER = re.compile(r"[+-]?[0-9]+")
+_SQL_NUMBER = re.compile(r"[+-]?(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[eE][+-]?[0-9]+)?")
+# tuples, not sets: membership is an identity test, where a set would
+# call the Python-level Enum.__hash__ on every value coerced
+_INTEGER_KINDS = (TypeKind.INTEGER, TypeKind.BIGINT)
+_FLOAT_KINDS = (TypeKind.FLOAT, TypeKind.DOUBLE, TypeKind.DECIMAL)
+
+
+def _finite(value: float, target: SQLType) -> float:
+    if not math.isfinite(value):
+        raise SQLTypeError(f"cannot store {value!r} in {target}")
+    return value
+
+
+def _parse_number(text: str, grammar: re.Pattern, target: SQLType) -> str:
+    text = text.strip()
+    if grammar.fullmatch(text) is None:
+        raise SQLTypeError(f"{text!r} is not a numeric literal for {target}")
+    return text
+
+
 def coerce_value(value: object, target: SQLType) -> object:
     """Coerce a Python value into the representation of ``target``.
 
     This is the single conversion point used by INSERT paths, the ETL
     transform stage, and cross-vendor materialization. NULL passes
-    through every type.
+    through every type. Numbers are finite: strings must follow SQL's
+    numeric-literal grammar, and NaN or infinity is rejected.
     """
     if value is None:
         return None
     kind = target.kind
+    # Already-typed values (every row a scratch load or bulk insert
+    # carries) skip the isinstance ladder below.
+    vtype = type(value)
+    if vtype is int and kind in _INTEGER_KINDS:
+        return value
+    if vtype is float and kind in _FLOAT_KINDS:
+        return _finite(value, target)
     try:
-        if kind in (TypeKind.INTEGER, TypeKind.BIGINT):
+        if kind in _INTEGER_KINDS:
             if isinstance(value, bool):
                 return int(value)
             if isinstance(value, float):
-                if math.isnan(value) or math.isinf(value):
-                    raise SQLTypeError(f"cannot store {value!r} in {target}")
-                return int(value)
+                return int(_finite(value, target))
             if isinstance(value, str):
-                return int(value.strip())
+                return int(_parse_number(value, _SQL_INTEGER, target))
             if isinstance(value, int):
                 return value
-        elif kind in (TypeKind.FLOAT, TypeKind.DOUBLE, TypeKind.DECIMAL):
+        elif kind in _FLOAT_KINDS:
             if isinstance(value, bool):
                 return float(value)
             if isinstance(value, (int, float)):
-                return float(value)
+                return _finite(float(value), target)
             if isinstance(value, str):
-                return float(value.strip())
+                return _finite(float(_parse_number(value, _SQL_NUMBER, target)), target)
         elif kind in _TEXT_KINDS:
             if isinstance(value, bool):
                 text = "true" if value else "false"

@@ -118,7 +118,9 @@ class Catalog:
     # Indexes ------------------------------------------------------------------------
 
     def create_index(self, stmt: ast.CreateIndex) -> None:
-        """Validate and register an index; builds its hash table eagerly."""
+        """Validate and register an index. One numeric column gets the
+        table's sorted range access path, built on first use; any other
+        index is a catalog definition only."""
         key = stmt.name.lower()
         if key in self._index_defs:
             raise DuplicateObjectError(f"index {stmt.name!r} already exists")
@@ -126,7 +128,8 @@ class Catalog:
         for col in stmt.columns:
             table.column_position(col)
         self._index_defs[key] = stmt
-        table.ensure_index(stmt.columns)
+        if len(stmt.columns) == 1:
+            table.add_range_index(stmt.columns[0])
 
     def index_names(self) -> list[str]:
         """Sorted names of every index."""

@@ -67,6 +67,13 @@ class Database:
             return cols, result.rows
         raise TableNotFoundError(name, self.name)
 
+    def base_table(self, name: str) -> TableStorage | None:
+        """Storage of base table ``name``, None for a view or a miss: the
+        executor reads range indexes through it."""
+        if self.catalog.has_table(name):
+            return self.catalog.get_table(name)
+        return None
+
     # -- statement execution ---------------------------------------------------------
 
     def execute(self, sql: str, params: tuple = ()) -> ExecResult:
@@ -190,6 +197,7 @@ class Database:
             rows = rows[: stmt.limit]
         stats = ExecStats(
             rows_examined=sum(b.stats.rows_examined for b in branches),
+            rows_visited=sum(b.stats.rows_visited for b in branches),
             rows_returned=len(rows),
             tables_accessed=[
                 t for b in branches for t in b.stats.tables_accessed

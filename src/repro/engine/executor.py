@@ -6,6 +6,17 @@ evaluates (~80 k rows across 6 databases) this is faster in CPython than
 a pull-based iterator tree, and it keeps the stage boundaries — scan,
 join, filter, aggregate, sort, project — easy to cost-model and test.
 
+Access path: a single-table SELECT whose WHERE bounds an indexed
+numeric column (``=``, ``<``, ``<=``, ``>``, ``>=``, ``BETWEEN`` against
+an int or float literal or parameter) reads only the rows a bisect of
+the table's sorted index selects, in storage order; the full WHERE
+predicate then runs on them. ``ExecStats.rows_examined`` stays the
+logical count a scan would examine — it is what the simulated cost
+model charges — and ``ExecStats.rows_visited`` counts the rows actually
+touched. A row outside the key range is never evaluated, so a per-row
+error it would raise (a bad CAST, say) does not surface, as in any
+index-using DBMS.
+
 Join strategy: conjunctive equi-join predicates become hash joins
 (build on the right input, probe from the left); remaining conjuncts
 are applied as residual filters. Everything else falls back to a
@@ -14,7 +25,9 @@ nested-loop join.
 
 from __future__ import annotations
 
+import bisect
 import functools
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Protocol
 
@@ -29,7 +42,13 @@ from repro.sql.eval import RowSchema, SchemaColumn, compile_expr, truthy
 
 
 class TableResolver(Protocol):
-    """What the executor needs from its host database."""
+    """What the executor needs from its host database.
+
+    A resolver may also offer ``base_table(name)``, returning a base
+    table's :class:`~repro.engine.storage.TableStorage` (None for a
+    view), to give the executor its range indexes; see
+    :func:`access_path`.
+    """
 
     def resolve_table(self, name: str) -> tuple[list[SchemaColumn], list[tuple]]:
         """Return (columns, rows) for a base table or view."""
@@ -38,10 +57,16 @@ class TableResolver(Protocol):
 
 @dataclass
 class ExecStats:
-    """Work counters the simulated cost model charges for."""
+    """Work counters the simulated cost model charges for.
+
+    ``rows_examined`` is logical: an index never lowers it, so simulated
+    time does not depend on the access path. ``rows_visited`` is what
+    the executor physically touched.
+    """
 
     rows_examined: int = 0
     rows_returned: int = 0
+    rows_visited: int = 0
     tables_accessed: list[str] = field(default_factory=list)
     join_strategy: list[str] = field(default_factory=list)
 
@@ -118,6 +143,143 @@ def equi_join_keys(conj: ast.Expr, lschema: RowSchema, rschema: RowSchema):
     return None
 
 
+#: comparison operator -> the same comparison with its operands swapped
+_FLIPPED = {"=": "=", "<": ">", "<=": ">=", ">": "<", ">=": "<="}
+
+
+@dataclass(frozen=True)
+class KeyRange:
+    """An interval on one indexed column; a None bound is unbounded."""
+
+    column: str
+    low: int | float | None = None
+    low_open: bool = False
+    high: int | float | None = None
+    high_open: bool = False
+
+    def narrow(self, op: str, value: int | float) -> "KeyRange":
+        """The intersection with ``column op value``."""
+        rng = self
+        if op in ("=", ">", ">="):
+            open_ = op == ">"
+            if rng.low is None or value > rng.low or (value == rng.low and open_):
+                rng = KeyRange(rng.column, value, open_, rng.high, rng.high_open)
+        if op in ("=", "<", "<="):
+            open_ = op == "<"
+            if rng.high is None or value < rng.high or (value == rng.high and open_):
+                rng = KeyRange(rng.column, rng.low, rng.low_open, value, open_)
+        return rng
+
+    def slice(self, keys: list) -> tuple[int, int]:
+        """``keys[start:stop]`` is the part of sorted ``keys`` in range."""
+        start = 0
+        if self.low is not None:
+            find = bisect.bisect_right if self.low_open else bisect.bisect_left
+            start = find(keys, self.low)
+        stop = len(keys)
+        if self.high is not None:
+            find = bisect.bisect_left if self.high_open else bisect.bisect_right
+            stop = find(keys, self.high)
+        return start, max(start, stop)
+
+    def __str__(self) -> str:
+        low = "(-inf" if self.low is None else (
+            f"{'(' if self.low_open else '['}{self.low!r}"
+        )
+        high = "+inf)" if self.high is None else (
+            f"{self.high!r}{')' if self.high_open else ']'}"
+        )
+        return f"{low}, {high}"
+
+
+def _bound_value(expr: ast.Expr, params: tuple):
+    """The finite int/float a literal or bound ``?`` carries, else None."""
+    if isinstance(expr, ast.Literal):
+        value = expr.value
+    elif isinstance(expr, ast.Param) and expr.index < len(params):
+        value = params[expr.index]
+    else:
+        return None
+    if type(value) is int or (type(value) is float and math.isfinite(value)):
+        return value
+    return None
+
+
+def key_ranges(
+    where: ast.Expr | None, schema: RowSchema, columns: list[str], params: tuple = ()
+) -> list[KeyRange]:
+    """The range the WHERE conjuncts put on each of ``columns`` that any
+    conjunct bounds, in ``columns`` order.
+
+    A conjunct bounds a column when it is ``col op v``, ``v op col`` or
+    ``col BETWEEN v AND w`` with ``v``/``w`` a finite int or float literal
+    or parameter. Every row the WHERE keeps lies in each returned range.
+    """
+    positions = {}
+    for name in columns:
+        try:
+            positions[schema.resolve(ast.ColumnRef(column=name))] = name
+        except ColumnNotFoundError:
+            continue
+    ranges: dict[str, KeyRange] = {}
+
+    def column_of(expr: ast.Expr) -> str | None:
+        if not isinstance(expr, ast.ColumnRef):
+            return None
+        try:
+            return positions.get(schema.resolve(expr))
+        except ColumnNotFoundError:
+            return None
+
+    def bound(column: str, op: str, value) -> None:
+        ranges[column] = ranges.get(column, KeyRange(column)).narrow(op, value)
+
+    for conj in ast.conjuncts(where):
+        if isinstance(conj, ast.BinaryOp) and conj.op in _FLIPPED:
+            column, value, op = column_of(conj.left), conj.right, conj.op
+            if column is None:
+                column, value, op = column_of(conj.right), conj.left, _FLIPPED[op]
+            value = _bound_value(value, params) if column is not None else None
+            if value is not None:
+                bound(column, op, value)
+        elif isinstance(conj, ast.Between) and not conj.negated:
+            column = column_of(conj.operand)
+            low = _bound_value(conj.low, params)
+            high = _bound_value(conj.high, params)
+            if column is not None and low is not None:
+                bound(column, ">=", low)
+            if column is not None and high is not None:
+                bound(column, "<=", high)
+    return [ranges[c] for c in columns if c in ranges]
+
+
+def access_path(
+    resolver, ref: ast.TableRef, schema: RowSchema, where: ast.Expr | None,
+    params: tuple = (),
+):
+    """``(KeyRange, (keys, positions))`` for a single-table SELECT that
+    can read ``ref`` through a sorted index, else None (scan).
+
+    The resolver offers indexes through ``base_table(name)`` returning
+    the table's storage (None for a view); a resolver without it always
+    scans. A WHERE with a subquery scans too: a subquery charges its
+    rows when the first outer row is evaluated, so narrowing to no rows
+    would change ``rows_examined``. The first indexed column (primary
+    key first) with a bound is used.
+    """
+    if where is None or ast.contains_subquery(where):
+        return None
+    base_table = getattr(resolver, "base_table", None)
+    storage = base_table(ref.name) if base_table is not None else None
+    if storage is None:
+        return None
+    for rng in key_ranges(where, schema, storage.range_columns, params):
+        index = storage.sorted_index(rng.column)
+        if index is not None:
+            return rng, index
+    return None
+
+
 @functools.total_ordering
 class _SortKey:
     """Total order over SQL values: NULL sorts last ascending-wise."""
@@ -165,8 +327,14 @@ class SelectExecutor:
         inner = SelectExecutor(self.resolver, self.params)
         inner._subquery_depth = self._subquery_depth + 1
         result = inner.execute(select)
-        self.stats.rows_examined += result.stats.rows_examined
+        self._examine(result.stats.rows_examined, result.stats.rows_visited)
         return result.columns, result.rows
+
+    def _examine(self, logical: int, visited: int | None = None) -> None:
+        """Charge ``logical`` rows to the cost model; ``visited`` (default:
+        the same) were physically touched."""
+        self.stats.rows_examined += logical
+        self.stats.rows_visited += logical if visited is None else visited
 
     # -- entry point -------------------------------------------------------------
 
@@ -175,11 +343,11 @@ class SelectExecutor:
         if not select.from_:
             self._typecheck(select, RowSchema([]))
             return self._execute_scalar(select)
-        schema, rows = self._execute_from(select)
+        schema, rows, logical = self._execute_from(select)
         self._typecheck(select, schema)
         if select.where is not None:
             predicate = self._compile(select.where, schema)
-            self.stats.rows_examined += len(rows)
+            self._examine(logical, len(rows))
             rows = [r for r in rows if truthy(predicate(r))]
         needs_agg = bool(select.group_by) or any(
             ast.contains_aggregate(i.expr) for i in select.items
@@ -213,25 +381,42 @@ class SelectExecutor:
 
     # -- FROM / joins ------------------------------------------------------------
 
-    def _scan(self, ref: ast.TableRef) -> tuple[RowSchema, list[tuple]]:
+    def _scan(
+        self, ref: ast.TableRef, where: ast.Expr | None = None
+    ) -> tuple[RowSchema, list[tuple], int]:
+        """``(schema, rows, table rows)`` of ``ref``. Given the WHERE of a
+        single-table SELECT, ``rows`` are only those in its key range
+        when an index applies; the whole table is examined either way."""
         columns, rows = self.resolver.resolve_table(ref.name)
         qualifier = ref.binding
         schema = RowSchema(
             [SchemaColumn(qualifier, c.name, c.type) for c in columns]
         )
         self.stats.tables_accessed.append(ref.name)
-        self.stats.rows_examined += len(rows)
-        return schema, rows
+        logical = len(rows)
+        path = access_path(self.resolver, ref, schema, where, self.params)
+        if path is not None:
+            rng, (keys, positions) = path
+            start, stop = rng.slice(keys)
+            rows = [rows[p] for p in sorted(positions[start:stop])]
+        self._examine(logical, len(rows))
+        return schema, rows, logical
 
-    def _execute_from(self, select: ast.Select) -> tuple[RowSchema, list[tuple]]:
-        schema, rows = self._scan(select.from_[0])
+    def _execute_from(
+        self, select: ast.Select
+    ) -> tuple[RowSchema, list[tuple], int]:
+        """``(schema, rows, logical rows)``: the rows the WHERE runs on,
+        and how many a scan would have produced."""
+        if len(select.from_) == 1 and not select.joins:
+            return self._scan(select.from_[0], select.where)
+        schema, rows, _ = self._scan(select.from_[0])
         for ref in select.from_[1:]:
-            rschema, rrows = self._scan(ref)
+            rschema, rrows, _ = self._scan(ref)
             schema, rows = self._cross_join(schema, rows, rschema, rrows)
         for join in select.joins:
-            rschema, rrows = self._scan(join.table)
+            rschema, rrows, _ = self._scan(join.table)
             schema, rows = self._join(schema, rows, rschema, rrows, join)
-        return schema, rows
+        return schema, rows, len(rows)
 
     def _cross_join(self, lschema, lrows, rschema, rrows):
         combined = lschema.concat(rschema)
@@ -275,7 +460,7 @@ class SelectExecutor:
         """Hash join; ``residual_fn`` is the non-equi remainder of the ON
         clause and participates in *match determination* (a LEFT row whose
         only hash matches fail the residual is padded, not dropped)."""
-        self.stats.rows_examined += len(lrows) + len(rrows)
+        self._examine(len(lrows) + len(rrows))
         table: dict[tuple, list[tuple]] = {}
         for rr in rrows:
             key = tuple(fn(rr) for fn in right_keys)
@@ -298,7 +483,7 @@ class SelectExecutor:
         return out
 
     def _nested_loop(self, lrows, rrows, combined, on, kind, right_width):
-        self.stats.rows_examined += len(lrows) * max(1, len(rrows))
+        self._examine(len(lrows) * max(1, len(rrows)))
         predicate = self._compile(on, combined)
         out: list[tuple] = []
         pad = (None,) * right_width
@@ -510,7 +695,7 @@ class SelectExecutor:
                 groups.setdefault(key, []).append(row)
         else:
             groups[()] = list(rows)
-        self.stats.rows_examined += len(rows)
+        self._examine(len(rows))
 
         # Post-aggregation schema: group columns then aggregate results.
         post_columns = [

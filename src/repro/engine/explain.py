@@ -1,14 +1,15 @@
 """EXPLAIN: human-readable plan outlines without executing.
 
-``explain_statement`` mirrors the executor's actual decisions — which
-join becomes a hash join on which keys, which conjuncts remain residual,
-where filters/aggregates/sorts apply — by running the same analysis the
-executor would, against catalog metadata only.
+``explain_statement`` mirrors the executor's actual decisions — whether
+a table is scanned or read through a key range of its sorted index,
+which join becomes a hash join on which keys, which conjuncts remain
+residual, where filters/aggregates/sorts apply — by running the same
+analysis the executor would, against catalog metadata and indexes only.
 """
 
 from __future__ import annotations
 
-from repro.engine.executor import equi_join_keys
+from repro.engine.executor import access_path, equi_join_keys
 from repro.sql import ast
 from repro.sql.eval import RowSchema, SchemaColumn
 from repro.sql.parser import parse_statement
@@ -32,10 +33,20 @@ def explain_select(db, select: ast.Select, indent: str = "") -> list[str]:
         return lines
 
     first = select.from_[0]
-    lines.append(f"{indent}scan {first.name}" +
-                 (f" AS {first.alias}" if first.alias else "") +
-                 f" ({_table_size(db, first.name)})")
+    alias = f" AS {first.alias}" if first.alias else ""
     schema = _schema_for(db, first)
+    path = None
+    if len(select.from_) == 1 and not select.joins:
+        path = access_path(db, first, schema, select.where)
+    if path is None:
+        lines.append(
+            f"{indent}scan {first.name}{alias} ({_table_size(db, first.name)})"
+        )
+    else:
+        key_range, _index = path
+        lines.append(
+            f"{indent}index range {first.name}.{key_range.column}{alias} {key_range}"
+        )
     for ref in select.from_[1:]:
         lines.append(
             f"{indent}cross join {ref.name} ({_table_size(db, ref.name)})"

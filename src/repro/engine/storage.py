@@ -1,13 +1,19 @@
-"""Row storage for one table, with constraints and hash indexes.
+"""Row storage for one table, with constraints and sorted range indexes.
 
-Rows are stored as tuples in insertion order. A primary-key hash index
-is maintained eagerly; secondary indexes are built lazily and dropped on
-mutation (rebuild-on-demand keeps the mutation path simple and is the
-right trade for the read-mostly mart workloads the paper evaluates).
+Rows are stored as tuples in insertion order. A primary-key hash map
+enforces uniqueness and is maintained eagerly. The one access path is a
+sorted ``(keys, positions)`` index on a numeric column: the single-column
+numeric primary key, or a column named by ``CREATE INDEX``. It is built
+lazily on the first range lookup and dropped on every mutation
+(rebuild-on-demand keeps the mutation path simple and is the right trade
+for the read-mostly mart workloads the paper evaluates). Byte accounting
+is lazy too: :attr:`TableStorage.byte_size` sizes only the rows appended
+since it was last read.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from repro.common.errors import (
@@ -50,8 +56,29 @@ def estimate_value_bytes(value: object) -> int:
 
 
 def estimate_row_bytes(row: tuple) -> int:
-    """Footprint of a full row including per-value separators."""
-    return sum(estimate_value_bytes(v) for v in row) + len(row)
+    """Footprint of a full row including per-value separators.
+
+    Equal to ``sum(estimate_value_bytes(v) for v in row) + len(row)``;
+    the exact built-in types of stored values are sized inline.
+    """
+    total = len(row)
+    for value in row:
+        vtype = type(value)
+        if vtype is int:
+            total += len(str(value))
+        elif vtype is float:
+            total += len(repr(value))
+        elif vtype is str:
+            total += len(value)
+        elif value is None:
+            total += 4
+        else:
+            total += estimate_value_bytes(value)
+    return total
+
+
+#: (sorted keys, their row positions) — the range-index shape
+SortedIndex = tuple[list, list[int]]
 
 
 class TableStorage:
@@ -73,9 +100,16 @@ class TableStorage:
         pk_cols = [i for i, c in enumerate(self.columns) if c.primary_key]
         self._pk_positions: tuple[int, ...] = tuple(pk_cols)
         self._pk_index: dict[tuple, int] | None = {} if pk_cols else None
-        # name -> (column positions, key -> row positions)
-        self._indexes: dict[str, tuple[tuple[int, ...], dict[tuple, list[int]]]] = {}
+        # lowercased names of the columns with a sorted access path
+        self._range_columns: list[str] = []
+        if len(pk_cols) == 1 and self.columns[pk_cols[0]].type.kind.is_numeric:
+            self._range_columns.append(self.columns[pk_cols[0]].name.lower())
+        # column name -> sorted index (None: keys not all finite numbers);
+        # cleared on every mutation
+        self._sorted: dict[str, SortedIndex | None] = {}
+        # byte_size covers rows[:_sized_rows]
         self._byte_size = 0
+        self._sized_rows = 0
 
     # Introspection -------------------------------------------------------------
 
@@ -89,7 +123,16 @@ class TableStorage:
 
     @property
     def byte_size(self) -> int:
-        """Approximate data footprint in bytes (used by ETL sizing)."""
+        """Approximate data footprint in bytes (used by ETL sizing).
+
+        Sized on read: rows appended since the last read are estimated
+        now, so inserts and scratch loads pay nothing for it.
+        """
+        if self._sized_rows < len(self.rows):
+            self._byte_size += sum(
+                estimate_row_bytes(r) for r in self.rows[self._sized_rows :]
+            )
+            self._sized_rows = len(self.rows)
         return self._byte_size
 
     def column_position(self, name: str) -> int:
@@ -150,8 +193,7 @@ class TableStorage:
                 )
             self._pk_index[key] = len(self.rows)
         self.rows.append(row)
-        self._byte_size += estimate_row_bytes(row)
-        self._indexes.clear()
+        self._sorted.clear()
         return row
 
     def insert_many(self, rows: list[list], columns: list[str] | None = None) -> int:
@@ -161,11 +203,11 @@ class TableStorage:
         """Bulk insert: validate every row, then commit the batch at once.
 
         All-or-nothing — constraint violations (including duplicate keys
-        *within* the batch) raise before any row lands, the secondary
-        indexes are dropped once instead of per row, and byte accounting
-        is summed over the batch. This is what the scratch-engine merge
-        and the warehouse loader use; per-row :meth:`insert` keeps
-        modelling the prototype's statement-at-a-time path.
+        *within* the batch) raise before any row lands, and the range
+        indexes are dropped once instead of per row. This is what the
+        scratch-engine merge and the warehouse loader use; per-row
+        :meth:`insert` keeps modelling the prototype's
+        statement-at-a-time path.
         """
         if not rows:
             return 0
@@ -186,8 +228,7 @@ class TableStorage:
             for offset, key in enumerate(staged_keys):
                 self._pk_index[key] = base + offset
         self.rows.extend(staged)
-        self._byte_size += sum(estimate_row_bytes(r) for r in staged)
-        self._indexes.clear()
+        self._sorted.clear()
         return len(staged)
 
     def delete_where(self, keep_predicate) -> int:
@@ -205,8 +246,8 @@ class TableStorage:
         self._rebuild_after_mutation()
 
     def _rebuild_after_mutation(self) -> None:
-        self._indexes.clear()
-        self._byte_size = sum(estimate_row_bytes(r) for r in self.rows)
+        self._sorted.clear()
+        self._byte_size = self._sized_rows = 0
         if self._pk_index is not None:
             self._pk_index = {}
             for pos, row in enumerate(self.rows):
@@ -240,6 +281,8 @@ class TableStorage:
         if self.columns[pos].primary_key:
             raise IntegrityError(f"cannot drop primary-key column {name!r}")
         del self.columns[pos]
+        if name.lower() in self._range_columns:
+            self._range_columns.remove(name.lower())
         self.rows = [row[:pos] + row[pos + 1 :] for row in self.rows]
         self._col_index = {c.name.lower(): i for i, c in enumerate(self.columns)}
         self._pk_positions = tuple(
@@ -249,17 +292,45 @@ class TableStorage:
 
     # Indexes --------------------------------------------------------------------
 
-    def ensure_index(self, columns: tuple[str, ...]) -> dict[tuple, list[int]]:
-        """Hash index on ``columns``, built lazily, invalidated on mutation."""
-        key = "|".join(c.lower() for c in columns)
-        cached = self._indexes.get(key)
-        if cached is not None:
-            return cached[1]
-        positions = tuple(self.column_position(c) for c in columns)
-        index: dict[tuple, list[int]] = {}
-        for pos, row in enumerate(self.rows):
-            index.setdefault(tuple(row[i] for i in positions), []).append(pos)
-        self._indexes[key] = (positions, index)
+    def add_range_index(self, column: str) -> bool:
+        """Give ``column`` the sorted access path; False (and no index)
+        unless it is numeric. Idempotent."""
+        col = self.columns[self.column_position(column)]
+        if not col.type.kind.is_numeric:
+            return False
+        if col.name.lower() not in self._range_columns:
+            self._range_columns.append(col.name.lower())
+        return True
+
+    @property
+    def range_columns(self) -> list[str]:
+        """Columns with a sorted access path, primary key first."""
+        return [self.columns[self._col_index[c]].name for c in self._range_columns]
+
+    def sorted_index(self, column: str) -> SortedIndex | None:
+        """``(keys, positions)`` of ``column``'s non-NULL values in key
+        order (ties in storage order), built on first use after a
+        mutation. None when the column has no access path or holds a
+        value that is not a finite int or float: only a total order
+        over the keys makes a bisected range equal to a scan."""
+        name = column.lower()
+        if name not in self._range_columns:
+            return None
+        if name in self._sorted:
+            return self._sorted[name]
+        pos = self._col_index[name]
+        values = [row[pos] for row in self.rows]
+        index: SortedIndex | None = None
+        if all(
+            type(v) is int or (type(v) is float and math.isfinite(v)) or v is None
+            for v in values
+        ):
+            order = sorted(
+                (i for i, v in enumerate(values) if v is not None),
+                key=values.__getitem__,
+            )
+            index = ([values[i] for i in order], order)
+        self._sorted[name] = index
         return index
 
     def lookup_pk(self, key: tuple) -> tuple | None:

@@ -10,6 +10,7 @@ the Kleene truth tables.
 
 from __future__ import annotations
 
+import operator
 import re
 from dataclasses import dataclass
 from typing import Callable
@@ -142,6 +143,59 @@ def _cmp(op: str, left, right):
     raise SQLTypeError(f"unknown comparison operator {op!r}")
 
 
+#: comparison operator -> the Python comparison it compiles to
+_COMPARATORS: dict[str, Callable] = {
+    "=": operator.eq,
+    "<>": operator.ne,
+    "<": operator.lt,
+    "<=": operator.le,
+    ">": operator.gt,
+    ">=": operator.ge,
+}
+#: exact operand type -> the exact types it compares with directly: the
+#: Python comparison then equals ``_cmp``'s (no NULL, no bool, one family)
+_DIRECT: dict[type, tuple[type, ...]] = {
+    int: (int, float),
+    float: (int, float),
+    str: (str,),
+}
+
+
+def _compile_comparison(expr: ast.BinaryOp, left: RowFn, right: RowFn,
+                        schema: RowSchema, params: tuple) -> RowFn:
+    """One closure per comparison operator. Exact int/float and str/str
+    operands compare directly; every other pair (NULL, bool, subclasses,
+    mixed families) goes through ``_cmp``, keeping its NULL handling and
+    errors. ``column op constant``, the shape of every pushed-down
+    predicate, also indexes the row inline instead of calling two
+    operand closures."""
+    op = expr.op
+    compare = _COMPARATORS[op]
+    if isinstance(expr.left, ast.ColumnRef) and isinstance(
+        expr.right, (ast.Literal, ast.Param)
+    ):
+        idx = schema.resolve(expr.left)
+        # compiling ``right`` checked that a ``?`` has its parameter
+        c = expr.right.value if isinstance(expr.right, ast.Literal) else params[expr.right.index]
+        family = _DIRECT.get(type(c), ())
+
+        def column_const(row):
+            a = row[idx]
+            if type(a) in family:
+                return compare(a, c)
+            return _cmp(op, a, c)
+
+        return column_const
+
+    def comparison(row):
+        a, b = left(row), right(row)
+        if type(b) in _DIRECT.get(type(a), ()):
+            return compare(a, b)
+        return _cmp(op, a, b)
+
+    return comparison
+
+
 import math as _math
 
 _SCALAR_FUNCTIONS: dict[str, Callable] = {
@@ -220,8 +274,8 @@ def compile_expr(
             return lambda row: _and3(left(row), right(row))
         if op == "OR":
             return lambda row: _or3(left(row), right(row))
-        if op in ("=", "<>", "<", "<=", ">", ">="):
-            return lambda row: _cmp(op, left(row), right(row))
+        if op in _COMPARATORS:
+            return _compile_comparison(expr, left, right, schema, params)
         if op == "||":
 
             def concat(row):
@@ -315,6 +369,9 @@ def compile_expr(
         def between(row):
             v = operand(row)
             lo, hi = low(row), high(row)
+            family = _DIRECT.get(type(v), ())
+            if type(lo) in family and type(hi) in family:
+                return (lo <= v <= hi) != negated
             ge = _cmp(">=", v, lo)
             le = _cmp("<=", v, hi)
             result = _and3(ge, le)

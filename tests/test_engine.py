@@ -75,20 +75,22 @@ class TestTableStorage:
         assert t.lookup_pk((7,)) == (7,)
         assert t.lookup_pk((8,)) is None
 
-    def test_hash_index_lookup(self):
+    def test_range_index_lookup(self):
         t = TableStorage("t", [Column("a", SQLType.integer()), Column("b", SQLType.integer())])
         t.insert([1, 10])
         t.insert([1, 20])
-        index = t.ensure_index(("a",))
-        assert index[(1,)] == [0, 1]
+        assert t.add_range_index("a")
+        keys, positions = t.sorted_index("a")
+        assert keys == [1, 1] and positions == [0, 1]
 
     def test_index_invalidated_on_insert(self):
         t = TableStorage("t", [Column("a", SQLType.integer())])
+        t.add_range_index("a")
         t.insert([1])
-        first = t.ensure_index(("a",))
+        first, _ = t.sorted_index("a")
         t.insert([2])
-        second = t.ensure_index(("a",))
-        assert (2,) in second and (2,) not in first
+        second, _ = t.sorted_index("a")
+        assert 2 in second and 2 not in first
 
     def test_add_column_backfills(self):
         t = TableStorage("t", [Column("a", SQLType.integer())])

@@ -1,10 +1,12 @@
 """Unit tests for expression compilation and three-valued logic."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.common import ColumnNotFoundError, SQLType, SQLTypeError
-from repro.sql import parse_expression
-from repro.sql.eval import RowSchema, SchemaColumn, compile_expr, truthy
+from repro.sql import ast, parse_expression
+from repro.sql.eval import RowSchema, SchemaColumn, _and3, _cmp, compile_expr, truthy
 
 
 @pytest.fixture
@@ -186,3 +188,56 @@ class TestParams:
     def test_missing_param_raises(self, schema):
         with pytest.raises(SQLTypeError):
             ev("t.a = ?", schema, (5, 0.0, "", 0), params=())
+
+
+class _Text(str):
+    pass
+
+
+_operands = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-5, 5),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from(["", "a", "b", _Text("a")]),
+)
+
+
+def _outcome(fn, *args):
+    try:
+        return ("value", fn(*args))
+    except SQLTypeError as exc:
+        return ("error", str(exc))
+
+
+class TestComparisonClosures:
+    """Each operator's closure equals the generic ``_cmp`` on every pair:
+    the exact-type fast path must not change a value, a NULL or an error."""
+
+    _schema = RowSchema([SchemaColumn(None, "x", SQLType.text()),
+                         SchemaColumn(None, "y", SQLType.text())])
+
+    @settings(max_examples=300)
+    @given(st.sampled_from(["=", "<>", "<", "<=", ">", ">="]), _operands, _operands)
+    def test_matches_cmp(self, op, a, b):
+        expected = _outcome(_cmp, op, a, b)
+        row = (a, b)
+        for expr in (
+            ast.BinaryOp(op, ast.ColumnRef("x"), ast.ColumnRef("y")),
+            ast.BinaryOp(op, ast.ColumnRef("x"), ast.Literal(b)),
+            ast.BinaryOp(op, ast.ColumnRef("x"), ast.Param(0)),
+            ast.BinaryOp(op, ast.Literal(a), ast.ColumnRef("y")),
+        ):
+            got = _outcome(compile_expr(expr, self._schema, (b,)), row)
+            assert got == expected, (expr, got, expected)
+
+    @settings(max_examples=300)
+    @given(_operands, _operands, _operands, st.booleans())
+    def test_between_matches_cmp(self, v, lo, hi, negated):
+        def reference():
+            result = _and3(_cmp(">=", v, lo), _cmp("<=", v, hi))
+            return None if result is None else result != negated
+
+        schema = RowSchema([SchemaColumn(None, c, SQLType.text()) for c in "vlh"])
+        expr = ast.Between(ast.ColumnRef("v"), ast.ColumnRef("l"), ast.ColumnRef("h"), negated)
+        assert _outcome(compile_expr(expr, schema), (v, lo, hi)) == _outcome(reference)

@@ -2,7 +2,7 @@
 
 import math
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.common import SQLType, TypeKind, coerce_value, common_supertype, sql_repr
 from repro.common.errors import SQLTypeError
@@ -166,6 +166,7 @@ class TestTypeProperties:
         assert common_supertype(t, t).kind == t.kind
 
     @given(sql_scalars, _types)
+    @example("NAN", SQLType.double())
     def test_coerce_idempotent(self, value, target):
         try:
             once = coerce_value(value, target)

@@ -115,6 +115,43 @@ class TestCoerceValue:
         with pytest.raises(SQLTypeError):
             coerce_value(float("nan"), SQLType.integer())
 
+    @pytest.mark.parametrize("text", [
+        "NaN", "nan", "inf", "-Infinity", "1_000", "\uff11\uff12", "1e400", "0x10", "",
+    ])
+    def test_string_outside_sql_numeric_grammar_raises(self, text):
+        for target in (SQLType.integer(), SQLType.bigint(), SQLType.double(),
+                       SQLType(TypeKind.FLOAT), SQLType.decimal(10, 2)):
+            with pytest.raises(SQLTypeError):
+                coerce_value(text, target)
+
+    @pytest.mark.parametrize("text, target, expected", [
+        (" -12 ", SQLType.integer(), -12),
+        ("+7", SQLType.bigint(), 7),
+        ("1.5e3", SQLType.double(), 1500.0),
+        (".5", SQLType.double(), 0.5),
+        ("2.", SQLType(TypeKind.FLOAT), 2.0),
+        ("-0", SQLType.double(), 0.0),
+    ])
+    def test_sql_numeric_literals_parse(self, text, target, expected):
+        result = coerce_value(text, target)
+        assert result == expected and type(result) is type(expected)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_float_rejected(self, value):
+        for target in (SQLType.double(), SQLType(TypeKind.FLOAT), SQLType.decimal(10, 2)):
+            with pytest.raises(SQLTypeError):
+                coerce_value(value, target)
+
+    def test_huge_int_to_double_raises(self):
+        with pytest.raises(SQLTypeError):
+            coerce_value(10**400, SQLType.double())
+
+    def test_typed_values_returned_unchanged(self):
+        big = 2**70
+        assert coerce_value(big, SQLType.bigint()) is big
+        x = 0.1
+        assert coerce_value(x, SQLType.double()) is x
+
     def test_int_to_double(self):
         result = coerce_value(7, SQLType.double())
         assert result == 7.0 and isinstance(result, float)
