@@ -27,7 +27,6 @@ from repro.dialects import Dialect, available_vendors, get_dialect
 from repro.driver import Directory, connect
 from repro.engine import Database
 from repro.hep import Ntuple, generate_ntuple
-from repro.lint import Diagnostic, LintReport, Severity, lint_select, sqlcheck
 from repro.marts import MartSet, materialize_view
 from repro.metadata import (
     DataDictionary,
@@ -56,6 +55,32 @@ from repro.unity import UnityDriver
 from repro.warehouse import ETLJob, ETLPipeline, Warehouse
 
 __version__ = "1.0.0"
+
+#: names re-exported from repro.lint, which loads on first use: the
+#: engine and the federation run without it
+_LINT_EXPORTS = frozenset({"Diagnostic", "LintReport", "Severity", "lint_select", "sqlcheck"})
+
+
+def __getattr__(name: str):
+    if name in _LINT_EXPORTS:
+        import repro.lint
+
+        return getattr(repro.lint, name)
+    raise AttributeError(f"module 'repro' has no attribute {name!r}")
+
+
+def _lint_notes(database, sql: str) -> list[str]:
+    """EXPLAIN's ``lint:`` lines: the static findings for ``sql``."""
+    from repro.lint import CatalogSchema, lint_sql
+
+    try:
+        report = lint_sql(sql, CatalogSchema(database))
+    except ReproError:
+        return []
+    return [f"lint: {d}" for d in report]
+
+
+Database.explain_notes = _lint_notes
 
 __all__ = [
     "DataAccessService",

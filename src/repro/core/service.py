@@ -19,6 +19,8 @@ from repro.common.errors import (
     ClarensFault,
     ConnectionFailedError,
     FederationError,
+    PreflightError,
+    ReproError,
     TableNotRegisteredError,
 )
 from repro.cache import normalize_sql
@@ -286,28 +288,6 @@ class DataAccessService(ClarensService):
     # query execution
     # ------------------------------------------------------------------
 
-    def _run_preflight(self, select: ast.Select) -> bool:
-        """Static pre-flight lint: reject before any sub-query ships.
-
-        Returns True when the check ran. A query touching a table this
-        server does not yet know is deferred (returns False) — the
-        caller re-runs the check once RLS discovery has registered the
-        remote tables, still before any sub-query data moves.
-        """
-        if any(
-            not self.dictionary.has_table(ref.name)
-            for ref in select.referenced_tables()
-        ):
-            return False
-        from repro.common.errors import PreflightError
-        from repro.lint import DictionarySchema, lint_select
-
-        report = lint_select(select, DictionarySchema(self.dictionary))
-        if not report.ok:
-            self.metrics.counter("preflight_rejections").inc()
-            raise PreflightError(report.errors)
-        return True
-
     def execute(
         self,
         sql: str | ast.Select,
@@ -393,15 +373,11 @@ class DataAccessService(ClarensService):
             )
 
     def _plan(self, select: ast.Select, ctx: QueryContext, no_forward: bool):
-        """Preflight, RLS discovery and decomposition: (plan, remote servers)."""
-        preflighted = True
-        if self.preflight:
-            with self._span("preflight"):
-                preflighted = self._run_preflight(select)
+        """RLS discovery, preflight and decomposition: (plan, remote servers)."""
         with self._span("decompose") as decompose_span:
             self.clock.advance_ms(costs.DECOMPOSE_MS)
             plan, remote_servers = self._decompose(
-                select, ctx, no_forward, preflight=not preflighted
+                select, ctx, no_forward, preflight=self.preflight
             )
             decompose_span.set("subqueries", len(plan.subqueries))
             decompose_span.set("distributed", plan.is_distributed)
@@ -413,8 +389,9 @@ class DataAccessService(ClarensService):
     ):
         """RLS discovery, replica preferences and decomposition, shared by
         ``execute`` and ``explain``: (plan, remote servers). ``preflight``
-        runs the check deferred until discovery registered the remote
-        tables, still before any sub-query ships."""
+        lints the query against the plan about to be built, once
+        discovery has registered every table and before any sub-query
+        ships."""
         remote_servers = set()
         for ref in select.referenced_tables():
             if not self.dictionary.has_table(ref.name):
@@ -425,15 +402,25 @@ class DataAccessService(ClarensService):
                 loc = self.dictionary.locate(ref.name)
                 if loc.is_remote:
                     remote_servers.add(loc.remote_server)
+        prefer = self._preferences([ref.name for ref in select.referenced_tables()])
         if preflight:
+            from repro.lint import preflight as lint_preflight
+
             with self._span("preflight"):
-                self._run_preflight(select)
-        prefer = None
-        if self.replica_selector is not None:
-            prefer = self.replica_selector.preferences(
-                self.dictionary, [ref.name for ref in select.referenced_tables()]
-            )
+                try:
+                    lint_preflight(select, self.dictionary, prefer_databases=prefer)
+                except PreflightError:
+                    self.metrics.counter("preflight_rejections").inc()
+                    raise
         return decompose(select, self.dictionary, prefer_databases=prefer), remote_servers
+
+    def _preferences(self, tables: list[str]) -> dict[str, str] | None:
+        """The decomposer's ``prefer_databases`` for ``tables``: the
+        nearest live replica of each replicated one (None without replica
+        selection). Tables the dictionary does not hold are skipped."""
+        if self.replica_selector is None:
+            return None
+        return self.replica_selector.preferences(self.dictionary, tables)
 
     def _execute_query(
         self,
@@ -869,11 +856,21 @@ class DataAccessService(ClarensService):
         """Clarens method: static diagnostics for ``sql``, not executed.
 
         Lets clients validate a query against this server's dictionary
-        for free before paying for a distributed execution.
+        for free before paying for a distributed execution. The plan it
+        lints picks replicas as ``explain`` and ``query`` do; a table
+        this server has not discovered yet is reported unknown rather
+        than looked up in the RLS.
         """
         from repro.lint import DictionarySchema, lint_sql
 
-        report = lint_sql(sql, DictionarySchema(self.dictionary))
+        try:
+            tables = [ref.name for ref in parse_select(sql).referenced_tables()]
+        except ReproError:
+            tables = []  # not a SELECT; lint_sql says what it is
+        report = lint_sql(
+            sql, DictionarySchema(self.dictionary),
+            prefer_databases=self._preferences(tables),
+        )
         return [d.as_dict() for d in report]
 
     def plugin(self, spec_xml: str, url: str, driver: str):

@@ -9,7 +9,7 @@ the paper's N×S argument.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from repro.common.errors import ConnectionFailedError, SQLTypeError
 from repro.common.types import SQLType, TypeKind, sql_repr
@@ -148,38 +148,14 @@ class Dialect:
         """Render a SELECT in vendor syntax (limit spelling differs)."""
         if select.limit is None or self.limit_style == "limit":
             return select.unparse()
+        text = replace(select, limit=None).unparse()
         if self.limit_style == "top":
-            inner = ast.Select(
-                items=select.items,
-                from_=select.from_,
-                joins=select.joins,
-                where=select.where,
-                group_by=select.group_by,
-                having=select.having,
-                order_by=select.order_by,
-                limit=None,
-                offset=select.offset,
-                distinct=select.distinct,
-            )
-            text = inner.unparse()
             head = "SELECT DISTINCT" if select.distinct else "SELECT"
             assert text.startswith(head)
             return f"{head} TOP {select.limit}{text[len(head):]}"
         # 'client': the vendor has no portable limit clause; emit the
         # unlimited query — the caller truncates after fetch.
-        inner = ast.Select(
-            items=select.items,
-            from_=select.from_,
-            joins=select.joins,
-            where=select.where,
-            group_by=select.group_by,
-            having=select.having,
-            order_by=select.order_by,
-            limit=None,
-            offset=select.offset,
-            distinct=select.distinct,
-        )
-        return inner.unparse()
+        return text
 
     @property
     def limit_applied_client_side(self) -> bool:

@@ -32,6 +32,10 @@ class Database:
     vendor-neutral.
     """
 
+    #: ``(database, sql) -> lines`` appended to EXPLAIN's plan outline;
+    #: the ``repro`` package sets it to lint's findings (``lint:`` lines)
+    explain_notes = None
+
     def __init__(self, name: str, vendor: str = "generic"):
         self.name = name
         self.vendor = vendor
@@ -327,19 +331,13 @@ class Database:
     # -- introspection -------------------------------------------------------------------
 
     def explain(self, sql: str) -> list[str]:
-        """Plan outline for ``sql`` without executing it, with any static
-        lint findings appended as ``lint:`` lines."""
+        """Plan outline for ``sql`` without executing it, followed by the
+        lines of :attr:`explain_notes`."""
         from repro.engine.explain import explain_statement
 
         lines = explain_statement(self, sql)
-        from repro.common.errors import ReproError
-        from repro.lint import CatalogSchema, lint_sql
-
-        try:
-            report = lint_sql(sql, CatalogSchema(self))
-        except ReproError:
-            return lines
-        lines.extend(f"lint: {d}" for d in report)
+        if Database.explain_notes is not None:
+            lines.extend(Database.explain_notes(self, sql))
         return lines
 
     # -- bulk API used by ETL/materialization ------------------------------------------

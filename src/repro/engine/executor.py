@@ -36,9 +36,13 @@ from repro.common.errors import (
     PlanningError,
     SQLTypeError,
 )
-from repro.common.types import SQLType, infer_literal_type
+from repro.common.types import SQLType
 from repro.sql import ast
 from repro.sql.eval import RowSchema, SchemaColumn, compile_expr, truthy
+from repro.sql.infer import ExprTyper
+
+#: the result type of a column whose values have no one static type
+UNTYPED = SQLType.text()
 
 
 class TableResolver(Protocol):
@@ -341,21 +345,18 @@ class SelectExecutor:
     def execute(self, select: ast.Select) -> ExecResult:
         """Run the SELECT through scan/join/filter/aggregate/sort/limit."""
         if not select.from_:
-            self._typecheck(select, RowSchema([]))
-            return self._execute_scalar(select)
+            types = self._typecheck(select, RowSchema([]))
+            return self._execute_scalar(select, types)
         schema, rows, logical = self._execute_from(select)
-        self._typecheck(select, schema)
+        types = self._typecheck(select, schema)
         if select.where is not None:
             predicate = self._compile(select.where, schema)
             self._examine(logical, len(rows))
             rows = [r for r in rows if truthy(predicate(r))]
-        needs_agg = bool(select.group_by) or any(
-            ast.contains_aggregate(i.expr) for i in select.items
-        ) or (select.having is not None)
-        if needs_agg:
-            result = self._execute_aggregate(select, schema, rows)
+        if select.is_grouped:
+            result = self._execute_aggregate(select, schema, rows, types)
         else:
-            result = self._execute_plain(select, schema, rows)
+            result = self._execute_plain(select, schema, rows, types)
         if select.distinct:
             result.rows = list(dict.fromkeys(result.rows))
         offset = select.offset or 0
@@ -367,17 +368,43 @@ class SelectExecutor:
         result.rowcount = self.stats.rows_returned = len(result.rows)
         return result
 
-    def _typecheck(self, select: ast.Select, schema: RowSchema) -> None:
-        """Static type check before any row is evaluated.
+    def _typecheck(
+        self, select: ast.Select, schema: RowSchema
+    ) -> list[SQLType | None]:
+        """Type every clause before any row is evaluated; returns the
+        select items' types (None for a star or an untyped item).
 
-        Closes the lazy-evaluation hole where a type-mismatched
+        Raises the first definite type error or bad call arity, which
+        closes the lazy-evaluation hole where a type-mismatched
         expression (``SELECT a + 'x' FROM t``) silently returned an
-        empty result on an empty table instead of an error.
+        empty result on an empty table. Name errors are left to
+        compilation, unresolvable refs (output aliases) type as
+        unknown, and join ON clauses are skipped: cross-side equi
+        conjuncts hash-match without comparing values.
         """
-        from repro.lint.analyzer import typecheck_select
 
-        for diag in typecheck_select(select, schema):
-            raise SQLTypeError(diag.message)
+        def resolve(ref: ast.ColumnRef) -> SQLType | None:
+            try:
+                return schema.columns[schema.resolve(ref)].type
+            except ColumnNotFoundError:
+                return None
+
+        def emit(code: str, message: str, fragment: str | None = None) -> None:
+            if code in ("RPR201", "RPR105"):
+                raise SQLTypeError(message)
+
+        typer = ExprTyper(resolve, emit)
+        types = [
+            None if isinstance(item.expr, ast.Star) else typer.type_of(item.expr, True)
+            for item in select.items
+        ]
+        for clause in (
+            select.where, *select.group_by, select.having,
+            *(order.expr for order in select.order_by),
+        ):
+            if clause is not None:
+                typer.type_of(clause, True)
+        return types
 
     # -- FROM / joins ------------------------------------------------------------
 
@@ -501,11 +528,15 @@ class SelectExecutor:
     # -- projection --------------------------------------------------------------
 
     def _expand_items(
-        self, items: tuple[ast.SelectItem, ...], schema: RowSchema
+        self,
+        items: tuple[ast.SelectItem, ...],
+        schema: RowSchema,
+        types: list[SQLType | None],
     ) -> list[tuple[str, SQLType, Callable]]:
-        """Expand stars and compile each output column."""
+        """Expand stars and compile each output column; ``types`` are
+        the items' static types."""
         out: list[tuple[str, SQLType, Callable]] = []
-        for ordinal, item in enumerate(items, start=1):
+        for ordinal, (item, item_type) in enumerate(zip(items, types), start=1):
             if isinstance(item.expr, ast.Star):
                 for idx in schema.indexes_for_star(item.expr.table):
                     col = schema.columns[idx]
@@ -514,47 +545,8 @@ class SelectExecutor:
                     )
                 continue
             fn = self._compile(item.expr, schema)
-            ctype = self._infer_type(item.expr, schema)
-            out.append((item.output_name(ordinal), ctype, fn))
+            out.append((item.output_name(ordinal), item_type or UNTYPED, fn))
         return out
-
-    def _infer_type(self, expr: ast.Expr, schema: RowSchema) -> SQLType:
-        if isinstance(expr, ast.ColumnRef):
-            try:
-                return schema.columns[schema.resolve(expr)].type
-            except ColumnNotFoundError:
-                raise
-        if isinstance(expr, ast.Literal):
-            return infer_literal_type(expr.value)
-        if isinstance(expr, ast.Cast):
-            return expr.target
-        if isinstance(expr, ast.FunctionCall):
-            name = expr.name.upper()
-            if name == "COUNT":
-                return SQLType.bigint()
-            if name in ("SUM", "AVG"):
-                return SQLType.double()
-            if name in ("MIN", "MAX") and expr.args:
-                return self._infer_type(expr.args[0], schema)
-        if isinstance(expr, ast.BinaryOp):
-            if expr.op in ("AND", "OR", "=", "<>", "<", "<=", ">", ">="):
-                return SQLType.boolean()
-            if expr.op == "||":
-                return SQLType.text()
-            return SQLType.double()
-        if isinstance(expr, (ast.IsNull, ast.InList, ast.Between, ast.Like)):
-            return SQLType.boolean()
-        if isinstance(expr, ast.UnaryOp):
-            if expr.op == "NOT":
-                return SQLType.boolean()
-            return self._infer_type(expr.operand, schema)
-        if isinstance(expr, ast.Case):
-            for _, result in expr.whens:
-                try:
-                    return self._infer_type(result, schema)
-                except (ColumnNotFoundError, SQLTypeError):
-                    continue
-        return SQLType.text()
 
     def _sort_rows(
         self,
@@ -573,11 +565,7 @@ class SelectExecutor:
             if isinstance(item.expr, ast.ColumnRef) and item.expr.table is None:
                 fn = alias_map.get(item.expr.column.lower())
             if fn is None:
-                try:
-                    fn = self._compile(item.expr, schema)
-                except ColumnNotFoundError:
-                    if fn is None:
-                        raise
+                fn = self._compile(item.expr, schema)
             key_fns.append((fn, item.ascending))
         # Stable sort from the last key to the first.
         out = list(rows)
@@ -586,9 +574,10 @@ class SelectExecutor:
         return out
 
     def _execute_plain(
-        self, select: ast.Select, schema: RowSchema, rows: list[tuple]
+        self, select: ast.Select, schema: RowSchema, rows: list[tuple],
+        types: list[SQLType | None],
     ) -> ExecResult:
-        output = self._expand_items(select.items, schema)
+        output = self._expand_items(select.items, schema, types)
         if select.order_by:
             rows = self._sort_rows(rows, select.order_by, schema, output)
         projected = [tuple(fn(row) for _, _, fn in output) for row in rows]
@@ -600,9 +589,10 @@ class SelectExecutor:
 
     # -- scalar select (no FROM) ----------------------------------------------------
 
-    def _execute_scalar(self, select: ast.Select) -> ExecResult:
-        schema = RowSchema([])
-        output = self._expand_items(select.items, schema)
+    def _execute_scalar(
+        self, select: ast.Select, types: list[SQLType | None]
+    ) -> ExecResult:
+        output = self._expand_items(select.items, RowSchema([]), types)
         row = tuple(fn(()) for _, _, fn in output)
         return ExecResult(
             columns=[name for name, _, _ in output],
@@ -613,7 +603,8 @@ class SelectExecutor:
     # -- aggregation ------------------------------------------------------------------
 
     def _execute_aggregate(
-        self, select: ast.Select, schema: RowSchema, rows: list[tuple]
+        self, select: ast.Select, schema: RowSchema, rows: list[tuple],
+        types: list[SQLType | None],
     ) -> ExecResult:
         group_exprs = list(select.group_by)
         group_fns = [self._compile(g, schema) for g in group_exprs]
@@ -622,40 +613,12 @@ class SelectExecutor:
         # e.g. HAVING n > 1 for COUNT(*) AS n, or ORDER BY detector for
         # an unaliased r.detector item): expand output names to the
         # underlying item expressions before anything else.
-        alias_expr_map: dict[str, ast.Expr] = {}
-        for ordinal, item in enumerate(select.items, start=1):
-            if isinstance(item.expr, ast.Star):
-                continue
-            name = item.output_name(ordinal).lower()
-            alias_expr_map.setdefault(name, item.expr)
-
-        def expand_aliases(expr: ast.Expr) -> ast.Expr:
-            if isinstance(expr, ast.ColumnRef) and expr.table is None:
-                mapped = alias_expr_map.get(expr.column.lower())
-                if mapped is not None:
-                    return mapped
-                return expr
-            if isinstance(expr, ast.BinaryOp):
-                return ast.BinaryOp(
-                    expr.op, expand_aliases(expr.left), expand_aliases(expr.right)
-                )
-            if isinstance(expr, ast.UnaryOp):
-                return ast.UnaryOp(expr.op, expand_aliases(expr.operand))
-            if isinstance(expr, ast.IsNull):
-                return ast.IsNull(expand_aliases(expr.operand), expr.negated)
-            if isinstance(expr, ast.Between):
-                return ast.Between(
-                    expand_aliases(expr.operand),
-                    expand_aliases(expr.low),
-                    expand_aliases(expr.high),
-                    expr.negated,
-                )
-            return expr
-
+        names = select.output_names()
         having_expr = (
-            expand_aliases(select.having) if select.having is not None else None
+            ast.expand_output_names(select.having, names)
+            if select.having is not None else None
         )
-        order_exprs = [expand_aliases(o.expr) for o in select.order_by]
+        order_exprs = [ast.expand_output_names(o.expr, names) for o in select.order_by]
 
         # Collect unique aggregate calls from items, HAVING and ORDER BY.
         agg_calls: list[ast.FunctionCall] = []
@@ -663,10 +626,7 @@ class SelectExecutor:
 
         def collect(expr: ast.Expr) -> None:
             for node in ast.walk(expr):
-                if (
-                    isinstance(node, ast.FunctionCall)
-                    and node.name.upper() in ast.AGGREGATE_FUNCTIONS
-                ):
+                if ast.is_aggregate_call(node):
                     key = node.unparse()
                     if key not in agg_index:
                         agg_index[key] = len(agg_calls)
@@ -716,50 +676,22 @@ class SelectExecutor:
         # Rewrite expressions onto the post-aggregation schema.
         group_keys = {g.unparse(): i for i, g in enumerate(group_exprs)}
 
-        def rewrite(expr: ast.Expr) -> ast.Expr:
-            key = expr.unparse()
-            if key in agg_index and isinstance(expr, ast.FunctionCall):
+        def post_aggregate(node: ast.Expr) -> ast.Expr | None:
+            key = node.unparse()
+            if key in agg_index and isinstance(node, ast.FunctionCall):
                 return ast.ColumnRef(column=f"__a{agg_index[key]}")
             if key in group_keys:
                 return ast.ColumnRef(column=f"__g{group_keys[key]}")
-            if isinstance(expr, ast.BinaryOp):
-                return ast.BinaryOp(expr.op, rewrite(expr.left), rewrite(expr.right))
-            if isinstance(expr, ast.UnaryOp):
-                return ast.UnaryOp(expr.op, rewrite(expr.operand))
-            if isinstance(expr, ast.FunctionCall):
-                if expr.name.upper() in ast.AGGREGATE_FUNCTIONS:
-                    return ast.ColumnRef(column=f"__a{agg_index[expr.unparse()]}")
-                return ast.FunctionCall(
-                    expr.name, tuple(rewrite(a) for a in expr.args), expr.distinct
-                )
-            if isinstance(expr, ast.IsNull):
-                return ast.IsNull(rewrite(expr.operand), expr.negated)
-            if isinstance(expr, ast.InList):
-                return ast.InList(
-                    rewrite(expr.operand),
-                    tuple(rewrite(i) for i in expr.items),
-                    expr.negated,
-                )
-            if isinstance(expr, ast.Between):
-                return ast.Between(
-                    rewrite(expr.operand), rewrite(expr.low), rewrite(expr.high), expr.negated
-                )
-            if isinstance(expr, ast.Like):
-                return ast.Like(rewrite(expr.operand), rewrite(expr.pattern), expr.negated)
-            if isinstance(expr, ast.Case):
-                return ast.Case(
-                    tuple((rewrite(c), rewrite(r)) for c, r in expr.whens),
-                    rewrite(expr.else_) if expr.else_ else None,
-                )
-            if isinstance(expr, ast.Cast):
-                return ast.Cast(rewrite(expr.operand), expr.target)
-            if isinstance(expr, ast.ColumnRef):
+            if isinstance(node, ast.ColumnRef):
                 # A bare column in the select list must be a grouping column.
                 raise PlanningError(
-                    f"column {expr.unparse()!r} must appear in GROUP BY or an aggregate"
+                    f"column {node.unparse()!r} must appear in GROUP BY or an aggregate"
                 )
-            return expr
+            if isinstance(node, ast.InSubquery):
+                return node  # its operand is not rewritten
+            return None
 
+        rewrite = functools.partial(ast.transform, fn=post_aggregate)
         if having_expr is not None:
             having_fn = self._compile(rewrite(having_expr), post_schema)
             post_rows = [r for r in post_rows if truthy(having_fn(r))]
@@ -768,11 +700,9 @@ class SelectExecutor:
             ast.SelectItem(rewrite(item.expr), item.alias or item.output_name(i + 1))
             for i, item in enumerate(select.items)
         )
-        output = self._expand_items(rewritten_items, post_schema)
-        # Fix inferred output types (post-agg schema lost the real types).
-        fixed_types = [
-            self._infer_type(item.expr, schema) for item in select.items
-        ]
+        # the items' types, from the input schema (the post-aggregation
+        # schema lost the real types)
+        output = self._expand_items(rewritten_items, post_schema, types)
         if select.order_by:
             rewritten_order = tuple(
                 ast.OrderItem(rewrite(expr), order.ascending)
@@ -782,7 +712,7 @@ class SelectExecutor:
         projected = [tuple(fn(row) for _, _, fn in output) for row in post_rows]
         return ExecResult(
             columns=[name for name, _, _ in output],
-            types=fixed_types,
+            types=[ctype for _, ctype, _ in output],
             rows=projected,
         )
 

@@ -84,17 +84,13 @@ def explain_select(db, select: ast.Select, indent: str = "") -> list[str]:
 
     if select.where is not None:
         lines.append(f"{indent}filter: {select.where.unparse()}")
-    has_agg = bool(select.group_by) or any(
-        ast.contains_aggregate(i.expr) for i in select.items
-    )
-    if has_agg:
+    if select.is_grouped:
         aggs = sorted(
             {
                 node.unparse()
                 for item in select.items
                 for node in ast.walk(item.expr)
-                if isinstance(node, ast.FunctionCall)
-                and node.name.upper() in ast.AGGREGATE_FUNCTIONS
+                if ast.is_aggregate_call(node)
             }
         )
         group = ", ".join(g.unparse() for g in select.group_by) or "<all rows>"

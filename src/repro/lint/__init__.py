@@ -32,7 +32,7 @@ from repro.lint.analyzer import (
     lint_select,
     lint_sql,
     lint_statement,
-    typecheck_select,
+    preflight,
 )
 from repro.lint.diagnostics import Diagnostic, LintReport, Severity, Span
 from repro.lint.rules import DEFAULT_CONFIG, RULES, LintConfig, Rule
@@ -61,8 +61,8 @@ __all__ = [
     "lint_select",
     "lint_sql",
     "lint_statement",
+    "preflight",
     "sqlcheck",
-    "typecheck_select",
 ]
 
 

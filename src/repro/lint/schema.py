@@ -1,16 +1,16 @@
 """Schema providers: what the analyzer resolves names against.
 
-The analyzer is backend-agnostic; it asks a provider five questions
-about a table name (existence, columns+types, vendor, site URL, row
-count) and nothing else. Two concrete providers cover both halves of
-the system:
+The analyzer is backend-agnostic; it asks a provider two questions about
+a table name (existence, and columns with their types). Two concrete
+providers cover both halves of the system:
 
 * :class:`CatalogSchema` — a live :class:`repro.engine.Database`
   catalog (tables and views), for engine-level linting and EXPLAIN;
 * :class:`DictionarySchema` — a federation
   :class:`~repro.metadata.dictionary.DataDictionary` built from XSpec
   documents, for pre-flight linting in the data access service, where
-  ``context`` switches on the federated-only rules (RPR302/RPR401/RPR501).
+  ``context`` switches on the federated-only rules (RPR302/RPR401/RPR501)
+  and the planner decomposes the query against ``dictionary``.
 """
 
 from __future__ import annotations
@@ -37,22 +37,6 @@ class SchemaProvider(Protocol):
         """Ordered (column name, logical type) pairs of the table."""
         ...
 
-    def table_vendor(self, name: str) -> str | None:
-        """Vendor the table's sub-query would ship to, if known."""
-        ...
-
-    def table_site(self, name: str) -> str | None:
-        """Connection URL / site identity (pushdown site analysis)."""
-        ...
-
-    def table_rows(self, name: str) -> int | None:
-        """Planner row-count hint, when available."""
-        ...
-
-    def table_database(self, name: str) -> str | None:
-        """Hosting database name (for messages), when known."""
-        ...
-
 
 class CatalogSchema:
     """Provider over one live engine database (tables and views)."""
@@ -71,73 +55,23 @@ class CatalogSchema:
         columns, _rows = self.database.resolve_table(name)
         return [(c.name, c.type) for c in columns]
 
-    def table_vendor(self, name: str) -> str | None:
-        return self.database.vendor
-
-    def table_site(self, name: str) -> str | None:
-        return self.database.name
-
-    def table_rows(self, name: str) -> int | None:
-        catalog = self.database.catalog
-        if catalog.has_table(name):
-            return catalog.get_table(name).row_count
-        return None
-
-    def table_database(self, name: str) -> str | None:
-        return self.database.name
-
 
 class DictionarySchema:
-    """Provider over a federation data dictionary.
-
-    ``prefer`` pins replicated logical tables to a database (same
-    contract as the decomposer's ``prefer_databases``); otherwise the
-    first registered location is used, mirroring the planner's choice.
-    """
+    """Provider over a federation data dictionary. Replicas of a logical
+    table share its logical columns; which replica a query reads is the
+    planner's choice, not the provider's."""
 
     context = "federated"
 
-    def __init__(
-        self, dictionary: DataDictionary, prefer: dict[str, str] | None = None
-    ):
+    def __init__(self, dictionary: DataDictionary):
         self.dictionary = dictionary
-        self.prefer = {k.lower(): v for k, v in (prefer or {}).items()}
-
-    def _location(self, name: str):
-        locations = self.dictionary.locations(name)
-        if not locations:
-            return None
-        preferred = self.prefer.get(name.lower())
-        if preferred is not None:
-            for loc in locations:
-                if loc.database_name == preferred:
-                    return loc
-        return locations[0]
 
     def has_table(self, name: str) -> bool:
         return self.dictionary.has_table(name)
 
     def table_columns(self, name: str) -> list[tuple[str, SQLType]]:
-        loc = self._location(name)
-        if loc is None:
-            return []
-        return [(c.logical_name, c.logical_type) for c in loc.table.columns]
-
-    def table_vendor(self, name: str) -> str | None:
-        loc = self._location(name)
-        return None if loc is None else loc.vendor
-
-    def table_site(self, name: str) -> str | None:
-        loc = self._location(name)
-        return None if loc is None else loc.url
-
-    def table_rows(self, name: str) -> int | None:
-        loc = self._location(name)
-        return None if loc is None else loc.table.row_count
-
-    def table_database(self, name: str) -> str | None:
-        loc = self._location(name)
-        return None if loc is None else loc.database_name
+        table = self.dictionary.locate(name).table
+        return [(c.logical_name, c.logical_type) for c in table.columns]
 
 
 def dictionary_from_specs(specs: list[LowerXSpec]) -> DataDictionary:

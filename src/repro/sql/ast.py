@@ -207,14 +207,14 @@ AGGREGATE_FUNCTIONS = frozenset(
 )
 
 
+def is_aggregate_call(expr: Expr) -> bool:
+    """True if ``expr`` itself is an aggregate function call."""
+    return isinstance(expr, FunctionCall) and expr.name.upper() in AGGREGATE_FUNCTIONS
+
+
 def contains_aggregate(expr: Expr) -> bool:
     """True if any node under ``expr`` is an aggregate function call."""
-    if isinstance(expr, FunctionCall) and expr.name.upper() in AGGREGATE_FUNCTIONS:
-        return True
-    for child in _children(expr):
-        if contains_aggregate(child):
-            return True
-    return False
+    return any(is_aggregate_call(node) for node in walk(expr))
 
 
 def contains_subquery(expr: Expr) -> bool:
@@ -224,33 +224,44 @@ def contains_subquery(expr: Expr) -> bool:
     )
 
 
+def _case_children(expr: Case) -> tuple[Expr, ...]:
+    out = [node for pair in expr.whens for node in pair]
+    if expr.else_ is not None:
+        out.append(expr.else_)
+    return tuple(out)
+
+
+def _case_rebuilt(expr: Case, children: tuple[Expr, ...]) -> Case:
+    n = 2 * len(expr.whens)
+    whens = tuple(zip(children[0:n:2], children[1:n:2]))
+    return Case(whens, children[n] if expr.else_ is not None else None)
+
+
+#: node type -> (its child expressions, the node rebuilt over new ones);
+#: a type not listed is a leaf
+_SHAPES = {
+    BinaryOp: (lambda e: (e.left, e.right), lambda e, c: BinaryOp(e.op, *c)),
+    UnaryOp: (lambda e: (e.operand,), lambda e, c: UnaryOp(e.op, *c)),
+    FunctionCall: (lambda e: e.args, lambda e, c: FunctionCall(e.name, c, e.distinct)),
+    IsNull: (lambda e: (e.operand,), lambda e, c: IsNull(*c, e.negated)),
+    InList: (
+        lambda e: (e.operand, *e.items), lambda e, c: InList(c[0], c[1:], e.negated)
+    ),
+    Between: (
+        lambda e: (e.operand, e.low, e.high), lambda e, c: Between(*c, e.negated)
+    ),
+    Like: (lambda e: (e.operand, e.pattern), lambda e, c: Like(*c, e.negated)),
+    Case: (_case_children, _case_rebuilt),
+    Cast: (lambda e: (e.operand,), lambda e, c: Cast(*c, e.target)),
+    InSubquery: (
+        lambda e: (e.operand,), lambda e, c: InSubquery(*c, e.select, e.negated)
+    ),
+}
+
+
 def _children(expr: Expr) -> tuple[Expr, ...]:
-    if isinstance(expr, BinaryOp):
-        return (expr.left, expr.right)
-    if isinstance(expr, UnaryOp):
-        return (expr.operand,)
-    if isinstance(expr, FunctionCall):
-        return expr.args
-    if isinstance(expr, IsNull):
-        return (expr.operand,)
-    if isinstance(expr, InList):
-        return (expr.operand, *expr.items)
-    if isinstance(expr, Between):
-        return (expr.operand, expr.low, expr.high)
-    if isinstance(expr, Like):
-        return (expr.operand, expr.pattern)
-    if isinstance(expr, Case):
-        out: list[Expr] = []
-        for cond, result in expr.whens:
-            out.extend((cond, result))
-        if expr.else_ is not None:
-            out.append(expr.else_)
-        return tuple(out)
-    if isinstance(expr, Cast):
-        return (expr.operand,)
-    if isinstance(expr, InSubquery):
-        return (expr.operand,)
-    return ()
+    shape = _SHAPES.get(type(expr))
+    return () if shape is None else shape[0](expr)
 
 
 def walk(expr: Expr):
@@ -260,9 +271,24 @@ def walk(expr: Expr):
         yield from walk(child)
 
 
-def column_refs(expr: Expr) -> list[ColumnRef]:
-    """All column references in ``expr``, in source order."""
-    return [node for node in walk(expr) if isinstance(node, ColumnRef)]
+def transform(expr: Expr, fn) -> Expr:
+    """Rebuild ``expr`` top-down through ``fn``.
+
+    ``fn(node)`` returns the node's replacement, which is used as it is,
+    or None to keep the node and transform its children (the ones
+    :func:`walk` visits). A node whose children all come back unchanged
+    is returned itself.
+    """
+    replacement = fn(expr)
+    if replacement is not None:
+        return replacement
+    children = _children(expr)
+    if not children:
+        return expr
+    rebuilt = tuple(transform(child, fn) for child in children)
+    if all(new is old for new, old in zip(rebuilt, children)):
+        return expr
+    return _SHAPES[type(expr)][1](expr, rebuilt)
 
 
 def conjuncts(expr: Expr | None) -> list[Expr]:
@@ -272,6 +298,33 @@ def conjuncts(expr: Expr | None) -> list[Expr]:
     if isinstance(expr, BinaryOp) and expr.op == "AND":
         return conjuncts(expr.left) + conjuncts(expr.right)
     return [expr]
+
+
+def conjoin(terms) -> Expr | None:
+    """The left-deep AND of ``terms``; None for no terms."""
+    out = None
+    for term in terms:
+        out = term if out is None else BinaryOp("AND", out, term)
+    return out
+
+
+#: the only node kinds output-name expansion descends into
+_ALIAS_SCOPE = (BinaryOp, UnaryOp, IsNull, Between)
+
+
+def expand_output_names(expr: Expr, names: dict[str, Expr]) -> Expr:
+    """Replace unqualified refs to output names (``Select.output_names``)
+    with the select items they name, as HAVING and ORDER BY of a grouped
+    query resolve them: ``HAVING n > 1`` for ``COUNT(*) AS n``. Only
+    comparisons, arithmetic, NOT/negation, IS NULL and BETWEEN are
+    searched; a ref inside a function call or CASE is left alone."""
+
+    def expand(node: Expr) -> Expr | None:
+        if isinstance(node, ColumnRef):
+            return names.get(node.column.lower(), node) if node.table is None else node
+        return None if isinstance(node, _ALIAS_SCOPE) else node
+
+    return transform(expr, expand)
 
 
 # ---------------------------------------------------------------------------
@@ -383,6 +436,39 @@ class Select(Statement):
     def referenced_tables(self) -> list[TableRef]:
         """Every table this query touches (FROM list plus joins)."""
         return list(self.from_) + [j.table for j in self.joins]
+
+    @property
+    def is_grouped(self) -> bool:
+        """True when the query aggregates: GROUP BY, HAVING, or an
+        aggregate call in the select list."""
+        return (
+            bool(self.group_by)
+            or self.having is not None
+            or any(contains_aggregate(item.expr) for item in self.items)
+        )
+
+    def clauses(self) -> list[Expr]:
+        """Every expression of this SELECT, in planning order: select
+        items (stars too), WHERE, HAVING, join ON clauses, GROUP BY and
+        ORDER BY. Subqueries stay unexpanded."""
+        out: list[Expr] = [item.expr for item in self.items]
+        if self.where is not None:
+            out.append(self.where)
+        if self.having is not None:
+            out.append(self.having)
+        out.extend(j.on for j in self.joins if j.on is not None)
+        out.extend(self.group_by)
+        out.extend(o.expr for o in self.order_by)
+        return out
+
+    def output_names(self) -> dict[str, Expr]:
+        """Lower-cased output name -> select item expression (stars
+        skipped; the first item of a repeated name wins)."""
+        names: dict[str, Expr] = {}
+        for ordinal, item in enumerate(self.items, start=1):
+            if not isinstance(item.expr, Star):
+                names.setdefault(item.output_name(ordinal).lower(), item.expr)
+        return names
 
 
 @dataclass(frozen=True)

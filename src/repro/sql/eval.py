@@ -10,6 +10,7 @@ the Kleene truth tables.
 
 from __future__ import annotations
 
+import math
 import operator
 import re
 from dataclasses import dataclass
@@ -196,44 +197,68 @@ def _compile_comparison(expr: ast.BinaryOp, left: RowFn, right: RowFn,
     return comparison
 
 
-import math as _math
+@dataclass(frozen=True)
+class ScalarFunction:
+    """One scalar function: how it evaluates and what static typing
+    (:mod:`repro.sql.infer`) knows about it.
 
-_SCALAR_FUNCTIONS: dict[str, Callable] = {
+    ``impl`` is None for the functions ``compile_expr`` builds itself
+    (variadic or lazy). The first ``numeric_args`` arguments (all of
+    them when None) must be numeric at runtime. ``result`` is the rule
+    giving the result type: ``"double"``, ``"integer"``, ``"text"``,
+    ``"numeric"`` (the first argument's numeric type), ``"first"`` (the
+    first argument's type) or ``"common"`` (the type every argument
+    shares).
+    """
+
+    impl: Callable | None
+    min_args: int
+    max_args: int | None  # None: variadic
+    numeric_args: int | None = 0
+    result: str = "double"
+
+
+#: Every scalar function. ``compile_expr`` returns NULL for a NULL first
+#: argument before calling ``impl``, so only later arguments are checked.
+SCALAR_FUNCTIONS: dict[str, ScalarFunction] = {
     # numerics
-    "ABS": abs,
-    "ROUND": lambda x, nd=0: None if x is None else round(x, int(nd)),
-    "FLOOR": lambda x: None if x is None else _math.floor(x),
-    "CEIL": lambda x: None if x is None else _math.ceil(x),
-    "SQRT": lambda x: None if x is None else _math.sqrt(x),
-    "POWER": lambda x, y: None if x is None or y is None else float(x) ** float(y),
-    "EXP": lambda x: None if x is None else _math.exp(x),
-    "LN": lambda x: None if x is None or x <= 0 else _math.log(x),
-    "LOG10": lambda x: None if x is None or x <= 0 else _math.log10(x),
-    "MOD": lambda x, y: None if x is None or y is None or y == 0 else x % y,
-    "SIGN": lambda x: None if x is None else (0 if x == 0 else (1 if x > 0 else -1)),
-    # strings
-    "LOWER": lambda s: None if s is None else str(s).lower(),
-    "UPPER": lambda s: None if s is None else str(s).upper(),
-    "LENGTH": lambda s: None if s is None else len(str(s)),
-    "TRIM": lambda s: None if s is None else str(s).strip(),
-    "LTRIM": lambda s: None if s is None else str(s).lstrip(),
-    "RTRIM": lambda s: None if s is None else str(s).rstrip(),
-    "REPLACE": lambda s, old, new: (
-        None if s is None else str(s).replace(str(old), str(new))
+    "ABS": ScalarFunction(abs, 1, 1, None, "numeric"),
+    # only x is strict: int(nd) also takes a numeric string
+    "ROUND": ScalarFunction(lambda x, nd=0: round(x, int(nd)), 1, 2, 1, "numeric"),
+    "FLOOR": ScalarFunction(math.floor, 1, 1, None),
+    "CEIL": ScalarFunction(math.ceil, 1, 1, None),
+    "SQRT": ScalarFunction(math.sqrt, 1, 1, None),
+    "POWER": ScalarFunction(
+        lambda x, y: None if y is None else float(x) ** float(y), 2, 2, None
     ),
-    "INSTR": lambda s, sub: None if s is None else str(s).find(str(sub)) + 1,
-    "CONCAT": None,  # special-cased (variadic, NULL-tolerant like MySQL's CONCAT_WS)
-    "COALESCE": None,  # special-cased (variadic, lazy)
-    "NULLIF": None,  # special-cased (lazy second arg comparison)
-    "SUBSTR": lambda s, start, length=None: (
-        None
-        if s is None
-        else (
+    "EXP": ScalarFunction(math.exp, 1, 1, None),
+    "LN": ScalarFunction(lambda x: None if x <= 0 else math.log(x), 1, 1, None),
+    "LOG10": ScalarFunction(lambda x: None if x <= 0 else math.log10(x), 1, 1, None),
+    "MOD": ScalarFunction(lambda x, y: None if y is None or y == 0 else x % y, 2, 2, None),
+    "SIGN": ScalarFunction(lambda x: 0 if x == 0 else (1 if x > 0 else -1), 1, 1, None, "integer"),
+    # strings
+    "LOWER": ScalarFunction(lambda s: str(s).lower(), 1, 1, 0, "text"),
+    "UPPER": ScalarFunction(lambda s: str(s).upper(), 1, 1, 0, "text"),
+    "LENGTH": ScalarFunction(lambda s: len(str(s)), 1, 1, 0, "integer"),
+    "TRIM": ScalarFunction(lambda s: str(s).strip(), 1, 1, 0, "text"),
+    "LTRIM": ScalarFunction(lambda s: str(s).lstrip(), 1, 1, 0, "text"),
+    "RTRIM": ScalarFunction(lambda s: str(s).rstrip(), 1, 1, 0, "text"),
+    "REPLACE": ScalarFunction(
+        lambda s, old, new: str(s).replace(str(old), str(new)), 3, 3, 0, "text"
+    ),
+    "INSTR": ScalarFunction(lambda s, sub: str(s).find(str(sub)) + 1, 2, 2, 0, "integer"),
+    "SUBSTR": ScalarFunction(
+        lambda s, start, length=None: (
             str(s)[int(start) - 1 : int(start) - 1 + int(length)]
             if length is not None
             else str(s)[int(start) - 1 :]
-        )
+        ),
+        2, 3, 0, "text",
     ),
+    # built by compile_expr
+    "CONCAT": ScalarFunction(None, 1, None, 0, "text"),  # variadic, NULL if any arg is
+    "COALESCE": ScalarFunction(None, 1, None, 0, "common"),  # variadic, lazy
+    "NULLIF": ScalarFunction(None, 2, 2, 0, "first"),  # lazy second-arg comparison
 }
 
 
@@ -464,14 +489,15 @@ def compile_expr(
                 return a
 
             return nullif
-        fn = _SCALAR_FUNCTIONS.get(name)
-        if fn is None:
+        spec = SCALAR_FUNCTIONS.get(name)
+        if spec is None or spec.impl is None:
             raise SQLTypeError(f"unknown function {expr.name!r}")
+        fn = spec.impl
         args = [compile_expr(a, schema, params, subquery_runner) for a in expr.args]
 
         def call(row):
             values = [a(row) for a in args]
-            if values and values[0] is None and name != "COALESCE":
+            if values and values[0] is None:
                 return None
             return fn(*values)
 

@@ -122,11 +122,6 @@ class _Parser:
         self.advance()
         return int(tok.value)
 
-    def at_end(self) -> bool:
-        return self.current.type is TokenType.EOF or self.current.matches(
-            TokenType.PUNCT, ";"
-        )
-
     # Statements ---------------------------------------------------------------
 
     def parse_statement(self) -> ast.Statement:

@@ -18,7 +18,7 @@ sub-results, never change the final answer):
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from repro.common.errors import PlanningError
 from repro.metadata.dictionary import DataDictionary, TableLocation
@@ -165,18 +165,8 @@ def decompose(
                         )
                     b.need_all()
 
-    for item in select.items:
-        mark_needed(item.expr)
-    for clause in (select.where, select.having):
-        if clause is not None:
-            mark_needed(clause)
-    for join in select.joins:
-        if join.on is not None:
-            mark_needed(join.on)
-    for g in select.group_by:
-        mark_needed(g)
-    for o in select.order_by:
-        mark_needed(o.expr)
+    for clause in select.clauses():
+        mark_needed(clause)
 
     # Join keys must travel even if no output needs them; ensure at least
     # one column per binding so SELECT COUNT(*) style queries still fetch.
@@ -190,7 +180,7 @@ def decompose(
     # -- single-database plan: push the whole query down --------------------------------
 
     if len(urls) == 1:
-        rewritten = _rewrite_whole(select, bindings)
+        rewritten = _rewrite_whole(select, bindings, binding_of_column)
         only = next(iter(bindings.values()))
         # The logical form of a whole-query pushdown is the original
         # query itself: a remote server re-plans it against its own
@@ -217,9 +207,7 @@ def decompose(
         """The one binding this conjunct touches, else None."""
         found: set[str] = set()
         for node in ast.walk(expr):
-            if isinstance(node, ast.FunctionCall) and node.name.upper() in ast.AGGREGATE_FUNCTIONS:
-                return None
-            if isinstance(node, ast.Star):
+            if ast.is_aggregate_call(node) or isinstance(node, ast.Star):
                 return None
             if isinstance(node, ast.ColumnRef):
                 owner = binding_of_column(node)
@@ -255,18 +243,7 @@ def decompose(
             )
             for logical in b.needed
         )
-        where = None
         pushed = tuple(pushable[b.name]) if pushdown else ()
-        if pushed:
-            translated = [_translate_to_physical(c, b) for c in pushed]
-            where = translated[0]
-            for extra in translated[1:]:
-                where = ast.BinaryOp("AND", where, extra)
-        logical_where = None
-        for conj in pushed:
-            logical_where = (
-                conj if logical_where is None else ast.BinaryOp("AND", logical_where, conj)
-            )
         logical_alias = (
             b.ref.binding if b.ref.binding.lower() != b.ref.name.lower() else None
         )
@@ -277,7 +254,7 @@ def decompose(
                 select=ast.Select(
                     items=items,
                     from_=(ast.TableRef(name=b.location.physical_name),),
-                    where=where,
+                    where=ast.conjoin(_translate_to_physical(c, b) for c in pushed),
                 ),
                 pushed_conjuncts=pushed,
                 logical_select=ast.Select(
@@ -286,7 +263,7 @@ def decompose(
                         for logical in b.needed
                     ),
                     from_=(ast.TableRef(name=b.ref.name, alias=logical_alias),),
-                    where=logical_where,
+                    where=ast.conjoin(pushed),
                 ),
             )
         )
@@ -304,35 +281,20 @@ def decompose(
 def _reject_subqueries(select: ast.Select) -> None:
     """Subqueries are engine-level only; the federated planner cannot
     decompose an inner SELECT whose tables live elsewhere."""
-    clauses: list[ast.Expr] = [item.expr for item in select.items]
-    if select.where is not None:
-        clauses.append(select.where)
-    if select.having is not None:
-        clauses.append(select.having)
-    clauses.extend(j.on for j in select.joins if j.on is not None)
-    clauses.extend(select.group_by)
-    clauses.extend(o.expr for o in select.order_by)
-    for clause in clauses:
-        if ast.contains_subquery(clause):
-            raise PlanningError(
-                "subqueries are not supported in federated queries; "
-                "run them directly on one database"
-            )
+    if any(ast.contains_subquery(clause) for clause in select.clauses()):
+        raise PlanningError(
+            "subqueries are not supported in federated queries; "
+            "run them directly on one database"
+        )
 
 
 def _choose_location(
     dictionary: DataDictionary, logical_table: str, preferred_db: str | None
 ) -> TableLocation:
-    locations = dictionary.locations(logical_table)
-    if not locations:
-        from repro.common.errors import TableNotRegisteredError
-
-        raise TableNotRegisteredError(logical_table)
-    if preferred_db is not None:
-        for loc in locations:
-            if loc.database_name == preferred_db:
-                return loc
-    return locations[0]
+    for loc in dictionary.locations(logical_table):
+        if loc.database_name == preferred_db:
+            return loc
+    return dictionary.locate(logical_table)
 
 
 def _integration_select(select: ast.Select) -> ast.Select:
@@ -341,132 +303,49 @@ def _integration_select(select: ast.Select) -> ast.Select:
     Scratch tables are named by binding and keep logical column names,
     so only the FROM/JOIN table names change; expressions stay intact.
     """
-    from_ = tuple(ast.TableRef(name=t.binding) for t in select.from_)
-    joins = tuple(
-        ast.Join(kind=j.kind, table=ast.TableRef(name=j.table.binding), on=j.on)
-        for j in select.joins
-    )
-    return ast.Select(
-        items=select.items,
-        from_=from_,
-        joins=joins,
-        where=select.where,
-        group_by=select.group_by,
-        having=select.having,
-        order_by=select.order_by,
-        limit=select.limit,
-        offset=select.offset,
-        distinct=select.distinct,
+    return replace(
+        select,
+        from_=tuple(ast.TableRef(name=t.binding) for t in select.from_),
+        joins=tuple(
+            ast.Join(kind=j.kind, table=ast.TableRef(name=j.table.binding), on=j.on)
+            for j in select.joins
+        ),
     )
 
 
 def _translate_to_physical(expr: ast.Expr, b: _Binding) -> ast.Expr:
     """Rewrite a pushed conjunct into the binding's physical names."""
-    if isinstance(expr, ast.ColumnRef):
-        return ast.ColumnRef(column=b.location.physical_column(expr.column))
-    if isinstance(expr, ast.BinaryOp):
-        return ast.BinaryOp(
-            expr.op,
-            _translate_to_physical(expr.left, b),
-            _translate_to_physical(expr.right, b),
-        )
-    if isinstance(expr, ast.UnaryOp):
-        return ast.UnaryOp(expr.op, _translate_to_physical(expr.operand, b))
-    if isinstance(expr, ast.IsNull):
-        return ast.IsNull(_translate_to_physical(expr.operand, b), expr.negated)
-    if isinstance(expr, ast.InList):
-        return ast.InList(
-            _translate_to_physical(expr.operand, b),
-            tuple(_translate_to_physical(i, b) for i in expr.items),
-            expr.negated,
-        )
-    if isinstance(expr, ast.Between):
-        return ast.Between(
-            _translate_to_physical(expr.operand, b),
-            _translate_to_physical(expr.low, b),
-            _translate_to_physical(expr.high, b),
-            expr.negated,
-        )
-    if isinstance(expr, ast.Like):
-        return ast.Like(
-            _translate_to_physical(expr.operand, b),
-            _translate_to_physical(expr.pattern, b),
-            expr.negated,
-        )
-    if isinstance(expr, ast.Case):
-        return ast.Case(
-            tuple(
-                (_translate_to_physical(c, b), _translate_to_physical(r, b))
-                for c, r in expr.whens
-            ),
-            _translate_to_physical(expr.else_, b) if expr.else_ else None,
-        )
-    if isinstance(expr, ast.Cast):
-        return ast.Cast(_translate_to_physical(expr.operand, b), expr.target)
-    if isinstance(expr, ast.FunctionCall):
-        return ast.FunctionCall(
-            expr.name,
-            tuple(_translate_to_physical(a, b) for a in expr.args),
-            expr.distinct,
-        )
-    return expr  # literals, params
+
+    def physical(node: ast.Expr) -> ast.Expr | None:
+        if isinstance(node, ast.ColumnRef):
+            return ast.ColumnRef(column=b.location.physical_column(node.column))
+        return None
+
+    return ast.transform(expr, physical)
 
 
-def _rewrite_whole(select: ast.Select, bindings: dict[str, "_Binding"]) -> ast.Select:
+def _rewrite_whole(select: ast.Select, bindings: dict[str, "_Binding"], owner_of) -> ast.Select:
     """Single-database pushdown: logical names → physical names everywhere.
 
     Scratch-free: the rewritten query runs directly on the backend. The
     select list is given explicit logical aliases so the result comes
     back with logical column names regardless of physical naming.
+    ``owner_of(ref)`` is the binding a column ref reads (None for an
+    output-alias ref).
     """
 
-    def owner_for(ref: ast.ColumnRef) -> _Binding | None:
-        if ref.table is not None:
-            return bindings.get(ref.table.lower())
-        owners = [
-            b
-            for b in bindings.values()
-            if b.location.table.column_by_logical(ref.column) is not None
-        ]
-        return owners[0] if len(owners) == 1 else None
+    def physical(node: ast.Expr) -> ast.Expr | None:
+        if not isinstance(node, ast.ColumnRef):
+            return None
+        owner = owner_of(node)
+        if owner is None:
+            return node  # an output alias; the backend resolves it
+        return ast.ColumnRef(
+            column=owner.location.physical_column(node.column), table=node.table
+        )
 
     def rewrite(expr: ast.Expr) -> ast.Expr:
-        if isinstance(expr, ast.ColumnRef):
-            owner = owner_for(expr)
-            if owner is None:
-                return expr  # alias ref or genuinely unknown; backend decides
-            return ast.ColumnRef(
-                column=owner.location.physical_column(expr.column),
-                table=expr.table,
-            )
-        if isinstance(expr, ast.BinaryOp):
-            return ast.BinaryOp(expr.op, rewrite(expr.left), rewrite(expr.right))
-        if isinstance(expr, ast.UnaryOp):
-            return ast.UnaryOp(expr.op, rewrite(expr.operand))
-        if isinstance(expr, ast.IsNull):
-            return ast.IsNull(rewrite(expr.operand), expr.negated)
-        if isinstance(expr, ast.InList):
-            return ast.InList(
-                rewrite(expr.operand), tuple(rewrite(i) for i in expr.items), expr.negated
-            )
-        if isinstance(expr, ast.Between):
-            return ast.Between(
-                rewrite(expr.operand), rewrite(expr.low), rewrite(expr.high), expr.negated
-            )
-        if isinstance(expr, ast.Like):
-            return ast.Like(rewrite(expr.operand), rewrite(expr.pattern), expr.negated)
-        if isinstance(expr, ast.Case):
-            return ast.Case(
-                tuple((rewrite(c), rewrite(r)) for c, r in expr.whens),
-                rewrite(expr.else_) if expr.else_ else None,
-            )
-        if isinstance(expr, ast.Cast):
-            return ast.Cast(rewrite(expr.operand), expr.target)
-        if isinstance(expr, ast.FunctionCall):
-            return ast.FunctionCall(
-                expr.name, tuple(rewrite(a) for a in expr.args), expr.distinct
-            )
-        return expr
+        return ast.transform(expr, physical)
 
     def rewrite_table(ref: ast.TableRef) -> ast.TableRef:
         b = bindings[ref.binding.lower()]
@@ -483,7 +362,8 @@ def _rewrite_whole(select: ast.Select, bindings: dict[str, "_Binding"]) -> ast.S
             alias = item.expr.column  # keep the logical output name
         items.append(ast.SelectItem(rewrite(item.expr), alias))
 
-    return ast.Select(
+    return replace(
+        select,
         items=tuple(items),
         from_=tuple(rewrite_table(t) for t in select.from_),
         joins=tuple(
@@ -500,7 +380,4 @@ def _rewrite_whole(select: ast.Select, bindings: dict[str, "_Binding"]) -> ast.S
         order_by=tuple(
             ast.OrderItem(rewrite(o.expr), o.ascending) for o in select.order_by
         ),
-        limit=select.limit,
-        offset=select.offset,
-        distinct=select.distinct,
     )

@@ -227,19 +227,6 @@ class UnityDriver:
 
     # -- public API -------------------------------------------------------------------
 
-    def _preflight(
-        self, select: ast.Select, prefer_databases: dict[str, str] | None
-    ) -> None:
-        """Lint against the dictionary and refuse before anything ships."""
-        from repro.common.errors import PreflightError
-        from repro.lint import DictionarySchema, lint_select
-
-        report = lint_select(
-            select, DictionarySchema(self.dictionary, prefer_databases)
-        )
-        if not report.ok:
-            raise PreflightError(report.errors)
-
     def plan(
         self, sql: str | ast.Select, prefer_databases: dict[str, str] | None = None
     ) -> DecomposedQuery:
@@ -252,7 +239,12 @@ class UnityDriver:
             return cached.plan
         select = parse_select(sql) if isinstance(sql, str) else sql
         if self.preflight:
-            self._preflight(select, prefer_databases)
+            from repro.lint import preflight
+
+            preflight(
+                select, self.dictionary, pushdown=self.pushdown,
+                prefer_databases=prefer_databases,
+            )
         self.clock.advance_ms(costs.DECOMPOSE_MS)
         plan = decompose(
             select, self.dictionary, pushdown=self.pushdown,

@@ -16,7 +16,7 @@ Figures 4 and 5. ``ETLPipeline.run_direct`` skips the staging file.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
 from repro.common.errors import ETLError
@@ -355,23 +355,8 @@ class ETLPipeline:
             guard = sql_ast.BinaryOp(
                 ">", parse_expression(watermark), sql_ast.Literal(last)
             )
-            where = (
-                guard
-                if select.where is None
-                else sql_ast.BinaryOp("AND", select.where, guard)
-            )
-            query = sql_ast.Select(
-                items=select.items,
-                from_=select.from_,
-                joins=select.joins,
-                where=where,
-                group_by=select.group_by,
-                having=select.having,
-                order_by=select.order_by,
-                limit=select.limit,
-                offset=select.offset,
-                distinct=select.distinct,
-            ).unparse()
+            where = sql_ast.conjoin(c for c in (select.where, guard) if c is not None)
+            query = replace(select, where=where).unparse()
         delta_job = ETLJob(
             source=job.source,
             source_host=job.source_host,
