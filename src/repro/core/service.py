@@ -389,9 +389,9 @@ class DataAccessService(ClarensService):
     ):
         """RLS discovery, replica preferences and decomposition, shared by
         ``execute`` and ``explain``: (plan, remote servers). ``preflight``
-        lints the query against the plan about to be built, once
-        discovery has registered every table and before any sub-query
-        ships."""
+        lints the query against that plan, once discovery has registered
+        every table and before any sub-query ships; its refusal comes
+        before the planner's own."""
         remote_servers = set()
         for ref in select.referenced_tables():
             if not self.dictionary.has_table(ref.name):
@@ -403,16 +403,23 @@ class DataAccessService(ClarensService):
                 if loc.is_remote:
                     remote_servers.add(loc.remote_server)
         prefer = self._preferences([ref.name for ref in select.referenced_tables()])
+        plan = refusal = None
+        try:
+            plan = decompose(select, self.dictionary, prefer_databases=prefer)
+        except ReproError as exc:
+            refusal = exc
         if preflight:
             from repro.lint import preflight as lint_preflight
 
             with self._span("preflight"):
                 try:
-                    lint_preflight(select, self.dictionary, prefer_databases=prefer)
+                    lint_preflight(select, self.dictionary, plan)
                 except PreflightError:
                     self.metrics.counter("preflight_rejections").inc()
                     raise
-        return decompose(select, self.dictionary, prefer_databases=prefer), remote_servers
+        if refusal is not None:
+            raise refusal
+        return plan, remote_servers
 
     def _preferences(self, tables: list[str]) -> dict[str, str] | None:
         """The decomposer's ``prefer_databases`` for ``tables``: the

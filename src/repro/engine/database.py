@@ -9,6 +9,8 @@ warehouse exposes its read-only analysis views.
 
 from __future__ import annotations
 
+from collections.abc import Callable
+
 from repro.common.errors import (
     IntegrityError,
     PlanningError,
@@ -32,9 +34,11 @@ class Database:
     vendor-neutral.
     """
 
-    #: ``(database, sql) -> lines`` appended to EXPLAIN's plan outline;
-    #: the ``repro`` package sets it to lint's findings (``lint:`` lines)
-    explain_notes = None
+    #: ``(database, sql) -> lines`` appended to EXPLAIN's plan outline:
+    #: lint's findings as ``lint:`` lines. The ``repro`` package, whose
+    #: import precedes this module's, assigns it once, so the engine
+    #: never imports lint itself.
+    explain_notes: Callable[[Database, str], list[str]]
 
     def __init__(self, name: str, vendor: str = "generic"):
         self.name = name
@@ -335,10 +339,7 @@ class Database:
         lines of :attr:`explain_notes`."""
         from repro.engine.explain import explain_statement
 
-        lines = explain_statement(self, sql)
-        if Database.explain_notes is not None:
-            lines.extend(Database.explain_notes(self, sql))
-        return lines
+        return explain_statement(self, sql) + Database.explain_notes(self, sql)
 
     # -- bulk API used by ETL/materialization ------------------------------------------
 

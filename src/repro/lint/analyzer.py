@@ -51,21 +51,19 @@ class _ScopeTable:
 class _Analyzer:
     """Analyzes one SELECT (plus nested SELECTs, engine context only).
 
-    In the federated context ``pushdown`` and ``prefer_databases`` are
-    the planner options the query will execute with: the RPR401/RPR501
-    findings are read off the plan ``decompose`` builds with them.
+    In the federated context the RPR401/RPR501 findings are read off
+    ``plan_for(select)``: the plan the query executes with, or None when
+    the planner refuses it.
     """
 
     def __init__(
-        self, provider, config: LintConfig, sql_text: str | None,
-        pushdown: bool = True, prefer_databases: dict[str, str] | None = None,
+        self, provider, config: LintConfig, sql_text: str | None, plan_for
     ):
         self.provider = provider
         self.config = config
         self.sql_text = sql_text
         self.federated = getattr(provider, "context", "engine") == "federated"
-        self.pushdown = pushdown
-        self.prefer_databases = prefer_databases
+        self.plan_for = plan_for
         self.diagnostics: list[Diagnostic] = []
 
     # -- diagnostics -----------------------------------------------------------
@@ -326,14 +324,10 @@ class _Analyzer:
     # -- federated-only analysis -------------------------------------------------
 
     def _check_plan(self, select: ast.Select, has_agg: bool) -> None:
-        """RPR401/RPR501 from the plan the federated planner builds: what
-        ships where, after replica choice and pushdown."""
-        try:
-            plan = decompose(
-                select, self.provider.dictionary, pushdown=self.pushdown,
-                prefer_databases=self.prefer_databases,
-            )
-        except ReproError:
+        """RPR401/RPR501 from the federated plan: what ships where,
+        after replica choice and pushdown."""
+        plan = self.plan_for(select)
+        if plan is None:
             return  # refused: the RPR1xx/RPR302 findings say why
         if plan.kind == "single":
             # Whole-query pushdown: every expression ships to one vendor.
@@ -395,17 +389,8 @@ def lint_select(
     provider,
     config: LintConfig | None = None,
     sql_text: str | None = None,
-    *,
-    pushdown: bool = True,
-    prefer_databases: dict[str, str] | None = None,
 ) -> LintReport:
-    """Lint one SELECT (an AST node or SQL text) against ``provider``.
-
-    ``pushdown`` and ``prefer_databases`` are the federated planner's
-    options (see :func:`repro.unity.decompose.decompose`); pass the ones
-    the query executes with so the plan-derived findings describe the
-    plan that runs. The engine context ignores them.
-    """
+    """Lint one SELECT (an AST node or SQL text) against ``provider``."""
     config = config or DEFAULT_CONFIG
     if isinstance(select, str):
         from repro.sql.parser import parse_select
@@ -415,7 +400,7 @@ def lint_select(
             select = parse_select(select)
         except ReproError as exc:
             return _syntax_report(exc, config)
-    analyzer = _Analyzer(provider, config, sql_text, pushdown, prefer_databases)
+    analyzer = _Analyzer(provider, config, sql_text, _planner(provider, None))
     analyzer.analyze(select)
     return LintReport(analyzer.diagnostics)
 
@@ -426,13 +411,17 @@ def lint_statement(
     config: LintConfig | None = None,
     sql_text: str | None = None,
     *,
-    pushdown: bool = True,
     prefer_databases: dict[str, str] | None = None,
 ) -> LintReport:
     """Lint any parsed statement; non-query DDL yields an empty report.
-    The planner options are :func:`lint_select`'s."""
+    ``prefer_databases`` is the federated planner's replica choice (see
+    :func:`repro.unity.decompose.decompose`); pass the one the query
+    executes with so the plan-derived findings describe the plan that
+    runs. The engine context ignores it."""
     config = config or DEFAULT_CONFIG
-    analyzer = _Analyzer(provider, config, sql_text, pushdown, prefer_databases)
+    analyzer = _Analyzer(
+        provider, config, sql_text, _planner(provider, prefer_databases)
+    )
     if isinstance(statement, ast.Select):
         analyzer.analyze(statement)
     elif isinstance(statement, ast.Union):
@@ -461,12 +450,11 @@ def lint_sql(
     provider,
     config: LintConfig | None = None,
     *,
-    pushdown: bool = True,
     prefer_databases: dict[str, str] | None = None,
 ) -> LintReport:
     """Parse and lint one statement of SQL text; parse failures become
-    an ``RPR001`` diagnostic instead of an exception. The planner
-    options are :func:`lint_select`'s."""
+    an ``RPR001`` diagnostic instead of an exception.
+    ``prefer_databases`` is :func:`lint_statement`'s."""
     config = config or DEFAULT_CONFIG
     from repro.sql.parser import parse_statement
 
@@ -475,30 +463,40 @@ def lint_sql(
     except ReproError as exc:
         return _syntax_report(exc, config)
     return lint_statement(
-        statement, provider, config, sql_text=sql,
-        pushdown=pushdown, prefer_databases=prefer_databases,
+        statement, provider, config, sql_text=sql, prefer_databases=prefer_databases
     )
 
 
-def preflight(
-    select: ast.Select,
-    dictionary,
-    *,
-    pushdown: bool = True,
-    prefer_databases: dict[str, str] | None = None,
-) -> None:
+def preflight(select: ast.Select, dictionary, plan) -> None:
     """Refuse ``select`` before anything ships: raise
     :class:`~repro.common.errors.PreflightError` with its ERROR findings
-    against the federation ``dictionary`` and the plan the given planner
-    options build."""
+    against the federation ``dictionary`` and ``plan``, the
+    :class:`~repro.unity.decompose.DecomposedQuery` it executes with
+    (None when the planner refused it)."""
     from repro.lint.schema import DictionarySchema
 
-    report = lint_select(
-        select, DictionarySchema(dictionary),
-        pushdown=pushdown, prefer_databases=prefer_databases,
+    analyzer = _Analyzer(
+        DictionarySchema(dictionary), DEFAULT_CONFIG, None, lambda _select: plan
     )
+    analyzer.analyze(select)
+    report = LintReport(analyzer.diagnostics)
     if not report.ok:
         raise PreflightError(report.errors)
+
+
+def _planner(provider, prefer_databases: dict[str, str] | None):
+    """``plan_for`` for :class:`_Analyzer`: the plan ``decompose`` builds
+    with ``prefer_databases``, or None when it refuses the query."""
+
+    def plan_for(select: ast.Select):
+        try:
+            return decompose(
+                select, provider.dictionary, prefer_databases=prefer_databases
+            )
+        except ReproError:
+            return None
+
+    return plan_for
 
 
 def _syntax_report(exc: Exception, config: LintConfig) -> LintReport:

@@ -11,7 +11,8 @@ Types follow runtime semantics, not the SQL standard: ``||`` and LIKE
 stringify anything, BOOLEAN compares as a number, temporal values travel
 as ISO strings (text family), and ``/`` yields a float unless it divides
 exactly. An expression whose values have no one type (NULL, ``?``, a
-scalar subquery, CASE/COALESCE over mixed families) types as None.
+scalar subquery, CASE/COALESCE over mixed families or over an untyped
+branch other than NULL) types as None.
 """
 
 from __future__ import annotations
@@ -50,12 +51,14 @@ def _as_number(sql_type: SQLType | None) -> SQLType | None:
     return sql_type if sql_type.kind.is_numeric else None
 
 
-def _shared_type(types: list[SQLType | None]) -> SQLType | None:
-    """The type that every known entry of ``types`` fits (unknown ones
-    are skipped), or None when they mix families or booleans with
-    numbers."""
-    known = [t for t in types if t is not None]
-    if not known:
+def _shared_type(exprs, types: list[SQLType | None]) -> SQLType | None:
+    """The type of a value drawn from any of ``exprs`` (CASE branches,
+    COALESCE arguments), given their ``types``. NULL literals are
+    skipped; any other untyped entry leaves the result unknown, as do
+    mixed families and booleans mixed with numbers. Text mixed with
+    temporal types is plain TEXT: both travel as strings."""
+    known = [t for e, t in zip(exprs, types) if not _is_null(e)]
+    if not known or None in known:
         return None
     out = known[0]
     for sql_type in known[1:]:
@@ -66,8 +69,12 @@ def _shared_type(types: list[SQLType | None]) -> SQLType | None:
         try:
             out = common_supertype(out, sql_type)
         except SQLTypeError:
-            pass  # text and temporal: both travel as strings
+            return SQLType.text()
     return out
+
+
+def _is_null(expr: ast.Expr) -> bool:
+    return isinstance(expr, ast.Literal) and expr.value is None
 
 
 class ExprTyper:
@@ -132,10 +139,10 @@ class ExprTyper:
                 self.type_of(cond, agg_ok)
             # Branches evaluate lazily at runtime, so mixed-family
             # branches are not flagged; they only leave the type unknown.
-            branches = [self.type_of(r, agg_ok) for _c, r in expr.whens]
+            branches = [r for _c, r in expr.whens]
             if expr.else_ is not None:
-                branches.append(self.type_of(expr.else_, agg_ok))
-            return _shared_type(branches)
+                branches.append(expr.else_)
+            return _shared_type(branches, [self.type_of(r, agg_ok) for r in branches])
         if isinstance(expr, ast.Cast):
             # CAST failure depends on the value, not the type; stay quiet.
             self.type_of(expr.operand, agg_ok)
@@ -218,7 +225,7 @@ class ExprTyper:
         if spec.result == "first":
             return first
         if spec.result == "common":
-            return _shared_type(arg_types)
+            return _shared_type(expr.args, arg_types)
         return SQLType.double()
 
     def _type_aggregate(

@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.cache import normalize_sql
+from repro.common.errors import ReproError
 from repro.common.types import SQLType
 from repro.dialects import get_dialect
 from repro.driver.directory import Directory
@@ -238,18 +239,21 @@ class UnityDriver:
             # parse were paid when the plan was cached
             return cached.plan
         select = parse_select(sql) if isinstance(sql, str) else sql
-        if self.preflight:
-            from repro.lint import preflight
-
-            preflight(
+        plan = refusal = None
+        try:
+            plan = decompose(
                 select, self.dictionary, pushdown=self.pushdown,
                 prefer_databases=prefer_databases,
             )
+        except ReproError as exc:
+            refusal = exc
+        if self.preflight:
+            from repro.lint import preflight
+
+            preflight(select, self.dictionary, plan)  # before the planner's refusal
         self.clock.advance_ms(costs.DECOMPOSE_MS)
-        plan = decompose(
-            select, self.dictionary, pushdown=self.pushdown,
-            prefer_databases=prefer_databases,
-        )
+        if refusal is not None:
+            raise refusal
         # Parsing each participant's XSpec metadata per query (§4.2's
         # N×S criticism) is a real per-query cost in the prototype.
         self.clock.advance_ms(len(plan.databases) * costs.UNITY_METADATA_PARSE_MS)

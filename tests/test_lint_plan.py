@@ -12,9 +12,12 @@ import pytest
 
 from repro.core import GridFederation
 from repro.engine import Database
-from repro.lint import DictionarySchema, lint_sql
+from repro.common import PreflightError
+from repro.lint import preflight
 from repro.net.network import WAN
+from repro.sql.parser import parse_select
 from repro.unity import UnityDriver
+from repro.unity.decompose import decompose
 
 TRIM_JOIN = (
     "SELECT e.event_id, r.detector FROM events e INNER JOIN runs r "
@@ -132,18 +135,16 @@ class TestPushdownOff:
         loose = UnityDriver(dictionary, directory, pushdown=False)
         assert strict.execute(TRIM_JOIN).rows == loose.execute(TRIM_JOIN).rows
 
-    def test_lint_without_pushdown_reports_whole_table_ships(self, two_db_federation):
+    def test_preflight_lints_the_plan_it_is_given(self, two_db_federation):
         _, dictionary, *_ = two_db_federation
-        schema = DictionarySchema(dictionary)
-        report = lint_sql(TRIM_JOIN, schema, pushdown=False)
-        assert "RPR401" not in report.codes()
-        ships = [d.message for d in report if d.code == "RPR501"]
-        assert len(ships) == 2  # neither table gets a predicate
-        assert "RPR401" in lint_sql(TRIM_JOIN, schema).codes()  # pushdown on
+        select = parse_select(TRIM_JOIN)
+        # no conjunct ships without pushdown: nothing for RPR401 to flag
+        preflight(select, dictionary, decompose(select, dictionary, pushdown=False))
+        with pytest.raises(PreflightError) as exc:
+            preflight(select, dictionary, decompose(select, dictionary))
+        assert [d.code for d in exc.value.diagnostics] == ["RPR401"]
 
     def test_driver_with_pushdown_still_refuses(self, two_db_federation):
-        from repro.common import PreflightError
-
         directory, dictionary, *_ = two_db_federation
         driver = UnityDriver(dictionary, directory, preflight=True)
         with pytest.raises(PreflightError) as exc:
