@@ -4,8 +4,9 @@ One :class:`CacheManager` serves one data access service (or one Unity
 driver). It owns the three levels the read-mostly analysis workload
 pays for repeatedly:
 
-1. **plan cache** — normalized SQL text + dictionary generation →
-   parsed select, decomposition plan and discovered remote servers.
+1. **plan cache** — normalized SQL text → parsed select, decomposition
+   plan and discovered remote servers, valid while the dictionary
+   generation and the replica preferences it was planned with hold.
    A hit skips SQL parse, decomposition (``DECOMPOSE_MS``) and the
    per-query XSpec metadata parse the §4.2 criticism describes (the
    metadata travels with the plan).
@@ -35,6 +36,15 @@ from repro.engine.storage import estimate_row_bytes
 from repro.obs.metrics import MetricsRegistry
 from repro.sql import ast
 
+#: LRU sizes and byte budgets of the three levels, and the remote
+#: answers' time-to-live (simulated ms)
+PLAN_ENTRIES = 256
+SUB_ENTRIES = 1024
+SUB_BYTES = 16 << 20
+REMOTE_ENTRIES = 512
+REMOTE_BYTES = 8 << 20
+REMOTE_TTL_MS = 30_000.0
+
 
 def normalize_sql(sql) -> str:
     """Whitespace-normalized query text — the plan cache's key."""
@@ -51,6 +61,12 @@ class PlanEntry:
     plan: object  # DecomposedQuery
     remote_servers: frozenset
     generation: int
+    #: the replica preferences (``prefer_databases``) it was planned with
+    prefer: dict | None = None
+
+
+def _no_preferences(select) -> None:
+    return None
 
 
 class CacheManager:
@@ -61,12 +77,6 @@ class CacheManager:
         clock,
         metrics: MetricsRegistry | None = None,
         epochs: EpochRegistry | None = None,
-        plan_entries: int = 256,
-        sub_entries: int = 1024,
-        sub_bytes: int = 16 << 20,
-        remote_entries: int = 512,
-        remote_bytes: int = 8 << 20,
-        remote_ttl_ms: float = 30_000.0,
     ):
         self.clock = clock
         self.metrics = metrics if metrics is not None else MetricsRegistry()
@@ -74,15 +84,15 @@ class CacheManager:
         self.epochs.subscribe(self._on_epoch_bump)
         #: bumped whenever the data dictionary changes; keys plan entries
         self.dict_generation = 0
-        self.plan = LRUCache(plan_entries, on_evict=self._count_evictions)
-        self.sub = LRUCache(sub_entries, sub_bytes, on_evict=self._count_evictions)
+        self.plan = LRUCache(PLAN_ENTRIES, on_evict=self._count_evictions)
+        self.sub = LRUCache(SUB_ENTRIES, SUB_BYTES, on_evict=self._count_evictions)
         self.remote = RemoteAnswerCache(
             clock,
             self.epochs,
             self.metrics,
-            ttl_ms=remote_ttl_ms,
-            max_entries=remote_entries,
-            max_bytes=remote_bytes,
+            ttl_ms=REMOTE_TTL_MS,
+            max_entries=REMOTE_ENTRIES,
+            max_bytes=REMOTE_BYTES,
         )
 
     # -- metrics plumbing -----------------------------------------------------
@@ -99,15 +109,23 @@ class CacheManager:
 
     # -- level 1: plan cache --------------------------------------------------
 
-    def get_plan(self, key) -> PlanEntry | None:
+    def get_plan(self, key, prefer_of=_no_preferences) -> PlanEntry | None:
+        """The cached plan of ``key``, or None when absent or stale: the
+        dictionary changed, or ``prefer_of(select)`` (the replica
+        preferences it would be planned with now) differs."""
         entry = self.plan.get(key)
-        if entry is not None and entry.generation != self.dict_generation:
+        if entry is not None and (
+            entry.generation != self.dict_generation
+            or entry.prefer != prefer_of(entry.select)
+        ):
             self.plan.remove(key)
             entry = None
         self._count("cache.plan.hits" if entry is not None else "cache.plan.misses")
         return entry
 
-    def put_plan(self, key, select: ast.Select, plan, remote_servers=()) -> None:
+    def put_plan(
+        self, key, select: ast.Select, plan, remote_servers=(), prefer_databases=None
+    ) -> None:
         self.plan.put(
             key,
             PlanEntry(
@@ -115,6 +133,7 @@ class CacheManager:
                 plan=plan,
                 remote_servers=frozenset(remote_servers),
                 generation=self.dict_generation,
+                prefer=prefer_databases,
             ),
         )
 

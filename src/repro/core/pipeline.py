@@ -1,29 +1,34 @@
-"""One sub-query pipeline for the data access service and the Unity driver.
+"""One query pipeline for the data access service and the Unity driver.
 
 The paper's Data Access Service makes one decision per sub-query: run
 it through POOL-RAL, through JDBC/Unity, or forward it to the remote
 JClarens server hosting its table (§4.5), failing over to a replica
 when its backend is dead (§4.8). :class:`SubQueryPipeline` is that path,
 composed once at construction from the layers that are switched on,
-which it also builds — the one place the tracer, profiler, cache manager
-and resilience manager of a service or driver come from::
+which it also builds — the one place the lint pre-flight, the obs stack
+(tracer, profiler, archiver, SLO engine, monitor database), the cache
+manager and the resilience manager of a service or driver come from::
 
     cache -> failover -> breaker/retry -> span -> SubQueryRouter
 
 A layer that is off is absent from the chain, so with cache, observe
 and resilience off a sub-query runs straight through the router, as the
 prototype did. Per-query state travels down the chain in a
-:class:`QueryContext` instead of living on shared objects.
+:class:`QueryContext` instead of living on shared objects, and every
+query of either front end runs inside the pipeline's query frame
+(:meth:`SubQueryPipeline.serve`), which does its bookkeeping.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 
-from repro.cache import CacheManager
+from repro.cache import CacheManager, normalize_sql
+from repro.common.errors import PreflightError
 from repro.net import costs
 from repro.obs.profiler import QueryProfiler
-from repro.obs.trace import NOOP_SPAN, Tracer
+from repro.obs.trace import NOOP_SPAN, QueryRecord, Tracer
 from repro.resilience import ResilienceConfig, ResilienceManager
 
 
@@ -58,46 +63,41 @@ def _unguarded(key: str, fn, ctx: QueryContext):
     return fn()
 
 
-class _NoPlanCache:
-    """The plan cache of a pipeline whose cache layer is off."""
-
-    @staticmethod
-    def get_plan(key):
-        return None
-
-    @staticmethod
-    def put_plan(key, select, plan, remote_servers=()) -> None:
-        pass
-
-
 class SubQueryPipeline:
     """Builds the switched-on layers, runs a sub-query through them, then
-    routes it.
+    routes it; frames each query of its front end.
 
-    The layers share the router's clock and metrics registry. ``observe``
-    builds a tracer (its spans labelled ``name``) and a profiler;
-    ``cache`` a cache manager on the shared ``epochs``; ``resilience``
-    (True or a ``ResilienceConfig``) a resilience manager. An off layer
-    is None. ``failover(run, sub, ctx)`` (the service's replica walk)
-    receives the guarded inner chain, so each replica attempt gets its
-    own breaker, retries and span. Cache hits are labelled with the
-    router's host, which serves them.
+    The layers share the router's clock and metrics registry. ``preflight``
+    turns on the lint pre-flight (:meth:`preflight`); ``observe`` builds
+    a tracer (its spans labelled ``name``), a profiler, a metrics
+    archiver, an SLO engine (``slos`` replaces its default objectives)
+    and the ``monitor_<name>`` database; ``cache`` a cache manager on the
+    shared ``epochs``; ``resilience`` (True or a ``ResilienceConfig``) a
+    resilience manager. An off layer is None. ``failover(run, sub, ctx)``
+    (the service's replica walk) receives the guarded inner chain, so
+    each replica attempt gets its own breaker, retries and span. Cache
+    hits are labelled with the router's host, which serves them.
     """
 
     #: the layers this pipeline built (None: switched off)
-    tracer = profiler = cache = resilience = None
+    tracer = profiler = archiver = slo = monitor = cache = resilience = None
     #: span factory: the tracer's, or the shared no-op
     span = staticmethod(_no_span)
-    #: level-1 cache of decomposition plans (a no-op when cache is off)
-    plans = _NoPlanCache
     #: ``guard(key, fn, ctx)``: fn() behind key's breaker and retries
     guard = staticmethod(_unguarded)
     _deadline_ms = None
+    #: ``repro.lint.preflight`` when pre-flight is on
+    _lint = None
 
     def __init__(self, router, name=None, observe=False, cache=False, epochs=None,
-                 resilience=False, failover=None):
+                 resilience=False, failover=None, preflight=False, slos=None):
         clock = self.clock = router.clock
+        self.metrics = router.metrics
         run = router
+        if preflight:
+            from repro.lint import preflight as lint_preflight
+
+            self._lint = lint_preflight
         if observe:
             self.tracer = Tracer(clock, name)
             self.profiler = QueryProfiler(clock)
@@ -110,10 +110,24 @@ class SubQueryPipeline:
             self.guard = _guard(self.resilience)
             run = _guarded(run, self.guard)
         if failover is not None:
-            run = _failing_over(run, failover)
+            run = partial(failover, run)
         if cache:
-            self.cache = self.plans = CacheManager(clock, router.metrics, epochs)
+            self.cache = CacheManager(clock, router.metrics, epochs)
             run = _cached(run, self.cache, clock, self.span, router.host)
+        if observe:  # the rest of the obs stack reads the layers built above
+            from repro.obs.archive import MetricsArchiver
+            from repro.obs.monitor import MonitorDatabase
+            from repro.obs.slo import SLOEngine
+
+            self.archiver = MetricsArchiver(router.metrics, clock)
+            self.slo = SLOEngine(
+                self.archiver, clock, slos, resilience=self.resilience, cache=self.cache
+            )
+            self.monitor = MonitorDatabase(
+                f"monitor_{name}", self.tracer, router.metrics, clock=clock,
+                profiler=self.profiler, archiver=self.archiver, slo=self.slo,
+                cache=self.cache, resilience=self.resilience,
+            )
         #: ``run(sub, ctx) -> (columns, types, rows, via)``
         self.run = run
 
@@ -125,6 +139,99 @@ class SubQueryPipeline:
         if self._deadline_ms is not None:
             deadline = self.clock.now_ms + self._deadline_ms
         return QueryContext(params, allow_partial, deadline, trace_parent)
+
+    # -- the plan cache (level 1; misses throughout when cache is off) -----------
+
+    def lookup(self, sql, parse, prefer_of):
+        """``(plan-cache key, select, cached plan entry or None)`` of ``sql``:
+        a hit carries its parsed select, a miss parses with ``parse``.
+        ``prefer_of`` is :meth:`CacheManager.get_plan`'s preference check."""
+        key = normalize_sql(sql)
+        cached = self.cache.get_plan(key, prefer_of) if self.cache is not None else None
+        if cached is not None:
+            return key, cached.select, cached
+        return key, parse(sql) if isinstance(sql, str) else sql, None
+
+    def remember(self, key, select, plan, remote_servers=(), prefer_databases=None) -> None:
+        """Cache a fresh plan under the key :meth:`lookup` returned."""
+        if self.cache is not None:
+            self.cache.put_plan(key, select, plan, remote_servers, prefer_databases)
+
+    def preflight(self, select, dictionary, plan) -> None:
+        """When pre-flight is on, lint ``select`` against ``plan`` (None:
+        the planner refused it). Front ends call this after decomposing
+        and raise the planner's refusal after it, so lint's comes first."""
+        if self._lint is None:
+            return
+        with self.span("preflight"):
+            try:
+                self._lint(select, dictionary, plan)
+            except PreflightError:
+                self.metrics.counter("preflight_rejections").inc()
+                raise
+
+    # -- the query frame -------------------------------------------------------
+
+    def serve(self, select, ctx: QueryContext, body):
+        """Run ``body() -> QueryAnswer`` as one query of ``select``.
+
+        The frame is every front end's per-query bookkeeping: the
+        archiver tick before and after, the root ``query`` span (joining
+        ``ctx.trace_parent``), the query counters and ``query_ms``
+        histogram, and, when observing, the query's ``monitor_queries``
+        record and a locally rooted query's cost profile. A failed query
+        counts in ``query_errors`` and is recorded with its error.
+        """
+        start_ms = self.clock.now_ms
+        self._tick()
+        with self.span("query", parent=ctx.trace_parent) as root:
+            try:
+                answer = body()
+            except Exception as exc:
+                self.metrics.counter("query_errors").inc()
+                self._record(root, select, start_ms, f"error: {type(exc).__name__}")
+                self._tick()
+                raise
+        count = self.metrics.counter
+        count("queries").inc()
+        if answer.partial:
+            count("partial_answers").inc()
+        if answer.distributed:
+            count("queries_distributed").inc()
+        count("rows_returned").inc(answer.row_count)
+        self.metrics.histogram("query_ms").observe(self.clock.now_ms - start_ms)
+        self._record(root, select, start_ms, "partial" if answer.partial else "ok", answer)
+        self._tick()
+        return answer
+
+    def _tick(self) -> None:
+        """Archive a metrics snapshot, and evaluate the SLOs over it, once
+        the cadence interval elapsed (the simulated clock has no threads)."""
+        if self.archiver is not None and self.archiver.maybe_snapshot():
+            self.slo.evaluate()
+
+    def _record(self, root, select, start_ms, status, answer=None) -> None:
+        """Observing: label the root span, add the query's
+        ``monitor_queries`` row, and fold a locally rooted query's span
+        tree (imported remote spans included) into its cost profile."""
+        if self.tracer is None:
+            return
+        ok = answer is not None
+        sql = select.unparse()
+        root.set("sql", sql)
+        if ok and answer.partial:
+            root.set("partial", True).set("failed_subqueries", len(answer.failures))
+        duration = self.clock.now_ms - start_ms
+        self.tracer.queries.append(QueryRecord(
+            trace_id=root.trace_id, server=self.tracer.server, sql=sql,
+            distributed=ok and answer.distributed, row_count=answer.row_count if ok else 0,
+            duration_ms=duration, servers=answer.servers_accessed if ok else 0,
+            status=status, end_ms=start_ms + duration,
+        ))
+        if ok and root.parent_id is None:
+            answer.profile = self.profiler.record(
+                root, self.tracer.trace_spans(root), shape=sql
+            )
 
 
 def _breaker_key(sub) -> str:
@@ -168,13 +275,6 @@ def _traced(run, tracer, router):
         return columns, types, rows, via
 
     return traced
-
-
-def _failing_over(run, failover):
-    def failing_over(sub, ctx: QueryContext):
-        return failover(run, sub, ctx)
-
-    return failing_over
 
 
 def _cached(run, cache, clock, span, host):

@@ -13,33 +13,37 @@ publishing table locations to the RLS (§4.8).
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 from repro.clarens.client import ClarensClient
 from repro.clarens.server import ClarensServer, ClarensService
 from repro.common.errors import (
     ClarensFault,
     ConnectionFailedError,
     FederationError,
-    PreflightError,
     ReproError,
     TableNotRegisteredError,
 )
-from repro.cache import normalize_sql
 from repro.core.pipeline import QueryContext, SubQueryPipeline
+from repro.core.replicas import ReplicaSelector
 from repro.core.router import SubQueryRouter
 from repro.driver.directory import Directory
+from repro.driver.pool import ConnectionPool
+from repro.engine.database import Database
+from repro.engine.storage import Column
 from repro.metadata.dictionary import DataDictionary
 from repro.metadata.tracker import SchemaTracker
 from repro.metadata.xspec import LowerXSpec
 from repro.net import costs
 from repro.net.simclock import SimClock
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.trace import QueryRecord
 from repro.poolral.ral import PoolRAL
+from repro.resilience import SubQueryFailure
 from repro.rls.client import RLSClient
 from repro.sql import ast
 from repro.sql.parser import parse_select
 from repro.unity.decompose import SubQuery, decompose
-from repro.unity.driver import QueryAnswer, integrate_plan
+from repro.unity.driver import QueryAnswer, _logicalize_columns, integrate_plan
 
 
 class DataAccessService(ClarensService):
@@ -68,7 +72,6 @@ class DataAccessService(ClarensService):
         resilience=False,
         slos=None,
     ):
-        self.preflight = preflight
         self.server_ = server  # 'server' attr is set by register_service too
         #: the server's virtual clock (a fresh one for a clock-less server)
         self.clock = server.clock or SimClock()
@@ -83,47 +86,33 @@ class DataAccessService(ClarensService):
         #: stats() is a view over it); callable, so it doubles as the
         #: ``dataaccess.metrics`` wire method.
         self.metrics = MetricsRegistry()
-        jdbc_pool = None
-        if jdbc_pooling:
-            from repro.driver.pool import ConnectionPool
-
-            jdbc_pool = ConnectionPool(directory, clock=self.clock)
         self.router = SubQueryRouter(
-            ral=self.ral,
-            directory=directory,
-            clock=self.clock,
-            network=server.network,
-            host=server.host,
-            force_jdbc=force_jdbc,
-            remote_fetch=self._remote_fetch,
-            jdbc_pool=jdbc_pool,
+            self.ral, directory, clock=self.clock, network=server.network,
+            host=server.host, force_jdbc=force_jdbc, remote_fetch=self._remote_fetch,
+            jdbc_pool=ConnectionPool(directory, clock=self.clock) if jdbc_pooling else None,
             metrics=self.metrics,
         )
         self._peer_client = ClarensClient(server.host, server.network, self.clock)
-        self._service_url = f"clarens://{server.host}/{server.name}"
+        #: this service's clarens:// address (as published to the RLS)
+        self.service_url = f"clarens://{server.host}/{server.name}"
         # §4.9's "after a fixed interval of time, a thread is run": in
         # virtual time the poll fires lazily once the interval elapsed.
         self.schema_poll_interval_ms = schema_poll_interval_ms
         self._last_schema_poll_ms = 0.0
-        self.replica_selector = None
-        if replica_selection:
-            from repro.core.replicas import ReplicaSelector
-
-            self.replica_selector = ReplicaSelector(
-                server.network, directory, server.host
-            )
-        # The pipeline builds the opt-in layers that are switched on (span
-        # tracing + profiling, caching, retry + breakers); the rest of the
-        # obs layer and the cache's service-side hooks are wired here.
-        self.pipeline = SubQueryPipeline(
-            self.router, server.name, observe=observe, cache=cache, epochs=epochs,
-            resilience=resilience, failover=self._failover,
+        self.replica_selector = (
+            ReplicaSelector(server.network, directory, server.host) if replica_selection else None
         )
-        self.tracer = self.pipeline.tracer
-        self.profiler = self.pipeline.profiler
-        self.cache = self.pipeline.cache
-        self.resilience = self.pipeline.resilience
-        self.monitor = self.archiver = self.slo = None
+        # The pipeline builds the opt-in layers that are switched on (lint
+        # pre-flight, the obs stack, caching, retry + breakers); the cache's
+        # and the network's service-side hooks are wired here.
+        pipeline = self.pipeline = SubQueryPipeline(
+            self.router, server.name, observe=observe, cache=cache, epochs=epochs,
+            resilience=resilience, failover=self._failover, preflight=preflight,
+            slos=slos,
+        )
+        self.tracer, self.profiler = pipeline.tracer, pipeline.profiler
+        self.archiver, self.slo, self.monitor = pipeline.archiver, pipeline.slo, pipeline.monitor
+        self.cache, self.resilience = pipeline.cache, pipeline.resilience
         if cache:
             # level 3 rides inside the peer client, where forwarded
             # sub-queries pay the wire
@@ -131,29 +120,6 @@ class DataAccessService(ClarensService):
             # the §4.9 tracker is the schema-side invalidation source
             self.tracker.epochs = self.cache.epochs
         if observe:
-            from repro.obs.archive import MetricsArchiver
-            from repro.obs.monitor import MonitorDatabase
-            from repro.obs.slo import SLOEngine
-
-            self.archiver = MetricsArchiver(self.metrics, self.clock)
-            self.slo = SLOEngine(
-                self.archiver,
-                self.clock,
-                slos=slos,
-                resilience=self.resilience,
-                cache=self.cache,
-            )
-            self.monitor = MonitorDatabase(
-                f"monitor_{server.name}",
-                self.tracer,
-                self.metrics,
-                clock=self.clock,
-                profiler=self.profiler,
-                archiver=self.archiver,
-                slo=self.slo,
-                cache=self.cache,
-                resilience=self.resilience,
-            )
             server.network.add_observer(self._on_transfer)
         # failed transfers must be visible in dataaccess.metrics even
         # without tracing — the partition-timeout path counts here
@@ -166,11 +132,6 @@ class DataAccessService(ClarensService):
     # ------------------------------------------------------------------
 
     @property
-    def service_url(self) -> str:
-        """This service's clarens:// address (as published to the RLS)."""
-        return self._service_url
-
-    @property
     def queries_served(self) -> int:
         """Successfully answered queries (view over the metrics registry)."""
         return int(self.metrics.counter("queries").value)
@@ -178,21 +139,6 @@ class DataAccessService(ClarensService):
     # ------------------------------------------------------------------
     # observability plumbing
     # ------------------------------------------------------------------
-
-    def _span(self, stage: str, **attrs):
-        """A tracer span, or the shared no-op when tracing is off."""
-        return self.pipeline.span(stage, **attrs)
-
-    def _observe_tick(self) -> None:
-        """Archive a metrics snapshot when the cadence interval elapsed.
-
-        The virtual clock has no background threads — like the §4.9
-        schema poll, the archiver's cadence fires lazily from the query
-        path. Each snapshot triggers one SLO evaluation pass so burn
-        alerts track the archive, not the instant.
-        """
-        if self.archiver is not None and self.archiver.maybe_snapshot():
-            self.slo.evaluate()
 
     def _on_transfer(self, src: str, dst: str, nbytes: int, ms: float) -> None:
         """Network observer (observing services): link traffic of this host."""
@@ -226,12 +172,12 @@ class DataAccessService(ClarensService):
 
     def _publish(self, tables) -> None:
         if self.rls is not None:
-            self.rls.publish_many(tables, self._service_url)
+            self.rls.publish_many(tables, self.service_url)
 
     def _unpublish(self, tables) -> None:
         if self.rls is not None:
             for table in tables:
-                self.rls.server.unpublish(table, self._service_url)
+                self.rls.server.unpublish(table, self.service_url)
 
     def register_database(
         self,
@@ -307,91 +253,22 @@ class DataAccessService(ClarensService):
         """
         self._maybe_poll_schemas()
         ctx = self.pipeline.context(params, allow_partial, trace_parent)
-        plan_key = normalize_sql(sql)
-        cached_plan = self.pipeline.plans.get_plan(plan_key)
-        if cached_plan is not None:
-            select = cached_plan.select
-        else:
-            select = parse_select(sql) if isinstance(sql, str) else sql
-        start_ms = self.clock.now_ms
-        self._observe_tick()
-        with self._span("query", parent=ctx.trace_parent) as root:
-            try:
-                answer = self._execute_query(
-                    select, ctx, no_forward, plan_key, cached_plan
-                )
-            except Exception as exc:
-                self.metrics.counter("query_errors").inc()
-                self._record_query(root, select, start_ms, f"error: {type(exc).__name__}")
-                self._observe_tick()
-                raise
-        self._account_query(answer, start_ms)
-        self._record_query(
-            root, select, start_ms, "partial" if answer.partial else "ok", answer
+        plan_key, select, cached_plan = self.pipeline.lookup(
+            sql, parse_select, self._preferences_of
         )
-        self._observe_tick()
-        return answer
-
-    def _account_query(self, answer: QueryAnswer, start_ms: float) -> None:
-        """Fold one successful query into the metrics registry."""
-        self.metrics.counter("queries").inc()
-        if answer.partial:
-            self.metrics.counter("partial_answers").inc()
-        if answer.distributed:
-            self.metrics.counter("queries_distributed").inc()
-        self.metrics.counter("rows_returned").inc(answer.row_count)
-        self.metrics.histogram("query_ms").observe(self.clock.now_ms - start_ms)
-
-    def _record_query(self, root, select, start_ms, status, answer=None) -> None:
-        """Observing services: label the root span, add the query's
-        ``monitor_queries`` row, and fold a locally rooted query's span
-        tree (imported remote spans included) into its cost profile."""
-        if self.tracer is None:
-            return
-        ok = answer is not None
-        sql = select.unparse()
-        root.set("sql", sql)
-        if ok and answer.partial:
-            root.set("partial", True).set("failed_subqueries", len(answer.failures))
-        duration = self.clock.now_ms - start_ms
-        self.tracer.queries.append(
-            QueryRecord(
-                trace_id=root.trace_id,
-                server=self.server_.name,
-                sql=sql,
-                distributed=ok and answer.distributed,
-                row_count=answer.row_count if ok else 0,
-                duration_ms=duration,
-                servers=answer.servers_accessed if ok else 0,
-                status=status,
-                end_ms=start_ms + duration,
-            )
-        )
-        if ok and root.parent_id is None:
-            answer.profile = self.profiler.record(
-                root, self.tracer.trace_spans(root), shape=sql
-            )
-
-    def _plan(self, select: ast.Select, ctx: QueryContext, no_forward: bool):
-        """RLS discovery, preflight and decomposition: (plan, remote servers)."""
-        with self._span("decompose") as decompose_span:
-            self.clock.advance_ms(costs.DECOMPOSE_MS)
-            plan, remote_servers = self._decompose(
-                select, ctx, no_forward, preflight=self.preflight
-            )
-            decompose_span.set("subqueries", len(plan.subqueries))
-            decompose_span.set("distributed", plan.is_distributed)
-        return plan, remote_servers
+        return self.pipeline.serve(select, ctx, lambda: self._execute_query(
+            select, ctx, no_forward, plan_key, cached_plan
+        ))
 
     def _decompose(
         self, select: ast.Select, ctx: QueryContext, no_forward: bool = False,
         preflight: bool = False,
     ):
         """RLS discovery, replica preferences and decomposition, shared by
-        ``execute`` and ``explain``: (plan, remote servers). ``preflight``
-        lints the query against that plan, once discovery has registered
-        every table and before any sub-query ships; its refusal comes
-        before the planner's own."""
+        ``execute`` and ``explain``: (plan, remote servers, preferences).
+        ``preflight`` runs the pipeline's pre-flight against that plan,
+        once discovery has registered every table and before any
+        sub-query ships; its refusal comes before the planner's own."""
         remote_servers = set()
         for ref in select.referenced_tables():
             if not self.dictionary.has_table(ref.name):
@@ -402,40 +279,30 @@ class DataAccessService(ClarensService):
                 loc = self.dictionary.locate(ref.name)
                 if loc.is_remote:
                     remote_servers.add(loc.remote_server)
-        prefer = self._preferences([ref.name for ref in select.referenced_tables()])
+        prefer = self._preferences_of(select)
         plan = refusal = None
         try:
             plan = decompose(select, self.dictionary, prefer_databases=prefer)
         except ReproError as exc:
             refusal = exc
         if preflight:
-            from repro.lint import preflight as lint_preflight
-
-            with self._span("preflight"):
-                try:
-                    lint_preflight(select, self.dictionary, plan)
-                except PreflightError:
-                    self.metrics.counter("preflight_rejections").inc()
-                    raise
+            self.pipeline.preflight(select, self.dictionary, plan)
         if refusal is not None:
             raise refusal
-        return plan, remote_servers
+        return plan, remote_servers, prefer
 
-    def _preferences(self, tables: list[str]) -> dict[str, str] | None:
-        """The decomposer's ``prefer_databases`` for ``tables``: the
-        nearest live replica of each replicated one (None without replica
-        selection). Tables the dictionary does not hold are skipped."""
+    def _preferences_of(self, select: ast.Select) -> dict[str, str] | None:
+        """The decomposer's ``prefer_databases`` for ``select``'s tables:
+        the nearest live replica of each replicated one (None without
+        replica selection). Tables the dictionary does not hold are
+        skipped."""
         if self.replica_selector is None:
             return None
+        tables = [ref.name for ref in select.referenced_tables()]
         return self.replica_selector.preferences(self.dictionary, tables)
 
     def _execute_query(
-        self,
-        select: ast.Select,
-        ctx: QueryContext,
-        no_forward: bool,
-        plan_key=None,
-        cached_plan=None,
+        self, select: ast.Select, ctx: QueryContext, no_forward: bool, plan_key, cached_plan
     ) -> QueryAnswer:
         """The query pipeline: preflight → decompose → fetch → merge.
 
@@ -449,10 +316,16 @@ class DataAccessService(ClarensService):
             remote_servers = set(cached_plan.remote_servers)
             ctx.parsed = frozenset(plan.databases)
         else:
-            plan, remote_servers = self._plan(select, ctx, no_forward)
+            with self.pipeline.span("decompose") as decompose_span:
+                self.clock.advance_ms(costs.DECOMPOSE_MS)
+                plan, remote_servers, prefer = self._decompose(
+                    select, ctx, no_forward, preflight=True
+                )
+                decompose_span.set("subqueries", len(plan.subqueries))
+                decompose_span.set("distributed", plan.is_distributed)
             # cached after discovery so the dictionary bumps discovery
             # caused have already flushed older generations
-            self.pipeline.plans.put_plan(plan_key, select, plan, remote_servers)
+            self.pipeline.remember(plan_key, select, plan, remote_servers, prefer)
 
         # Group sub-queries: each remote server's batch runs on that
         # server, and each distinct *local* database is its own branch
@@ -462,12 +335,8 @@ class DataAccessService(ClarensService):
         groups: dict[tuple, list[SubQuery]] = {}
         for sub in plan.subqueries:
             loc = sub.location
-            group_key = (
-                ("remote", loc.remote_server)
-                if loc.is_remote
-                else ("local", loc.database_name)
-            )
-            groups.setdefault(group_key, []).append(sub)
+            key = ("remote", loc.remote_server) if loc.is_remote else ("local", loc.database_name)
+            groups.setdefault(key, []).append(sub)
 
         fetched: dict[str, tuple] = {}
 
@@ -479,7 +348,7 @@ class DataAccessService(ClarensService):
             return _run
 
         self.clock.run_parallel([run_group(subs) for subs in groups.values()])
-        with self._span("merge") as merge_span:
+        with self.pipeline.span("merge") as merge_span:
             answer = integrate_plan(plan, fetched, ctx, self.clock)
             merge_span.set("rows", answer.row_count)
         answer.servers_accessed += len(remote_servers)
@@ -494,8 +363,6 @@ class DataAccessService(ClarensService):
                 raise
             # graceful degradation: the branch contributes zero rows,
             # flagged with failure provenance
-            from repro.resilience import SubQueryFailure
-
             ctx.failures.append(SubQueryFailure.from_exception(sub, exc))
             return self._empty_sub_result(sub, ctx.params)
 
@@ -514,10 +381,6 @@ class DataAccessService(ClarensService):
         scratch copy of the target table, so columns and types match
         what a live backend would have returned.
         """
-        from repro.engine.database import Database
-        from repro.engine.storage import Column
-        from repro.unity.driver import _logicalize_columns
-
         table = sub.location.table
         scratch = Database("__degraded__", "generic")
         scratch.catalog.create_table(
@@ -533,8 +396,8 @@ class DataAccessService(ClarensService):
 
         The pipeline's failover stage: ``run`` is the guarded, traced
         inner chain. The alternate replica may use different physical
-        naming, so the sub-query is re-planned from its logical form
-        against a one-location dictionary for the alternate.
+        naming, so the sub-query is re-planned from its logical form,
+        pinned to the alternate.
         """
         try:
             return run(sub, ctx)
@@ -565,23 +428,16 @@ class DataAccessService(ClarensService):
                 raise
             last_error: Exception | None = None
             for alternate in candidates:
-                mini = DataDictionary()
-                mini.add_database(
-                    self.dictionary.spec_for(alternate.database_name),
-                    alternate.url,
-                    remote_server=alternate.remote_server,
+                replanned = decompose(
+                    sub.logical_select, self.dictionary,
+                    prefer_databases={table: alternate.database_name},
                 )
-                replanned = decompose(sub.logical_select, mini)
-                retry = replanned.subqueries[0]
                 # keep the original binding so the integrator finds it;
                 # the logical form travels too (remote alternates are
                 # forwarded by logical SQL). No recursion: the retry runs
                 # the inner chain, not this failover stage again.
-                retry = SubQuery(
-                    binding=sub.binding,
-                    location=retry.location,
-                    select=retry.select,
-                    pushed_conjuncts=retry.pushed_conjuncts,
+                retry = replace(
+                    replanned.subqueries[0], binding=sub.binding,
                     logical_select=sub.logical_select,
                 )
                 self.metrics.counter("failover_retries").inc()
@@ -620,8 +476,8 @@ class DataAccessService(ClarensService):
         """
         if self.rls is None:
             raise TableNotRegisteredError(logical_table)
-        with self._span("rls_lookup", table=logical_table):
-            with self._span("rls_wire", table=logical_table) as wire:
+        with self.pipeline.span("rls_lookup", table=logical_table):
+            with self.pipeline.span("rls_wire", table=logical_table) as wire:
                 urls = self.pipeline.guard(
                     f"rls:{self.rls.server.host}",
                     lambda: self.rls.lookup(logical_table),
@@ -629,7 +485,7 @@ class DataAccessService(ClarensService):
                 )
                 wire.set("replicas", len(urls))
             if exclude_own:
-                urls = [u for u in urls if u != self._service_url]
+                urls = [u for u in urls if u != self.service_url]
             last_error: Exception | None = None
             for service_url in urls:
                 try:
@@ -836,7 +692,7 @@ class DataAccessService(ClarensService):
         the integration step — the distributed counterpart of a local
         engine EXPLAIN.
         """
-        plan, _ = self._decompose(parse_select(sql), self.pipeline.context())
+        plan, *_ = self._decompose(parse_select(sql), self.pipeline.context())
         subqueries = []
         for sub in plan.subqueries:
             subqueries.append(
@@ -871,13 +727,10 @@ class DataAccessService(ClarensService):
         from repro.lint import DictionarySchema, lint_sql
 
         try:
-            tables = [ref.name for ref in parse_select(sql).referenced_tables()]
+            prefer = self._preferences_of(parse_select(sql))
         except ReproError:
-            tables = []  # not a SELECT; lint_sql says what it is
-        report = lint_sql(
-            sql, DictionarySchema(self.dictionary),
-            prefer_databases=self._preferences(tables),
-        )
+            prefer = None  # not a SELECT; lint_sql says what it is
+        report = lint_sql(sql, DictionarySchema(self.dictionary), prefer_databases=prefer)
         return [d.as_dict() for d in report]
 
     def plugin(self, spec_xml: str, url: str, driver: str):

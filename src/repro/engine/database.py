@@ -346,11 +346,7 @@ class Database:
     def bulk_insert(self, table_name: str, rows: list[list]) -> int:
         """Fast path for streaming loads: no SQL parse per row."""
         table = self.catalog.get_table(table_name)
-        return table.insert_many(rows)
-
-    def table_bytes(self, table_name: str) -> int:
-        """Approximate stored bytes of one table (ETL sizing)."""
-        return self.catalog.get_table(table_name).byte_size
+        return table.append_rows(rows)
 
 
 class PreparedStatement:

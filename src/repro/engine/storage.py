@@ -196,9 +196,6 @@ class TableStorage:
         self._sorted.clear()
         return row
 
-    def insert_many(self, rows: list[list], columns: list[str] | None = None) -> int:
-        return self.append_rows(rows, columns)
-
     def append_rows(self, rows: list[list], columns: list[str] | None = None) -> int:
         """Bulk insert: validate every row, then commit the batch at once.
 

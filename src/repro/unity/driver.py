@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.cache import normalize_sql
 from repro.common.errors import ReproError
 from repro.common.types import SQLType
 from repro.dialects import get_dialect
@@ -209,36 +208,39 @@ class UnityDriver:
         self.pushdown = pushdown
         self.user = user
         self.password = password
-        self.preflight = preflight
         self.router = SubQueryRouter(
             None, directory, clock=self.clock, network=network, host=host,
             user=user, password=password, force_jdbc=True,
         )
         self.metrics = self.router.metrics
-        # the opt-in layers (spans + profiler, plan + sub-result caches,
-        # retry/backoff + per-database breakers) exist only when switched on
-        self.pipeline = SubQueryPipeline(
+        # the opt-in layers (lint pre-flight, the obs stack, plan +
+        # sub-result caches, retry/backoff + per-database breakers) exist
+        # only when switched on
+        pipeline = self.pipeline = SubQueryPipeline(
             self.router, host or "unity", observe=observe, cache=cache,
-            epochs=epochs, resilience=resilience,
+            epochs=epochs, resilience=resilience, preflight=preflight,
         )
-        self.tracer = self.pipeline.tracer
-        self.profiler = self.pipeline.profiler
-        self.cache = self.pipeline.cache
-        self.resilience = self.pipeline.resilience
+        self.tracer, self.profiler = pipeline.tracer, pipeline.profiler
+        self.archiver, self.slo, self.monitor = pipeline.archiver, pipeline.slo, pipeline.monitor
+        self.cache, self.resilience = pipeline.cache, pipeline.resilience
 
     # -- public API -------------------------------------------------------------------
 
     def plan(
         self, sql: str | ast.Select, prefer_databases: dict[str, str] | None = None
     ) -> DecomposedQuery:
-        prefer = tuple(sorted((prefer_databases or {}).items()))
-        plan_key = (normalize_sql(sql), prefer)
-        cached = self.pipeline.plans.get_plan(plan_key)
+        key, select, cached = self._lookup(sql, prefer_databases)
+        return self._plan(key, select, cached, prefer_databases)
+
+    def _lookup(self, sql, prefer_databases):
+        """A cached plan counts only for the same ``prefer_databases``."""
+        return self.pipeline.lookup(sql, parse_select, lambda _select: prefer_databases)
+
+    def _plan(self, key, select, cached, prefer_databases) -> DecomposedQuery:
         if cached is not None:
             # decomposition and the per-participant XSpec metadata
             # parse were paid when the plan was cached
             return cached.plan
-        select = parse_select(sql) if isinstance(sql, str) else sql
         plan = refusal = None
         try:
             plan = decompose(
@@ -247,17 +249,14 @@ class UnityDriver:
             )
         except ReproError as exc:
             refusal = exc
-        if self.preflight:
-            from repro.lint import preflight
-
-            preflight(select, self.dictionary, plan)  # before the planner's refusal
+        self.pipeline.preflight(select, self.dictionary, plan)
         self.clock.advance_ms(costs.DECOMPOSE_MS)
         if refusal is not None:
             raise refusal
         # Parsing each participant's XSpec metadata per query (§4.2's
         # N×S criticism) is a real per-query cost in the prototype.
         self.clock.advance_ms(len(plan.databases) * costs.UNITY_METADATA_PARSE_MS)
-        self.pipeline.plans.put_plan(plan_key, select, plan)
+        self.pipeline.remember(key, select, plan, prefer_databases=prefer_databases)
         return plan
 
     def execute(
@@ -266,22 +265,16 @@ class UnityDriver:
         params: tuple = (),
         prefer_databases: dict[str, str] | None = None,
     ) -> QueryAnswer:
-        start_ms = self.clock.now_ms
         ctx = self.pipeline.context(params)
-        with self.pipeline.span("query") as span:
+        key, select, cached = self._lookup(sql, prefer_databases)
+
+        def fetch_and_integrate():
             with self.pipeline.span("decompose"):
-                plan = self.plan(sql, prefer_databases)
+                plan = self._plan(key, select, cached, prefer_databases)
             # planning parsed every participant's metadata (or the plan
             # cache carried it): the JDBC route must not pay it again
             ctx.parsed = frozenset(plan.databases)
             fetched = {sub.binding: self.pipeline.run(sub, ctx) for sub in plan.subqueries}
-            answer = integrate_plan(plan, fetched, ctx, self.clock)
-            span.set("rows", answer.row_count)
-        self.metrics.counter("queries").inc()
-        self.metrics.histogram("query_ms").observe(self.clock.now_ms - start_ms)
-        if self.profiler is not None:
-            shape = sql if isinstance(sql, str) else sql.unparse()
-            answer.profile = self.profiler.record(
-                span, self.tracer.trace_spans(span), shape=shape
-            )
-        return answer
+            return integrate_plan(plan, fetched, ctx, self.clock)
+
+        return self.pipeline.serve(select, ctx, fetch_and_integrate)

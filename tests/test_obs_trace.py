@@ -234,7 +234,7 @@ class TestObserveOff:
         service = server.service
         assert service.tracer is None
         assert service.monitor is None
-        assert service._span("anything") is NOOP_SPAN
+        assert service.pipeline.span("anything") is NOOP_SPAN
         service.execute("SELECT COUNT(*) FROM events")
         # no network observer was registered either
         assert fed.network._observers == []

@@ -181,3 +181,74 @@ class TestExplainAsksTheRouter:
         sql = f"SELECT COUNT(*) FROM {table}"
         predicted = [s["route"] for s in service.explain(sql)["subqueries"]]
         assert predicted == service.execute(sql).routes == [expected]
+
+
+class TestPlanCacheReplicaPreferences:
+    """A cached plan is reused only while the replica preferences it was
+    planned with still hold: after the preferred replica's host dies,
+    the repeat re-plans onto the live one instead of failing over."""
+
+    SQL = "SELECT COUNT(*), SUM(energy) FROM events WHERE energy > ?"
+
+    def repeat_after_failure(self, cache):
+        fed = GridFederation()
+        server = fed.create_server("jc1", "pc1", replica_selection=True, cache=cache)
+        for name, vendor, host in (("near_mart", "mysql", "db1"),
+                                   ("far_mart", "sqlite", "db2")):
+            fed.attach_database(
+                server, make_events_db(name, vendor), db_host=host,
+                logical_names={"EVT": "events"},
+            )
+        service = server.service
+        service.execute(self.SQL, (1.0,))
+        fed.network.fail_host("db1")
+        t0 = fed.clock.now_ms
+        answer = service.execute(self.SQL, (2.0,))
+        return answer, fed.clock.now_ms - t0, service
+
+    def test_cached_repeat_matches_the_uncached_one(self):
+        cold, cold_ms, _ = self.repeat_after_failure(cache=False)
+        warm, warm_ms, service = self.repeat_after_failure(cache=True)
+        assert [t.database for t in cold.traces] == ["far_mart"]
+        assert [t.database for t in warm.traces] == ["far_mart"]
+        assert warm.routes == cold.routes
+        assert warm.rows == cold.rows
+        assert service.metrics.counter("failovers").value == 0
+        assert warm_ms == cold_ms
+
+    def test_unchanged_preferences_still_hit(self):
+        fed, service = replicated(replica_selection=True, cache=True)
+        service.execute(self.SQL, (1.0,))
+        service.execute(self.SQL, (2.0,))
+        assert service.cache.stats()["plan"]["hits"] == 1
+
+
+class TestQueryFrame:
+    """Both front ends run their queries inside the pipeline's frame."""
+
+    REFUSED = "SELECT no_such_column FROM events"
+
+    def front_ends(self, **layers):
+        fed, service = replicated(**layers)
+        driver = UnityDriver(service.dictionary, fed.directory, **layers)
+        return service, driver
+
+    def test_a_refused_query_is_framed_alike(self):
+        from repro.common.errors import PreflightError
+
+        for front_end in self.front_ends(observe=True, preflight=True):
+            with pytest.raises(PreflightError):
+                front_end.execute(self.REFUSED)
+            assert front_end.metrics.counter("preflight_rejections").value == 1
+            assert front_end.metrics.counter("query_errors").value == 1
+            (record,) = front_end.tracer.queries
+            assert record.status == "error: PreflightError"
+            spans = {s.span_id: s for s in front_end.tracer.spans}
+            (lint,) = [s for s in spans.values() if s.stage == "preflight"]
+            assert spans[lint.parent_id].stage == "decompose"
+
+    def test_observe_off_builds_no_monitoring(self):
+        for front_end in self.front_ends():
+            assert front_end.archiver is None
+            assert front_end.slo is None
+            assert front_end.monitor is None
