@@ -65,10 +65,6 @@ class PlanEntry:
     prefer: dict | None = None
 
 
-def _no_preferences(select) -> None:
-    return None
-
-
 class CacheManager:
     """All three cache levels plus their shared invalidation clock."""
 
@@ -109,7 +105,7 @@ class CacheManager:
 
     # -- level 1: plan cache --------------------------------------------------
 
-    def get_plan(self, key, prefer_of=_no_preferences) -> PlanEntry | None:
+    def get_plan(self, key, prefer_of=lambda _select: None) -> PlanEntry | None:
         """The cached plan of ``key``, or None when absent or stale: the
         dictionary changed, or ``prefer_of(select)`` (the replica
         preferences it would be planned with now) differs."""

@@ -22,7 +22,6 @@ query of either front end runs inside the pipeline's query frame
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import partial
 
 from repro.cache import CacheManager, normalize_sql
 from repro.common.errors import PreflightError
@@ -110,7 +109,7 @@ class SubQueryPipeline:
             self.guard = _guard(self.resilience)
             run = _guarded(run, self.guard)
         if failover is not None:
-            run = partial(failover, run)
+            run = _failing_over(run, failover)
         if cache:
             self.cache = CacheManager(clock, router.metrics, epochs)
             run = _cached(run, self.cache, clock, self.span, router.host)
@@ -121,12 +120,22 @@ class SubQueryPipeline:
 
             self.archiver = MetricsArchiver(router.metrics, clock)
             self.slo = SLOEngine(
-                self.archiver, clock, slos, resilience=self.resilience, cache=self.cache
+                self.archiver,
+                clock,
+                slos=slos,
+                resilience=self.resilience,
+                cache=self.cache,
             )
             self.monitor = MonitorDatabase(
-                f"monitor_{name}", self.tracer, router.metrics, clock=clock,
-                profiler=self.profiler, archiver=self.archiver, slo=self.slo,
-                cache=self.cache, resilience=self.resilience,
+                f"monitor_{name}",
+                self.tracer,
+                router.metrics,
+                clock=clock,
+                profiler=self.profiler,
+                archiver=self.archiver,
+                slo=self.slo,
+                cache=self.cache,
+                resilience=self.resilience,
             )
         #: ``run(sub, ctx) -> (columns, types, rows, via)``
         self.run = run
@@ -192,13 +201,12 @@ class SubQueryPipeline:
                 self._record(root, select, start_ms, f"error: {type(exc).__name__}")
                 self._tick()
                 raise
-        count = self.metrics.counter
-        count("queries").inc()
+        self.metrics.counter("queries").inc()
         if answer.partial:
-            count("partial_answers").inc()
+            self.metrics.counter("partial_answers").inc()
         if answer.distributed:
-            count("queries_distributed").inc()
-        count("rows_returned").inc(answer.row_count)
+            self.metrics.counter("queries_distributed").inc()
+        self.metrics.counter("rows_returned").inc(answer.row_count)
         self.metrics.histogram("query_ms").observe(self.clock.now_ms - start_ms)
         self._record(root, select, start_ms, "partial" if answer.partial else "ok", answer)
         self._tick()
@@ -222,12 +230,19 @@ class SubQueryPipeline:
         if ok and answer.partial:
             root.set("partial", True).set("failed_subqueries", len(answer.failures))
         duration = self.clock.now_ms - start_ms
-        self.tracer.queries.append(QueryRecord(
-            trace_id=root.trace_id, server=self.tracer.server, sql=sql,
-            distributed=ok and answer.distributed, row_count=answer.row_count if ok else 0,
-            duration_ms=duration, servers=answer.servers_accessed if ok else 0,
-            status=status, end_ms=start_ms + duration,
-        ))
+        self.tracer.queries.append(
+            QueryRecord(
+                trace_id=root.trace_id,
+                server=self.tracer.server,
+                sql=sql,
+                distributed=ok and answer.distributed,
+                row_count=answer.row_count if ok else 0,
+                duration_ms=duration,
+                servers=answer.servers_accessed if ok else 0,
+                status=status,
+                end_ms=start_ms + duration,
+            )
+        )
         if ok and root.parent_id is None:
             answer.profile = self.profiler.record(
                 root, self.tracer.trace_spans(root), shape=sql
@@ -275,6 +290,13 @@ def _traced(run, tracer, router):
         return columns, types, rows, via
 
     return traced
+
+
+def _failing_over(run, failover):
+    def failing_over(sub, ctx: QueryContext):
+        return failover(run, sub, ctx)
+
+    return failing_over
 
 
 def _cached(run, cache, clock, span, host):

@@ -13,8 +13,6 @@ publishing table locations to the RLS (§4.8).
 
 from __future__ import annotations
 
-from dataclasses import replace
-
 from repro.clarens.client import ClarensClient
 from repro.clarens.server import ClarensServer, ClarensService
 from repro.common.errors import (
@@ -25,12 +23,8 @@ from repro.common.errors import (
     TableNotRegisteredError,
 )
 from repro.core.pipeline import QueryContext, SubQueryPipeline
-from repro.core.replicas import ReplicaSelector
 from repro.core.router import SubQueryRouter
 from repro.driver.directory import Directory
-from repro.driver.pool import ConnectionPool
-from repro.engine.database import Database
-from repro.engine.storage import Column
 from repro.metadata.dictionary import DataDictionary
 from repro.metadata.tracker import SchemaTracker
 from repro.metadata.xspec import LowerXSpec
@@ -38,12 +32,11 @@ from repro.net import costs
 from repro.net.simclock import SimClock
 from repro.obs.metrics import MetricsRegistry
 from repro.poolral.ral import PoolRAL
-from repro.resilience import SubQueryFailure
 from repro.rls.client import RLSClient
 from repro.sql import ast
 from repro.sql.parser import parse_select
 from repro.unity.decompose import SubQuery, decompose
-from repro.unity.driver import QueryAnswer, _logicalize_columns, integrate_plan
+from repro.unity.driver import QueryAnswer, integrate_plan
 
 
 class DataAccessService(ClarensService):
@@ -86,33 +79,50 @@ class DataAccessService(ClarensService):
         #: stats() is a view over it); callable, so it doubles as the
         #: ``dataaccess.metrics`` wire method.
         self.metrics = MetricsRegistry()
+        jdbc_pool = None
+        if jdbc_pooling:
+            from repro.driver.pool import ConnectionPool
+
+            jdbc_pool = ConnectionPool(directory, clock=self.clock)
         self.router = SubQueryRouter(
-            self.ral, directory, clock=self.clock, network=server.network,
-            host=server.host, force_jdbc=force_jdbc, remote_fetch=self._remote_fetch,
-            jdbc_pool=ConnectionPool(directory, clock=self.clock) if jdbc_pooling else None,
+            ral=self.ral,
+            directory=directory,
+            clock=self.clock,
+            network=server.network,
+            host=server.host,
+            force_jdbc=force_jdbc,
+            remote_fetch=self._remote_fetch,
+            jdbc_pool=jdbc_pool,
             metrics=self.metrics,
         )
         self._peer_client = ClarensClient(server.host, server.network, self.clock)
-        #: this service's clarens:// address (as published to the RLS)
-        self.service_url = f"clarens://{server.host}/{server.name}"
+        self._service_url = f"clarens://{server.host}/{server.name}"
         # §4.9's "after a fixed interval of time, a thread is run": in
         # virtual time the poll fires lazily once the interval elapsed.
         self.schema_poll_interval_ms = schema_poll_interval_ms
         self._last_schema_poll_ms = 0.0
-        self.replica_selector = (
-            ReplicaSelector(server.network, directory, server.host) if replica_selection else None
-        )
+        self.replica_selector = None
+        if replica_selection:
+            from repro.core.replicas import ReplicaSelector
+
+            self.replica_selector = ReplicaSelector(
+                server.network, directory, server.host
+            )
         # The pipeline builds the opt-in layers that are switched on (lint
         # pre-flight, the obs stack, caching, retry + breakers); the cache's
         # and the network's service-side hooks are wired here.
-        pipeline = self.pipeline = SubQueryPipeline(
+        self.pipeline = SubQueryPipeline(
             self.router, server.name, observe=observe, cache=cache, epochs=epochs,
             resilience=resilience, failover=self._failover, preflight=preflight,
             slos=slos,
         )
-        self.tracer, self.profiler = pipeline.tracer, pipeline.profiler
-        self.archiver, self.slo, self.monitor = pipeline.archiver, pipeline.slo, pipeline.monitor
-        self.cache, self.resilience = pipeline.cache, pipeline.resilience
+        self.tracer = self.pipeline.tracer
+        self.profiler = self.pipeline.profiler
+        self.archiver = self.pipeline.archiver
+        self.slo = self.pipeline.slo
+        self.monitor = self.pipeline.monitor
+        self.cache = self.pipeline.cache
+        self.resilience = self.pipeline.resilience
         if cache:
             # level 3 rides inside the peer client, where forwarded
             # sub-queries pay the wire
@@ -130,6 +140,11 @@ class DataAccessService(ClarensService):
     # ------------------------------------------------------------------
     # administration (local only — not web-exposed)
     # ------------------------------------------------------------------
+
+    @property
+    def service_url(self) -> str:
+        """This service's clarens:// address (as published to the RLS)."""
+        return self._service_url
 
     @property
     def queries_served(self) -> int:
@@ -172,12 +187,12 @@ class DataAccessService(ClarensService):
 
     def _publish(self, tables) -> None:
         if self.rls is not None:
-            self.rls.publish_many(tables, self.service_url)
+            self.rls.publish_many(tables, self._service_url)
 
     def _unpublish(self, tables) -> None:
         if self.rls is not None:
             for table in tables:
-                self.rls.server.unpublish(table, self.service_url)
+                self.rls.server.unpublish(table, self._service_url)
 
     def register_database(
         self,
@@ -302,7 +317,12 @@ class DataAccessService(ClarensService):
         return self.replica_selector.preferences(self.dictionary, tables)
 
     def _execute_query(
-        self, select: ast.Select, ctx: QueryContext, no_forward: bool, plan_key, cached_plan
+        self,
+        select: ast.Select,
+        ctx: QueryContext,
+        no_forward: bool,
+        plan_key=None,
+        cached_plan=None,
     ) -> QueryAnswer:
         """The query pipeline: preflight → decompose → fetch → merge.
 
@@ -335,8 +355,12 @@ class DataAccessService(ClarensService):
         groups: dict[tuple, list[SubQuery]] = {}
         for sub in plan.subqueries:
             loc = sub.location
-            key = ("remote", loc.remote_server) if loc.is_remote else ("local", loc.database_name)
-            groups.setdefault(key, []).append(sub)
+            group_key = (
+                ("remote", loc.remote_server)
+                if loc.is_remote
+                else ("local", loc.database_name)
+            )
+            groups.setdefault(group_key, []).append(sub)
 
         fetched: dict[str, tuple] = {}
 
@@ -363,6 +387,8 @@ class DataAccessService(ClarensService):
                 raise
             # graceful degradation: the branch contributes zero rows,
             # flagged with failure provenance
+            from repro.resilience import SubQueryFailure
+
             ctx.failures.append(SubQueryFailure.from_exception(sub, exc))
             return self._empty_sub_result(sub, ctx.params)
 
@@ -381,6 +407,10 @@ class DataAccessService(ClarensService):
         scratch copy of the target table, so columns and types match
         what a live backend would have returned.
         """
+        from repro.engine.database import Database
+        from repro.engine.storage import Column
+        from repro.unity.driver import _logicalize_columns
+
         table = sub.location.table
         scratch = Database("__degraded__", "generic")
         scratch.catalog.create_table(
@@ -396,8 +426,8 @@ class DataAccessService(ClarensService):
 
         The pipeline's failover stage: ``run`` is the guarded, traced
         inner chain. The alternate replica may use different physical
-        naming, so the sub-query is re-planned from its logical form,
-        pinned to the alternate.
+        naming, so the sub-query is re-planned from its logical form
+        against a one-location dictionary for the alternate.
         """
         try:
             return run(sub, ctx)
@@ -428,16 +458,23 @@ class DataAccessService(ClarensService):
                 raise
             last_error: Exception | None = None
             for alternate in candidates:
-                replanned = decompose(
-                    sub.logical_select, self.dictionary,
-                    prefer_databases={table: alternate.database_name},
+                mini = DataDictionary()
+                mini.add_database(
+                    self.dictionary.spec_for(alternate.database_name),
+                    alternate.url,
+                    remote_server=alternate.remote_server,
                 )
+                replanned = decompose(sub.logical_select, mini)
+                retry = replanned.subqueries[0]
                 # keep the original binding so the integrator finds it;
                 # the logical form travels too (remote alternates are
                 # forwarded by logical SQL). No recursion: the retry runs
                 # the inner chain, not this failover stage again.
-                retry = replace(
-                    replanned.subqueries[0], binding=sub.binding,
+                retry = SubQuery(
+                    binding=sub.binding,
+                    location=retry.location,
+                    select=retry.select,
+                    pushed_conjuncts=retry.pushed_conjuncts,
                     logical_select=sub.logical_select,
                 )
                 self.metrics.counter("failover_retries").inc()
@@ -485,7 +522,7 @@ class DataAccessService(ClarensService):
                 )
                 wire.set("replicas", len(urls))
             if exclude_own:
-                urls = [u for u in urls if u != self.service_url]
+                urls = [u for u in urls if u != self._service_url]
             last_error: Exception | None = None
             for service_url in urls:
                 try:
@@ -730,7 +767,10 @@ class DataAccessService(ClarensService):
             prefer = self._preferences_of(parse_select(sql))
         except ReproError:
             prefer = None  # not a SELECT; lint_sql says what it is
-        report = lint_sql(sql, DictionarySchema(self.dictionary), prefer_databases=prefer)
+        report = lint_sql(
+            sql, DictionarySchema(self.dictionary),
+            prefer_databases=prefer,
+        )
         return [d.as_dict() for d in report]
 
     def plugin(self, spec_xml: str, url: str, driver: str):

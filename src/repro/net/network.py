@@ -67,6 +67,11 @@ class Network:
         if fn not in self._observers:
             self._observers.append(fn)
 
+    def remove_observer(self, fn) -> None:
+        """Unsubscribe a transfer observer."""
+        if fn in self._observers:
+            self._observers.remove(fn)
+
     def add_failure_observer(self, fn) -> None:
         """Subscribe ``fn(src, dst, nbytes, ms)`` to failed transfers."""
         if fn not in self._failure_observers:

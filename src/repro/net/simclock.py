@@ -36,6 +36,9 @@ class SimClock:
     def marks(self) -> list[tuple[str, float]]:
         return list(self._marks)
 
+    def elapsed_since(self, start_ms: float) -> float:
+        return self.now_ms - start_ms
+
     # -- fork/join ----------------------------------------------------------------
 
     def branch(self) -> "SimClock":

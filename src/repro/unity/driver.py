@@ -216,13 +216,17 @@ class UnityDriver:
         # the opt-in layers (lint pre-flight, the obs stack, plan +
         # sub-result caches, retry/backoff + per-database breakers) exist
         # only when switched on
-        pipeline = self.pipeline = SubQueryPipeline(
+        self.pipeline = SubQueryPipeline(
             self.router, host or "unity", observe=observe, cache=cache,
             epochs=epochs, resilience=resilience, preflight=preflight,
         )
-        self.tracer, self.profiler = pipeline.tracer, pipeline.profiler
-        self.archiver, self.slo, self.monitor = pipeline.archiver, pipeline.slo, pipeline.monitor
-        self.cache, self.resilience = pipeline.cache, pipeline.resilience
+        self.tracer = self.pipeline.tracer
+        self.profiler = self.pipeline.profiler
+        self.archiver = self.pipeline.archiver
+        self.slo = self.pipeline.slo
+        self.monitor = self.pipeline.monitor
+        self.cache = self.pipeline.cache
+        self.resilience = self.pipeline.resilience
 
     # -- public API -------------------------------------------------------------------
 

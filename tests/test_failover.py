@@ -50,6 +50,36 @@ class TestSubQueryFailover:
         )
         assert answer.rows == [(1,)]
 
+    def test_failover_of_a_whole_pushed_join(self):
+        """Both joined tables live on one mart, so the join is pushed as
+        one sub-query; when the mart's host dies the whole join must run
+        on the replica mart, not just one of its tables."""
+        fed = GridFederation()
+        server = fed.create_server("jc1", "pc1")
+        for name, vendor, host in (("primary_mart", "mysql", "db1"),
+                                   ("replica_mart", "sqlite", "db2")):
+            db = make_events_db(name, vendor=vendor)
+            db.execute("CREATE TABLE RUNS (RUN_ID INT PRIMARY KEY, LABEL VARCHAR(8))")
+            db.execute("INSERT INTO RUNS VALUES (2, 'two')")
+            db.execute("INSERT INTO RUNS VALUES (5, 'five')")
+            fed.attach_database(
+                server, db, db_host=host,
+                logical_names={"EVT": "events", "RUNS": "runs"},
+            )
+        sql = (
+            "SELECT e.event_id, r.label FROM events e JOIN runs r "
+            "ON e.event_id = r.run_id ORDER BY e.event_id"
+        )
+        service = server.service
+        before = service.execute(sql)
+        assert [t.database for t in before.traces] == ["primary_mart"]
+        fed.network.fail_host("db1")
+        after = service.execute(sql)
+        assert [t.database for t in after.traces] == ["replica_mart"]
+        assert after.columns == before.columns
+        assert after.rows == before.rows == [(2, "two"), (5, "five")]
+        assert service.metrics.counter("failovers").value == 1
+
     def test_all_replicas_dead_raises(self, replicated):
         fed, server = replicated
         for name in ("primary_mart", "replica_mart"):
