@@ -13,8 +13,9 @@ pays for repeatedly:
 2. **sub-result cache** — ``(database, physical SQL, params, epoch)``
    → the sub-query's (columns, types, rows). A hit costs
    ``CACHE_HIT_MS`` instead of connect + execute + transfer.
-3. **remote answers** — owned here, installed into the service's peer
-   :class:`ClarensClient` (see :mod:`repro.cache.remote`).
+3. **remote answers** — a forwarded sub-query's wire answer, looked up
+   by the service's remote fetch before it calls the peer (see
+   :mod:`repro.cache.remote`).
 
 Invalidation is event-driven through the :class:`EpochRegistry`: the
 §4.9 md5 tracker bumps a database's epoch on schema change, the ETL
@@ -36,14 +37,11 @@ from repro.engine.storage import estimate_row_bytes
 from repro.obs.metrics import MetricsRegistry
 from repro.sql import ast
 
-#: LRU sizes and byte budgets of the three levels, and the remote
-#: answers' time-to-live (simulated ms)
+#: LRU sizes and byte budget of the plan and sub-result levels (the
+#: remote level's live in :mod:`repro.cache.remote`)
 PLAN_ENTRIES = 256
 SUB_ENTRIES = 1024
 SUB_BYTES = 16 << 20
-REMOTE_ENTRIES = 512
-REMOTE_BYTES = 8 << 20
-REMOTE_TTL_MS = 30_000.0
 
 
 def normalize_sql(sql) -> str:
@@ -82,14 +80,7 @@ class CacheManager:
         self.dict_generation = 0
         self.plan = LRUCache(PLAN_ENTRIES, on_evict=self._count_evictions)
         self.sub = LRUCache(SUB_ENTRIES, SUB_BYTES, on_evict=self._count_evictions)
-        self.remote = RemoteAnswerCache(
-            clock,
-            self.epochs,
-            self.metrics,
-            ttl_ms=REMOTE_TTL_MS,
-            max_entries=REMOTE_ENTRIES,
-            max_bytes=REMOTE_BYTES,
-        )
+        self.remote = RemoteAnswerCache(clock, self.epochs, self.metrics)
 
     # -- metrics plumbing -----------------------------------------------------
 

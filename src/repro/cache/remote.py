@@ -1,12 +1,12 @@
-"""Level 3: the remote-answer cache at the Clarens client.
+"""Level 3: the remote-answer cache on the service's forward path.
 
 When a data access service forwards a logical sub-query to the remote
 JClarens server that publishes the table, the full answer (columns,
 types, rows) comes back over the wire. Repeating that forwarded call is
 the single most expensive cache miss in the federation — it pays RLS
 resolution amortization, the WAN/LAN round-trip, remote execution and
-per-row encode/decode. This cache sits inside :class:`ClarensClient`
-and intercepts repeat calls to cacheable methods.
+per-row encode/decode. The service's remote fetch looks its answers up
+here, keyed by peer, logical SQL and parameters, before calling the peer.
 
 Freshness is enforced two ways, both checked on every hit:
 
@@ -26,6 +26,11 @@ from dataclasses import dataclass
 from repro.cache.epochs import EpochRegistry
 from repro.cache.store import LRUCache
 from repro.engine.storage import estimate_row_bytes
+from repro.net import costs
+
+#: LRU size and byte budget of the remote answers
+REMOTE_ENTRIES = 512
+REMOTE_BYTES = 8 << 20
 
 
 @dataclass
@@ -33,11 +38,6 @@ class _Answer:
     value: object
     generation: int
     deadline_ms: float
-
-
-#: position of ``dataaccess.query``'s trace context: monitoring that rides
-#: the call, not part of the question the answer depends on
-TRACE_CTX_ARG = 3
 
 
 def _answer_bytes(value) -> int:
@@ -48,23 +48,12 @@ def _answer_bytes(value) -> int:
 class RemoteAnswerCache:
     """TTL-bounded, epoch-checked memo of remote Clarens answers."""
 
-    #: methods whose answers are pure functions of (args, remote data)
-    CACHEABLE_METHODS = frozenset({"dataaccess.query"})
-
-    def __init__(
-        self,
-        clock,
-        epochs: EpochRegistry,
-        metrics=None,
-        ttl_ms: float = 30_000.0,
-        max_entries: int = 512,
-        max_bytes: int = 8 << 20,
-    ):
+    def __init__(self, clock, epochs: EpochRegistry, metrics=None):
         self.clock = clock
         self.epochs = epochs
         self.metrics = metrics
-        self.ttl_ms = ttl_ms
-        self._lru = LRUCache(max_entries, max_bytes, on_evict=self._count_evictions)
+        self.ttl_ms = costs.CACHE_REMOTE_TTL_MS
+        self._lru = LRUCache(REMOTE_ENTRIES, REMOTE_BYTES, on_evict=self._count_evictions)
 
     def _count(self, name: str, n: float = 1.0) -> None:
         if self.metrics is not None:
@@ -73,15 +62,7 @@ class RemoteAnswerCache:
     def _count_evictions(self, n: int) -> None:
         self._count("cache.evictions", n)
 
-    # -- the client-facing API ------------------------------------------------
-
-    def cacheable(self, method: str) -> bool:
-        return method in self.CACHEABLE_METHODS
-
-    def key(self, server_name: str, method: str, args: tuple):
-        """The call's identity, its trace context left out."""
-        question = args[:TRACE_CTX_ARG] + args[TRACE_CTX_ARG + 1:]
-        return (server_name, method, repr(question))
+    # -- lookup and store ------------------------------------------------------
 
     def get(self, key):
         """The cached answer (deep copy) or None when absent/stale."""

@@ -51,10 +51,6 @@ class ClarensClient:
         self.calls_made = 0
         self.bytes_sent = 0
         self.bytes_received = 0
-        #: optional :class:`repro.cache.RemoteAnswerCache` — installed by
-        #: a caching data access service on its peer client so forwarded
-        #: logical sub-queries can be answered without touching the wire
-        self.answer_cache = None
 
     # -- sessions ----------------------------------------------------------------
 
@@ -103,19 +99,7 @@ class ClarensClient:
     # -- calls --------------------------------------------------------------------
 
     def call(self, server: ClarensServer, method: str, *args):
-        """Invoke ``service.method`` on ``server``, paying the full wire cost.
-
-        When an :attr:`answer_cache` is installed and holds a fresh
-        answer for this exact call, the wire is skipped entirely: the
-        hit costs ``CACHE_HIT_MS`` and does not count as a call made.
-        """
-        cache_key = None
-        if self.answer_cache is not None and self.answer_cache.cacheable(method):
-            cache_key = self.answer_cache.key(server.name, method, args)
-            cached = self.answer_cache.get(cache_key)
-            if cached is not None:
-                self.clock.advance_ms(costs.CACHE_HIT_MS)
-                return cached
+        """Invoke ``service.method`` on ``server``, paying the full wire cost."""
         session = self.connect(server)
         request = payload_bytes(method, list(args))
         self.bytes_sent += request
@@ -139,6 +123,4 @@ class ClarensClient:
         if nrows:
             self.clock.advance_ms(nrows * costs.XMLRPC_DECODE_ROW_MS)
         self.calls_made += 1
-        if cache_key is not None:
-            self.answer_cache.put(cache_key, result)
         return result

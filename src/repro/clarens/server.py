@@ -73,13 +73,11 @@ class ClarensServer:
         host: str,
         network: Network,
         clock: SimClock,
-        require_auth: bool = True,
     ):
         self.name = name
         self.host = host
         self.network = network
         self.clock = clock
-        self.require_auth = require_auth
         self._services: dict[str, ClarensService] = {}
         self._accounts: dict[str, _Account] = {
             "grid": _Account("grid", "grid", frozenset({"users", "admin"}))
@@ -132,10 +130,6 @@ class ClarensServer:
             raise ClarensFault(name, f"no service {name!r} on server {self.name!r}")
         return svc
 
-    def service_names(self) -> list[str]:
-        """Sorted names of the hosted services."""
-        return sorted(self._services)
-
     # -- authentication ---------------------------------------------------------------
 
     def authenticate(self, user: str, password: str) -> str:
@@ -151,9 +145,7 @@ class ClarensServer:
         return session_id
 
     def check_session(self, session_id: str | None) -> None:
-        """Raise unless the session is live (no-op when auth is off)."""
-        if not self.require_auth:
-            return
+        """Raise unless the session is live."""
         if session_id is None or session_id not in self._sessions:
             raise AuthenticationError(
                 f"server {self.name!r}: missing or expired session"

@@ -54,17 +54,9 @@ class DeterministicRNG:
         """Uniform floats in [low, high)."""
         return self._gen.uniform(low, high, size=size)
 
-    def poisson(self, lam: float = 1.0, size=None):
-        """Poisson samples."""
-        return self._gen.poisson(lam, size=size)
-
     def choice(self, seq, size=None, replace=True, p=None):
         """Sample from a sequence (optionally weighted)."""
         return self._gen.choice(seq, size=size, replace=replace, p=p)
-
-    def shuffle(self, seq) -> None:
-        """In-place shuffle."""
-        self._gen.shuffle(seq)
 
     def random(self, size=None):
         """Uniform floats in [0, 1)."""

@@ -19,10 +19,13 @@ from repro.core.service import DataAccessService, QueryAnswer
 from repro.dialects import get_dialect
 from repro.driver.directory import Directory
 from repro.engine.database import Database
-from repro.net.network import Link, Network
+from repro.net.network import Network
 from repro.net.simclock import SimClock
 from repro.rls.client import RLSClient
 from repro.rls.server import RLSServer
+
+#: the host the central Replica Location Service runs on
+RLS_HOST = "rls.cern.ch"
 
 
 @dataclass
@@ -52,16 +55,15 @@ class QueryOutcome:
 class GridFederation:
     """A complete simulated deployment of the paper's middleware."""
 
-    def __init__(self, rls_host: str = "rls.cern.ch", default_link: Link | None = None):
+    def __init__(self):
         self.clock = SimClock()
-        self.network = Network(default_link) if default_link else Network()
+        self.network = Network()
         self.directory = Directory()
-        self.network.add_host(rls_host, tier=0)
-        self.rls_server = RLSServer(rls_host, self.clock)
+        self.network.add_host(RLS_HOST, tier=0)
+        self.rls_server = RLSServer(RLS_HOST, self.clock)
         self._servers: dict[str, ServerHandle] = {}  # keyed by service URL
         self._servers_by_name: dict[str, ServerHandle] = {}
         self._clients: dict[str, ClarensClient] = {}
-        self._db_counter = 0
         #: shared per-database epoch registry, created lazily by the
         #: first ``create_server(cache=True)`` — every caching server in
         #: the federation sees the same epochs, so an ETL refresh on one
@@ -180,7 +182,6 @@ class GridFederation:
         db_host = db_host or handle.host
         self.add_host(db_host, tier)
         dialect = get_dialect(database.vendor)
-        self._db_counter += 1
         url = dialect.make_url(db_host, None, database.name)
         self.directory.register(
             url, database, user=user, password=password, host_name=db_host

@@ -124,9 +124,6 @@ class DataAccessService(ClarensService):
         self.cache = self.pipeline.cache
         self.resilience = self.pipeline.resilience
         if cache:
-            # level 3 rides inside the peer client, where forwarded
-            # sub-queries pay the wire
-            self._peer_client.answer_cache = self.cache.remote
             # the §4.9 tracker is the schema-side invalidation source
             self.tracker.epochs = self.cache.epochs
         if observe:
@@ -551,21 +548,30 @@ class DataAccessService(ClarensService):
     def _remote_fetch(self, sub: SubQuery, params: tuple):
         """Forward one sub-query to the remote server hosting its table.
 
-        When tracing, the call carries ``{trace_id, parent_id}`` so the
-        remote server's spans join this query's trace; they come back
+        With caching on, a fresh answer to the same peer, SQL and params
+        comes from the remote-answer cache for ``CACHE_HIT_MS``, off the
+        wire. When tracing, the call carries ``{trace_id, parent_id}`` so
+        the remote server's spans join this query's trace; they come back
         piggybacked on the response and are imported here.
         """
         self.metrics.counter("remote_fetches").inc()
         peer = self._resolve_peer(sub.location.remote_server)
-        call_args = [sub.logical_sql, list(params), True]
-        active = self.tracer.active if self.tracer is not None else None
-        if active is not None:
-            call_args.append(
-                {"trace_id": active.trace_id, "parent_id": active.span_id}
-            )
-        response = self._peer_client.call(peer, "dataaccess.query", *call_args)
-        if active is not None and response.get("spans"):
-            self.tracer.import_spans(response["spans"])
+        key = (peer.name, sub.logical_sql, repr(params))
+        response = self.cache.remote.get(key) if self.cache is not None else None
+        if response is not None:
+            self.clock.advance_ms(costs.CACHE_HIT_MS)
+        else:
+            call_args = [sub.logical_sql, list(params), True]
+            active = self.tracer.active if self.tracer is not None else None
+            if active is not None:
+                call_args.append(
+                    {"trace_id": active.trace_id, "parent_id": active.span_id}
+                )
+            response = self._peer_client.call(peer, "dataaccess.query", *call_args)
+            if self.cache is not None:
+                self.cache.remote.put(key, response)
+            if active is not None and response.get("spans"):
+                self.tracer.import_spans(response["spans"])
         answer = QueryAnswer.from_wire(response)
         return answer.columns, answer.types, answer.rows
 

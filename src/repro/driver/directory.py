@@ -65,9 +65,6 @@ class Directory:
     def urls(self) -> list[str]:
         return sorted(self._bindings)
 
-    def clear(self) -> None:
-        self._bindings.clear()
-
 
 #: Default directory for scripts and examples.
 GLOBAL_DIRECTORY = Directory()

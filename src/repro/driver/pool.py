@@ -8,7 +8,7 @@ the paper's penalty is connection churn.
 
 Pooled connections are keyed by (url, user); ``get`` hands out an open
 connection or dials a new one; ``release`` returns it for reuse. A
-``max_idle_per_key`` bound keeps the pool honest, and closed/broken
+``MAX_IDLE_PER_KEY`` bound keeps the pool honest, and closed/broken
 connections are discarded on return.
 """
 
@@ -18,6 +18,9 @@ from dataclasses import dataclass
 
 from repro.driver.connection import Connection, connect
 from repro.driver.directory import Directory
+
+#: idle connections kept per (url, user); further releases are closed
+MAX_IDLE_PER_KEY = 4
 
 
 @dataclass
@@ -35,15 +38,9 @@ class PoolStats:
 class ConnectionPool:
     """A simple keyed pool of open driver connections."""
 
-    def __init__(
-        self,
-        directory: Directory,
-        clock=None,
-        max_idle_per_key: int = 4,
-    ):
+    def __init__(self, directory: Directory, clock=None):
         self.directory = directory
         self.clock = clock
-        self.max_idle_per_key = max_idle_per_key
         self._idle: dict[tuple[str, str], list[Connection]] = {}
         self.stats = PoolStats()
 
@@ -69,7 +66,7 @@ class ConnectionPool:
             return
         key = (connection.url, user)
         bucket = self._idle.setdefault(key, [])
-        if len(bucket) >= self.max_idle_per_key:
+        if len(bucket) >= MAX_IDLE_PER_KEY:
             connection.close()
             self.stats.discarded += 1
             return

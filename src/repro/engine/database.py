@@ -348,10 +348,6 @@ class Database:
         table = self.catalog.get_table(table_name)
         return table.append_rows(rows)
 
-    def table_bytes(self, table_name: str) -> int:
-        """Approximate stored bytes of one table (ETL sizing)."""
-        return self.catalog.get_table(table_name).byte_size
-
 
 class PreparedStatement:
     """A parsed statement bound to one database."""

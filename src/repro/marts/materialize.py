@@ -63,9 +63,7 @@ def materialize_view(
         target_table=table_name,
         target_columns=[c.name for c in columns],
     )
-    if direct:
-        return pipeline.run_direct(job)
-    return pipeline.run(job)
+    return pipeline.run(job, direct)
 
 
 def _view_fingerprint(warehouse_db: Database, view: str) -> tuple[int, int]:

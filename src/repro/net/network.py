@@ -3,8 +3,8 @@
 A :class:`Network` owns a set of named hosts (with their LHC tier
 numbers) and pairwise links. ``transfer()`` charges the wire time of a
 message to the supplied clock and returns it, so callers can also
-account it per-phase. Unspecified pairs fall back to the default link
-(the testbed LAN); same-host transfers use the loopback profile.
+account it per-phase. Unspecified pairs use the testbed LAN; same-host
+transfers use the loopback profile.
 """
 
 from __future__ import annotations
@@ -44,8 +44,7 @@ class Host:
 class Network:
     """The fabric: hosts plus (optionally) per-pair link overrides."""
 
-    def __init__(self, default_link: Link = LAN):
-        self.default_link = default_link
+    def __init__(self):
         self._hosts: dict[str, Host] = {}
         self._links: dict[frozenset[str], Link] = {}
         self._failed_links: set[frozenset[str]] = set()
@@ -66,11 +65,6 @@ class Network:
         """Subscribe ``fn(src, dst, nbytes, ms)`` to successful transfers."""
         if fn not in self._observers:
             self._observers.append(fn)
-
-    def remove_observer(self, fn) -> None:
-        """Unsubscribe a transfer observer."""
-        if fn in self._observers:
-            self._observers.remove(fn)
 
     def add_failure_observer(self, fn) -> None:
         """Subscribe ``fn(src, dst, nbytes, ms)`` to failed transfers."""
@@ -114,7 +108,7 @@ class Network:
         """Effective link between two hosts (loopback when equal)."""
         if a == b:
             return LOOPBACK
-        return self._links.get(frozenset((a, b)), self.default_link)
+        return self._links.get(frozenset((a, b)), LAN)
 
     # -- failure injection --------------------------------------------------------
 

@@ -36,11 +36,9 @@ from repro.obs.monitor import (
     MonitorDatabase,
 )
 from repro.obs.profiler import (
-    BackendStats,
     OperatorCost,
     QueryProfile,
     QueryProfiler,
-    ShapeStats,
 )
 from repro.obs.slo import SLO, Alert, SLOEngine, default_slos
 from repro.obs.trace import (
@@ -53,7 +51,6 @@ from repro.obs.trace import (
 
 __all__ = [
     "Alert",
-    "BackendStats",
     "Bucket",
     "Counter",
     "Gauge",
@@ -69,7 +66,6 @@ __all__ = [
     "QueryRecord",
     "RAW_RESOLUTION_MS",
     "SeriesArchive",
-    "ShapeStats",
     "SLO",
     "SLOEngine",
     "Span",

@@ -23,6 +23,13 @@ from dataclasses import dataclass, field
 
 #: resolution key of the as-recorded (un-rolled) level
 RAW_RESOLUTION_MS = 0.0
+#: the rollup levels kept next to the raw one (simulated ms per bucket)
+ROLLUP_RESOLUTIONS_MS = (1_000.0, 10_000.0)
+#: ring sizes of the raw level and of each rollup level
+RAW_CAP = 512
+ROLLUP_CAP = 256
+#: the archiver's snapshot cadence (simulated ms)
+SNAPSHOT_INTERVAL_MS = 100.0
 
 
 @dataclass
@@ -74,21 +81,14 @@ class _Level:
 class SeriesArchive:
     """The retained history of one instrument at several resolutions."""
 
-    def __init__(
-        self,
-        name: str,
-        kind: str,
-        resolutions: tuple = (1_000.0, 10_000.0),
-        raw_cap: int = 512,
-        rollup_cap: int = 256,
-    ):
+    def __init__(self, name: str, kind: str):
         self.name = name
         self.kind = kind
         self._levels: dict[float, _Level] = {
-            RAW_RESOLUTION_MS: _Level(RAW_RESOLUTION_MS, raw_cap)
+            RAW_RESOLUTION_MS: _Level(RAW_RESOLUTION_MS, RAW_CAP)
         }
-        for res in resolutions:
-            self._levels[float(res)] = _Level(float(res), rollup_cap)
+        for res in ROLLUP_RESOLUTIONS_MS:
+            self._levels[res] = _Level(res, ROLLUP_CAP)
 
     @property
     def resolutions(self) -> list[float]:
@@ -206,21 +206,9 @@ class SeriesArchive:
 class MetricsArchiver:
     """Snapshots a metrics registry into per-series rollup archives."""
 
-    def __init__(
-        self,
-        registry,
-        clock,
-        interval_ms: float = 100.0,
-        resolutions: tuple = (1_000.0, 10_000.0),
-        raw_cap: int = 512,
-        rollup_cap: int = 256,
-    ):
+    def __init__(self, registry, clock):
         self.registry = registry
         self.clock = clock
-        self.interval_ms = interval_ms
-        self.resolutions = tuple(float(r) for r in resolutions)
-        self.raw_cap = raw_cap
-        self.rollup_cap = rollup_cap
         self.series: dict[str, SeriesArchive] = {}
         self.snapshots = 0
         self._last_snapshot_ms: float | None = None
@@ -244,9 +232,7 @@ class MetricsArchiver:
     def _series(self, name: str, kind: str) -> SeriesArchive:
         series = self.series.get(name)
         if series is None:
-            series = self.series[name] = SeriesArchive(
-                name, kind, self.resolutions, self.raw_cap, self.rollup_cap
-            )
+            series = self.series[name] = SeriesArchive(name, kind)
         return series
 
     def maybe_snapshot(self) -> bool:
@@ -254,7 +240,7 @@ class MetricsArchiver:
         now = self.now_ms
         if (
             self._last_snapshot_ms is not None
-            and now - self._last_snapshot_ms < self.interval_ms
+            and now - self._last_snapshot_ms < SNAPSHOT_INTERVAL_MS
         ):
             return False
         self.snapshot()

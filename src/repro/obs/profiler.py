@@ -16,8 +16,7 @@ simulated time) split the overlapped instants equally — which keeps the
 invariant tests and the wire method rely on: **the self-times of a
 query's operators sum exactly to its traced latency**.
 
-A :class:`QueryProfiler` retains the top-N slowest profiles, aggregates
-by query shape (normalized SQL) and by backend (database@host), and
+A :class:`QueryProfiler` retains the ``TOP_N`` slowest profiles and
 exports folded-stack lines (``query;decompose 12.4``) ready for any
 flame-graph renderer.
 """
@@ -25,6 +24,9 @@ flame-graph renderer.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+
+#: how many of the slowest profiles a profiler retains
+TOP_N = 20
 
 
 @dataclass
@@ -91,51 +93,6 @@ class QueryProfile:
         }
 
 
-@dataclass
-class ShapeStats:
-    """Aggregate cost of every profiled query sharing one SQL shape."""
-
-    shape: str
-    count: int = 0
-    total_ms: float = 0.0
-    max_ms: float = 0.0
-    self_by_stage: dict = field(default_factory=dict)
-
-    @property
-    def mean_ms(self) -> float:
-        return self.total_ms / self.count if self.count else 0.0
-
-    def as_dict(self) -> dict:
-        return {
-            "shape": self.shape,
-            "count": int(self.count),
-            "total_ms": round(self.total_ms, 6),
-            "mean_ms": round(self.mean_ms, 6),
-            "max_ms": round(self.max_ms, 6),
-            "self_by_stage": {
-                k: round(v, 6) for k, v in sorted(self.self_by_stage.items())
-            },
-        }
-
-
-@dataclass
-class BackendStats:
-    """Aggregate sub-query cost attributed to one database/peer."""
-
-    backend: str
-    calls: int = 0
-    busy_ms: float = 0.0
-    rows: int = 0
-
-    def as_dict(self) -> dict:
-        return {
-            "backend": self.backend,
-            "calls": int(self.calls),
-            "busy_ms": round(self.busy_ms, 6),
-            "rows": int(self.rows),
-        }
-
-
 def _self_times(root, spans) -> dict[str, float]:
     """Per-span self wall-time; conserving: values sum to root duration.
 
@@ -193,18 +150,14 @@ def _stack_path(span, by_id: dict) -> str:
 
 
 class QueryProfiler:
-    """Profiles completed span trees; retains the slowest, aggregates all."""
+    """Profiles completed span trees; retains the slowest."""
 
-    def __init__(self, clock, top_n: int = 20, max_shapes: int = 256):
+    def __init__(self, clock):
         self.clock = clock
-        self.top_n = top_n
-        self.max_shapes = max_shapes
         #: top-N slowest profiles, sorted slowest-first
         self.slowest: list[QueryProfile] = []
         #: most recently recorded profile
         self.last: QueryProfile | None = None
-        self.shapes: dict[str, ShapeStats] = {}
-        self.backends: dict[str, BackendStats] = {}
         self.profiled = 0
         self._by_trace: dict[str, QueryProfile] = {}
 
@@ -231,17 +184,6 @@ class QueryProfiler:
             op.cum_ms += end - span.start_ms
             path = _stack_path(span, by_id)
             folded[path] = folded.get(path, 0.0) + self_ms[span.span_id]
-            if span.stage == "subquery":
-                backend = (
-                    f"{span.attrs.get('database', '?')}"
-                    f"@{span.attrs.get('host', server)}"
-                )
-                agg = self.backends.get(backend)
-                if agg is None:
-                    agg = self.backends[backend] = BackendStats(backend)
-                agg.calls += 1
-                agg.busy_ms += end - span.start_ms
-                agg.rows += int(span.attrs.get("rows") or 0)
 
         root_end = root.end_ms if root.end_ms is not None else root.start_ms
         profile = QueryProfile(
@@ -256,7 +198,6 @@ class QueryProfiler:
             folded=sorted(folded.items()),
         )
         self._retain(profile)
-        self._aggregate_shape(profile)
         self.profiled += 1
         return profile
 
@@ -264,23 +205,9 @@ class QueryProfiler:
         self.last = profile
         self.slowest.append(profile)
         self.slowest.sort(key=lambda p: -p.total_ms)
-        del self.slowest[self.top_n :]
+        del self.slowest[TOP_N:]
         self._by_trace = {p.trace_id: p for p in self.slowest}
         self._by_trace[profile.trace_id] = profile
-
-    def _aggregate_shape(self, profile: QueryProfile) -> None:
-        stats = self.shapes.get(profile.shape)
-        if stats is None:
-            if len(self.shapes) >= self.max_shapes:
-                return  # cardinality guard: never grow without bound
-            stats = self.shapes[profile.shape] = ShapeStats(profile.shape)
-        stats.count += 1
-        stats.total_ms += profile.total_ms
-        stats.max_ms = max(stats.max_ms, profile.total_ms)
-        for op in profile.operators:
-            stats.self_by_stage[op.stage] = (
-                stats.self_by_stage.get(op.stage, 0.0) + op.self_ms
-            )
 
     # -- views --------------------------------------------------------------------
 
@@ -289,14 +216,6 @@ class QueryProfiler:
         if trace_id:
             return self._by_trace.get(trace_id)
         return self.last
-
-    def shape_stats(self) -> list[ShapeStats]:
-        """Per-shape aggregates, slowest mean first."""
-        return sorted(self.shapes.values(), key=lambda s: -s.mean_ms)
-
-    def backend_stats(self) -> list[BackendStats]:
-        """Per-backend aggregates, busiest first."""
-        return sorted(self.backends.values(), key=lambda b: -b.busy_ms)
 
     def profile_rows(self) -> list[tuple]:
         """``monitor_profile`` rows: one per operator per retained profile."""

@@ -133,7 +133,6 @@ class SLOEngine:
         self.cache = cache
         #: append-only alert transition log (→ monitor_alerts)
         self.alerts: list[Alert] = []
-        self.evaluations = 0
         self._firing: dict[tuple[str, str], Alert] = {}
         for slo in self.slos:
             if slo.kind == "latency":
@@ -170,7 +169,6 @@ class SLOEngine:
 
     def evaluate(self) -> list[Alert]:
         """One evaluation pass; returns the alert transitions it caused."""
-        self.evaluations += 1
         changed: list[Alert] = []
         for slo in self.slos:
             fast = self._burn(slo, slo.fast_window_ms)

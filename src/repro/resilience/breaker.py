@@ -37,7 +37,6 @@ class CircuitBreaker:
         self.opens = 0
         self.fast_fails = 0
         self.failures = 0
-        self.successes = 0
 
     @property
     def _now(self) -> float:
@@ -88,7 +87,6 @@ class CircuitBreaker:
 
     def record_success(self) -> None:
         """Account one success; closes a half-open breaker."""
-        self.successes += 1
         self.consecutive_failures = 0
         if self.state == HALF_OPEN:
             self.state = CLOSED

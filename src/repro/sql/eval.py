@@ -89,7 +89,8 @@ class RowSchema:
 
 
 def _like_to_regex(pattern: str) -> re.Pattern:
-    out = ["^"]
+    """A regex for ``fullmatch``: ``%`` and ``_`` span newlines too."""
+    out = []
     for ch in pattern:
         if ch == "%":
             out.append(".*")
@@ -97,8 +98,7 @@ def _like_to_regex(pattern: str) -> re.Pattern:
             out.append(".")
         else:
             out.append(re.escape(ch))
-    out.append("$")
-    return re.compile("".join(out), re.IGNORECASE)
+    return re.compile("".join(out), re.IGNORECASE | re.DOTALL)
 
 
 def _and3(a, b):
@@ -415,7 +415,7 @@ def compile_expr(
                 v = operand(row)
                 if v is None:
                     return None
-                return bool(regex.match(str(v))) != negated
+                return bool(regex.fullmatch(str(v))) != negated
 
             return like_const
         pattern = compile_expr(expr.pattern, schema, params, subquery_runner)
@@ -425,7 +425,7 @@ def compile_expr(
             p = pattern(row)
             if v is None or p is None:
                 return None
-            return bool(_like_to_regex(str(p)).match(str(v))) != negated
+            return bool(_like_to_regex(str(p)).fullmatch(str(v))) != negated
 
         return like_dyn
     if isinstance(expr, ast.Case):

@@ -6,9 +6,9 @@ faithfully, including its admitted bottleneck: every transfer stages
 rows through a temporary file — extraction (source query + transform +
 temp-file write) and loading (temp-file read + per-row INSERT streaming
 into the target) are separately timed, which is exactly what Figures 4
-and 5 plot. ``run_direct`` implements the paper's stated future fix
-(loading the warehouse directly, no staging file) for the ablation
-bench.
+and 5 plot. ``ETLPipeline.run(job, direct=True)`` implements the
+paper's stated future fix (loading the warehouse directly, no staging
+file) for the ablation bench.
 """
 
 from repro.warehouse.etl import (

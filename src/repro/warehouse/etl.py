@@ -8,10 +8,11 @@ Phases (per the paper's Stage 1/2 measurement protocol):
   file (disk bandwidth + stream open/close);
 * **loading** — read the staging file back and stream the rows into the
   target database as individual INSERTs (per-row statement round-trip +
-  engine insert cost), committing every ``commit_every`` rows.
+  engine insert cost), committing every ``WAREHOUSE_COMMIT_EVERY`` rows.
 
 Both phase durations are returned so benches can plot the two series of
-Figures 4 and 5. ``ETLPipeline.run_direct`` skips the staging file.
+Figures 4 and 5. ``ETLPipeline.run(job, direct=True)`` skips the staging
+file.
 """
 
 from __future__ import annotations
@@ -124,7 +125,6 @@ class ETLPipeline:
         clock: SimClock,
         target: Database,
         target_host: str,
-        commit_every: int = costs.WAREHOUSE_COMMIT_EVERY,
         autocommit: bool = False,
         tracer=None,
         metrics=None,
@@ -134,7 +134,6 @@ class ETLPipeline:
         self.clock = clock
         self.target = target
         self.target_host = target_host
-        self.commit_every = commit_every
         self.autocommit = autocommit
         self.tracer = tracer
         self.metrics = metrics
@@ -232,7 +231,7 @@ class ETLPipeline:
             self.clock.advance_ms(per_row)
             storage.insert(list(row), list(target_columns))
             pending += 1
-            if not self.autocommit and pending >= self.commit_every:
+            if not self.autocommit and pending >= costs.WAREHOUSE_COMMIT_EVERY:
                 self.clock.advance_ms(dialect.cost.commit_ms)
                 pending = 0
         if pending and not self.autocommit:
@@ -240,22 +239,26 @@ class ETLPipeline:
 
     # -- public API --------------------------------------------------------------------
 
-    def run(self, job: ETLJob) -> ETLReport:
-        """Full staged pipeline: extract → temp file → load."""
-        staging = StagingFile(self.clock)
+    def run(self, job: ETLJob, direct: bool = False) -> ETLReport:
+        """Extract → temp file → load. ``direct`` is the paper's
+        future-work fix: no staging file, a single pass."""
+        staging = None if direct else StagingFile(self.clock)
         t0 = self.clock.now_ms
-        self._extract(job, staging)
+        columns, rows = self._extract(job, staging)
         extraction_ms = self.clock.now_ms - t0
 
         t1 = self.clock.now_ms
-        columns, rows = staging.read_all()
+        if staging is not None:
+            columns, rows = staging.read_all()
         self._load(columns, rows, job)
         loading_ms = self.clock.now_ms - t1
 
         report = ETLReport(
             job_table=job.target_table,
             rows=len(rows),
-            staged_bytes=staging.nbytes,
+            staged_bytes=(
+                sum(estimate_row_bytes(r) for r in rows) if direct else staging.nbytes
+            ),
             extraction_ms=extraction_ms,
             loading_ms=loading_ms,
         )
@@ -365,7 +368,7 @@ class ETLPipeline:
             transform=job.transform,
             target_columns=job.target_columns,
         )
-        report = self.run_direct(delta_job) if direct else self.run(delta_job)
+        report = self.run(delta_job, direct)
         # advance the watermark from what actually arrived
         if report.rows:
             loaded = self._last_loaded_rows
@@ -382,22 +385,4 @@ class ETLPipeline:
                 peak = max(values)
                 if last is None or peak > last:
                     self.watermarks[job.target_table] = peak
-        return report
-
-    def run_direct(self, job: ETLJob) -> ETLReport:
-        """The paper's future-work fix: no staging file, single pass."""
-        t0 = self.clock.now_ms
-        columns, rows = self._extract(job, staging=None)
-        extraction_ms = self.clock.now_ms - t0
-        t1 = self.clock.now_ms
-        self._load(columns, rows, job)
-        loading_ms = self.clock.now_ms - t1
-        report = ETLReport(
-            job_table=job.target_table,
-            rows=len(rows),
-            staged_bytes=sum(estimate_row_bytes(r) for r in rows),
-            extraction_ms=extraction_ms,
-            loading_ms=loading_ms,
-        )
-        self.reports.append(report)
         return report

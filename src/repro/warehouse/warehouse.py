@@ -41,9 +41,7 @@ class Warehouse:
 
     def load(self, job: ETLJob, direct: bool = False) -> ETLReport:
         """Run one ETL job into the warehouse (staged unless ``direct``)."""
-        if direct:
-            return self.pipeline.run_direct(job)
-        return self.pipeline.run(job)
+        return self.pipeline.run(job, direct)
 
     def row_count(self, table: str) -> int:
         return self.db.catalog.get_table(table).row_count

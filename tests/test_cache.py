@@ -9,6 +9,7 @@ from repro.cache import (
     RemoteAnswerCache,
     normalize_sql,
 )
+from repro.net import costs
 from repro.net.simclock import SimClock
 from repro.obs.metrics import MetricsRegistry
 from repro.sql.parser import parse_select
@@ -171,20 +172,16 @@ class TestCacheManager:
 
 class TestRemoteAnswerCache:
     @pytest.fixture
-    def world(self):
+    def world(self, monkeypatch):
+        monkeypatch.setattr(costs, "CACHE_REMOTE_TTL_MS", 100.0)
         clock = SimClock()
         epochs = EpochRegistry()
-        cache = RemoteAnswerCache(clock, epochs, ttl_ms=100.0)
+        cache = RemoteAnswerCache(clock, epochs)
         return clock, epochs, cache
-
-    def test_only_query_answers_are_cacheable(self, world):
-        _clock, _epochs, cache = world
-        assert cache.cacheable("dataaccess.query")
-        assert not cache.cacheable("dataaccess.stats")
 
     def test_roundtrip_returns_a_copy(self, world):
         _clock, _epochs, cache = world
-        key = cache.key("srv", "dataaccess.query", ("sql", [], True))
+        key = ("srv", "sql", "()")
         answer = {"rows": [[1]], "columns": ["a"]}
         cache.put(key, answer)
         got = cache.get(key)
@@ -194,35 +191,38 @@ class TestRemoteAnswerCache:
 
     def test_ttl_expires_entries(self, world):
         clock, _epochs, cache = world
-        key = cache.key("srv", "dataaccess.query", ("sql", [], True))
+        key = ("srv", "sql", "()")
         cache.put(key, {"rows": []})
         clock.advance_ms(101.0)
         assert cache.get(key) is None
 
     def test_epoch_bump_invalidates(self, world):
         _clock, epochs, cache = world
-        key = cache.key("srv", "dataaccess.query", ("sql", [], True))
+        key = ("srv", "sql", "()")
         cache.put(key, {"rows": []})
         epochs.bump("anything")
         assert cache.get(key) is None
 
     def test_flush(self, world):
         _clock, _epochs, cache = world
-        key = cache.key("srv", "dataaccess.query", ("sql", [], True))
+        key = ("srv", "sql", "()")
         cache.put(key, {"rows": []})
         assert cache.flush() == 1
         assert len(cache) == 0
 
-    def test_trace_context_is_not_part_of_the_key(self, world):
-        _clock, _epochs, cache = world
-        plain = cache.key("srv", "dataaccess.query", ("sql", [], True))
-        traced = cache.key(
-            "srv", "dataaccess.query",
-            ("sql", [], True, {"trace_id": "a-t1", "parent_id": "a-s4"}),
-        )
-        assert traced == plain
-        partial = cache.key("srv", "dataaccess.query", ("sql", [], True, None, True))
-        assert partial != plain
+    def test_trace_context_is_not_part_of_the_key(self):
+        from repro.tools.demo import two_server_federation
+        from repro.tools.tracereport import DEMO_SQL
+
+        def stored_keys(**layers):
+            _fed, a, _b, _events, _runs = two_server_federation(cache=True, **layers)
+            a.service.execute(DEMO_SQL)
+            return set(a.service.cache.remote._lru._entries)
+
+        plain = stored_keys()
+        assert plain
+        # an observing origin forwards its trace context with the query
+        assert stored_keys(observe=True) == plain
 
     def test_stored_answer_drops_piggybacked_spans(self, world):
         _clock, _epochs, cache = world

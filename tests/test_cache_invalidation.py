@@ -10,7 +10,6 @@ step. A separate class pins the opt-in contract: with ``cache=False``
 
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from repro.clarens.client import ClarensClient
 from repro.core.federation import GridFederation
 from repro.engine.database import Database
 from repro.metadata.dictionary import DataDictionary
@@ -149,17 +148,12 @@ class TestCacheOffAllocatesNothing:
         handle = fed.create_server("srv", "host.cern.ch")
         service = handle.service
         assert service.cache is None
-        assert service._peer_client.answer_cache is None
         assert service.tracker.epochs is None
         assert fed.epochs is None
 
     def test_unity_driver_default_has_no_cache(self):
         driver = UnityDriver(DataDictionary(), None, clock=SimClock())
         assert driver.cache is None
-
-    def test_clarens_client_default_has_no_answer_cache(self):
-        client = ClarensClient("c.cern.ch", Network(), SimClock())
-        assert client.answer_cache is None
 
     def test_etl_pipeline_default_has_no_epochs(self):
         net = Network()

@@ -5,6 +5,7 @@ import pytest
 from repro.core import GridFederation
 from repro.dialects import get_dialect
 from repro.driver import Directory
+from repro.driver import pool as pool_module
 from repro.driver.pool import ConnectionPool
 from repro.engine import Database
 from repro.net import SimClock
@@ -48,9 +49,9 @@ class TestConnectionPool:
         assert pool.idle_count() == 0
         assert pool.stats.discarded == 1
 
-    def test_max_idle_bound(self, pooled):
+    def test_max_idle_bound(self, pooled, monkeypatch):
         pool, url, _ = pooled
-        pool.max_idle_per_key = 2
+        monkeypatch.setattr(pool_module, "MAX_IDLE_PER_KEY", 2)
         conns = [pool.get(url) for _ in range(4)]
         for c in conns:
             pool.release(c)

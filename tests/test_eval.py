@@ -1,10 +1,13 @@
 """Unit tests for expression compilation and three-valued logic."""
 
+import sqlite3
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.common import ColumnNotFoundError, SQLType, SQLTypeError
+from repro.engine import Database
 from repro.sql import ast, parse_expression
 from repro.sql.eval import RowSchema, SchemaColumn, _and3, _cmp, compile_expr, truthy
 
@@ -143,6 +146,54 @@ class TestPredicates:
 
     def test_like_null_operand(self, schema):
         assert ev("name LIKE 'a%'", schema, (0, 0.0, None, 0)) is None
+
+
+class TestLikeAgainstSqlite:
+    """LIKE matches the whole string, ``%`` and ``_`` spanning newlines,
+    case-insensitively for ASCII — as stdlib ``sqlite3`` does."""
+
+    ROWS = [
+        (1, "abc\n", "abc"),
+        (2, "x\ny", "x%"),
+        (3, "a\nb", "a_b"),
+        (4, "abc", "abc"),
+        (5, "ABC", "abc"),
+        (6, "abcd", "abc"),
+        (7, "\n", "_"),
+        (8, "\n\n", "%"),
+        (9, "a\n", "a_"),
+        (10, "xy", "x%"),
+    ]
+
+    @pytest.fixture(scope="class")
+    def engines(self):
+        ddl = "CREATE TABLE t (id INT PRIMARY KEY, s VARCHAR(8), p VARCHAR(8))"
+        db = Database("like", "generic")
+        db.execute(ddl)
+        db.catalog.get_table("t").append_rows([list(r) for r in self.ROWS])
+        conn = sqlite3.connect(":memory:")
+        conn.execute(ddl)
+        conn.executemany("INSERT INTO t VALUES (?, ?, ?)", self.ROWS)
+        yield db, conn
+        conn.close()
+
+    @staticmethod
+    def both(engines, sql):
+        db, conn = engines
+        return db.execute(sql).rows, conn.execute(sql).fetchall()
+
+    @pytest.mark.parametrize("pattern", sorted({p for _, _, p in ROWS}))
+    @pytest.mark.parametrize("op", ["LIKE", "NOT LIKE"])
+    def test_literal_pattern(self, engines, pattern, op):
+        ours, sqlite = self.both(
+            engines, f"SELECT id FROM t WHERE s {op} '{pattern}' ORDER BY id"
+        )
+        assert ours == sqlite
+
+    @pytest.mark.parametrize("op", ["LIKE", "NOT LIKE"])
+    def test_column_pattern(self, engines, op):
+        ours, sqlite = self.both(engines, f"SELECT id FROM t WHERE s {op} p ORDER BY id")
+        assert ours == sqlite
 
 
 class TestFunctionsAndCase:

@@ -12,9 +12,12 @@ from repro.lint import (
     LintConfig,
     Severity,
     Span,
+    lint_select,
     lint_sql,
+    lint_statement,
     sqlcheck,
 )
+from repro.sql.parser import parse_statement
 from repro.unity import UnityDriver
 
 
@@ -88,6 +91,47 @@ class TestLintConfig:
             assert code == rule.code
             assert rule.description
             assert rule.slug
+
+
+class TestWriteStatementsAndSelectText:
+    """INSERT/UPDATE/DELETE through ``lint_statement`` and SQL text
+    through ``lint_select``, pinned against ``t (a INT PRIMARY KEY,
+    b DOUBLE)``."""
+
+    @pytest.fixture
+    def provider(self):
+        db = Database("writes", "generic")
+        db.execute("CREATE TABLE t (a INT PRIMARY KEY, b DOUBLE)")
+        return CatalogSchema(db)
+
+    @pytest.mark.parametrize(
+        "sql, code, severity, message",
+        [
+            ("INSERT INTO t VALUES (1)", "RPR201", Severity.ERROR,
+             "INSERT row has 1 values for 2 column(s)"),
+            ("INSERT INTO t (a, c) VALUES (1, 2)", "RPR102", Severity.ERROR,
+             "table 't' has no column 'c'"),
+            ("INSERT INTO u VALUES (1)", "RPR101", Severity.ERROR,
+             "unknown table 'u'"),
+            ("UPDATE t SET b = 1 WHERE a", "RPR202", Severity.WARNING,
+             "WHERE predicate has type INTEGER, not BOOLEAN "
+             "(rows only match on boolean TRUE)"),
+            ("DELETE FROM t WHERE zz = 1", "RPR102", Severity.ERROR,
+             "unknown column 'zz'"),
+            ("INSERT INTO t SELECT a, b FROM t WHERE q = 1", "RPR102",
+             Severity.ERROR, "unknown column 'q'"),
+        ],
+    )
+    def test_write_statement(self, provider, sql, code, severity, message):
+        report = lint_statement(parse_statement(sql), provider)
+        assert [(d.code, d.severity, d.message) for d in report.diagnostics] == [
+            (code, severity, message)
+        ]
+
+    def test_select_text_with_a_syntax_error(self, provider):
+        report = lint_select("SELECT FROM WHERE", provider)
+        assert report.codes() == {"RPR001"}
+        assert not report.ok
 
 
 class TestEngineRules:

@@ -48,26 +48,6 @@ class TestFederationHelpers:
         assert fed._resolve_server("clarens://ghost/none") is None
 
 
-class TestAuthlessServer:
-    def test_require_auth_false_allows_anonymous_dispatch(self):
-        net = Network()
-        net.add_host("h")
-        clock = SimClock()
-        server = ClarensServer("open", "h", net, clock, require_auth=False)
-
-        from repro.clarens import ClarensService
-
-        class Echo(ClarensService):
-            service_name = "echo"
-            exposed = ("hi",)
-
-            def hi(self):
-                return "anonymous ok"
-
-        server.register_service(Echo())
-        assert server.dispatch(None, "echo.hi", []) == "anonymous ok"
-
-
 class TestResultHelpers:
     def test_result_vector_is_lists(self):
         from repro.engine.database import ExecResult

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.net.simclock import SimClock
+from repro.obs import archive
 from repro.obs.archive import (
     RAW_RESOLUTION_MS,
     Bucket,
@@ -12,16 +13,17 @@ from repro.obs.archive import (
 from repro.obs.metrics import MetricsRegistry
 
 
-def make_archiver(interval_ms=100.0, **kwargs):
+def make_archiver():
     clock = SimClock()
     registry = MetricsRegistry()
-    archiver = MetricsArchiver(registry, clock, interval_ms=interval_ms, **kwargs)
+    archiver = MetricsArchiver(registry, clock)
     return clock, registry, archiver
 
 
 class TestSeriesArchive:
-    def test_rollup_buckets_align_to_resolution(self):
-        series = SeriesArchive("m", "counter", resolutions=(1_000.0,))
+    def test_rollup_buckets_align_to_resolution(self, monkeypatch):
+        monkeypatch.setattr(archive, "ROLLUP_RESOLUTIONS_MS", (1_000.0,))
+        series = SeriesArchive("m", "counter")
         for t in (100.0, 900.0, 1_100.0):
             series.record(Bucket(t_ms=t, samples=1.0, total=1.0))
         rolled = series.buckets(1_000.0)
@@ -45,8 +47,10 @@ class TestSeriesArchive:
             assert t.total == pytest.approx(raw.total), res
             assert t.bad == raw.bad, res
 
-    def test_eviction_folds_into_remainder(self):
-        series = SeriesArchive("m", "counter", raw_cap=10, rollup_cap=4)
+    def test_eviction_folds_into_remainder(self, monkeypatch):
+        monkeypatch.setattr(archive, "RAW_CAP", 10)
+        monkeypatch.setattr(archive, "ROLLUP_CAP", 4)
+        series = SeriesArchive("m", "counter")
         for i in range(100):
             series.record(Bucket(t_ms=i * 500.0, samples=1.0, total=1.0))
         assert len(series.buckets(RAW_RESOLUTION_MS)) == 10
@@ -122,7 +126,7 @@ class TestMetricsArchiver:
         assert archiver.series_for("query_ms").totals().bad == 2.0
 
     def test_maybe_snapshot_respects_cadence(self):
-        clock, registry, archiver = make_archiver(interval_ms=100.0)
+        clock, registry, archiver = make_archiver()
         registry.counter("queries").inc()
         assert archiver.maybe_snapshot() is True
         assert archiver.maybe_snapshot() is False  # same instant

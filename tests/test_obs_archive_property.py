@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.net.simclock import SimClock
+from repro.obs import archive
 from repro.obs.archive import RAW_RESOLUTION_MS, MetricsArchiver
 from repro.obs.metrics import MetricsRegistry
 
@@ -26,14 +27,19 @@ ops = st.one_of(
 )
 
 
-def run_schedule(schedule, raw_cap=8, rollup_cap=4):
+def run_schedule(schedule):
     """Drive an archiver (tiny rings, so eviction happens) and return it."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(archive, "SNAPSHOT_INTERVAL_MS", 50.0)
+        patch.setattr(archive, "RAW_CAP", 8)
+        patch.setattr(archive, "ROLLUP_CAP", 4)
+        return _run_schedule(schedule)
+
+
+def _run_schedule(schedule):
     clock = SimClock()
     registry = MetricsRegistry()
-    archiver = MetricsArchiver(
-        registry, clock, interval_ms=50.0,
-        raw_cap=raw_cap, rollup_cap=rollup_cap,
-    )
+    archiver = MetricsArchiver(registry, clock)
     archiver.watch_threshold("query_ms", 1_000.0)
     expected = {"queries": 0.0, "query_ms": 0.0}
     observed = 0

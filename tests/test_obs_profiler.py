@@ -11,6 +11,7 @@ import pytest
 from repro.core import GridFederation
 from repro.engine import Database
 from repro.net.simclock import SimClock
+from repro.obs import profiler as profiler_module
 from repro.obs.profiler import QueryProfiler, _self_times
 from repro.obs.trace import Tracer
 
@@ -117,10 +118,11 @@ class TestQueryProfiler:
         total = sum(float(line.rsplit(" ", 1)[1]) for line in lines)
         assert total == pytest.approx(profile.total_ms)
 
-    def test_top_n_retention_keeps_slowest(self):
+    def test_top_n_retention_keeps_slowest(self, monkeypatch):
+        monkeypatch.setattr(profiler_module, "TOP_N", 3)
         clock = SimClock()
         tracer = Tracer(clock, "jc1")
-        profiler = QueryProfiler(clock, top_n=3)
+        profiler = QueryProfiler(clock)
         durations = [5, 50, 10, 40, 20, 30]
         for ms in durations:
             with tracer.span("query") as root:
@@ -133,21 +135,6 @@ class TestQueryProfiler:
         # the most recent profile stays addressable even when not top-N
         assert profiler.get(root.trace_id) is not None
         assert profiler.get().shape == "Q30"
-
-    def test_shape_aggregation(self):
-        clock = SimClock()
-        tracer = Tracer(clock, "jc1")
-        profiler = QueryProfiler(clock)
-        for _ in range(3):
-            root = trace_simple(clock, tracer)
-            profiler.record(
-                root, tracer.spans_for(root.trace_id), shape="SELECT 1"
-            )
-        stats = profiler.shape_stats()
-        assert len(stats) == 1
-        assert stats[0].count == 3
-        assert stats[0].mean_ms == pytest.approx(20.0)
-        assert stats[0].self_by_stage["subquery"] == pytest.approx(36.0)
 
     def test_profile_rows_shape(self):
         _, profiler = self.profile_one()

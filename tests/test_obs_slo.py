@@ -17,10 +17,10 @@ from repro.obs.slo import SLO, SLOEngine, default_slos
 from repro.resilience import BreakerConfig, ChaosSchedule, ResilienceConfig
 
 
-def make_engine(slos=None, interval_ms=100.0):
+def make_engine(slos=None):
     clock = SimClock()
     registry = MetricsRegistry()
-    archiver = MetricsArchiver(registry, clock, interval_ms=interval_ms)
+    archiver = MetricsArchiver(registry, clock)
     engine = SLOEngine(archiver, clock=clock, slos=slos)
     return clock, registry, archiver, engine
 
