@@ -22,7 +22,7 @@ import pytest
 from repro.core import GridFederation
 from repro.engine import Database
 from repro.net import costs
-from repro.resilience import BreakerConfig, ChaosSchedule, ResilienceConfig
+from repro.resilience import ChaosSchedule, ResilienceConfig
 
 from benchmarks.conftest import RESULTS_DIR, fmt_row, write_report
 
@@ -58,7 +58,7 @@ def _p99(latencies):
 @pytest.fixture(scope="module")
 def measured():
     fed = GridFederation()
-    config = ResilienceConfig(breaker=BreakerConfig(cooldown_ms=COOLDOWN_MS))
+    config = ResilienceConfig(cooldown_ms=COOLDOWN_MS)
     # replica_selection makes the planner prefer reachable replicas, so
     # a single dead host is routed around without paying any timeout
     server = fed.create_server(

@@ -47,7 +47,6 @@ from repro.resilience import (
     ChaosSchedule,
     CircuitBreaker,
     ResilienceConfig,
-    RetryPolicy,
     SubQueryFailure,
 )
 from repro.rls import RLSClient, RLSServer
@@ -113,7 +112,6 @@ __all__ = [
     "RLSServer",
     "ReproError",
     "ResilienceConfig",
-    "RetryPolicy",
     "SQLType",
     "SchemaTracker",
     "ServerHandle",

@@ -14,6 +14,40 @@ import numpy as np
 from repro.common.errors import ReproError
 
 
+def numeric_columns(answer, *columns: str) -> list[list[float]]:
+    """The values of ``answer``'s ``columns`` as floats, one list each.
+
+    One rule for every grid plot: a value is numeric when it is an int
+    or a float but not a bool, and a row holding NULL in any of the
+    columns is skipped. Any other value raises ``ReproError``.
+    """
+    indexes = [answer.column_index(column) for column in columns]
+    values: list[list[float]] = [[] for _ in columns]
+    for row in answer.rows:
+        picked = [row[i] for i in indexes]
+        if any(v is None for v in picked):
+            continue
+        for column, v, out in zip(columns, picked, values):
+            if not isinstance(v, (int, float)) or isinstance(v, bool):
+                raise ReproError(
+                    f"column {column!r} is not numeric (got {type(v).__name__})"
+                )
+            out.append(float(v))
+    return values
+
+
+def auto_range(values, low=None, high=None) -> tuple[float, float]:
+    """Histogram edges: a missing ``low`` is the least value, a missing
+    ``high`` the greatest plus a 5 % pad (1.0 when all values are equal)."""
+    if low is None or high is None:
+        if not values:
+            raise ReproError("cannot auto-range a histogram with no data")
+        vmin, vmax = min(values), max(values)
+        low = vmin if low is None else low
+        high = vmax + ((vmax - vmin) * 0.05 or 1.0) if high is None else high
+    return float(low), float(high)
+
+
 class Histogram1D:
     """A 1-D histogram with ``nbins`` equal bins over [low, high)."""
 

@@ -10,9 +10,9 @@ same container, sessions, ACLs and wire accounting as ``dataaccess``.
 
 from __future__ import annotations
 
-from repro.analysis.histogram import Histogram1D
+from repro.analysis.histogram import Histogram1D, auto_range, numeric_columns
 from repro.clarens.server import ClarensService
-from repro.common.errors import ClarensFault, ColumnNotFoundError
+from repro.common.errors import ClarensFault, ColumnNotFoundError, ReproError
 
 
 class HistogramService(ClarensService):
@@ -39,29 +39,15 @@ class HistogramService(ClarensService):
         """
         answer = self.data_access.execute(sql)
         try:
-            idx = answer.column_index(column)
+            (values,) = numeric_columns(answer, column)
+            low, high = auto_range(values, low, high)
         except ColumnNotFoundError:
             raise ClarensFault(
                 "histogram.h1d", f"result has no column {column!r}"
             ) from None
-        values = []
-        for row in answer.rows:
-            v = row[idx]
-            if v is None:
-                continue
-            if not isinstance(v, (int, float)) or isinstance(v, bool):
-                raise ClarensFault(
-                    "histogram.h1d", f"column {column!r} is not numeric"
-                )
-            values.append(float(v))
-        if low is None or high is None:
-            if not values:
-                raise ClarensFault("histogram.h1d", "no data to auto-range")
-            vmin, vmax = min(values), max(values)
-            pad = (vmax - vmin) * 0.05 or 1.0
-            low = vmin if low is None else float(low)
-            high = (vmax + pad) if high is None else float(high)
-        hist = Histogram1D(int(nbins), float(low), float(high))
+        except ReproError as exc:
+            raise ClarensFault("histogram.h1d", str(exc)) from None
+        hist = Histogram1D(int(nbins), low, high)
         hist.fill(values)
         return histogram_to_wire(hist)
 

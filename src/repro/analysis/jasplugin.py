@@ -2,7 +2,13 @@
 
 from __future__ import annotations
 
-from repro.analysis.histogram import Histogram1D, Histogram2D, Profile1D
+from repro.analysis.histogram import (
+    Histogram1D,
+    Histogram2D,
+    Profile1D,
+    auto_range,
+    numeric_columns,
+)
 from repro.clarens.client import ClarensClient
 from repro.common.errors import ReproError
 from repro.core.federation import GridFederation, ServerHandle
@@ -18,22 +24,14 @@ class JASPlugin:
         self.client = client
         self.server = server
 
+    def _fetch(self, sql: str, *columns: str) -> list[list[float]]:
+        """Run ``sql`` on the grid and pull numeric ``columns``."""
+        answer = self.federation.query(self.client, self.server, sql).answer
+        return numeric_columns(answer, *columns)
+
     def fetch_column(self, sql: str, column: str) -> list[float]:
         """Run ``sql`` on the grid and pull one numeric column."""
-        outcome = self.federation.query(self.client, self.server, sql)
-        answer = outcome.answer
-        idx = answer.column_index(column)
-        values = []
-        for row in answer.rows:
-            v = row[idx]
-            if v is None:
-                continue
-            if not isinstance(v, (int, float)):
-                raise ReproError(
-                    f"column {column!r} is not numeric (got {type(v).__name__})"
-                )
-            values.append(float(v))
-        return values
+        return self._fetch(sql, column)[0]
 
     def histogram_query(
         self,
@@ -46,13 +44,7 @@ class JASPlugin:
     ) -> Histogram1D:
         """Histogram one column of a grid query's result."""
         values = self.fetch_column(sql, column)
-        if low is None or high is None:
-            if not values:
-                raise ReproError("cannot auto-range a histogram with no data")
-            vmin, vmax = min(values), max(values)
-            pad = (vmax - vmin) * 0.05 or 1.0
-            low = vmin if low is None else low
-            high = (vmax + pad) if high is None else high
+        low, high = auto_range(values, low, high)
         hist = Histogram1D(nbins, low, high, title or f"{column} — {sql[:40]}")
         hist.fill(values)
         return hist
@@ -67,16 +59,7 @@ class JASPlugin:
         high: float | None = None,
     ) -> Profile1D:
         """Profile histogram: per-x-bin mean of y over a grid query."""
-        outcome = self.federation.query(self.client, self.server, sql)
-        answer = outcome.answer
-        xi = answer.column_index(xcolumn)
-        yi = answer.column_index(ycolumn)
-        xs, ys = [], []
-        for row in answer.rows:
-            if row[xi] is None or row[yi] is None:
-                continue
-            xs.append(float(row[xi]))
-            ys.append(float(row[yi]))
+        xs, ys = self._fetch(sql, xcolumn, ycolumn)
         if not xs:
             raise ReproError("no data to profile")
         if low is None:
@@ -97,21 +80,11 @@ class JASPlugin:
         ny: int = 15,
     ) -> Histogram2D:
         """2-D histogram of two columns of a grid query's result."""
-        outcome = self.federation.query(self.client, self.server, sql)
-        answer = outcome.answer
-        xi = answer.column_index(xcolumn)
-        yi = answer.column_index(ycolumn)
-        xs, ys = [], []
-        for row in answer.rows:
-            if row[xi] is None or row[yi] is None:
-                continue
-            xs.append(float(row[xi]))
-            ys.append(float(row[yi]))
+        xs, ys = self._fetch(sql, xcolumn, ycolumn)
         if not xs:
             raise ReproError("no data to histogram")
-        pad = lambda lo, hi: (lo, hi + ((hi - lo) * 0.05 or 1.0))  # noqa: E731
-        xlo, xhi = pad(min(xs), max(xs))
-        ylo, yhi = pad(min(ys), max(ys))
+        xlo, xhi = auto_range(xs)
+        ylo, yhi = auto_range(ys)
         hist = Histogram2D(nx, xlo, xhi, ny, ylo, yhi, f"{ycolumn} vs {xcolumn}")
         hist.fill(xs, ys)
         return hist

@@ -84,7 +84,6 @@ class SubQueryPipeline:
     span = staticmethod(_no_span)
     #: ``guard(key, fn, ctx)``: fn() behind key's breaker and retries
     guard = staticmethod(_unguarded)
-    _deadline_ms = None
     #: ``repro.lint.preflight`` when pre-flight is on
     _lint = None
 
@@ -105,7 +104,6 @@ class SubQueryPipeline:
         if resilience:
             config = resilience if isinstance(resilience, ResilienceConfig) else None
             self.resilience = ResilienceManager(clock, router.metrics, config, self.tracer)
-            self._deadline_ms = self.resilience.policy.deadline_ms
             self.guard = _guard(self.resilience)
             run = _guarded(run, self.guard)
         if failover is not None:
@@ -145,8 +143,8 @@ class SubQueryPipeline:
     ) -> QueryContext:
         """A fresh context; the retry deadline budget starts now."""
         deadline = None
-        if self._deadline_ms is not None:
-            deadline = self.clock.now_ms + self._deadline_ms
+        if self.resilience is not None:
+            deadline = self.clock.now_ms + costs.RETRY_DEADLINE_MS
         return QueryContext(params, allow_partial, deadline, trace_parent)
 
     # -- the plan cache (level 1; misses throughout when cache is off) -----------

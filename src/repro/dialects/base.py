@@ -51,7 +51,6 @@ class Dialect:
     display_name = "Generic SQL"
     quote_char = '"'
     limit_style = "limit"  # 'limit' | 'top' | 'client'  (client: middleware truncates)
-    supports_multirow_insert = True
     pool_supported = True
     default_port = 5432
     url_scheme = "jdbc:generic"
@@ -123,26 +122,6 @@ class Dialect:
         if pk:
             defs.append(f"PRIMARY KEY ({', '.join(self.quote_ident(c) for c in pk)})")
         return f"CREATE TABLE {self.quote_ident(name)} ({', '.join(defs)})"
-
-    def render_insert(
-        self, table: str, columns: list[str], rows: list[tuple]
-    ) -> list[str]:
-        """Vendor INSERT statement(s) for ``rows``.
-
-        Vendors without multi-row VALUES (Oracle 9i/10g of the paper's
-        era) get one statement per row — this is a real contributor to
-        the mart-loading times in Figure 5.
-        """
-        col_list = ", ".join(self.quote_ident(c) for c in columns)
-        head = f"INSERT INTO {self.quote_ident(table)} ({col_list}) VALUES "
-        if self.supports_multirow_insert:
-            body = ", ".join(
-                "(" + ", ".join(sql_repr(v) for v in row) + ")" for row in rows
-            )
-            return [head + body]
-        return [
-            head + "(" + ", ".join(sql_repr(v) for v in row) + ")" for row in rows
-        ]
 
     def render_select(self, select: ast.Select) -> str:
         """Render a SELECT in vendor syntax (limit spelling differs)."""

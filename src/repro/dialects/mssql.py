@@ -19,7 +19,6 @@ class MSSQLDialect(Dialect):
     display_name = "Microsoft SQL Server"
     quote_char = "["
     limit_style = "top"
-    supports_multirow_insert = False  # pre-2008 SQL Server
     pool_supported = False
     default_port = 1433
     url_scheme = "jdbc:sqlserver"

@@ -1,8 +1,8 @@
 """MySQL dialect — Tier-2 source and mart vendor.
 
 Quirks modeled: backtick quoting, TINYINT(1) booleans, native LIMIT,
-multi-row VALUES, fast connection setup (the classic libmysql handshake
-was the lightest of the four vendors).
+fast connection setup (the classic libmysql handshake was the lightest
+of the four vendors).
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ class MySQLDialect(Dialect):
     display_name = "MySQL"
     quote_char = "`"
     limit_style = "limit"
-    supports_multirow_insert = True
     pool_supported = True
     default_port = 3306
     url_scheme = "jdbc:mysql"

@@ -1,8 +1,8 @@
 """Oracle dialect — the Tier-0 warehouse and Tier-1 source vendor.
 
 Era-accurate quirks modeled: ``NUMBER``-based numerics, ``VARCHAR2``,
-no BOOLEAN type (NUMBER(1)), no multi-row ``INSERT ... VALUES``, no
-portable LIMIT clause (ROWNUM-era), thin-driver connection URL.
+no BOOLEAN type (NUMBER(1)), no portable LIMIT clause (ROWNUM-era),
+thin-driver connection URL.
 Connection setup is the slowest of the four vendors, matching the heavy
 session establishment of the period.
 """
@@ -19,7 +19,6 @@ class OracleDialect(Dialect):
     display_name = "Oracle"
     quote_char = '"'
     limit_style = "client"  # ROWNUM wrapping is not portable; middleware truncates
-    supports_multirow_insert = False
     pool_supported = True
     default_port = 1521
     url_scheme = "jdbc:oracle:thin"

@@ -17,7 +17,6 @@ class SQLiteDialect(Dialect):
     display_name = "SQLite"
     quote_char = '"'
     limit_style = "limit"
-    supports_multirow_insert = True
     pool_supported = True
     default_port = 0  # no server
     url_scheme = "jdbc:sqlite"

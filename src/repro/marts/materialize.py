@@ -3,9 +3,10 @@
 The mart table is created with the *mart vendor's own DDL* (rendered by
 its dialect and re-parsed by the engine — Oracle NUMBER / MySQL INT /
 SQLite TEXT really differ), then loaded through the same staged
-streaming pipeline as the warehouse, but in autocommit mode and without
-multi-row INSERT where the vendor lacks it: this is why Figure 5's
-per-byte times are several times worse than Figure 4's.
+streaming pipeline as the warehouse, one INSERT per row as there, but
+in autocommit mode: every row also pays the vendor's commit plus
+``AUTOCOMMIT_FLUSH_MS``. This is why Figure 5's per-byte times are
+several times worse than Figure 4's.
 """
 
 from __future__ import annotations

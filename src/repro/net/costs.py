@@ -15,7 +15,9 @@ Fit targets (from the paper):
 * Figure 4 — source→warehouse ETL: extraction ≈ 1-6 s, loading ≈ 2-18 s
   over 0.4-208 kB; per-row INSERT round-trips dominate loading.
 * Figure 5 — warehouse→mart materialization is several times slower
-  per byte (per-row autocommit into marts without multi-row INSERT).
+  per byte. Warehouse and marts alike load one INSERT per row; marts
+  autocommit, so each row also pays the vendor commit plus
+  ``AUTOCOMMIT_FLUSH_MS``.
 """
 
 from __future__ import annotations
@@ -79,6 +81,22 @@ CACHE_HIT_MS = 2.0
 #: default freshness bound for cached remote answers (simulated ms) —
 #: epoch bumps invalidate sooner, the TTL caps unseen remote changes
 CACHE_REMOTE_TTL_MS = 30_000.0
+
+# -- retries and circuit breakers (opt-in; see repro.resilience) ---------------------------
+
+#: tries per backend touch, the first one included
+RETRY_MAX_ATTEMPTS = 2
+#: backoff before retry n is BASE * MULTIPLIER ** (n - 1), at most CAP
+RETRY_BACKOFF_BASE_MS = 25.0
+RETRY_BACKOFF_MULTIPLIER = 2.0
+RETRY_BACKOFF_CAP_MS = 2_000.0
+#: per-query budget: no backoff sleep starts that would end after it
+#: (it bounds waiting, not work — failover may still move on)
+RETRY_DEADLINE_MS = 20_000.0
+#: consecutive failures that open a backend's breaker
+BREAKER_FAILURE_THRESHOLD = 3
+#: calls a half-open breaker lets through before the probe reports back
+BREAKER_HALF_OPEN_PROBES = 1
 
 # -- Replica Location Service ------------------------------------------------------------
 

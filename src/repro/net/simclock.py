@@ -3,8 +3,8 @@
 A :class:`SimClock` is a monotonically advancing millisecond counter.
 Sequential work calls :meth:`advance_ms`; concurrent work (the paper's
 remote JClarens servers processing forwarded sub-queries in parallel)
-uses :meth:`branch` to fork per-branch clocks and :meth:`join_max` to
-advance the parent to the latest finisher.
+goes through :meth:`run_parallel`, which charges each branch from the
+same start instant and leaves the clock at the latest finisher.
 """
 
 from __future__ import annotations
@@ -15,47 +15,12 @@ class SimClock:
 
     def __init__(self, start_ms: float = 0.0):
         self.now_ms = float(start_ms)
-        self._marks: list[tuple[str, float]] = []
 
     def advance_ms(self, ms: float) -> None:
         """Advance time by a non-negative duration."""
         if ms < 0:
             raise ValueError(f"cannot advance clock by negative duration {ms}")
         self.now_ms += ms
-
-    def advance_s(self, seconds: float) -> None:
-        self.advance_ms(seconds * 1000.0)
-
-    # -- measurement -----------------------------------------------------------
-
-    def mark(self, label: str) -> None:
-        """Record a named timestamp (useful when debugging cost models)."""
-        self._marks.append((label, self.now_ms))
-
-    @property
-    def marks(self) -> list[tuple[str, float]]:
-        return list(self._marks)
-
-    # -- fork/join ----------------------------------------------------------------
-
-    def branch(self) -> "SimClock":
-        """A child clock starting at the current instant."""
-        return SimClock(self.now_ms)
-
-    def join_max(self, *branches: "SimClock") -> float:
-        """Join parallel branches: jump to the latest branch finish time.
-
-        Returns the duration of the slowest branch. Branches that never
-        advanced contribute zero.
-        """
-        if not branches:
-            return 0.0
-        latest = max(b.now_ms for b in branches)
-        if latest < self.now_ms:
-            raise ValueError("branch clock ended before its fork point")
-        duration = latest - self.now_ms
-        self.now_ms = latest
-        return duration
 
     def rewind_to(self, instant_ms: float) -> None:
         """Rewind to an earlier instant.

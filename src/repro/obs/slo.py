@@ -23,6 +23,18 @@ from dataclasses import dataclass
 
 from repro.obs.archive import MetricsArchiver
 
+#: latency kind: the histogram every latency SLO watches
+LATENCY_METRIC = "query_ms"
+#: errors kind: counters summed into the attempted / bad totals
+TOTAL_METRICS = ("queries", "query_errors")
+BAD_METRICS = ("query_errors", "partial_answers")
+#: the page (fast) and ticket (slow) evaluation windows
+FAST_WINDOW_MS = 5_000.0
+SLOW_WINDOW_MS = 60_000.0
+#: burn-rate thresholds (1.0 = spending budget exactly on schedule)
+FAST_BURN_THRESHOLD = 14.4
+SLOW_BURN_THRESHOLD = 6.0
+
 
 @dataclass(frozen=True)
 class SLO:
@@ -32,17 +44,8 @@ class SLO:
     kind: str = "errors"  # 'errors' | 'latency'
     #: fraction of events that must be good (0.99 → 1% error budget)
     objective: float = 0.99
-    #: latency kind: the histogram watched and the good/bad threshold
-    metric: str = "query_ms"
+    #: latency kind: a query slower than this is bad
     threshold_ms: float = 1_000.0
-    #: errors kind: counters summed into the attempted / bad totals
-    total_metrics: tuple = ("queries", "query_errors")
-    bad_metrics: tuple = ("query_errors", "partial_answers")
-    fast_window_ms: float = 5_000.0
-    slow_window_ms: float = 60_000.0
-    #: burn-rate thresholds (1.0 = spending budget exactly on schedule)
-    fast_burn_threshold: float = 14.4
-    slow_burn_threshold: float = 6.0
 
     def __post_init__(self):
         if self.kind not in ("errors", "latency"):
@@ -60,13 +63,7 @@ def default_slos() -> tuple[SLO, ...]:
     """The stock federation objectives: availability + tail latency."""
     return (
         SLO(name="availability", kind="errors", objective=0.99),
-        SLO(
-            name="latency",
-            kind="latency",
-            objective=0.95,
-            metric="query_ms",
-            threshold_ms=1_000.0,
-        ),
+        SLO(name="latency", kind="latency", objective=0.95, threshold_ms=1_000.0),
     )
 
 
@@ -136,23 +133,23 @@ class SLOEngine:
         self._firing: dict[tuple[str, str], Alert] = {}
         for slo in self.slos:
             if slo.kind == "latency":
-                archiver.watch_threshold(slo.metric, slo.threshold_ms)
+                archiver.watch_threshold(LATENCY_METRIC, slo.threshold_ms)
 
     # -- burn math ----------------------------------------------------------------
 
     def _counts(self, slo: SLO, window_ms: float) -> tuple[float, float]:
         """(total, bad) events inside the window for one SLO."""
         if slo.kind == "latency":
-            window = self.archiver.window(slo.metric, window_ms)
+            window = self.archiver.window(LATENCY_METRIC, window_ms)
             if window is None:
                 return 0.0, 0.0
             return window.samples, window.bad
         total = bad = 0.0
-        for name in slo.total_metrics:
+        for name in TOTAL_METRICS:
             window = self.archiver.window(name, window_ms)
             if window is not None:
                 total += window.total
-        for name in slo.bad_metrics:
+        for name in BAD_METRICS:
             window = self.archiver.window(name, window_ms)
             if window is not None:
                 bad += window.total
@@ -171,15 +168,13 @@ class SLOEngine:
         """One evaluation pass; returns the alert transitions it caused."""
         changed: list[Alert] = []
         for slo in self.slos:
-            fast = self._burn(slo, slo.fast_window_ms)
-            slow = self._burn(slo, slo.slow_window_ms)
+            fast = self._burn(slo, FAST_WINDOW_MS)
+            slow = self._burn(slo, SLOW_WINDOW_MS)
             self._transition(
-                slo, "page", fast, slo.fast_burn_threshold,
-                slo.fast_window_ms, changed,
+                slo, "page", fast, FAST_BURN_THRESHOLD, FAST_WINDOW_MS, changed
             )
             self._transition(
-                slo, "ticket", slow, slo.slow_burn_threshold,
-                slo.slow_window_ms, changed,
+                slo, "ticket", slow, SLOW_BURN_THRESHOLD, SLOW_WINDOW_MS, changed
             )
         return changed
 
@@ -241,8 +236,8 @@ class SLOEngine:
         """Per-SLO burn status (wire-safe)."""
         out: dict = {}
         for slo in self.slos:
-            fast = self._burn(slo, slo.fast_window_ms)
-            slow = self._burn(slo, slo.slow_window_ms)
+            fast = self._burn(slo, FAST_WINDOW_MS)
+            slow = self._burn(slo, SLOW_WINDOW_MS)
             if fast.burn is None and slow.burn is None:
                 state = "no_data"
             elif (slo.name, "page") in self._firing:
@@ -270,7 +265,7 @@ class SLOEngine:
         alerts or open circuit breakers.
         """
         now = self.clock.now_ms
-        window_ms = max(slo.fast_window_ms for slo in self.slos)
+        window_ms = FAST_WINDOW_MS
         queries = self.archiver.window("queries", window_ms)
         errors = self.archiver.window("query_errors", window_ms)
         partials = self.archiver.window("partial_answers", window_ms)

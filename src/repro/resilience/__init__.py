@@ -10,12 +10,10 @@ off). See :mod:`repro.resilience.manager` for the call surface,
 from repro.common.errors import CircuitOpenError
 from repro.resilience.breaker import CLOSED, HALF_OPEN, OPEN, CircuitBreaker
 from repro.resilience.chaos import ChaosDriver, ChaosEvent, ChaosSchedule
-from repro.resilience.manager import ResilienceManager
+from repro.resilience.manager import ResilienceConfig, ResilienceManager
 from repro.resilience.partial import SubQueryFailure
-from repro.resilience.policy import BreakerConfig, ResilienceConfig, RetryPolicy
 
 __all__ = [
-    "BreakerConfig",
     "CLOSED",
     "ChaosDriver",
     "ChaosEvent",
@@ -26,6 +24,5 @@ __all__ = [
     "OPEN",
     "ResilienceConfig",
     "ResilienceManager",
-    "RetryPolicy",
     "SubQueryFailure",
 ]

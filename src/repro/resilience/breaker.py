@@ -7,15 +7,15 @@ refusal (``CircuitOpenError``), then lets a half-open probe through
 after a cooldown — the matchmaking-time liveness idea from Condor-style
 middleware, applied to the federation's data paths.
 
-States: ``closed`` (normal) → ``open`` after ``failure_threshold``
-consecutive failures → ``half_open`` once ``cooldown_ms`` of simulated
-time has passed; a successful probe closes the breaker, a failed probe
-re-opens it.
+States: ``closed`` (normal) → ``open`` after
+``costs.BREAKER_FAILURE_THRESHOLD`` consecutive failures → ``half_open``
+once ``cooldown_ms`` of simulated time has passed; a successful probe
+closes the breaker, a failed probe re-opens it.
 """
 
 from __future__ import annotations
 
-from repro.resilience.policy import BreakerConfig
+from repro.net import costs
 
 CLOSED = "closed"
 OPEN = "open"
@@ -25,9 +25,9 @@ HALF_OPEN = "half_open"
 class CircuitBreaker:
     """Failure-counting gate in front of one backend."""
 
-    def __init__(self, key: str, config: BreakerConfig | None = None, clock=None):
+    def __init__(self, key: str, cooldown_ms: float, clock):
         self.key = key
-        self.config = config or BreakerConfig()
+        self.cooldown_ms = cooldown_ms
         self.clock = clock
         self.state = CLOSED
         self.consecutive_failures = 0
@@ -38,31 +38,23 @@ class CircuitBreaker:
         self.fast_fails = 0
         self.failures = 0
 
-    @property
-    def _now(self) -> float:
-        return self.clock.now_ms if self.clock is not None else 0.0
-
     def retry_after_ms(self) -> float | None:
         """Simulated ms until a half-open probe is allowed (None if closed)."""
         if self.state != OPEN or self.opened_at_ms is None:
             return None
-        return max(0.0, self.opened_at_ms + self.config.cooldown_ms - self._now)
+        return max(0.0, self.opened_at_ms + self.cooldown_ms - self.clock.now_ms)
 
     def allow(self) -> bool:
         """May a call proceed right now? (May transition open → half-open.)"""
-        if self.clock is None:
-            # without a clock there is no cooldown to measure; the breaker
-            # still counts failures but never refuses a call
-            return True
         if self.state == OPEN:
-            if self._now - (self.opened_at_ms or 0.0) >= self.config.cooldown_ms:
+            if self.clock.now_ms - (self.opened_at_ms or 0.0) >= self.cooldown_ms:
                 self.state = HALF_OPEN
                 self._probes_in_flight = 0
             else:
                 self.fast_fails += 1
                 return False
         if self.state == HALF_OPEN:
-            if self._probes_in_flight < self.config.half_open_probes:
+            if self._probes_in_flight < costs.BREAKER_HALF_OPEN_PROBES:
                 self._probes_in_flight += 1
                 return True
             self.fast_fails += 1
@@ -79,7 +71,7 @@ class CircuitBreaker:
             return True
         if (
             self.state == CLOSED
-            and self.consecutive_failures >= self.config.failure_threshold
+            and self.consecutive_failures >= costs.BREAKER_FAILURE_THRESHOLD
         ):
             self._trip()
             return True
@@ -95,7 +87,7 @@ class CircuitBreaker:
 
     def _trip(self) -> None:
         self.state = OPEN
-        self.opened_at_ms = self._now
+        self.opened_at_ms = self.clock.now_ms
         self.opens += 1
         self._probes_in_flight = 0
 

@@ -7,22 +7,50 @@ exponential backoff (charged to the simulated clock), honours the
 deadline instant the calling query passes in, and feeds the metrics
 registry and tracer so every retry and fast-fail is visible in
 ``dataaccess.metrics`` and the span tree.
+
+Attempts, backoff, the per-query deadline budget and the breaker's trip
+threshold are simulated-time constants in :mod:`repro.net.costs`, read
+at call time; the breaker cooldown is the one setting a caller picks.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 from repro.common.errors import CircuitOpenError, ConnectionFailedError
+from repro.net import costs
 from repro.resilience.breaker import CircuitBreaker
-from repro.resilience.policy import ResilienceConfig
+
+
+@dataclass(frozen=True)
+class ResilienceConfig:
+    """The failure-handling setting a service accepts: how long an open
+    breaker refuses calls before it lets a half-open probe through."""
+
+    cooldown_ms: float = 10_000.0
+
+    def __post_init__(self):
+        if self.cooldown_ms < 0:
+            raise ValueError("cooldown_ms cannot be negative")
+
+
+def backoff_ms(failure_count: int) -> float:
+    """Backoff before the next attempt, after ``failure_count`` failures."""
+    if failure_count < 1:
+        raise ValueError(f"failure_count must be >= 1, got {failure_count}")
+    delay = costs.RETRY_BACKOFF_BASE_MS * costs.RETRY_BACKOFF_MULTIPLIER ** (
+        failure_count - 1
+    )
+    return min(costs.RETRY_BACKOFF_CAP_MS, delay)
 
 
 class ResilienceManager:
-    """Retry policy + per-backend breakers for one service or driver."""
+    """Retries + per-backend breakers for one service or driver."""
 
     def __init__(
         self,
         clock,
-        metrics=None,
+        metrics,
         config: ResilienceConfig | None = None,
         tracer=None,
     ):
@@ -30,7 +58,6 @@ class ResilienceManager:
         self.metrics = metrics
         self.tracer = tracer
         self.config = config or ResilienceConfig()
-        self.policy = self.config.retry
         self._breakers: dict[str, CircuitBreaker] = {}
 
     # -- breakers -----------------------------------------------------------------
@@ -40,7 +67,7 @@ class ResilienceManager:
         inst = self._breakers.get(key)
         if inst is None:
             inst = self._breakers[key] = CircuitBreaker(
-                key, self.config.breaker, self.clock
+                key, self.config.cooldown_ms, self.clock
             )
         return inst
 
@@ -59,9 +86,8 @@ class ResilienceManager:
 
     # -- accounting ---------------------------------------------------------------
 
-    def _count(self, name: str, n: float = 1.0) -> None:
-        if self.metrics is not None:
-            self.metrics.counter(name).inc(n)
+    def _count(self, name: str) -> None:
+        self.metrics.counter(name).inc()
 
     def _record_backoff(self, key: str, attempt: int, t0: float, t1: float) -> None:
         if self.tracer is not None:
@@ -71,18 +97,13 @@ class ResilienceManager:
 
     # -- the call surface ---------------------------------------------------------
 
-    def call(
-        self,
-        key: str,
-        fn,
-        deadline_at_ms: float | None = None,
-        retry_on=(ConnectionFailedError,),
-    ):
+    def call(self, key: str, fn, deadline_at_ms: float | None = None):
         """Run ``fn()`` under ``key``'s breaker with retry + backoff.
 
         No backoff sleep is scheduled that would end at or after
         ``deadline_at_ms`` (the simulated instant the calling query's
-        budget runs out; None: only ``max_attempts`` bounds retries).
+        budget runs out; None: only ``costs.RETRY_MAX_ATTEMPTS`` bounds
+        retries).
 
         Raises :class:`CircuitOpenError` (a ``ConnectionFailedError``)
         instantly when the breaker is open, so callers' replica-failover
@@ -98,13 +119,13 @@ class ResilienceManager:
             attempt += 1
             try:
                 result = fn()
-            except retry_on:
+            except ConnectionFailedError:
                 if breaker.record_failure():
                     self._count("resilience.breaker_opens")
                 self._count("resilience.failures")
-                if attempt >= self.policy.max_attempts:
+                if attempt >= costs.RETRY_MAX_ATTEMPTS:
                     raise
-                delay = self.policy.backoff_ms(attempt)
+                delay = backoff_ms(attempt)
                 if not self._budget_allows(delay, deadline_at_ms):
                     self._count("resilience.deadline_exhausted")
                     raise
@@ -121,11 +142,8 @@ class ResilienceManager:
 
     def stats(self) -> dict:
         """Wire-safe summary for ``dataaccess.stats``."""
-        count = 0.0
-        if self.metrics is not None:
-            count = self.metrics.counter("resilience.retries").value
         return {
-            "retries": int(count),
+            "retries": int(self.metrics.counter("resilience.retries").value),
             "breakers": {
                 b.key: {
                     "state": b.state,

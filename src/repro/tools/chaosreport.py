@@ -17,7 +17,7 @@ what the client actually saw::
 from __future__ import annotations
 
 from repro.net import costs
-from repro.resilience import BreakerConfig, ChaosSchedule, ResilienceConfig
+from repro.resilience import ChaosSchedule, ResilienceConfig
 from repro.tools.demo import replicated_federation, report_main, run_checks
 
 DEMO_SQL = "SELECT COUNT(*), SUM(energy) FROM events"
@@ -36,9 +36,7 @@ CHAOS_QUERIES = 24
 
 def build_resilient_federation():
     """One resilient server, 'events' replicated on two database hosts."""
-    config = ResilienceConfig(
-        breaker=BreakerConfig(cooldown_ms=BREAKER_COOLDOWN_MS)
-    )
+    config = ResilienceConfig(cooldown_ms=BREAKER_COOLDOWN_MS)
     return replicated_federation(resilience=config, observe=True)
 
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from repro.obs.archive import RAW_RESOLUTION_MS
 from repro.obs.slo import SLO
-from repro.resilience import BreakerConfig, ChaosSchedule, ResilienceConfig
+from repro.resilience import ChaosSchedule, ResilienceConfig
 from repro.tools.demo import replicated_federation, report_main, run_checks
 
 DEMO_SQL = "SELECT COUNT(*), SUM(energy) FROM events"
@@ -33,19 +33,14 @@ BREAKER_COOLDOWN_MS = 4_000.0
 
 #: tight objectives so ten partial answers visibly torch the budget
 DEMO_SLOS = (
-    SLO(name="availability", kind="errors", objective=0.99,
-        fast_window_ms=5_000.0, slow_window_ms=60_000.0),
-    SLO(name="latency", kind="latency", objective=0.95,
-        metric="query_ms", threshold_ms=2_000.0,
-        fast_window_ms=5_000.0, slow_window_ms=60_000.0),
+    SLO(name="availability", kind="errors", objective=0.99),
+    SLO(name="latency", kind="latency", objective=0.95, threshold_ms=2_000.0),
 )
 
 
 def build_observed_federation():
     """One observed+resilient server, 'events' replicated on two hosts."""
-    config = ResilienceConfig(
-        breaker=BreakerConfig(cooldown_ms=BREAKER_COOLDOWN_MS)
-    )
+    config = ResilienceConfig(cooldown_ms=BREAKER_COOLDOWN_MS)
     return replicated_federation(
         observe=True, cache=True, resilience=config, slos=DEMO_SLOS
     )

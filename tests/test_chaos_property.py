@@ -18,7 +18,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from repro.common import ConnectionFailedError
 from repro.core import GridFederation
 from repro.engine import Database
-from repro.resilience import BreakerConfig, ChaosSchedule, ResilienceConfig
+from repro.resilience import ChaosSchedule, ResilienceConfig
 
 SQL = "SELECT event_id, energy FROM events ORDER BY event_id"
 DB_HOSTS = ("pc2", "pc3")
@@ -34,7 +34,7 @@ def make_events_db(name, vendor="mysql", n=7):
 
 def build_federation():
     fed = GridFederation()
-    config = ResilienceConfig(breaker=BreakerConfig(cooldown_ms=2_000.0))
+    config = ResilienceConfig(cooldown_ms=2_000.0)
     server = fed.create_server("jc1", "pc1", resilience=config)
     fed.attach_database(
         server, make_events_db("primary_mart"),

@@ -80,30 +80,6 @@ class TestDDLRoundTrip:
         assert db.catalog.get_table("t").columns[0].has_default
 
 
-class TestInsertRendering:
-    def test_multirow_vendors_emit_one_statement(self):
-        mysql = get_dialect("mysql")
-        stmts = mysql.render_insert("t", ["a"], [(1,), (2,), (3,)])
-        assert len(stmts) == 1
-        assert "VALUES (1), (2), (3)" in stmts[0]
-
-    def test_oracle_emits_per_row_statements(self):
-        oracle = get_dialect("oracle")
-        stmts = oracle.render_insert("t", ["a"], [(1,), (2,)])
-        assert len(stmts) == 2
-
-    def test_mssql_emits_per_row_statements(self):
-        assert len(get_dialect("mssql").render_insert("t", ["a"], [(1,), (2,)])) == 2
-
-    def test_rendered_insert_executes(self, dialect):
-        db = Database("x", dialect.name)
-        db.execute("CREATE TABLE t (a INT, b VARCHAR(10))")
-        for stmt in dialect.render_insert("t", ["a", "b"], [(1, "x"), (2, "o'k")]):
-            db.execute(stmt)
-        assert db.execute("SELECT COUNT(*) FROM t").rows == [(2,)]
-        assert db.execute("SELECT b FROM t WHERE a = 2").rows == [("o'k",)]
-
-
 class TestLimitRendering:
     SELECT = "SELECT a FROM t ORDER BY a LIMIT 5"
 

@@ -5,7 +5,7 @@ import pytest
 
 from repro.analysis import JASPlugin, histogram_from_wire, histogram_to_wire
 from repro.analysis.histogram import Histogram1D
-from repro.common import ClarensFault, DeterministicRNG
+from repro.common import ClarensFault, DeterministicRNG, ReproError
 from repro.core import GridFederation
 from repro.engine import Database
 
@@ -22,6 +22,20 @@ def fed():
     federation.attach_database(server, db, logical_names={"EVT": "events"})
     client = federation.client("laptop")
     return federation, server, client
+
+
+@pytest.fixture
+def mixed():
+    """A sqlite mart with a BOOLEAN column and a TEXT column of numerals."""
+    federation = GridFederation()
+    server = federation.create_server("jc1", "pc1")
+    db = Database("m", "sqlite")
+    db.execute(
+        "CREATE TABLE OBS (OBS_ID INT PRIMARY KEY, E DOUBLE, FLAG BOOLEAN, NOTE TEXT)"
+    )
+    db.bulk_insert("OBS", [[i, float(i), i % 2 == 0, f"{i}.5"] for i in range(20)])
+    federation.attach_database(server, db, logical_names={"OBS": "obs"})
+    return federation, server, federation.client("laptop")
 
 
 class TestWireCodec:
@@ -59,6 +73,24 @@ class TestHistogramService:
         server_side = histogram_from_wire(wire)
         assert np.array_equal(server_side.counts, client_side.counts)
         assert server_side.mean == pytest.approx(client_side.mean)
+
+    @pytest.mark.parametrize("column", ["flag", "note"])
+    def test_both_sides_refuse_non_numeric_columns(self, mixed, column):
+        """BOOLEAN and numeral TEXT are not numeric on either side."""
+        federation, server, client = mixed
+        sql = f"SELECT e, {column} FROM obs"
+        with pytest.raises(ClarensFault):
+            client.call(server.server, "histogram.h1d", sql, column)
+        jas = JASPlugin(federation, client, server)
+        plots = (
+            lambda: jas.histogram_query(sql, column),
+            lambda: jas.profile_query(sql, column, "e"),
+            lambda: jas.profile_query(sql, "e", column),
+            lambda: jas.histogram2d_query(sql, "e", column),
+        )
+        for plot in plots:
+            with pytest.raises(ReproError):
+                plot()
 
     def test_ships_bins_not_rows(self, fed):
         """The whole point: response bytes independent of row count."""

@@ -11,34 +11,12 @@ class TestSimClock:
     def test_advance(self):
         clock = SimClock()
         clock.advance_ms(5)
-        clock.advance_s(1)
+        clock.advance_ms(1000)
         assert clock.now_ms == pytest.approx(1005.0)
 
     def test_negative_advance_rejected(self):
         with pytest.raises(ValueError):
             SimClock().advance_ms(-1)
-
-    def test_branch_starts_at_parent_now(self):
-        clock = SimClock()
-        clock.advance_ms(10)
-        branch = clock.branch()
-        assert branch.now_ms == 10
-
-    def test_join_max_takes_latest(self):
-        clock = SimClock()
-        a, b = clock.branch(), clock.branch()
-        a.advance_ms(30)
-        b.advance_ms(50)
-        duration = clock.join_max(a, b)
-        assert duration == 50
-        assert clock.now_ms == 50
-
-    def test_join_rejects_past_branch(self):
-        clock = SimClock()
-        branch = clock.branch()
-        clock.advance_ms(100)
-        with pytest.raises(ValueError):
-            clock.join_max(branch)
 
     def test_rewind_only_backwards(self):
         clock = SimClock()
@@ -59,12 +37,6 @@ class TestSimClock:
         longest = clock.run_parallel([branch(d) for d in durations])
         assert longest == 80.0
         assert clock.now_ms == pytest.approx(87.0)
-
-    def test_marks_recorded(self):
-        clock = SimClock()
-        clock.advance_ms(3)
-        clock.mark("after-setup")
-        assert clock.marks == [("after-setup", 3.0)]
 
 
 class TestLink:

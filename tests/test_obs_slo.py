@@ -14,7 +14,7 @@ from repro.net.simclock import SimClock
 from repro.obs.archive import MetricsArchiver
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.slo import SLO, SLOEngine, default_slos
-from repro.resilience import BreakerConfig, ChaosSchedule, ResilienceConfig
+from repro.resilience import ChaosSchedule, ResilienceConfig
 
 
 def make_engine(slos=None):
@@ -73,10 +73,7 @@ class TestBurnMath:
         assert reading.burn == pytest.approx((10.0 / 90.0) / 0.01)
 
     def test_latency_burn_counts_threshold_breaches(self):
-        slo = SLO(
-            name="lat", kind="latency", objective=0.9,
-            metric="query_ms", threshold_ms=100.0,
-        )
+        slo = SLO(name="lat", kind="latency", objective=0.9, threshold_ms=100.0)
         clock, registry, archiver, engine = make_engine(slos=(slo,))
         h = registry.histogram("query_ms")
         for v in (10.0, 50.0, 500.0, 900.0):
@@ -155,7 +152,7 @@ class TestChaosBlackoutAcceptance:
     def observed_resilient(self):
         """One observed+resilient server, 'events' on two db hosts."""
         fed = GridFederation()
-        config = ResilienceConfig(breaker=BreakerConfig(cooldown_ms=5_000.0))
+        config = ResilienceConfig(cooldown_ms=5_000.0)
         server = fed.create_server(
             "jc1", "pc1", observe=True, resilience=config,
         )

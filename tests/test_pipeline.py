@@ -10,7 +10,6 @@ from repro.engine import Database
 from repro.metadata import DataDictionary
 from repro.net import costs
 from repro.net.simclock import SimClock
-from repro.resilience import ResilienceConfig, RetryPolicy
 from repro.sql.parser import parse_select
 from repro.unity import Integrator, UnityDriver, decompose
 
@@ -59,9 +58,9 @@ class TestComposition:
 
 
 class TestQueryContext:
-    def test_each_query_gets_its_own_deadline(self):
-        config = ResilienceConfig(retry=RetryPolicy(deadline_ms=500.0))
-        fed, service = replicated(resilience=config)
+    def test_each_query_gets_its_own_deadline(self, monkeypatch):
+        monkeypatch.setattr(costs, "RETRY_DEADLINE_MS", 500.0)
+        fed, service = replicated(resilience=True)
         first = service.pipeline.context()
         fed.clock.advance_ms(100.0)
         second = service.pipeline.context(("x",), allow_partial=True)

@@ -1,8 +1,9 @@
-"""Unit tests for the resilience package: policy, breaker, chaos, manager."""
+"""Unit tests for the resilience package: backoff, breaker, chaos, manager."""
 
 import pytest
 
 from repro.common.errors import CircuitOpenError, ConnectionFailedError
+from repro.net import costs
 from repro.net.network import Network
 from repro.net.simclock import SimClock
 from repro.obs.metrics import MetricsRegistry
@@ -10,61 +11,60 @@ from repro.resilience import (
     CLOSED,
     HALF_OPEN,
     OPEN,
-    BreakerConfig,
     ChaosEvent,
     ChaosSchedule,
     CircuitBreaker,
     ResilienceConfig,
     ResilienceManager,
-    RetryPolicy,
 )
+from repro.resilience.manager import backoff_ms
+
+
+@pytest.fixture
+def patch_costs(monkeypatch):
+    """``patch_costs(NAME=value, ...)`` sets ``repro.net.costs`` constants
+    for one test."""
+
+    def patch(**values):
+        for name, value in values.items():
+            monkeypatch.setattr(costs, name, value)
+
+    return patch
 
 
 class TestRetryPolicy:
-    def test_backoff_grows_exponentially(self):
-        policy = RetryPolicy(backoff_base_ms=10.0, backoff_multiplier=2.0)
-        assert policy.backoff_ms(1) == 10.0
-        assert policy.backoff_ms(2) == 20.0
-        assert policy.backoff_ms(3) == 40.0
+    def test_backoff_grows_exponentially(self, patch_costs):
+        patch_costs(RETRY_BACKOFF_BASE_MS=10.0, RETRY_BACKOFF_MULTIPLIER=2.0)
+        assert backoff_ms(1) == 10.0
+        assert backoff_ms(2) == 20.0
+        assert backoff_ms(3) == 40.0
 
-    def test_backoff_is_capped(self):
-        policy = RetryPolicy(
-            backoff_base_ms=10.0, backoff_multiplier=10.0, backoff_cap_ms=500.0
+    def test_backoff_is_capped(self, patch_costs):
+        patch_costs(
+            RETRY_BACKOFF_BASE_MS=10.0,
+            RETRY_BACKOFF_MULTIPLIER=10.0,
+            RETRY_BACKOFF_CAP_MS=500.0,
         )
-        assert policy.backoff_ms(5) == 500.0
+        assert backoff_ms(5) == 500.0
 
     def test_backoff_rejects_zero_failures(self):
         with pytest.raises(ValueError):
-            RetryPolicy().backoff_ms(0)
-
-    @pytest.mark.parametrize(
-        "kwargs",
-        [
-            {"max_attempts": 0},
-            {"backoff_base_ms": -1.0},
-            {"backoff_multiplier": 0.5},
-        ],
-    )
-    def test_validation(self, kwargs):
-        with pytest.raises(ValueError):
-            RetryPolicy(**kwargs)
+            backoff_ms(0)
 
     def test_breaker_config_validation(self):
         with pytest.raises(ValueError):
-            BreakerConfig(failure_threshold=0)
-        with pytest.raises(ValueError):
-            BreakerConfig(cooldown_ms=-1.0)
+            ResilienceConfig(cooldown_ms=-1.0)
 
 
 class TestCircuitBreaker:
+    @pytest.fixture(autouse=True)
+    def _costs(self, patch_costs):
+        self.patch_costs = patch_costs
+
     def make(self, threshold=3, cooldown=1_000.0):
+        self.patch_costs(BREAKER_FAILURE_THRESHOLD=threshold)
         clock = SimClock()
-        breaker = CircuitBreaker(
-            "db:x",
-            BreakerConfig(failure_threshold=threshold, cooldown_ms=cooldown),
-            clock,
-        )
-        return clock, breaker
+        return clock, CircuitBreaker("db:x", cooldown, clock)
 
     def test_trips_after_consecutive_failures(self):
         _clock, breaker = self.make(threshold=3)
@@ -121,13 +121,6 @@ class TestCircuitBreaker:
         breaker.record_failure()
         clock.advance_ms(400.0)
         assert breaker.retry_after_ms() == pytest.approx(600.0)
-
-    def test_clockless_breaker_never_refuses(self):
-        breaker = CircuitBreaker("db:x", BreakerConfig(failure_threshold=1))
-        breaker.record_failure()
-        assert breaker.state == OPEN
-        assert breaker.allow() is True  # no clock, no cooldown: stay open
-        assert breaker.fast_fails == 0
 
     def test_as_row_shape(self):
         _clock, breaker = self.make(threshold=1)
@@ -213,16 +206,23 @@ class FlakyBackend:
 
 
 class TestResilienceManager:
-    def make(self, **kwargs):
+    @pytest.fixture(autouse=True)
+    def _costs(self, patch_costs):
+        self.patch_costs = patch_costs
+
+    def make(self, cooldown_ms=10_000.0, **constants):
+        """A manager on a fresh clock, with ``constants`` patched into
+        ``repro.net.costs``."""
+        self.patch_costs(**constants)
         clock = SimClock()
         manager = ResilienceManager(
             clock=clock, metrics=MetricsRegistry(),
-            config=ResilienceConfig(**kwargs),
+            config=ResilienceConfig(cooldown_ms=cooldown_ms),
         )
         return clock, manager
 
     def test_retry_recovers_a_transient_failure(self):
-        clock, manager = self.make(retry=RetryPolicy(max_attempts=3))
+        clock, manager = self.make(RETRY_MAX_ATTEMPTS=3)
         backend = FlakyBackend(2)
         assert manager.call("db:x", backend) == "rows"
         assert backend.calls == 3
@@ -230,14 +230,14 @@ class TestResilienceManager:
 
     def test_backoff_is_charged_to_the_clock(self):
         clock, manager = self.make(
-            retry=RetryPolicy(max_attempts=2, backoff_base_ms=40.0)
+            RETRY_MAX_ATTEMPTS=2, RETRY_BACKOFF_BASE_MS=40.0
         )
         t0 = clock.now_ms
         manager.call("db:x", FlakyBackend(1))
         assert clock.now_ms - t0 == pytest.approx(40.0)
 
     def test_attempts_are_bounded(self):
-        _clock, manager = self.make(retry=RetryPolicy(max_attempts=2))
+        _clock, manager = self.make(RETRY_MAX_ATTEMPTS=2)
         backend = FlakyBackend(99)
         with pytest.raises(ConnectionFailedError):
             manager.call("db:x", backend)
@@ -245,8 +245,10 @@ class TestResilienceManager:
 
     def test_breaker_opens_and_fast_fails(self):
         _clock, manager = self.make(
-            retry=RetryPolicy(max_attempts=1, backoff_base_ms=0.0),
-            breaker=BreakerConfig(failure_threshold=2, cooldown_ms=5_000.0),
+            cooldown_ms=5_000.0,
+            RETRY_MAX_ATTEMPTS=1,
+            RETRY_BACKOFF_BASE_MS=0.0,
+            BREAKER_FAILURE_THRESHOLD=2,
         )
         backend = FlakyBackend(99)
         for _ in range(2):
@@ -267,8 +269,7 @@ class TestResilienceManager:
 
     def test_breaker_heals_through_half_open_probe(self):
         clock, manager = self.make(
-            retry=RetryPolicy(max_attempts=1),
-            breaker=BreakerConfig(failure_threshold=1, cooldown_ms=1_000.0),
+            cooldown_ms=1_000.0, RETRY_MAX_ATTEMPTS=1, BREAKER_FAILURE_THRESHOLD=1
         )
         with pytest.raises(ConnectionFailedError):
             manager.call("db:x", FlakyBackend(1))
@@ -278,9 +279,9 @@ class TestResilienceManager:
 
     def test_deadline_budget_stops_backoff(self):
         clock, manager = self.make(
-            retry=RetryPolicy(
-                max_attempts=5, backoff_base_ms=400.0, deadline_ms=300.0
-            )
+            RETRY_MAX_ATTEMPTS=5,
+            RETRY_BACKOFF_BASE_MS=400.0,
+            RETRY_DEADLINE_MS=300.0,
         )
         backend = FlakyBackend(99)
         t0 = clock.now_ms
@@ -293,7 +294,7 @@ class TestResilienceManager:
         )
 
     def test_non_retryable_errors_pass_straight_through(self):
-        _clock, manager = self.make(retry=RetryPolicy(max_attempts=5))
+        _clock, manager = self.make(RETRY_MAX_ATTEMPTS=5)
 
         def backend():
             raise ValueError("logic bug")
