@@ -10,6 +10,7 @@ warehouse exposes its read-only analysis views.
 from __future__ import annotations
 
 from collections.abc import Callable
+from operator import itemgetter
 
 from repro.common.errors import (
     IntegrityError,
@@ -19,7 +20,7 @@ from repro.common.errors import (
 )
 from repro.common.types import SQLType, coerce_value
 from repro.engine.catalog import Catalog, ViewDef
-from repro.engine.executor import ExecResult, ExecStats, SelectExecutor
+from repro.engine.executor import ExecResult, ExecStats, SelectExecutor, order_rows
 from repro.engine.storage import Column, TableStorage
 from repro.sql import ast
 from repro.sql.eval import RowSchema, SchemaColumn, compile_expr, truthy
@@ -121,7 +122,7 @@ class Database:
             self.catalog.create_table(stmt.name, columns)
             storage = self.catalog.get_table(stmt.name)
             for row in result.rows:
-                storage.insert(list(row))
+                storage.insert(row)
             return ExecResult(rowcount=len(result.rows))
         if isinstance(stmt, ast.DropTable):
             self.catalog.drop_table(stmt.name, stmt.if_exists)
@@ -156,7 +157,6 @@ class Database:
         """
         from repro.common.errors import SQLTypeError
         from repro.common.types import common_supertype
-        from repro.engine.executor import _SortKey
 
         branches = [
             SelectExecutor(self, params).execute(branch) for branch in stmt.selects
@@ -182,7 +182,7 @@ class Database:
         columns = branches[0].columns
         if stmt.order_by:
             lowered = [c.lower() for c in columns]
-            keys: list[tuple[int, bool]] = []
+            keys: list[tuple[Callable, bool]] = []
             for item in stmt.order_by:
                 if not (
                     isinstance(item.expr, ast.ColumnRef) and item.expr.table is None
@@ -195,9 +195,8 @@ class Database:
                     raise PlanningError(
                         f"UNION ORDER BY column {item.expr.column!r} is not an output"
                     )
-                keys.append((lowered.index(name), item.ascending))
-            for idx, ascending in reversed(keys):
-                rows.sort(key=lambda r, i=idx: _SortKey(r[i]), reverse=not ascending)
+                keys.append((itemgetter(lowered.index(name)), item.ascending))
+            rows = order_rows(rows, keys)
         offset = stmt.offset or 0
         if offset:
             rows = rows[offset:]
@@ -225,7 +224,7 @@ class Database:
         if stmt.select is not None:
             result = SelectExecutor(self, params).execute(stmt.select)
             for row in result.rows:
-                table.insert(list(row), columns)
+                table.insert(row, columns)
                 count += 1
             return ExecResult(rowcount=count)
         empty = RowSchema([])

@@ -29,7 +29,8 @@ import bisect
 import functools
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Protocol
+from operator import itemgetter
+from typing import Callable, NamedTuple, Protocol
 
 from repro.common.errors import (
     ColumnNotFoundError,
@@ -311,6 +312,63 @@ class _SortKey:
         return str(a) < str(b)
 
 
+#: number types whose own ``<`` is :class:`_SortKey`'s order (bool, which
+#: ``_SortKey`` compares as an int, is not one)
+_NUMBERS = frozenset((int, float))
+
+
+def _sort_keys(values: list) -> list:
+    """Keys that order ``values`` as :class:`_SortKey` does. All numbers
+    (no bool) or all strings compare natively, NULLs as ``(True, 0)``
+    after every ``(False, value)``; any other mix wraps each value."""
+    kinds = set(map(type, values))
+    has_null = type(None) in kinds
+    kinds.discard(type(None))
+    if kinds <= _NUMBERS or kinds == {str}:
+        if not has_null:
+            return values
+        return [(True, 0) if v is None else (False, v) for v in values]
+    return list(map(_SortKey, values))
+
+
+def order_rows(rows: list[tuple], keys: list[tuple[Callable, bool]]) -> list[tuple]:
+    """``rows`` in ORDER BY order over ``keys``, ``(row -> value,
+    ascending)`` pairs, first key major: NULL sorts greatest, ties keep
+    their input order, and a descending key sorts with ``reverse``.
+
+    Each key's values are computed once and the row indexes sorted on
+    them, from the last key to the first (each pass is stable).
+    """
+    order = list(range(len(rows)))
+    for fn, ascending in reversed(keys):
+        order.sort(
+            key=_sort_keys(list(map(fn, rows))).__getitem__, reverse=not ascending
+        )
+    return list(map(rows.__getitem__, order))
+
+
+class _Output(NamedTuple):
+    """One output column: name, static type, row function and, for a
+    plain column (a star's or a bare reference), its input position."""
+
+    name: str
+    type: SQLType
+    fn: Callable
+    position: int | None
+
+
+def _project(output: list[_Output], rows: list[tuple]) -> list[tuple]:
+    """Project ``rows`` onto ``output``: one ``itemgetter`` when every
+    output is a plain column, else each output's function per row."""
+    positions = [o.position for o in output]
+    if None not in positions:
+        if len(positions) == 1:
+            return list(zip(map(output[0].fn, rows)))
+        return list(map(itemgetter(*positions), rows))
+    fns = [o.fn for o in output]
+    return [tuple([fn(row) for fn in fns]) for row in rows]
+
+
 class SelectExecutor:
     """Executes one SELECT statement against a resolver."""
 
@@ -455,16 +513,16 @@ class SelectExecutor:
         combined = lschema.concat(rschema)
         if join.kind == "CROSS" or join.on is None:
             return self._cross_join(lschema, lrows, rschema, rrows)
-        left_keys: list[Callable] = []
-        right_keys: list[Callable] = []
+        left_keys: list[int] = []
+        right_keys: list[int] = []
         residual: list[ast.Expr] = []
         for conj in ast.conjuncts(join.on):
             pair = equi_join_keys(conj, lschema, rschema)
             if pair is None:
                 residual.append(conj)
             else:
-                left_keys.append(self._compile(pair[0], lschema))
-                right_keys.append(self._compile(pair[1], rschema))
+                left_keys.append(lschema.resolve(pair[0]))
+                right_keys.append(rschema.resolve(pair[1]))
         if left_keys:
             residual_fn = None
             if residual:
@@ -484,23 +542,29 @@ class SelectExecutor:
     def _hash_join(
         self, lrows, rrows, left_keys, right_keys, kind, right_width, residual_fn=None
     ):
-        """Hash join; ``residual_fn`` is the non-equi remainder of the ON
+        """Hash join on the key columns at positions ``left_keys`` and
+        ``right_keys``; ``residual_fn`` is the non-equi remainder of the ON
         clause and participates in *match determination* (a LEFT row whose
-        only hash matches fail the residual is padded, not dropped)."""
+        only hash matches fail the residual is padded, not dropped).
+
+        One key column keys the table by the value itself, several by a
+        tuple. NULL never equi-joins: the build side's keys holding one
+        are dropped, so a probe with one finds nothing."""
         self._examine(len(lrows) + len(rrows))
-        table: dict[tuple, list[tuple]] = {}
+        lkey, rkey = itemgetter(*left_keys), itemgetter(*right_keys)
+        table: dict[object, list[tuple]] = {}
         for rr in rrows:
-            key = tuple(fn(rr) for fn in right_keys)
-            if any(k is None for k in key):
-                continue  # NULL never equi-joins
-            table.setdefault(key, []).append(rr)
+            table.setdefault(rkey(rr), []).append(rr)
+        if len(right_keys) == 1:
+            table.pop(None, None)
+        else:
+            for key in [k for k in table if None in k]:
+                del table[key]
         out: list[tuple] = []
         pad = (None,) * right_width
         for lr in lrows:
-            key = tuple(fn(lr) for fn in left_keys)
-            candidates = [] if any(k is None for k in key) else table.get(key, [])
             matched = False
-            for rr in candidates:
+            for rr in table.get(lkey(lr), ()):
                 row = lr + rr
                 if residual_fn is None or residual_fn(row):
                     out.append(row)
@@ -532,20 +596,24 @@ class SelectExecutor:
         items: tuple[ast.SelectItem, ...],
         schema: RowSchema,
         types: list[SQLType | None],
-    ) -> list[tuple[str, SQLType, Callable]]:
+    ) -> list[_Output]:
         """Expand stars and compile each output column; ``types`` are
         the items' static types."""
-        out: list[tuple[str, SQLType, Callable]] = []
+        out: list[_Output] = []
         for ordinal, (item, item_type) in enumerate(zip(items, types), start=1):
             if isinstance(item.expr, ast.Star):
                 for idx in schema.indexes_for_star(item.expr.table):
                     col = schema.columns[idx]
-                    out.append(
-                        (col.name, col.type, (lambda row, i=idx: row[i]))
-                    )
+                    out.append(_Output(col.name, col.type, itemgetter(idx), idx))
                 continue
-            fn = self._compile(item.expr, schema)
-            out.append((item.output_name(ordinal), item_type or UNTYPED, fn))
+            if isinstance(item.expr, ast.ColumnRef):
+                position = schema.resolve(item.expr)
+                fn = itemgetter(position)
+            else:
+                position, fn = None, self._compile(item.expr, schema)
+            out.append(
+                _Output(item.output_name(ordinal), item_type or UNTYPED, fn, position)
+            )
         return out
 
     def _sort_rows(
@@ -553,25 +621,19 @@ class SelectExecutor:
         rows: list[tuple],
         order_by: tuple[ast.OrderItem, ...],
         schema: RowSchema,
-        output: list[tuple[str, SQLType, Callable]] | None,
+        output: list[_Output],
     ) -> list[tuple]:
         """Sort ``rows`` (pre-projection) honoring output aliases."""
-        key_fns: list[tuple[Callable, bool]] = []
-        alias_map = {}
-        if output is not None:
-            alias_map = {name.lower(): fn for name, _, fn in output}
+        alias_map = {o.name.lower(): o.fn for o in output}
+        keys: list[tuple[Callable, bool]] = []
         for item in order_by:
             fn = None
             if isinstance(item.expr, ast.ColumnRef) and item.expr.table is None:
                 fn = alias_map.get(item.expr.column.lower())
             if fn is None:
                 fn = self._compile(item.expr, schema)
-            key_fns.append((fn, item.ascending))
-        # Stable sort from the last key to the first.
-        out = list(rows)
-        for fn, ascending in reversed(key_fns):
-            out.sort(key=lambda r, f=fn: _SortKey(f(r)), reverse=not ascending)
-        return out
+            keys.append((fn, item.ascending))
+        return order_rows(rows, keys)
 
     def _execute_plain(
         self, select: ast.Select, schema: RowSchema, rows: list[tuple],
@@ -580,11 +642,10 @@ class SelectExecutor:
         output = self._expand_items(select.items, schema, types)
         if select.order_by:
             rows = self._sort_rows(rows, select.order_by, schema, output)
-        projected = [tuple(fn(row) for _, _, fn in output) for row in rows]
         return ExecResult(
-            columns=[name for name, _, _ in output],
-            types=[ctype for _, ctype, _ in output],
-            rows=projected,
+            columns=[o.name for o in output],
+            types=[o.type for o in output],
+            rows=_project(output, rows),
         )
 
     # -- scalar select (no FROM) ----------------------------------------------------
@@ -593,11 +654,10 @@ class SelectExecutor:
         self, select: ast.Select, types: list[SQLType | None]
     ) -> ExecResult:
         output = self._expand_items(select.items, RowSchema([]), types)
-        row = tuple(fn(()) for _, _, fn in output)
         return ExecResult(
-            columns=[name for name, _, _ in output],
-            types=[ctype for _, ctype, _ in output],
-            rows=[row],
+            columns=[o.name for o in output],
+            types=[o.type for o in output],
+            rows=[tuple(o.fn(()) for o in output)],
         )
 
     # -- aggregation ------------------------------------------------------------------
@@ -709,11 +769,10 @@ class SelectExecutor:
                 for expr, order in zip(order_exprs, select.order_by)
             )
             post_rows = self._sort_rows(post_rows, rewritten_order, post_schema, output)
-        projected = [tuple(fn(row) for _, _, fn in output) for row in post_rows]
         return ExecResult(
-            columns=[name for name, _, _ in output],
-            types=[ctype for _, ctype, _ in output],
-            rows=projected,
+            columns=[o.name for o in output],
+            types=[o.type for o in output],
+            rows=_project(output, post_rows),
         )
 
     @staticmethod

@@ -14,6 +14,7 @@ since it was last read.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 from repro.common.errors import (
@@ -77,6 +78,10 @@ def estimate_row_bytes(row: tuple) -> int:
     return total
 
 
+#: insert plans a table keeps before it drops them all: a bound against a
+#: client that keeps sending new INSERT column lists
+_MAX_INSERT_PLANS = 64
+
 #: (sorted keys, their row positions) — the range-index shape
 SortedIndex = tuple[list, list[int]]
 
@@ -97,6 +102,9 @@ class TableStorage:
         self.columns = list(columns)
         self.rows: list[tuple] = []
         self._col_index = {c.name.lower(): i for i, c in enumerate(self.columns)}
+        # INSERT column list -> its insert plan; cleared when a column is
+        # added or dropped
+        self._plans: dict[tuple[str, ...], list[tuple[int | None, object]] | None] = {}
         pk_cols = [i for i, c in enumerate(self.columns) if c.primary_key]
         self._pk_positions: tuple[int, ...] = tuple(pk_cols)
         self._pk_index: dict[tuple, int] | None = {} if pk_cols else None
@@ -146,32 +154,57 @@ class TableStorage:
 
     # Mutation ------------------------------------------------------------------
 
-    def _check_and_coerce(self, values: list, partial_columns: list[str] | None) -> tuple:
+    def _insert_plan(self, columns: list[str]) -> list[tuple[int | None, object]] | None:
+        """``(value index or None, default)`` for every table column, in
+        table order: where the values of an INSERT naming ``columns`` go;
+        None when ``columns`` names every column in table order, so the
+        values are already in place. Built once per column list and
+        cached until the table's columns change; a list that names an
+        unknown column or one column twice raises and is not cached."""
+        key = tuple(columns)
+        if key in self._plans:
+            return self._plans[key]
+        given: dict[str, int] = {}
+        for i, name in enumerate(columns):
+            lowered = name.lower()
+            if lowered not in self._col_index:
+                raise ColumnNotFoundError(name, self.name)
+            if lowered in given:
+                raise IntegrityError(
+                    f"column {name!r} named twice in INSERT into {self.name!r}"
+                )
+            given[lowered] = i
+        plan = None
+        if list(given) != [col.name.lower() for col in self.columns]:
+            plan = [
+                (given.get(col.name.lower()), col.default if col.has_default else None)
+                for col in self.columns
+            ]
+        if len(self._plans) >= _MAX_INSERT_PLANS:
+            self._plans.clear()
+        self._plans[key] = plan
+        return plan
+
+    def _check_and_coerce(
+        self, values: Sequence, partial_columns: list[str] | None
+    ) -> tuple:
         """Coerce ``values`` onto full column order, applying defaults."""
         if partial_columns is None:
             if len(values) != len(self.columns):
                 raise IntegrityError(
                     f"table {self.name!r} expects {len(self.columns)} values, got {len(values)}"
                 )
-            ordered = list(values)
+            ordered = values
         else:
             if len(values) != len(partial_columns):
                 raise IntegrityError(
                     f"INSERT column list has {len(partial_columns)} names but "
                     f"{len(values)} values"
                 )
-            ordered = []
-            provided = {name.lower(): v for name, v in zip(partial_columns, values)}
-            for col in self.columns:
-                key = col.name.lower()
-                if key in provided:
-                    ordered.append(provided.pop(key))
-                elif col.has_default:
-                    ordered.append(col.default)
-                else:
-                    ordered.append(None)
-            if provided:
-                raise ColumnNotFoundError(next(iter(provided)), self.name)
+            plan = self._insert_plan(partial_columns)
+            ordered = values if plan is None else [
+                default if index is None else values[index] for index, default in plan
+            ]
         out = []
         for col, value in zip(self.columns, ordered):
             coerced = None if value is None else coerce_value(value, col.type)
@@ -182,7 +215,7 @@ class TableStorage:
             out.append(coerced)
         return tuple(out)
 
-    def insert(self, values: list, columns: list[str] | None = None) -> tuple:
+    def insert(self, values: Sequence, columns: list[str] | None = None) -> tuple:
         """Insert one row; returns the stored (coerced) tuple."""
         row = self._check_and_coerce(values, columns)
         if self._pk_index is not None:
@@ -196,7 +229,9 @@ class TableStorage:
         self._sorted.clear()
         return row
 
-    def append_rows(self, rows: list[list], columns: list[str] | None = None) -> int:
+    def append_rows(
+        self, rows: list[Sequence], columns: list[str] | None = None
+    ) -> int:
         """Bulk insert: validate every row, then commit the batch at once.
 
         All-or-nothing — constraint violations (including duplicate keys
@@ -271,6 +306,7 @@ class TableStorage:
         self.columns.append(column)
         self.rows = [row + (fill,) for row in self.rows]
         self._col_index[column.name.lower()] = len(self.columns) - 1
+        self._plans.clear()
         self._rebuild_after_mutation()
 
     def drop_column(self, name: str) -> None:
@@ -282,6 +318,7 @@ class TableStorage:
             self._range_columns.remove(name.lower())
         self.rows = [row[:pos] + row[pos + 1 :] for row in self.rows]
         self._col_index = {c.name.lower(): i for i, c in enumerate(self.columns)}
+        self._plans.clear()
         self._pk_positions = tuple(
             i for i, c in enumerate(self.columns) if c.primary_key
         )

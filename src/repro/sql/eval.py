@@ -1,11 +1,11 @@
 """Expression compilation and evaluation.
 
 Expressions are compiled *once* against a :class:`RowSchema` into plain
-Python closures that take a row tuple — column references resolve to a
+Python callables that take a row tuple — column references resolve to a
 tuple index at compile time, not per row (hoisting the lookup out of the
-inner loop, per the HPC guides). SQL three-valued logic is implemented:
-``None`` propagates through comparisons and arithmetic, and AND/OR follow
-the Kleene truth tables.
+inner loop, per the HPC guides), and compile to an ``itemgetter``. SQL
+three-valued logic is implemented: ``None`` propagates through
+comparisons and arithmetic, and AND/OR follow the Kleene truth tables.
 """
 
 from __future__ import annotations
@@ -287,8 +287,7 @@ def compile_expr(
         value = params[expr.index]
         return lambda row: value
     if isinstance(expr, ast.ColumnRef):
-        idx = schema.resolve(expr)
-        return lambda row: row[idx]
+        return operator.itemgetter(schema.resolve(expr))
     if isinstance(expr, ast.Star):
         raise SQLTypeError("'*' is only valid in a select list or COUNT(*)")
     if isinstance(expr, ast.BinaryOp):

@@ -45,7 +45,7 @@ class Integrator:
                 [Column(name=c, type=t) for c, t in zip(columns, types)],
             )
             storage = scratch.catalog.get_table(sub.binding)
-            storage.append_rows([list(row) for row in rows])
+            storage.append_rows(rows)
             total_rows += len(rows)
         # Building scratch tables is the "integration" cost of §5.2.
         self.clock.advance_ms(total_rows * costs.MERGE_PER_ROW_MS)

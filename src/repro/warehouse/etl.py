@@ -38,19 +38,24 @@ class StagingFile:
     columns: list[str] = field(default_factory=list)
     nbytes: int = 0
 
-    def write(self, columns: list[str], rows: list[tuple]) -> None:
-        """Append rows, paying disk-write time at staging bandwidth."""
+    def write(
+        self, columns: list[str], rows: list[tuple], nbytes: int | None = None
+    ) -> None:
+        """Append rows, paying disk-write time at staging bandwidth.
+        ``nbytes`` is the rows' size when the caller has already
+        sized them; otherwise they are sized here."""
         if not self.columns:
             self.columns = list(columns)
         elif self.columns != list(columns):
             raise ETLError("staging file cannot mix row shapes")
         self.rows.extend(rows)
-        added = sum(estimate_row_bytes(r) for r in rows)
-        self.nbytes += added
+        if nbytes is None:
+            nbytes = sum(estimate_row_bytes(r) for r in rows)
+        self.nbytes += nbytes
         # serialize each row to the file's text format, then hit the disk
         self.clock.advance_ms(len(rows) * costs.STAGE_SERIALIZE_ROW_MS)
         self.clock.advance_ms(
-            costs.transfer_ms(added, costs.DISK_WRITE_MBPS, 0.0)
+            costs.transfer_ms(nbytes, costs.DISK_WRITE_MBPS, 0.0)
         )
 
     def read_all(self) -> tuple[list[str], list[tuple]]:
@@ -164,14 +169,15 @@ class ETLPipeline:
     # -- phase 1: extraction -------------------------------------------------------
 
     def _extract(self, job: ETLJob, staging: StagingFile | None):
-        """Query + stream out + transform (+ stage). Returns (cols, rows)."""
+        """Query + stream out + transform (+ stage). Returns (cols, rows,
+        the rows' size in bytes)."""
         with self._span("etl_extract", table=job.target_table) as span:
-            columns, rows = self._extract_inner(job, staging)
+            columns, rows, nbytes = self._extract_inner(job, staging)
             span.set("rows", len(rows))
         if staging is not None:
             self._count("etl.rows_staged", len(rows))
             self._count("etl.bytes_staged", staging.nbytes)
-        return columns, rows
+        return columns, rows, nbytes
 
     def _extract_inner(self, job: ETLJob, staging: StagingFile | None):
         # Opening the stream for the extraction SQL statement (§5.1 counts
@@ -189,13 +195,15 @@ class ETLPipeline:
             columns, rows = job.transform(columns, rows)
             self.clock.advance_ms(len(rows) * costs.TRANSFORM_ROW_MS)
         # Ship the transformed stream to the ETL host (co-located with the
-        # target) and stage it.
-        nbytes = sum(estimate_row_bytes(r) for r in rows) + 256
-        self.network.transfer(job.source_host, self.target_host, nbytes, self.clock)
+        # target) and stage it; the rows are sized once for both.
+        nbytes = sum(estimate_row_bytes(r) for r in rows)
+        self.network.transfer(
+            job.source_host, self.target_host, nbytes + 256, self.clock
+        )
         if staging is not None:
             self.clock.advance_ms(costs.STREAM_OPEN_CLOSE_MS)
-            staging.write(columns, rows)
-        return columns, rows
+            staging.write(columns, rows, nbytes)
+        return columns, rows, nbytes
 
     # -- phase 2: loading -----------------------------------------------------------
 
@@ -211,7 +219,7 @@ class ETLPipeline:
     def _load_inner(self, columns: list[str], rows: list[tuple], job: ETLJob) -> None:
         dialect = get_dialect(self.target.vendor)
         self.clock.advance_ms(costs.STREAM_OPEN_CLOSE_MS)
-        target_columns = job.target_columns or columns
+        target_columns = list(job.target_columns or columns)
         storage = self.target.catalog.get_table(job.target_table)
         self._last_loaded_columns = list(columns)
         self._last_loaded_rows = list(rows)
@@ -229,7 +237,7 @@ class ETLPipeline:
         pending = 0
         for row in rows:
             self.clock.advance_ms(per_row)
-            storage.insert(list(row), list(target_columns))
+            storage.insert(row, target_columns)
             pending += 1
             if not self.autocommit and pending >= costs.WAREHOUSE_COMMIT_EVERY:
                 self.clock.advance_ms(dialect.cost.commit_ms)
@@ -244,7 +252,7 @@ class ETLPipeline:
         future-work fix: no staging file, a single pass."""
         staging = None if direct else StagingFile(self.clock)
         t0 = self.clock.now_ms
-        columns, rows = self._extract(job, staging)
+        columns, rows, nbytes = self._extract(job, staging)
         extraction_ms = self.clock.now_ms - t0
 
         t1 = self.clock.now_ms
@@ -256,9 +264,7 @@ class ETLPipeline:
         report = ETLReport(
             job_table=job.target_table,
             rows=len(rows),
-            staged_bytes=(
-                sum(estimate_row_bytes(r) for r in rows) if direct else staging.nbytes
-            ),
+            staged_bytes=nbytes if direct else staging.nbytes,
             extraction_ms=extraction_ms,
             loading_ms=loading_ms,
         )
@@ -276,7 +282,7 @@ class ETLPipeline:
         drift. Numeric totals are compared with a relative tolerance to
         allow cross-vendor float representation differences.
         """
-        columns, rows = self._extract(job, staging=None)
+        columns, rows, _ = self._extract(job, staging=None)
         target_columns = job.target_columns or columns
         storage = self.target.catalog.get_table(job.target_table)
         positions = [storage.column_position(c) for c in target_columns]
