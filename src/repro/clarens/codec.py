@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import re
 import xml.etree.ElementTree as ET
+from collections import Counter
+from itertools import chain
 from xml.sax.saxutils import escape
 
 from repro.common.errors import ClarensFault
@@ -38,9 +40,11 @@ def _encode_value(value, out: list[str]) -> None:
     elif isinstance(value, bool):
         out.append(f"<boolean>{1 if value else 0}</boolean>")
     elif isinstance(value, int):
-        out.append(f"<int>{value}</int>")
+        # int.__repr__/float.__repr__: a subclass (an IntEnum, numpy's
+        # float64) writes its number, not its own repr
+        out.append(f"<int>{int.__repr__(value)}</int>")
     elif isinstance(value, float):
-        out.append(f"<double>{value!r}</double>")
+        out.append(f"<double>{float.__repr__(value)}</double>")
     elif isinstance(value, str):
         out.append(f"<string>{escape(_escape_text(value))}</string>")
     elif isinstance(value, (list, tuple)):
@@ -67,9 +71,102 @@ def encode_payload(method: str, value) -> str:
     return "".join(out)
 
 
+def _encoded_len(value) -> int:
+    out: list[str] = []
+    _encode_value(value, out)
+    return len("".join(out).encode("utf-8"))
+
+
+# Fixed byte counts of the encoder's markup, measured off the encoder
+# itself so the sizer cannot drift from it (the markup is ASCII).
+_NIL_BYTES = _encoded_len(None)
+_BOOLEAN_BYTES = _encoded_len(True)
+_INT_TAGS = _encoded_len(0) - len("0")
+_DOUBLE_TAGS = _encoded_len(0.0) - len(repr(0.0))
+_STRING_TAGS = _encoded_len("")
+_ARRAY_TAGS = _encoded_len([])
+_STRUCT_TAGS = _encoded_len({})
+_MEMBER_TAGS = _encoded_len({"": None}) - _STRUCT_TAGS - _NIL_BYTES
+_CALL_TAGS = len(encode_payload("", None)) - _NIL_BYTES
+
+# what the escape chain rewrites in ASCII text: &, <, >, the escape
+# introducer and the control characters other than tab and newline
+_ASCII_REWRITTEN = re.compile(r"[&<>\\\x00-\x08\x0b-\x1f]")
+# exact types whose body is ``str(value)``: str(None) stands in for the
+# empty body of ``<nil/>``
+_PLAIN_TYPES = frozenset({int, float, str, type(None)})
+_NONE_TEXT_LEN = len(str(None))
+_ARRAY_TYPES = frozenset({list, tuple})
+
+
+def _text_bytes(text: str) -> int:
+    """UTF-8 size of ``text`` after the encoder's escape chain."""
+    if text.isascii() and _ASCII_REWRITTEN.search(text) is None:
+        return len(text)
+    return len(escape(_escape_text(text)).encode("utf-8"))
+
+
+def _plain_bytes(values: list) -> int | None:
+    """Encoded size of ``values``, all of a ``_PLAIN_TYPES`` type, from
+    one join of their ``str`` forms; None when a string needs escaping
+    or is not ASCII (the join then says nothing about the bytes)."""
+    body = "".join(map(str, values))
+    if not body.isascii() or _ASCII_REWRITTEN.search(body) is not None:
+        return None
+    counts = Counter(map(type, values))
+    return (
+        len(body)
+        + counts[int] * _INT_TAGS
+        + counts[float] * _DOUBLE_TAGS
+        + counts[str] * _STRING_TAGS
+        + counts[type(None)] * (_NIL_BYTES - _NONE_TEXT_LEN)
+    )
+
+
+def _value_bytes(value) -> int:
+    """``len(encoded value in UTF-8)`` without writing the text."""
+    vtype = type(value)
+    if vtype is int:
+        return _INT_TAGS + len(str(value))
+    if vtype is float:
+        return _DOUBLE_TAGS + len(repr(value))
+    if vtype is str:
+        return _STRING_TAGS + _text_bytes(value)
+    if value is None:
+        return _NIL_BYTES
+    if vtype is bool:
+        return _BOOLEAN_BYTES
+    if vtype is list or vtype is tuple:
+        kinds = set(map(type, value))
+        if kinds <= _PLAIN_TYPES:
+            size = _plain_bytes(value)
+            if size is not None:
+                return _ARRAY_TAGS + size
+        elif kinds <= _ARRAY_TYPES:
+            # an array of rows: size every cell with one join
+            cells = list(chain.from_iterable(value))
+            if set(map(type, cells)) <= _PLAIN_TYPES:
+                size = _plain_bytes(cells)
+                if size is not None:
+                    return _ARRAY_TAGS * (len(value) + 1) + size
+        return _ARRAY_TAGS + sum(map(_value_bytes, value))
+    if vtype is dict:
+        return _STRUCT_TAGS + sum(
+            _MEMBER_TAGS + _text_bytes(str(key)) + _value_bytes(value[key])
+            for key in sorted(value)
+        )
+    return _encoded_len(value)
+
+
 def payload_bytes(method: str, value) -> int:
-    """Wire size of the encoded payload in bytes."""
-    return len(encode_payload(method, value).encode("utf-8"))
+    """Wire size of the encoded payload in bytes: exactly
+    ``len(encode_payload(method, value).encode("utf-8"))``, summed per
+    element instead of written out. A value the encoder refuses raises
+    the encoder's error."""
+    return _CALL_TAGS + len(escape(method).encode("utf-8")) + _value_bytes(value)
+
+
+_NUMBER_TAGS = {"int": int, "double": float}
 
 
 def _decode_element(el: ET.Element):
@@ -78,10 +175,11 @@ def _decode_element(el: ET.Element):
         return None
     if tag == "boolean":
         return el.text == "1"
-    if tag == "int":
-        return int(el.text or "0")
-    if tag == "double":
-        return float(el.text or "0")
+    if tag in _NUMBER_TAGS:
+        try:
+            return _NUMBER_TAGS[tag](el.text or "0")
+        except ValueError:
+            raise ClarensFault("decode", f"malformed <{tag}> {el.text!r}") from None
     if tag == "string":
         return _unescape_text(el.text or "")
     if tag == "array":

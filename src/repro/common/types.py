@@ -275,6 +275,33 @@ def coerce_value(value: object, target: SQLType) -> object:
     raise SQLTypeError(f"cannot coerce {type(value).__name__} value {value!r} to {target}")
 
 
+def coerces_unchanged(kinds: set, values, target: SQLType) -> bool:
+    """True when :func:`coerce_value` returns each of ``values``
+    unchanged in ``target``; ``kinds`` is the set of the exact types of
+    the values that are not NULL (NULL always passes unchanged).
+
+    That holds for exact ints in INTEGER/BIGINT, finite exact floats in
+    FLOAT/DOUBLE/DECIMAL and exact strs within a VARCHAR/TEXT capacity
+    (CHAR pads). Falsy values are left out of the finiteness and length
+    checks: 0.0 is finite and '' fits every capacity.
+    """
+    if not kinds:
+        return True
+    if len(kinds) != 1:
+        return False
+    vtype = next(iter(kinds))
+    kind = target.kind
+    if vtype is int:
+        return kind in _INTEGER_KINDS
+    if vtype is float:
+        return kind in _FLOAT_KINDS and all(map(math.isfinite, filter(None, values)))
+    if vtype is str and kind in (TypeKind.VARCHAR, TypeKind.TEXT):
+        return target.length is None or (
+            max(map(len, filter(None, values)), default=0) <= target.length
+        )
+    return False
+
+
 def sql_repr(value: object) -> str:
     """Render a Python value as a SQL literal (for generated sub-queries)."""
     if value is None:

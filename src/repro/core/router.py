@@ -85,7 +85,7 @@ class SubQueryRouter:
     def _transfer_rows(self, from_host: str, rows: list[tuple]) -> None:
         if self.network is None or self.host is None:
             return
-        nbytes = sum(estimate_row_bytes(r) for r in rows) + 256
+        nbytes = sum(map(estimate_row_bytes, rows)) + 256
         self.network.transfer(from_host, self.host, nbytes, self.clock)
 
     # -- the rule ----------------------------------------------------------------

@@ -16,13 +16,15 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
+from itertools import repeat
+from operator import itemgetter
 
 from repro.common.errors import (
     ColumnNotFoundError,
     DuplicateObjectError,
     IntegrityError,
 )
-from repro.common.types import SQLType, coerce_value
+from repro.common.types import SQLType, coerce_value, coerces_unchanged
 
 
 @dataclass(frozen=True)
@@ -77,6 +79,8 @@ def estimate_row_bytes(row: tuple) -> int:
             total += estimate_value_bytes(value)
     return total
 
+
+_NONE_TYPE = type(None)
 
 #: insert plans a table keeps before it drops them all: a bound against a
 #: client that keeps sending new INSERT column lists
@@ -237,12 +241,34 @@ class TableStorage:
         All-or-nothing — constraint violations (including duplicate keys
         *within* the batch) raise before any row lands, and the range
         indexes are dropped once instead of per row. This is what the
-        scratch-engine merge and the warehouse loader use; per-row
+        scratch-engine merge and the testbed loaders use; per-row
         :meth:`insert` keeps modelling the prototype's
         statement-at-a-time path.
+
+        A full-width batch is checked a column at a time
+        (:meth:`_coerce_columns`); a batch with a column list, or one that
+        check cannot vouch for, takes the row path, so the first error
+        raised is the one the row path raises.
         """
         if not rows:
             return 0
+        staged = None if columns is not None else self._coerce_columns(rows)
+        if staged is None:
+            staged, keys = self._stage_rows(rows, columns)
+        else:
+            keys = self._batch_keys(staged)
+        if self._pk_index is not None:
+            base = len(self.rows)
+            self._pk_index.update(zip(keys, range(base, base + len(keys))))
+        self.rows.extend(staged)
+        self._sorted.clear()
+        return len(staged)
+
+    def _stage_rows(
+        self, rows: list[Sequence], columns: list[str] | None
+    ) -> tuple[list[tuple], list[tuple]]:
+        """The row path: ``_check_and_coerce`` and the primary-key check
+        on each row in turn; returns the staged rows and their keys."""
         staged: list[tuple] = []
         staged_keys: dict[tuple, None] = {}
         for values in rows:
@@ -255,13 +281,52 @@ class TableStorage:
                     )
                 staged_keys[key] = None
             staged.append(row)
-        base = len(self.rows)
-        if self._pk_index is not None:
-            for offset, key in enumerate(staged_keys):
-                self._pk_index[key] = base + offset
-        self.rows.extend(staged)
-        self._sorted.clear()
-        return len(staged)
+        return staged, list(staged_keys)
+
+    def _batch_keys(self, staged: list[tuple]) -> list[tuple]:
+        """Primary keys of already-coerced rows (none without a primary
+        key), raising on the first row in batch order whose key is stored
+        or repeats an earlier one."""
+        if self._pk_index is None:
+            return []
+        keys = list(zip(*[map(itemgetter(i), staged) for i in self._pk_positions]))
+        if len(dict.fromkeys(keys)) < len(keys) or not self._pk_index.keys().isdisjoint(keys):
+            seen: set[tuple] = set()
+            for key in keys:
+                if key in self._pk_index or key in seen:
+                    raise IntegrityError(
+                        f"duplicate primary key {key!r} in table {self.name!r}"
+                    )
+                seen.add(key)
+        return keys
+
+    def _coerce_columns(self, rows: list[Sequence]) -> list[tuple] | None:
+        """The coerced rows of a full-width batch, checked a column at a
+        time. A column whose values ``coerce_value`` would all return
+        unchanged (``coerces_unchanged``) is kept as it is; any other
+        column is coerced value by value. None when a row is ragged, a
+        NOT NULL column holds a NULL or any value fails: the caller then
+        re-runs the row path, which raises that path's first error.
+        """
+        try:
+            if set(map(len, rows)) != {len(self.columns)}:
+                return None
+            coerced = []
+            for col, values in zip(self.columns, zip(*rows)):
+                kinds = set(map(type, values))
+                if _NONE_TYPE in kinds:
+                    if col.not_null:
+                        return None
+                    kinds.discard(_NONE_TYPE)
+                if coerces_unchanged(kinds, values, col.type):
+                    coerced.append(values)
+                else:
+                    coerced.append(map(coerce_value, values, repeat(col.type)))
+            return list(zip(*coerced))
+        except Exception:
+            # not swallowed: the row path raises it again, or the error
+            # of an earlier row that the row path meets first
+            return None
 
     def delete_where(self, keep_predicate) -> int:
         """Delete rows for which ``keep_predicate(row)`` is False; returns count."""

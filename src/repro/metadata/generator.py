@@ -90,22 +90,28 @@ def _detect_relationships(
     database: Database, pk_by_table: dict[str, str]
 ) -> list[XSpecRelationship]:
     """Detect ``child.parent_pk -> parent.pk`` naming-convention FKs."""
+    # lower-cased pk name -> [(parent table, pk)], in pk_by_table order
+    parents_by_pk: dict[str, list[tuple[str, str]]] = {}
+    for parent_lower, pk in pk_by_table.items():
+        parents_by_pk.setdefault(pk.lower(), []).append((parent_lower, pk))
     out: list[XSpecRelationship] = []
     for child_name in database.catalog.table_names():
         child = database.catalog.get_table(child_name)
+        child_lower = child_name.lower()
         for col in child.columns:
-            for parent_lower, pk in pk_by_table.items():
-                if parent_lower == child_name.lower():
+            if col.primary_key:
+                continue
+            # e.g. column 'run_id' references table 'runs' pk 'run_id'
+            for parent_lower, pk in parents_by_pk.get(col.name.lower(), ()):
+                if parent_lower == child_lower:
                     continue
-                # e.g. column 'run_id' references table 'runs' pk 'run_id'
-                if col.name.lower() == pk.lower() and not col.primary_key:
-                    parent = database.catalog.get_table(parent_lower)
-                    out.append(
-                        XSpecRelationship(
-                            table=child.name,
-                            column=col.name,
-                            ref_table=parent.name,
-                            ref_column=pk,
-                        )
+                parent = database.catalog.get_table(parent_lower)
+                out.append(
+                    XSpecRelationship(
+                        table=child.name,
+                        column=col.name,
+                        ref_table=parent.name,
+                        ref_column=pk,
                     )
+                )
     return out

@@ -93,7 +93,7 @@ class QueryAnswer(RowSet):
         out = {
             "columns": list(self.columns),
             "types": [str(t) for t in self.types],
-            "rows": [list(r) for r in self.rows],
+            "rows": list(map(list, self.rows)),
             "distributed": self.distributed,
             "servers": self.servers_accessed,
             "tables": self.tables_accessed,
@@ -110,7 +110,7 @@ class QueryAnswer(RowSet):
         return cls(
             columns=list(response["columns"]),
             types=[parse_type_text(t) for t in response["types"]],
-            rows=[tuple(r) for r in response["rows"]],
+            rows=list(map(tuple, response["rows"])),
             distributed=response["distributed"],
             databases=(),
             servers_accessed=response["servers"],

@@ -86,6 +86,19 @@ class TestCodec:
         with pytest.raises(ClarensFault):
             decode_payload("<methodCall><methodName>m</methodName></methodCall>")
 
+    def test_float_subclass_round_trips(self):
+        numpy = pytest.importorskip("numpy")
+        text = encode_payload("m", [numpy.float64(1.5)])
+        assert "<double>1.5</double>" in text
+        assert decode_payload(text) == ("m", [1.5])
+        assert payload_bytes("m", [numpy.float64(1.5)]) == len(text.encode("utf-8"))
+
+    @pytest.mark.parametrize("element", ["<double>np.float64(1.5)</double>", "<int>1.5</int>"])
+    def test_malformed_number_raises_fault(self, element):
+        text = f"<methodCall><methodName>m</methodName><params>{element}</params></methodCall>"
+        with pytest.raises(ClarensFault):
+            decode_payload(text)
+
 
 class TestServer:
     def test_dispatch_requires_session(self, world):

@@ -4,7 +4,6 @@ import pytest
 
 from repro.common import TableNotRegisteredError, TypeKind
 from repro.common.errors import XSpecError
-from repro.dialects import get_dialect
 from repro.engine import Database
 from repro.metadata import (
     DataDictionary,
@@ -14,6 +13,7 @@ from repro.metadata import (
     UpperXSpecEntry,
     generate_lower_xspec,
 )
+from repro.metadata.xspec import XSpecRelationship
 
 
 @pytest.fixture
@@ -26,6 +26,27 @@ def source_db():
     db.execute("INSERT INTO RUNS VALUES (1, 'cms')")
     db.execute("INSERT INTO EVT VALUES (1, 1, 3.5)")
     return db
+
+
+def _naive_relationships(db):
+    """Relationship detection as a plain triple loop over child tables,
+    their columns and every primary-key table: the reference order."""
+    pk_by_table = {}
+    for name in db.catalog.table_names():
+        pks = [c.name for c in db.catalog.get_table(name).columns if c.primary_key]
+        if len(pks) == 1:
+            pk_by_table[name.lower()] = pks[0]
+    out = []
+    for child_name in db.catalog.table_names():
+        child = db.catalog.get_table(child_name)
+        for col in child.columns:
+            for parent_lower, pk in pk_by_table.items():
+                if parent_lower != child_name.lower() and not col.primary_key and (
+                    col.name.lower() == pk.lower()
+                ):
+                    parent = db.catalog.get_table(parent_lower)
+                    out.append(XSpecRelationship(child.name, col.name, parent.name, pk))
+    return out
 
 
 class TestGenerator:
@@ -64,6 +85,45 @@ class TestGenerator:
         spec = generate_lower_xspec(source_db)
         rels = [(r.table, r.column, r.ref_table) for r in spec.relationships]
         assert ("EVT", "RUN_ID", "RUNS") in rels
+
+    def test_relationships_keep_catalog_and_primary_key_order(self):
+        db = Database("rels", "mysql")
+        db.execute("CREATE TABLE RUNS (Run_Id INT PRIMARY KEY, DET VARCHAR(8))")
+        db.execute("CREATE TABLE EVT (EVENT_ID INT PRIMARY KEY, run_id INT, E DOUBLE)")
+        db.execute("CREATE TABLE runs_old (RUN_ID INT PRIMARY KEY, NOTE TEXT)")
+        db.execute("CREATE TABLE HITS (HIT_ID INT PRIMARY KEY, RUN_ID INT, EVENT_ID INT)")
+        spec = generate_lower_xspec(db)
+        assert spec.relationships == tuple(_naive_relationships(db))
+        assert [(r.table, r.column, r.ref_table, r.ref_column) for r in spec.relationships] == [
+            ("EVT", "run_id", "RUNS", "Run_Id"),
+            ("EVT", "run_id", "runs_old", "RUN_ID"),
+            ("HITS", "RUN_ID", "RUNS", "Run_Id"),
+            ("HITS", "RUN_ID", "runs_old", "RUN_ID"),
+            ("HITS", "EVENT_ID", "EVT", "EVENT_ID"),
+        ]
+
+    def test_paper_testbed_relationships_and_fingerprints_unchanged(self):
+        from repro.hep.schema import create_source_schema
+        from repro.hep.testbed import build_paper_testbed
+
+        directory = build_paper_testbed().federation.directory
+        databases = [directory.lookup(url).database for url in directory.urls()]
+        source = Database("hep_source", "mysql")
+        create_source_schema(source)
+        for db in databases + [source]:
+            spec = generate_lower_xspec(db)
+            assert list(spec.relationships) == _naive_relationships(db)
+        assert len(generate_lower_xspec(source).relationships) > 0
+        # the six watched specs of the paper testbed, as generated before
+        # relationship detection indexed the primary keys
+        assert {db.name: generate_lower_xspec(db).fingerprint()[1] for db in databases} == {
+            "extra_db_a": "be49a121b7c4306c68a547b1b7094ea1",
+            "ntuple_db_a": "4feba6e9ddaee20b05f51a7cdb88eb97",
+            "ntuple_db_b": "3a331ecf3b00d93a21d6eaa8bc77e989",
+            "runmeta_db_a": "5033db15ec046d323c9a0d3c6fb91c4a",
+            "extra_db_b": "613cc38db184cbc1869e192f63cdf45f",
+            "runmeta_db_b": "d6077a94d06c2c98aafebb00590bcb85",
+        }
 
 
 class TestXSpecXML:
