@@ -14,7 +14,13 @@ query classes on two identically-seeded paper testbeds, one with
 * the real-time overhead of the observed mix stays under
   ``MAX_OVERHEAD_RATIO``.
 
-Emits ``benchmarks/results/BENCH_obs.json``. Deliberately avoids the
+Emits two artifacts. ``benchmarks/results/BENCH_obs.json`` (and the
+``obs_overhead.txt`` report) hold the deterministic part: sim ms,
+``rows_identical``, the observed server's counts and the bound; they
+are committed, and CI checks that a rerun reproduces them byte for
+byte. ``benchmarks/results/BENCH_obs_realtime.json`` holds the host
+timings (best-of-N ms and the ratio); it differs on every run, so it is
+not committed (CI uploads it). Deliberately avoids the
 pytest-benchmark fixture so this file runs under a plain pytest
 install (CI executes it directly).
 """
@@ -80,12 +86,16 @@ def measured():
         }
 
     ratio = modes[True]["best_s"] / modes[False]["best_s"]
-    artifact = {
+    realtime = {
         "reps": REPS,
         "max_overhead_ratio": MAX_OVERHEAD_RATIO,
         "observe_off_best_ms": round(modes[False]["best_s"] * 1e3, 3),
         "observe_on_best_ms": round(modes[True]["best_s"] * 1e3, 3),
         "overhead_ratio": round(ratio, 3),
+    }
+    artifact = {
+        "reps": REPS,
+        "max_overhead_ratio": MAX_OVERHEAD_RATIO,
         "queries": {
             name: {
                 "sim_ms_off": round(modes[False]["outcomes"][name]["sim_ms"], 3),
@@ -107,6 +117,14 @@ def measured():
     RESULTS_DIR.mkdir(exist_ok=True)
     path = RESULTS_DIR / "BENCH_obs.json"
     path.write_text(json.dumps(artifact, indent=2, sort_keys=True) + "\n")
+    realtime_path = RESULTS_DIR / "BENCH_obs_realtime.json"
+    realtime_path.write_text(json.dumps(realtime, indent=2, sort_keys=True) + "\n")
+    print(
+        f"\nreal time (best of {REPS} mixes): "
+        f"off {realtime['observe_off_best_ms']} ms, "
+        f"on {realtime['observe_on_best_ms']} ms "
+        f"-> {realtime['overhead_ratio']}x (bound {MAX_OVERHEAD_RATIO}x)"
+    )
 
     widths = [10, 11, 11, 10]
     lines = [
@@ -124,21 +142,19 @@ def measured():
             for name, q in artifact["queries"].items()
         ],
         "",
-        f"real time (best of {REPS} mixes): "
-        f"off {artifact['observe_off_best_ms']} ms, "
-        f"on {artifact['observe_on_best_ms']} ms "
-        f"-> {artifact['overhead_ratio']}x (bound {MAX_OVERHEAD_RATIO}x)",
+        f"real time (best of {REPS} mixes, bound {MAX_OVERHEAD_RATIO}x): "
+        f"{realtime_path.name}, not committed",
         f"artifact: {path.name}",
     ]
     write_report(
         "obs_overhead", "Observability Overhead — Observe On vs Off", lines
     )
-    return modes, artifact
+    return modes, artifact, realtime
 
 
 class TestObsOverhead:
     def test_rows_bit_for_bit_identical(self, measured):
-        modes, _ = measured
+        modes, _, _ = measured
         for name in modes[False]["outcomes"]:
             off = modes[False]["outcomes"][name]
             on = modes[True]["outcomes"][name]
@@ -147,7 +163,7 @@ class TestObsOverhead:
 
     def test_observation_nearly_free_in_simulated_time(self, measured):
         """Local queries: exactly free. Distributed: only the wire tax."""
-        modes, _ = measured
+        modes, _, _ = measured
         for name in modes[False]["outcomes"]:
             off = modes[False]["outcomes"][name]["sim_ms"]
             on = modes[True]["outcomes"][name]["sim_ms"]
@@ -157,11 +173,11 @@ class TestObsOverhead:
                 assert on == pytest.approx(off, rel=MAX_SIM_OVERHEAD), name
 
     def test_real_overhead_under_bound(self, measured):
-        _, artifact = measured
-        assert artifact["overhead_ratio"] < MAX_OVERHEAD_RATIO, artifact
+        _, _, realtime = measured
+        assert realtime["overhead_ratio"] < MAX_OVERHEAD_RATIO, realtime
 
     def test_unobserved_service_allocates_nothing(self, measured):
-        modes, _ = measured
+        modes, _, _ = measured
         service = modes[False]["testbed"].server1.service
         assert service.tracer is None
         assert service.profiler is None
@@ -170,13 +186,14 @@ class TestObsOverhead:
         assert service.monitor is None
 
     def test_observed_stack_actually_worked(self, measured):
-        _, artifact = measured
+        _, artifact, _ = measured
         observed = artifact["observed_server"]
         assert observed["profiles_recorded"] >= 3 * REPS
         assert observed["archive_snapshots"] >= 1
 
     def test_artifact_emitted(self, measured):
         artifact = json.loads((RESULTS_DIR / "BENCH_obs.json").read_text())
-        assert artifact["overhead_ratio"] < artifact["max_overhead_ratio"]
+        realtime = json.loads((RESULTS_DIR / "BENCH_obs_realtime.json").read_text())
+        assert realtime["overhead_ratio"] < realtime["max_overhead_ratio"]
         for entry in artifact["queries"].values():
             assert entry["rows_identical"]

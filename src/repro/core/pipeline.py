@@ -310,7 +310,10 @@ def _cached(run, cache, clock, span, host):
         loc = sub.location
         if loc.is_remote:
             return run(sub, ctx)
-        key = cache.sub_key(sub, ctx.params)
+        # keyed on the values of the sub-query's own ``?``: they keep
+        # their index in the client's query, so one text can bind
+        # different values of the same client params
+        key = cache.sub_key(sub, sub.own_params(ctx.params))
         hit = cache.lookup_sub(key)
         if hit is None:
             result = run(sub, ctx)

@@ -131,10 +131,14 @@ class SubQueryRouter:
         )
         return columns, types, rows, via
 
+    # Both local routes hand the mart the statement the router already
+    # holds: text is parsed only where it crosses a process boundary (at
+    # the client, and at a remote peer). Its ``?`` keep their index in
+    # the client's query, so the mart binds the client's whole params.
+
     def _via_pool(self, sub: SubQuery, ctx: QueryContext):
-        dialect = get_dialect(sub.location.vendor)
-        vendor_sql = dialect.render_select(sub.select)
-        cursor = self.ral.execute_sql(sub.location.url, vendor_sql, ctx.params)
+        stmt = get_dialect(sub.location.vendor).vendor_select(sub.select)
+        cursor = self.ral.execute_sql(sub.location.url, stmt, ctx.params)
         rows = cursor.fetchall()
         return cursor.columns, cursor.types, rows
 
@@ -145,7 +149,7 @@ class SubQueryRouter:
         # already parsed the metadata (the driver's planning, a cached
         # plan) skips the parse; with a pool, the metadata is cached
         # alongside the connection and both costs disappear on a hit.
-        dialect = get_dialect(sub.location.vendor)
+        stmt = get_dialect(sub.location.vendor).vendor_select(sub.select)
         if self.jdbc_pool is not None:
             connection = self.jdbc_pool.get(sub.location.url, self.user, self.password)
 
@@ -163,8 +167,7 @@ class SubQueryRouter:
             )
             release = connection.close
         try:
-            vendor_sql = dialect.render_select(sub.select)
-            cursor = connection.execute(vendor_sql, ctx.params)
+            cursor = connection.execute(stmt, ctx.params)
             rows = cursor.fetchall()
             return cursor.columns, cursor.types, rows
         finally:

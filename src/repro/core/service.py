@@ -548,14 +548,18 @@ class DataAccessService(ClarensService):
     def _remote_fetch(self, sub: SubQuery, params: tuple):
         """Forward one sub-query to the remote server hosting its table.
 
-        With caching on, a fresh answer to the same peer, SQL and params
-        comes from the remote-answer cache for ``CACHE_HIT_MS``, off the
-        wire. When tracing, the call carries ``{trace_id, parent_id}`` so
-        the remote server's spans join this query's trace; they come back
-        piggybacked on the response and are imported here.
+        The peer parses ``sub.logical_sql`` and numbers its ``?`` from 0,
+        so it is sent the sub-query's own parameters, in text order, not
+        the client query's. With caching on, a fresh answer to the same
+        peer, SQL and parameters comes from the remote-answer cache for
+        ``CACHE_HIT_MS``, off the wire. When tracing, the call carries
+        ``{trace_id, parent_id}`` so the remote server's spans join this
+        query's trace; they come back piggybacked on the response and are
+        imported here.
         """
         self.metrics.counter("remote_fetches").inc()
         peer = self._resolve_peer(sub.location.remote_server)
+        params = sub.own_params(params)
         key = (peer.name, sub.logical_sql, repr(params))
         response = self.cache.remote.get(key) if self.cache is not None else None
         if response is not None:

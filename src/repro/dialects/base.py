@@ -1,10 +1,10 @@
 """Dialect base class and the vendor cost profile.
 
-A dialect never executes anything itself; it renders SQL *text* in the
-vendor's surface syntax and maps types both ways. The engine parser
-accepts every vendor spelling a dialect can emit, so vendor DDL/DML
-round-trips through the engine — this is the "N technologies" half of
-the paper's N×S argument.
+A dialect never executes anything itself; it names the statement a
+vendor runs, renders SQL *text* in the vendor's surface syntax and maps
+types both ways. The engine parser accepts every vendor spelling a
+dialect can emit, so vendor DDL/DML round-trips through the engine —
+this is the "N technologies" half of the paper's N×S argument.
 """
 
 from __future__ import annotations
@@ -123,18 +123,27 @@ class Dialect:
             defs.append(f"PRIMARY KEY ({', '.join(self.quote_ident(c) for c in pk)})")
         return f"CREATE TABLE {self.quote_ident(name)} ({', '.join(defs)})"
 
+    def vendor_select(self, select: ast.Select) -> ast.Select:
+        """The statement this vendor executes for ``select``.
+
+        A 'client' vendor has no portable limit clause: its top-level
+        LIMIT is dropped and the caller truncates after fetch. Every
+        other vendor runs ``select`` itself.
+        """
+        if select.limit is not None and self.limit_style == "client":
+            return replace(select, limit=None)
+        return select
+
     def render_select(self, select: ast.Select) -> str:
-        """Render a SELECT in vendor syntax (limit spelling differs)."""
-        if select.limit is None or self.limit_style == "limit":
-            return select.unparse()
-        text = replace(select, limit=None).unparse()
-        if self.limit_style == "top":
-            head = "SELECT DISTINCT" if select.distinct else "SELECT"
-            assert text.startswith(head)
-            return f"{head} TOP {select.limit}{text[len(head):]}"
-        # 'client': the vendor has no portable limit clause; emit the
-        # unlimited query — the caller truncates after fetch.
-        return text
+        """:meth:`vendor_select`'s statement as text in vendor syntax
+        (limit spelling differs)."""
+        stmt = self.vendor_select(select)
+        if stmt.limit is None or self.limit_style == "limit":
+            return stmt.unparse()
+        text = replace(stmt, limit=None).unparse()
+        head = "SELECT DISTINCT" if stmt.distinct else "SELECT"
+        assert text.startswith(head)
+        return f"{head} TOP {stmt.limit}{text[len(head):]}"
 
     @property
     def limit_applied_client_side(self) -> bool:

@@ -14,6 +14,7 @@ from repro.driver.directory import Directory, GLOBAL_DIRECTORY
 from repro.driver.url import sniff_vendor
 from repro.engine.database import Database, ExecResult
 from repro.net.simclock import SimClock
+from repro.sql import ast
 
 
 class Cursor:
@@ -27,14 +28,22 @@ class Cursor:
 
     # -- execution -------------------------------------------------------------
 
-    def execute(self, sql: str, params: tuple = ()) -> "Cursor":
-        """Run one statement and expose its result on this cursor."""
+    def execute(self, sql: str | ast.Statement, params: tuple = ()) -> "Cursor":
+        """Run one statement and expose its result on this cursor.
+
+        ``sql`` is text, which the database parses, or a statement a
+        caller already parsed, which it runs as it is; both pay the
+        same charges.
+        """
         conn = self.connection
         if conn.closed:
             raise DriverError("cursor used after connection close")
         cost = conn.dialect.cost
         conn.clock.advance_ms(cost.per_statement_ms)
-        result = conn.database.execute(sql, params)
+        if isinstance(sql, str):
+            result = conn.database.execute(sql, params)
+        else:
+            result = conn.database.execute_statement(sql, params)
         # Scan cost is charged for rows the engine actually examined.
         conn.clock.advance_ms(result.stats.rows_examined * cost.per_row_scan_us / 1000.0)
         if result.rowcount and not result.rows:
@@ -144,7 +153,7 @@ class Connection:
             raise DriverError("connection is closed")
         return Cursor(self)
 
-    def execute(self, sql: str, params: tuple = ()) -> Cursor:
+    def execute(self, sql: str | ast.Statement, params: tuple = ()) -> Cursor:
         """Convenience: cursor + execute in one call."""
         return self.cursor().execute(sql, params)
 

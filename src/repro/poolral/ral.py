@@ -9,6 +9,7 @@ from repro.driver.connection import Connection, connect
 from repro.driver.directory import Directory
 from repro.driver.url import sniff_vendor
 from repro.net import costs
+from repro.sql import ast
 
 
 @dataclass
@@ -66,8 +67,9 @@ class PoolRAL:
 
     # -- execution -----------------------------------------------------------------
 
-    def execute_sql(self, url: str, sql: str, params: tuple = ()):
-        """Run SQL through an initialized handle; returns the cursor.
+    def execute_sql(self, url: str, sql: str | ast.Statement, params: tuple = ()):
+        """Run SQL text or a parsed statement through an initialized
+        handle; returns the cursor.
 
         Unlike the JDBC path, no connect/auth is paid here — the handle
         was initialized once at registration time.

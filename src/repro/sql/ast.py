@@ -461,6 +461,33 @@ class Select(Statement):
         out.extend(o.expr for o in self.order_by)
         return out
 
+    def param_order(self) -> tuple[int, ...]:
+        """The index each ``?`` of :meth:`unparse`'s text carries, in
+        text order, subqueries included. A parser numbers the ``?`` of
+        that text from 0, so this maps its parameters to the indexes of
+        the query this SELECT was cut from."""
+        out: list[int] = []
+
+        def visit(expr: Expr) -> None:
+            if isinstance(expr, Param):
+                out.append(expr.index)
+            for child in _children(expr):
+                visit(child)
+            if isinstance(expr, (ScalarSubquery, InSubquery, Exists)):
+                out.extend(expr.select.param_order())
+
+        for item in self.items:
+            visit(item.expr)
+        for join in self.joins:
+            if join.on is not None:
+                visit(join.on)
+        for expr in (self.where, *self.group_by, self.having):
+            if expr is not None:
+                visit(expr)
+        for item in self.order_by:
+            visit(item.expr)
+        return tuple(out)
+
     def output_names(self) -> dict[str, Expr]:
         """Lower-cased output name -> select item expression (stars
         skipped; the first item of a repeated name wins)."""

@@ -19,8 +19,9 @@ sub-results, never change the final answer):
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
-from repro.common.errors import PlanningError
+from repro.common.errors import PlanningError, SQLTypeError
 from repro.metadata.dictionary import DataDictionary, TableLocation
 from repro.sql import ast
 
@@ -42,16 +43,39 @@ class SubQuery:
     pushed_conjuncts: tuple[ast.Expr, ...] = ()
     logical_select: ast.Select | None = None
 
-    @property
+    # the texts and the parameter order are computed once per sub-query
+    # (``cached_property`` writes the instance dict, which a frozen,
+    # non-slots dataclass allows)
+
+    @cached_property
     def sql(self) -> str:
         """The physical sub-query text."""
         return self.select.unparse()
 
-    @property
+    @cached_property
     def logical_sql(self) -> str:
         if self.logical_select is None:
             raise PlanningError(f"sub-query for {self.binding!r} has no logical form")
         return self.logical_select.unparse()
+
+    @cached_property
+    def _param_order(self) -> tuple[int, ...]:
+        # the physical and logical forms hold the same expressions in
+        # the same order, so their ``?`` line up
+        return self.select.param_order()
+
+    def own_params(self, params: tuple) -> tuple:
+        """The values of this sub-query's own ``?``, in the order they
+        appear in :attr:`sql` and :attr:`logical_sql`, picked from the
+        client query's ``params``: what a server that parses either text
+        must be sent, and all its result depends on."""
+        try:
+            return tuple(params[i] for i in self._param_order)
+        except IndexError:
+            raise SQLTypeError(
+                f"statement requires parameter {max(self._param_order) + 1}, "
+                f"got {len(params)}"
+            ) from None
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,7 @@
 """Integration tests for the Data Access Service and GridFederation."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.analysis import JASPlugin
 from repro.common import TableNotRegisteredError
@@ -368,3 +369,170 @@ class TestRoutesOverWire:
             "SELECT e.event_id FROM events e JOIN runs r ON e.run_id = r.run_id",
         )
         assert sorted(outcome.answer.routes) == ["jdbc", "pool"]
+
+
+# -- ``?`` parameters on every route ------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def small_paper_testbed():
+    from repro.hep.testbed import build_paper_testbed
+
+    return build_paper_testbed(
+        ntuple_rows=200, runmeta_rows=150, total_tables=12, total_rows=1000
+    )
+
+
+def _inline(sql: str, params: tuple) -> str:
+    """``sql`` with each ``?`` replaced by its value as a literal."""
+    for value in params:
+        sql = sql.replace("?", repr(value), 1)
+    return sql
+
+
+class TestParameterBinding:
+    """A sub-query's ``?`` keep their index in the client's query; a
+    remote peer is sent the sub-query's own values, in text order."""
+
+    DIST_1SRV = (
+        "SELECT n.event_id, m.detector FROM ntuple_a n JOIN runmeta_a m "
+        "ON n.run_id = m.run_id WHERE n.event_id <= ? AND m.run_id >= ?"
+    )
+    REMOTE_JOIN = (
+        "SELECT n.event_id, o.e FROM ntuple_a n JOIN ntuple_b o "
+        "ON n.event_id = o.event_id WHERE n.event_id <= ? AND o.event_id >= ?"
+    )
+
+    def test_local_join_binds_each_marts_own_value(self, small_paper_testbed):
+        service = small_paper_testbed.server1.service
+        answer = service.execute(self.DIST_1SRV, (20, 3))
+        assert sorted(answer.routes) == ["jdbc", "pool"]
+        assert answer.row_count == 18
+        assert answer.rows == service.execute(_inline(self.DIST_1SRV, (20, 3))).rows
+
+    def test_remote_join_sends_the_sub_querys_own_values(self, small_paper_testbed):
+        service = small_paper_testbed.server1.service
+        answer = service.execute(self.REMOTE_JOIN, (30, 10))
+        assert sorted(answer.routes) == ["pool", "remote"]
+        assert answer.row_count == 21
+        assert answer.rows == service.execute(_inline(self.REMOTE_JOIN, (30, 10))).rows
+
+    def test_cached_sub_result_keyed_on_its_own_values(self):
+        """One sub-query text binds the first value in one query and the
+        second in the other: the sub-result cache must tell them apart."""
+        from repro.hep.testbed import build_paper_testbed
+
+        service = build_paper_testbed(
+            ntuple_rows=200, runmeta_rows=150, total_tables=12, total_rows=1000,
+            cache=True,
+        ).server1.service
+        second = (
+            "SELECT n.event_id, m.detector FROM ntuple_a n JOIN runmeta_a m "
+            "ON n.run_id = m.run_id WHERE m.run_id >= ? AND n.event_id <= ?"
+        )
+        assert service.execute(self.DIST_1SRV, (20, 25)).row_count == 0
+        answer = service.execute(second, (20, 25))
+        assert answer.rows == service.execute(_inline(second, (20, 25))).rows
+        assert answer.row_count == 6
+        repeat = service.execute(second, (20, 25))
+        assert repeat.routes == ["cache", "cache"]
+        assert repeat.rows == answer.rows
+
+    def test_too_few_params_is_a_type_error(self, small_paper_testbed):
+        from repro.common.errors import SQLTypeError
+
+        with pytest.raises(SQLTypeError, match="requires parameter 2, got 1"):
+            small_paper_testbed.server1.service.execute(self.REMOTE_JOIN, (30,))
+
+    def test_local_routes_parse_no_sql(self, small_paper_testbed, monkeypatch):
+        """The marts run the router's statement: only the client parses."""
+        import repro.engine.database as database
+
+        calls = []
+        original = database.parse_statement
+
+        def counting(sql):
+            calls.append(sql)
+            return original(sql)
+
+        monkeypatch.setattr(database, "parse_statement", counting)
+        answer = small_paper_testbed.server1.service.execute(
+            small_paper_testbed.QUERY_DISTRIBUTED_1SRV
+        )
+        assert sorted(answer.routes) == ["jdbc", "pool"]
+        assert calls == []
+
+
+_ROUTE_SHAPES = {
+    # FROM/JOIN clause -> the tables (bindings) it reads
+    "events e": ("e",),
+    "runs r": ("r",),
+    "calib c": ("c",),
+    "events e JOIN runs r ON e.run_id = r.run_id": ("e", "r"),
+    "events e JOIN calib c ON e.run_id = c.run_id": ("e", "c"),
+    "events e JOIN runs r ON e.run_id = r.run_id "
+    "JOIN calib c ON e.run_id = c.run_id": ("e", "r", "c"),
+}
+#: the columns each binding selects and filters on
+_ROUTE_COLUMNS = {
+    "e": ("e.event_id", "e.run_id", "e.energy"),
+    "r": ("r.run_id", "r.detector"),
+    "c": ("c.run_id", "c.gain"),
+}
+_FILTER_COLUMNS = {
+    "e": ("e.event_id", "e.run_id", "e.energy"),
+    "r": ("r.run_id",),
+    "c": ("c.run_id", "c.gain"),
+}
+
+
+@st.composite
+def _param_queries(draw):
+    """(query with ``?``, its params): filters spread over the bindings,
+    so the values land in different sub-queries in any order."""
+    shape = draw(st.sampled_from(sorted(_ROUTE_SHAPES)))
+    bindings = _ROUTE_SHAPES[shape]
+    columns = [c for b in bindings for c in _ROUTE_COLUMNS[b]]
+    filters = [c for b in bindings for c in _FILTER_COLUMNS[b]]
+    terms = draw(
+        st.lists(
+            st.tuples(
+                st.sampled_from(filters),
+                st.sampled_from(["=", "<", "<=", ">", ">=", "<>"]),
+                st.integers(-1, 31),
+            ),
+            min_size=1,
+            max_size=4,
+        )
+    )
+    sql = (
+        f"SELECT {', '.join(columns)} FROM {shape} "
+        f"WHERE {' AND '.join(f'{c} {op} ?' for c, op, _ in terms)} "
+        f"ORDER BY {', '.join(columns)}"
+    )
+    return sql, tuple(v for _, _, v in terms)
+
+
+@pytest.fixture(scope="module")
+def routed_fed():
+    """The ``fed`` topology, built once: from jc1, events take the pool
+    route, runs the jdbc route and calib the remote route."""
+    federation = GridFederation()
+    s1 = federation.create_server("jc1", "pcA")
+    s2 = federation.create_server("jc2", "pcB")
+    federation.attach_database(s1, make_events_db(), logical_names={"EVT": "events"})
+    federation.attach_database(s1, make_runs_db(), logical_names={"RUN_INFO": "runs"})
+    federation.attach_database(s2, make_calib_db())
+    return s1.service
+
+
+class TestParamsEqualLiteralsOnEveryRoute:
+    @given(_param_queries())
+    @settings(max_examples=60, deadline=None)
+    def test_params_match_inlined_literals(self, routed_fed, query):
+        sql, params = query
+        bound = routed_fed.execute(sql, params)
+        inlined = routed_fed.execute(_inline(sql, params))
+        assert bound.rows == inlined.rows
+        assert bound.columns == inlined.columns
+        assert bound.types == inlined.types

@@ -151,6 +151,15 @@ class TestDecomposeFederated:
         assert "events" in e.logical_sql
         assert "EVT" not in e.logical_sql
 
+    def test_sub_query_texts_unparse_once(self, two_db_federation):
+        _, dictionary, *_ = two_db_federation
+        plan = decompose(parse_select(self.QUERY), dictionary)
+        for sub in plan.subqueries:
+            assert sub.sql is sub.sql
+            assert sub.sql == sub.select.unparse()
+            assert sub.logical_sql is sub.logical_sql
+            assert sub.logical_sql == sub.logical_select.unparse()
+
     def test_prefer_databases_pins_replica(self, two_db_federation):
         _, dictionary, events, _, (url1, _) = two_db_federation
         from repro.metadata import generate_lower_xspec, LowerXSpec
