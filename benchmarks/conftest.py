@@ -18,6 +18,7 @@ and their assertions are the same.
 
 from __future__ import annotations
 
+import hashlib
 import pathlib
 
 import pytest
@@ -49,6 +50,12 @@ def write_report(name: str, title: str, lines: list[str]) -> pathlib.Path:
     path.write_text(text)
     print("\n" + text)
     return path
+
+
+def rows_digest(rows) -> str:
+    """A short sha256 of ``rows`` in order; ``repr`` tells 1, 1.0 and
+    '1' apart, so a changed value type changes the digest too."""
+    return hashlib.sha256(repr(rows).encode()).hexdigest()[:16]
 
 
 def fmt_row(cells, widths) -> str:

@@ -22,15 +22,16 @@ from repro.hep import (
 from repro.net import Network, SimClock
 from repro.warehouse import Warehouse
 
-from benchmarks.conftest import fmt_row, write_report
+from benchmarks.conftest import fmt_row, rows_digest, write_report
 
 #: the paper's x-axis points (kB)
 SIZES_KB = [0.397, 4.928, 8.217, 9.486, 12.721, 67.480, 113.414, 207.866]
 NVAR = 8
 
 
-def run_stage1(kb: float, direct: bool = False):
-    """One Figure-4 measurement: a source of ~kb worth of ntuple data."""
+def stage1_world(kb: float, direct: bool = False):
+    """One Figure-4 measurement: a source of ~kb worth of ntuple data
+    loaded into a fresh warehouse; returns (warehouse, report)."""
     n_events = events_for_target_kb(kb, NVAR)
     rng = DeterministicRNG(f"fig4-{kb}")
     source = Database("tier1_source", "oracle")
@@ -41,12 +42,18 @@ def run_stage1(kb: float, direct: bool = False):
     clock = SimClock()
     warehouse = Warehouse(network, clock, nvar=NVAR)
     job = etl_jobs_for_source(source, "tier1.cern.ch", NVAR)[0]
-    return warehouse.load(job, direct=direct)
+    return warehouse, warehouse.load(job, direct=direct)
+
+
+def run_stage1(kb: float, direct: bool = False):
+    """The ETL report of one Figure-4 measurement."""
+    return stage1_world(kb, direct)[1]
 
 
 @pytest.fixture(scope="module")
 def sweep():
-    reports = [run_stage1(kb) for kb in SIZES_KB]
+    worlds = [stage1_world(kb) for kb in SIZES_KB]
+    reports = [rep for _, rep in worlds]
     widths = [10, 10, 12, 10]
     lines = [fmt_row(["target kB", "staged kB", "extract s", "load s"], widths)]
     for kb, rep in zip(SIZES_KB, reports):
@@ -61,7 +68,18 @@ def sweep():
         "",
         "paper: extraction (lower line) reaches ~5-6 s and loading (upper line)",
         "~15-18 s at 207.866 kB; loading sits above extraction throughout.",
+        "",
+        "rows: sha256[:16] of event_fact's rows in storage order; exact sim ms",
+        fmt_row(["target kB", "event_fact", "extract ms", "load ms"], [10, 16, 20, 20]),
     ]
+    for kb, (warehouse, rep) in zip(SIZES_KB, worlds):
+        lines.append(
+            fmt_row(
+                [f"{kb:.3f}", rows_digest(warehouse.db.catalog.get_table("event_fact").rows),
+                 repr(rep.extraction_ms), repr(rep.loading_ms)],
+                [10, 16, 20, 20],
+            )
+        )
     write_report("fig4_etl_warehouse", "Figure 4 — Source -> Warehouse ETL", lines)
     return reports
 

@@ -241,18 +241,19 @@ class TableStorage:
         All-or-nothing — constraint violations (including duplicate keys
         *within* the batch) raise before any row lands, and the range
         indexes are dropped once instead of per row. This is what the
-        scratch-engine merge and the testbed loaders use; per-row
-        :meth:`insert` keeps modelling the prototype's
-        statement-at-a-time path.
+        scratch-engine merge, the testbed loaders and the ETL loads use;
+        per-row :meth:`insert` serves SQL INSERT, and the ETL load falls
+        back to it when a batch raises.
 
-        A full-width batch is checked a column at a time
-        (:meth:`_coerce_columns`); a batch with a column list, or one that
+        A batch without a column list, or with one that names every
+        column in table order, is checked a column at a time
+        (:meth:`_coerce_columns`); any other column list, or a batch that
         check cannot vouch for, takes the row path, so the first error
         raised is the one the row path raises.
         """
         if not rows:
             return 0
-        staged = None if columns is not None else self._coerce_columns(rows)
+        staged = self._coerce_columns(rows) if self._in_place(columns) else None
         if staged is None:
             staged, keys = self._stage_rows(rows, columns)
         else:
@@ -263,6 +264,18 @@ class TableStorage:
         self.rows.extend(staged)
         self._sorted.clear()
         return len(staged)
+
+    def _in_place(self, columns: list[str] | None) -> bool:
+        """True when values given for ``columns`` are already in table
+        order: no list, or one naming every column in table order. A
+        list naming an unknown column or one column twice is not; the
+        row path raises its error."""
+        if columns is None:
+            return True
+        try:
+            return self._insert_plan(columns) is None
+        except (ColumnNotFoundError, IntegrityError):
+            return False
 
     def _stage_rows(
         self, rows: list[Sequence], columns: list[str] | None

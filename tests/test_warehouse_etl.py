@@ -273,3 +273,19 @@ class TestMartRefresh:
         net, clock, t1, wh, ms = replicated
         wh.db.execute("UPDATE calib_fact SET gain = gain * 2")
         assert ms.stale_views() == ["v_calibration"]
+
+    def test_change_between_equal_hashes_marks_view_stale(self, world):
+        # hash(-1) == hash(-2) in CPython, so a hash of the rows misses this
+        net, clock, t1, t2, wh = world
+        wh.db.execute("CREATE TABLE t (id INTEGER PRIMARY KEY, v INTEGER)")
+        wh.db.execute("INSERT INTO t VALUES (1, -1)")
+        wh.db.execute("CREATE VIEW v_t AS SELECT id, v FROM t")
+        mart = Database("m1", "mysql")
+        ms = MartSet(wh)
+        ms.add_mart(mart, "hostA")
+        ms.replicate(["v_t"])
+        wh.db.execute("UPDATE t SET v = -2")
+        assert ms.stale_views() == ["v_t"]
+        assert [r.job_table for r in ms.refresh()] == ["v_t"]
+        assert mart.execute("SELECT id, v FROM v_t").rows == [(1, -2)]
+        assert ms.stale_views() == []
