@@ -13,7 +13,7 @@ from repro.common.rng import DeterministicRNG
 from repro.core import GridFederation
 from repro.hep.testbed import _make_ntuple_db
 
-from benchmarks.conftest import fmt_row, write_report
+from benchmarks.conftest import fmt_row, rows_digest, write_report
 
 #: the paper's x-axis points
 ROW_COUNTS = [21, 51, 301, 451, 700, 801, 901, 1701, 1751, 2251, 2451, 2551]
@@ -35,7 +35,9 @@ def fig6_world():
 def series(fig6_world):
     fed, server, client = fig6_world
     points = []
+    digests = []
     for rows in ROW_COUNTS:
+        received = client.bytes_received
         outcome = fed.query(
             client,
             server,
@@ -43,6 +45,9 @@ def series(fig6_world):
         )
         assert outcome.answer.row_count == rows
         points.append((rows, outcome.response_ms))
+        digests.append(
+            (rows_digest(outcome.answer.rows), client.bytes_received - received)
+        )
     lines = [fmt_row(["rows", "measured ms"], [6, 12])]
     lines += [fmt_row([r, f"{ms:.1f}"], [6, 12]) for r, ms in points]
     slope = (points[-1][1] - points[0][1]) / (points[-1][0] - points[0][0])
@@ -51,6 +56,13 @@ def series(fig6_world):
         f"paper endpoints: ~{PAPER_ENDPOINTS[0]:.0f} ms @ {ROW_COUNTS[0]} rows, "
         f"~{PAPER_ENDPOINTS[1]:.0f} ms @ {ROW_COUNTS[-1]} rows",
         f"measured slope: {slope:.3f} ms/row (paper: ~0.158 ms/row)",
+        "",
+        "rows: sha256[:16] of the answer rows; exact sim ms; response bytes on the wire",
+        fmt_row(["rows", "digest", "measured ms", "wire bytes"], [6, 16, 20, 10]),
+    ]
+    lines += [
+        fmt_row([r, digest, repr(ms), nbytes], [6, 16, 20, 10])
+        for (r, ms), (digest, nbytes) in zip(points, digests)
     ]
     write_report("fig6_row_scaling", "Figure 6 — Response Time vs Rows Requested", lines)
     return points

@@ -21,7 +21,7 @@ import pytest
 
 from repro.hep.testbed import build_paper_testbed
 
-from benchmarks.conftest import fmt_row, write_report
+from benchmarks.conftest import fmt_row, rows_digest, write_report
 
 PAPER = {"local": 38.0, "dist_1srv": 487.5, "dist_2srv": 594.0}
 
@@ -36,9 +36,15 @@ def measured(testbed):
     tb = testbed
     fed, client, s1 = tb.federation, tb.client, tb.server1
     out = {}
-    out["local"] = fed.query(client, s1, tb.QUERY_LOCAL)
-    out["dist_1srv"] = fed.query(client, s1, tb.QUERY_DISTRIBUTED_1SRV)
-    out["dist_2srv"] = fed.query(client, s1, tb.QUERY_DISTRIBUTED_2SRV)
+    wire_bytes = {}
+    for name, sql in (
+        ("local", tb.QUERY_LOCAL),
+        ("dist_1srv", tb.QUERY_DISTRIBUTED_1SRV),
+        ("dist_2srv", tb.QUERY_DISTRIBUTED_2SRV),
+    ):
+        received = client.bytes_received
+        out[name] = fed.query(client, s1, sql)
+        wire_bytes[name] = client.bytes_received - received
     rows = [
         fmt_row(["servers", "distributed", "tables", "paper ms", "measured ms"], [8, 11, 6, 9, 11]),
         fmt_row([1, "No", 1, PAPER["local"], f"{out['local'].response_ms:.1f}"], [8, 11, 6, 9, 11]),
@@ -47,7 +53,18 @@ def measured(testbed):
         "",
         f"testbed: {tb.total_tables} tables, {tb.total_rows} rows across 6 databases",
         f"distribution penalty: {out['dist_1srv'].response_ms / out['local'].response_ms:.1f}x (paper: 12.8x)",
+        "",
+        "rows: sha256[:16] of the answer rows; exact sim ms; response bytes on the wire",
+        fmt_row(["class", "rows", "measured ms", "wire bytes"], [9, 16, 20, 10]),
     ]
+    for name, outcome in out.items():
+        rows.append(
+            fmt_row(
+                [name, rows_digest(outcome.answer.rows), repr(outcome.response_ms),
+                 wire_bytes[name]],
+                [9, 16, 20, 10],
+            )
+        )
     write_report("table1_query_response", "Table 1 — Query Response Time", rows)
     return out
 

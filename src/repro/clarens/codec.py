@@ -6,17 +6,23 @@ the per-row encode/transfer/decode cost, and an invented size constant
 would make that slope an artifact. The element vocabulary is the
 classic XML-RPC one (``<int>``, ``<double>``, ``<string>``,
 ``<boolean>``, ``<nil>``, ``<array>``).
+
+Sizes are computed, not written: ``payload_bytes`` is the exact length
+of the encoded text. A query result's rows are sized once
+(``size_rows``), for both the simulated storage/transfer bytes and the
+array's wire bytes, and carry that record (``SizedRows``) from the
+router through the caches to the Clarens response.
 """
 
 from __future__ import annotations
 
 import re
 import xml.etree.ElementTree as ET
-from collections import Counter
-from itertools import chain
+from typing import NamedTuple
 from xml.sax.saxutils import escape
 
 from repro.common.errors import ClarensFault
+from repro.engine.storage import estimate_row_bytes
 
 # XML 1.0 cannot carry control characters (or lone non-characters) at
 # all — real XML-RPC shares the restriction. We escape them (and the
@@ -97,30 +103,55 @@ _ASCII_REWRITTEN = re.compile(r"[&<>\\\x00-\x08\x0b-\x1f]")
 _PLAIN_TYPES = frozenset({int, float, str, type(None)})
 _NONE_TEXT_LEN = len(str(None))
 _ARRAY_TYPES = frozenset({list, tuple})
+#: the encoder's markup around each plain type's text form
+_CELL_TAGS = {
+    int: _INT_TAGS,
+    float: _DOUBLE_TAGS,
+    str: _STRING_TAGS,
+    type(None): _NIL_BYTES - _NONE_TEXT_LEN,
+}
+
+
+def _needs_no_escape(text: str) -> bool:
+    """True when the escape chain leaves ``text`` as it is, in ASCII."""
+    if not text.isascii():
+        return False
+    if text.isprintable():
+        return "&" not in text and "<" not in text and ">" not in text and "\\" not in text
+    return _ASCII_REWRITTEN.search(text) is None
 
 
 def _text_bytes(text: str) -> int:
     """UTF-8 size of ``text`` after the encoder's escape chain."""
-    if text.isascii() and _ASCII_REWRITTEN.search(text) is None:
+    if _needs_no_escape(text):
         return len(text)
     return len(escape(_escape_text(text)).encode("utf-8"))
 
 
-def _plain_bytes(values: list) -> int | None:
-    """Encoded size of ``values``, all of a ``_PLAIN_TYPES`` type, from
-    one join of their ``str`` forms; None when a string needs escaping
-    or is not ASCII (the join then says nothing about the bytes)."""
-    body = "".join(map(str, values))
-    if not body.isascii() or _ASCII_REWRITTEN.search(body) is not None:
-        return None
-    counts = Counter(map(type, values))
-    return (
-        len(body)
-        + counts[int] * _INT_TAGS
-        + counts[float] * _DOUBLE_TAGS
-        + counts[str] * _STRING_TAGS
-        + counts[type(None)] * (_NIL_BYTES - _NONE_TEXT_LEN)
-    )
+def _plain_cells(cells, kinds: set) -> tuple[int, int]:
+    """``(characters, encoded bytes)`` of ``cells``, whose exact types
+    ``kinds`` all are ``_PLAIN_TYPES``, from one join of their text forms.
+
+    The characters are what :func:`repro.engine.storage.estimate_row_bytes`
+    counts for the cells (``str(None)`` is its 4 bytes of ``NULL``); the
+    bytes add the encoder's tags and, for string cells only, escapes and
+    UTF-8 widths. Numbers are ASCII and never escaped, so no number is
+    formatted twice.
+    """
+    if len(kinds) == 1:
+        (kind,) = kinds
+        # a string is its own text; repr is str for the other plain types
+        body = "".join(cells) if kind is str else "".join(map(repr, cells))
+        tags = _CELL_TAGS[kind] * len(cells)
+    else:
+        body = "".join(map(str, cells))
+        tags = sum(map(_CELL_TAGS.__getitem__, map(type, cells)))
+    chars = len(body)
+    nbytes = chars + tags
+    if str in kinds and not _needs_no_escape(body):
+        strings = [cell for cell in cells if type(cell) is str]
+        nbytes += sum(map(_text_bytes, strings)) - sum(map(len, strings))
+    return chars, nbytes
 
 
 def _value_bytes(value) -> int:
@@ -136,26 +167,24 @@ def _value_bytes(value) -> int:
         return _NIL_BYTES
     if vtype is bool:
         return _BOOLEAN_BYTES
-    if vtype is list or vtype is tuple:
-        kinds = set(map(type, value))
-        if kinds <= _PLAIN_TYPES:
-            size = _plain_bytes(value)
-            if size is not None:
-                return _ARRAY_TAGS + size
-        elif kinds <= _ARRAY_TYPES:
-            # an array of rows: size every cell with one join
-            cells = list(chain.from_iterable(value))
-            if set(map(type, cells)) <= _PLAIN_TYPES:
-                size = _plain_bytes(cells)
-                if size is not None:
-                    return _ARRAY_TAGS * (len(value) + 1) + size
-        return _ARRAY_TAGS + sum(map(_value_bytes, value))
     if vtype is dict:
         return _STRUCT_TAGS + sum(
             _MEMBER_TAGS + _text_bytes(str(key)) + _value_bytes(value[key])
             for key in sorted(value)
         )
-    return _encoded_len(value)
+    if vtype is SizedRows:
+        wire = sizes_of(value).wire
+    elif vtype is list or vtype is tuple:
+        kinds = set(map(type, value))
+        if kinds <= _PLAIN_TYPES:
+            return _ARRAY_TAGS + _plain_cells(value, kinds)[1]
+        wire = size_rows(value).wire if kinds <= _ARRAY_TYPES else None
+    else:
+        return _encoded_len(value)
+    if wire is not None:
+        return wire
+    # mixed elements, or a cell the encoder refuses (which raises here)
+    return _ARRAY_TAGS + sum(map(_value_bytes, value))
 
 
 def payload_bytes(method: str, value) -> int:
@@ -164,6 +193,109 @@ def payload_bytes(method: str, value) -> int:
     element instead of written out. A value the encoder refuses raises
     the encoder's error."""
     return _CALL_TAGS + len(escape(method).encode("utf-8")) + _value_bytes(value)
+
+
+# -- result rows: one sizing pass ----------------------------------------------
+
+
+class RowSizes(NamedTuple):
+    """The two byte counts the simulation charges for one rows list."""
+
+    #: simulated storage/transfer bytes: ``sum(map(estimate_row_bytes, rows))``
+    storage: int
+    #: the XML-RPC array's UTF-8 size, ``_value_bytes(list(map(list, rows)))``;
+    #: None when the encoder refuses a cell
+    wire: int | None
+
+
+def size_rows(rows) -> RowSizes:
+    """Size a result's rows once, column by column: both numbers from
+    one join of each column's text forms, its cell types and an escape
+    check of the string cells. A query's columns mostly hold one type
+    each, so a column's tags are a count times a constant.
+
+    Ragged rows, and rows holding a cell outside the plain types (a
+    bool, bytes, a subclass), are sized row by row with the reference
+    definitions.
+    """
+    columns = list(zip(*rows))
+    ncells = len(columns) * len(rows)
+    if ncells == sum(map(len, rows)):
+        chars = nbytes = 0
+        for column in columns:
+            kinds = set(map(type, column))
+            if not kinds <= _PLAIN_TYPES:
+                break
+            column_chars, column_bytes = _plain_cells(column, kinds)
+            chars += column_chars
+            nbytes += column_bytes
+        else:
+            return RowSizes(chars + ncells, _ARRAY_TAGS * (len(rows) + 1) + nbytes)
+    storage = sum(map(estimate_row_bytes, rows))
+    try:
+        wire = _ARRAY_TAGS + sum(map(_value_bytes, map(list, rows)))
+    except ClarensFault:
+        wire = None
+    return RowSizes(storage, wire)
+
+
+class SizedRows(list):
+    """A result's rows carrying their :class:`RowSizes` record.
+
+    Every hop that charges bytes (the router's transfer, the caches, the
+    Clarens response) reads the record through :func:`sizes_of`; the
+    first reader computes it. It travels with :meth:`copy` and with
+    :func:`carry`. Any in-place change to the list drops it, so the next
+    reader sizes the rows afresh; a slice, a concatenation or a filtered
+    list is a plain list and has no record. The rows themselves are
+    values: the engine's tuples, or the fresh row lists of one wire answer.
+    """
+
+    __slots__ = ("_sizes",)
+
+    def __init__(self, rows=(), sizes: RowSizes | None = None):
+        super().__init__(rows)
+        self._sizes = sizes
+
+    def copy(self) -> "SizedRows":
+        return SizedRows(self, self._sizes)
+
+
+def _drops_sizes(name: str):
+    change = getattr(list, name)
+
+    def method(self, *args):
+        self._sizes = None
+        return change(self, *args)
+
+    method.__name__ = method.__qualname__ = name
+    return method
+
+
+# sort and reverse permute the rows, which changes neither number
+for _name in (
+    "__setitem__", "__delitem__", "__iadd__", "__imul__",
+    "append", "extend", "insert", "pop", "remove", "clear",
+):
+    setattr(SizedRows, _name, _drops_sizes(_name))
+
+
+def sizes_of(rows) -> RowSizes:
+    """The record ``rows`` carries; sized now (and kept on a
+    :class:`SizedRows`) when it has none."""
+    if type(rows) is SizedRows:
+        sizes = rows._sizes
+        if sizes is None:
+            sizes = rows._sizes = size_rows(rows)
+        return sizes
+    return size_rows(rows)
+
+
+def carry(rows, source=None) -> SizedRows:
+    """``rows`` as a new :class:`SizedRows` with the record ``source``
+    (default: ``rows`` itself) carries, if any: a copy, or the same rows
+    re-shaped (tuples for lists or back), which size the same."""
+    return SizedRows(rows, getattr(rows if source is None else source, "_sizes", None))
 
 
 _NUMBER_TAGS = {"int": int, "double": float}

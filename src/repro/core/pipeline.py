@@ -335,6 +335,7 @@ def _cached(run, cache, clock, span, host):
         ctx.provenance[sub.binding] = (
             start_ms, clock.now_ms, host, loc.database_name, loc.url,
         )
-        return list(columns), list(types), list(rows), "cache"
+        # the entry's rows carry their size record: a hit is not re-sized
+        return list(columns), list(types), rows.copy(), "cache"
 
     return cached

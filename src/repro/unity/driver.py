@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from repro.clarens.codec import carry
 from repro.common.errors import ReproError
 from repro.common.types import SQLType
 from repro.dialects import get_dialect
@@ -93,7 +94,7 @@ class QueryAnswer(RowSet):
         out = {
             "columns": list(self.columns),
             "types": [str(t) for t in self.types],
-            "rows": list(map(list, self.rows)),
+            "rows": carry(map(list, self.rows), self.rows),
             "distributed": self.distributed,
             "servers": self.servers_accessed,
             "tables": self.tables_accessed,
@@ -110,7 +111,7 @@ class QueryAnswer(RowSet):
         return cls(
             columns=list(response["columns"]),
             types=[parse_type_text(t) for t in response["types"]],
-            rows=list(map(tuple, response["rows"])),
+            rows=carry(map(tuple, response["rows"]), response["rows"]),
             distributed=response["distributed"],
             databases=(),
             servers_accessed=response["servers"],
@@ -149,8 +150,10 @@ def integrate_plan(plan: DecomposedQuery, fetched: dict, ctx, clock) -> QueryAns
             start_ms, end_ms, host,
         ))
     if plan.kind == "single":
+        # the sub-result passes through with its size record; rows cut
+        # by a client-side LIMIT are a plain slice and are sized afresh
         columns, types, rows = sub_results[plan.subqueries[0].binding]
-        rows = list(rows)
+        rows = carry(rows)
     else:
         result = Integrator(clock).integrate(plan, sub_results, ctx.params)
         columns, types, rows = result.columns, result.types, result.rows
