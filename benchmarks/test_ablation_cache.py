@@ -16,7 +16,7 @@ import pytest
 
 from repro.hep.testbed import build_paper_testbed
 
-from benchmarks.conftest import RESULTS_DIR, fmt_row, write_report
+from benchmarks.conftest import RESULTS_DIR, fmt_row, rows_digest, write_report
 
 PAPER = {"local": 38.0, "dist_1srv": 487.5, "dist_2srv": 594.0}
 
@@ -37,13 +37,16 @@ def measured(testbed):
         "dist_2srv": tb.QUERY_DISTRIBUTED_2SRV,
     }
     out = {}
+    wire_bytes = {}
     for name, sql in queries.items():
-        cold = fed.query(client, s1, sql)
-        warm = fed.query(client, s1, sql)
+        outcomes = {}
+        for run in ("cold", "warm"):
+            received = client.bytes_received
+            outcomes[run] = fed.query(client, s1, sql)
+            wire_bytes[name, run] = client.bytes_received - received
         out[name] = {
-            "cold": cold,
-            "warm": warm,
-            "speedup": cold.response_ms / warm.response_ms,
+            **outcomes,
+            "speedup": outcomes["cold"].response_ms / outcomes["warm"].response_ms,
         }
 
     artifact = {
@@ -85,6 +88,18 @@ def measured(testbed):
         ],
         "",
         f"artifact: {path.name}",
+        "",
+        "rows: sha256[:16] of the answer rows; exact sim ms; response bytes on the wire",
+        fmt_row(["class", "run", "rows", "measured ms", "wire bytes"], [9, 4, 16, 20, 10]),
+        *[
+            fmt_row(
+                [name, run, rows_digest(m[run].answer.rows), repr(m[run].response_ms),
+                 wire_bytes[name, run]],
+                [9, 4, 16, 20, 10],
+            )
+            for name, m in out.items()
+            for run in ("cold", "warm")
+        ],
     ]
     write_report("ablation_cache", "Cache Ablation — Table 1 Cold vs Warm", lines)
     return out

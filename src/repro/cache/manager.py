@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from repro.cache.epochs import EpochRegistry
 from repro.cache.remote import RemoteAnswerCache
 from repro.cache.store import LRUCache
-from repro.clarens.codec import carry, sizes_of
+from repro.clarens.codec import sized
 from repro.engine.storage import estimate_row_bytes  # noqa: F401 - perfbench counts calls at this binding
 from repro.obs.metrics import MetricsRegistry
 from repro.sql import ast
@@ -146,11 +146,11 @@ class CacheManager:
         return hit
 
     def store_sub(self, key, result, tag: str) -> None:
-        """Store a copy of ``result``; its rows keep their size record,
-        so a hit hands it on and is never sized again."""
+        """Store ``result`` with its rows frozen; a hit hands the same
+        frozen rows on, size record included, and never sizes them again."""
         columns, types, rows, via = result
-        rows = carry(rows)
-        nbytes = sizes_of(rows).storage + 128
+        rows = sized(rows)
+        nbytes = rows.sizes.storage + 128
         self.sub.put(key, (list(columns), list(types), rows, via), nbytes, tag)
 
     # -- invalidation ----------------------------------------------------------

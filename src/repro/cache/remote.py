@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 from repro.cache.epochs import EpochRegistry
 from repro.cache.store import LRUCache
-from repro.clarens.codec import carry, sizes_of
+from repro.clarens.codec import sized
 from repro.engine.storage import estimate_row_bytes  # noqa: F401 - perfbench counts calls at this binding
 from repro.net import costs
 
@@ -43,26 +43,17 @@ class _Answer:
 def _answer_bytes(value) -> int:
     """Approximate footprint of a wire answer (row payload + envelope)."""
     rows = value.get("rows")
-    return 256 + (sizes_of(rows).storage if rows else 0)
+    return 256 + (sized(rows).sizes.storage if rows else 0)
 
 
 def _copy(value):
-    """A copy of a wire value whose lists and structs the caller owns."""
+    """A copy of a wire value whose lists and structs the caller owns;
+    tuples, the frozen rows of an in-process answer included, are shared."""
     if isinstance(value, list):
         return [_copy(item) for item in value]
     if isinstance(value, dict):
         return {key: _copy(item) for key, item in value.items()}
     return value
-
-
-def _wire_copy(answer: dict) -> dict:
-    """A copy of a ``dataaccess.query`` answer that the caller owns: a
-    new dict, fresh lists, and the rows as fresh row lists (rows hold
-    scalars, so each is copied at C speed) carrying their size record."""
-    return {
-        key: carry(map(list, value), value) if key == "rows" else _copy(value)
-        for key, value in answer.items()
-    }
 
 
 class RemoteAnswerCache:
@@ -98,12 +89,12 @@ class RemoteAnswerCache:
             return None
         self._count("cache.remote.hits")
         # callers own the answer and may mutate it freely
-        return _wire_copy(answer.value)
+        return _copy(answer.value)
 
     def put(self, key, value) -> None:
         """Store an answer without its piggybacked spans: they belong to
         the trace that fetched it, not to a later hit's."""
-        value = _wire_copy({k: v for k, v in value.items() if k != "spans"})
+        value = {k: _copy(v) for k, v in value.items() if k != "spans"}
         self._lru.put(
             key,
             _Answer(

@@ -1,10 +1,10 @@
 """The byte-budgeted LRU store shared by all three cache levels.
 
-Entries carry an approximate byte footprint (rows sized through
-:func:`repro.engine.storage.estimate_row_bytes`) and an optional *tag*
-— the database a cached result depends on — so an epoch bump can flush
-exactly the affected database's entries while the LRU + byte budget
-handles everything else.
+Entries carry an approximate byte footprint (a result's rows count the
+storage bytes their :class:`repro.clarens.codec.SizedRows` record
+holds) and an optional *tag* — the database a cached result depends
+on — so an epoch bump can flush exactly the affected database's
+entries while the LRU + byte budget handles everything else.
 """
 
 from __future__ import annotations

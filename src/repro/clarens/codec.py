@@ -10,7 +10,8 @@ classic XML-RPC one (``<int>``, ``<double>``, ``<string>``,
 Sizes are computed, not written: ``payload_bytes`` is the exact length
 of the encoded text. A query result's rows are sized once
 (``size_rows``), for both the simulated storage/transfer bytes and the
-array's wire bytes, and carry that record (``SizedRows``) from the
+array's wire bytes. They are frozen as one immutable ``SizedRows``
+tuple, which keeps that record and is shared, not copied, from the
 router through the caches to the Clarens response.
 """
 
@@ -18,6 +19,7 @@ from __future__ import annotations
 
 import re
 import xml.etree.ElementTree as ET
+from functools import cached_property
 from typing import NamedTuple
 from xml.sax.saxutils import escape
 
@@ -173,7 +175,7 @@ def _value_bytes(value) -> int:
             for key in sorted(value)
         )
     if vtype is SizedRows:
-        wire = sizes_of(value).wire
+        wire = value.sizes.wire
     elif vtype is list or vtype is tuple:
         kinds = set(map(type, value))
         if kinds <= _PLAIN_TYPES:
@@ -239,63 +241,25 @@ def size_rows(rows) -> RowSizes:
     return RowSizes(storage, wire)
 
 
-class SizedRows(list):
-    """A result's rows carrying their :class:`RowSizes` record.
+class SizedRows(tuple):
+    """A result's rows, frozen, carrying their :class:`RowSizes` record.
 
     Every hop that charges bytes (the router's transfer, the caches, the
-    Clarens response) reads the record through :func:`sizes_of`; the
-    first reader computes it. It travels with :meth:`copy` and with
-    :func:`carry`. Any in-place change to the list drops it, so the next
-    reader sizes the rows afresh; a slice, a concatenation or a filtered
-    list is a plain list and has no record. The rows themselves are
-    values: the engine's tuples, or the fresh row lists of one wire answer.
+    Clarens response) reads :attr:`sizes`; the first reader computes it.
+    The rows cannot change, so the record can never go stale, and every
+    hop shares the one carrier. A slice, a concatenation or a filter is
+    a plain tuple or list and is sized afresh once wrapped by
+    :func:`sized`. The rows themselves are values: the engine's tuples.
     """
 
-    __slots__ = ("_sizes",)
-
-    def __init__(self, rows=(), sizes: RowSizes | None = None):
-        super().__init__(rows)
-        self._sizes = sizes
-
-    def copy(self) -> "SizedRows":
-        return SizedRows(self, self._sizes)
+    @cached_property
+    def sizes(self) -> RowSizes:
+        return size_rows(self)
 
 
-def _drops_sizes(name: str):
-    change = getattr(list, name)
-
-    def method(self, *args):
-        self._sizes = None
-        return change(self, *args)
-
-    method.__name__ = method.__qualname__ = name
-    return method
-
-
-# sort and reverse permute the rows, which changes neither number
-for _name in (
-    "__setitem__", "__delitem__", "__iadd__", "__imul__",
-    "append", "extend", "insert", "pop", "remove", "clear",
-):
-    setattr(SizedRows, _name, _drops_sizes(_name))
-
-
-def sizes_of(rows) -> RowSizes:
-    """The record ``rows`` carries; sized now (and kept on a
-    :class:`SizedRows`) when it has none."""
-    if type(rows) is SizedRows:
-        sizes = rows._sizes
-        if sizes is None:
-            sizes = rows._sizes = size_rows(rows)
-        return sizes
-    return size_rows(rows)
-
-
-def carry(rows, source=None) -> SizedRows:
-    """``rows`` as a new :class:`SizedRows` with the record ``source``
-    (default: ``rows`` itself) carries, if any: a copy, or the same rows
-    re-shaped (tuples for lists or back), which size the same."""
-    return SizedRows(rows, getattr(rows if source is None else source, "_sizes", None))
+def sized(rows) -> SizedRows:
+    """``rows`` frozen as a :class:`SizedRows`: itself when it is one."""
+    return rows if type(rows) is SizedRows else SizedRows(rows)
 
 
 _NUMBER_TAGS = {"int": int, "double": float}

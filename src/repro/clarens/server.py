@@ -21,12 +21,13 @@ from repro.net.simclock import SimClock
 
 
 def result_row_count(result) -> int:
-    """Rows inside a method result: a bare list, or a struct's 'rows'."""
+    """Rows inside a method result: a bare list, or a struct's 'rows'
+    array (a list or a tuple: the encoder writes both as one array)."""
     if isinstance(result, list):
         return len(result)
     if isinstance(result, dict):
         rows = result.get("rows")
-        if isinstance(rows, list):
+        if isinstance(rows, (list, tuple)):
             return len(rows)
     return 0
 

@@ -335,7 +335,7 @@ def _cached(run, cache, clock, span, host):
         ctx.provenance[sub.binding] = (
             start_ms, clock.now_ms, host, loc.database_name, loc.url,
         )
-        # the entry's rows carry their size record: a hit is not re-sized
-        return list(columns), list(types), rows.copy(), "cache"
+        # the entry's frozen rows carry their size record: a hit is not re-sized
+        return list(columns), list(types), rows, "cache"
 
     return cached

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from typing import Callable
 
-from repro.clarens.codec import SizedRows, sizes_of
+from repro.clarens.codec import SizedRows
 from repro.common.errors import FederationError
 from repro.common.types import SQLType
 from repro.core.pipeline import QueryContext
@@ -79,14 +79,14 @@ class SubQueryRouter:
             for via in ("pool", "jdbc", "remote")
         }
 
-    def _count_route(self, via: str, rows: list[tuple]) -> None:
+    def _count_route(self, via: str, rows: SizedRows) -> None:
         self.metrics.counter(f"subqueries.{via}").inc()
         self.metrics.counter("rows_moved").inc(len(rows))
 
     def _transfer_rows(self, from_host: str, rows: SizedRows) -> None:
         if self.network is None or self.host is None:
             return
-        nbytes = sizes_of(rows).storage + 256
+        nbytes = rows.sizes.storage + 256
         self.network.transfer(from_host, self.host, nbytes, self.clock)
 
     # -- the rule ----------------------------------------------------------------
@@ -113,7 +113,7 @@ class SubQueryRouter:
 
     def __call__(
         self, sub: SubQuery, ctx: QueryContext
-    ) -> tuple[list[str], list[SQLType], list[tuple], str]:
+    ) -> tuple[list[str], list[SQLType], SizedRows, str]:
         loc = sub.location
         start_ms = self.clock.now_ms
         via = self.route_of(sub)

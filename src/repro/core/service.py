@@ -577,7 +577,7 @@ class DataAccessService(ClarensService):
             if active is not None and response.get("spans"):
                 self.tracer.import_spans(response["spans"])
         answer = QueryAnswer.from_wire(response)
-        return answer.columns, answer.types, answer.rows
+        return answer.columns, answer.types, answer.sized_rows
 
     # ------------------------------------------------------------------
     # web-exposed methods (wire-safe values only)

@@ -8,9 +8,10 @@ sub-query pipeline, then hand them to ``integrate_plan``.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 
-from repro.clarens.codec import carry
+from repro.clarens.codec import SizedRows, sized
 from repro.common.errors import ReproError
 from repro.common.types import SQLType
 from repro.dialects import get_dialect
@@ -84,17 +85,28 @@ class QueryAnswer(RowSet):
     #: per-operator cost breakdown (obs.profiler.QueryProfile) when the
     #: serving service observes; None otherwise
     profile: object = None
+    #: the frozen rows ``rows`` was built from, size record included;
+    #: ``to_wire`` reuses them while ``rows`` still holds the same rows
+    sized_rows: SizedRows | None = field(default=None, compare=False, repr=False)
 
     def to_wire(self, allow_partial: bool = False) -> dict:
-        """The ``dataaccess.query`` response struct (plain lists only).
+        """The ``dataaccess.query`` response struct: plain lists, and
+        the rows as one frozen :class:`SizedRows` tuple of row tuples
+        (the encoder writes tuples as arrays).
 
         Only partial-tolerant callers get (and pay the bytes for) the
         ``partial`` and ``failures`` keys.
         """
+        rows = self.sized_rows
+        if rows is None or len(rows) != len(self.rows) or not all(
+            map(operator.is_, rows, self.rows)
+        ):
+            # ``rows`` changed after the answer was built: freeze it afresh
+            rows = sized(self.rows)
         out = {
             "columns": list(self.columns),
             "types": [str(t) for t in self.types],
-            "rows": carry(map(list, self.rows), self.rows),
+            "rows": rows,
             "distributed": self.distributed,
             "servers": self.servers_accessed,
             "tables": self.tables_accessed,
@@ -107,11 +119,16 @@ class QueryAnswer(RowSet):
 
     @classmethod
     def from_wire(cls, response: dict) -> "QueryAnswer":
-        """Decode a ``dataaccess.query`` response struct."""
+        """Decode a ``dataaccess.query`` response struct. An in-process
+        response's frozen rows are kept as they are; decoded row lists
+        become tuples."""
+        rows = response["rows"]
+        if type(rows) is not SizedRows:
+            rows = SizedRows(map(tuple, rows))
         return cls(
             columns=list(response["columns"]),
             types=[parse_type_text(t) for t in response["types"]],
-            rows=carry(map(tuple, response["rows"]), response["rows"]),
+            rows=list(rows),
             distributed=response["distributed"],
             databases=(),
             servers_accessed=response["servers"],
@@ -119,6 +136,7 @@ class QueryAnswer(RowSet):
             routes=list(response["routes"]),
             partial=bool(response.get("partial", False)),
             failures=list(response.get("failures", [])),
+            sized_rows=rows,
         )
 
 
@@ -150,13 +168,15 @@ def integrate_plan(plan: DecomposedQuery, fetched: dict, ctx, clock) -> QueryAns
             start_ms, end_ms, host,
         ))
     if plan.kind == "single":
-        # the sub-result passes through with its size record; rows cut
+        # the frozen sub-result passes on with its size record; rows cut
         # by a client-side LIMIT are a plain slice and are sized afresh
         columns, types, rows = sub_results[plan.subqueries[0].binding]
-        rows = carry(rows)
+        frozen = sized(rows)
+        rows = list(frozen)
     else:
         result = Integrator(clock).integrate(plan, sub_results, ctx.params)
         columns, types, rows = result.columns, result.types, result.rows
+        frozen = None
     return QueryAnswer(
         columns, types, rows, plan.is_distributed, plan.databases,
         servers_accessed=1,
@@ -165,6 +185,7 @@ def integrate_plan(plan: DecomposedQuery, fetched: dict, ctx, clock) -> QueryAns
         traces=traces,
         partial=bool(ctx.failures),
         failures=ctx.failures,
+        sized_rows=frozen,
     )
 
 

@@ -4,9 +4,10 @@ the one size record a result's rows carry.
 ``estimate_row_bytes`` sizes the exact built-in types inline and must
 equal the per-value definition for every value; ``TableStorage.byte_size``
 is computed when read and must equal the estimate over the stored rows
-after any sequence of mutations. A result's rows are sized once and carry
-the record (``SizedRows``) to every hop that charges bytes; no hop may
-read a stale record, and a query sizes each result at most once.
+after any sequence of mutations. A result's rows are frozen once
+(``SizedRows``) and carry their size record to every hop that charges
+bytes; an answer sends the rows it holds, no hop may read a stale
+record, and a query sizes each result at most once.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from repro.cache import CacheManager, EpochRegistry, RemoteAnswerCache
 from repro.cache.remote import _answer_bytes
 from repro.clarens import codec
 from repro.clarens.codec import (
-    SizedRows, _encoded_len, carry, encode_payload, payload_bytes, size_rows, sizes_of,
+    SizedRows, _encoded_len, encode_payload, payload_bytes, size_rows, sized,
 )
 from repro.common.types import SQLType
 from repro.core import GridFederation
@@ -32,6 +33,8 @@ from repro.net import costs
 from repro.net.simclock import SimClock
 from repro.tools.demo import two_server_federation
 from repro.unity import QueryAnswer
+
+from tests.test_answer_codec import JOIN_SQL
 
 _CALL_BYTES = len(encode_payload("", None)) - _encoded_len(None)
 
@@ -142,13 +145,10 @@ _cells = st.one_of(
 )
 _rows = st.lists(st.tuples(_cells, _cells), max_size=12)
 
-_steps = st.one_of(
-    st.tuples(st.sampled_from(["slice", "filter", "copy", "as_lists", "as_tuples",
-                               "wire", "remote_cache", "sub_cache"]), st.integers(0, 5)),
-    st.tuples(st.sampled_from(["append", "extend", "insert", "setitem", "setslice",
-                               "delitem", "delslice", "pop", "remove", "clear",
-                               "iadd", "imul", "sort", "reverse"]), st.integers(0, 5)),
-)
+_hops = ["slice", "filter", "wire", "remote_cache", "sub_cache"]
+_changes = ["append", "extend", "insert", "setitem", "setslice", "delitem", "delslice",
+            "pop", "remove", "clear", "iadd", "imul", "sort", "reverse"]
+_steps = st.tuples(st.sampled_from(_hops + _changes), st.integers(0, 5))
 
 
 class _Wire:
@@ -170,7 +170,7 @@ def _consumers_agree(rows) -> None:
     """Every hop that charges bytes reads the same numbers as a fresh
     computation over the rows as they are now."""
     storage, wire = _fresh(rows)
-    assert tuple(sizes_of(rows)) == (storage, wire)
+    assert tuple(rows.sizes) == (storage, wire)
     assert payload_bytes("m", rows) == _CALL_BYTES + len("m") + wire
     assert _answer_bytes({"rows": rows}) == 256 + storage
     network = _Wire()
@@ -182,30 +182,39 @@ def _consumers_agree(rows) -> None:
     assert cache.sub.bytes == storage + 128
 
 
-def _step(rows, op: str, n: int):
-    """Apply one change (or one hop) to ``rows``; return the rows after it."""
+def _answer(rows: SizedRows) -> QueryAnswer:
+    """An answer built from frozen rows, as ``integrate_plan`` builds one."""
+    return QueryAnswer(["a", "b"], [], list(rows), False, (), 1, 1, sized_rows=rows)
+
+
+def _wire_rows(answer: QueryAnswer) -> SizedRows:
+    """The frozen rows ``answer`` sends, checked against its public rows."""
+    rows = answer.to_wire()["rows"]
+    assert type(rows) is SizedRows
+    assert list(rows) == answer.rows
+    return rows
+
+
+def _hop(rows: SizedRows, op: str, n: int) -> SizedRows:
+    """Pass frozen rows through one hop; return the frozen rows after it."""
     if op == "slice":
         # a client-side LIMIT: a fresh carrier of the slice
-        return carry(rows[:n])
+        return sized(rows[:n])
     if op == "filter":
-        return carry([r for i, r in enumerate(rows) if i % 2 == n % 2])
-    if op == "copy":
-        return rows.copy()
-    if op == "as_lists":
-        return carry(map(list, rows), rows)
-    if op == "as_tuples":
-        return carry(map(tuple, rows), rows)
+        return sized([r for i, r in enumerate(rows) if i % 2 == n % 2])
     if op == "wire":
-        answer = QueryAnswer(["a", "b"], [], rows, False, (), 1, 1)
-        return QueryAnswer.from_wire(answer.to_wire()).rows
+        return _wire_rows(QueryAnswer.from_wire(_answer(rows).to_wire()))
     if op == "remote_cache":
         cache = RemoteAnswerCache(SimClock(), EpochRegistry())
-        cache.put("k", {"rows": carry(map(list, rows), rows)})
+        cache.put("k", {"rows": rows})
         return cache.get("k")["rows"]
-    if op == "sub_cache":
-        cache = CacheManager(SimClock())
-        cache.store_sub("k", ([], [], rows, "pool"), tag="db")
-        return cache.lookup_sub("k")[2].copy()
+    cache = CacheManager(SimClock())
+    cache.store_sub("k", ([], [], rows, "pool"), tag="db")
+    return cache.lookup_sub("k")[2]
+
+
+def _change(rows: list, op: str, n: int) -> None:
+    """Apply one in-place change to an answer's public ``rows`` list."""
     row = (n, f"r{n}" * n)
     if op == "append":
         rows.append(row)
@@ -235,31 +244,42 @@ def _step(rows, op: str, n: int):
         rows.sort(key=repr)
     elif op == "reverse":
         rows.reverse()
-    return rows
 
 
 @settings(max_examples=150, deadline=None)
 @given(_rows, st.lists(_steps, max_size=8))
 def test_carried_sizes_are_never_stale(rows, steps):
-    """Rows sliced, filtered, mutated in place, re-shaped or passed
-    through a cache or the wire: each consumer's number always equals a
-    fresh computation, even after the record was read."""
+    """Rows sliced, filtered, passed through a cache or the wire, or
+    changed in place on an answer's public list before its response:
+    the rows sent are the answer's rows, and each consumer's number
+    always equals a fresh computation, even after the record was read."""
     rows = SizedRows(rows)
     _consumers_agree(rows)
     for op, n in steps:
-        rows = _step(rows, op, n)
+        if op in _hops:
+            rows = _hop(rows, op, n)
+        else:
+            answer = _answer(rows)
+            _change(answer.rows, op, n)
+            rows = _wire_rows(answer)
         _consumers_agree(rows)
 
 
-def test_a_copy_carries_the_record_and_a_change_drops_it():
+def test_frozen_rows_are_shared_and_a_changed_answer_is_frozen_afresh():
     rows = SizedRows([(1, "a"), (2.5, None)])
-    record = sizes_of(rows)
-    assert rows.copy()._sizes is record
-    assert carry(map(list, rows), rows)._sizes is record
-    assert type(rows[:1]) is list
-    rows.append((3, "c"))
-    assert rows._sizes is None
-    assert sizes_of(rows) == size_rows(list(rows))
+    record = rows.sizes
+    assert sized(rows) is rows
+    assert type(rows[:1]) is tuple
+    assert _wire_rows(_answer(rows)) is rows
+    # same rows, new order: the identity check, not the length, refreezes
+    answer = _answer(rows)
+    answer.rows.reverse()
+    reordered = _wire_rows(answer)
+    assert reordered is not rows and reordered.sizes == record
+    answer.rows.append((3, "c"))
+    grown = _wire_rows(answer)
+    assert grown.sizes == size_rows(answer.rows) != record
+    assert rows.sizes is record and list(rows) == [(1, "a"), (2.5, None)]
 
 
 def _count_sizing(monkeypatch) -> list:
@@ -277,35 +297,43 @@ def _count_sizing(monkeypatch) -> list:
 @pytest.mark.parametrize("cache", [False, True])
 def test_each_result_is_sized_once_per_query(monkeypatch, cache):
     """A local and a forwarded single-table query each size their rows
-    once (the forwarded one at the peer, never again at the origin); a
-    warm sub-result-cache hit sizes nothing: its entry carries the record."""
+    once (the forwarded one at the peer, never again at the origin); the
+    two-server join sizes its local sub-result, its forwarded one at the
+    peer and the joined answer. Warm, a sub-result-cache hit and a
+    remote-answer-cache hit size nothing: their entries carry the record."""
     fed, a, b, _events, _runs = two_server_federation(cache=cache)
     client = fed.client("laptop")
-    local = "SELECT event_id, energy, tag FROM events WHERE event_id < 7"
-    forwarded = "SELECT run_id, detector FROM runs"
+    queries = {
+        "local": "SELECT event_id, energy, tag FROM events WHERE event_id < 7",
+        "forwarded": "SELECT run_id, detector FROM runs",
+        "join": JOIN_SQL,
+    }
     # warm up: RLS discovery and the peer's describe are not the query
-    fed.query(client, a, local)
-    fed.query(client, a, forwarded)
+    for sql in queries.values():
+        fed.query(client, a, sql)
     calls = _count_sizing(monkeypatch)
-    counted = {}
-    for name, sql in (("local", local), ("forwarded", forwarded)):
+    hits = a.service.cache.stats() if cache else None
+    cold, warm = {}, {}
+    for name, sql in queries.items():
         if cache:
             # cold caches on both servers
             a.service.cache.remote.flush()
             for handle in (a, b):
                 handle.service.cache.sub.clear()
-        del calls[:]
-        assert fed.query(client, a, sql).answer.rows
-        counted[name] = list(calls)
-    # one pass each, over the rows of the result (7 local, 3 forwarded)
-    assert counted == {"local": [7], "forwarded": [3]}
-    if cache:
-        fed.query(client, a, local)
-        hits = a.service.cache.stats()["sub"]["hits"]
-        del calls[:]
-        fed.query(client, a, local)
-        assert a.service.cache.stats()["sub"]["hits"] == hits + 1
-        assert calls == []
+        for counted in (cold, warm):
+            del calls[:]
+            assert fed.query(client, a, sql).answer.rows
+            counted[name] = list(calls)
+    # one pass per result, over its rows (7 local, 3 forwarded; the
+    # join's 10 local rows, the peer's 3 and the 10 joined)
+    assert cold == {"local": [7], "forwarded": [3], "join": [10, 3, 10]}
+    if not cache:
+        assert warm == cold
+        return
+    assert warm == {"local": [], "forwarded": [], "join": [10]}
+    stats = a.service.cache.stats()
+    assert stats["sub"]["hits"] == hits["sub"]["hits"] + 2
+    assert stats["remote"]["hits"] == hits["remote"]["hits"] + 2
 
 
 @pytest.mark.parametrize("cache", [False, True])

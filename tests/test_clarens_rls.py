@@ -10,6 +10,7 @@ from repro.clarens import (
     encode_payload,
     payload_bytes,
 )
+from repro.clarens.server import result_row_count
 from repro.common import AuthenticationError, ClarensFault, RLSLookupError
 from repro.net import Network, SimClock, costs
 from repro.rls import RLSClient, RLSServer
@@ -148,6 +149,13 @@ class TestServer:
         stats = server.method_stats["echo.rows"]
         assert stats.calls == 1
         assert stats.rows_returned == 5
+
+    def test_row_count_reads_a_rows_array_of_either_kind(self):
+        # the encoder writes a tuple of rows as the same array as a list,
+        # so both pay the per-row encode and decode costs
+        assert result_row_count({"rows": [(1,), (2,)]}) == 2
+        assert result_row_count({"rows": ((1,), (2,))}) == 2
+        assert result_row_count({"rows": "ab"}) == 0
 
 
 class TestClient:

@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.clarens import decode_payload, encode_payload, payload_bytes
-from repro.clarens.codec import SizedRows, _encoded_len, size_rows, sizes_of
+from repro.clarens.codec import SizedRows, _encoded_len, size_rows
 from repro.common.errors import ClarensFault
 from repro.engine import estimate_row_bytes, estimate_value_bytes
 
@@ -140,7 +140,7 @@ def test_one_sizing_pass_equals_both_reference_sizers(rows):
     assert size_rows(rows) == (storage, wire)
     # the carrier, read twice, reports the same record both times
     carried = SizedRows(rows)
-    assert sizes_of(carried) == (storage, wire) == sizes_of(carried)
+    assert carried.sizes == (storage, wire) == carried.sizes
     assert payload_bytes("m", {"rows": carried}) == len(
         encode_payload("m", {"rows": carried}).encode("utf-8")
     )
