@@ -14,7 +14,7 @@ from repro.common.rng import DeterministicRNG
 from repro.core import GridFederation
 from repro.hep.testbed import _make_ntuple_db, _make_runmeta_db
 
-from benchmarks.conftest import fmt_row, write_report
+from benchmarks.conftest import fmt_row, rows_digest, write_report
 
 QUERY = (
     "SELECT n.event_id, m.detector FROM ntuple n JOIN runmeta m "
@@ -37,12 +37,16 @@ def build(jdbc_pooling: bool):
 @pytest.fixture(scope="module")
 def comparison():
     out = {}
+    digests = []
     for label, pooling in (("prototype", False), ("pooled", True)):
         fed, server, client = build(pooling)
         times = []
-        for _ in range(N_QUERIES):
+        for run in range(N_QUERIES):
+            received = client.bytes_received
             outcome = fed.query(client, server, QUERY)
             times.append(outcome.response_ms)
+            digests.append((label, run, rows_digest(outcome.answer.rows),
+                            repr(outcome.response_ms), client.bytes_received - received))
         out[label] = times
     widths = [10, 12, 12, 12]
     lines = [fmt_row(["mode", "first ms", "steady ms", "mean ms"], widths)]
@@ -61,6 +65,10 @@ def comparison():
         "the Table 1 distributed query (MySQL via POOL-RAL + MS SQL via JDBC),",
         f"repeated {N_QUERIES}x. Pooling pays one connect, then reuses it —",
         "the distributed penalty the paper measured is mostly connection churn.",
+        "",
+        "rows: sha256[:16] of the answer rows; exact sim ms; response bytes on the wire",
+        fmt_row(["mode", "run", "rows", "measured ms", "wire bytes"], [10, 3, 16, 20, 10]),
+        *[fmt_row(d, [10, 3, 16, 20, 10]) for d in digests],
     ]
     write_report("ablation_pooling", "Ablation E — JDBC Connection Pooling", lines)
     return out

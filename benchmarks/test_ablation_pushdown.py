@@ -17,7 +17,7 @@ from repro.metadata import DataDictionary, generate_lower_xspec
 from repro.net import Network, SimClock
 from repro.unity import UnityDriver
 
-from benchmarks.conftest import fmt_row, write_report
+from benchmarks.conftest import fmt_row, rows_digest, write_report
 
 QUERY = (
     "SELECT n.event_id, m.detector FROM ntuple n JOIN runmeta m "
@@ -74,6 +74,16 @@ def comparison():
         "",
         "stock Unity ships whole tables to the middleware and joins there —",
         "the paper's memory-overload criticism (Section 3).",
+        "",
+        "rows: sha256[:16] of the answer rows; exact sim ms; bytes moved on the network",
+        fmt_row(["mode", "rows", "measured ms", "bytes moved"], [12, 16, 20, 11]),
+        *[
+            fmt_row(
+                [label, rows_digest(out[label][0].rows), repr(out[label][1]), out[label][3]],
+                [12, 16, 20, 11],
+            )
+            for label in ("pushdown", "stock-unity")
+        ],
     ]
     write_report("ablation_pushdown", "Ablation D — Predicate Pushdown vs Stock Unity", lines)
     return out

@@ -14,7 +14,7 @@ from repro.common.rng import DeterministicRNG
 from repro.core import GridFederation
 from repro.hep.testbed import _make_ntuple_db
 
-from benchmarks.conftest import fmt_row, write_report
+from benchmarks.conftest import fmt_row, rows_digest, write_report
 
 WORKLOAD = [
     "SELECT event_id, e FROM ntuple_a WHERE event_id <= 200",
@@ -55,10 +55,17 @@ def entry_server_for(fed, servers, sql):
     return by_url[urls[0]]
 
 
-def run_workload(fed, servers, client):
+def run_workload(fed, servers, client, digests=None):
+    """Run WORKLOAD; per distinct query, ``digests`` (when given) gets the
+    rows digest and the sim ms and wire bytes summed over its repeats."""
     for sql in WORKLOAD:
         target = entry_server_for(fed, servers, sql)
-        fed.query(client, target, sql)
+        received = client.bytes_received
+        outcome = fed.query(client, target, sql)
+        if digests is not None:
+            digest, ms, nbytes = digests.get(sql, (None, 0.0, 0))
+            digests[sql] = (rows_digest(outcome.answer.rows), ms + outcome.response_ms,
+                            nbytes + client.bytes_received - received)
     busy = []
     for handle in servers:
         busy_ms = sum(s.busy_ms for s in handle.server.method_stats.values())
@@ -68,8 +75,9 @@ def run_workload(fed, servers, client):
 
 @pytest.fixture(scope="module")
 def comparison():
-    central = run_workload(*build(distributed=False))
-    spread = run_workload(*build(distributed=True))
+    digests = {"central": {}, "spread": {}}
+    central = run_workload(*build(distributed=False), digests["central"])
+    spread = run_workload(*build(distributed=True), digests["spread"])
     widths = [22, 14]
     lines = [fmt_row(["deployment", "busiest ms"], widths)]
     lines.append(fmt_row(["central (1 server)", f"{max(b for _, b in central):.0f}"], widths))
@@ -77,6 +85,21 @@ def comparison():
     lines += ["", "per-server busy time:"]
     for name, b in central + spread:
         lines.append(f"  {name}: {b:.0f} ms")
+    lines += [
+        "",
+        "rows: sha256[:16] of the answer rows; exact sim ms and response bytes on",
+        f"the wire, each summed over the query's {WORKLOAD.count(WORKLOAD[0])} runs",
+        fmt_row(["deployment", "query", "rows", "measured ms", "wire bytes"],
+                [10, 5, 16, 20, 10]),
+        *[
+            fmt_row([label, i, d[0], repr(d[1]), d[2]], [10, 5, 16, 20, 10])
+            for label, ds in digests.items()
+            for i, d in enumerate(ds.values())
+        ],
+        "",
+        "exact busy ms per server:",
+        *[f"  {name}: {b!r}" for name, b in central + spread],
+    ]
     write_report("ablation_rls", "Ablation B — RLS Load Distribution", lines)
     return central, spread
 

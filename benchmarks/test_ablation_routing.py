@@ -12,7 +12,7 @@ from repro.common.rng import DeterministicRNG
 from repro.core import GridFederation
 from repro.hep.testbed import _make_ntuple_db
 
-from benchmarks.conftest import fmt_row, write_report
+from benchmarks.conftest import fmt_row, rows_digest, write_report
 
 QUERY = "SELECT event_id, e FROM ntuple WHERE event_id <= 15"
 
@@ -29,9 +29,12 @@ def build(force_jdbc: bool):
 @pytest.fixture(scope="module")
 def comparison():
     out = {}
+    wire_bytes = {}
     for label, force in (("pool", False), ("jdbc", True)):
         fed, server, client = build(force)
+        received = client.bytes_received
         outcome = fed.query(client, server, QUERY)
+        wire_bytes[label] = client.bytes_received - received
         out[label] = (outcome, server)
     widths = [8, 12, 10]
     lines = [
@@ -43,6 +46,17 @@ def comparison():
         "",
         "pool: cached handle initialized at registration (paper wrapper method 1);",
         "jdbc: per-query XSpec parse + connect + authenticate (the N x S cost).",
+        "",
+        "rows: sha256[:16] of the answer rows; exact sim ms; response bytes on the wire",
+        fmt_row(["route", "rows", "measured ms", "wire bytes"], [8, 16, 20, 10]),
+        *[
+            fmt_row(
+                [label, rows_digest(out[label][0].answer.rows),
+                 repr(out[label][0].response_ms), wire_bytes[label]],
+                [8, 16, 20, 10],
+            )
+            for label in ("pool", "jdbc")
+        ],
     ]
     write_report("ablation_routing", "Ablation C — POOL-RAL vs JDBC Routing", lines)
     return out
