@@ -7,7 +7,7 @@ web-service interface and visualizes the returned rows as histograms;
 histograms suitable for terminals and logs.
 """
 
-from repro.analysis.cutflow import CutFlow, CutStage, grid_cutflow, local_cutflow
+from repro.analysis.cutflow import CutFlow, CutStage, grid_cutflow
 from repro.analysis.histogram import Histogram1D, Histogram2D, Profile1D
 from repro.analysis.histservice import (
     HistogramService,
@@ -27,5 +27,4 @@ __all__ = [
     "grid_cutflow",
     "histogram_from_wire",
     "histogram_to_wire",
-    "local_cutflow",
 ]

@@ -89,18 +89,6 @@ class CutFlow:
         return "\n".join(lines)
 
 
-def local_cutflow(database, table: str) -> CutFlow:
-    """Cut flow counting directly on one engine database."""
-
-    def count(where: str | None) -> int:
-        sql = f"SELECT COUNT(*) FROM {table}"
-        if where:
-            sql += f" WHERE {where}"
-        return database.execute(sql).rows[0][0]
-
-    return CutFlow(count, table)
-
-
 def grid_cutflow(federation, client, server, table: str) -> CutFlow:
     """Cut flow counting through the web-service interface."""
 

@@ -48,6 +48,15 @@ def auto_range(values, low=None, high=None) -> tuple[float, float]:
     return float(low), float(high)
 
 
+def _bin_indexes(values: np.ndarray, low: float, width: float, nbins: int) -> np.ndarray:
+    """Bin of each in-range value. A value just below the top edge can
+    round up to ``nbins``, and a range wider than a float64 can hold
+    gives NaN; both are clamped into the bins."""
+    with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
+        position = (values - low) / width
+    return np.clip(np.nan_to_num(position), 0, nbins - 1).astype(np.int64)
+
+
 class Histogram1D:
     """A 1-D histogram with ``nbins`` equal bins over [low, high)."""
 
@@ -69,7 +78,7 @@ class Histogram1D:
 
     # -- filling -----------------------------------------------------------------
 
-    def fill(self, values, weights=None) -> None:
+    def fill(self, values) -> None:
         """Fill with a scalar or an iterable of values (vectorized)."""
         arr = np.atleast_1d(np.asarray(values, dtype=np.float64))
         arr = arr[~np.isnan(arr)]
@@ -79,8 +88,7 @@ class Histogram1D:
         self.overflow += int((arr >= self.high).sum())
         inside = arr[(arr >= self.low) & (arr < self.high)]
         if inside.size:
-            idx = ((inside - self.low) / self.bin_width).astype(np.int64)
-            np.add.at(self.counts, idx, 1)
+            np.add.at(self.counts, _bin_indexes(inside, self.low, self.bin_width, self.nbins), 1)
         self._sum += float(arr.sum())
         self._sum2 += float((arr * arr).sum())
         self._n += int(arr.size)
@@ -98,11 +106,6 @@ class Histogram1D:
         return self._n
 
     @property
-    def in_range(self) -> int:
-        """Counts inside [low, high), excluding under/overflow."""
-        return int(self.counts.sum())
-
-    @property
     def mean(self) -> float:
         """Mean of every filled value (including out-of-range ones)."""
         return self._sum / self._n if self._n else math.nan
@@ -114,14 +117,6 @@ class Histogram1D:
             return math.nan
         variance = self._sum2 / self._n - self.mean**2
         return math.sqrt(max(0.0, variance))
-
-    def bin_index(self, value: float) -> int:
-        """Bin index for ``value``; -1 underflow, nbins overflow."""
-        if value < self.low:
-            return -1
-        if value >= self.high:
-            return self.nbins
-        return int((value - self.low) / self.bin_width)
 
     # -- combination ---------------------------------------------------------------
 
@@ -205,16 +200,10 @@ class Profile1D:
         self.out_of_range += int((~ok).sum())
         if not ok.any():
             return
-        idx = ((xa[ok] - self.low) / self.bin_width).astype(np.int64)
+        idx = _bin_indexes(xa[ok], self.low, self.bin_width, self.nbins)
         np.add.at(self.counts, idx, 1)
         np.add.at(self._sum, idx, ya[ok])
         np.add.at(self._sum2, idx, ya[ok] ** 2)
-
-    def bin_mean(self, i: int) -> float:
-        """Mean of y in bin ``i`` (NaN when empty)."""
-        if self.counts[i] == 0:
-            return math.nan
-        return float(self._sum[i] / self.counts[i])
 
     def bin_error(self, i: int) -> float:
         """Standard error on the bin mean."""
@@ -297,8 +286,8 @@ class Histogram2D:
         )
         self.out_of_range += int((~ok).sum())
         if ok.any():
-            xi = ((xa[ok] - self.xlow) / self.x_width).astype(np.int64)
-            yi = ((ya[ok] - self.ylow) / self.y_width).astype(np.int64)
+            xi = _bin_indexes(xa[ok], self.xlow, self.x_width, self.nx)
+            yi = _bin_indexes(ya[ok], self.ylow, self.y_width, self.ny)
             np.add.at(self.counts, (xi, yi), 1)
 
     @property

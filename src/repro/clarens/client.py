@@ -82,11 +82,6 @@ class ClarensClient:
         self._sessions[server.name] = session
         return session
 
-    def disconnect(self, server: ClarensServer) -> None:
-        session = self._sessions.pop(server.name, None)
-        if session is not None:
-            session.server.close_session(session.session_id)
-
     @staticmethod
     def _session_alive(server: ClarensServer, session: ClarensSession) -> bool:
         """Is our cached session still live on the server?"""

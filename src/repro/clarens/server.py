@@ -152,10 +152,6 @@ class ClarensServer:
                 f"server {self.name!r}: missing or expired session"
             )
 
-    def close_session(self, session_id: str) -> None:
-        """Invalidate a session id."""
-        self._sessions.pop(session_id, None)
-
     # -- dispatch ---------------------------------------------------------------------
 
     # -- introspection (classic XML-RPC 'system' namespace) -----------------------------

@@ -31,7 +31,6 @@ from repro.common.types import (
     coerce_value,
     common_supertype,
     infer_literal_type,
-    is_null,
     sql_repr,
 )
 from repro.common.rng import DeterministicRNG
@@ -62,6 +61,5 @@ __all__ = [
     "coerce_value",
     "common_supertype",
     "infer_literal_type",
-    "is_null",
     "sql_repr",
 ]

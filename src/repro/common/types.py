@@ -127,11 +127,6 @@ class SQLType:
         return SQLType(TypeKind.TIMESTAMP)
 
 
-def is_null(value: object) -> bool:
-    """SQL NULL test; NaN floats are *not* NULL (they are values)."""
-    return value is None
-
-
 def infer_literal_type(value: object) -> SQLType:
     """Infer the logical type of a Python literal used in SQL."""
     if value is None:

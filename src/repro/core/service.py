@@ -174,13 +174,10 @@ class DataAccessService(ClarensService):
                 "transfer_failed", end - ms, end, src=src, dst=dst, bytes=int(nbytes)
             )
 
-    def _dictionary_changed(self, dropped: str = "") -> None:
-        """Flush cached plans (and a dropped database's sub-results)."""
-        if self.cache is None:
-            return
-        self.cache.bump_dictionary()
-        if dropped:
-            self.cache.epochs.bump(dropped)
+    def _dictionary_changed(self) -> None:
+        """Flush cached plans."""
+        if self.cache is not None:
+            self.cache.bump_dictionary()
 
     def _publish(self, tables) -> None:
         if self.rls is not None:
@@ -213,16 +210,6 @@ class DataAccessService(ClarensService):
         if publish:
             self._publish(spec.logical_table_names())
         return spec
-
-    def unregister_database(self, database_name: str) -> None:
-        """Remove a database: dictionary, tracker, RLS and POOL handle."""
-        spec = self.dictionary.spec_for(database_name)
-        url = self.dictionary.url_for(database_name)
-        self._unpublish(spec.logical_table_names())
-        self.dictionary.remove_database(database_name)
-        self.tracker.unwatch(database_name)
-        self.ral.release(url)
-        self._dictionary_changed(dropped=database_name)
 
     def _on_schema_change(self, database_name: str, new_spec: LowerXSpec) -> None:
         """Tracker callback: refresh dictionary and RLS publications.

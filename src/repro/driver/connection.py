@@ -24,7 +24,6 @@ class Cursor:
         self.connection = connection
         self._result: ExecResult | None = None
         self._fetch_pos = 0
-        self.arraysize = 100
 
     # -- execution -------------------------------------------------------------
 
@@ -92,15 +91,6 @@ class Cursor:
         row = self._result.rows[self._fetch_pos]
         self._fetch_pos += 1
         return row
-
-    def fetchmany(self, size: int | None = None) -> list[tuple]:
-        """Up to ``size`` rows (default ``arraysize``)."""
-        if self._result is None:
-            raise DriverError("fetch before execute")
-        size = size or self.arraysize
-        rows = self._result.rows[self._fetch_pos : self._fetch_pos + size]
-        self._fetch_pos += len(rows)
-        return rows
 
     def fetchall(self) -> list[tuple]:
         """Every remaining row of the result set."""

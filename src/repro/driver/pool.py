@@ -71,12 +71,3 @@ class ConnectionPool:
             self.stats.discarded += 1
             return
         bucket.append(connection)
-
-    def idle_count(self) -> int:
-        return sum(len(b) for b in self._idle.values())
-
-    def close_all(self) -> None:
-        for bucket in self._idle.values():
-            for conn in bucket:
-                conn.close()
-        self._idle.clear()

@@ -130,7 +130,3 @@ class Catalog:
         self._index_defs[key] = stmt
         if len(stmt.columns) == 1:
             table.add_range_index(stmt.columns[0])
-
-    def index_names(self) -> list[str]:
-        """Sorted names of every index."""
-        return sorted(d.name for d in self._index_defs.values())

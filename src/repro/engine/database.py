@@ -320,17 +320,6 @@ class Database:
             return ExecResult()
         raise SQLSyntaxError(f"unsupported ALTER action {stmt.action!r}")
 
-    # -- prepared statements -----------------------------------------------------------
-
-    def prepare(self, sql: str) -> "PreparedStatement":
-        """Parse once, execute many times with different parameters.
-
-        The parse is the fixed per-statement cost a repeated workload
-        pays on every call; a prepared statement amortizes it exactly
-        like a real driver's ``PreparedStatement``.
-        """
-        return PreparedStatement(self, parse_statement(sql), sql)
-
     # -- introspection -------------------------------------------------------------------
 
     def explain(self, sql: str) -> list[str]:
@@ -346,23 +335,3 @@ class Database:
         """Fast path for streaming loads: no SQL parse per row."""
         table = self.catalog.get_table(table_name)
         return table.append_rows(rows)
-
-
-class PreparedStatement:
-    """A parsed statement bound to one database."""
-
-    def __init__(self, database: Database, statement: ast.Statement, sql: str):
-        self.database = database
-        self.statement = statement
-        self.sql = sql
-        self.executions = 0
-
-    def execute(self, params: tuple = ()) -> ExecResult:
-        """Run with ``params``; no re-parse."""
-        self.executions += 1
-        return self.database.execute_statement(
-            self.statement, params, sql_text=self.sql
-        )
-
-    def __repr__(self) -> str:
-        return f"PreparedStatement({self.sql!r}, executions={self.executions})"

@@ -97,10 +97,6 @@ class RowSet:
         """The rows as a plain 2-D list (the paper's result shape)."""
         return [list(r) for r in self.rows]
 
-    def to_dicts(self) -> list[dict]:
-        """Rows as dicts keyed by column name."""
-        return [dict(zip(self.columns, row)) for row in self.rows]
-
 
 @dataclass
 class ExecResult(RowSet):

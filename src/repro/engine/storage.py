@@ -6,9 +6,8 @@ sorted ``(keys, positions)`` index on a numeric column: the single-column
 numeric primary key, or a column named by ``CREATE INDEX``. It is built
 lazily on the first range lookup and dropped on every mutation
 (rebuild-on-demand keeps the mutation path simple and is the right trade
-for the read-mostly mart workloads the paper evaluates). Byte accounting
-is lazy too: :attr:`TableStorage.byte_size` sizes only the rows appended
-since it was last read.
+for the read-mostly mart workloads the paper evaluates). A table keeps
+no byte count: ETL sizes what it extracts and the codec what it ships.
 """
 
 from __future__ import annotations
@@ -119,33 +118,12 @@ class TableStorage:
         # column name -> sorted index (None: keys not all finite numbers);
         # cleared on every mutation
         self._sorted: dict[str, SortedIndex | None] = {}
-        # byte_size covers rows[:_sized_rows]
-        self._byte_size = 0
-        self._sized_rows = 0
 
     # Introspection -------------------------------------------------------------
 
     @property
-    def column_names(self) -> list[str]:
-        return [c.name for c in self.columns]
-
-    @property
     def row_count(self) -> int:
         return len(self.rows)
-
-    @property
-    def byte_size(self) -> int:
-        """Approximate data footprint in bytes (used by ETL sizing).
-
-        Sized on read: rows appended since the last read are estimated
-        now, so inserts and scratch loads pay nothing for it.
-        """
-        if self._sized_rows < len(self.rows):
-            self._byte_size += sum(
-                estimate_row_bytes(r) for r in self.rows[self._sized_rows :]
-            )
-            self._sized_rows = len(self.rows)
-        return self._byte_size
 
     def column_position(self, name: str) -> int:
         idx = self._col_index.get(name.lower())
@@ -357,7 +335,6 @@ class TableStorage:
 
     def _rebuild_after_mutation(self) -> None:
         self._sorted.clear()
-        self._byte_size = self._sized_rows = 0
         if self._pk_index is not None:
             self._pk_index = {}
             for pos, row in enumerate(self.rows):
@@ -444,10 +421,3 @@ class TableStorage:
             index = ([values[i] for i in order], order)
         self._sorted[name] = index
         return index
-
-    def lookup_pk(self, key: tuple) -> tuple | None:
-        """Primary-key point lookup; None when the table has no PK or misses."""
-        if self._pk_index is None:
-            return None
-        pos = self._pk_index.get(key)
-        return None if pos is None else self.rows[pos]

@@ -19,7 +19,6 @@ from repro.metadata.generator import generate_lower_xspec
 from repro.metadata.upper import UpperXSpec, UpperXSpecEntry
 from repro.metadata.dictionary import DataDictionary, TableLocation
 from repro.metadata.tracker import SchemaTracker, TrackedSpec
-from repro.metadata.store import XSpecStore
 from repro.metadata.semantic import (
     LogicalNameSuggestion,
     TableMatch,
@@ -30,7 +29,6 @@ from repro.metadata.semantic import (
 __all__ = [
     "LogicalNameSuggestion",
     "TableMatch",
-    "XSpecStore",
     "find_matches",
     "suggest_logical_names",
     "DataDictionary",

@@ -58,18 +58,12 @@ class SchemaTracker:
         )
         return spec
 
-    def unwatch(self, database_name: str) -> None:
-        self._tracked.pop(database_name, None)
-
     def subscribe(self, callback: Callable[[str, LowerXSpec], None]) -> None:
         """``callback(database_name, new_spec)`` on every detected change."""
         self._subscribers.append(callback)
 
     def current_spec(self, database_name: str) -> LowerXSpec:
         return self._tracked[database_name].spec
-
-    def watched(self) -> list[str]:
-        return sorted(self._tracked)
 
     # -- the paper's algorithm ------------------------------------------------------
 

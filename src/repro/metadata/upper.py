@@ -37,19 +37,6 @@ class UpperXSpec:
                 return e
         return None
 
-    def database_names(self) -> list[str]:
-        return sorted(e.name for e in self.entries)
-
-    def with_entry(self, entry: UpperXSpecEntry) -> "UpperXSpec":
-        """Functional update: add (or replace) one database entry."""
-        kept = tuple(e for e in self.entries if e.name.lower() != entry.name.lower())
-        return UpperXSpec(kept + (entry,))
-
-    def without_entry(self, name: str) -> "UpperXSpec":
-        return UpperXSpec(
-            tuple(e for e in self.entries if e.name.lower() != name.lower())
-        )
-
     def to_xml(self) -> str:
         root = ET.Element("upperxspec")
         for entry in sorted(self.entries, key=lambda e: e.name.lower()):

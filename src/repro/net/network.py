@@ -71,11 +71,6 @@ class Network:
         if fn not in self._failure_observers:
             self._failure_observers.append(fn)
 
-    def remove_failure_observer(self, fn) -> None:
-        """Unsubscribe a failed-transfer observer."""
-        if fn in self._failure_observers:
-            self._failure_observers.remove(fn)
-
     # -- topology -------------------------------------------------------------
 
     def add_host(self, name: str, tier: int = 2) -> Host:

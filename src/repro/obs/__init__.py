@@ -4,8 +4,8 @@ The *capture* side (PR 2), all stamped from the simulated clock:
 
 * :mod:`repro.obs.trace` — span-based query-lifecycle tracing with
   parent/child propagation across Clarens hops;
-* :mod:`repro.obs.metrics` — a named-instrument registry (counters,
-  gauges, percentile histograms) that is the single source of truth
+* :mod:`repro.obs.metrics` — a named-instrument registry (counters
+  and percentile histograms) that is the single source of truth
   behind ``dataaccess.stats``;
 * :mod:`repro.obs.monitor` — R-GMA-style monitor tables: the
   federation publishes its own telemetry as relational tables and
@@ -29,7 +29,7 @@ from repro.obs.archive import (
     MetricsArchiver,
     SeriesArchive,
 )
-from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
+from repro.obs.metrics import Counter, Histogram, MetricsRegistry
 from repro.obs.monitor import (
     MONITOR_TABLES,
     TIMESTAMP_COLUMN,
@@ -53,7 +53,6 @@ __all__ = [
     "Alert",
     "Bucket",
     "Counter",
-    "Gauge",
     "Histogram",
     "MetricsArchiver",
     "MetricsRegistry",

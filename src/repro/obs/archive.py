@@ -41,7 +41,7 @@ class Bucket:
     total: float = 0.0    # sum of observations (histogram) or deltas (counter)
     vmin: float | None = None
     vmax: float | None = None
-    last: float = 0.0     # latest cumulative value (counter) / level (gauge)
+    last: float = 0.0     # latest cumulative value (counter)
     bad: float = 0.0      # observations beyond a watched threshold
 
     @property
@@ -213,7 +213,6 @@ class MetricsArchiver:
         self.snapshots = 0
         self._last_snapshot_ms: float | None = None
         self._counter_last: dict[str, float] = {}
-        self._gauge_last: dict[str, float] = {}
         self._hist_cursor: dict[str, int] = {}
         #: histogram name → threshold; observations beyond it count as
         #: ``bad`` in that series' buckets (registered by latency SLOs)
@@ -256,9 +255,6 @@ class MetricsArchiver:
         for name, counter in self.registry.counters.items():
             if float(counter.value) != self._counter_last.get(name, 0.0):
                 return True
-        for name, gauge in self.registry.gauges.items():
-            if float(gauge.value) != self._gauge_last.get(name, 0.0):
-                return True
         for name, hist in self.registry.histograms.items():
             if len(hist.values) != self._hist_cursor.get(name, 0):
                 return True
@@ -277,15 +273,6 @@ class MetricsArchiver:
                 Bucket(
                     t_ms=now, samples=1.0, total=delta,
                     vmin=delta, vmax=delta, last=value,
-                )
-            )
-        for name in sorted(self.registry.gauges):
-            value = float(self.registry.gauges[name].value)
-            self._gauge_last[name] = value
-            self._series(name, "gauge").record(
-                Bucket(
-                    t_ms=now, samples=1.0, total=value,
-                    vmin=value, vmax=value, last=value,
                 )
             )
         for name in sorted(self.registry.histograms):

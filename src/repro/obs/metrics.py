@@ -1,4 +1,4 @@
-"""The federation's metrics registry: counters, gauges, histograms.
+"""The federation's metrics registry: counters and histograms.
 
 Instruments are named, created on first touch, and cheap enough to
 leave always-on — the data access service's old ad-hoc ``stats()``
@@ -25,17 +25,6 @@ class Counter:
         if n < 0:
             raise ValueError(f"counter {self.name!r} cannot decrease (inc {n})")
         self.value += n
-
-
-@dataclass
-class Gauge:
-    """A point-in-time level (pool sizes, watermark positions)."""
-
-    name: str
-    value: float = 0.0
-
-    def set(self, value: float) -> None:
-        self.value = float(value)
 
 
 @dataclass
@@ -132,7 +121,6 @@ class MetricsRegistry:
 
     def __init__(self) -> None:
         self.counters: dict[str, Counter] = {}
-        self.gauges: dict[str, Gauge] = {}
         self.histograms: dict[str, Histogram] = {}
 
     # -- instrument access (create on first touch) ------------------------------
@@ -141,12 +129,6 @@ class MetricsRegistry:
         inst = self.counters.get(name)
         if inst is None:
             inst = self.counters[name] = Counter(name)
-        return inst
-
-    def gauge(self, name: str) -> Gauge:
-        inst = self.gauges.get(name)
-        if inst is None:
-            inst = self.gauges[name] = Gauge(name)
         return inst
 
     def histogram(self, name: str) -> Histogram:
@@ -162,8 +144,6 @@ class MetricsRegistry:
         rows: list[tuple[str, str, str, float]] = []
         for name in sorted(self.counters):
             rows.append((name, "counter", "value", float(self.counters[name].value)))
-        for name in sorted(self.gauges):
-            rows.append((name, "gauge", "value", float(self.gauges[name].value)))
         for name in sorted(self.histograms):
             for stat, value in self.histograms[name].stats().items():
                 rows.append((name, "histogram", stat, float(value)))
@@ -173,7 +153,6 @@ class MetricsRegistry:
         """Wire-safe snapshot (survives the XML-RPC codec)."""
         return {
             "counters": {n: float(c.value) for n, c in sorted(self.counters.items())},
-            "gauges": {n: float(g.value) for n, g in sorted(self.gauges.items())},
             "histograms": {
                 n: h.stats() for n, h in sorted(self.histograms.items())
             },

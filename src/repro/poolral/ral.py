@@ -57,11 +57,6 @@ class PoolRAL:
         self._handles[url] = handle
         return handle
 
-    def release(self, url: str) -> None:
-        handle = self._handles.pop(url, None)
-        if handle is not None:
-            handle.connection.close()
-
     def handle_count(self) -> int:
         return len(self._handles)
 

@@ -107,11 +107,6 @@ class ChaosDriver:
         self.applied.extend(fired)
         return fired
 
-    @property
-    def exhausted(self) -> bool:
-        """True once every scheduled event has been applied."""
-        return self._cursor >= len(self.schedule.events)
-
     def finish(self) -> list[ChaosEvent]:
         """Apply every remaining event regardless of the clock (cleanup)."""
         fired = []

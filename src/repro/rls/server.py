@@ -37,11 +37,6 @@ class RLSServer:
         if not urls:
             del self._mappings[logical_table.lower()]
 
-    def unpublish_server(self, server_url: str) -> None:
-        """Remove every mapping that points at ``server_url``."""
-        for table in list(self._mappings):
-            self.unpublish(table, server_url)
-
     # -- lookup -----------------------------------------------------------------------
 
     def lookup(self, logical_table: str) -> list[str]:

@@ -143,7 +143,6 @@ class TestOneResultShape:
         for shape in self._shapes():
             assert shape.row_count == 1
             assert shape.to_vector() == [[1]]
-            assert shape.to_dicts() == [{"a": 1}]
 
 
 class TestExplainMatchesExecute:

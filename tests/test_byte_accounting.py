@@ -1,10 +1,8 @@
-"""Simulated byte accounting: the row estimate, a table's byte size, and
-the one size record a result's rows carry.
+"""Simulated byte accounting: the row estimate and the one size record a
+result's rows carry.
 
 ``estimate_row_bytes`` sizes the exact built-in types inline and must
-equal the per-value definition for every value; ``TableStorage.byte_size``
-is computed when read and must equal the estimate over the stored rows
-after any sequence of mutations. A result's rows are frozen once
+equal the per-value definition for every value. A result's rows are frozen once
 (``SizedRows``) and carry their size record to every hop that charges
 bytes; an answer sends the rows it holds, no hop may read a stale
 record, and a query sizes each result at most once.
@@ -22,13 +20,10 @@ from repro.clarens import codec
 from repro.clarens.codec import (
     SizedRows, _encoded_len, encode_payload, payload_bytes, size_rows, sized,
 )
-from repro.common.types import SQLType
 from repro.core import GridFederation
 from repro.core.router import SubQueryRouter
 from repro.driver.directory import Directory
-from repro.engine import (
-    Column, Database, TableStorage, estimate_row_bytes, estimate_value_bytes,
-)
+from repro.engine import Database, estimate_row_bytes, estimate_value_bytes
 from repro.net import costs
 from repro.net.simclock import SimClock
 from repro.tools.demo import two_server_federation
@@ -69,69 +64,6 @@ _values = st.one_of(
 @given(st.lists(_values, max_size=8).map(tuple))
 def test_row_estimate_equals_per_value_sum(row):
     assert estimate_row_bytes(row) == sum(estimate_value_bytes(v) for v in row) + len(row)
-
-
-def _table() -> TableStorage:
-    return TableStorage(
-        "t",
-        [
-            Column("id", SQLType.integer(), primary_key=True),
-            Column("x", SQLType.double()),
-            Column("s", SQLType.varchar(12)),
-        ],
-    )
-
-
-_row = st.tuples(
-    st.one_of(st.none(), st.floats(allow_nan=False, allow_infinity=False)),
-    st.one_of(st.none(), st.text(alphabet="abcxyz", max_size=12)),
-)
-
-_ops = st.one_of(
-    st.tuples(st.just("insert"), _row),
-    st.tuples(st.just("append"), st.lists(_row, max_size=4)),
-    st.tuples(st.just("delete"), st.integers(0, 3)),
-    st.tuples(st.just("replace"), st.integers(0, 3)),
-    st.tuples(st.just("add_column"), st.sampled_from([None, 7, "text"])),
-    st.tuples(st.just("drop_column"), st.just(None)),
-    st.tuples(st.just("read"), st.just(None)),
-)
-
-
-@settings(max_examples=80, deadline=None)
-@given(st.lists(_ops, max_size=14))
-def test_byte_size_exact_after_every_mutation(ops):
-    t = _table()
-    next_id = 0
-    extra = 0
-    for op, arg in ops:
-        if op == "insert":
-            t.insert([next_id, *arg] + [None] * extra)
-            next_id += 1
-        elif op == "append":
-            rows = []
-            for values in arg:
-                rows.append([next_id, *values] + [None] * extra)
-                next_id += 1
-            t.append_rows(rows)
-        elif op == "delete":
-            t.delete_where(lambda row, k=arg: row[0] % 4 != k)
-        elif op == "replace":
-            t.replace_rows([r[:1] + (float(arg),) + r[2:] for r in t.rows])
-        elif op == "add_column":
-            ctype = SQLType.text() if isinstance(arg, str) else SQLType.integer()
-            t.add_column(
-                Column(f"c{len(t.columns)}", ctype, default=arg, has_default=arg is not None)
-            )
-            extra += 1
-        elif op == "drop_column" and extra:
-            t.drop_column(t.columns[-1].name)
-            extra -= 1
-        if op == "read" or op.endswith("column"):
-            assert t.byte_size == sum(estimate_row_bytes(r) for r in t.rows)
-    assert t.byte_size == sum(estimate_row_bytes(r) for r in t.rows)
-    # a second read does not double count
-    assert t.byte_size == sum(estimate_row_bytes(r) for r in t.rows)
 
 
 # -- one size record per result ---------------------------------------------------

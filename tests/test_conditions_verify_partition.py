@@ -143,7 +143,7 @@ class TestCreateTableAs:
         db.execute("INSERT INTO t VALUES (1)")
         db.execute("CREATE TABLE x AS SELECT a FROM t")
         db.execute("CREATE TABLE IF NOT EXISTS x AS SELECT a, a AS a2 FROM t")
-        assert db.catalog.get_table("x").column_names == ["a"]
+        assert [c.name for c in db.catalog.get_table("x").columns] == ["a"]
 
     def test_ctas_with_aggregate(self):
         db = Database("c", "mysql")

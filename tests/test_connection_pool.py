@@ -46,8 +46,9 @@ class TestConnectionPool:
         conn = pool.get(url)
         conn.close()
         pool.release(conn)
-        assert pool.idle_count() == 0
         assert pool.stats.discarded == 1
+        assert pool.get(url) is not conn
+        assert pool.stats.misses == 2
 
     def test_max_idle_bound(self, pooled, monkeypatch):
         pool, url, _ = pooled
@@ -55,7 +56,10 @@ class TestConnectionPool:
         conns = [pool.get(url) for _ in range(4)]
         for c in conns:
             pool.release(c)
-        assert pool.idle_count() == 2
+        assert pool.stats.discarded == 2
+        reused = [pool.get(url) for _ in range(2)]
+        assert {id(c) for c in reused} == {id(c) for c in conns[:2]}
+        assert pool.stats.hits == 2
 
     def test_per_user_keying(self, pooled):
         pool, url, _ = pooled
@@ -64,14 +68,6 @@ class TestConnectionPool:
         # a different user must not inherit grid's session
         with pytest.raises(Exception):
             pool.get(url, user="other", password="pw")
-
-    def test_close_all(self, pooled):
-        pool, url, _ = pooled
-        conn = pool.get(url)
-        pool.release(conn)
-        pool.close_all()
-        assert pool.idle_count() == 0
-        assert conn.closed
 
 
 class TestPooledService:

@@ -1,11 +1,21 @@
-"""Tests for cut-flow analysis and prepared statements."""
+"""Tests for cut-flow analysis."""
 
 import pytest
 
-from repro.analysis import grid_cutflow, local_cutflow
+from repro.analysis import CutFlow, grid_cutflow
 from repro.common import ReproError
 from repro.core import GridFederation
 from repro.engine import Database
+
+
+def local_cutflow(database, table: str) -> CutFlow:
+    """A cut flow counting directly on one engine database."""
+
+    def count(where):
+        sql = f"SELECT COUNT(*) FROM {table}" + (f" WHERE {where}" if where else "")
+        return database.execute(sql).rows[0][0]
+
+    return CutFlow(count, table)
 
 
 @pytest.fixture
@@ -93,29 +103,3 @@ class TestGridCutFlow:
             grid_cutflow(fed, client, server, "events").add_cut("e", "e > 30").run()
         )
         assert [s.passed for s in local] == [s.passed for s in remote]
-
-
-class TestPreparedStatements:
-    def test_reuse_with_different_params(self, events_db):
-        ps = events_db.prepare("SELECT COUNT(*) FROM EVT WHERE E > ?")
-        assert ps.execute((49,)).rows == [(50,)]
-        assert ps.execute((89,)).rows == [(10,)]
-        assert ps.executions == 2
-
-    def test_prepared_dml(self, events_db):
-        ps = events_db.prepare("DELETE FROM EVT WHERE EVENT_ID = ?")
-        assert ps.execute((1,)).rowcount == 1
-        assert ps.execute((1,)).rowcount == 0
-
-    def test_prepared_matches_adhoc(self, events_db):
-        ps = events_db.prepare("SELECT EVENT_ID FROM EVT WHERE E > ? ORDER BY EVENT_ID")
-        adhoc = events_db.execute(
-            "SELECT EVENT_ID FROM EVT WHERE E > ? ORDER BY EVENT_ID", (95,)
-        )
-        assert ps.execute((95,)).rows == adhoc.rows
-
-    def test_syntax_error_at_prepare_time(self, events_db):
-        from repro.common import SQLSyntaxError
-
-        with pytest.raises(SQLSyntaxError):
-            events_db.prepare("SELEKT oops")

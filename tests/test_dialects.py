@@ -68,7 +68,7 @@ class TestDDLRoundTrip:
         db = Database("x", dialect.name)
         db.execute(ddl)
         table = db.catalog.get_table("things")
-        assert table.column_names[0] == "id"
+        assert table.columns[0].name == "id"
         assert [c.primary_key for c in table.columns][0] is True
 
     def test_default_value_preserved(self, dialect):

@@ -107,12 +107,6 @@ class TestCursor:
         assert cursor.fetchone() == (3,)
         assert cursor.fetchone() is None
 
-    def test_fetchmany(self, cursor):
-        cursor.execute("SELECT a FROM t ORDER BY a")
-        assert cursor.fetchmany(2) == [(1,), (2,)]
-        assert cursor.fetchmany(2) == [(3,)]
-        assert cursor.fetchmany(2) == []
-
     def test_fetch_before_execute_raises(self, cursor):
         with pytest.raises(DriverError):
             cursor.fetchall()

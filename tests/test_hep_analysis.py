@@ -123,7 +123,7 @@ class TestHistogram1D:
         h.fill([-1.0, 0.5, 5.0])
         assert h.underflow == 1
         assert h.overflow == 1
-        assert h.in_range == 1
+        assert int(h.counts.sum()) == 1
         assert h.entries == 3
 
     def test_mean_std_from_values_not_bins(self):
@@ -140,20 +140,21 @@ class TestHistogram1D:
     def test_scalar_fill(self):
         h = Histogram1D(2, 0.0, 2.0)
         h.fill(1.0)
-        assert h.in_range == 1
+        assert int(h.counts.sum()) == 1
 
     def test_bin_index_edges(self):
         h = Histogram1D(10, 0.0, 1.0)
-        assert h.bin_index(-0.01) == -1
-        assert h.bin_index(0.0) == 0
-        assert h.bin_index(0.9999) == 9
-        assert h.bin_index(1.0) == 10  # overflow
+        h.fill([-0.01, 0.0, 0.9999, 1.0])
+        assert h.underflow == 1
+        assert h.counts[0] == 1
+        assert h.counts[9] == 1
+        assert h.overflow == 1  # the top edge is exclusive
 
     def test_mass_conservation(self):
         h = Histogram1D(16, -3.0, 3.0)
         values = DeterministicRNG("m").normal(0, 1, 10_000)
         h.fill(values)
-        assert h.in_range + h.underflow + h.overflow == 10_000
+        assert int(h.counts.sum()) + h.underflow + h.overflow == 10_000
 
     def test_render_contains_stats(self):
         h = Histogram1D(4, 0.0, 4.0, title="demo")
@@ -189,6 +190,11 @@ class TestHistogram2D:
         h = Histogram2D(2, 0, 2, 2, 0, 2)
         with pytest.raises(ReproError):
             h.fill([1.0, 2.0], [1.0])
+
+    def test_value_just_below_the_top_edge_lands_in_the_last_bin(self):
+        h = Histogram2D(196, -7.312715117751976, 1.1617748178834137, 1, 0, 1)
+        h.fill([1.1617748178834135], [0.5])
+        assert h.counts[-1, 0] == 1
 
     def test_render_shape(self):
         h = Histogram2D(10, 0, 1, 4, 0, 1, title="t")

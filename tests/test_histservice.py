@@ -50,6 +50,20 @@ class TestWireCodec:
 
 
 class TestHistogramService:
+    def test_value_just_below_high_is_binned_not_a_server_error(self):
+        federation = GridFederation()
+        server = federation.create_server("jc1", "pc1")
+        db = Database("m", "mysql")
+        db.execute("CREATE TABLE EVT (EVENT_ID INT PRIMARY KEY, E DOUBLE)")
+        db.bulk_insert("EVT", [[1, 1.1617748178834135]])
+        federation.attach_database(server, db, logical_names={"EVT": "events"})
+        wire = federation.client("laptop").call(
+            server.server, "histogram.h1d",
+            "SELECT E FROM events", "E", 196, -7.312715117751976, 1.1617748178834137,
+        )
+        assert wire["counts"][-1] == 1
+        assert wire["overflow"] == 0
+
     def test_server_side_histogram(self, fed):
         federation, server, client = fed
         wire = client.call(

@@ -11,7 +11,6 @@ from repro.core import GridFederation
 from repro.engine import Database
 from repro.hep import build_tier_sources, etl_jobs_for_source
 from repro.marts import MartSet
-from repro.metadata.store import XSpecStore
 from repro.warehouse import Warehouse
 
 NVAR = 6
@@ -119,43 +118,3 @@ class TestEndToEnd:
         t0 = fed.clock.now_ms
         fed.query(client, server, "SELECT COUNT(*) FROM v_event_wide")
         assert fed.clock.now_ms > t0
-
-
-class TestXSpecStoreRoundTrip:
-    def test_dictionary_survives_disk_round_trip(self, pipeline, tmp_path):
-        _, server, *_ = pipeline
-        store = XSpecStore(tmp_path)
-        upper = store.save_dictionary(server.service.dictionary)
-        assert store.upper_path.exists()
-        assert len(upper.entries) == len(server.service.dictionary.databases())
-
-        reloaded = store.load_dictionary()
-        original = server.service.dictionary
-        assert reloaded.logical_tables() == original.logical_tables()
-        for table in original.logical_tables():
-            a = original.locate(table)
-            b = reloaded.locate(table)
-            assert (a.database_name, a.url, a.physical_name) == (
-                b.database_name,
-                b.url,
-                b.physical_name,
-            )
-
-    def test_spec_files_are_valid_standalone_xml(self, pipeline, tmp_path):
-        _, server, *_ = pipeline
-        store = XSpecStore(tmp_path)
-        store.save_dictionary(server.service.dictionary)
-        import xml.etree.ElementTree as ET
-
-        for name in store.list_specs():
-            ET.fromstring(store.lower_path(name).read_text())
-        ET.fromstring(store.upper_path.read_text())
-
-    def test_missing_files_raise(self, tmp_path):
-        from repro.common.errors import XSpecError
-
-        store = XSpecStore(tmp_path / "empty")
-        with pytest.raises(XSpecError):
-            store.load_upper()
-        with pytest.raises(XSpecError):
-            store.load_lower("nope")

@@ -190,16 +190,6 @@ class TestUpperXSpec:
         assert self.make().entry("MART1").driver == "mysql"
         assert self.make().entry("nope") is None
 
-    def test_with_entry_replaces(self):
-        upper = self.make().with_entry(
-            UpperXSpecEntry("mart1", "jdbc:mysql://h2:3306/m1", "mysql", "m1.xspec")
-        )
-        assert len(upper.entries) == 2
-        assert upper.entry("mart1").url == "jdbc:mysql://h2:3306/m1"
-
-    def test_without_entry(self):
-        assert self.make().without_entry("mart2").database_names() == ["mart1"]
-
     def test_missing_attribute_rejected(self):
         with pytest.raises(XSpecError):
             UpperXSpec.from_xml("<upperxspec><database name='x'/></upperxspec>")
@@ -310,9 +300,3 @@ class TestSchemaTracker:
         source_db.execute("CREATE TABLE extra (x INT)")
         tracker.poll()
         assert tracker.current_spec("tier2_mysql").table_by_logical("events") is not None
-
-    def test_unwatch(self, source_db):
-        tracker = SchemaTracker()
-        tracker.watch(source_db)
-        tracker.unwatch("tier2_mysql")
-        assert tracker.watched() == []

@@ -4,7 +4,6 @@ auth-less servers, result helpers and statement edge paths."""
 import pytest
 
 from repro.common import ColumnNotFoundError
-from repro.clarens import ClarensClient, ClarensServer
 from repro.core import GridFederation
 from repro.engine import Database
 from repro.net import Network, SimClock
@@ -60,7 +59,7 @@ class TestResultHelpers:
         db.execute("CREATE TABLE t (a INT, b VARCHAR(4))")
         db.execute("INSERT INTO t VALUES (1, 'x')")
         result = db.execute("SELECT * FROM t")
-        assert result.to_dicts() == [{"a": 1, "b": "x"}]
+        assert (result.columns, result.rows) == (["a", "b"], [(1, "x")])
 
     def test_query_answer_column_index(self):
         from repro.core import QueryAnswer
@@ -122,11 +121,3 @@ class TestStatementEdgePaths:
         net.transfer("b", "a", 50, clock)
         assert net.bytes_moved == 150
         assert net.messages == 2
-
-    def test_clarens_client_disconnect_unknown_server_noop(self):
-        net = Network()
-        net.add_host("h")
-        clock = SimClock()
-        server = ClarensServer("s", "h", net, clock)
-        client = ClarensClient("h", net, clock)
-        client.disconnect(server)  # never connected: must not raise

@@ -61,7 +61,7 @@ class TestSeriesArchive:
             assert series.totals(res).total == pytest.approx(100.0), res
 
     def test_window_selects_recent_buckets(self):
-        series = SeriesArchive("m", "gauge")
+        series = SeriesArchive("m", "counter")
         for t in (0.0, 1_000.0, 2_000.0, 3_000.0):
             series.record(Bucket(t_ms=t, samples=1.0, total=t))
         window = series.window(1_500.0, now_ms=3_000.0)
@@ -147,12 +147,11 @@ class TestMetricsArchiver:
     def test_history_rows_cover_every_series_and_level(self):
         clock, registry, archiver = make_archiver()
         registry.counter("queries").inc()
-        registry.gauge("pool").set(4.0)
         registry.histogram("query_ms").observe(10.0)
         archiver.snapshot()
         rows = archiver.history_rows()
         names = {r[1] for r in rows}
-        assert names == {"queries", "pool", "query_ms"}
+        assert names == {"queries", "query_ms"}
         resolutions = {r[3] for r in rows}
         assert resolutions == {0.0, 1_000.0, 10_000.0}
         for row in rows:

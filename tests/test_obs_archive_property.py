@@ -21,7 +21,6 @@ from repro.obs.metrics import MetricsRegistry
 ops = st.one_of(
     st.tuples(st.just("count"), st.integers(min_value=0, max_value=20)),
     st.tuples(st.just("observe"), st.floats(0.0, 5_000.0)),
-    st.tuples(st.just("gauge"), st.floats(-100.0, 100.0)),
     st.tuples(st.just("advance"), st.floats(1.0, 3_000.0)),
     st.tuples(st.just("snapshot"), st.just(0)),
 )
@@ -51,8 +50,6 @@ def _run_schedule(schedule):
             registry.histogram("query_ms").observe(arg)
             expected["query_ms"] += arg
             observed += 1
-        elif op == "gauge":
-            registry.gauge("pool").set(arg)
         elif op == "advance":
             clock.advance_ms(arg)
         else:

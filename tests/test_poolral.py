@@ -75,13 +75,6 @@ class TestHandleCache:
         assert cursor.fetchall() == [(2,)]
         assert ral.handle_count() == 1
 
-    def test_release(self, world):
-        _, _, ral = world
-        url = url_for("mysql", "m1")
-        ral.initialize(url)
-        ral.release(url)
-        assert not ral.has_handle(url)
-
     def test_query_counter(self, world):
         _, _, ral = world
         url = url_for("mysql", "m1")

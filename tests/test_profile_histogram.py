@@ -13,13 +13,13 @@ class TestProfile1D:
     def test_bin_means(self):
         p = Profile1D(2, 0.0, 2.0)
         p.fill([0.5, 0.5, 1.5], [10.0, 20.0, 7.0])
-        assert p.bin_mean(0) == pytest.approx(15.0)
-        assert p.bin_mean(1) == pytest.approx(7.0)
+        assert p.means()[0] == pytest.approx(15.0)
+        assert p.means()[1] == pytest.approx(7.0)
 
     def test_empty_bin_is_nan(self):
         p = Profile1D(2, 0.0, 2.0)
         p.fill([0.5], [1.0])
-        assert math.isnan(p.bin_mean(1))
+        assert math.isnan(p.means()[1])
 
     def test_bin_error_matches_standard_error(self):
         p = Profile1D(1, 0.0, 1.0)
@@ -43,7 +43,13 @@ class TestProfile1D:
         p = Profile1D(1, 0.0, 1.0)
         p.fill([0.5, 0.5], [float("nan"), 3.0])
         assert p.counts[0] == 1
-        assert p.bin_mean(0) == 3.0
+        assert p.means()[0] == 3.0
+
+    def test_x_just_below_high_lands_in_the_last_bin(self):
+        p = Profile1D(196, -7.312715117751976, 1.1617748178834137)
+        p.fill([1.1617748178834135], [2.0])
+        assert p.means()[-1] == 2.0
+        assert p.out_of_range == 0
 
     def test_mismatched_fill_raises(self):
         p = Profile1D(1, 0.0, 1.0)
@@ -80,7 +86,7 @@ class TestProfile1D:
         p.fill(xs, ys)
         for i in range(10):
             mask = (xs >= i) & (xs < i + 1)
-            assert p.bin_mean(i) == pytest.approx(float(ys[mask].mean()), rel=1e-9)
+            assert p.means()[i] == pytest.approx(float(ys[mask].mean()), rel=1e-9)
 
 
 class TestProfileViaJAS:
@@ -103,5 +109,5 @@ class TestProfileViaJAS:
         )
         assert profile.entries == 32
         # gains rise with channel: bin means must be increasing
-        means = [profile.bin_mean(i) for i in range(8)]
+        means = list(profile.means())
         assert all(b > a for a, b in zip(means, means[1:]))

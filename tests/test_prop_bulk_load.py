@@ -196,7 +196,8 @@ def test_clean_columns_keep_their_values():
     )
     assert table.append_rows([[1, 2.5, "ab"], (2, None, None)]) == 2
     assert table.rows == [(1, 2.5, "ab"), (2, None, None)]
-    assert table.lookup_pk((2,)) == (2, None, None)
+    with pytest.raises(IntegrityError):  # the batch's keys are indexed
+        table.insert([2, None, None])
 
 
 def test_columns_that_need_coercion_are_coerced():

@@ -2,14 +2,14 @@
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from repro.analysis import Histogram1D
 from repro.clarens import decode_payload, encode_payload
-from repro.common import DeterministicRNG, SQLType
+from repro.common import DeterministicRNG
 from repro.dialects import get_dialect
 from repro.driver import Directory
-from repro.engine import Column, Database
+from repro.engine import Database
 from repro.metadata import DataDictionary, LowerXSpec, generate_lower_xspec
 from repro.net import SimClock
 from repro.unity import UnityDriver
@@ -97,7 +97,26 @@ class TestHistogramProperties:
     def test_mass_conserved(self, values, nbins):
         h = Histogram1D(nbins, -100.0, 100.0)
         h.fill(values)
-        assert h.in_range + h.underflow + h.overflow == len(values)
+        assert int(h.counts.sum()) + h.underflow + h.overflow == len(values)
+
+    @given(
+        st.lists(st.floats(), max_size=50),
+        st.floats(allow_nan=False, allow_infinity=False),
+        st.floats(allow_nan=False, allow_infinity=False),
+        st.integers(min_value=1, max_value=500),
+    )
+    @example([1e308], -1e308, 1e308, 3)  # high - low overflows float64
+    def test_fill_never_raises_and_conserves_values(self, values, a, b, nbins):
+        """Any finite range and bin count: every non-NaN value lands in a
+        bin or a flow, including values a rounding step below ``high``."""
+        low, high = min(a, b), max(a, b)
+        if low == high:
+            high = np.nextafter(low, np.inf)
+        h = Histogram1D(nbins, low, high)
+        with np.errstate(over="ignore", invalid="ignore"):  # the moments may overflow
+            h.fill(values + [np.nextafter(high, -np.inf)])
+        kept = sum(1 for v in values if v == v) + 1
+        assert int(h.counts.sum()) + h.underflow + h.overflow == kept
 
     @given(
         st.lists(

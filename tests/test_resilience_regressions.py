@@ -29,7 +29,6 @@ from repro.engine import Database
 from repro.dialects import get_dialect
 from repro.net import costs
 from repro.net.network import WAN, Network
-from repro.net.simclock import SimClock
 
 
 def make_events_db(name, vendor="mysql", n=10):
@@ -217,20 +216,3 @@ class TestPartitionTimeoutAccounting:
             server.service.metrics.counter("net.partition_timeouts").value
             == fed.network.partition_timeouts
         )
-
-    def test_observer_can_be_removed(self):
-        network = Network()
-        network.add_host("a")
-        network.add_host("b")
-        seen = []
-
-        def observer(*args):
-            seen.append(args)
-
-        network.add_failure_observer(observer)
-        network.remove_failure_observer(observer)
-        network.fail_host("b")
-        with pytest.raises(ConnectionFailedError):
-            network.transfer("a", "b", 100, SimClock())
-        assert seen == []
-        assert network.partition_timeouts == 1

@@ -9,7 +9,6 @@ from repro.common import (
     coerce_value,
     common_supertype,
     infer_literal_type,
-    is_null,
     sql_repr,
 )
 
@@ -201,6 +200,11 @@ class TestSqlRepr:
 
 
 def test_is_null_only_none():
-    assert is_null(None)
-    assert not is_null(float("nan"))
-    assert not is_null(0)
+    """SQL NULL is None alone: 0 and the empty string are values."""
+    from repro.engine import Database
+
+    db = Database("n", "sqlite")
+    db.execute("CREATE TABLE t (k INT, x DOUBLE, s TEXT)")
+    db.bulk_insert("t", [[1, None, None], [2, 0.0, ""]])
+    assert db.execute("SELECT k FROM t WHERE x IS NULL AND s IS NULL").rows == [(1,)]
+    assert db.execute("SELECT k FROM t WHERE x IS NOT NULL AND s IS NOT NULL").rows == [(2,)]
