@@ -24,7 +24,7 @@ from repro.engine import Database
 from repro.net import costs
 from repro.resilience import ChaosSchedule, ResilienceConfig
 
-from benchmarks.conftest import RESULTS_DIR, fmt_row, write_report
+from benchmarks.conftest import RESULTS_DIR, fmt_row, rows_digest, write_report
 
 SQL = "SELECT COUNT(*), SUM(energy) FROM events"
 SPACING_MS = 500.0
@@ -98,7 +98,11 @@ def measured():
         "recovered": base + 190_000,  # past restore + breaker cooldown
     }
     samples = []
+    digests = {}
     for phase, count in PHASE_QUERIES.items():
+        rows = []
+        total_ms = 0.0
+        received = client.bytes_received
         if fed.clock.now_ms < phase_starts[phase]:
             fed.clock.advance_ms(phase_starts[phase] - fed.clock.now_ms)
         for _ in range(count):
@@ -107,6 +111,8 @@ def measured():
             outcome = fed.query(client, server, SQL, allow_partial=True)
             latency = fed.clock.now_ms - t0
             answer = outcome.answer
+            rows.append(answer.rows)
+            total_ms += latency
             if answer.partial:
                 kind = "partial"
                 assert answer.failures, "partial answer must carry provenance"
@@ -121,6 +127,7 @@ def measured():
                 }
             )
             fed.clock.advance_ms(SPACING_MS)
+        digests[phase] = (rows_digest(rows), repr(total_ms), client.bytes_received - received)
     driver.finish()
 
     blackout = [s for s in samples if s["phase"] == "blackout"]
@@ -157,6 +164,11 @@ def measured():
         f"steady-state p99: {artifact['steady_state_p99_ms']} ms "
         f"(partition timeout {costs.PARTITION_TIMEOUT_MS} ms)",
         f"artifact: {path.name}",
+        "",
+        "rows: sha256[:16] of the phase's answer rows in order; exact total sim ms;",
+        "response bytes on the wire",
+        fmt_row(["phase", "rows", "total ms", "wire bytes"], [10, 16, 20, 10]),
+        *[fmt_row([phase, *d], [10, 16, 20, 10]) for phase, d in digests.items()],
     ]
     write_report("chaos_resilience", "Chaos Resilience — Scripted Host Failures", lines)
     return {"samples": samples, "steady": steady, "artifact": artifact, "truth": truth}

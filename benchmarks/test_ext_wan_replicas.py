@@ -20,7 +20,7 @@ from repro.core.replicas import ReplicaSelector
 from repro.hep.testbed import _make_ntuple_db
 from repro.net.network import WAN
 
-from benchmarks.conftest import fmt_row, write_report
+from benchmarks.conftest import fmt_row, rows_digest, write_report
 
 QUERY = "SELECT event_id, e FROM events WHERE event_id <= 500"
 
@@ -46,9 +46,12 @@ def build(selection: bool):
 @pytest.fixture(scope="module")
 def comparison():
     out = {}
+    wire_bytes = {}
     for label, selection in (("naive", False), ("proximity", True)):
         fed, server, client = build(selection)
+        received = client.bytes_received
         outcome = fed.query(client, server, QUERY)
+        wire_bytes[label] = client.bytes_received - received
         out[label] = outcome
     widths = [12, 14]
     lines = [
@@ -58,6 +61,16 @@ def comparison():
         "",
         "naive: dictionary order picks the WAN replica (10 Mbps / 45 ms);",
         "proximity: the ReplicaSelector pins the query to the local copy.",
+        "",
+        "rows: sha256[:16] of the answer rows; exact sim ms; response bytes on the wire",
+        fmt_row(["policy", "rows", "measured ms", "wire bytes"], [12, 16, 20, 10]),
+        *[
+            fmt_row(
+                [label, rows_digest(m.answer.rows), repr(m.response_ms), wire_bytes[label]],
+                [12, 16, 20, 10],
+            )
+            for label, m in out.items()
+        ],
     ]
     write_report("ext_wan_replicas", "Extension — WAN Replica Selection", lines)
     return out

@@ -19,6 +19,7 @@ DESIGN.md.)
 import numpy as np
 import pytest
 
+from repro.clarens.codec import payload_bytes
 from repro.common.rng import DeterministicRNG
 from repro.dialects import get_dialect
 from repro.driver import Directory
@@ -27,7 +28,7 @@ from repro.metadata import DataDictionary, generate_lower_xspec
 from repro.net.simclock import SimClock
 from repro.unity.driver import UnityDriver
 
-from benchmarks.conftest import fmt_row, write_report
+from benchmarks.conftest import fmt_row, rows_digest, write_report
 
 MAX_DBS = 4
 
@@ -66,9 +67,10 @@ def chain_query(k: int) -> str:
 def series():
     driver, clock = build()
     points = []
+    answers = []
     for k in range(1, MAX_DBS + 1):
         t0 = clock.now_ms
-        driver.execute(chain_query(k))
+        answers.append(driver.execute(chain_query(k)))
         points.append((k, clock.now_ms - t0))
     widths = [12, 14]
     lines = [fmt_row(["databases", "response ms"], widths)]
@@ -79,6 +81,18 @@ def series():
         f"each added JDBC database costs ~{slope:.0f} ms (metadata parse +",
         "connect + authenticate) — the runtime face of the paper's NxS",
         "argument for the warehouse/dictionary design.",
+        "",
+        "rows: sha256[:16] of the answer rows; exact sim ms; the bytes the",
+        "answer would take as a dataaccess.query response (the driver has no wire)",
+        fmt_row(["databases", "rows", "measured ms", "wire bytes"], [9, 16, 20, 10]),
+        *[
+            fmt_row(
+                [k, rows_digest(answer.rows), repr(ms),
+                 payload_bytes("dataaccess.query", answer.to_wire())],
+                [9, 16, 20, 10],
+            )
+            for (k, ms), answer in zip(points, answers)
+        ],
     ]
     write_report("nxs_scaling", "Supplementary — Cost per JDBC Database (NxS)", lines)
     return points

@@ -14,7 +14,7 @@ from repro.common import DeterministicRNG
 from repro.hep.queries import QueryWorkload, WorkloadConfig
 from repro.hep.testbed import build_paper_testbed
 
-from benchmarks.conftest import fmt_row, write_report
+from benchmarks.conftest import fmt_row, rows_digest, write_report
 
 N_EACH = 5
 
@@ -28,14 +28,19 @@ def mix_results():
     )
     service = tb.server1.service
     clock = tb.federation.clock
+    network = tb.federation.network
     means: dict[str, float] = {}
+    digests: dict[str, tuple] = {}
     for kind, specs in wl.by_kind(N_EACH).items():
         total = 0.0
+        rows = []
+        moved = network.bytes_moved
         for spec in specs:
             start = clock.now_ms
-            service.execute(spec.sql)
+            rows.append(service.execute(spec.sql).rows)
             total += clock.now_ms - start
         means[kind] = total / len(specs)
+        digests[kind] = (rows_digest(rows), repr(total), network.bytes_moved - moved)
     widths = [12, 14]
     lines = [fmt_row(["class", "mean ms"], widths)]
     for kind in ("point", "range", "aggregate", "join", "distributed"):
@@ -46,6 +51,14 @@ def mix_results():
         "the MS SQL runmeta mart (JDBC path), 'distributed' crosses to the",
         "second server via RLS forwarding but stays POOL-routed on both",
         "sides — a fresh JDBC connect costs more than a server hop.",
+        "",
+        "rows: sha256[:16] of the class's answer rows in order; exact total sim ms;",
+        "bytes moved on the network (the queries run at the service, no client wire)",
+        fmt_row(["class", "rows", "total ms", "bytes moved"], [12, 16, 20, 11]),
+        *[
+            fmt_row([kind, *digests[kind]], [12, 16, 20, 11])
+            for kind in ("point", "range", "aggregate", "join", "distributed")
+        ],
     ]
     write_report("query_mix", "Supplementary — Response Time by Query Class", lines)
     return tb, means
