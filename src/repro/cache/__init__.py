@@ -4,7 +4,7 @@ Opt-in (``cache=True`` on :func:`GridFederation.create_server`,
 :class:`DataAccessService` or :class:`UnityDriver`): three cache levels
 — decomposition plans, per-database sub-query results, and forwarded
 remote answers — invalidated by per-database epochs that the §4.9
-schema tracker (md5 diff), the ETL pipeline and the mart materializer
+schema tracker (md5 diff) and an ETL pipeline built with the registry
 bump on every change. With caching off, none of these objects are ever
 allocated and the query pipeline is byte-for-byte the prototype's.
 """

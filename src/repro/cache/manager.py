@@ -18,8 +18,8 @@ pays for repeatedly:
    :mod:`repro.cache.remote`).
 
 Invalidation is event-driven through the :class:`EpochRegistry`: the
-§4.9 md5 tracker bumps a database's epoch on schema change, the ETL
-pipeline and mart materializer bump it on data refresh. Bumps flush
+§4.9 md5 tracker bumps a database's epoch on schema change, and an ETL
+pipeline built with the registry bumps it on data refresh. Bumps flush
 exactly the affected database's sub-results (the epoch in the key makes
 stale entries unreachable even before the flush); dictionary changes
 (register/unregister/discovery/schema change) flush the plan cache via

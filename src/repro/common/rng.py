@@ -38,9 +38,9 @@ class DeterministicRNG:
 
     # Thin passthroughs (typed for the subset we use) -------------------------
 
-    def integers(self, low: int, high: int | None = None, size=None):
-        """Uniform integers in [low, high)."""
-        return self._gen.integers(low, high, size=size)
+    def integers(self, low: int, high: int | None = None):
+        """A uniform integer in [low, high)."""
+        return self._gen.integers(low, high)
 
     def normal(self, loc: float = 0.0, scale: float = 1.0, size=None):
         """Gaussian samples."""
@@ -54,9 +54,9 @@ class DeterministicRNG:
         """Uniform floats in [low, high)."""
         return self._gen.uniform(low, high, size=size)
 
-    def choice(self, seq, size=None, replace=True, p=None):
-        """Sample from a sequence (optionally weighted)."""
-        return self._gen.choice(seq, size=size, replace=replace, p=p)
+    def choice(self, seq, p=None):
+        """One sample from a sequence (optionally weighted)."""
+        return self._gen.choice(seq, p=p)
 
     def random(self, size=None):
         """Uniform floats in [0, 1)."""

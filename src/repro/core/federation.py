@@ -168,33 +168,27 @@ class GridFederation:
         database: Database,
         db_host: str | None = None,
         logical_names: dict[str, str] | None = None,
-        tier: int = 2,
-        user: str = "grid",
-        password: str = "grid",
-        publish: bool = True,
     ) -> str:
         """Run ``database`` on ``db_host`` and register it with ``handle``.
 
         Returns the connection URL. The vendor comes from
         ``database.vendor``; the URL is built with that dialect's
-        grammar.
+        grammar. The database's tables are published to the RLS.
         """
         db_host = db_host or handle.host
-        self.add_host(db_host, tier)
+        self.add_host(db_host)
         dialect = get_dialect(database.vendor)
         url = dialect.make_url(db_host, None, database.name)
-        self.directory.register(
-            url, database, user=user, password=password, host_name=db_host
-        )
-        handle.service.register_database(url, logical_names, publish=publish)
+        self.directory.register(url, database, host_name=db_host)
+        handle.service.register_database(url, logical_names)
         return url
 
     # -- clients ---------------------------------------------------------------------
 
     def client(
-        self, host: str, tier: int = 3, user: str = "grid", password: str = "grid"
+        self, host: str, user: str = "grid", password: str = "grid"
     ) -> ClarensClient:
-        self.add_host(host, tier)
+        self.add_host(host, tier=3)
         key = f"{host}|{user}"
         cached = self._clients.get(key)
         if cached is None:
@@ -209,7 +203,6 @@ class GridFederation:
         client: ClarensClient,
         handle: ServerHandle,
         sql: str,
-        params: tuple = (),
         allow_partial: bool = False,
     ) -> QueryOutcome:
         """Client-side query through the web-service interface, timed.
@@ -224,12 +217,9 @@ class GridFederation:
         start = self.clock.now_ms
         if allow_partial:
             response = client.call(
-                handle.server, "dataaccess.query", sql, list(params),
-                False, None, True,
+                handle.server, "dataaccess.query", sql, [], False, None, True,
             )
         else:
-            response = client.call(
-                handle.server, "dataaccess.query", sql, list(params)
-            )
+            response = client.call(handle.server, "dataaccess.query", sql, [])
         elapsed = self.clock.now_ms - start
         return QueryOutcome(answer=QueryAnswer.from_wire(response), response_ms=elapsed)

@@ -166,8 +166,8 @@ class SubQueryPipeline:
 
     def preflight(self, select, dictionary, plan) -> None:
         """When pre-flight is on, lint ``select`` against ``plan`` (None:
-        the planner refused it). Front ends call this after decomposing
-        and raise the planner's refusal after it, so lint's comes first."""
+        the planner refused it). The service calls this after decomposing
+        and raises the planner's refusal after it, so lint's comes first."""
         if self._lint is None:
             return
         with self.span("preflight"):

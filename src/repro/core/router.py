@@ -39,6 +39,10 @@ def _no_remote_fetch(sub: SubQuery, params: tuple):
 class SubQueryRouter:
     """The innermost stage of the sub-query pipeline: route and run."""
 
+    #: the credentials every JDBC connection logs in with (a directory
+    #: binding's defaults)
+    user = password = "grid"
+
     def __init__(
         self,
         ral: PoolRAL | None,
@@ -46,8 +50,6 @@ class SubQueryRouter:
         clock=None,
         network=None,
         host: str | None = None,
-        user: str = "grid",
-        password: str = "grid",
         force_jdbc: bool = False,
         remote_fetch: Callable[[SubQuery, tuple], tuple] | None = None,
         jdbc_pool=None,
@@ -58,8 +60,6 @@ class SubQueryRouter:
         self.clock = clock or SimClock()
         self.network = network
         self.host = host
-        self.user = user
-        self.password = password
         self.force_jdbc = force_jdbc
         self.remote_fetch = remote_fetch or _no_remote_fetch
         #: optional ConnectionPool: reuse JDBC connections instead of the

@@ -192,7 +192,6 @@ class DataAccessService(ClarensService):
         self,
         url: str,
         logical_names: dict[str, str] | None = None,
-        publish: bool = True,
     ) -> LowerXSpec:
         """Register a locally reachable database with this service.
 
@@ -207,8 +206,7 @@ class DataAccessService(ClarensService):
         self._dictionary_changed()
         if self.ral.supports_url(url):
             self.ral.initialize(url, binding.user, binding.password)
-        if publish:
-            self._publish(spec.logical_table_names())
+        self._publish(spec.logical_table_names())
         return spec
 
     def _on_schema_change(self, database_name: str, new_spec: LowerXSpec) -> None:

@@ -45,9 +45,8 @@ class Directory:
         user: str = "grid",
         password: str = "grid",
         host_name: str = "localhost",
-        replace: bool = False,
     ) -> DatabaseBinding:
-        if url in self._bindings and not replace:
+        if url in self._bindings:
             raise DuplicateObjectError(f"URL {url!r} already registered")
         binding = DatabaseBinding(url, database, user, password, host_name)
         self._bindings[url] = binding

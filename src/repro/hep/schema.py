@@ -14,6 +14,8 @@ from repro.engine.database import Database
 from repro.hep.ntuple import Ntuple
 
 DETECTORS = ("TRACKER", "ECAL", "HCAL", "MUON")
+#: calibration rows per load; their ids run from the load's first event id
+N_CALIBRATIONS = 16
 
 
 def create_source_schema(db: Database) -> None:
@@ -54,8 +56,6 @@ def populate_source(
     rng: DeterministicRNG,
     ntuples_by_run: dict[int, Ntuple],
     first_event_id: int = 1,
-    n_calibrations: int = 16,
-    conditions_per_run: int = 3,
 ) -> int:
     """Load runs and their ntuples into the normalized schema.
 
@@ -96,21 +96,14 @@ def populate_source(
         db.bulk_insert("event_values", value_rows)
 
         condition_rows = []
-        for k in range(conditions_per_run):
-            condition_rows.append(
-                [
-                    condition_id,
-                    run_id,
-                    ("hv_setting", "temperature", "b_field")[k % 3],
-                    float(rng.normal(1.0, 0.05)),
-                ]
-            )
+        for name in ("hv_setting", "temperature", "b_field"):
+            condition_rows.append([condition_id, run_id, name, float(rng.normal(1.0, 0.05))])
             condition_id += 1
         db.bulk_insert("conditions", condition_rows)
         ntuple_id += 1
 
     calib_rows = []
-    for c in range(n_calibrations):
+    for c in range(N_CALIBRATIONS):
         calib_rows.append(
             [
                 first_event_id + c,

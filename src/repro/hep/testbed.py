@@ -19,6 +19,13 @@ from repro.core.federation import GridFederation, ServerHandle
 from repro.engine.database import Database
 from repro.hep.ntuple import generate_ntuple
 
+#: the Table 1 deployment's size: events per ntuple mart, runs per
+#: run-metadata mart, and the tables and rows over all six databases
+NTUPLE_ROWS = 3000
+RUNMETA_ROWS = 150
+TOTAL_TABLES = 1700
+TOTAL_ROWS = 80_000
+
 
 @dataclass
 class PaperTestbed:
@@ -100,10 +107,6 @@ def _add_filler_tables(
 
 def build_paper_testbed(
     seed: int = 2005,
-    ntuple_rows: int = 3000,
-    runmeta_rows: int = 150,
-    total_tables: int = 1700,
-    total_rows: int = 80_000,
     cache: bool = False,
     observe: bool = False,
 ) -> PaperTestbed:
@@ -122,30 +125,27 @@ def build_paper_testbed(
         "jclarens2", "pc2.caltech.edu", cache=cache, observe=observe
     )
 
-    n_runs = max(1, runmeta_rows)
-
-    main_rows = 2 * ntuple_rows + 2 * runmeta_rows
+    main_rows = 2 * NTUPLE_ROWS + 2 * RUNMETA_ROWS
     main_tables = 6  # NTUPLE x2, RUNMETA x2, and two calib/condition extras
-    filler_tables_total = max(0, total_tables - main_tables)
-    filler_rows_total = max(0, total_rows - main_rows)
+    filler_tables = TOTAL_TABLES - main_tables
     # six databases share the filler budget
-    per_db_tables = filler_tables_total // 6
-    rows_per_table = max(1, filler_rows_total // max(1, filler_tables_total))
+    per_db_tables = filler_tables // 6
+    rows_per_table = (TOTAL_ROWS - main_rows) // filler_tables
 
     dbs: list[tuple[Database, ServerHandle, dict | None]] = []
 
-    ntuple_a = _make_ntuple_db("ntuple_db_a", rng.fork("na"), ntuple_rows, n_runs)
+    ntuple_a = _make_ntuple_db("ntuple_db_a", rng.fork("na"), NTUPLE_ROWS, RUNMETA_ROWS)
     dbs.append((ntuple_a, s1, {"NTUPLE": "ntuple_a"}))
-    runmeta_a = _make_runmeta_db("runmeta_db_a", rng.fork("ra"), runmeta_rows)
+    runmeta_a = _make_runmeta_db("runmeta_db_a", rng.fork("ra"), RUNMETA_ROWS)
     dbs.append((runmeta_a, s1, {"RUNMETA": "runmeta_a"}))
     extra_a = Database("extra_db_a", "mysql")
     extra_a.execute("CREATE TABLE CALIB (CH INT PRIMARY KEY, GAIN DOUBLE)")
     extra_a.bulk_insert("CALIB", [[i, 1.0 + i * 0.01] for i in range(32)])
     dbs.append((extra_a, s1, {"CALIB": "calib_a"}))
 
-    ntuple_b = _make_ntuple_db("ntuple_db_b", rng.fork("nb"), ntuple_rows, n_runs)
+    ntuple_b = _make_ntuple_db("ntuple_db_b", rng.fork("nb"), NTUPLE_ROWS, RUNMETA_ROWS)
     dbs.append((ntuple_b, s2, {"NTUPLE": "ntuple_b"}))
-    runmeta_b = _make_runmeta_db("runmeta_db_b", rng.fork("rb"), runmeta_rows)
+    runmeta_b = _make_runmeta_db("runmeta_db_b", rng.fork("rb"), RUNMETA_ROWS)
     dbs.append((runmeta_b, s2, {"RUNMETA": "runmeta_b"}))
     extra_b = Database("extra_db_b", "mssql")
     extra_b.execute("CREATE TABLE CONDS (K INT PRIMARY KEY, V DOUBLE)")

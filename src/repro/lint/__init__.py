@@ -66,15 +66,16 @@ __all__ = [
 ]
 
 
-def sqlcheck(sql: str, schema, config: LintConfig | None = None) -> LintReport:
-    """One-call linting: accepts any schema-ish object and SQL text.
+def sqlcheck(sql: str, schema) -> LintReport:
+    """One-call linting with the default config: accepts any
+    schema-ish object and SQL text.
 
     ``schema`` may be a :class:`SchemaProvider`, a
     :class:`~repro.metadata.dictionary.DataDictionary`, one or more
     :class:`~repro.metadata.xspec.LowerXSpec` documents, or a live
     :class:`~repro.engine.database.Database`.
     """
-    return lint_sql(sql, _as_provider(schema), config)
+    return lint_sql(sql, _as_provider(schema))
 
 
 def _as_provider(schema) -> "SchemaProvider":

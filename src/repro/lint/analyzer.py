@@ -384,23 +384,19 @@ class _Analyzer:
 # ---------------------------------------------------------------------------
 
 
-def lint_select(
-    select,
-    provider,
-    config: LintConfig | None = None,
-    sql_text: str | None = None,
-) -> LintReport:
-    """Lint one SELECT (an AST node or SQL text) against ``provider``."""
-    config = config or DEFAULT_CONFIG
+def lint_select(select, provider) -> LintReport:
+    """Lint one SELECT (an AST node or SQL text) against ``provider``
+    with the default config."""
+    sql_text = None
     if isinstance(select, str):
         from repro.sql.parser import parse_select
 
-        sql_text = sql_text or select
+        sql_text = select
         try:
             select = parse_select(select)
         except ReproError as exc:
-            return _syntax_report(exc, config)
-    analyzer = _Analyzer(provider, config, sql_text, _planner(provider, None))
+            return _syntax_report(exc, DEFAULT_CONFIG)
+    analyzer = _Analyzer(provider, DEFAULT_CONFIG, sql_text, _planner(provider, None))
     analyzer.analyze(select)
     return LintReport(analyzer.diagnostics)
 

@@ -29,15 +29,15 @@ from repro.warehouse.etl import ETLJob, ETLPipeline, ETLReport, Extract, extract
 from repro.warehouse.warehouse import Warehouse
 
 
-def _view_job(warehouse: Warehouse, view: str, table_name: str) -> ETLJob:
-    """The job that copies ``view`` into a mart table ``table_name``."""
+def _view_job(warehouse: Warehouse, view: str) -> ETLJob:
+    """The job that copies ``view`` into a mart table of the same name."""
     if not warehouse.db.catalog.has_view(view):
         raise ETLError(f"warehouse has no view {view!r}")
     return ETLJob(
         source=warehouse.db,
         source_host=warehouse.host,
         query=f"SELECT * FROM {view}",
-        target_table=table_name,
+        target_table=view,
     )
 
 
@@ -46,38 +46,28 @@ def materialize_view(
     view: str,
     mart_db: Database,
     mart_host: str,
-    table_name: str | None = None,
-    direct: bool = False,
-    epochs=None,
     *,
     extracted: Extract | None = None,
 ) -> ETLReport:
-    """Replicate one warehouse view into one mart; returns phase timings.
-
-    ``epochs`` (an :class:`repro.cache.EpochRegistry`) lets a cached
-    federation learn about the refresh: the mart's epoch is bumped, so
-    cached sub-results over the mart are dropped. ``extracted`` is the
-    view's :class:`Extract` when the caller has read it already.
+    """Replicate one warehouse view, staged, into a mart table of the
+    same name; returns phase timings. ``extracted`` is the view's
+    :class:`Extract` when the caller has read it already.
     """
-    table_name = table_name or view
-    job = _view_job(warehouse, view, table_name)
+    job = _view_job(warehouse, view)
     if extracted is None:
         extracted = extract(job)
     extracted.check(job)  # before the mart is touched
     dialect = get_dialect(mart_db.vendor)
     columns = [Column(name=n, type=t) for n, t in zip(extracted.columns, extracted.types)]
     job.target_columns = [c.name for c in columns]
-    if mart_db.catalog.has_table(table_name):
-        mart_db.catalog.drop_table(table_name)
+    if mart_db.catalog.has_table(view):
+        mart_db.catalog.drop_table(view)
     # Vendor DDL round-trip: render in the mart's own spelling, re-parse.
-    mart_db.execute(dialect.render_create_table(table_name, columns))
-    if epochs is None:
-        epochs = warehouse.epochs
+    mart_db.execute(dialect.render_create_table(view, columns))
     pipeline = ETLPipeline(
-        warehouse.network, warehouse.clock, mart_db, mart_host,
-        autocommit=True, epochs=epochs,
+        warehouse.network, warehouse.clock, mart_db, mart_host, autocommit=True
     )
-    return pipeline.run(job, direct, extracted=extracted)
+    return pipeline.run(job, extracted=extracted)
 
 
 @dataclass
@@ -92,8 +82,6 @@ class MartSet:
     warehouse: Warehouse
     marts: list[tuple[Database, str]] = field(default_factory=list)  # (db, host)
     reports: list[ETLReport] = field(default_factory=list)
-    #: optional EpochRegistry — replications bump each mart's epoch
-    epochs: object = None
     _contents: dict[str, Counter] = field(default_factory=dict)
 
     def add_mart(self, db: Database, host: str) -> None:
@@ -101,18 +89,15 @@ class MartSet:
             self.warehouse.network.add_host(host, tier=2)
         self.marts.append((db, host))
 
-    def replicate(self, views: list[str], direct: bool = False) -> list[ETLReport]:
+    def replicate(self, views: list[str]) -> list[ETLReport]:
         """Materialize every view into every mart (the paper's Stage 2),
-        reading each view once."""
+        staged, reading each view once."""
         out: list[ETLReport] = []
         for view in views:
-            extracted = extract(_view_job(self.warehouse, view, view))
+            extracted = extract(_view_job(self.warehouse, view))
             for db, host in self.marts:
                 out.append(
-                    materialize_view(
-                        self.warehouse, view, db, host,
-                        direct=direct, epochs=self.epochs, extracted=extracted,
-                    )
+                    materialize_view(self.warehouse, view, db, host, extracted=extracted)
                 )
             self._contents[view] = Counter(extracted.rows)
         self.reports.extend(out)
@@ -127,9 +112,10 @@ class MartSet:
                 out.append(view)
         return out
 
-    def refresh(self, direct: bool = False) -> list[ETLReport]:
-        """Re-materialize only the stale views; returns their reports."""
+    def refresh(self) -> list[ETLReport]:
+        """Re-materialize only the stale views, staged; returns their
+        reports."""
         stale = self.stale_views()
         if not stale:
             return []
-        return self.replicate(stale, direct=direct)
+        return self.replicate(stale)

@@ -24,16 +24,14 @@ from repro.metadata.xspec import (
 def generate_lower_xspec(
     database: Database,
     logical_names: dict[str, str] | None = None,
-    include_views: bool = True,
 ) -> LowerXSpec:
-    """Introspect ``database`` and build its canonical lower XSpec."""
+    """Introspect ``database`` and build its canonical lower XSpec,
+    views included."""
     logical_names = {k.lower(): v for k, v in (logical_names or {}).items()}
     dialect = get_dialect(database.vendor)
     tables: list[XSpecTable] = []
 
-    names = database.catalog.table_names()
-    if include_views:
-        names = names + database.catalog.view_names()
+    names = database.catalog.table_names() + database.catalog.view_names()
 
     pk_by_table: dict[str, str] = {}
     for name in database.catalog.table_names():

@@ -22,6 +22,9 @@ from dataclasses import dataclass, field
 from repro.common.types import TypeKind
 from repro.metadata.xspec import LowerXSpec, XSpecColumn, XSpecTable
 
+#: the table-similarity score at which two tables count as one entity
+MATCH_THRESHOLD = 0.45
+
 # Normalization synonyms: every token maps to a canonical representative.
 _SYNONYMS = {
     "identifier": "id",
@@ -154,15 +157,14 @@ def table_similarity(a: XSpecTable, b: XSpecTable) -> tuple[float, tuple[ColumnM
     return score, tuple(matches)
 
 
-def find_matches(
-    spec_a: LowerXSpec, spec_b: LowerXSpec, threshold: float = 0.45
-) -> list[TableMatch]:
-    """All cross-database table pairs scoring at or above ``threshold``."""
+def find_matches(spec_a: LowerXSpec, spec_b: LowerXSpec) -> list[TableMatch]:
+    """All cross-database table pairs scoring at or above
+    :data:`MATCH_THRESHOLD`."""
     out: list[TableMatch] = []
     for ta in spec_a.tables:
         for tb in spec_b.tables:
             score, columns = table_similarity(ta, tb)
-            if score >= threshold:
+            if score >= MATCH_THRESHOLD:
                 out.append(
                     TableMatch(
                         database_a=spec_a.database_name,
@@ -186,9 +188,7 @@ class LogicalNameSuggestion:
     score: float = 0.0
 
 
-def suggest_logical_names(
-    specs: list[LowerXSpec], threshold: float = 0.45
-) -> list[LogicalNameSuggestion]:
+def suggest_logical_names(specs: list[LowerXSpec]) -> list[LogicalNameSuggestion]:
     """Cluster same-entity tables across databases and name the clusters.
 
     Greedy transitive clustering over pairwise matches; the suggested
@@ -197,7 +197,7 @@ def suggest_logical_names(
     matches: list[TableMatch] = []
     for i in range(len(specs)):
         for j in range(i + 1, len(specs)):
-            matches.extend(find_matches(specs[i], specs[j], threshold))
+            matches.extend(find_matches(specs[i], specs[j]))
 
     parent: dict[tuple[str, str], tuple[str, str]] = {}
 

@@ -13,8 +13,8 @@ from __future__ import annotations
 class SimClock:
     """Millisecond virtual clock with fork/join for parallel branches."""
 
-    def __init__(self, start_ms: float = 0.0):
-        self.now_ms = float(start_ms)
+    def __init__(self):
+        self.now_ms = 0.0
 
     def advance_ms(self, ms: float) -> None:
         """Advance time by a non-negative duration."""

@@ -148,12 +148,10 @@ class SeriesArchive:
             agg.absorb(bucket.copy())
         return agg
 
-    def window(
-        self, window_ms: float, now_ms: float, res_ms: float = RAW_RESOLUTION_MS
-    ) -> Bucket:
-        """Merged aggregate of the buckets inside ``[now - window, now]``."""
+    def window(self, window_ms: float, now_ms: float) -> Bucket:
+        """Merged aggregate of the raw buckets inside ``[now - window, now]``."""
         agg = Bucket(t_ms=now_ms - window_ms)
-        for bucket in self.buckets(res_ms):
+        for bucket in self.buckets(RAW_RESOLUTION_MS):
             if bucket.t_ms >= now_ms - window_ms:
                 agg.absorb(bucket.copy())
         return agg
@@ -163,9 +161,9 @@ class SeriesArchive:
         p: float,
         window_ms: float,
         now_ms: float,
-        res_ms: float = RAW_RESOLUTION_MS,
     ) -> float | None:
-        """Estimated percentile over a window; ``None`` when no samples.
+        """Estimated percentile over the raw samples of a window;
+        ``None`` when no samples.
 
         Nearest-rank over per-bucket means weighted by sample count,
         clamped into the window's [min, max] — never invents a value
@@ -176,7 +174,7 @@ class SeriesArchive:
         points: list[tuple[float, float]] = []
         vmin: float | None = None
         vmax: float | None = None
-        for bucket in self.buckets(res_ms):
+        for bucket in self.buckets(RAW_RESOLUTION_MS):
             if bucket.t_ms < now_ms - window_ms or bucket.samples <= 0:
                 continue
             points.append((bucket.mean, bucket.samples))
@@ -304,14 +302,13 @@ class MetricsArchiver:
     def series_for(self, name: str) -> SeriesArchive | None:
         return self.series.get(name)
 
-    def window(
-        self, name: str, window_ms: float, res_ms: float = RAW_RESOLUTION_MS
-    ) -> Bucket | None:
-        """Windowed aggregate ending now for one series, or None."""
+    def window(self, name: str, window_ms: float) -> Bucket | None:
+        """Windowed aggregate of the raw samples ending now for one
+        series, or None."""
         series = self.series.get(name)
         if series is None:
             return None
-        return series.window(window_ms, self.now_ms, res_ms)
+        return series.window(window_ms, self.now_ms)
 
     def history_rows(self) -> list[tuple]:
         """``monitor_history`` rows, every series × level × bucket."""

@@ -110,9 +110,8 @@ class MonitorDatabase(Database):
         slo,
         cache=None,
         resilience=None,
-        vendor: str = "mysql",
     ):
-        super().__init__(name, vendor)
+        super().__init__(name, "mysql")
         self.tracer = tracer
         self.metrics = metrics
         #: optional :class:`repro.cache.CacheManager` feeding monitor_cache

@@ -44,10 +44,8 @@ class ChaosEvent:
 class ChaosSchedule:
     """An ordered, chainable timeline of fault-injection events."""
 
-    def __init__(self, events: list[ChaosEvent] | None = None):
-        self.events: list[ChaosEvent] = sorted(
-            events or [], key=lambda e: e.at_ms
-        )
+    def __init__(self):
+        self.events: list[ChaosEvent] = []
 
     def _add(self, at_ms: float, action: str, *args: str) -> "ChaosSchedule":
         self.events.append(ChaosEvent(float(at_ms), action, tuple(args)))

@@ -16,23 +16,24 @@ from repro.core.federation import GridFederation
 from repro.engine.database import Database
 
 
-def events_db(name: str, vendor: str = "mysql", n: int = 40) -> Database:
-    """An ``EVT (EVENT_ID, ENERGY)`` table of ``n`` events."""
+def events_db(name: str, vendor: str = "mysql") -> Database:
+    """An ``EVT (EVENT_ID, ENERGY)`` table of 40 events."""
     db = Database(name, vendor)
     db.execute("CREATE TABLE EVT (EVENT_ID INT PRIMARY KEY, ENERGY DOUBLE)")
-    for i in range(n):
+    for i in range(40):
         db.execute(f"INSERT INTO EVT VALUES ({i}, {i * 0.5})")
     return db
 
 
-def tagged_events_db(n_events: int = 10) -> Database:
-    """The two-server demo's mysql events mart (run ids and tags)."""
+def tagged_events_db() -> Database:
+    """The two-server demo's mysql events mart: 10 events with run ids
+    and tags."""
     db = Database("mart_mysql", "mysql")
     db.execute(
         "CREATE TABLE EVT (EVENT_ID INT PRIMARY KEY, RUN_ID INT, "
         "ENERGY DOUBLE, TAG VARCHAR(8))"
     )
-    for i in range(n_events):
+    for i in range(10):
         tag = "hot" if i % 2 else "cold"
         db.execute(f"INSERT INTO EVT VALUES ({i}, {i % 3}, {i * 1.5}, '{tag}')")
     return db

@@ -12,7 +12,6 @@ import operator
 from dataclasses import dataclass, field
 
 from repro.clarens.codec import SizedRows, sized
-from repro.common.errors import ReproError
 from repro.common.types import SQLType
 from repro.dialects import get_dialect
 from repro.driver.directory import Directory
@@ -212,12 +211,8 @@ class UnityDriver:
         network=None,
         host: str | None = None,
         pushdown: bool = True,
-        user: str = "grid",
-        password: str = "grid",
-        preflight: bool = False,
         observe: bool = False,
         cache: bool = False,
-        epochs=None,
         resilience=False,
     ):
         # the core package imports this module: bind its names lazily
@@ -230,19 +225,17 @@ class UnityDriver:
         self.network = network
         self.host = host
         self.pushdown = pushdown
-        self.user = user
-        self.password = password
         self.router = SubQueryRouter(
             None, directory, clock=self.clock, network=network, host=host,
-            user=user, password=password, force_jdbc=True,
+            force_jdbc=True,
         )
         self.metrics = self.router.metrics
-        # the opt-in layers (lint pre-flight, the obs stack, plan +
-        # sub-result caches, retry/backoff + per-database breakers) exist
-        # only when switched on
+        # the opt-in layers (the obs stack, plan + sub-result caches,
+        # retry/backoff + per-database breakers) exist only when
+        # switched on
         self.pipeline = SubQueryPipeline(
             self.router, host or "unity", observe=observe, cache=cache,
-            epochs=epochs, resilience=resilience, preflight=preflight,
+            resilience=resilience,
         )
         self.tracer = self.pipeline.tracer
         self.profiler = self.pipeline.profiler
@@ -252,53 +245,32 @@ class UnityDriver:
         self.cache = self.pipeline.cache
         self.resilience = self.pipeline.resilience
 
-    # -- public API -------------------------------------------------------------------
-
-    def plan(
-        self, sql: str | ast.Select, prefer_databases: dict[str, str] | None = None
-    ) -> DecomposedQuery:
-        key, select, cached = self._lookup(sql, prefer_databases)
-        return self._plan(key, select, cached, prefer_databases)
-
-    def _lookup(self, sql, prefer_databases):
-        """A cached plan counts only for the same ``prefer_databases``."""
-        return self.pipeline.lookup(sql, parse_select, lambda _select: prefer_databases)
-
-    def _plan(self, key, select, cached, prefer_databases) -> DecomposedQuery:
+    def _plan(self, key, select, cached) -> DecomposedQuery:
         if cached is not None:
             # decomposition and the per-participant XSpec metadata
             # parse were paid when the plan was cached
             return cached.plan
-        plan = refusal = None
         try:
-            plan = decompose(
-                select, self.dictionary, pushdown=self.pushdown,
-                prefer_databases=prefer_databases,
-            )
-        except ReproError as exc:
-            refusal = exc
-        self.pipeline.preflight(select, self.dictionary, plan)
-        self.clock.advance_ms(costs.DECOMPOSE_MS)
-        if refusal is not None:
-            raise refusal
+            plan = decompose(select, self.dictionary, pushdown=self.pushdown)
+        finally:
+            # a refused query pays for its decomposition too
+            self.clock.advance_ms(costs.DECOMPOSE_MS)
         # Parsing each participant's XSpec metadata per query (§4.2's
         # N×S criticism) is a real per-query cost in the prototype.
         self.clock.advance_ms(len(plan.databases) * costs.UNITY_METADATA_PARSE_MS)
-        self.pipeline.remember(key, select, plan, prefer_databases=prefer_databases)
+        self.pipeline.remember(key, select, plan)
         return plan
 
-    def execute(
-        self,
-        sql: str | ast.Select,
-        params: tuple = (),
-        prefer_databases: dict[str, str] | None = None,
-    ) -> QueryAnswer:
+    # -- public API -------------------------------------------------------------------
+
+    def execute(self, sql: str | ast.Select, params: tuple = ()) -> QueryAnswer:
         ctx = self.pipeline.context(params)
-        key, select, cached = self._lookup(sql, prefer_databases)
+        # the driver plans without replica preferences
+        key, select, cached = self.pipeline.lookup(sql, parse_select, lambda _select: None)
 
         def fetch_and_integrate():
             with self.pipeline.span("decompose"):
-                plan = self._plan(key, select, cached, prefer_databases)
+                plan = self._plan(key, select, cached)
             # planning parsed every participant's metadata (or the plan
             # cache carried it): the JDBC route must not pay it again
             ctx.parsed = frozenset(plan.databases)

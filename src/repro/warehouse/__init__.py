@@ -1,14 +1,15 @@
 """Data warehouse and the streaming ETL process (§4.2, §5.1).
 
-The warehouse is an Oracle instance at Tier-0 holding a denormalized
-star schema. The ETL pipeline reproduces the paper's measured process
-faithfully, including its admitted bottleneck: every transfer stages
-rows through a temporary file — extraction (source query + transform +
-temp-file write) and loading (temp-file read + per-row INSERT streaming
-into the target) are separately timed, which is exactly what Figures 4
-and 5 plot. ``ETLPipeline.run(job, direct=True)`` implements the
-paper's stated future fix (loading the warehouse directly, no staging
-file) for the ablation bench.
+The warehouse is an Oracle instance, ``warehouse`` on Tier-0's
+``tier0.cern.ch``, holding a denormalized star schema. The ETL pipeline
+reproduces the paper's measured process faithfully, including its
+admitted bottleneck: every transfer stages rows through a temporary
+file — extraction (source query + transform + temp-file write) and
+loading (temp-file read + per-row INSERT streaming into the target) are
+separately timed, which is exactly what Figures 4 and 5 plot.
+``Warehouse.load(job, direct=True)`` implements the paper's stated
+future fix (loading the warehouse directly, no staging file) for the
+ablation bench; marts and incremental loads are always staged.
 """
 
 from repro.warehouse.etl import (

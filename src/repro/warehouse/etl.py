@@ -201,8 +201,6 @@ class ETLPipeline:
         target: Database,
         target_host: str,
         autocommit: bool = False,
-        tracer=None,
-        metrics=None,
         epochs=None,
     ):
         self.network = network
@@ -210,8 +208,6 @@ class ETLPipeline:
         self.target = target
         self.target_host = target_host
         self.autocommit = autocommit
-        self.tracer = tracer
-        self.metrics = metrics
         #: optional :class:`repro.cache.EpochRegistry` — every load that
         #: lands rows bumps the target database's epoch, so federated
         #: query caches drop that database's entries (data-side
@@ -223,19 +219,6 @@ class ETLPipeline:
         self._last_loaded_columns: list[str] = []
         self._last_loaded_rows: list[tuple] = []
 
-    # -- observability plumbing ----------------------------------------------------
-
-    def _span(self, stage: str, **attrs):
-        if self.tracer is None:
-            from repro.obs.trace import NOOP_SPAN
-
-            return NOOP_SPAN
-        return self.tracer.span(stage, **attrs)
-
-    def _count(self, name: str, n: float = 1.0) -> None:
-        if self.metrics is not None:
-            self.metrics.counter(name).inc(n)
-
     # -- phase 1: extraction -------------------------------------------------------
 
     def _extract(
@@ -245,17 +228,6 @@ class ETLPipeline:
         """Query + stream out + transform (+ stage); ``extracted``, when
         given, stands in for the query and transform, and is charged
         alike."""
-        with self._span("etl_extract", table=job.target_table) as span:
-            extracted = self._extract_inner(job, staging, extracted)
-            span.set("rows", len(extracted.rows))
-        if staging is not None:
-            self._count("etl.rows_staged", len(extracted.rows))
-            self._count("etl.bytes_staged", staging.nbytes)
-        return extracted
-
-    def _extract_inner(
-        self, job: ETLJob, staging: StagingFile | None, extracted: Extract | None
-    ) -> Extract:
         # Opening the stream for the extraction SQL statement (§5.1 counts
         # connect/open/close time into the transfer time).
         self.clock.advance_ms(costs.STREAM_OPEN_CLOSE_MS)
@@ -283,14 +255,6 @@ class ETLPipeline:
 
     def _load(self, columns: list[str], rows: list[tuple], job: ETLJob) -> None:
         """Stream rows into the target as per-row INSERTs."""
-        with self._span("etl_load", table=job.target_table) as span:
-            self._load_inner(columns, rows, job)
-            span.set("rows", len(rows))
-        self._count("etl.rows_loaded", len(rows))
-        if self.epochs is not None and rows:
-            self.epochs.bump(self.target.name)
-
-    def _load_inner(self, columns: list[str], rows: list[tuple], job: ETLJob) -> None:
         dialect = get_dialect(self.target.vendor)
         self.clock.advance_ms(costs.STREAM_OPEN_CLOSE_MS)
         target_columns = list(job.target_columns or columns)
@@ -329,6 +293,8 @@ class ETLPipeline:
                 pending = 0
         if pending and not self.autocommit:
             advance(dialect.cost.commit_ms)
+        if self.epochs is not None and rows:
+            self.epochs.bump(self.target.name)
 
     # -- public API --------------------------------------------------------------------
 
@@ -433,23 +399,21 @@ class ETLPipeline:
         self,
         job: ETLJob,
         watermark: str,
-        watermark_output: str | None = None,
-        direct: bool = False,
     ) -> ETLReport:
         """Delta load: only source rows past the stored watermark.
 
         ``watermark`` is a (possibly qualified) column in the job's
         extraction query, e.g. ``e.event_id``; rows with values at or
         below the last seen maximum are skipped at the *source*. The
-        new maximum is taken from ``watermark_output`` (default: the
-        watermark's bare column name) in the transformed rows, so
-        repeated calls ship only fresh data — production ETL's answer
-        to re-streaming the whole source every night.
+        new maximum is taken from the watermark's bare column name in
+        the transformed rows, so repeated calls ship only fresh data —
+        production ETL's answer to re-streaming the whole source every
+        night. The delta is staged like a full load.
         """
         from repro.sql import ast as sql_ast
         from repro.sql.parser import parse_expression, parse_select
 
-        output_col = watermark_output or watermark.split(".")[-1]
+        output_col = watermark.split(".")[-1]
         last = self.watermarks.get(job.target_table)
         query = job.query
         if last is not None:
@@ -467,7 +431,7 @@ class ETLPipeline:
             transform=job.transform,
             target_columns=job.target_columns,
         )
-        report = self.run(delta_job, direct)
+        report = self.run(delta_job)
         # advance the watermark from what actually arrived
         if report.rows:
             loaded = self._last_loaded_rows

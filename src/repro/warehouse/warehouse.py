@@ -19,25 +19,19 @@ class Warehouse:
         self,
         network: Network,
         clock: SimClock,
-        host: str = "tier0.cern.ch",
-        name: str = "warehouse",
         nvar: int = 8,
         wide_vars: int | None = None,
-        epochs=None,
     ):
         self.network = network
         self.clock = clock
-        self.host = host
+        self.host = "tier0.cern.ch"
         self.nvar = nvar
-        #: optional EpochRegistry shared with the federation's caches:
-        #: warehouse loads invalidate cached queries over the warehouse
-        self.epochs = epochs
-        if not network.has_host(host):
-            network.add_host(host, tier=0)
-        self.db = Database(name, "oracle")
+        if not network.has_host(self.host):
+            network.add_host(self.host, tier=0)
+        self.db = Database("warehouse", "oracle")
         create_warehouse_schema(self.db, nvar)
         create_warehouse_views(self.db, nvar, wide_vars)
-        self.pipeline = ETLPipeline(network, clock, self.db, host, epochs=epochs)
+        self.pipeline = ETLPipeline(network, clock, self.db, self.host)
 
     def load(self, job: ETLJob, direct: bool = False) -> ETLReport:
         """Run one ETL job into the warehouse (staged unless ``direct``)."""

@@ -82,7 +82,7 @@ class World:
             target_table="FACTS",
             target_columns=["ID", "DIM_ID", "VAL"],
         )
-        self.pipeline.run_incremental(job, "id", direct=True)
+        self.pipeline.run_incremental(job, "id")
 
     def schema_change(self) -> None:
         """DDL on the live facts database, noticed by the §4.9 tracker."""

@@ -53,7 +53,6 @@ def take_run(source, rng, run_id, first_event_id):
         rng.fork(f"night{run_id}"),
         {run_id: generate_ntuple(rng.fork(f"nt{run_id}"), EVENTS_PER_RUN, NVAR)},
         first_event_id=first_event_id,
-        n_calibrations=0,
     )
     return first_event_id + EVENTS_PER_RUN
 

@@ -148,10 +148,10 @@ class TestWireInterface:
     def test_params_over_wire(self, fed):
         federation, s1, _ = fed
         client = federation.client("laptop")
-        outcome = federation.query(
-            client, s1, "SELECT COUNT(*) FROM events WHERE energy > ?", params=(30,)
+        response = client.call(
+            s1.server, "dataaccess.query", "SELECT COUNT(*) FROM events WHERE energy > ?", [30]
         )
-        assert outcome.answer.rows[0][0] == 9
+        assert response["rows"][0][0] == 9
 
     def test_tables_method(self, fed):
         federation, s1, _ = fed
@@ -368,12 +368,10 @@ class TestRoutesOverWire:
 
 
 @pytest.fixture(scope="module")
-def small_paper_testbed():
+def paper_testbed():
     from repro.hep.testbed import build_paper_testbed
 
-    return build_paper_testbed(
-        ntuple_rows=200, runmeta_rows=150, total_tables=12, total_rows=1000
-    )
+    return build_paper_testbed()
 
 
 def _inline(sql: str, params: tuple) -> str:
@@ -396,15 +394,15 @@ class TestParameterBinding:
         "ON n.event_id = o.event_id WHERE n.event_id <= ? AND o.event_id >= ?"
     )
 
-    def test_local_join_binds_each_marts_own_value(self, small_paper_testbed):
-        service = small_paper_testbed.server1.service
+    def test_local_join_binds_each_marts_own_value(self, paper_testbed):
+        service = paper_testbed.server1.service
         answer = service.execute(self.DIST_1SRV, (20, 3))
         assert sorted(answer.routes) == ["jdbc", "pool"]
         assert answer.row_count == 18
         assert answer.rows == service.execute(_inline(self.DIST_1SRV, (20, 3))).rows
 
-    def test_remote_join_sends_the_sub_querys_own_values(self, small_paper_testbed):
-        service = small_paper_testbed.server1.service
+    def test_remote_join_sends_the_sub_querys_own_values(self, paper_testbed):
+        service = paper_testbed.server1.service
         answer = service.execute(self.REMOTE_JOIN, (30, 10))
         assert sorted(answer.routes) == ["pool", "remote"]
         assert answer.row_count == 21
@@ -415,10 +413,7 @@ class TestParameterBinding:
         second in the other: the sub-result cache must tell them apart."""
         from repro.hep.testbed import build_paper_testbed
 
-        service = build_paper_testbed(
-            ntuple_rows=200, runmeta_rows=150, total_tables=12, total_rows=1000,
-            cache=True,
-        ).server1.service
+        service = build_paper_testbed(cache=True).server1.service
         second = (
             "SELECT n.event_id, m.detector FROM ntuple_a n JOIN runmeta_a m "
             "ON n.run_id = m.run_id WHERE m.run_id >= ? AND n.event_id <= ?"
@@ -431,13 +426,13 @@ class TestParameterBinding:
         assert repeat.routes == ["cache", "cache"]
         assert repeat.rows == answer.rows
 
-    def test_too_few_params_is_a_type_error(self, small_paper_testbed):
+    def test_too_few_params_is_a_type_error(self, paper_testbed):
         from repro.common.errors import SQLTypeError
 
         with pytest.raises(SQLTypeError, match="requires parameter 2, got 1"):
-            small_paper_testbed.server1.service.execute(self.REMOTE_JOIN, (30,))
+            paper_testbed.server1.service.execute(self.REMOTE_JOIN, (30,))
 
-    def test_local_routes_parse_no_sql(self, small_paper_testbed, monkeypatch):
+    def test_local_routes_parse_no_sql(self, paper_testbed, monkeypatch):
         """The marts run the router's statement: only the client parses."""
         import repro.engine.database as database
 
@@ -449,8 +444,8 @@ class TestParameterBinding:
             return original(sql)
 
         monkeypatch.setattr(database, "parse_statement", counting)
-        answer = small_paper_testbed.server1.service.execute(
-            small_paper_testbed.QUERY_DISTRIBUTED_1SRV
+        answer = paper_testbed.server1.service.execute(
+            paper_testbed.QUERY_DISTRIBUTED_1SRV
         )
         assert sorted(answer.routes) == ["jdbc", "pool"]
         assert calls == []

@@ -1,4 +1,5 @@
-"""Dead-surface gate: every definition in ``src/repro`` has a non-test user.
+"""Dead-surface gate: every definition and every knob in ``src/repro``
+has a non-test user.
 
 The scan lists each function, method and class in ``src/repro`` whose
 name no ``.py`` file outside ``tests/`` references (``src``,
@@ -19,8 +20,21 @@ A reference is, by name:
 
 A use inside the definition's own body does not count. Dunders, and
 definitions registered by a decorator (``tools/validate.py``'s
-``@check``), count as referenced. Run it as a script to print what it
-finds as ``path:line name``.
+``@check``), count as referenced.
+
+The second rule flags every parameter with a default (a knob) on a
+module- or class-level function or method that no call in those files
+passes. A call passes a parameter when it names it as a keyword or
+gives enough positionals to reach it; a ``*args`` or ``**kwargs`` at
+the call passes every parameter. Calls match the callee by name, and
+``Cls(...)``, ``cls(...)`` and ``super().__init__(...)`` call
+``Cls.__init__``. A pass from inside the definition's own body does not
+count. The parameters of a method named in a Clarens ``exposed`` tuple
+(input from the wire), ``argv`` of a CLI ``main``, and the parameters
+of a definition in :data:`ALLOWED` are exempt.
+
+Run it as a script to print what it finds as ``path:line name`` or
+``path:line name(param)``.
 """
 
 from __future__ import annotations
@@ -42,7 +56,9 @@ PLAIN_DECORATORS = frozenset({
 })
 
 #: definitions kept on purpose although no non-test code references
-#: them, keyed ``<path under src/repro>:<qualified name>``
+#: them, keyed ``<path under src/repro>:<qualified name>``, and knobs
+#: kept although no non-test call passes them, keyed
+#: ``<path under src/repro>:<qualified name>(<parameter>)``
 ALLOWED = {
     "analysis/jasplugin.py:JASPlugin.histogram2d_query":
         "the JAS plug-in's 2-D plot of a grid query (§6), built on Histogram2D",
@@ -50,10 +66,20 @@ ALLOWED = {
         "the JAS plug-in's profile plot of a grid query (§6), built on Profile1D",
     "common/types.py:SQLType.decimal":
         "DECIMAL(p, s) constructor that DECIMAL support (ROADMAP item 13) needs",
+    "driver/directory.py:Directory.register(password)":
+        "tests/test_golden_query_path.py passes it and must stay unedited",
+    "driver/directory.py:Directory.register(user)":
+        "tests/test_golden_query_path.py passes it and must stay unedited",
     "engine/executor.py:RowSet.to_vector":
         "the paper's 2-D vector answer shape (§4.7 wrapper method 2)",
     "poolral/wrapper.py:PoolRALWrapper":
         "the paper's two-method JNI surface (§4.7); PAPER.md maps it here",
+    "unity/driver.py:UnityDriver.__init__(cache)":
+        "tests/test_golden_query_path.py passes it through **layers and must stay unedited",
+    "unity/driver.py:UnityDriver.__init__(observe)":
+        "tests/test_golden_query_path.py passes it through **layers and must stay unedited",
+    "unity/driver.py:UnityDriver.__init__(resilience)":
+        "tests/test_golden_query_path.py passes it through **layers and must stay unedited",
 }
 
 _WORD = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
@@ -137,6 +163,108 @@ def references(path: pathlib.Path, tree: ast.Module) -> list[tuple[str, int]]:
     return refs
 
 
+class Knob(NamedTuple):
+    """A parameter with a default; ``position`` is its index among the
+    positionals a call gives (``None`` when keyword-only)."""
+
+    definition: Definition
+    param: str
+    position: int | None
+
+    def key(self, src: pathlib.Path) -> str:
+        return f"{self.definition.key(src)}({self.param})"
+
+
+class Call(NamedTuple):
+    path: pathlib.Path
+    line: int
+    positionals: int
+    keywords: frozenset[str]
+    #: a ``*args`` or ``**kwargs`` passes every parameter
+    starred: bool
+
+    def passes(self, knob: Knob) -> bool:
+        return (self.starred or knob.param in self.keywords
+                or (knob.position is not None and knob.position < self.positionals))
+
+
+def _exposed(cls: ast.ClassDef) -> set[str]:
+    """The method names in a class's Clarens ``exposed`` tuple."""
+    for node in cls.body:
+        if isinstance(node, ast.Assign):
+            targets = node.targets
+        elif isinstance(node, ast.AnnAssign) and node.value is not None:
+            targets = [node.target]
+        else:
+            continue
+        if any(isinstance(t, ast.Name) and t.id == "exposed" for t in targets):
+            return {n.value for n in ast.walk(node.value) if isinstance(n, ast.Constant)}
+    return set()
+
+
+def knobs(path: pathlib.Path, tree: ast.Module) -> list[Knob]:
+    """The defaulted parameters of module- and class-level functions
+    and methods, less the exempt ones."""
+    found = []
+
+    def walk(body, prefix, exposed):
+        for node in body:
+            if isinstance(node, ast.ClassDef):
+                walk(node.body, prefix + node.name + ".", _exposed(node))
+            elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.name not in exposed:
+                definition = Definition(path, node.lineno, node.end_lineno, prefix + node.name)
+                args = node.args
+                positional = args.posonlyargs + args.args
+                bound = bool(prefix) and "staticmethod" not in map(_decorator_name, node.decorator_list)
+                first_default = len(positional) - len(args.defaults)
+                for i, arg in enumerate(positional[first_default:], first_default):
+                    found.append(Knob(definition, arg.arg, i - bound))
+                found.extend(
+                    Knob(definition, arg.arg, None)
+                    for arg, default in zip(args.kwonlyargs, args.kw_defaults)
+                    if default is not None
+                )
+
+    walk(tree.body, "", set())
+    return [k for k in found if not (k.definition.qualname == "main" and k.param == "argv")]
+
+
+def calls(path: pathlib.Path, tree: ast.Module) -> dict[str, list[Call]]:
+    """Every call in one file, keyed by the callee name it matches:
+    a function or method name, or ``Cls.__init__`` for a construction."""
+    found: dict[str, list[Call]] = defaultdict(list)
+
+    def visit(node, cls):
+        if isinstance(node, ast.ClassDef):
+            cls = node
+        elif isinstance(node, ast.Call):
+            func = node.func
+            names = []
+            if isinstance(func, ast.Name):
+                callee = cls.name if func.id == "cls" and cls is not None else func.id
+                names = [callee, callee + ".__init__"]
+            elif isinstance(func, ast.Attribute):
+                names = [func.attr]
+                if (func.attr == "__init__" and isinstance(func.value, ast.Call)
+                        and isinstance(func.value.func, ast.Name)
+                        and func.value.func.id == "super" and cls is not None):
+                    names = [_decorator_name(b) + ".__init__" for b in cls.bases]
+            call = Call(
+                path, node.lineno,
+                sum(not isinstance(a, ast.Starred) for a in node.args),
+                frozenset(k.arg for k in node.keywords if k.arg is not None),
+                any(isinstance(a, ast.Starred) for a in node.args)
+                or any(k.arg is None for k in node.keywords),
+            )
+            for name in names:
+                found[name].append(call)
+        for child in ast.iter_child_nodes(node):
+            visit(child, cls)
+
+    visit(tree, None)
+    return found
+
+
 def _parse(path: pathlib.Path) -> ast.Module:
     return ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
 
@@ -167,16 +295,49 @@ def unreferenced(root: pathlib.Path) -> list[Definition]:
     ]
 
 
-def report(root: pathlib.Path, allowed: dict[str, str]) -> list[str]:
-    """Problems: an unreferenced definition not in ``allowed``, or an
-    ``allowed`` entry that is referenced or no longer exists."""
+def unpassed(root: pathlib.Path, allowed: dict[str, str]) -> list[Knob]:
+    """Knobs in ``root/src/repro`` that no non-test call passes, less
+    those of a definition (or of a class) in ``allowed``."""
     src = root / "src" / "repro"
-    dead = unreferenced(root)
-    keys = {d.key(src) for d in dead}
+    found: list[Knob] = []
+    by_callee: dict[str, list[Call]] = defaultdict(list)
+    for path in reference_files(root):
+        tree = _parse(path)
+        if src in path.parents:
+            found.extend(knobs(path, tree))
+        for name, sites in calls(path, tree).items():
+            by_callee[name].extend(sites)
+
+    def passed(knob):
+        d = knob.definition
+        callee = d.qualname.rsplit(".", 2)[-2] + ".__init__" if d.name == "__init__" else d.name
+        return any(
+            call.passes(knob) and (call.path != d.path or not d.line <= call.line <= d.end_line)
+            for call in by_callee.get(callee, ())
+        )
+
+    def exempt(knob):
+        # a definition in ``allowed`` keeps its knobs, and a class its methods'
+        path, qualname = knob.definition.key(src).split(":")
+        parts = qualname.split(".")
+        return any(f"{path}:{'.'.join(parts[:i])}" in allowed for i in range(1, len(parts) + 1))
+
+    return [k for k in found if not exempt(k) and not passed(k)]
+
+
+def report(root: pathlib.Path, allowed: dict[str, str]) -> list[str]:
+    """Problems: an unreferenced definition or an unpassed knob not in
+    ``allowed``, or an ``allowed`` entry that is used or no longer
+    exists."""
+    src = root / "src" / "repro"
+    found = [(d, d.key(src), d.qualname) for d in unreferenced(root)]
+    found += [(k.definition, k.key(src), f"{k.definition.qualname}({k.param})")
+              for k in unpassed(root, allowed)]
     problems = [
-        f"{d.path.relative_to(root).as_posix()}:{d.line} {d.qualname}"
-        for d in dead if d.key(src) not in allowed
+        f"{d.path.relative_to(root).as_posix()}:{d.line} {name}"
+        for d, key, name in found if key not in allowed
     ]
+    keys = {key for _, key, _ in found}
     problems += [f"stale allow-list entry: {k}" for k in sorted(set(allowed) - keys)]
     return problems
 
@@ -263,6 +424,113 @@ def test_report_names_stale_allow_list_entries(tmp_path):
         "stale allow-list entry: mod.py:live",
     ]
     assert report(root, {}) == ["src/repro/mod.py:1 kept"]
+
+
+
+# ------------------------------------------------ the knob rule on a toy tree
+
+
+def _knobs(root) -> list[str]:
+    return [f"{k.definition.qualname}({k.param})" for k in unpassed(root, {})]
+
+
+def test_knob_passed_by_keyword_stays(tmp_path):
+    root = _tree(tmp_path, {
+        "src/repro/mod.py": "def f(a, b=1, c=2): pass\n",
+        "examples/demo.py": "f(0, c=3)\n",
+    })
+    assert _knobs(root) == ["f(b)"]
+
+
+def test_knob_reached_positionally_stays(tmp_path):
+    root = _tree(tmp_path, {
+        "src/repro/mod.py": (
+            "def f(a, b=1, c=2, *, d=3): pass\n"
+            "class K:\n"
+            "    def m(self, x=1, y=2): pass\n"
+            "    @staticmethod\n"
+            "    def s(x=1, y=2): pass\n"
+        ),
+        "examples/demo.py": "f(0, 1)\nk.m(1)\nK.s(1)\n",
+    })
+    assert _knobs(root) == ["f(c)", "f(d)", "K.m(y)", "K.s(y)"]
+
+
+def test_star_args_at_a_call_keep_every_knob(tmp_path):
+    root = _tree(tmp_path, {
+        "src/repro/mod.py": "def f(a=1, b=2): pass\ndef g(a=1, b=2): pass\ndef h(a=1): pass\n",
+        "examples/demo.py": "f(**options)\ng(*values)\nh()\n",
+    })
+    assert _knobs(root) == ["h(a)"]
+
+
+def test_constructions_cls_and_super_call_init(tmp_path):
+    root = _tree(tmp_path, {
+        "src/repro/mod.py": (
+            "class Base:\n"
+            "    def __init__(self, a=1, b=2): pass\n"
+            "class Child(Base):\n"
+            "    def __init__(self, c=3):\n"
+            "        super().__init__(a=c)\n"
+            "    @classmethod\n"
+            "    def make(cls):\n"
+            "        return cls(c=1)\n"
+            "class Other:\n"
+            "    def __init__(self, d=4): pass\n"
+        ),
+        "examples/demo.py": "Other(5)\n",
+    })
+    assert _knobs(root) == ["Base.__init__(b)"]
+
+
+def test_a_recursive_self_pass_does_not_count(tmp_path):
+    root = _tree(tmp_path, {
+        "src/repro/mod.py": (
+            "def walk(node, depth=0):\n"
+            "    return walk(node, depth + 1)\n"
+            "class T:\n"
+            "    def visit(self, n, seen=None):\n"
+            "        return self.visit(n, seen=set())\n"
+        ),
+        "examples/demo.py": "walk(1)\nT().visit(2)\n",
+    })
+    assert _knobs(root) == ["walk(depth)", "T.visit(seen)"]
+
+
+def test_a_test_only_pass_does_not_count(tmp_path):
+    root = _tree(tmp_path, {
+        "src/repro/mod.py": "def f(a, b=1): pass\n",
+        "examples/demo.py": "f(0)\n",
+        "tests/test_mod.py": "f(0, b=2)\n",
+    })
+    assert _knobs(root) == ["f(b)"]
+
+
+def test_wire_methods_and_cli_argv_are_exempt(tmp_path):
+    root = _tree(tmp_path, {
+        "src/repro/mod.py": (
+            "class Service:\n"
+            "    exposed = ('query',)\n"
+            "    def query(self, sql, params=None): pass\n"
+            "    def admin(self, force=False): pass\n"
+            "def main(argv=None): pass\n"
+            "def helper(argv=None): pass\n"
+        ),
+    })
+    assert _knobs(root) == ["Service.admin(force)", "helper(argv)"]
+
+
+def test_report_names_stale_knob_entries(tmp_path):
+    root = _tree(tmp_path, {
+        "src/repro/mod.py": "def f(a=1, b=2): pass\nclass K:\n    def m(self, c=3): pass\n",
+        "examples/demo.py": "f(a=0)\nMETHOD = 'm'\n",
+    })
+    # an allowed class keeps its methods' knobs
+    assert report(root, {"mod.py:f(b)": "api", "mod.py:K": "api"}) == []
+    assert report(root, {
+        "mod.py:f(a)": "api", "mod.py:f(b)": "api", "mod.py:f(gone)": "api", "mod.py:K": "api",
+    }) == ["stale allow-list entry: mod.py:f(a)", "stale allow-list entry: mod.py:f(gone)"]
+    assert report(root, {"mod.py:K": "api"}) == ["src/repro/mod.py:1 f(b)"]
 
 
 if __name__ == "__main__":

@@ -41,10 +41,6 @@ class TestDirectory:
         with pytest.raises(DuplicateObjectError):
             directory.register(url, db)
 
-    def test_replace_flag_allows_rebind(self, setup):
-        directory, db, url = setup
-        directory.register(url, db, replace=True)
-
     def test_unknown_url_raises(self, setup):
         directory, _, _ = setup
         with pytest.raises(ConnectionFailedError):

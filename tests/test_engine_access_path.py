@@ -284,7 +284,7 @@ class TestExplainTable1:
     def testbed(self):
         from repro.hep.testbed import build_paper_testbed
 
-        tb = build_paper_testbed(ntuple_rows=500, total_tables=40, total_rows=3000)
+        tb = build_paper_testbed()
         directory = tb.federation.directory
         databases = {}
         for url in directory.urls():

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.common import PreflightError, SQLTypeError
+from repro.common import SQLTypeError
 from repro.engine import Database
 from repro.lint import (
     RULES,
@@ -18,7 +18,6 @@ from repro.lint import (
     sqlcheck,
 )
 from repro.sql.parser import parse_statement
-from repro.unity import UnityDriver
 
 
 def make_db() -> Database:
@@ -263,22 +262,6 @@ class TestFederatedRules:
             "ON e.run_id = r.run_id WHERE r.good = 1 AND e.energy > 2"
         )
         assert lint_sql(sql, fed_schema).errors == []
-
-
-class TestDriverPreflight:
-    def test_rejects_before_decompose(self, two_db_federation):
-        directory, dictionary, *_ = two_db_federation
-        driver = UnityDriver(dictionary, directory, preflight=True)
-        with pytest.raises(PreflightError) as exc:
-            driver.execute("SELECT no_such_column FROM events")
-        assert any(d.code == "RPR102" for d in exc.value.diagnostics)
-
-    def test_clean_query_unaffected(self, two_db_federation):
-        directory, dictionary, *_ = two_db_federation
-        strict = UnityDriver(dictionary, directory, preflight=True)
-        loose = UnityDriver(dictionary, directory)
-        sql = "SELECT event_id FROM events WHERE energy > 5"
-        assert strict.execute(sql).rows == loose.execute(sql).rows
 
 
 class TestExecutorTypecheck:

@@ -58,17 +58,16 @@ def count_view_reads(monkeypatch, wh: Warehouse) -> dict[str, int]:
     return reads
 
 
-@pytest.mark.parametrize("direct", [False, True])
-def test_replicate_equals_sequential_materialize(monkeypatch, direct):
+def test_replicate_equals_sequential_materialize(monkeypatch):
     fanned, single = loaded_warehouse(), loaded_warehouse()
     fanned_marts, single_marts = marts_for(fanned), marts_for(single)
     reads = count_view_reads(monkeypatch, fanned)
 
     mart_set = MartSet(fanned)
     mart_set.marts.extend(fanned_marts)
-    got = mart_set.replicate(VIEWS, direct=direct)
+    got = mart_set.replicate(VIEWS)
     want = [
-        materialize_view(single, view, db, host, direct=direct)
+        materialize_view(single, view, db, host)
         for view in VIEWS
         for db, host in single_marts
     ]

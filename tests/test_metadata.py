@@ -78,8 +78,6 @@ class TestGenerator:
         source_db.execute("CREATE VIEW hot AS SELECT event_id FROM EVT WHERE e > 1")
         spec = generate_lower_xspec(source_db)
         assert spec.table_by_logical("hot") is not None
-        spec2 = generate_lower_xspec(source_db, include_views=False)
-        assert spec2.table_by_logical("hot") is None
 
     def test_fk_relationship_detected_by_convention(self, source_db):
         spec = generate_lower_xspec(source_db)

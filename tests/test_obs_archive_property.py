@@ -91,19 +91,18 @@ class TestArchiveProperties:
         archiver, _, _ = run_schedule(schedule)
         now = archiver.now_ms
         for series in archiver.series.values():
-            for res in series.resolutions:
-                estimate = series.window_percentile(p, window_ms, now, res)
-                in_window = [
-                    b for b in series.buckets(res)
-                    if b.t_ms >= now - window_ms and b.samples > 0
-                ]
-                if not in_window:
-                    assert estimate is None
-                    continue
-                lo = min(
-                    b.vmin for b in in_window if b.vmin is not None
-                )
-                hi = max(
-                    b.vmax for b in in_window if b.vmax is not None
-                )
-                assert lo - 1e-9 <= estimate <= hi + 1e-9
+            estimate = series.window_percentile(p, window_ms, now)
+            in_window = [
+                b for b in series.buckets(RAW_RESOLUTION_MS)
+                if b.t_ms >= now - window_ms and b.samples > 0
+            ]
+            if not in_window:
+                assert estimate is None
+                continue
+            lo = min(
+                b.vmin for b in in_window if b.vmin is not None
+            )
+            hi = max(
+                b.vmax for b in in_window if b.vmax is not None
+            )
+            assert lo - 1e-9 <= estimate <= hi + 1e-9

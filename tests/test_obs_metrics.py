@@ -155,40 +155,6 @@ class TestStatsView:
 
 
 class TestPipelineInstruments:
-    def test_etl_counters_and_spans(self):
-        from repro.net import Network, SimClock
-        from repro.obs.trace import Tracer
-        from repro.warehouse.etl import ETLJob, ETLPipeline
-
-        clock = SimClock()
-        net = Network()
-        net.add_host("src_host")
-        net.add_host("wh_host")
-        source = Database("src", "mysql")
-        source.execute("CREATE TABLE T (A INT PRIMARY KEY, B DOUBLE)")
-        for i in range(6):
-            source.execute(f"INSERT INTO T VALUES ({i}, {i * 0.5})")
-        target = Database("wh", "mysql")
-        target.execute("CREATE TABLE T2 (A INT PRIMARY KEY, B DOUBLE)")
-        metrics = MetricsRegistry()
-        tracer = Tracer(clock, "etl")
-        pipeline = ETLPipeline(
-            net, clock, target, "wh_host", tracer=tracer, metrics=metrics
-        )
-        report = pipeline.run(
-            ETLJob(source=source, source_host="src_host",
-                   query="SELECT a, b FROM t", target_table="T2")
-        )
-        assert report.rows == 6
-        assert metrics.counter("etl.rows_staged").value == 6
-        assert metrics.counter("etl.rows_loaded").value == 6
-        assert metrics.counter("etl.bytes_staged").value == report.staged_bytes
-        stages = [s.stage for s in tracer.spans]
-        assert stages == ["etl_extract", "etl_load"]
-        extract, load = tracer.spans
-        assert extract.duration_ms == pytest.approx(report.extraction_ms)
-        assert extract.attrs["rows"] == 6
-
     def test_poolral_wrapper_counters_and_span(self):
         from repro.driver import Directory
         from repro.net import SimClock

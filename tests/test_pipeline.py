@@ -95,7 +95,8 @@ class TestClockDefaults:
         assert driver.router.clock is driver.clock
 
     def test_lone_parallel_branch_runs_in_place(self):
-        clock = SimClock(0.1)
+        clock = SimClock()
+        clock.advance_ms(0.1)
         assert clock.run_parallel([lambda: clock.advance_ms(0.2)]) == pytest.approx(0.2)
         assert clock.now_ms == 0.1 + 0.2
 
@@ -233,18 +234,22 @@ class TestQueryFrame:
         return service, driver
 
     def test_a_refused_query_is_framed_alike(self):
-        from repro.common.errors import PreflightError
+        from repro.common.errors import PlanningError, PreflightError
 
-        for front_end in self.front_ends(observe=True, preflight=True):
-            with pytest.raises(PreflightError):
+        fed, service = replicated(observe=True, preflight=True)
+        driver = UnityDriver(service.dictionary, fed.directory, observe=True)
+        # the service's lint pre-flight refuses it, the driver's planner
+        for front_end, error in ((service, PreflightError), (driver, PlanningError)):
+            with pytest.raises(error):
                 front_end.execute(self.REFUSED)
-            assert front_end.metrics.counter("preflight_rejections").value == 1
             assert front_end.metrics.counter("query_errors").value == 1
             (record,) = front_end.tracer.queries
-            assert record.status == "error: PreflightError"
-            spans = {s.span_id: s for s in front_end.tracer.spans}
-            (lint,) = [s for s in spans.values() if s.stage == "preflight"]
-            assert spans[lint.parent_id].stage == "decompose"
+            assert record.status == f"error: {error.__name__}"
+            assert {s.stage for s in front_end.tracer.spans} >= {"query", "decompose"}
+        assert service.metrics.counter("preflight_rejections").value == 1
+        spans = {s.span_id: s for s in service.tracer.spans}
+        (lint,) = [s for s in spans.values() if s.stage == "preflight"]
+        assert spans[lint.parent_id].stage == "decompose"
 
     def test_observe_off_builds_no_monitoring(self):
         for front_end in self.front_ends():

@@ -1,6 +1,6 @@
 """Property: an ETL load lands and charges what a per-row load does.
 
-``ETLPipeline._load_inner`` lands a job's rows with one checked
+``ETLPipeline._load`` lands a job's rows with one checked
 ``TableStorage.append_rows`` and falls back to per-row inserts when the
 batch raises. Whatever the batch holds, the outcome must equal the
 statement-at-a-time reference loop below: the same stored rows (value
@@ -119,7 +119,9 @@ def outcome(load, *args):
 def twin(vendor: str, autocommit: bool, start_ms: float) -> ETLPipeline:
     target = Database("target", vendor)
     target.execute(DDL)
-    return ETLPipeline(Network(), SimClock(start_ms), target, "etlhost", autocommit=autocommit)
+    clock = SimClock()
+    clock.advance_ms(start_ms)
+    return ETLPipeline(Network(), clock, target, "etlhost", autocommit=autocommit)
 
 
 @settings(max_examples=300, deadline=None)
@@ -145,7 +147,7 @@ def test_batch_load_equals_per_row_load(
         for names, rows in batches:
             # the column list comes from the job, or from the extract
             job = ETLJob(None, "src", "SELECT 1", "t", target_columns=names if job_names else None)
-            got = outcome(batched._load_inner, names, rows, job)
+            got = outcome(batched._load, names, rows, job)
             want = outcome(per_row_load, reference, names, rows, job)
             assert got == want
             # repr tells 1, 1.0, True and '1' apart

@@ -108,7 +108,7 @@ class TestIncrementalETLProperty:
         clock = SimClock()
         source = Database("src", "oracle")
         create_source_schema(source)
-        wh_inc = Warehouse(net, clock, name="inc", nvar=3)
+        wh_inc = Warehouse(net, clock, nvar=3)
         job = etl_jobs_for_source(source, "tier1", 3)[0]
 
         next_id = 1
@@ -118,12 +118,11 @@ class TestIncrementalETLProperty:
                 rng.fork(f"b{run_id}"),
                 {run_id: generate_ntuple(rng.fork(f"nt{run_id}"), size, 3)},
                 first_event_id=next_id,
-                n_calibrations=0,
             )
             next_id += size + 20
             wh_inc.pipeline.run_incremental(job, "e.event_id")
 
-        wh_full = Warehouse(net, clock, name="full", nvar=3)
+        wh_full = Warehouse(net, clock, nvar=3)
         wh_full.pipeline.run(job)
         a = wh_inc.db.execute(
             "SELECT event_id, var_0, var_1, var_2 FROM event_fact ORDER BY event_id"

@@ -55,7 +55,7 @@ class TestWorkloadExecution:
     def test_workload_runs_on_paper_testbed(self):
         from repro.hep.testbed import build_paper_testbed
 
-        tb = build_paper_testbed(ntuple_rows=500, total_tables=40, total_rows=3000)
+        tb = build_paper_testbed()
         wl = QueryWorkload(
             DeterministicRNG("exec"),
             WorkloadConfig(max_event_id=500, max_run_id=150),

@@ -292,19 +292,19 @@ class TestFederatedStarAndEdges:
     def test_params_inside_pushed_predicate(self, two_db_federation):
         directory, dictionary, *_ = two_db_federation
         driver = UnityDriver(dictionary, directory)
-        plan = driver.plan("SELECT event_id FROM events WHERE energy > ?")
-        # single-table plan pushes the parameterized predicate down
-        assert "?" in plan.subqueries[0].sql
         result = driver.execute(
             "SELECT event_id FROM events WHERE energy > ? ORDER BY event_id",
             params=(10,),
         )
+        # single-table plan pushes the parameterized predicate down
+        assert "?" in result.traces[0].sql
         assert result.rows == [(7,), (8,), (9,)]
 
     def test_single_table_order_and_limit_pushed(self, two_db_federation):
-        directory, dictionary, *_ = two_db_federation
-        driver = UnityDriver(dictionary, directory)
-        plan = driver.plan("SELECT event_id FROM events ORDER BY energy DESC LIMIT 2")
+        _, dictionary, *_ = two_db_federation
+        plan = decompose(
+            parse_select("SELECT event_id FROM events ORDER BY energy DESC LIMIT 2"), dictionary
+        )
         assert plan.kind == "single"
         sql = plan.subqueries[0].sql
         assert "ORDER BY" in sql and "LIMIT 2" in sql

@@ -141,8 +141,8 @@ class TestETLPipeline:
         rng = DeterministicRNG("size-scale")
         small_t1, _ = build_tier_sources(rng.fork("s"), n_runs=2, events_per_run=10, nvar=6)
         big_t1, _ = build_tier_sources(rng.fork("b"), n_runs=2, events_per_run=100, nvar=6)
-        wh_small = Warehouse(net, clock, name="wh_s", nvar=6)
-        wh_big = Warehouse(net, clock, name="wh_b", nvar=6)
+        wh_small = Warehouse(net, clock, nvar=6)
+        wh_big = Warehouse(net, clock, nvar=6)
         r_small = wh_small.load(etl_jobs_for_source(small_t1, "tier1", 6)[0])
         r_big = wh_big.load(etl_jobs_for_source(big_t1, "tier1", 6)[0])
         assert r_big.staged_bytes > r_small.staged_bytes
