@@ -25,8 +25,9 @@ from dataclasses import dataclass, field
 RAW_RESOLUTION_MS = 0.0
 #: the rollup levels kept next to the raw one (simulated ms per bucket)
 ROLLUP_RESOLUTIONS_MS = (1_000.0, 10_000.0)
-#: ring sizes of the raw level and of each rollup level
-RAW_CAP = 512
+#: ring sizes of the raw level and of each rollup level; the raw ring
+#: spans 60 s of snapshots, the SLO slow burn window (obs.slo)
+RAW_CAP = 600
 ROLLUP_CAP = 256
 #: the archiver's snapshot cadence (simulated ms)
 SNAPSHOT_INTERVAL_MS = 100.0

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from repro.clarens.codec import payload_bytes
+from repro.common.errors import RLSLookupError
 from repro.net.network import Network
 from repro.net.simclock import SimClock
 from repro.rls.server import RLSServer
@@ -52,9 +53,14 @@ class RLSClient:
         """Replica server URLs for ``logical_table``: one wire round-trip."""
         request = payload_bytes("rls.lookup", logical_table)
         self.network.transfer(self.host, self.server.host, request, self.clock)
-        urls = self.server.lookup(logical_table)
+        try:
+            urls = self.server.lookup(logical_table)
+        except RLSLookupError:  # the server raises on a miss; count it first
+            self._count("rls.lookups")
+            self._count("rls.misses")
+            raise
         response = payload_bytes("rls.lookup", urls)
         self.network.transfer(self.server.host, self.host, response, self.clock)
         self._count("rls.lookups")
-        self._count("rls.hits" if urls else "rls.misses")
+        self._count("rls.hits")
         return urls

@@ -1,15 +1,14 @@
-"""Hand-written SQL lexer.
+"""SQL lexer: one compiled pattern, matched token by token.
 
-Produces a flat token stream; keywords are recognized case-insensitively
-and carried upper-cased. Identifier quoting follows the dialect-neutral
-double-quote form plus MySQL backticks and MS-SQL brackets so that text
-generated by any of our dialects can be re-lexed.
+Keywords are recognized case-insensitively and carried upper-cased.
+Identifiers may be quoted as "x", MySQL `x` or MS-SQL [x], so text that
+any of our dialects generates re-lexes. Numbers are ASCII digits with an
+optional fraction and exponent; ``1e+`` is a syntax error, not a number.
 """
 
-from __future__ import annotations
-
 import enum
-from dataclasses import dataclass
+import re
+from typing import NamedTuple
 
 from repro.common.errors import SQLSyntaxError
 
@@ -25,8 +24,7 @@ class TokenType(enum.Enum):
     EOF = "EOF"
 
 
-KEYWORDS = frozenset(
-    """
+KEYWORDS = frozenset("""
     SELECT FROM WHERE GROUP BY HAVING ORDER ASC DESC LIMIT OFFSET TOP
     DISTINCT ALL AS AND OR NOT IN IS NULL LIKE BETWEEN EXISTS UNION
     INSERT INTO VALUES UPDATE SET DELETE CREATE TABLE VIEW INDEX DROP
@@ -37,128 +35,66 @@ KEYWORDS = frozenset(
     INTEGER INT BIGINT SMALLINT FLOAT DOUBLE REAL DECIMAL NUMERIC NUMBER
     VARCHAR VARCHAR2 CHAR TEXT CLOB NVARCHAR BOOLEAN BOOL DATE DATETIME
     TIMESTAMP BLOB PRECISION
-    """.split()
+""".split())
+
+# Tried in order at each position; operators longest first. A string ends at
+# the first quote not in a '' pair. tokenize rejects a word's non-letter start.
+_TOKEN = re.compile(
+    r"""(?P<skip>\s+|--[^\n]*)
+    |(?P<comment>/\*)
+    |(?P<string>'[^']*(?:''[^']*)*'(?!'))
+    |(?P<quoted>"[^"]*"|`[^`]*`|\[[^\]]*\])
+    |(?P<number>(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[eE](?:[+-]?[0-9]+|[+-]))?)
+    |(?P<word>\w[\w$]*)
+    |(?P<param>\?)
+    |(?P<operator><>|!=|<=|>=|\|\||[=<>+\-*/%])
+    |(?P<punct>[(),.;])""",
+    re.VERBOSE,
 )
+_AS_IS = {kind: TokenType[kind.upper()] for kind in ("number", "param", "operator", "punct")}
+_UNTERMINATED = {"'": "unterminated string literal", '"': "unterminated quoted identifier",
+                 "`": "unterminated quoted identifier", "[": "unterminated quoted identifier"}
 
-# Multi-character operators first so maximal munch works.
-_OPERATORS = ("<>", "!=", "<=", ">=", "||", "=", "<", ">", "+", "-", "*", "/", "%")
-_PUNCT = ("(", ")", ",", ".", ";")
 
-
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     type: TokenType
     value: str
     position: int
 
     def matches(self, ttype: TokenType, value: str | None = None) -> bool:
-        if self.type is not ttype:
-            return False
-        return value is None or self.value == value
+        return self.type is ttype and (value is None or self.value == value)
 
 
 def tokenize(sql: str) -> list[Token]:
     """Tokenize ``sql``; raises :class:`SQLSyntaxError` on bad input."""
     tokens: list[Token] = []
-    i = 0
-    n = len(sql)
-    while i < n:
-        ch = sql[i]
-        if ch.isspace():
-            i += 1
-            continue
-        # Comments: -- to end of line, /* ... */
-        if sql.startswith("--", i):
-            end = sql.find("\n", i)
-            i = n if end == -1 else end + 1
-            continue
-        if sql.startswith("/*", i):
-            end = sql.find("*/", i + 2)
+    pos = 0
+    while pos < len(sql):
+        m = _TOKEN.match(sql, pos)
+        kind, text = (m.lastgroup, m.group()) if m else (None, "")
+        if kind == "skip":
+            pass
+        elif kind == "word" and (text[0].isalpha() or text[0] == "_"):
+            upper = text.upper()
+            tokens.append(Token(TokenType.KEYWORD, upper, pos) if upper in KEYWORDS
+                          else Token(TokenType.IDENT, text, pos))
+        elif kind == "comment":
+            end = sql.find("*/", pos + 2)
             if end == -1:
-                raise SQLSyntaxError("unterminated block comment", i, sql)
-            i = end + 2
+                raise SQLSyntaxError("unterminated block comment", pos, sql)
+            pos = end + 2
             continue
-        # String literal with '' escaping.
-        if ch == "'":
-            j = i + 1
-            buf: list[str] = []
-            while True:
-                if j >= n:
-                    raise SQLSyntaxError("unterminated string literal", i, sql)
-                if sql[j] == "'":
-                    if j + 1 < n and sql[j + 1] == "'":
-                        buf.append("'")
-                        j += 2
-                        continue
-                    break
-                buf.append(sql[j])
-                j += 1
-            tokens.append(Token(TokenType.STRING, "".join(buf), i))
-            i = j + 1
-            continue
-        # Quoted identifiers: "x", `x`, [x]
-        if ch in ('"', "`", "["):
-            closer = {"[": "]"}.get(ch, ch)
-            end = sql.find(closer, i + 1)
-            if end == -1:
-                raise SQLSyntaxError("unterminated quoted identifier", i, sql)
-            tokens.append(Token(TokenType.IDENT, sql[i + 1 : end], i))
-            i = end + 1
-            continue
-        # Numbers: integer, decimal, exponent.
-        if ch.isdigit() or (ch == "." and i + 1 < n and sql[i + 1].isdigit()):
-            j = i
-            seen_dot = False
-            seen_exp = False
-            while j < n:
-                c = sql[j]
-                if c.isdigit():
-                    j += 1
-                elif c == "." and not seen_dot and not seen_exp:
-                    seen_dot = True
-                    j += 1
-                elif c in "eE" and not seen_exp and j > i:
-                    if j + 1 < n and (sql[j + 1].isdigit() or sql[j + 1] in "+-"):
-                        seen_exp = True
-                        j += 2 if sql[j + 1] in "+-" else 1
-                    else:
-                        break
-                else:
-                    break
-            tokens.append(Token(TokenType.NUMBER, sql[i:j], i))
-            i = j
-            continue
-        # Identifiers / keywords.
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (sql[j].isalnum() or sql[j] in "_$"):
-                j += 1
-            word = sql[i:j]
-            upper = word.upper()
-            if upper in KEYWORDS:
-                tokens.append(Token(TokenType.KEYWORD, upper, i))
-            else:
-                tokens.append(Token(TokenType.IDENT, word, i))
-            i = j
-            continue
-        # Positional parameter.
-        if ch == "?":
-            tokens.append(Token(TokenType.PARAM, "?", i))
-            i += 1
-            continue
-        matched = False
-        for op in _OPERATORS:
-            if sql.startswith(op, i):
-                tokens.append(Token(TokenType.OPERATOR, op, i))
-                i += len(op)
-                matched = True
-                break
-        if matched:
-            continue
-        if ch in _PUNCT:
-            tokens.append(Token(TokenType.PUNCT, ch, i))
-            i += 1
-            continue
-        raise SQLSyntaxError(f"unexpected character {ch!r}", i, sql)
-    tokens.append(Token(TokenType.EOF, "", n))
+        elif kind == "string":
+            tokens.append(Token(TokenType.STRING, text[1:-1].replace("''", "'"), pos))
+        elif kind == "quoted":
+            tokens.append(Token(TokenType.IDENT, text[1:-1], pos))
+        elif kind == "number" and text[-1] in "+-":
+            raise SQLSyntaxError("malformed number", pos, sql)
+        elif kind in _AS_IS:
+            tokens.append(Token(_AS_IS[kind], text, pos))
+        else:
+            ch = sql[pos]
+            raise SQLSyntaxError(_UNTERMINATED.get(ch, f"unexpected character {ch!r}"), pos, sql)
+        pos = m.end()
+    tokens.append(Token(TokenType.EOF, "", len(sql)))
     return tokens

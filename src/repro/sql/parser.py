@@ -9,6 +9,8 @@ produced by the MSSQL dialect re-parses.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 from repro.common.errors import SQLSyntaxError
 from repro.common.types import SQLType, TypeKind
 from repro.sql import ast
@@ -41,6 +43,7 @@ _TYPE_KEYWORDS = {
 }
 
 _COMPARISON_OPS = {"=", "<>", "!=", "<", "<=", ">", ">="}
+_LITERAL_KEYWORDS = {"NULL": None, "TRUE": True, "FALSE": False}
 
 
 class _Parser:
@@ -115,12 +118,19 @@ class _Parser:
 
     def expect_integer(self) -> int:
         tok = self.current
-        if tok.type is not TokenType.NUMBER or any(c in tok.value for c in ".eE"):
+        if tok.type is not TokenType.NUMBER or not tok.value.isdigit():
             raise SQLSyntaxError(
                 f"expected integer, found {tok.value!r}", tok.position, self.sql
             )
-        self.advance()
-        return int(tok.value)
+        return self.parse_number()
+
+    def parse_number(self) -> int | float:
+        """Consume a NUMBER token: an int when it is all digits, else a float."""
+        tok = self.advance()
+        try:
+            return int(tok.value) if tok.value.isdigit() else float(tok.value)
+        except ValueError as exc:  # e.g. an int longer than int() converts
+            raise SQLSyntaxError("malformed number", tok.position, self.sql) from exc
 
     # Statements ---------------------------------------------------------------
 
@@ -171,25 +181,13 @@ class _Parser:
         # the trailing ORDER BY/LIMIT the last branch swallowed belong to
         # the whole union
         last = selects[-1]
-        order_by, limit, offset = last.order_by, last.limit, last.offset
-        selects[-1] = ast.Select(
-            items=last.items,
-            from_=last.from_,
-            joins=last.joins,
-            where=last.where,
-            group_by=last.group_by,
-            having=last.having,
-            order_by=(),
-            limit=None,
-            offset=None,
-            distinct=last.distinct,
-        )
+        selects[-1] = replace(last, order_by=(), limit=None, offset=None)
         return ast.Union(
             selects=tuple(selects),
             all=all_flags.pop(),
-            order_by=order_by,
-            limit=limit,
-            offset=offset,
+            order_by=last.order_by,
+            limit=last.limit,
+            offset=last.offset,
         )
 
     def parse_select(self) -> ast.Select:
@@ -392,13 +390,10 @@ class _Parser:
             self.expect_punct(")")
             if pk_names:
                 columns = [
-                    ast.ColumnDef(
-                        name=c.name,
-                        type=c.type,
+                    replace(
+                        c,
                         not_null=c.not_null or c.name in pk_names,
                         primary_key=c.primary_key or c.name in pk_names,
-                        default=c.default,
-                        has_default=c.has_default,
                     )
                     for c in columns
                 ]
@@ -527,20 +522,18 @@ class _Parser:
 
     # Expressions (precedence climbing) ----------------------------------------
 
-    def parse_expression(self) -> ast.Expr:
-        return self.parse_or()
-
-    def parse_or(self) -> ast.Expr:
-        left = self.parse_and()
-        while self.accept_keyword("OR"):
-            left = ast.BinaryOp("OR", left, self.parse_and())
+    def fold(self, operand, ttype: TokenType, ops: tuple[str, ...]) -> ast.Expr:
+        """A left-associative chain of ``operand``s joined by ``ttype`` tokens in ``ops``."""
+        left = operand()
+        while self.current.type is ttype and self.current.value in ops:
+            left = ast.BinaryOp(self.advance().value, left, operand())
         return left
+
+    def parse_expression(self) -> ast.Expr:
+        return self.fold(self.parse_and, TokenType.KEYWORD, ("OR",))
 
     def parse_and(self) -> ast.Expr:
-        left = self.parse_not()
-        while self.accept_keyword("AND"):
-            left = ast.BinaryOp("AND", left, self.parse_not())
-        return left
+        return self.fold(self.parse_not, TokenType.KEYWORD, ("AND",))
 
     def parse_not(self) -> ast.Expr:
         if self.accept_keyword("NOT"):
@@ -586,28 +579,10 @@ class _Parser:
         return left
 
     def parse_additive(self) -> ast.Expr:
-        left = self.parse_multiplicative()
-        while True:
-            if self.accept_operator("+"):
-                left = ast.BinaryOp("+", left, self.parse_multiplicative())
-            elif self.accept_operator("-"):
-                left = ast.BinaryOp("-", left, self.parse_multiplicative())
-            elif self.accept_operator("||"):
-                left = ast.BinaryOp("||", left, self.parse_multiplicative())
-            else:
-                return left
+        return self.fold(self.parse_multiplicative, TokenType.OPERATOR, ("+", "-", "||"))
 
     def parse_multiplicative(self) -> ast.Expr:
-        left = self.parse_unary()
-        while True:
-            if self.accept_operator("*"):
-                left = ast.BinaryOp("*", left, self.parse_unary())
-            elif self.accept_operator("/"):
-                left = ast.BinaryOp("/", left, self.parse_unary())
-            elif self.accept_operator("%"):
-                left = ast.BinaryOp("%", left, self.parse_unary())
-            else:
-                return left
+        return self.fold(self.parse_unary, TokenType.OPERATOR, ("*", "/", "%"))
 
     def parse_unary(self) -> ast.Expr:
         if self.accept_operator("-"):
@@ -622,10 +597,7 @@ class _Parser:
     def parse_primary(self) -> ast.Expr:
         tok = self.current
         if tok.type is TokenType.NUMBER:
-            self.advance()
-            if any(c in tok.value for c in ".eE"):
-                return ast.Literal(float(tok.value))
-            return ast.Literal(int(tok.value))
+            return ast.Literal(self.parse_number())
         if tok.type is TokenType.STRING:
             self.advance()
             return ast.Literal(tok.value)
@@ -635,15 +607,9 @@ class _Parser:
             self.param_count += 1
             return param
         if tok.type is TokenType.KEYWORD:
-            if tok.value == "NULL":
+            if tok.value in _LITERAL_KEYWORDS:
                 self.advance()
-                return ast.Literal(None)
-            if tok.value == "TRUE":
-                self.advance()
-                return ast.Literal(True)
-            if tok.value == "FALSE":
-                self.advance()
-                return ast.Literal(False)
+                return ast.Literal(_LITERAL_KEYWORDS[tok.value])
             if tok.value == "CASE":
                 return self.parse_case()
             if tok.value == "CAST":

@@ -15,7 +15,7 @@ from repro.engine.database import Database, ExecResult
 from repro.engine.storage import Column
 from repro.net import costs
 from repro.net.simclock import SimClock
-from repro.unity.decompose import DecomposedQuery, SubQuery
+from repro.unity.decompose import DecomposedQuery
 
 
 class Integrator:

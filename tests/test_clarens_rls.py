@@ -13,6 +13,7 @@ from repro.clarens import (
 from repro.clarens.server import result_row_count
 from repro.common import AuthenticationError, ClarensFault, RLSLookupError
 from repro.net import Network, SimClock, costs
+from repro.obs.metrics import MetricsRegistry
 from repro.rls import RLSClient, RLSServer
 
 
@@ -236,6 +237,18 @@ class TestRLS:
         server.unpublish("events", "clarens://a/s")
         with pytest.raises(RLSLookupError):
             client.lookup("events")
+
+    def test_misses_are_counted(self, rls_world):
+        _, _, client = rls_world
+        client.metrics = MetricsRegistry()
+        client.publish("events", "clarens://a/s")
+        client.lookup("events")
+        with pytest.raises(RLSLookupError):
+            client.lookup("ghost")
+        counters = client.metrics.counters
+        assert counters["rls.lookups"].value == 2
+        assert counters["rls.hits"].value == 1
+        assert counters["rls.misses"].value == 1
 
     def test_lookup_charges_time(self, rls_world):
         clock, server, client = rls_world

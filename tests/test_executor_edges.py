@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.common import PlanningError, SQLTypeError, TypeKind
+from repro.common import PlanningError, SQLTypeError
 from repro.common.errors import ColumnNotFoundError
 from repro.engine import Database
 

@@ -9,7 +9,7 @@ from repro.common import ConnectionFailedError
 from repro.core import GridFederation
 from repro.core.replicas import ReplicaSelector
 from repro.engine import Database
-from repro.metadata import LowerXSpec, generate_lower_xspec
+from repro.metadata import generate_lower_xspec
 from repro.metadata.semantic import (
     column_similarity,
     find_matches,

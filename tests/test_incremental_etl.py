@@ -6,7 +6,6 @@ from repro.common import DeterministicRNG
 from repro.common.errors import ETLError
 from repro.engine import Database
 from repro.hep import (
-    EAV_EXTRACT_SQL,
     create_source_schema,
     etl_jobs_for_source,
     generate_ntuple,

@@ -1,9 +1,14 @@
 """Unit tests for the SQL lexer."""
 
+import re
+import string
+
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from repro.common import SQLSyntaxError
 from repro.sql import Token, TokenType, tokenize
+from repro.sql.lexer import KEYWORDS
 
 
 def kinds(sql):
@@ -111,3 +116,59 @@ def test_token_matches_helper():
     assert tok.matches(TokenType.KEYWORD, "SELECT")
     assert not tok.matches(TokenType.KEYWORD, "FROM")
     assert not tok.matches(TokenType.IDENT)
+
+
+class TestNumberEdges:
+    """Malformed numbers are parser-level tests (tests/test_parser.py)."""
+
+    def test_e_without_digit_or_sign_starts_a_word(self):
+        assert kinds("1ex") == [(TokenType.NUMBER, "1"), (TokenType.IDENT, "ex")]
+
+    def test_non_ascii_letter_starts_an_identifier(self):
+        assert kinds("é1") == [(TokenType.IDENT, "é1")]
+
+
+# Characters that decide token boundaries, plus Unicode space, a
+# letter and two non-ASCII digits; the pieces make numbers and closed
+# quotes and comments common enough to reach.
+SQL_CHARS = string.ascii_letters + string.digits + ".eE+-'\"`[]()*/<>=!|%?;,$_ \n\t\x0b\xa0é²١"
+SQL_PIECES = [
+    "1e", "2E", "e+", "e-", "3.", ".4", "'it''s'", '"a b"', "[c]", "`d`", "-- x\n", "/* y */",
+]
+BETWEEN_TOKENS = re.compile(r"(?:\s|--[^\n]*|/\*.*?\*/)*", re.DOTALL)
+
+
+def source_length(sql, tok):
+    """Characters of ``sql`` that ``tok`` was lexed from."""
+    if tok.type is TokenType.STRING:
+        return len(tok.value) + tok.value.count("'") + 2
+    if tok.type is TokenType.IDENT and sql[tok.position] in "\"`[":
+        return len(tok.value) + 2
+    return len(tok.value)
+
+
+@given(st.lists(st.sampled_from(SQL_CHARS) | st.sampled_from(SQL_PIECES), max_size=30).map("".join))
+@settings(max_examples=300)
+@example("SELECT 1e+")
+@example("SELECT ² FROM t")
+@example("'it''s' \"a b\" [c] -- x\n/* y */ `d`")
+def test_tokens_partition_the_text(sql):
+    """Either a syntax error, or tokens in text order with nothing but
+    whitespace and comments between them, numbers that convert and
+    keywords from the keyword list."""
+    try:
+        tokens = tokenize(sql)
+    except SQLSyntaxError:
+        return
+    assert tokens[-1] == Token(TokenType.EOF, "", len(sql))
+    positions = [tok.position for tok in tokens]
+    assert positions == sorted(set(positions))
+    end = 0
+    for tok in tokens:
+        assert tok.position >= end, (sql, tok)
+        assert BETWEEN_TOKENS.fullmatch(sql, end, tok.position), (sql, tok)
+        if tok.type is TokenType.NUMBER:
+            (int if tok.value.isdigit() else float)(tok.value)  # raises if malformed
+        if tok.type is TokenType.KEYWORD:
+            assert tok.value in KEYWORDS
+        end = tok.position + source_length(sql, tok)

@@ -7,7 +7,7 @@ assertion here is on the network counters, not just the exception.
 
 import pytest
 
-from repro.common import PreflightError
+from repro.common import PreflightError, SQLSyntaxError
 from repro.core import GridFederation
 from repro.engine import Database
 
@@ -107,6 +107,25 @@ class TestServicePreflight:
         answer = s1.service.execute(GOOD_JOIN)
         assert answer.rows
         assert answer.servers_accessed == 2
+
+
+class TestMalformedNumberOverTheWire:
+    """A number the lexer cannot read is a syntax error on every wire
+    method, not a conversion crash."""
+
+    SQL = "SELECT e.event_id FROM events e WHERE e.energy > 1e+"
+
+    def test_query_raises_a_syntax_error(self):
+        fed, s1 = one_server_federation(preflight=False)
+        with pytest.raises(SQLSyntaxError, match="malformed number") as exc:
+            fed.client("laptop").call(s1.server, "dataaccess.query", self.SQL, [])
+        assert exc.value.position == self.SQL.index("1e+")
+
+    def test_lint_reports_rpr001(self):
+        fed, s1 = one_server_federation(preflight=False)
+        diags = fed.client("laptop").call(s1.server, "dataaccess.lint", self.SQL)
+        assert [(d["code"], d["severity"]) for d in diags] == [("RPR001", "error")]
+        assert "malformed number" in diags[0]["message"]
 
 
 class TestLintWireMethod:

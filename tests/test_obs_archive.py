@@ -11,6 +11,7 @@ from repro.obs.archive import (
     SeriesArchive,
 )
 from repro.obs.metrics import MetricsRegistry
+from repro.obs.slo import SLOW_WINDOW_MS
 
 
 def make_archiver():
@@ -156,6 +157,15 @@ class TestMetricsArchiver:
         assert resolutions == {0.0, 1_000.0, 10_000.0}
         for row in rows:
             assert len(row) == 11
+
+    def test_raw_ring_covers_the_slow_slo_window(self):
+        clock, registry, archiver = make_archiver()
+        for _ in range(700):
+            registry.counter("queries").inc()
+            archiver.maybe_snapshot()
+            clock.advance_ms(archive.SNAPSHOT_INTERVAL_MS)
+        window = archiver.window("queries", SLOW_WINDOW_MS)
+        assert window.samples >= SLOW_WINDOW_MS / archive.SNAPSHOT_INTERVAL_MS
 
     def test_window_helper_none_for_unknown_series(self):
         _, _, archiver = make_archiver()

@@ -283,6 +283,32 @@ class TestParseErrors:
         with pytest.raises(SQLSyntaxError):
             parse_statement("SELECT a FROM t LIMIT 2.5")
 
+    @pytest.mark.parametrize(
+        "sql, position",
+        [("SELECT a FROM t WHERE a > 1e+", 26), ("SELECT 2.5E- 3 FROM t", 7),
+         ("SELECT a FROM t LIMIT 1e+", 22)],
+    )
+    def test_exponent_sign_without_digits(self, sql, position):
+        with pytest.raises(SQLSyntaxError, match="malformed number") as exc:
+            parse_statement(sql)
+        assert exc.value.position == position
+
+    @pytest.mark.parametrize("digit", ["²", "١"])
+    def test_non_ascii_digit(self, digit):
+        with pytest.raises(SQLSyntaxError, match="unexpected character") as exc:
+            parse_statement(f"SELECT {digit} FROM t")
+        assert exc.value.position == 7
+
+    def test_integer_too_long_to_convert(self):
+        digits = "9" * 5000
+        try:
+            stmt = parse_statement(f"SELECT {digits} FROM t")
+        except SQLSyntaxError as exc:  # CPython 3.11 and 3.10.7+ cap int() at 4300 digits
+            assert "malformed number" in str(exc)
+            assert exc.position == 7
+        else:
+            assert stmt.items[0].expr == ast.Literal(int(digits))
+
 
 class TestUnparseRoundTrip:
     CASES = [

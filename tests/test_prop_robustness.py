@@ -1,6 +1,5 @@
 """Robustness properties: the parser and engine fail *predictably*."""
 
-import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.common import DeterministicRNG, ReproError

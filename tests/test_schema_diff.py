@@ -1,7 +1,5 @@
 """Tests for XSpec schema diffing and the tracker's change log."""
 
-import pytest
-
 from repro.engine import Database
 from repro.metadata import SchemaTracker, generate_lower_xspec
 from repro.metadata.diff import diff_specs

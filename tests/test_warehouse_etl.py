@@ -13,7 +13,7 @@ from repro.hep import (
 )
 from repro.marts import MartSet, materialize_view
 from repro.net import Network, SimClock
-from repro.warehouse import ETLJob, StagingFile, Warehouse
+from repro.warehouse import StagingFile, Warehouse
 from repro.warehouse.schema import var_columns
 
 
