@@ -224,8 +224,9 @@ class Profile1D:
         """Total samples seen, including out-of-range ones."""
         return int(self.counts.sum()) + self.out_of_range
 
-    def render(self, width: int = 40) -> str:
-        """One line per bin: mean with a bar scaled to the mean range."""
+    def render(self) -> str:
+        """One line per bin: mean with a 40-character bar scaled to the
+        mean range."""
         lines = []
         if self.title:
             lines.append(self.title)
@@ -241,7 +242,7 @@ class Profile1D:
             if np.isnan(means[i]):
                 lines.append(f"{edge:>12.4g} | (empty)")
             else:
-                bar = "#" * int(round((means[i] - lo) / span * width))
+                bar = "#" * int(round((means[i] - lo) / span * 40))
                 err = self.bin_error(i)
                 err_text = f" +- {err:.3g}" if not math.isnan(err) else ""
                 lines.append(f"{edge:>12.4g} | {bar} {means[i]:.4g}{err_text}")

@@ -130,6 +130,22 @@ def _text_bytes(text: str) -> int:
     return len(escape(_escape_text(text)).encode("utf-8"))
 
 
+#: struct member name -> its ``_text_bytes``: responses repeat the same
+#: few names; bounded against a client that sends ever new ones
+_KEY_BYTES: dict[str, int] = {}
+_KEY_BYTES_CAP = 1024
+
+
+def _key_bytes(key: str) -> int:
+    """``_text_bytes(key)``, memoized for struct member names."""
+    size = _KEY_BYTES.get(key)
+    if size is None:
+        size = _text_bytes(key)
+        if len(_KEY_BYTES) < _KEY_BYTES_CAP:
+            _KEY_BYTES[key] = size
+    return size
+
+
 def _plain_cells(cells, kinds: set) -> tuple[int, int]:
     """``(characters, encoded bytes)`` of ``cells``, whose exact types
     ``kinds`` all are ``_PLAIN_TYPES``, from one join of their text forms.
@@ -170,9 +186,11 @@ def _value_bytes(value) -> int:
     if vtype is bool:
         return _BOOLEAN_BYTES
     if vtype is dict:
+        # a sum needs no member order; other keys than str keep the
+        # encoder's sort for its error on keys that do not order
+        keys = value if set(map(type, value)) <= {str} else sorted(value)
         return _STRUCT_TAGS + sum(
-            _MEMBER_TAGS + _text_bytes(str(key)) + _value_bytes(value[key])
-            for key in sorted(value)
+            _MEMBER_TAGS + _key_bytes(str(key)) + _value_bytes(value[key]) for key in keys
         )
     if vtype is SizedRows:
         wire = value.sizes.wire

@@ -28,6 +28,8 @@ from __future__ import annotations
 import bisect
 import functools
 import math
+import operator
+from collections import defaultdict
 from dataclasses import dataclass, field
 from operator import itemgetter
 from typing import Callable, NamedTuple, Protocol
@@ -39,7 +41,13 @@ from repro.common.errors import (
 )
 from repro.common.types import SQLType
 from repro.sql import ast
-from repro.sql.eval import RowSchema, SchemaColumn, compile_expr, truthy
+from repro.sql.eval import (
+    RowSchema,
+    SchemaColumn,
+    compile_expr,
+    filter_columnwise,
+    truthy,
+)
 from repro.sql.infer import ExprTyper
 
 #: the result type of a column whose values have no one static type
@@ -313,6 +321,12 @@ class _SortKey:
 _NUMBERS = frozenset((int, float))
 
 
+def _native(kinds: set) -> bool:
+    """True when values of exact types ``kinds`` (no NULL) compare with
+    ``<`` as :class:`_SortKey` compares them: all numbers or all strings."""
+    return kinds <= _NUMBERS or kinds == {str}
+
+
 def _sort_keys(values: list) -> list:
     """Keys that order ``values`` as :class:`_SortKey` does. All numbers
     (no bool) or all strings compare natively, NULLs as ``(True, 0)``
@@ -320,7 +334,7 @@ def _sort_keys(values: list) -> list:
     kinds = set(map(type, values))
     has_null = type(None) in kinds
     kinds.discard(type(None))
-    if kinds <= _NUMBERS or kinds == {str}:
+    if _native(kinds):
         if not has_null:
             return values
         return [(True, 0) if v is None else (False, v) for v in values]
@@ -365,6 +379,52 @@ def _project(output: list[_Output], rows: list[tuple]) -> list[tuple]:
     return [tuple([fn(row) for fn in fns]) for row in rows]
 
 
+#: ``None is not value``, the filter that drops NULLs before aggregating
+_NOT_NULL = functools.partial(operator.is_not, None)
+
+
+def _min(values: list):
+    """MIN in :class:`_SortKey`'s order, natively where ``<`` agrees."""
+    if _native(set(map(type, values))):
+        return min(values)
+    return min(values, key=_SortKey)
+
+
+def _max(values: list):
+    """MAX in :class:`_SortKey`'s order. ``max`` asks ``>``, which
+    ``_SortKey`` derives as "not < and !=", true both ways between NaN
+    and a number; so NaN, like a mixed column, keeps ``_SortKey``."""
+    kinds = set(map(type, values))
+    if _native(kinds) and (
+        float not in kinds or not any(map(operator.ne, values, values))
+    ):
+        return max(values)
+    return max(values, key=_SortKey)
+
+
+def _avg(values: list):
+    return sum(values) / len(values)
+
+
+def _variance(values: list):
+    # population moments, HBOOK-style
+    n = len(values)
+    mean = sum(values) / n
+    return sum((v - mean) ** 2 for v in values) / n
+
+
+#: aggregate name -> its value over a group's non-NULL (and, for
+#: DISTINCT, deduplicated) argument values; SUM and AVG add in row order
+_AGGREGATES: dict[str, Callable[[list], object]] = {
+    "SUM": sum,
+    "AVG": _avg,
+    "MIN": _min,
+    "MAX": _max,
+    "VARIANCE": _variance,
+    "STDDEV": lambda values: _variance(values) ** 0.5,
+}
+
+
 class SelectExecutor:
     """Executes one SELECT statement against a resolver."""
 
@@ -406,7 +466,8 @@ class SelectExecutor:
         if select.where is not None:
             predicate = self._compile(select.where, schema)
             self._examine(logical, len(rows))
-            rows = [r for r in rows if truthy(predicate(r))]
+            kept = filter_columnwise(select.where, schema, self.params, rows)
+            rows = kept if kept is not None else [r for r in rows if truthy(predicate(r))]
         if select.is_grouped:
             result = self._execute_aggregate(select, schema, rows, types)
         else:
@@ -695,22 +756,17 @@ class SelectExecutor:
         for order_expr in order_exprs:
             collect(order_expr)
 
-        # Compile aggregate argument functions against the *input* schema.
-        agg_arg_fns: list[Callable | None] = []
-        for call in agg_calls:
-            if call.args and not isinstance(call.args[0], ast.Star):
-                agg_arg_fns.append(self._compile(call.args[0], schema))
-            else:
-                agg_arg_fns.append(None)  # COUNT(*)
+        # Resolve each aggregate once, against the *input* schema.
+        aggregates = [self._aggregate(call, schema) for call in agg_calls]
 
-        # Group rows.
-        groups: dict[tuple, list[tuple]] = {}
+        # Group rows: one dict pass, groups in first-appearance order.
+        groups: dict[tuple, list[tuple]]
         if group_fns:
-            for row in rows:
-                key = tuple(fn(row) for fn in group_fns)
-                groups.setdefault(key, []).append(row)
+            groups = defaultdict(list)
+            for key, row in zip(self._group_keys(group_exprs, group_fns, schema, rows), rows):
+                groups[key].append(row)
         else:
-            groups[()] = list(rows)
+            groups = {(): rows}
         self._examine(len(rows))
 
         # Post-aggregation schema: group columns then aggregate results.
@@ -721,13 +777,10 @@ class SelectExecutor:
         ]
         post_schema = RowSchema(post_columns)
 
-        post_rows: list[tuple] = []
-        for key, grouped in groups.items():
-            agg_values = [
-                self._compute_aggregate(call, fn, grouped)
-                for call, fn in zip(agg_calls, agg_arg_fns)
-            ]
-            post_rows.append(tuple(key) + tuple(agg_values))
+        post_rows = [
+            key + tuple([aggregate(grouped) for aggregate in aggregates])
+            for key, grouped in groups.items()
+        ]
 
         # Rewrite expressions onto the post-aggregation schema.
         group_keys = {g.unparse(): i for i, g in enumerate(group_exprs)}
@@ -772,34 +825,36 @@ class SelectExecutor:
         )
 
     @staticmethod
-    def _compute_aggregate(call: ast.FunctionCall, arg_fn, rows: list[tuple]):
+    def _group_keys(group_exprs, group_fns, schema: RowSchema, rows: list[tuple]):
+        """Each row's group key tuple: one ``itemgetter`` when every group
+        expression is a plain column (1-tuples through ``zip`` for one),
+        else each compiled expression per row."""
+        if all(isinstance(g, ast.ColumnRef) for g in group_exprs):
+            if len(group_fns) == 1:
+                return zip(map(group_fns[0], rows))
+            return map(itemgetter(*map(schema.resolve, group_exprs)), rows)
+        return (tuple([fn(row) for fn in group_fns]) for row in rows)
+
+    def _aggregate(self, call: ast.FunctionCall, schema: RowSchema):
+        """``group rows -> value`` of one aggregate call. A plain-column
+        argument compiles to an ``itemgetter``, so its values are read
+        by one ``map``; ``COUNT(*)`` is ``len``."""
         name = call.name.upper()
+        if not call.args or isinstance(call.args[0], ast.Star):
+            if name != "COUNT":
+                raise SQLTypeError(f"{name} needs an argument; only COUNT takes * or none")
+            return len
+        arg = self._compile(call.args[0], schema)
         if name == "COUNT":
-            if arg_fn is None:
-                return len(rows)
-            values = [arg_fn(r) for r in rows]
-            values = [v for v in values if v is not None]
             if call.distinct:
-                return len(set(values))
-            return len(values)
-        values = [arg_fn(r) for r in rows]
-        values = [v for v in values if v is not None]
-        if call.distinct:
-            values = list(set(values))
-        if not values:
-            return None
-        if name == "SUM":
-            return sum(values)
-        if name == "AVG":
-            return sum(values) / len(values)
-        if name == "MIN":
-            return min(values, key=_SortKey)
-        if name == "MAX":
-            return max(values, key=_SortKey)
-        if name in ("STDDEV", "VARIANCE"):
-            # population moments, HBOOK-style
-            n = len(values)
-            mean = sum(values) / n
-            variance = sum((v - mean) ** 2 for v in values) / n
-            return variance if name == "VARIANCE" else variance**0.5
-        raise PlanningError(f"unknown aggregate {name}")
+                return lambda rows: len(set(filter(_NOT_NULL, map(arg, rows))))
+            return lambda rows: len(list(filter(_NOT_NULL, map(arg, rows))))
+        reduce, distinct = _AGGREGATES[name], call.distinct
+
+        def aggregate(rows: list[tuple]):
+            values = list(filter(_NOT_NULL, map(arg, rows)))
+            if distinct:
+                values = list(set(values))
+            return reduce(values) if values else None
+
+        return aggregate

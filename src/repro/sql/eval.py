@@ -10,6 +10,7 @@ comparisons and arithmetic, and AND/OR follow the Kleene truth tables.
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 import re
@@ -195,6 +196,50 @@ def _compile_comparison(expr: ast.BinaryOp, left: RowFn, right: RowFn,
         return _cmp(op, a, b)
 
     return comparison
+
+
+def filter_columnwise(
+    expr: ast.Expr, schema: RowSchema, params: tuple, rows: list[Row]
+) -> list[Row] | None:
+    """The rows ``expr`` keeps, one conjunct at a time in C, or None when
+    ``expr`` and ``rows`` fall outside the batch rule.
+
+    The rule: every conjunct is ``column op literal-or-?`` with an int,
+    float or str constant, and every value in each such column, over all
+    of ``rows``, is in the constant's ``_DIRECT`` family. Then no
+    conjunct can raise or yield NULL, so filtering by each in turn keeps
+    the rows the Kleene AND keeps, though that evaluates every side.
+    """
+    tests = []
+    for conj in ast.conjuncts(expr):
+        if not (
+            isinstance(conj, ast.BinaryOp) and conj.op in _COMPARATORS
+            and isinstance(conj.left, ast.ColumnRef)
+        ):
+            return None
+        right = conj.right
+        if isinstance(right, ast.Literal):
+            c = right.value
+        elif isinstance(right, ast.Param) and right.index < len(params):
+            c = params[right.index]
+        else:
+            return None
+        family = _DIRECT.get(type(c))
+        if family is None:
+            return None
+        get = operator.itemgetter(schema.resolve(conj.left))
+        tests.append((get, _COMPARATORS[conj.op], c, family))
+    columns = []
+    for get, _compare, _c, family in tests:
+        column = list(map(get, rows))
+        if not set(map(type, column)).issubset(family):
+            return None
+        columns.append(column)
+    kept = rows
+    for (get, compare, c, _family), column in zip(tests, columns):
+        values = column if kept is rows else map(get, kept)
+        kept = list(itertools.compress(kept, map(compare, values, itertools.repeat(c))))
+    return kept
 
 
 @dataclass(frozen=True)

@@ -3,7 +3,9 @@
 Keywords are recognized case-insensitively and carried upper-cased.
 Identifiers may be quoted as "x", MySQL `x` or MS-SQL [x], so text that
 any of our dialects generates re-lexes. Numbers are ASCII digits with an
-optional fraction and exponent; ``1e+`` is a syntax error, not a number.
+optional fraction and exponent; ``1e+`` is a syntax error, not a number,
+and so is a number glued to a word (``1ex``, ``12_000``, ``1and``), which
+would otherwise lex as a number and an alias.
 """
 
 import enum
@@ -38,13 +40,14 @@ KEYWORDS = frozenset("""
 """.split())
 
 # Tried in order at each position; operators longest first. A string ends at
-# the first quote not in a '' pair. tokenize rejects a word's non-letter start.
+# the first quote not in a '' pair. tokenize rejects a word's non-letter start,
+# and a number that ends in an exponent sign or runs into a word character.
 _TOKEN = re.compile(
     r"""(?P<skip>\s+|--[^\n]*)
     |(?P<comment>/\*)
     |(?P<string>'[^']*(?:''[^']*)*'(?!'))
     |(?P<quoted>"[^"]*"|`[^`]*`|\[[^\]]*\])
-    |(?P<number>(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[eE](?:[+-]?[0-9]+|[+-]))?)
+    |(?P<number>(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[eE](?:[+-]?[0-9]+|[+-]))?\w?)
     |(?P<word>\w[\w$]*)
     |(?P<param>\?)
     |(?P<operator><>|!=|<=|>=|\|\||[=<>+\-*/%])
@@ -88,7 +91,7 @@ def tokenize(sql: str) -> list[Token]:
             tokens.append(Token(TokenType.STRING, text[1:-1].replace("''", "'"), pos))
         elif kind == "quoted":
             tokens.append(Token(TokenType.IDENT, text[1:-1], pos))
-        elif kind == "number" and text[-1] in "+-":
+        elif kind == "number" and text[-1] not in "0123456789.":
             raise SQLSyntaxError("malformed number", pos, sql)
         elif kind in _AS_IS:
             tokens.append(Token(_AS_IS[kind], text, pos))

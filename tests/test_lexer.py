@@ -119,10 +119,28 @@ def test_token_matches_helper():
 
 
 class TestNumberEdges:
-    """Malformed numbers are parser-level tests (tests/test_parser.py)."""
+    """Exponent signs without digits are parser-level tests
+    (tests/test_parser.py)."""
 
-    def test_e_without_digit_or_sign_starts_a_word(self):
-        assert kinds("1ex") == [(TokenType.NUMBER, "1"), (TokenType.IDENT, "ex")]
+    def test_number_glued_to_a_word_is_malformed(self):
+        # sqlite3 rejects each as "unrecognized token"; before, the first
+        # four lexed as a number and an alias (1ex as 1 AS ex)
+        cases = [
+            ("SELECT 1ex FROM t", 7), ("SELECT 12_000 FROM t", 7),
+            ("SELECT 1.5abc FROM t", 7), ("SELECT a FROM t WHERE b<1and c>2", 24),
+            ("SELECT 1e FROM t", 7), ("SELECT 3.x FROM t", 7), ("SELECT .5e FROM t", 7),
+            ("SELECT 2e+x FROM t", 7), ("SELECT 1١ FROM t", 7),
+        ]
+        for sql, position in cases:
+            with pytest.raises(SQLSyntaxError, match="malformed number") as exc:
+                tokenize(sql)
+            assert exc.value.position == position, sql
+
+    def test_a_space_keeps_a_number_and_an_alias(self):
+        assert kinds("1 ex") == [(TokenType.NUMBER, "1"), (TokenType.IDENT, "ex")]
+        assert kinds("1e5,2") == [
+            (TokenType.NUMBER, "1e5"), (TokenType.PUNCT, ","), (TokenType.NUMBER, "2"),
+        ]
 
     def test_non_ascii_letter_starts_an_identifier(self):
         assert kinds("é1") == [(TokenType.IDENT, "é1")]
@@ -151,6 +169,7 @@ def source_length(sql, tok):
 @settings(max_examples=300)
 @example("SELECT 1e+")
 @example("SELECT ² FROM t")
+@example("SELECT 1ex FROM t")
 @example("'it''s' \"a b\" [c] -- x\n/* y */ `d`")
 def test_tokens_partition_the_text(sql):
     """Either a syntax error, or tokens in text order with nothing but
@@ -169,6 +188,8 @@ def test_tokens_partition_the_text(sql):
         assert BETWEEN_TOKENS.fullmatch(sql, end, tok.position), (sql, tok)
         if tok.type is TokenType.NUMBER:
             (int if tok.value.isdigit() else float)(tok.value)  # raises if malformed
+            # a number never runs into a word: 1ex is not 1 AS ex
+            assert not re.match(r"\w", sql[tok.position + len(tok.value):]), (sql, tok)
         if tok.type is TokenType.KEYWORD:
             assert tok.value in KEYWORDS
         end = tok.position + source_length(sql, tok)
