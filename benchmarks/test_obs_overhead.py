@@ -32,7 +32,7 @@ import pytest
 
 from repro.hep.testbed import build_paper_testbed
 
-from benchmarks.conftest import RESULTS_DIR, fmt_row, write_report
+from benchmarks.conftest import RESULTS_DIR, fmt_row, rows_digest, write_report
 
 #: generous real-time bound: the observed mix may not cost more than
 #: this multiple of the unobserved mix (typical measured ratio ~1.1-1.5)
@@ -53,15 +53,18 @@ def _query_mix(tb) -> dict[str, str]:
 def _run_mix(tb) -> tuple[float, dict]:
     """One pass over the mix: (real seconds, per-query outcomes)."""
     service = tb.server1.service
+    network = tb.federation.network
     outcomes = {}
     t0 = time.perf_counter()
     for name, sql in _query_mix(tb).items():
         clock0 = tb.federation.clock.now_ms
+        moved = network.bytes_moved
         answer = service.execute(sql)
         outcomes[name] = {
             "rows": answer.rows,
             "columns": answer.columns,
             "sim_ms": tb.federation.clock.now_ms - clock0,
+            "bytes_moved": network.bytes_moved - moved,
         }
     return time.perf_counter() - t0, outcomes
 
@@ -145,6 +148,22 @@ def measured():
         f"real time (best of {REPS} mixes, bound {MAX_OVERHEAD_RATIO}x): "
         f"{realtime_path.name}, not committed",
         f"artifact: {path.name}",
+        "",
+        f"rows: sha256[:16] of the query's answer rows in the last of {REPS} mixes;",
+        "its exact sim ms; bytes moved on the network (the queries run at the",
+        "service, no client wire)",
+        fmt_row(["query", "mode", "rows", "sim ms", "bytes moved"], [10, 4, 16, 20, 11]),
+        *[
+            fmt_row(
+                [name, mode, rows_digest(o["rows"]), repr(o["sim_ms"]), o["bytes_moved"]],
+                [10, 4, 16, 20, 11],
+            )
+            for name in artifact["queries"]
+            for mode, o in (
+                ("off", modes[False]["outcomes"][name]),
+                ("on", modes[True]["outcomes"][name]),
+            )
+        ],
     ]
     write_report(
         "obs_overhead", "Observability Overhead — Observe On vs Off", lines
