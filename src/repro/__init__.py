@@ -19,7 +19,7 @@ Quickstart::
     outcome = fed.query(client, server, "SELECT COUNT(*) FROM t")
 """
 
-from repro.analysis import Histogram1D, Histogram2D, JASPlugin
+from repro.analysis import Histogram1D, JASPlugin
 from repro.common import DeterministicRNG, ReproError, SQLType, TypeKind
 from repro.common.errors import PreflightError
 from repro.core import DataAccessService, GridFederation, QueryAnswer, ServerHandle
@@ -93,7 +93,6 @@ __all__ = [
     "ETLPipeline",
     "GridFederation",
     "Histogram1D",
-    "Histogram2D",
     "JASPlugin",
     "LintReport",
     "LowerXSpec",

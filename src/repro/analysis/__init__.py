@@ -8,7 +8,7 @@ histograms suitable for terminals and logs.
 """
 
 from repro.analysis.cutflow import CutFlow, CutStage, grid_cutflow
-from repro.analysis.histogram import Histogram1D, Histogram2D, Profile1D
+from repro.analysis.histogram import Histogram1D
 from repro.analysis.histservice import (
     HistogramService,
     histogram_from_wire,
@@ -20,10 +20,8 @@ __all__ = [
     "CutFlow",
     "CutStage",
     "Histogram1D",
-    "Histogram2D",
     "HistogramService",
     "JASPlugin",
-    "Profile1D",
     "grid_cutflow",
     "histogram_from_wire",
     "histogram_to_wire",

@@ -14,25 +14,24 @@ import numpy as np
 from repro.common.errors import ReproError
 
 
-def numeric_columns(answer, *columns: str) -> list[list[float]]:
-    """The values of ``answer``'s ``columns`` as floats, one list each.
+def numeric_values(answer, column: str) -> list[float]:
+    """The values of ``answer``'s ``column`` as floats.
 
-    One rule for every grid plot: a value is numeric when it is an int
-    or a float but not a bool, and a row holding NULL in any of the
-    columns is skipped. Any other value raises ``ReproError``.
+    One rule for both sides of a grid plot: a value is numeric when it
+    is an int or a float but not a bool, and a NULL is skipped. Any
+    other value raises ``ReproError``.
     """
-    indexes = [answer.column_index(column) for column in columns]
-    values: list[list[float]] = [[] for _ in columns]
+    index = answer.column_index(column)
+    values: list[float] = []
     for row in answer.rows:
-        picked = [row[i] for i in indexes]
-        if any(v is None for v in picked):
+        v = row[index]
+        if v is None:
             continue
-        for column, v, out in zip(columns, picked, values):
-            if not isinstance(v, (int, float)) or isinstance(v, bool):
-                raise ReproError(
-                    f"column {column!r} is not numeric (got {type(v).__name__})"
-                )
-            out.append(float(v))
+        if not isinstance(v, (int, float)) or isinstance(v, bool):
+            raise ReproError(
+                f"column {column!r} is not numeric (got {type(v).__name__})"
+            )
+        values.append(float(v))
     return values
 
 
@@ -162,159 +161,3 @@ class Histogram1D:
             lines.append(f"{edge:>12.4g} | {bar} {int(self.counts[i])}")
         return "\n".join(lines)
 
-
-class Profile1D:
-    """HBOOK-style profile histogram: per-x-bin mean and spread of y.
-
-    Used for calibration-style plots (mean response vs channel); keeps
-    per-bin count, sum and sum-of-squares so the mean and its error are
-    exact regardless of fill order.
-    """
-
-    def __init__(self, nbins: int, low: float, high: float, title: str = ""):
-        if nbins <= 0:
-            raise ReproError("profile needs at least one bin")
-        if not (high > low):
-            raise ReproError(f"bad profile range [{low}, {high})")
-        self.nbins = int(nbins)
-        self.low = float(low)
-        self.high = float(high)
-        self.title = title
-        self.counts = np.zeros(self.nbins, dtype=np.int64)
-        self._sum = np.zeros(self.nbins, dtype=np.float64)
-        self._sum2 = np.zeros(self.nbins, dtype=np.float64)
-        self.out_of_range = 0
-
-    @property
-    def bin_width(self) -> float:
-        """Width of one bin."""
-        return (self.high - self.low) / self.nbins
-
-    def fill(self, xs, ys) -> None:
-        """Fill with paired x/y samples (vectorized)."""
-        xa = np.atleast_1d(np.asarray(xs, dtype=np.float64))
-        ya = np.atleast_1d(np.asarray(ys, dtype=np.float64))
-        if xa.shape != ya.shape:
-            raise ReproError("x and y fills must have the same length")
-        ok = (xa >= self.low) & (xa < self.high) & ~np.isnan(ya)
-        self.out_of_range += int((~ok).sum())
-        if not ok.any():
-            return
-        idx = _bin_indexes(xa[ok], self.low, self.bin_width, self.nbins)
-        np.add.at(self.counts, idx, 1)
-        np.add.at(self._sum, idx, ya[ok])
-        np.add.at(self._sum2, idx, ya[ok] ** 2)
-
-    def bin_error(self, i: int) -> float:
-        """Standard error on the bin mean."""
-        n = int(self.counts[i])
-        if n < 2:
-            return math.nan
-        mean = self._sum[i] / n
-        variance = max(0.0, self._sum2[i] / n - mean**2)
-        return float(math.sqrt(variance / n))
-
-    def means(self) -> np.ndarray:
-        """Per-bin means as an array (NaN for empty bins)."""
-        with np.errstate(invalid="ignore", divide="ignore"):
-            return np.where(self.counts > 0, self._sum / self.counts, np.nan)
-
-    @property
-    def entries(self) -> int:
-        """Total samples seen, including out-of-range ones."""
-        return int(self.counts.sum()) + self.out_of_range
-
-    def render(self) -> str:
-        """One line per bin: mean with a 40-character bar scaled to the
-        mean range."""
-        lines = []
-        if self.title:
-            lines.append(self.title)
-        means = self.means()
-        finite = means[~np.isnan(means)]
-        lines.append(f"entries={self.entries} bins={self.nbins}")
-        if finite.size == 0:
-            return "\n".join(lines)
-        lo, hi = float(finite.min()), float(finite.max())
-        span = (hi - lo) or 1.0
-        for i in range(self.nbins):
-            edge = self.low + i * self.bin_width
-            if np.isnan(means[i]):
-                lines.append(f"{edge:>12.4g} | (empty)")
-            else:
-                bar = "#" * int(round((means[i] - lo) / span * 40))
-                err = self.bin_error(i)
-                err_text = f" +- {err:.3g}" if not math.isnan(err) else ""
-                lines.append(f"{edge:>12.4g} | {bar} {means[i]:.4g}{err_text}")
-        return "\n".join(lines)
-
-
-class Histogram2D:
-    """A 2-D histogram over a rectangular range."""
-
-    def __init__(
-        self,
-        nx: int,
-        xlow: float,
-        xhigh: float,
-        ny: int,
-        ylow: float,
-        yhigh: float,
-        title: str = "",
-    ):
-        if nx <= 0 or ny <= 0:
-            raise ReproError("histogram needs at least one bin per axis")
-        if not (xhigh > xlow and yhigh > ylow):
-            raise ReproError("bad 2-D histogram range")
-        self.nx, self.ny = int(nx), int(ny)
-        self.xlow, self.xhigh = float(xlow), float(xhigh)
-        self.ylow, self.yhigh = float(ylow), float(yhigh)
-        self.title = title
-        self.counts = np.zeros((self.nx, self.ny), dtype=np.int64)
-        self.out_of_range = 0
-
-    def fill(self, xs, ys) -> None:
-        """Fill with paired x/y samples (vectorized)."""
-        xa = np.atleast_1d(np.asarray(xs, dtype=np.float64))
-        ya = np.atleast_1d(np.asarray(ys, dtype=np.float64))
-        if xa.shape != ya.shape:
-            raise ReproError("x and y fills must have the same length")
-        ok = (
-            (xa >= self.xlow)
-            & (xa < self.xhigh)
-            & (ya >= self.ylow)
-            & (ya < self.yhigh)
-        )
-        self.out_of_range += int((~ok).sum())
-        if ok.any():
-            xi = _bin_indexes(xa[ok], self.xlow, self.x_width, self.nx)
-            yi = _bin_indexes(ya[ok], self.ylow, self.y_width, self.ny)
-            np.add.at(self.counts, (xi, yi), 1)
-
-    @property
-    def x_width(self) -> float:
-        """Width of one x bin."""
-        return (self.xhigh - self.xlow) / self.nx
-
-    @property
-    def y_width(self) -> float:
-        """Width of one y bin."""
-        return (self.yhigh - self.ylow) / self.ny
-
-    @property
-    def entries(self) -> int:
-        """Total samples seen, including out-of-range ones."""
-        return int(self.counts.sum()) + self.out_of_range
-
-    def render(self) -> str:
-        """Density-character rendering, y down the page."""
-        chars = " .:-=+*#%@"
-        peak = max(1, int(self.counts.max()))
-        lines = [self.title] if self.title else []
-        for yi in range(self.ny - 1, -1, -1):
-            row = "".join(
-                chars[min(len(chars) - 1, int(self.counts[xi, yi] / peak * (len(chars) - 1)))]
-                for xi in range(self.nx)
-            )
-            lines.append(row)
-        return "\n".join(lines)

@@ -10,7 +10,7 @@ same container, sessions, ACLs and wire accounting as ``dataaccess``.
 
 from __future__ import annotations
 
-from repro.analysis.histogram import Histogram1D, auto_range, numeric_columns
+from repro.analysis.histogram import Histogram1D, auto_range, numeric_values
 from repro.clarens.server import ClarensService
 from repro.common.errors import ClarensFault, ColumnNotFoundError, ReproError
 
@@ -39,7 +39,7 @@ class HistogramService(ClarensService):
         """
         answer = self.data_access.execute(sql)
         try:
-            (values,) = numeric_columns(answer, column)
+            values = numeric_values(answer, column)
             low, high = auto_range(values, low, high)
         except ColumnNotFoundError:
             raise ClarensFault(

@@ -243,6 +243,11 @@ class ExprTyper:
                 f"aggregate {name} nested inside another aggregate",
                 expr.unparse(),
             )
+        if len(expr.args) > 1:
+            self.emit(
+                "RPR105", f"{name} takes 1 argument, got {len(expr.args)}",
+                expr.unparse(),
+            )
         arg_type: SQLType | None = None
         if expr.args and isinstance(expr.args[0], ast.Star):
             if name != "COUNT":

@@ -11,14 +11,13 @@ what the client actually saw::
     python -m repro.tools.chaosreport              # human-readable report
     python -m repro.tools.chaosreport --json       # machine-readable report
     python -m repro.tools.chaosreport --json --out BENCH_chaosreport.json
-    python -m repro.tools.chaosreport --self-test  # fixture-free CI gate
 """
 
 from __future__ import annotations
 
 from repro.net import costs
 from repro.resilience import ChaosSchedule, ResilienceConfig
-from repro.tools.demo import replicated_federation, report_main, run_checks
+from repro.tools.demo import replicated_federation, report_main
 
 DEMO_SQL = "SELECT COUNT(*), SUM(energy) FROM events"
 
@@ -134,47 +133,13 @@ def _print_human(report: dict) -> None:
     print(f"network partition timeouts paid: {report['net_partition_timeouts']}")
 
 
-def _self_test() -> int:
-    """Fixture-free sanity gate over the resilience stack."""
-    report = build_report()
-    outcomes = report["outcomes"]
-    breakers = report["resilience"]["breakers"].values()
-    steady = report["steady_state_max_latency_ms"]
-    checks = [
-        ("no silently wrong answers", outcomes["wrong"] == 0),
-        ("queries succeeded while healthy", outcomes["ok"] >= 1),
-        ("blackout produced flagged partials", outcomes["partial"] >= 3),
-        ("a circuit breaker opened", any(b["opens"] >= 1 for b in breakers)),
-        ("breakers fast-failed", any(b["fast_fails"] >= 1 for b in breakers)),
-        (
-            "steady-state latency beats the partition timeout",
-            steady is not None and steady < report["partition_timeout_ms"],
-        ),
-        (
-            "recovery returned the ground truth",
-            report["recovery_rows_identical"],
-        ),
-        (
-            "recovery latency is healthy",
-            report["recovery_latency_ms"] < report["partition_timeout_ms"],
-        ),
-        (
-            "partition timeouts were counted",
-            report["net_partition_timeouts"] >= 1,
-        ),
-    ]
-    return run_checks(checks)
-
-
 def main(argv: list[str] | None = None) -> int:
     return report_main(
         argv,
         prog="python -m repro.tools.chaosreport",
         description="chaos/resilience report for the demo federation",
-        checks="resilience",
         build_report=build_report,
         print_human=_print_human,
-        self_test=_self_test,
     )
 
 

@@ -2,8 +2,7 @@
 
 ``tracereport``, ``cachereport``, ``chaosreport`` and ``healthreport``
 each build a small federation here, drive a scripted workload through
-it, and print a human report, ``--json`` (optionally ``--out FILE``),
-or run a fixture-free ``--self-test`` gate.
+it, and print a human report or ``--json`` (optionally ``--out FILE``).
 """
 
 from __future__ import annotations
@@ -86,27 +85,8 @@ def replicated_federation(**server_options):
     return fed, server
 
 
-def run_checks(checks: list[tuple[str, bool]]) -> int:
-    """Print each named check; exit status 0 when all passed, else 1."""
-    failed = 0
-    for name, ok in checks:
-        if ok:
-            print(f"ok    {name}")
-        else:
-            failed += 1
-            print(f"FAIL  {name}")
-    if failed:
-        print(f"self-test: {failed} of {len(checks)} checks failed")
-        return 1
-    print(f"self-test: all {len(checks)} checks passed")
-    return 0
-
-
-def report_main(
-    argv, prog: str, description: str, checks: str,
-    build_report, print_human, self_test,
-) -> int:
-    """The report CLIs' shared command line (``checks`` names the stack)."""
+def report_main(argv, prog: str, description: str, build_report, print_human) -> int:
+    """The report CLIs' shared command line."""
     parser = argparse.ArgumentParser(prog=prog, description=description)
     parser.add_argument(
         "--json", action="store_true", help="emit the report as JSON"
@@ -114,14 +94,7 @@ def report_main(
     parser.add_argument(
         "--out", metavar="FILE", help="write the report to FILE instead of stdout"
     )
-    parser.add_argument(
-        "--self-test", action="store_true",
-        help=f"run the built-in {checks} checks and exit",
-    )
     args = parser.parse_args(argv)
-
-    if args.self_test:
-        return self_test()
 
     report = build_report()
     if args.json:

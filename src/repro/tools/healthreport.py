@@ -12,7 +12,6 @@ against ``monitor_alerts`` / ``monitor_history``::
     python -m repro.tools.healthreport              # human-readable report
     python -m repro.tools.healthreport --json       # machine-readable report
     python -m repro.tools.healthreport --json --out BENCH_healthreport.json
-    python -m repro.tools.healthreport --self-test  # fixture-free CI gate
 """
 
 from __future__ import annotations
@@ -20,7 +19,7 @@ from __future__ import annotations
 from repro.obs.archive import RAW_RESOLUTION_MS
 from repro.obs.slo import SLO
 from repro.resilience import ChaosSchedule, ResilienceConfig
-from repro.tools.demo import replicated_federation, report_main, run_checks
+from repro.tools.demo import replicated_federation, report_main
 
 DEMO_SQL = "SELECT COUNT(*), SUM(energy) FROM events"
 
@@ -212,62 +211,13 @@ def _print_human(report: dict) -> None:
         )
 
 
-def _self_test() -> int:
-    """Fixture-free sanity gate over the obs-v2 stack."""
-    report = build_report()
-    phases = report["phases"]
-    profile = report["profile"]
-    alerts = report["alerts"]
-    checks = [
-        ("healthy phase verdict is ok", phases["healthy"]["verdict"] == "ok"),
-        (
-            "blackout burned the budget to critical",
-            phases["blackout"]["verdict"] == "critical",
-        ),
-        (
-            "a page-severity alert fired",
-            any(a["severity"] == "page" and a["state"] == "firing"
-                for a in alerts),
-        ),
-        (
-            "the page alert resolved after recovery",
-            phases["recovery"]["verdict"] != "critical",
-        ),
-        (
-            "monitor_alerts answers federated SQL",
-            report["sql_demo"]["alerts_fired"] >= 1,
-        ),
-        (
-            "monitor_history answers federated SQL",
-            report["sql_demo"]["history_buckets"] > 0,
-        ),
-        (
-            "archived query count matches the workload",
-            report["sql_demo"]["queries_archived_raw"]
-            >= HEALTHY_QUERIES + CHAOS_QUERIES + RECOVERY_QUERIES,
-        ),
-        (
-            "profile self-times sum to the traced latency",
-            abs(profile["self_total_ms"] - profile["total_ms"]) < 1e-6,
-        ),
-        (
-            "rollups conserve counts and sums",
-            bool(report["conservation"])
-            and all(c["conserved"] for c in report["conservation"].values()),
-        ),
-    ]
-    return run_checks(checks)
-
-
 def main(argv: list[str] | None = None) -> int:
     return report_main(
         argv,
         prog="python -m repro.tools.healthreport",
         description="SLO/health report for the demo federation",
-        checks="obs-v2",
         build_report=build_report,
         print_human=_print_human,
-        self_test=_self_test,
     )
 
 

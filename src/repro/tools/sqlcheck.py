@@ -8,7 +8,6 @@ query sets an analysis site maintains::
     python -m repro.tools.sqlcheck --xspec warehouse.xspec.xml queries.sql
     python -m repro.tools.sqlcheck --xspec a.xml --xspec b.xml \\
         --sql "SELECT run, SUM(edep) FROM events GROUP BY run"
-    python -m repro.tools.sqlcheck --self-test
 
 ``--disable CODE`` switches a rule off and ``--severity CODE=LEVEL``
 re-grades one (e.g. ``--severity RPR501=error`` to fail the build on
@@ -87,88 +86,6 @@ def _gather_sql(args) -> list[tuple[str, str]]:
     return work
 
 
-def _self_test() -> int:
-    """Exercise the analyzer against built-in sample specs.
-
-    Covers one diagnostic per major code family plus a clean query, so
-    CI can verify the checker itself without needing fixture files.
-    """
-    from repro.common.types import SQLType
-
-    def col(name, sql_type, **kw):
-        from repro.metadata.xspec import XSpecColumn
-
-        return XSpecColumn(
-            name=name.upper(), logical_name=name,
-            vendor_type=str(sql_type), logical_type=sql_type, **kw,
-        )
-
-    from repro.metadata.xspec import XSpecTable
-
-    mysql_spec = LowerXSpec(
-        database_name="mart1",
-        vendor="mysql",
-        tables=(
-            XSpecTable(
-                name="EVENTS", logical_name="events",
-                columns=(
-                    col("run", SQLType.integer(), primary_key=True),
-                    col("edep", SQLType.double()),
-                    col("tag", SQLType.varchar(32)),
-                ),
-                row_count=50000,
-            ),
-        ),
-    )
-    mssql_spec = LowerXSpec(
-        database_name="mart2",
-        vendor="mssql",
-        tables=(
-            XSpecTable(
-                name="RUNS", logical_name="runs",
-                columns=(
-                    col("run", SQLType.integer(), primary_key=True),
-                    col("detector", SQLType.varchar(16)),
-                ),
-                row_count=400,
-            ),
-        ),
-    )
-    schema = XSpecSchema(mysql_spec, mssql_spec)
-    expectations = [
-        ("SELECT edep FROM events WHERE run > 5", set()),
-        ("SELECT edep FROM evnts", {"RPR101"}),
-        ("SELECT edap FROM events", {"RPR102"}),
-        ("SELECT edep + tag FROM events", {"RPR201"}),
-        ("SELECT edep FROM events WHERE tag", {"RPR202"}),
-        (
-            "SELECT edep FROM events WHERE run IN (SELECT run FROM runs)",
-            {"RPR302"},
-        ),
-        # TRIM ships to the mssql mart (single-binding conjunct pushdown).
-        (
-            "SELECT e.edep FROM events e INNER JOIN runs r ON e.run = r.run "
-            "WHERE TRIM(r.detector) = 'ECAL'",
-            {"RPR401", "RPR501"},
-        ),
-        ("SELECT SUM(edep) FROM events GROUP BY tag", set()),
-    ]
-    failed = 0
-    for sql, expected in expectations:
-        report = lint_sql(sql, schema)
-        got = report.codes()
-        if got == expected:
-            print(f"ok    {sql!r} -> {sorted(got) or 'clean'}")
-        else:
-            failed += 1
-            print(f"FAIL  {sql!r}: expected {sorted(expected)}, got {sorted(got)}")
-    if failed:
-        print(f"self-test: {failed} of {len(expectations)} cases failed")
-        return 1
-    print(f"self-test: all {len(expectations)} cases passed")
-    return 0
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.tools.sqlcheck",
@@ -198,10 +115,6 @@ def main(argv: list[str] | None = None) -> int:
         "--list-rules", action="store_true",
         help="print the rule table and exit",
     )
-    parser.add_argument(
-        "--self-test", action="store_true",
-        help="run the built-in sample-spec test suite and exit",
-    )
     args = parser.parse_args(argv)
 
     if args.list_rules:
@@ -211,16 +124,13 @@ def main(argv: list[str] | None = None) -> int:
                 f"{rule.slug:20} {rule.description}"
             )
         return 0
-    if args.self_test:
-        return _self_test()
-
     try:
         config = _build_config(args)
     except ValueError as exc:
         parser.error(str(exc))
 
     if not args.xspec:
-        parser.error("at least one --xspec FILE is required (or --self-test)")
+        parser.error("at least one --xspec FILE is required")
     specs = []
     for path in args.xspec:
         try:

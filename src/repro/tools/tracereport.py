@@ -8,7 +8,6 @@ observability layer records::
     python -m repro.tools.tracereport              # human-readable report
     python -m repro.tools.tracereport --json       # machine-readable report
     python -m repro.tools.tracereport --json --out BENCH_federation.json
-    python -m repro.tools.tracereport --self-test  # fixture-free CI gate
 
 The ``--json`` form is what the benchmark suite uses to emit its
 ``BENCH_federation.json`` artifact.
@@ -16,8 +15,8 @@ The ``--json`` form is what the benchmark suite uses to emit its
 
 from __future__ import annotations
 
-from repro.obs.trace import Span, format_span_tree
-from repro.tools.demo import report_main, run_checks, two_server_federation
+from repro.obs.trace import format_span_tree
+from repro.tools.demo import report_main, two_server_federation
 
 #: the distributed query the demo federation runs (events on server A,
 #: runs on server B — so executing it on A forces an RLS lookup and a
@@ -117,100 +116,13 @@ def _print_human(report: dict) -> None:
             )
 
 
-def _self_test() -> int:
-    """Fixture-free sanity gate over the whole observability stack."""
-    report = build_report()
-    spans = [Span.from_dict(d) for d in report["spans"]]
-    by_stage: dict[str, list[Span]] = {}
-    for span in spans:
-        by_stage.setdefault(span.stage, []).append(span)
-    roots = [s for s in spans if s.parent_id is None]
-    root = roots[0] if roots else None
-    ids = {s.span_id for s in spans}
-    counters_a = report["metrics"]["jclarens-a"]["counters"]
-    hist_a = report["metrics"]["jclarens-a"]["histograms"]
-
-    checks = [
-        (
-            "one root span, and it is the query stage",
-            len(roots) == 1 and roots[0].stage == "query",
-        ),
-        ("decompose span present", "decompose" in by_stage),
-        ("rls_lookup span present", "rls_lookup" in by_stage),
-        ("merge span present", "merge" in by_stage),
-        ("two subquery spans", len(by_stage.get("subquery", [])) >= 2),
-        ("transfer spans present", "transfer" in by_stage),
-        (
-            "remote server's spans joined the trace",
-            any(s.server == "jclarens-b" for s in spans),
-        ),
-        (
-            "every span belongs to the one trace",
-            all(s.trace_id == report["trace_id"] for s in spans),
-        ),
-        (
-            "every non-root parent id resolves",
-            all(
-                s.parent_id in ids
-                for s in spans
-                if s is not root and s.parent_id is not None
-            ),
-        ),
-        (
-            "child spans sit inside the root's interval",
-            root is not None
-            and all(
-                s.start_ms >= root.start_ms - 1e-9
-                and (s.end_ms or s.start_ms) <= (root.end_ms or 0) + 1e-9
-                for s in spans
-                if s is not root and s.server == "jclarens-a"
-            ),
-        ),
-        (
-            "root duration equals the reported total",
-            root is not None
-            and abs(root.duration_ms - report["total_ms"]) < 1e-3,
-        ),
-        ("distributed answer", bool(report["distributed"])),
-        (
-            "monitor_spans sees the finished trace",
-            report["monitor_span_count"] >= len(spans),
-        ),
-        ("queries counter incremented", counters_a.get("queries", 0) >= 1),
-        ("query_ms histogram fed", hist_a.get("query_ms", {}).get("count", 0) >= 1),
-        (
-            "remote route counted",
-            counters_a.get("subqueries.remote", 0) >= 1,
-        ),
-        (
-            "warm repeat hit the plan cache",
-            report["cache"]["plan"]["hits"] >= 1,
-        ),
-        (
-            "warm repeat hit the sub-result cache",
-            report["cache"]["sub"]["hits"] >= 1,
-        ),
-        (
-            "warm repeat hit the remote-answer cache",
-            report["cache"]["remote"]["hits"] >= 1,
-        ),
-        (
-            "warm repeat faster than the cold run",
-            report["warm_ms"] < report["total_ms"],
-        ),
-    ]
-    return run_checks(checks)
-
-
 def main(argv: list[str] | None = None) -> int:
     return report_main(
         argv,
         prog="python -m repro.tools.tracereport",
         description="span-tree and metrics report for the demo federation",
-        checks="observability",
         build_report=build_report,
         print_human=_print_human,
-        self_test=_self_test,
     )
 
 

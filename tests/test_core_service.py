@@ -305,15 +305,6 @@ class TestJASPlugin:
         assert hist.entries == 30
         assert int(hist.counts.sum()) + hist.overflow + hist.underflow == 30
 
-    def test_histogram2d_from_grid_query(self, fed):
-        federation, s1, _ = fed
-        client = federation.client("laptop")
-        jas = JASPlugin(federation, client, s1)
-        hist = jas.histogram2d_query(
-            "SELECT event_id, energy FROM events", "event_id", "energy"
-        )
-        assert hist.entries == 30
-
 
 class TestServiceStats:
     def test_stats_counters(self, fed):

@@ -60,10 +60,6 @@ PLAIN_DECORATORS = frozenset({
 #: kept although no non-test call passes them, keyed
 #: ``<path under src/repro>:<qualified name>(<parameter>)``
 ALLOWED = {
-    "analysis/jasplugin.py:JASPlugin.histogram2d_query":
-        "the JAS plug-in's 2-D plot of a grid query (§6), built on Histogram2D",
-    "analysis/jasplugin.py:JASPlugin.profile_query":
-        "the JAS plug-in's profile plot of a grid query (§6), built on Profile1D",
     "common/types.py:SQLType.decimal":
         "DECIMAL(p, s) constructor that DECIMAL support (ROADMAP item 13) needs",
     "driver/directory.py:Directory.register(password)":

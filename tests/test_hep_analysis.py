@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.common import DeterministicRNG, ReproError
-from repro.analysis import Histogram1D, Histogram2D
+from repro.analysis import Histogram1D
 from repro.engine import Database
 from repro.hep import (
     create_source_schema,
@@ -173,32 +173,3 @@ class TestHistogram1D:
         assert math.isnan(h.mean)
         assert h.entries == 0
         h.render()  # must not crash
-
-
-class TestHistogram2D:
-    def test_fill_counts(self):
-        h = Histogram2D(2, 0, 2, 2, 0, 2)
-        h.fill([0.5, 1.5], [0.5, 1.5])
-        assert h.counts[0, 0] == 1 and h.counts[1, 1] == 1
-
-    def test_out_of_range_tracked(self):
-        h = Histogram2D(2, 0, 2, 2, 0, 2)
-        h.fill([5.0], [0.5])
-        assert h.out_of_range == 1
-
-    def test_mismatched_lengths_raise(self):
-        h = Histogram2D(2, 0, 2, 2, 0, 2)
-        with pytest.raises(ReproError):
-            h.fill([1.0, 2.0], [1.0])
-
-    def test_value_just_below_the_top_edge_lands_in_the_last_bin(self):
-        h = Histogram2D(196, -7.312715117751976, 1.1617748178834137, 1, 0, 1)
-        h.fill([1.1617748178834135], [0.5])
-        assert h.counts[-1, 0] == 1
-
-    def test_render_shape(self):
-        h = Histogram2D(10, 0, 1, 4, 0, 1, title="t")
-        h.fill([0.5], [0.5])
-        lines = h.render().splitlines()
-        assert len(lines) == 5  # title + 4 rows
-        assert all(len(line) == 10 for line in lines[1:])

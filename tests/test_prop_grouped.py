@@ -471,8 +471,17 @@ def test_max_with_nan_keeps_the_sortkey_order():
 
 
 def test_star_argument_needs_count():
+    """Every aggregate takes exactly one argument; COUNT also takes *
+    (or nothing, sqlite3's spelling of it). Extra arguments are refused
+    at plan time, even over an empty table, instead of being ignored."""
     db = _engine([], ["int", "int", "str", "str"])
-    for sql in ("SELECT SUM(*) FROM t", "SELECT MAX(*) FROM t", "SELECT AVG() FROM t"):
+    for sql in (
+        "SELECT SUM(*) FROM t", "SELECT MAX(*) FROM t", "SELECT AVG() FROM t",
+        "SELECT MIN(v0, v1) FROM t", "SELECT MAX(v0, v1) FROM t",
+        "SELECT SUM(v0, v1) FROM t", "SELECT AVG(v0, v1) FROM t",
+        "SELECT COUNT(v0, v1) FROM t", "SELECT COUNT(DISTINCT v0, v1) FROM t",
+        "SELECT v0 FROM t GROUP BY v0 HAVING MIN(v0, v1) > 0",
+    ):
         with pytest.raises(SQLTypeError):
             db.execute(sql)
     assert db.execute("SELECT COUNT(*), COUNT() FROM t").rows == [(0, 0)]

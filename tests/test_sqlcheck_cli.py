@@ -3,15 +3,16 @@
 import pytest
 
 from repro.common import SQLType
+from repro.lint import XSpecSchema, lint_sql
 from repro.metadata import LowerXSpec
 from repro.metadata.xspec import XSpecColumn, XSpecTable
 from repro.tools.sqlcheck import main, split_statements
 
 
-def _col(name, sql_type):
+def _col(name, sql_type, **kw):
     return XSpecColumn(
         name=name.upper(), logical_name=name,
-        vendor_type=str(sql_type), logical_type=sql_type,
+        vendor_type=str(sql_type), logical_type=sql_type, **kw,
     )
 
 
@@ -115,6 +116,68 @@ class TestFlags:
         for code in ("RPR001", "RPR101", "RPR201", "RPR501"):
             assert code in out
 
-    def test_self_test_passes(self, capsys):
-        assert main(["--self-test"]) == 0
-        assert "all 8 cases passed" in capsys.readouterr().out
+    def test_no_xspec_is_a_usage_error(self):
+        with pytest.raises(SystemExit) as exc:
+            main(["--sql", "SELECT 1"])
+        assert exc.value.code == 2
+
+
+@pytest.fixture(scope="module")
+def sample_schema():
+    """A mysql events mart and an mssql runs mart, as two XSpecs."""
+    mysql_spec = LowerXSpec(
+        database_name="mart1",
+        vendor="mysql",
+        tables=(
+            XSpecTable(
+                name="EVENTS", logical_name="events",
+                columns=(
+                    _col("run", SQLType.integer(), primary_key=True),
+                    _col("edep", SQLType.double()),
+                    _col("tag", SQLType.varchar(32)),
+                ),
+                row_count=50000,
+            ),
+        ),
+    )
+    mssql_spec = LowerXSpec(
+        database_name="mart2",
+        vendor="mssql",
+        tables=(
+            XSpecTable(
+                name="RUNS", logical_name="runs",
+                columns=(
+                    _col("run", SQLType.integer(), primary_key=True),
+                    _col("detector", SQLType.varchar(16)),
+                ),
+                row_count=400,
+            ),
+        ),
+    )
+    return XSpecSchema(mysql_spec, mssql_spec)
+
+
+#: one diagnostic per major code family, plus clean queries
+SAMPLE_CASES = [
+    ("SELECT edep FROM events WHERE run > 5", set()),
+    ("SELECT edep FROM evnts", {"RPR101"}),
+    ("SELECT edap FROM events", {"RPR102"}),
+    ("SELECT edep + tag FROM events", {"RPR201"}),
+    ("SELECT edep FROM events WHERE tag", {"RPR202"}),
+    (
+        "SELECT edep FROM events WHERE run IN (SELECT run FROM runs)",
+        {"RPR302"},
+    ),
+    # TRIM ships to the mssql mart (single-binding conjunct pushdown).
+    (
+        "SELECT e.edep FROM events e INNER JOIN runs r ON e.run = r.run "
+        "WHERE TRIM(r.detector) = 'ECAL'",
+        {"RPR401", "RPR501"},
+    ),
+    ("SELECT SUM(edep) FROM events GROUP BY tag", set()),
+]
+
+
+@pytest.mark.parametrize("sql, expected", SAMPLE_CASES)
+def test_sample_spec_case(sample_schema, sql, expected):
+    assert lint_sql(sql, sample_schema).codes() == expected
