@@ -21,7 +21,6 @@ Quickstart::
 
 from repro.analysis import Histogram1D, JASPlugin
 from repro.common import DeterministicRNG, ReproError, SQLType, TypeKind
-from repro.common.errors import PreflightError
 from repro.core import DataAccessService, GridFederation, QueryAnswer, ServerHandle
 from repro.dialects import Dialect, available_vendors, get_dialect
 from repro.driver import Directory, connect
@@ -55,38 +54,11 @@ from repro.warehouse import ETLJob, ETLPipeline, Warehouse
 
 __version__ = "1.0.0"
 
-#: names re-exported from repro.lint, which loads on first use: the
-#: engine and the federation run without it
-_LINT_EXPORTS = frozenset({"Diagnostic", "LintReport", "Severity", "lint_select", "sqlcheck"})
-
-
-def __getattr__(name: str):
-    if name in _LINT_EXPORTS:
-        import repro.lint
-
-        return getattr(repro.lint, name)
-    raise AttributeError(f"module 'repro' has no attribute {name!r}")
-
-
-def _lint_notes(database, sql: str) -> list[str]:
-    """EXPLAIN's ``lint:`` lines: the static findings for ``sql``."""
-    from repro.lint import CatalogSchema, lint_sql
-
-    try:
-        report = lint_sql(sql, CatalogSchema(database))
-    except ReproError:
-        return []
-    return [f"lint: {d}" for d in report]
-
-
-Database.explain_notes = _lint_notes
-
 __all__ = [
     "DataAccessService",
     "DataDictionary",
     "Database",
     "DeterministicRNG",
-    "Diagnostic",
     "Dialect",
     "Directory",
     "ETLJob",
@@ -94,7 +66,6 @@ __all__ = [
     "GridFederation",
     "Histogram1D",
     "JASPlugin",
-    "LintReport",
     "LowerXSpec",
     "MartSet",
     "ChaosSchedule",
@@ -105,7 +76,6 @@ __all__ = [
     "Ntuple",
     "PoolRAL",
     "PoolRALWrapper",
-    "PreflightError",
     "QueryAnswer",
     "RLSClient",
     "RLSServer",
@@ -114,7 +84,6 @@ __all__ = [
     "SQLType",
     "SchemaTracker",
     "ServerHandle",
-    "Severity",
     "SimClock",
     "SubQueryFailure",
     "Tracer",
@@ -128,8 +97,6 @@ __all__ = [
     "generate_lower_xspec",
     "generate_ntuple",
     "get_dialect",
-    "lint_select",
     "materialize_view",
-    "sqlcheck",
     "__version__",
 ]

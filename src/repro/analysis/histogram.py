@@ -117,32 +117,6 @@ class Histogram1D:
         variance = self._sum2 / self._n - self.mean**2
         return math.sqrt(max(0.0, variance))
 
-    # -- combination ---------------------------------------------------------------
-
-    def compatible_with(self, other: "Histogram1D") -> bool:
-        """True when binning (nbins, low, high) matches exactly."""
-        return (
-            self.nbins == other.nbins
-            and self.low == other.low
-            and self.high == other.high
-        )
-
-    def __add__(self, other: "Histogram1D") -> "Histogram1D":
-        """Merge two compatible histograms (e.g. the same cut run on two
-        marts); counts, flows and moments all add exactly."""
-        if not isinstance(other, Histogram1D):
-            return NotImplemented
-        if not self.compatible_with(other):
-            raise ReproError("cannot add histograms with different binnings")
-        out = Histogram1D(self.nbins, self.low, self.high, self.title or other.title)
-        out.counts = self.counts + other.counts
-        out.underflow = self.underflow + other.underflow
-        out.overflow = self.overflow + other.overflow
-        out._sum = self._sum + other._sum
-        out._sum2 = self._sum2 + other._sum2
-        out._n = self._n + other._n
-        return out
-
     # -- rendering -----------------------------------------------------------------
 
     def render(self, width: int = 50) -> str:

@@ -15,7 +15,6 @@ from repro.common.errors import (
     ETLError,
     FederationError,
     PlanningError,
-    PreflightError,
     ReproError,
     RLSLookupError,
     SQLSyntaxError,
@@ -47,7 +46,6 @@ __all__ = [
     "ETLError",
     "FederationError",
     "PlanningError",
-    "PreflightError",
     "ReproError",
     "RLSLookupError",
     "SQLSyntaxError",

@@ -127,23 +127,6 @@ class PlanningError(FederationError):
     """The federated planner could not decompose a query."""
 
 
-class PreflightError(FederationError):
-    """Static pre-flight analysis rejected a query before routing.
-
-    Carries the ERROR-severity lint diagnostics so callers (and remote
-    clients, via the Clarens fault path) can show every finding at once
-    instead of one remote failure per round trip.
-    """
-
-    def __init__(self, diagnostics):
-        self.diagnostics = list(diagnostics)
-        shown = "; ".join(str(d) for d in self.diagnostics[:3])
-        more = len(self.diagnostics) - 3
-        if more > 0:
-            shown += f" (+{more} more)"
-        super().__init__(f"query rejected by pre-flight analysis: {shown}")
-
-
 class TableNotRegisteredError(FederationError):
     """A logical table is known to no local database and no replica."""
 

@@ -80,12 +80,10 @@ class GridFederation:
         self,
         name: str,
         host: str,
-        tier: int = 2,
         force_jdbc: bool = False,
         replica_selection: bool = False,
         schema_poll_interval_ms: float | None = None,
         jdbc_pooling: bool = False,
-        preflight: bool = False,
         observe: bool = False,
         cache: bool = False,
         resilience=False,
@@ -111,7 +109,7 @@ class GridFederation:
         servers only) replaces the default latency/error objectives
         driving burn-rate alerts and ``dataaccess.health``.
         """
-        self.add_host(host, tier)
+        self.add_host(host)
         if cache and self.epochs is None:
             from repro.cache import EpochRegistry
 
@@ -127,7 +125,6 @@ class GridFederation:
             replica_selection=replica_selection,
             schema_poll_interval_ms=schema_poll_interval_ms,
             jdbc_pooling=jdbc_pooling,
-            preflight=preflight,
             observe=observe,
             cache=cache,
             epochs=self.epochs,
@@ -153,9 +150,6 @@ class GridFederation:
     def _resolve_server(self, service_url: str) -> ClarensServer | None:
         handle = self._servers.get(service_url)
         return handle.server if handle else None
-
-    def server(self, name: str) -> ServerHandle:
-        return self._servers_by_name[name]
 
     def servers(self) -> list[ServerHandle]:
         return [self._servers_by_name[n] for n in sorted(self._servers_by_name)]

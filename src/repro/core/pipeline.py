@@ -5,9 +5,9 @@ it through POOL-RAL, through JDBC/Unity, or forward it to the remote
 JClarens server hosting its table (§4.5), failing over to a replica
 when its backend is dead (§4.8). :class:`SubQueryPipeline` is that path,
 composed once at construction from the layers that are switched on,
-which it also builds — the one place the lint pre-flight, the obs stack
-(tracer, profiler, archiver, SLO engine, monitor database), the cache
-manager and the resilience manager of a service or driver come from::
+which it also builds — the one place the obs stack (tracer, profiler,
+archiver, SLO engine, monitor database), the cache manager and the
+resilience manager of a service or driver come from::
 
     cache -> failover -> breaker/retry -> span -> SubQueryRouter
 
@@ -24,7 +24,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.cache import CacheManager, normalize_sql
-from repro.common.errors import PreflightError
 from repro.net import costs
 from repro.obs.profiler import QueryProfiler
 from repro.obs.trace import NOOP_SPAN, QueryRecord, Tracer
@@ -66,9 +65,8 @@ class SubQueryPipeline:
     """Builds the switched-on layers, runs a sub-query through them, then
     routes it; frames each query of its front end.
 
-    The layers share the router's clock and metrics registry. ``preflight``
-    turns on the lint pre-flight (:meth:`preflight`); ``observe`` builds
-    a tracer (its spans labelled ``name``), a profiler, a metrics
+    The layers share the router's clock and metrics registry. ``observe``
+    builds a tracer (its spans labelled ``name``), a profiler, a metrics
     archiver, an SLO engine (``slos`` replaces its default objectives)
     and the ``monitor_<name>`` database; ``cache`` a cache manager on the
     shared ``epochs``; ``resilience`` (True or a ``ResilienceConfig``) a
@@ -84,18 +82,12 @@ class SubQueryPipeline:
     span = staticmethod(_no_span)
     #: ``guard(key, fn, ctx)``: fn() behind key's breaker and retries
     guard = staticmethod(_unguarded)
-    #: ``repro.lint.preflight`` when pre-flight is on
-    _lint = None
 
     def __init__(self, router, name=None, observe=False, cache=False, epochs=None,
-                 resilience=False, failover=None, preflight=False, slos=None):
+                 resilience=False, failover=None, slos=None):
         clock = self.clock = router.clock
         self.metrics = router.metrics
         run = router
-        if preflight:
-            from repro.lint import preflight as lint_preflight
-
-            self._lint = lint_preflight
         if observe:
             self.tracer = Tracer(clock, name)
             self.profiler = QueryProfiler(clock)
@@ -163,19 +155,6 @@ class SubQueryPipeline:
         """Cache a fresh plan under the key :meth:`lookup` returned."""
         if self.cache is not None:
             self.cache.put_plan(key, select, plan, remote_servers, prefer_databases)
-
-    def preflight(self, select, dictionary, plan) -> None:
-        """When pre-flight is on, lint ``select`` against ``plan`` (None:
-        the planner refused it). The service calls this after decomposing
-        and raises the planner's refusal after it, so lint's comes first."""
-        if self._lint is None:
-            return
-        with self.span("preflight"):
-            try:
-                self._lint(select, dictionary, plan)
-            except PreflightError:
-                self.metrics.counter("preflight_rejections").inc()
-                raise
 
     # -- the query frame -------------------------------------------------------
 

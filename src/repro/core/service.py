@@ -58,7 +58,6 @@ class DataAccessService(ClarensService):
         replica_selection: bool = False,
         schema_poll_interval_ms: float | None = None,
         jdbc_pooling: bool = False,
-        preflight: bool = False,
         observe: bool = False,
         cache: bool = False,
         epochs=None,
@@ -108,13 +107,12 @@ class DataAccessService(ClarensService):
             self.replica_selector = ReplicaSelector(
                 server.network, directory, server.host
             )
-        # The pipeline builds the opt-in layers that are switched on (lint
-        # pre-flight, the obs stack, caching, retry + breakers); the cache's
-        # and the network's service-side hooks are wired here.
+        # The pipeline builds the opt-in layers that are switched on (the
+        # obs stack, caching, retry + breakers); the cache's and the
+        # network's service-side hooks are wired here.
         self.pipeline = SubQueryPipeline(
             self.router, server.name, observe=observe, cache=cache, epochs=epochs,
-            resilience=resilience, failover=self._failover, preflight=preflight,
-            slos=slos,
+            resilience=resilience, failover=self._failover, slos=slos,
         )
         self.tracer = self.pipeline.tracer
         self.profiler = self.pipeline.profiler
@@ -258,14 +256,10 @@ class DataAccessService(ClarensService):
         ))
 
     def _decompose(
-        self, select: ast.Select, ctx: QueryContext, no_forward: bool = False,
-        preflight: bool = False,
+        self, select: ast.Select, ctx: QueryContext, no_forward: bool = False
     ):
         """RLS discovery, replica preferences and decomposition, shared by
-        ``execute`` and ``explain``: (plan, remote servers, preferences).
-        ``preflight`` runs the pipeline's pre-flight against that plan,
-        once discovery has registered every table and before any
-        sub-query ships; its refusal comes before the planner's own."""
+        ``execute`` and ``explain``: (plan, remote servers, preferences)."""
         remote_servers = set()
         for ref in select.referenced_tables():
             if not self.dictionary.has_table(ref.name):
@@ -277,15 +271,7 @@ class DataAccessService(ClarensService):
                 if loc.is_remote:
                     remote_servers.add(loc.remote_server)
         prefer = self._preferences_of(select)
-        plan = refusal = None
-        try:
-            plan = decompose(select, self.dictionary, prefer_databases=prefer)
-        except ReproError as exc:
-            refusal = exc
-        if preflight:
-            self.pipeline.preflight(select, self.dictionary, plan)
-        if refusal is not None:
-            raise refusal
+        plan = decompose(select, self.dictionary, prefer_databases=prefer)
         return plan, remote_servers, prefer
 
     def _preferences_of(self, select: ast.Select) -> dict[str, str] | None:
@@ -306,9 +292,9 @@ class DataAccessService(ClarensService):
         plan_key=None,
         cached_plan=None,
     ) -> QueryAnswer:
-        """The query pipeline: preflight → decompose → fetch → merge.
+        """The query pipeline: decompose → fetch → merge.
 
-        On a plan-cache hit (``cached_plan``), preflight, discovery and
+        On a plan-cache hit (``cached_plan``), discovery and
         decomposition are skipped entirely — the plan was validated when
         it was cached, and the participants' XSpec metadata travels with
         it (so the JDBC route skips their per-query metadata parse).
@@ -320,9 +306,7 @@ class DataAccessService(ClarensService):
         else:
             with self.pipeline.span("decompose") as decompose_span:
                 self.clock.advance_ms(costs.DECOMPOSE_MS)
-                plan, remote_servers, prefer = self._decompose(
-                    select, ctx, no_forward, preflight=True
-                )
+                plan, remote_servers, prefer = self._decompose(select, ctx, no_forward)
                 decompose_span.set("subqueries", len(plan.subqueries))
                 decompose_span.set("distributed", plan.is_distributed)
             # cached after discovery so the dictionary bumps discovery
@@ -643,7 +627,6 @@ class DataAccessService(ClarensService):
             "failovers": count("failovers"),
             "failover_retries": count("failover_retries"),
             "remote_fetches": count("remote_fetches"),
-            "preflight_rejections": count("preflight_rejections"),
             "rows_returned": count("rows_returned"),
             "pool_handles": self.ral.handle_count(),
             "tracker_polls": self.tracker.polls,

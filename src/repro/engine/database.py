@@ -35,12 +35,6 @@ class Database:
     vendor-neutral.
     """
 
-    #: ``(database, sql) -> lines`` appended to EXPLAIN's plan outline:
-    #: lint's findings as ``lint:`` lines. The ``repro`` package, whose
-    #: import precedes this module's, assigns it once, so the engine
-    #: never imports lint itself.
-    explain_notes: Callable[[Database, str], list[str]]
-
     def __init__(self, name: str, vendor: str = "generic"):
         self.name = name
         self.vendor = vendor
@@ -319,15 +313,6 @@ class Database:
             table.drop_column(stmt.column_name)
             return ExecResult()
         raise SQLSyntaxError(f"unsupported ALTER action {stmt.action!r}")
-
-    # -- introspection -------------------------------------------------------------------
-
-    def explain(self, sql: str) -> list[str]:
-        """Plan outline for ``sql`` without executing it, followed by the
-        lines of :attr:`explain_notes`."""
-        from repro.engine.explain import explain_statement
-
-        return explain_statement(self, sql) + Database.explain_notes(self, sql)
 
     # -- bulk API used by ETL/materialization ------------------------------------------
 

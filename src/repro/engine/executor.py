@@ -191,15 +191,6 @@ class KeyRange:
             stop = find(keys, self.high)
         return start, max(start, stop)
 
-    def __str__(self) -> str:
-        low = "(-inf" if self.low is None else (
-            f"{'(' if self.low_open else '['}{self.low!r}"
-        )
-        high = "+inf)" if self.high is None else (
-            f"{self.high!r}{')' if self.high_open else ']'}"
-        )
-        return f"{low}, {high}"
-
 
 def _bound_value(expr: ast.Expr, params: tuple):
     """The finite int/float a literal or bound ``?`` carries, else None."""
@@ -425,6 +416,15 @@ _AGGREGATES: dict[str, Callable[[list], object]] = {
 }
 
 
+def _star_refs(schema: RowSchema, star: ast.Star) -> list[ast.ColumnRef]:
+    """The columns ``star`` selects from ``schema``, as column refs."""
+    columns = schema.columns
+    return [
+        ast.ColumnRef(column=columns[i].name, table=columns[i].qualifier)
+        for i in schema.indexes_for_star(star.table)
+    ]
+
+
 class SelectExecutor:
     """Executes one SELECT statement against a resolver."""
 
@@ -462,6 +462,8 @@ class SelectExecutor:
             types = self._typecheck(select, RowSchema([]))
             return self._execute_scalar(select, types)
         schema, rows, logical = self._execute_from(select)
+        if select.group_by or select.order_by:
+            select = ast.resolve_positions(select, functools.partial(_star_refs, schema))
         types = self._typecheck(select, schema)
         if select.where is not None:
             predicate = self._compile(select.where, schema)

@@ -99,15 +99,6 @@ class ConditionsDB:
             raise ReproError(f"no condition {name!r} valid at run {run}")
         return ConditionValue(*rows[0])
 
-    def history(self, name: str) -> list[ConditionValue]:
-        """Every stored interval for ``name``, oldest version first."""
-        rows = self.db.execute(
-            f"SELECT name, value, valid_from, valid_to, version FROM {self.TABLE} "
-            f"WHERE name = ? ORDER BY version",
-            (name,),
-        ).rows
-        return [ConditionValue(*r) for r in rows]
-
     def names(self) -> list[str]:
         return [
             r[0]

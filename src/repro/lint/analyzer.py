@@ -1,7 +1,7 @@
 """The static semantic analyzer.
 
 Walks a parsed :mod:`repro.sql.ast` tree against a
-:class:`~repro.lint.schema.SchemaProvider` and emits
+schema provider (:mod:`repro.lint.schema`) and emits
 :class:`~repro.lint.diagnostics.Diagnostic` findings without executing
 anything. Severity is calibrated against the simulated engine: a finding
 is an ERROR only when the engine (or the federated planner) would itself
@@ -21,7 +21,7 @@ cannot disagree about what ships where.
 
 from __future__ import annotations
 
-from repro.common.errors import PreflightError, ReproError, UnsupportedVendorError
+from repro.common.errors import PlanningError, ReproError, UnsupportedVendorError
 from repro.common.types import SQLType, TypeKind
 from repro.engine.executor import equi_join_keys
 from repro.lint.diagnostics import Diagnostic, LintReport, Severity, Span
@@ -48,22 +48,33 @@ class _ScopeTable:
                 self.columns.setdefault(name.lower(), sql_type)
 
 
+def _star_refs(scope: list[_ScopeTable], star: ast.Star) -> list[ast.ColumnRef]:
+    """The columns ``star`` selects from ``scope``, as column refs."""
+    qualifier = star.table.lower() if star.table is not None else None
+    return [
+        ast.ColumnRef(column=name, table=st.ref.binding)
+        for st in scope if qualifier in (None, st.binding)
+        for name in st.columns
+    ]
+
+
 class _Analyzer:
     """Analyzes one SELECT (plus nested SELECTs, engine context only).
 
-    In the federated context the RPR401/RPR501 findings are read off
-    ``plan_for(select)``: the plan the query executes with, or None when
-    the planner refuses it.
+    In the federated context the RPR401/RPR501 findings are read off the
+    plan :func:`~repro.unity.decompose.decompose` builds with
+    ``prefer_databases``, the plan the query executes with.
     """
 
     def __init__(
-        self, provider, config: LintConfig, sql_text: str | None, plan_for
+        self, provider, config: LintConfig, sql_text: str | None,
+        prefer_databases: dict[str, str] | None,
     ):
         self.provider = provider
         self.config = config
         self.sql_text = sql_text
         self.federated = getattr(provider, "context", "engine") == "federated"
-        self.plan_for = plan_for
+        self.prefer_databases = prefer_databases
         self.diagnostics: list[Diagnostic] = []
 
     # -- diagnostics -----------------------------------------------------------
@@ -99,6 +110,11 @@ class _Analyzer:
     def analyze(self, select: ast.Select) -> None:
         scope = self._build_scope(select)
         has_unknown = any(not st.known for st in scope)
+        if not has_unknown:  # else a star's width is unknown; RPR101 says why
+            try:
+                select = ast.resolve_positions(select, lambda star: _star_refs(scope, star))
+            except PlanningError as exc:
+                self.emit("RPR102", str(exc))
         resolve = self._make_resolver(scope, has_unknown)
         typer = ExprTyper(resolve, self.emit, self._on_subquery)
 
@@ -326,8 +342,12 @@ class _Analyzer:
     def _check_plan(self, select: ast.Select, has_agg: bool) -> None:
         """RPR401/RPR501 from the federated plan: what ships where,
         after replica choice and pushdown."""
-        plan = self.plan_for(select)
-        if plan is None:
+        try:
+            plan = decompose(
+                select, self.provider.dictionary,
+                prefer_databases=self.prefer_databases,
+            )
+        except ReproError:
             return  # refused: the RPR1xx/RPR302 findings say why
         if plan.kind == "single":
             # Whole-query pushdown: every expression ships to one vendor.
@@ -384,40 +404,27 @@ class _Analyzer:
 # ---------------------------------------------------------------------------
 
 
-def lint_select(select, provider) -> LintReport:
-    """Lint one SELECT (an AST node or SQL text) against ``provider``
-    with the default config."""
-    sql_text = None
-    if isinstance(select, str):
-        from repro.sql.parser import parse_select
-
-        sql_text = select
-        try:
-            select = parse_select(select)
-        except ReproError as exc:
-            return _syntax_report(exc, DEFAULT_CONFIG)
-    analyzer = _Analyzer(provider, DEFAULT_CONFIG, sql_text, _planner(provider, None))
-    analyzer.analyze(select)
-    return LintReport(analyzer.diagnostics)
-
-
-def lint_statement(
-    statement,
+def lint_sql(
+    sql: str,
     provider,
     config: LintConfig | None = None,
-    sql_text: str | None = None,
     *,
     prefer_databases: dict[str, str] | None = None,
 ) -> LintReport:
-    """Lint any parsed statement; non-query DDL yields an empty report.
-    ``prefer_databases`` is the federated planner's replica choice (see
-    :func:`repro.unity.decompose.decompose`); pass the one the query
-    executes with so the plan-derived findings describe the plan that
-    runs. The engine context ignores it."""
+    """Parse and lint one statement of SQL text; parse failures become
+    an ``RPR001`` diagnostic instead of an exception, and non-query DDL
+    yields an empty report. ``prefer_databases`` is the federated
+    planner's replica choice (see :func:`repro.unity.decompose.decompose`);
+    pass the one the query executes with so the plan-derived findings
+    describe the plan that runs. The engine context ignores it."""
     config = config or DEFAULT_CONFIG
-    analyzer = _Analyzer(
-        provider, config, sql_text, _planner(provider, prefer_databases)
-    )
+    from repro.sql.parser import parse_statement
+
+    try:
+        statement = parse_statement(sql)
+    except ReproError as exc:
+        return _syntax_report(exc, config)
+    analyzer = _Analyzer(provider, config, sql, prefer_databases)
     if isinstance(statement, ast.Select):
         analyzer.analyze(statement)
     elif isinstance(statement, ast.Union):
@@ -439,60 +446,6 @@ def lint_statement(
     elif isinstance(statement, (ast.Update, ast.Delete)):
         _lint_write(statement, analyzer)
     return LintReport(analyzer.diagnostics)
-
-
-def lint_sql(
-    sql: str,
-    provider,
-    config: LintConfig | None = None,
-    *,
-    prefer_databases: dict[str, str] | None = None,
-) -> LintReport:
-    """Parse and lint one statement of SQL text; parse failures become
-    an ``RPR001`` diagnostic instead of an exception.
-    ``prefer_databases`` is :func:`lint_statement`'s."""
-    config = config or DEFAULT_CONFIG
-    from repro.sql.parser import parse_statement
-
-    try:
-        statement = parse_statement(sql)
-    except ReproError as exc:
-        return _syntax_report(exc, config)
-    return lint_statement(
-        statement, provider, config, sql_text=sql, prefer_databases=prefer_databases
-    )
-
-
-def preflight(select: ast.Select, dictionary, plan) -> None:
-    """Refuse ``select`` before anything ships: raise
-    :class:`~repro.common.errors.PreflightError` with its ERROR findings
-    against the federation ``dictionary`` and ``plan``, the
-    :class:`~repro.unity.decompose.DecomposedQuery` it executes with
-    (None when the planner refused it)."""
-    from repro.lint.schema import DictionarySchema
-
-    analyzer = _Analyzer(
-        DictionarySchema(dictionary), DEFAULT_CONFIG, None, lambda _select: plan
-    )
-    analyzer.analyze(select)
-    report = LintReport(analyzer.diagnostics)
-    if not report.ok:
-        raise PreflightError(report.errors)
-
-
-def _planner(provider, prefer_databases: dict[str, str] | None):
-    """``plan_for`` for :class:`_Analyzer`: the plan ``decompose`` builds
-    with ``prefer_databases``, or None when it refuses the query."""
-
-    def plan_for(select: ast.Select):
-        try:
-            return decompose(
-                select, provider.dictionary, prefer_databases=prefer_databases
-            )
-        except ReproError:
-            return None
-
-    return plan_for
 
 
 def _syntax_report(exc: Exception, config: LintConfig) -> LintReport:

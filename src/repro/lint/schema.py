@@ -1,41 +1,26 @@
 """Schema providers: what the analyzer resolves names against.
 
-The analyzer is backend-agnostic; it asks a provider two questions about
-a table name (existence, and columns with their types). Two concrete
-providers cover both halves of the system:
+The analyzer is backend-agnostic. It asks a provider two questions about
+a table name: ``has_table(name)``, and ``table_columns(name)``, the
+ordered (column name, logical type) pairs. The provider's ``context``
+says which half of the system it describes:
 
-* :class:`CatalogSchema` — a live :class:`repro.engine.Database`
-  catalog (tables and views), for engine-level linting and EXPLAIN;
-* :class:`DictionarySchema` — a federation
+* :class:`CatalogSchema` (``'engine'``) — a live
+  :class:`repro.engine.Database` catalog (tables and views), which
+  ``repro-validate`` lints against;
+* :class:`DictionarySchema` (``'federated'``) — a federation
   :class:`~repro.metadata.dictionary.DataDictionary` built from XSpec
-  documents, for pre-flight linting in the data access service, where
-  ``context`` switches on the federated-only rules (RPR302/RPR401/RPR501)
-  and the planner decomposes the query against ``dictionary``.
+  documents, which ``dataaccess.lint`` and the ``sqlcheck`` CLI lint
+  against. This context switches on the federated-only rules
+  (RPR302/RPR401/RPR501), and the planner decomposes the query against
+  ``dictionary``.
 """
 
 from __future__ import annotations
 
-from typing import Protocol, runtime_checkable
-
 from repro.common.types import SQLType
 from repro.metadata.dictionary import DataDictionary
 from repro.metadata.xspec import LowerXSpec
-
-
-@runtime_checkable
-class SchemaProvider(Protocol):
-    """The metadata surface the analyzer lints against."""
-
-    #: 'engine' (single live database) or 'federated' (XSpec dictionary).
-    context: str
-
-    def has_table(self, name: str) -> bool:
-        """True when the (logical) table name is known."""
-        ...
-
-    def table_columns(self, name: str) -> list[tuple[str, SQLType]]:
-        """Ordered (column name, logical type) pairs of the table."""
-        ...
 
 
 class CatalogSchema:

@@ -18,7 +18,6 @@ times are those of one query per mart.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
 
 from repro.common.errors import ETLError
@@ -72,17 +71,11 @@ def materialize_view(
 
 @dataclass
 class MartSet:
-    """A set of marts receiving replicated warehouse views.
-
-    Keeps, per view, the rows it held at the last replication (as a
-    multiset), so :meth:`refresh` re-materializes only views that
-    actually changed — the operational loop after every nightly ETL.
-    """
+    """A set of marts receiving replicated warehouse views."""
 
     warehouse: Warehouse
     marts: list[tuple[Database, str]] = field(default_factory=list)  # (db, host)
     reports: list[ETLReport] = field(default_factory=list)
-    _contents: dict[str, Counter] = field(default_factory=dict)
 
     def add_mart(self, db: Database, host: str) -> None:
         if not self.warehouse.network.has_host(host):
@@ -99,23 +92,5 @@ class MartSet:
                 out.append(
                     materialize_view(self.warehouse, view, db, host, extracted=extracted)
                 )
-            self._contents[view] = Counter(extracted.rows)
         self.reports.extend(out)
         return out
-
-    def stale_views(self) -> list[str]:
-        """Replicated views whose warehouse content has since changed."""
-        out = []
-        for view, contents in sorted(self._contents.items()):
-            _cols, rows = self.warehouse.db.resolve_table(view)
-            if Counter(rows) != contents:
-                out.append(view)
-        return out
-
-    def refresh(self) -> list[ETLReport]:
-        """Re-materialize only the stale views, staged; returns their
-        reports."""
-        stale = self.stale_views()
-        if not stale:
-            return []
-        return self.replicate(stale)

@@ -38,8 +38,6 @@ class SchemaTracker:
         self._subscribers: list[Callable[[str, LowerXSpec], None]] = []
         self.polls = 0
         self.changes_detected = 0
-        #: structural delta of every detected change, newest last
-        self.change_log: list = []
         #: optional :class:`repro.cache.EpochRegistry` — when a caching
         #: service installs one, every detected schema change bumps the
         #: database's epoch *before* subscribers run, so cached results
@@ -79,9 +77,6 @@ class SchemaTracker:
             # Size check first (cheap), md5 only when sizes agree — §4.9.
             if new_size == tracked.size and new_md5 == tracked.md5:
                 continue
-            from repro.metadata.diff import diff_specs
-
-            self.change_log.append(diff_specs(tracked.spec, new_spec))
             tracked.spec = new_spec
             tracked.size = new_size
             tracked.md5 = new_md5

@@ -42,18 +42,6 @@ class Histogram:
         return len(self.values)
 
     @property
-    def empty(self) -> bool:
-        """True when nothing was ever observed.
-
-        SLO math must distinguish "p99 = 0 ms" from "no samples": an
-        empty histogram's ``percentile`` returns its *default* (0.0 for
-        backward compatibility), so callers doing objective arithmetic
-        check ``empty`` (or pass ``default=None``) instead of trusting
-        a silent zero.
-        """
-        return not self.values
-
-    @property
     def sum(self) -> float:
         return float(sum(self.values))
 
@@ -74,8 +62,7 @@ class Histogram:
 
         An empty histogram returns ``default`` — 0.0 by default so
         existing displays keep working, but callers that must not
-        mistake "no data" for "0 ms" pass ``default=None`` (or check
-        :attr:`empty` first).
+        mistake "no data" for "0 ms" pass ``default=None``.
         """
         if not 0 < p <= 100:
             raise ValueError(f"percentile must be in (0, 100], got {p}")

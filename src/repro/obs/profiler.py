@@ -68,13 +68,6 @@ class QueryProfile:
         """Sum of operator self-times; equals ``total_ms`` by construction."""
         return sum(op.self_ms for op in self.operators)
 
-    def operator(self, stage: str) -> OperatorCost | None:
-        """The first operator row for ``stage`` (any server), if present."""
-        for op in self.operators:
-            if op.stage == stage:
-                return op
-        return None
-
     def folded_lines(self) -> list[str]:
         """Folded-stack text lines (``a;b;c <self_ms>``), flame-graph ready."""
         return [f"{path} {self_ms:.3f}" for path, self_ms in self.folded]

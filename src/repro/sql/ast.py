@@ -8,8 +8,9 @@ canonical (vendor-neutral) SQL text. The federation layer relies on
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
+from repro.common.errors import PlanningError
 from repro.common.types import SQLType, sql_repr
 
 # ---------------------------------------------------------------------------
@@ -325,6 +326,44 @@ def expand_output_names(expr: Expr, names: dict[str, Expr]) -> Expr:
         return None if isinstance(node, _ALIAS_SCOPE) else node
 
     return transform(expr, expand)
+
+
+def _is_position(expr: Expr) -> bool:
+    return isinstance(expr, Literal) and type(expr.value) is int
+
+
+def resolve_positions(select: Select, expand_star) -> Select:
+    """``select`` with each GROUP BY or ORDER BY term that is a bare
+    integer literal replaced by the select item at that 1-based
+    position, as sqlite3 and MySQL read it: ``ORDER BY 1`` sorts by the
+    first item. Any other term stays, so ``1.5`` and ``1 + 0`` are
+    constants. A star counts as the column refs ``expand_star(star)``
+    lists. A position below 1 or past the last item raises
+    :class:`~repro.common.errors.PlanningError`, as sqlite3 refuses it."""
+    terms = (*select.group_by, *(o.expr for o in select.order_by))
+    if not any(map(_is_position, terms)):
+        return select
+    items: list[Expr] = []
+    for item in select.items:
+        items.extend(expand_star(item.expr) if isinstance(item.expr, Star) else [item.expr])
+
+    def at(expr: Expr, clause: str) -> Expr:
+        if not _is_position(expr):
+            return expr
+        if not 1 <= expr.value <= len(items):
+            raise PlanningError(
+                f"{clause} position {expr.value} is not in the select list "
+                f"(1 to {len(items)})"
+            )
+        return items[expr.value - 1]
+
+    return replace(
+        select,
+        group_by=tuple(at(g, "GROUP BY") for g in select.group_by),
+        order_by=tuple(
+            replace(o, expr=at(o.expr, "ORDER BY")) for o in select.order_by
+        ),
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -48,11 +48,6 @@ class SubQueryTrace:
     end_ms: float = 0.0
     replica_host: str | None = None
 
-    @property
-    def duration_ms(self) -> float:
-        """Simulated time the sub-query took, fetch included."""
-        return self.end_ms - self.start_ms
-
 
 @dataclass
 class QueryAnswer(RowSet):

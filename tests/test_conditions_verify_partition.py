@@ -46,8 +46,10 @@ class TestConditionsDB:
     def test_history_ordered_by_version(self, conditions):
         conditions.store("x", 1.0, 1, 10)
         conditions.store("x", 2.0, 11, 20)
-        history = conditions.history("x")
-        assert [h.version for h in history] == [1, 2]
+        rows = conditions.db.execute(
+            f"SELECT version, value FROM {conditions.TABLE} WHERE name = 'x' ORDER BY version"
+        ).rows
+        assert rows == [(1, 1.0), (2, 2.0)]
 
     def test_snapshot(self, conditions):
         conditions.store("a", 1.0, 1, INFINITE_RUN)

@@ -25,7 +25,10 @@ definitions registered by a decorator (``tools/validate.py``'s
 The second rule flags every parameter with a default (a knob) on a
 module- or class-level function or method that no call in those files
 passes. A call passes a parameter when it names it as a keyword or
-gives enough positionals to reach it; a ``*args`` or ``**kwargs`` at
+gives enough positionals to reach it; a ``*args`` at the call passes
+every parameter. A ``**name`` that forwards the enclosing function's
+own ``**name`` passes only the keywords that that function's callers
+pass into it, followed through further forwards; any other ``**`` at
 the call passes every parameter. Calls match the callee by name, and
 ``Cls(...)``, ``cls(...)`` and ``super().__init__(...)`` call
 ``Cls.__init__``. A pass from inside the definition's own body does not
@@ -171,17 +174,28 @@ class Knob(NamedTuple):
         return f"{self.definition.key(src)}({self.param})"
 
 
+class Forwarder(NamedTuple):
+    """A function whose own ``**name`` a call forwards: ``callee`` is
+    the name its callers match it by, ``params`` its named parameters
+    (a keyword that binds one of them does not reach the ``**``)."""
+
+    callee: str
+    path: pathlib.Path
+    line: int
+    end_line: int
+    params: frozenset[str]
+
+
 class Call(NamedTuple):
     path: pathlib.Path
     line: int
     positionals: int
     keywords: frozenset[str]
-    #: a ``*args`` or ``**kwargs`` passes every parameter
+    #: a ``*args``, or a ``**`` other than the enclosing function's own,
+    #: passes every parameter
     starred: bool
-
-    def passes(self, knob: Knob) -> bool:
-        return (self.starred or knob.param in self.keywords
-                or (knob.position is not None and knob.position < self.positionals))
+    #: the enclosing function whose own ``**name`` this call forwards
+    forwards: Forwarder | None = None
 
 
 def _exposed(cls: ast.ClassDef) -> set[str]:
@@ -230,9 +244,11 @@ def calls(path: pathlib.Path, tree: ast.Module) -> dict[str, list[Call]]:
     a function or method name, or ``Cls.__init__`` for a construction."""
     found: dict[str, list[Call]] = defaultdict(list)
 
-    def visit(node, cls):
+    def visit(node, cls, funcs):
         if isinstance(node, ast.ClassDef):
             cls = node
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            funcs = (*funcs, (node, cls))
         elif isinstance(node, ast.Call):
             func = node.func
             names = []
@@ -245,20 +261,44 @@ def calls(path: pathlib.Path, tree: ast.Module) -> dict[str, list[Call]]:
                         and isinstance(func.value.func, ast.Name)
                         and func.value.func.id == "super" and cls is not None):
                     names = [_decorator_name(b) + ".__init__" for b in cls.bases]
+            forwards = None
+            starred = any(isinstance(a, ast.Starred) for a in node.args)
+            for k in node.keywords:
+                if k.arg is None:
+                    forwarder = _forwarder(path, k.value, funcs)
+                    forwards = forwards or forwarder
+                    starred = starred or forwarder is None
             call = Call(
                 path, node.lineno,
                 sum(not isinstance(a, ast.Starred) for a in node.args),
                 frozenset(k.arg for k in node.keywords if k.arg is not None),
-                any(isinstance(a, ast.Starred) for a in node.args)
-                or any(k.arg is None for k in node.keywords),
+                starred, forwards,
             )
             for name in names:
                 found[name].append(call)
         for child in ast.iter_child_nodes(node):
-            visit(child, cls)
+            visit(child, cls, funcs)
 
-    visit(tree, None)
+    visit(tree, None, ())
     return found
+
+
+def _forwarder(path: pathlib.Path, value: ast.expr, funcs) -> Forwarder | None:
+    """The innermost enclosing function whose own ``**name`` ``value``
+    is, or None when it is anything else."""
+    if not isinstance(value, ast.Name):
+        return None
+    for func, cls in reversed(funcs):
+        args = func.args
+        if args.kwarg is not None and args.kwarg.arg == value.id:
+            in_class = cls is not None and func in cls.body
+            callee = f"{cls.name}.__init__" if in_class and func.name == "__init__" else func.name
+            named = args.posonlyargs + args.args + args.kwonlyargs
+            return Forwarder(callee, path, func.lineno, func.end_lineno,
+                             frozenset(a.arg for a in named))
+        if any(a.arg == value.id for a in (*args.posonlyargs, *args.args, *args.kwonlyargs)):
+            return None
+    return None
 
 
 def _parse(path: pathlib.Path) -> ast.Module:
@@ -304,11 +344,40 @@ def unpassed(root: pathlib.Path, allowed: dict[str, str]) -> list[Knob]:
         for name, sites in calls(path, tree).items():
             by_callee[name].extend(sites)
 
+    def outside(call, path, line, end_line):
+        return call.path != path or not line <= call.line <= end_line
+
+    def forwarded(fwd: Forwarder, seen: frozenset) -> frozenset | None:
+        """The keywords ``fwd``'s callers pass into its ``**`` (None:
+        every keyword)."""
+        keys = set()
+        for call in by_callee.get(fwd.callee, ()):
+            if not outside(call, fwd.path, fwd.line, fwd.end_line):
+                continue
+            if call.starred:
+                return None
+            keys |= call.keywords
+            if call.forwards is not None and call.forwards not in seen:
+                inner = forwarded(call.forwards, seen | {call.forwards})
+                if inner is None:
+                    return None
+                keys |= inner
+        return frozenset(keys - fwd.params)
+
+    def passes(call, knob):
+        if call.starred or knob.param in call.keywords or (
+                knob.position is not None and knob.position < call.positionals):
+            return True
+        if call.forwards is None:
+            return False
+        keys = forwarded(call.forwards, frozenset({call.forwards}))
+        return keys is None or knob.param in keys
+
     def passed(knob):
         d = knob.definition
         callee = d.qualname.rsplit(".", 2)[-2] + ".__init__" if d.name == "__init__" else d.name
         return any(
-            call.passes(knob) and (call.path != d.path or not d.line <= call.line <= d.end_line)
+            passes(call, knob) and outside(call, d.path, d.line, d.end_line)
             for call in by_callee.get(callee, ())
         )
 
@@ -458,6 +527,87 @@ def test_star_args_at_a_call_keep_every_knob(tmp_path):
         "examples/demo.py": "f(**options)\ng(*values)\nh()\n",
     })
     assert _knobs(root) == ["h(a)"]
+
+
+def test_a_forwarded_own_double_star_passes_only_its_callers_keywords(tmp_path):
+    root = _tree(tmp_path, {
+        "src/repro/mod.py": (
+            "def f(a=1, b=2): pass\n"
+            "def wrap(**opts):\n"
+            "    return f(**opts)\n"
+            "class K:\n"
+            "    def __init__(self, c=3, d=4): pass\n"
+            "class Maker:\n"
+            "    def __init__(self, name=None, **opts):\n"
+            "        self.k = K(**opts)\n"
+        ),
+        "examples/demo.py": "wrap(a=0)\nMaker(name='x', d=5)\n",
+    })
+    assert _knobs(root) == ["f(b)", "K.__init__(c)"]
+
+
+def test_a_two_level_forward_passes_the_outer_callers_keywords(tmp_path):
+    root = _tree(tmp_path, {
+        "src/repro/mod.py": (
+            "def f(a=1, b=2, x=3): pass\n"
+            "def mid(x=0, **opts):\n"
+            "    return f(**opts)\n"
+            "def top(**opts):\n"
+            "    return mid(**opts)\n"
+        ),
+        "examples/demo.py": "top(a=1, x=2)\n",
+    })
+    # ``x`` binds mid's own parameter, so only ``a`` reaches f
+    assert _knobs(root) == ["f(b)", "f(x)"]
+
+
+def test_star_args_still_pass_everything(tmp_path):
+    root = _tree(tmp_path, {
+        "src/repro/mod.py": (
+            "def f(a=1, b=2): pass\n"
+            "def g(a=1, b=2): pass\n"
+            "def narrow(**opts):\n"
+            "    return f(**opts)\n"
+            "def wide(*args, **opts):\n"
+            "    return g(*args, **opts)\n"
+        ),
+        "examples/demo.py": "narrow(a=0)\nwide(a=0)\n",
+    })
+    assert _knobs(root) == ["f(b)"]
+
+
+def test_a_double_star_that_is_not_the_own_parameter_passes_everything(tmp_path):
+    root = _tree(tmp_path, {
+        "src/repro/mod.py": (
+            "def f(a=1, b=2): pass\n"
+            "def g(a=1, b=2): pass\n"
+            "def h(a=1, b=2): pass\n"
+            "def narrow(**opts):\n"
+            "    return f(**opts)\n"
+            "def copied(**opts):\n"
+            "    options = dict(opts)\n"
+            "    return g(**options)\n"
+            "def shadowed(**opts):\n"
+            "    def inner(opts):\n"
+            "        return h(**opts)\n"
+            "    return inner\n"
+        ),
+        "examples/demo.py": "narrow(a=0)\ncopied(a=0)\n",
+    })
+    assert _knobs(root) == ["f(b)"]
+
+
+def test_an_unforwarded_double_star_with_a_starred_caller_passes_everything(tmp_path):
+    root = _tree(tmp_path, {
+        "src/repro/mod.py": (
+            "def f(a=1, b=2): pass\n"
+            "def wrap(**opts):\n"
+            "    return f(**opts)\n"
+        ),
+        "examples/demo.py": "wrap(**settings)\n",
+        "tests/test_mod.py": "wrap(b=1)\n",
+    })
+    assert _knobs(root) == []
 
 
 def test_constructions_cls_and_super_call_init(tmp_path):

@@ -1,13 +1,13 @@
-"""Integration: pre-flight analysis inside the federated service.
+"""Integration: static analysis inside the federated service.
 
-The point of static checking in the paper's architecture is to reject a
+The point of static checking in the paper's architecture is to find a
 bad query *before* any sub-query ships over the WAN — so the key
-assertion here is on the network counters, not just the exception.
+assertion here is on the network counters, not just the findings.
 """
 
 import pytest
 
-from repro.common import PreflightError, SQLSyntaxError
+from repro.common import ReproError, SQLSyntaxError
 from repro.core import GridFederation
 from repro.engine import Database
 
@@ -29,21 +29,21 @@ def make_marts():
     return mysql, mssql
 
 
-def one_server_federation(preflight: bool):
+def one_server_federation():
     """Both marts (two vendors) attached to a single JClarens server."""
     fed = GridFederation()
-    s1 = fed.create_server("jc1", "pc1", preflight=preflight)
+    s1 = fed.create_server("jc1", "pc1")
     mysql, mssql = make_marts()
     fed.attach_database(s1, mysql, logical_names={"EVT": "events"})
     fed.attach_database(s1, mssql, logical_names={"RUN_INFO": "runs"})
     return fed, s1
 
 
-def two_server_federation(preflight: bool):
+def two_server_federation():
     """One mart per server; `runs` is remote from jc1's point of view."""
     fed = GridFederation()
-    s1 = fed.create_server("jc1", "pc1", preflight=preflight)
-    s2 = fed.create_server("jc2", "pc2", preflight=preflight)
+    s1 = fed.create_server("jc1", "pc1")
+    s2 = fed.create_server("jc2", "pc2")
     mysql, mssql = make_marts()
     fed.attach_database(s1, mysql, logical_names={"EVT": "events"})
     fed.attach_database(s2, mssql, logical_names={"RUN_INFO": "runs"})
@@ -65,48 +65,37 @@ GOOD_JOIN = (
 )
 
 
-class TestServicePreflight:
-    def test_bad_query_rejected_with_zero_network_traffic(self):
-        fed, s1 = one_server_federation(preflight=True)
+def _errors(diags):
+    return [d for d in diags if d["severity"] == "error"]
+
+
+class TestLintBeforeExecution:
+    def test_bad_queries_lint_as_errors_without_network_traffic(self):
+        # what lint calls an ERROR the service refuses too, but lint
+        # says so without moving a byte
+        fed, s1 = one_server_federation()
         for sql in BAD_QUERIES:
             before_msgs = fed.network.messages
             before_bytes = fed.network.bytes_moved
-            with pytest.raises(PreflightError):
-                s1.service.execute(sql)
+            assert _errors(s1.service.lint(sql)), sql
             assert fed.network.messages == before_msgs, sql
             assert fed.network.bytes_moved == before_bytes, sql
+            with pytest.raises(ReproError):
+                s1.service.execute(sql)
 
-    def test_remote_table_rejected_after_discovery_before_data(self):
-        # with `runs` on a peer, RLS discovery runs first (it must, to
-        # learn the schema) but the query is still refused before any
-        # sub-query result rows move
-        fed, s1, _ = two_server_federation(preflight=True)
-        with pytest.raises(PreflightError) as exc:
-            s1.service.execute(BAD_QUERIES[0])
-        assert any(d.code == "RPR102" for d in exc.value.diagnostics)
-
-    def test_good_query_executes_with_preflight_on(self):
-        fed, s1 = one_server_federation(preflight=True)
-        before = fed.network.messages
+    def test_good_join_lints_clean_and_executes(self):
+        fed, s1 = one_server_federation()
+        assert _errors(s1.service.lint(GOOD_JOIN)) == []
         answer = s1.service.execute(GOOD_JOIN)
         assert answer.rows  # run 0 events paired with cms
         assert answer.distributed
-        assert fed.network.messages >= before  # and nothing was blocked
 
-    def test_preflight_matches_no_preflight_on_good_queries(self):
-        sql = (
-            "SELECT COUNT(*) FROM events e "
-            "INNER JOIN runs r ON e.run_id = r.run_id"
-        )
-        _, strict = one_server_federation(preflight=True)
-        _, loose = one_server_federation(preflight=False)
-        assert strict.service.execute(sql).rows == loose.service.execute(sql).rows
-
-    def test_cross_server_good_query_still_works(self):
-        fed, s1, _ = two_server_federation(preflight=True)
+    def test_cross_server_good_join_lints_clean_once_discovered(self):
+        fed, s1, _ = two_server_federation()
         answer = s1.service.execute(GOOD_JOIN)
         assert answer.rows
         assert answer.servers_accessed == 2
+        assert _errors(s1.service.lint(GOOD_JOIN)) == []
 
 
 class TestMalformedNumberOverTheWire:
@@ -116,13 +105,13 @@ class TestMalformedNumberOverTheWire:
     SQL = "SELECT e.event_id FROM events e WHERE e.energy > 1e+"
 
     def test_query_raises_a_syntax_error(self):
-        fed, s1 = one_server_federation(preflight=False)
+        fed, s1 = one_server_federation()
         with pytest.raises(SQLSyntaxError, match="malformed number") as exc:
             fed.client("laptop").call(s1.server, "dataaccess.query", self.SQL, [])
         assert exc.value.position == self.SQL.index("1e+")
 
     def test_lint_reports_rpr001(self):
-        fed, s1 = one_server_federation(preflight=False)
+        fed, s1 = one_server_federation()
         diags = fed.client("laptop").call(s1.server, "dataaccess.lint", self.SQL)
         assert [(d["code"], d["severity"]) for d in diags] == [("RPR001", "error")]
         assert "malformed number" in diags[0]["message"]
@@ -130,7 +119,7 @@ class TestMalformedNumberOverTheWire:
 
 class TestLintWireMethod:
     def test_lint_exposed_over_clarens(self):
-        fed, s1 = one_server_federation(preflight=False)
+        fed, s1 = one_server_federation()
         client = fed.client("laptop")
         diags = client.call(
             s1.server, "dataaccess.lint", "SELECT e.nope FROM events e"
@@ -141,7 +130,7 @@ class TestLintWireMethod:
         )
 
     def test_lint_clean_query_returns_empty(self):
-        fed, s1 = one_server_federation(preflight=False)
+        fed, s1 = one_server_federation()
         client = fed.client("laptop")
         diags = client.call(
             s1.server, "dataaccess.lint",

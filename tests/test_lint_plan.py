@@ -1,4 +1,4 @@
-"""Pre-flight lint reads the plan that executes.
+"""Lint reads the plan that executes.
 
 RPR401 (vendor-incompatible function) and RPR501 (whole-table ship) come
 from the decomposer's plan, built with the replica preferences and the
@@ -8,16 +8,11 @@ a pushed predicate the plan does not have.
 
 import re
 
-import pytest
-
 from repro.core import GridFederation
 from repro.engine import Database
-from repro.common import PreflightError
-from repro.lint import preflight
+from repro.lint import DictionarySchema, lint_sql
 from repro.net.network import WAN
-from repro.sql.parser import parse_select
 from repro.unity import UnityDriver
-from repro.unity.decompose import decompose
 
 TRIM_JOIN = (
     "SELECT e.event_id, r.detector FROM events e INNER JOIN runs r "
@@ -43,13 +38,11 @@ def _runs_db(name: str, vendor: str) -> Database:
     return db
 
 
-def replicated_federation(preflight: bool):
+def replicated_federation():
     """``runs`` on a far mssql mart (registered first) and a near mysql
     mart; replica selection picks the near one."""
     fed = GridFederation()
-    server = fed.create_server(
-        "jc1", "pc1", replica_selection=True, preflight=preflight
-    )
+    server = fed.create_server("jc1", "pc1", replica_selection=True)
     fed.attach_database(server, _events_db(), "pc1", {"EVT": "events"})
     fed.attach_database(
         server, _runs_db("mart_far", "mssql"), "far.cern.ch", {"RUN_INFO": "runs"}
@@ -77,20 +70,19 @@ def _named_databases(diag: dict) -> tuple[str, str]:
 
 class TestReplicaChoice:
     def test_explain_ships_runs_to_the_near_mysql_replica(self):
-        fed, server = replicated_federation(preflight=False)
+        fed, server = replicated_federation()
         assert _explained_databases(fed, server, TRIM_JOIN)["r"] == "mart_near"
 
-    def test_preflight_accepts_what_the_plan_can_run(self):
+    def test_lint_accepts_what_the_plan_can_run(self):
         # TRIM is pushed to mart_near (mysql), not to mart_far (mssql,
-        # which lacks TRIM): preflight must not refuse the query
-        _, server = replicated_federation(preflight=True)
-        answer = server.service.execute(TRIM_JOIN)
-        _, loose = replicated_federation(preflight=False)
-        assert answer.rows == loose.service.execute(TRIM_JOIN).rows
-        assert len(answer.rows) == 3
+        # which lacks TRIM): lint finds no error, and the query runs
+        _, server = replicated_federation()
+        diags = server.service.lint(TRIM_JOIN)
+        assert not [d for d in diags if d["severity"] == "error"]
+        assert len(server.service.execute(TRIM_JOIN).rows) == 3
 
     def test_wire_lint_names_only_databases_explain_lists(self):
-        fed, server = replicated_federation(preflight=False)
+        fed, server = replicated_federation()
         explained = _explained_databases(fed, server, TRIM_JOIN)
         diags = fed.client("laptop").call(server.server, "dataaccess.lint", TRIM_JOIN)
         named = [d for d in diags if d["code"] in ("RPR401", "RPR501")]
@@ -102,7 +94,7 @@ class TestReplicaChoice:
     def test_wire_lint_on_the_far_replica_names_it(self):
         # with the near replica gone, explain and lint both move to the
         # mssql replica, and the TRIM finding names it
-        fed, server = replicated_federation(preflight=False)
+        fed, server = replicated_federation()
         server.service.dictionary.remove_database("mart_near")
         explained = _explained_databases(fed, server, TRIM_JOIN)
         assert explained["r"] == "mart_far"
@@ -134,11 +126,8 @@ class TestPushdownOff:
         answer = UnityDriver(dictionary, directory, pushdown=False).execute(TRIM_JOIN)
         assert not any("TRIM" in trace.sql.upper() for trace in answer.traces)
 
-    def test_preflight_lints_the_plan_it_is_given(self, two_db_federation):
+    def test_lint_flags_the_pushed_function(self, two_db_federation):
+        # lint reads the default plan, which pushes TRIM to mssql
         _, dictionary, *_ = two_db_federation
-        select = parse_select(TRIM_JOIN)
-        # no conjunct ships without pushdown: nothing for RPR401 to flag
-        preflight(select, dictionary, decompose(select, dictionary, pushdown=False))
-        with pytest.raises(PreflightError) as exc:
-            preflight(select, dictionary, decompose(select, dictionary))
-        assert [d.code for d in exc.value.diagnostics] == ["RPR401"]
+        report = lint_sql(TRIM_JOIN, DictionarySchema(dictionary))
+        assert [d.code for d in report.errors] == ["RPR401"]

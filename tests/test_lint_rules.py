@@ -12,12 +12,8 @@ from repro.lint import (
     LintConfig,
     Severity,
     Span,
-    lint_select,
     lint_sql,
-    lint_statement,
-    sqlcheck,
 )
-from repro.sql.parser import parse_statement
 
 
 def make_db() -> Database:
@@ -93,9 +89,8 @@ class TestLintConfig:
 
 
 class TestWriteStatementsAndSelectText:
-    """INSERT/UPDATE/DELETE through ``lint_statement`` and SQL text
-    through ``lint_select``, pinned against ``t (a INT PRIMARY KEY,
-    b DOUBLE)``."""
+    """INSERT/UPDATE/DELETE and SELECT text through ``lint_sql``, pinned
+    against ``t (a INT PRIMARY KEY, b DOUBLE)``."""
 
     @pytest.fixture
     def provider(self):
@@ -122,13 +117,13 @@ class TestWriteStatementsAndSelectText:
         ],
     )
     def test_write_statement(self, provider, sql, code, severity, message):
-        report = lint_statement(parse_statement(sql), provider)
+        report = lint_sql(sql, provider)
         assert [(d.code, d.severity, d.message) for d in report.diagnostics] == [
             (code, severity, message)
         ]
 
     def test_select_text_with_a_syntax_error(self, provider):
-        report = lint_select("SELECT FROM WHERE", provider)
+        report = lint_sql("SELECT FROM WHERE", provider)
         assert report.codes() == {"RPR001"}
         assert not report.ok
 
@@ -282,30 +277,3 @@ class TestExecutorTypecheck:
         db = make_db()
         assert db.execute("SELECT a + c FROM t").rows == [(3.5,)]
         assert db.execute("SELECT a || b FROM t").rows == [("1x",)]
-
-
-class TestExplainIntegration:
-    def test_explain_carries_lint_lines(self):
-        db = make_db()
-        lines = db.explain("SELECT a FROM t WHERE 1")
-        assert any(line.startswith("lint: RPR202") for line in lines)
-
-    def test_clean_explain_has_no_lint_lines(self):
-        db = make_db()
-        lines = db.explain("SELECT a FROM t WHERE a > 0")
-        assert not any(line.startswith("lint:") for line in lines)
-
-
-class TestSqlcheckFacade:
-    def test_accepts_database(self):
-        db = make_db()
-        assert sqlcheck("SELECT a FROM t", db).ok
-        assert not sqlcheck("SELECT zz FROM t", db).ok
-
-    def test_accepts_dictionary(self, two_db_federation):
-        _, dictionary, *_ = two_db_federation
-        assert sqlcheck("SELECT energy FROM events", dictionary).ok
-
-    def test_rejects_garbage(self):
-        with pytest.raises(TypeError):
-            sqlcheck("SELECT 1", object())

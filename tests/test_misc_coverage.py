@@ -17,9 +17,6 @@ class TestFederationHelpers:
         federation.create_server("beta", "hostB")
         return federation
 
-    def test_server_lookup_by_name(self, fed):
-        assert fed.server("alpha").name == "alpha"
-
     def test_servers_sorted(self, fed):
         assert [s.name for s in fed.servers()] == ["alpha", "beta"]
 
@@ -37,11 +34,13 @@ class TestFederationHelpers:
     def test_attach_builds_vendor_url(self, fed):
         db = Database("mart_x", "sqlite")
         db.execute("CREATE TABLE t (a INTEGER)")
-        url = fed.attach_database(fed.server("alpha"), db, db_host="hostA")
+        alpha = fed.servers()[0]
+        url = fed.attach_database(alpha, db, db_host="hostA")
         assert url == "jdbc:sqlite:/hostA/mart_x.db"
 
     def test_service_url_resolution(self, fed):
-        handle = fed.server("alpha")
+        handle = fed.servers()[0]
+        assert handle.name == "alpha"
         resolved = fed._resolve_server(handle.service.service_url)
         assert resolved is handle.server
         assert fed._resolve_server("clarens://ghost/none") is None

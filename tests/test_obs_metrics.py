@@ -48,11 +48,11 @@ class TestHistogramPercentiles:
     def test_empty_histogram_explicit_semantics(self):
         """Regression: 'no data' must be distinguishable from 'p99=0'."""
         h = Histogram("ms")
-        assert h.empty is True
+        assert not h.values
         assert h.percentile(99, default=None) is None
         assert h.percentile(99) == 0.0  # display default, unchanged
         h.observe(5.0)
-        assert h.empty is False
+        assert h.values
         assert h.percentile(99, default=None) == 5.0
 
     def test_invalid_percentile_raises(self):

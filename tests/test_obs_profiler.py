@@ -101,11 +101,14 @@ class TestQueryProfiler:
 
     def test_operator_rows(self):
         profile, _ = self.profile_one()
-        sub = profile.operator("subquery")
+        ops = {}
+        for op in profile.operators:
+            ops.setdefault(op.stage, op)
+        sub = ops["subquery"]
         assert sub.calls == 1
         assert sub.self_ms == pytest.approx(12.0)
         assert sub.cum_ms == pytest.approx(12.0)
-        root = profile.operator("query")
+        root = ops["query"]
         assert root.cum_ms == pytest.approx(20.0)
         assert root.self_ms == pytest.approx(3.0)
 

@@ -124,7 +124,6 @@ class TestFailoverTracing:
         assert trace.replica_host == "pc2"
         assert trace.database == "replica_mart"
         assert trace.end_ms > trace.start_ms
-        assert trace.duration_ms == pytest.approx(trace.end_ms - trace.start_ms)
 
 
 class TestRemoteHopTracing:
@@ -211,7 +210,6 @@ class TestUnityDriverObservability:
         assert "decompose" in stages and "query" in stages
         for trace in result.traces:
             assert trace.end_ms > trace.start_ms
-            assert trace.duration_ms > 0
         assert driver.metrics.counter("queries").value == 1
         assert driver.metrics.histogram("query_ms").count == 1
 

@@ -6,7 +6,8 @@ MIN/MAX natively when the values are all numbers or all strings, and
 filters a WHERE of ``column op constant`` conjuncts one column at a time
 when every value is in the constant's family. Each has a per-row
 fallback. The property runs generated GROUP BY / HAVING (on an output
-alias) / ORDER BY ... LIMIT queries on the engine, on stdlib sqlite3 and
+alias) / ORDER BY ... LIMIT queries, their GROUP BY and ORDER BY spelled
+by name or by select-list position, on the engine, on stdlib sqlite3 and
 on a per-row reference written here. The reference fixes the rows
 exactly (types and float bits), the errors and ``rows_examined`` /
 ``rows_visited``; sqlite3 checks the same rows wherever its semantics
@@ -23,11 +24,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.common.errors import SQLTypeError
+from repro.common.errors import ReproError, SQLTypeError
 from repro.engine import Database
 from repro.engine import executor
 from repro.engine.executor import _SortKey
+from repro.lint import CatalogSchema, lint_sql
 from repro.sql import eval as sql_eval
+from repro.tools.demo import two_server_federation
 
 BIG = 2**53
 # sums of up to 12 values stay inside sqlite3's 64-bit integers
@@ -126,7 +129,8 @@ def queries(draw, kinds):
         order = [(key, draw(st.booleans())) for key in keys]
     limit = draw(st.one_of(st.none(), st.tuples(st.integers(0, 4), st.integers(0, 2))))
     return {"group": group, "aggregates": aggregates, "where": where,
-            "having": having, "order": order, "limit": limit}
+            "having": having, "order": order, "limit": limit,
+            "positions": draw(st.booleans())}
 
 
 def _aggregate_sql(name: str, column: str | None) -> str:
@@ -143,9 +147,12 @@ def _group_sql(term) -> str:
 
 def render(q, ordered=True, sqlite=False) -> tuple[str, tuple]:
     """``(sql, params)``; sqlite3 spells out the engine's NULL placement
-    (NULL sorts greatest: last ascending, first descending)."""
+    (NULL sorts greatest: last ascending, first descending). With
+    ``positions`` GROUP BY and ORDER BY name their select items by
+    1-based position."""
     items = [f"{_group_sql(g)} AS g{i}" for i, g in enumerate(q["group"])]
     items += [f"{_aggregate_sql(*a)} AS a{i}" for i, a in enumerate(q["aggregates"])]
+    names = [item.rsplit(" AS ", 1)[1] for item in items]
     sql = f"SELECT {', '.join(items)} FROM t"
     conjuncts, params = [], []
     for conj in q["where"]:
@@ -161,12 +168,16 @@ def render(q, ordered=True, sqlite=False) -> tuple[str, tuple]:
     if conjuncts:
         sql += " WHERE " + " AND ".join(conjuncts)
     if q["group"]:
-        sql += " GROUP BY " + ", ".join(_group_sql(g) for g in q["group"])
+        terms = [
+            str(i + 1) if q["positions"] else _group_sql(g) for i, g in enumerate(q["group"])
+        ]
+        sql += " GROUP BY " + ", ".join(terms)
     if q["having"] is not None:
         sql += f" HAVING a0 >= {q['having']}"
     if ordered and q["order"]:
         terms = []
         for key, ascending in q["order"]:
+            key = str(names.index(key) + 1) if q["positions"] else key
             term = f"{key} {'ASC' if ascending else 'DESC'}"
             if sqlite:
                 term += " NULLS LAST" if ascending else " NULLS FIRST"
@@ -360,10 +371,11 @@ def cases(draw):
     return kinds, rows, draw(queries(kinds))
 
 
-def _case(kinds, rows, aggregates=(), group=(), where=(), order=()):
+def _case(kinds, rows, aggregates=(), group=(), where=(), order=(), positions=False):
     return kinds, rows, {
         "group": list(group), "aggregates": [("COUNT", None), *aggregates],
         "where": list(where), "having": None, "order": list(order), "limit": None,
+        "positions": positions,
     }
 
 
@@ -380,6 +392,12 @@ def _case(kinds, rows, aggregates=(), group=(), where=(), order=()):
     ["int", "mixed", "int", "int"],
     [(0, 1, "a", 1, 1), (1, 2, 2, 1, 1)],
     where=[("v0", ">", 1, False), ("v1", "<", 3, True)],
+))
+# GROUP BY 1 ORDER BY 2 DESC, 1 over a = 3, 1, 2, 1
+@example(_case(
+    ["int", "int", "int", "int"],
+    [(0, 3, 0, 0, 0), (1, 1, 0, 0, 0), (2, 2, 0, 0, 0), (3, 1, 0, 0, 0)],
+    group=[("col", "v0")], order=[("a0", False), ("g0", True)], positions=True,
 ))
 def test_grouped_queries_match_reference_and_sqlite(case):
     kinds, rows, q = case
@@ -485,3 +503,61 @@ def test_star_argument_needs_count():
         with pytest.raises(SQLTypeError):
             db.execute(sql)
     assert db.execute("SELECT COUNT(*), COUNT() FROM t").rows == [(0, 0)]
+
+
+# -- select-list positions ------------------------------------------------------------
+
+#: over a = 3, 1, 2, 1: sqlite3 sorts and groups by a bare integer's
+#: select-list position, refuses 0, -1, a position past the list and one
+#: naming an aggregate in GROUP BY, and sorts by 1.5 or 1 + 0 as constants
+POSITION_CASES = [
+    "SELECT a FROM u ORDER BY 1",
+    "SELECT a FROM u ORDER BY 1 DESC",
+    "SELECT a, COUNT(*) FROM u GROUP BY 1",
+    "SELECT a, COUNT(*) AS n FROM u GROUP BY 1 ORDER BY 2 DESC, 1",
+    "SELECT a + 1 AS b FROM u GROUP BY 1 ORDER BY 1 DESC",
+    "SELECT *, a FROM u ORDER BY 2",
+    "SELECT a FROM u ORDER BY 0",
+    "SELECT a FROM u ORDER BY -1",
+    "SELECT a FROM u ORDER BY 2",
+    "SELECT a, COUNT(*) FROM u GROUP BY 3",
+    "SELECT a, COUNT(*) FROM u GROUP BY 2",
+    "SELECT a FROM u ORDER BY 1.5",
+    "SELECT a FROM u ORDER BY 1 + 0",
+]
+
+
+@pytest.mark.parametrize("sql", POSITION_CASES)
+def test_positions_match_sqlite(sql):
+    db = Database("positions")
+    db.execute("CREATE TABLE u (a INT)")
+    db.execute("INSERT INTO u VALUES (3), (1), (2), (1)")
+    conn = sqlite3.connect(":memory:")
+    conn.execute("CREATE TABLE u (a INTEGER)")
+    conn.executemany("INSERT INTO u VALUES (?)", [(3,), (1,), (2,), (1,)])
+    try:
+        theirs = conn.execute(sql).fetchall()
+    except sqlite3.Error:
+        with pytest.raises(ReproError):
+            db.execute(sql)
+        assert not lint_sql(sql, CatalogSchema(db)).ok
+        return
+    mine = db.execute(sql).rows
+    if "ORDER BY" not in sql:  # groups come in first-appearance order here
+        mine, theirs = sorted(mine), sorted(theirs)
+    assert mine == theirs
+    assert lint_sql(sql, CatalogSchema(db)).ok
+
+
+def test_federated_order_by_position():
+    _, a, _, _, _ = two_server_federation()
+    join = (
+        "SELECT e.event_id, r.detector FROM events e "
+        "INNER JOIN runs r ON e.run_id = r.run_id"
+    )
+    by_position = a.service.execute(join + " ORDER BY 2 DESC, 1").rows
+    assert by_position == a.service.execute(
+        join + " ORDER BY r.detector DESC, e.event_id"
+    ).rows
+    assert by_position == sorted(sorted(by_position), key=lambda r: r[1], reverse=True)
+    assert len(by_position) == 10
