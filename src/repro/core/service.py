@@ -737,17 +737,18 @@ class DataAccessService(ClarensService):
         for free before paying for a distributed execution. The plan it
         lints picks replicas as ``explain`` and ``query`` do; a table
         this server has not discovered yet is reported unknown rather
-        than looked up in the RLS.
+        than looked up in the RLS. Text that ``query`` refuses at parse,
+        a UNION, an INSERT or DDL among it, is one RPR001 error.
         """
-        from repro.lint import DictionarySchema, lint_sql
+        from repro.lint import DictionarySchema, Diagnostic, Severity, lint_sql
 
         try:
-            prefer = self._preferences_of(parse_select(sql))
-        except ReproError:
-            prefer = None  # not a SELECT; lint_sql says what it is
+            select = parse_select(sql)
+        except ReproError as exc:
+            return [Diagnostic("RPR001", Severity.ERROR, str(exc)).as_dict()]
         report = lint_sql(
             sql, DictionarySchema(self.dictionary),
-            prefer_databases=prefer,
+            prefer_databases=self._preferences_of(select),
         )
         return [d.as_dict() for d in report]
 

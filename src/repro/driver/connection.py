@@ -46,7 +46,7 @@ class Cursor:
         # Scan cost is charged for rows the engine actually examined.
         conn.clock.advance_ms(result.stats.rows_examined * cost.per_row_scan_us / 1000.0)
         if result.rowcount and not result.rows:
-            # DML: inserts/updates pay per-row write cost plus a commit.
+            # INSERT: per-row write cost plus a commit.
             conn.clock.advance_ms(result.rowcount * cost.per_row_insert_ms)
             conn.clock.advance_ms(cost.commit_ms)
         self._result = result

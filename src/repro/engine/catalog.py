@@ -1,4 +1,4 @@
-"""Schema catalog for one database: tables, views, indexes.
+"""Schema catalog for one database: tables and views.
 
 The catalog is the source of truth the XSpec generator serializes and
 the schema-change tracker watches. Names are case-insensitive, matching
@@ -30,16 +30,13 @@ class Catalog:
         self.database_name = database_name
         self._tables: dict[str, TableStorage] = {}
         self._views: dict[str, ViewDef] = {}
-        self._index_defs: dict[str, ast.CreateIndex] = {}
 
     # Tables ---------------------------------------------------------------------
 
-    def create_table(self, name: str, columns: list[Column], if_not_exists: bool = False) -> TableStorage | None:
-        """Create a table; None (not an error) under IF NOT EXISTS."""
+    def create_table(self, name: str, columns: list[Column]) -> TableStorage:
+        """Create a table; its name must be new among tables and views."""
         key = name.lower()
         if key in self._tables or key in self._views:
-            if if_not_exists:
-                return None
             raise DuplicateObjectError(
                 f"object {name!r} already exists in {self.database_name!r}"
             )
@@ -47,18 +44,12 @@ class Catalog:
         self._tables[key] = table
         return table
 
-    def drop_table(self, name: str, if_exists: bool = False) -> bool:
-        """Drop a table (and its index definitions); returns whether it existed."""
+    def drop_table(self, name: str) -> None:
+        """Drop a table (a mart view re-materialized in place)."""
         key = name.lower()
         if key not in self._tables:
-            if if_exists:
-                return False
             raise TableNotFoundError(name, self.database_name)
         del self._tables[key]
-        self._index_defs = {
-            n: d for n, d in self._index_defs.items() if d.table.lower() != key
-        }
-        return True
 
     def get_table(self, name: str) -> TableStorage:
         """Storage of a table; raises TableNotFoundError on miss."""
@@ -75,15 +66,6 @@ class Catalog:
         """Sorted names of every base table."""
         return sorted(t.name for t in self._tables.values())
 
-    def rename_table(self, old: str, new: str) -> None:
-        """Rename a table, keeping its storage and rows."""
-        table = self.get_table(old)
-        if new.lower() in self._tables or new.lower() in self._views:
-            raise DuplicateObjectError(f"object {new!r} already exists")
-        del self._tables[old.lower()]
-        table.name = new
-        self._tables[new.lower()] = table
-
     # Views ------------------------------------------------------------------------
 
     def create_view(self, view: ViewDef) -> None:
@@ -92,16 +74,6 @@ class Catalog:
         if key in self._views or key in self._tables:
             raise DuplicateObjectError(f"object {view.name!r} already exists")
         self._views[key] = view
-
-    def drop_view(self, name: str, if_exists: bool = False) -> bool:
-        """Drop a view; returns whether it existed."""
-        key = name.lower()
-        if key not in self._views:
-            if if_exists:
-                return False
-            raise TableNotFoundError(name, self.database_name)
-        del self._views[key]
-        return True
 
     def get_view(self, name: str) -> ViewDef | None:
         """The view definition, or None."""
@@ -114,19 +86,3 @@ class Catalog:
     def view_names(self) -> list[str]:
         """Sorted names of every view."""
         return sorted(v.name for v in self._views.values())
-
-    # Indexes ------------------------------------------------------------------------
-
-    def create_index(self, stmt: ast.CreateIndex) -> None:
-        """Validate and register an index. One numeric column gets the
-        table's sorted range access path, built on first use; any other
-        index is a catalog definition only."""
-        key = stmt.name.lower()
-        if key in self._index_defs:
-            raise DuplicateObjectError(f"index {stmt.name!r} already exists")
-        table = self.get_table(stmt.table)  # validates table + columns
-        for col in stmt.columns:
-            table.column_position(col)
-        self._index_defs[key] = stmt
-        if len(stmt.columns) == 1:
-            table.add_range_index(stmt.columns[0])

@@ -12,18 +12,13 @@ from __future__ import annotations
 from collections.abc import Callable
 from operator import itemgetter
 
-from repro.common.errors import (
-    IntegrityError,
-    PlanningError,
-    SQLSyntaxError,
-    TableNotFoundError,
-)
-from repro.common.types import SQLType, coerce_value
+from repro.common.errors import PlanningError, SQLSyntaxError, TableNotFoundError
+from repro.common.types import SQLType
 from repro.engine.catalog import Catalog, ViewDef
 from repro.engine.executor import ExecResult, ExecStats, SelectExecutor, order_rows
 from repro.engine.storage import Column, TableStorage
 from repro.sql import ast
-from repro.sql.eval import RowSchema, SchemaColumn, compile_expr, truthy
+from repro.sql.eval import RowSchema, SchemaColumn, compile_expr
 from repro.sql.parser import parse_statement
 
 
@@ -104,41 +99,26 @@ class Database:
                 )
                 for c in stmt.columns
             ]
-            self.catalog.create_table(stmt.name, columns, stmt.if_not_exists)
-            return ExecResult()
-        if isinstance(stmt, ast.CreateTableAs):
-            if stmt.if_not_exists and self.catalog.has_table(stmt.name):
-                return ExecResult()
-            result = SelectExecutor(self, params).execute(stmt.select)
-            columns = [
-                Column(name=c, type=t) for c, t in zip(result.columns, result.types)
-            ]
             self.catalog.create_table(stmt.name, columns)
-            storage = self.catalog.get_table(stmt.name)
-            for row in result.rows:
-                storage.insert(row)
-            return ExecResult(rowcount=len(result.rows))
-        if isinstance(stmt, ast.DropTable):
-            self.catalog.drop_table(stmt.name, stmt.if_exists)
             return ExecResult()
         if isinstance(stmt, ast.CreateView):
             text = sql_text or stmt.unparse()
             self.catalog.create_view(ViewDef(stmt.name, stmt.select, text))
             return ExecResult()
-        if isinstance(stmt, ast.DropView):
-            self.catalog.drop_view(stmt.name, stmt.if_exists)
-            return ExecResult()
-        if isinstance(stmt, ast.CreateIndex):
-            self.catalog.create_index(stmt)
-            return ExecResult()
         if isinstance(stmt, ast.Insert):
             return self._execute_insert(stmt, params)
-        if isinstance(stmt, ast.Update):
-            return self._execute_update(stmt, params)
-        if isinstance(stmt, ast.Delete):
-            return self._execute_delete(stmt, params)
         if isinstance(stmt, ast.AlterTable):
-            return self._execute_alter(stmt)
+            column = stmt.column
+            self.catalog.get_table(stmt.table).add_column(
+                Column(
+                    name=column.name,
+                    type=column.type,
+                    not_null=column.not_null,
+                    default=column.default,
+                    has_default=column.has_default,
+                )
+            )
+            return ExecResult()
         raise SQLSyntaxError(f"unsupported statement type {type(stmt).__name__}")
 
     def _execute_union(self, stmt: ast.Union, params: tuple) -> ExecResult:
@@ -146,8 +126,9 @@ class Database:
 
         Column names come from the first branch; types are widened to a
         common supertype per position; trailing ORDER BY/LIMIT apply to
-        the combined set and may reference the first branch's output
-        names.
+        the combined set. An ORDER BY term names one of the first
+        branch's output names or, as a bare integer, an output position
+        (:func:`~repro.sql.ast.position_index`).
         """
         from repro.common.errors import SQLTypeError
         from repro.common.types import common_supertype
@@ -178,18 +159,21 @@ class Database:
             lowered = [c.lower() for c in columns]
             keys: list[tuple[Callable, bool]] = []
             for item in stmt.order_by:
-                if not (
-                    isinstance(item.expr, ast.ColumnRef) and item.expr.table is None
-                ):
-                    raise PlanningError(
-                        "UNION ORDER BY must name an output column"
-                    )
-                name = item.expr.column.lower()
-                if name not in lowered:
-                    raise PlanningError(
-                        f"UNION ORDER BY column {item.expr.column!r} is not an output"
-                    )
-                keys.append((itemgetter(lowered.index(name)), item.ascending))
+                index = ast.position_index(item.expr, width, "ORDER BY")
+                if index is None:
+                    if not (
+                        isinstance(item.expr, ast.ColumnRef) and item.expr.table is None
+                    ):
+                        raise PlanningError(
+                            "UNION ORDER BY must name an output column or position"
+                        )
+                    name = item.expr.column.lower()
+                    if name not in lowered:
+                        raise PlanningError(
+                            f"UNION ORDER BY column {item.expr.column!r} is not an output"
+                        )
+                    index = lowered.index(name)
+                keys.append((itemgetter(index), item.ascending))
             rows = order_rows(rows, keys)
         offset = stmt.offset or 0
         if offset:
@@ -214,105 +198,11 @@ class Database:
     def _execute_insert(self, stmt: ast.Insert, params: tuple) -> ExecResult:
         table = self.catalog.get_table(stmt.table)
         columns = list(stmt.columns) or None
-        count = 0
-        if stmt.select is not None:
-            result = SelectExecutor(self, params).execute(stmt.select)
-            for row in result.rows:
-                table.insert(row, columns)
-                count += 1
-            return ExecResult(rowcount=count)
         empty = RowSchema([])
         for row_exprs in stmt.rows:
             values = [compile_expr(e, empty, params)(()) for e in row_exprs]
             table.insert(values, columns)
-            count += 1
-        return ExecResult(rowcount=count)
-
-    def _table_schema(self, table: TableStorage) -> RowSchema:
-        return RowSchema(
-            [SchemaColumn(table.name, c.name, c.type) for c in table.columns]
-        )
-
-    def _subquery_runner(self, params: tuple):
-        """Non-correlated subquery evaluation for UPDATE/DELETE predicates."""
-
-        def run(select: ast.Select):
-            result = SelectExecutor(self, params).execute(select)
-            return result.columns, result.rows
-
-        return run
-
-    def _execute_update(self, stmt: ast.Update, params: tuple) -> ExecResult:
-        table = self.catalog.get_table(stmt.table)
-        schema = self._table_schema(table)
-        runner = self._subquery_runner(params)
-        predicate = (
-            compile_expr(stmt.where, schema, params, runner)
-            if stmt.where is not None
-            else None
-        )
-        assignment_fns = []
-        for col_name, expr in stmt.assignments:
-            pos = table.column_position(col_name)
-            fn = compile_expr(expr, schema, params, runner)
-            assignment_fns.append((pos, table.columns[pos], fn))
-        new_rows: list[tuple] = []
-        updated = 0
-        for row in table.rows:
-            if predicate is None or truthy(predicate(row)):
-                mutable = list(row)
-                for pos, col, fn in assignment_fns:
-                    value = fn(row)
-                    if value is not None:
-                        value = coerce_value(value, col.type)
-                    elif col.not_null:
-                        raise IntegrityError(
-                            f"NULL violates NOT NULL on {table.name}.{col.name}"
-                        )
-                    mutable[pos] = value
-                new_rows.append(tuple(mutable))
-                updated += 1
-            else:
-                new_rows.append(row)
-        table.replace_rows(new_rows)
-        return ExecResult(rowcount=updated)
-
-    def _execute_delete(self, stmt: ast.Delete, params: tuple) -> ExecResult:
-        table = self.catalog.get_table(stmt.table)
-        if stmt.where is None:
-            count = table.row_count
-            table.replace_rows([])
-            return ExecResult(rowcount=count)
-        schema = self._table_schema(table)
-        predicate = compile_expr(
-            stmt.where, schema, params, self._subquery_runner(params)
-        )
-        deleted = table.delete_where(lambda row: not truthy(predicate(row)))
-        return ExecResult(rowcount=deleted)
-
-    def _execute_alter(self, stmt: ast.AlterTable) -> ExecResult:
-        if stmt.action == "RENAME":
-            self.catalog.rename_table(stmt.table, stmt.new_name)
-            return ExecResult()
-        table = self.catalog.get_table(stmt.table)
-        if stmt.action == "ADD":
-            assert stmt.column is not None
-            table.add_column(
-                Column(
-                    name=stmt.column.name,
-                    type=stmt.column.type,
-                    not_null=stmt.column.not_null,
-                    primary_key=False,
-                    default=stmt.column.default,
-                    has_default=stmt.column.has_default,
-                )
-            )
-            return ExecResult()
-        if stmt.action == "DROP":
-            assert stmt.column_name is not None
-            table.drop_column(stmt.column_name)
-            return ExecResult()
-        raise SQLSyntaxError(f"unsupported ALTER action {stmt.action!r}")
+        return ExecResult(rowcount=len(stmt.rows))
 
     # -- bulk API used by ETL/materialization ------------------------------------------
 

@@ -6,8 +6,8 @@ evaluates (~80 k rows across 6 databases) this is faster in CPython than
 a pull-based iterator tree, and it keeps the stage boundaries — scan,
 join, filter, aggregate, sort, project — easy to cost-model and test.
 
-Access path: a single-table SELECT whose WHERE bounds an indexed
-numeric column (``=``, ``<``, ``<=``, ``>``, ``>=``, ``BETWEEN`` against
+Access path: a single-table SELECT whose WHERE bounds the table's
+numeric primary key (``=``, ``<``, ``<=``, ``>``, ``>=``, ``BETWEEN`` against
 an int or float literal or parameter) reads only the rows a bisect of
 the table's sorted index selects, in storage order; the full WHERE
 predicate then runs on them. ``ExecStats.rows_examined`` stays the
@@ -59,7 +59,7 @@ class TableResolver(Protocol):
 
     A resolver may also offer ``base_table(name)``, returning a base
     table's :class:`~repro.engine.storage.TableStorage` (None for a
-    view), to give the executor its range indexes; see
+    view), to give the executor its range index; see
     :func:`access_path`.
     """
 
@@ -158,9 +158,8 @@ _FLIPPED = {"=": "=", "<": ">", "<=": ">=", ">": "<", ">=": "<="}
 
 @dataclass(frozen=True)
 class KeyRange:
-    """An interval on one indexed column; a None bound is unbounded."""
+    """An interval on the indexed column; a None bound is unbounded."""
 
-    column: str
     low: int | float | None = None
     low_open: bool = False
     high: int | float | None = None
@@ -172,11 +171,11 @@ class KeyRange:
         if op in ("=", ">", ">="):
             open_ = op == ">"
             if rng.low is None or value > rng.low or (value == rng.low and open_):
-                rng = KeyRange(rng.column, value, open_, rng.high, rng.high_open)
+                rng = KeyRange(value, open_, rng.high, rng.high_open)
         if op in ("=", "<", "<="):
             open_ = op == "<"
             if rng.high is None or value < rng.high or (value == rng.high and open_):
-                rng = KeyRange(rng.column, rng.low, rng.low_open, value, open_)
+                rng = KeyRange(rng.low, rng.low_open, value, open_)
         return rng
 
     def slice(self, keys: list) -> tuple[int, int]:
@@ -205,52 +204,44 @@ def _bound_value(expr: ast.Expr, params: tuple):
     return None
 
 
-def key_ranges(
-    where: ast.Expr | None, schema: RowSchema, columns: list[str], params: tuple = ()
-) -> list[KeyRange]:
-    """The range the WHERE conjuncts put on each of ``columns`` that any
-    conjunct bounds, in ``columns`` order.
+def key_range(
+    where: ast.Expr | None, schema: RowSchema, column: str, params: tuple = ()
+) -> KeyRange | None:
+    """The range the WHERE conjuncts put on ``column``; None when no
+    conjunct bounds it.
 
-    A conjunct bounds a column when it is ``col op v``, ``v op col`` or
+    A conjunct bounds the column when it is ``col op v``, ``v op col`` or
     ``col BETWEEN v AND w`` with ``v``/``w`` a finite int or float literal
-    or parameter. Every row the WHERE keeps lies in each returned range.
+    or parameter. Every row the WHERE keeps lies in the returned range.
     """
-    positions = {}
-    for name in columns:
-        try:
-            positions[schema.resolve(ast.ColumnRef(column=name))] = name
-        except ColumnNotFoundError:
-            continue
-    ranges: dict[str, KeyRange] = {}
+    try:
+        position = schema.resolve(ast.ColumnRef(column=column))
+    except ColumnNotFoundError:
+        return None
 
-    def column_of(expr: ast.Expr) -> str | None:
+    def is_column(expr: ast.Expr) -> bool:
         if not isinstance(expr, ast.ColumnRef):
-            return None
+            return False
         try:
-            return positions.get(schema.resolve(expr))
+            return schema.resolve(expr) == position
         except ColumnNotFoundError:
-            return None
+            return False
 
-    def bound(column: str, op: str, value) -> None:
-        ranges[column] = ranges.get(column, KeyRange(column)).narrow(op, value)
-
+    bounds: list[tuple[str, ast.Expr]] = []
     for conj in ast.conjuncts(where):
         if isinstance(conj, ast.BinaryOp) and conj.op in _FLIPPED:
-            column, value, op = column_of(conj.left), conj.right, conj.op
-            if column is None:
-                column, value, op = column_of(conj.right), conj.left, _FLIPPED[op]
-            value = _bound_value(value, params) if column is not None else None
-            if value is not None:
-                bound(column, op, value)
-        elif isinstance(conj, ast.Between) and not conj.negated:
-            column = column_of(conj.operand)
-            low = _bound_value(conj.low, params)
-            high = _bound_value(conj.high, params)
-            if column is not None and low is not None:
-                bound(column, ">=", low)
-            if column is not None and high is not None:
-                bound(column, "<=", high)
-    return [ranges[c] for c in columns if c in ranges]
+            if is_column(conj.left):
+                bounds.append((conj.op, conj.right))
+            elif is_column(conj.right):
+                bounds.append((_FLIPPED[conj.op], conj.left))
+        elif isinstance(conj, ast.Between) and not conj.negated and is_column(conj.operand):
+            bounds += ((">=", conj.low), ("<=", conj.high))
+    rng = None
+    for op, expr in bounds:
+        value = _bound_value(expr, params)
+        if value is not None:
+            rng = (rng or KeyRange()).narrow(op, value)
+    return rng
 
 
 def access_path(
@@ -258,26 +249,24 @@ def access_path(
     params: tuple = (),
 ):
     """``(KeyRange, (keys, positions))`` for a single-table SELECT that
-    can read ``ref`` through a sorted index, else None (scan).
+    can read ``ref`` through its sorted primary-key index, else None
+    (scan).
 
-    The resolver offers indexes through ``base_table(name)`` returning
+    The resolver offers the index through ``base_table(name)`` returning
     the table's storage (None for a view); a resolver without it always
     scans. A WHERE with a subquery scans too: a subquery charges its
     rows when the first outer row is evaluated, so narrowing to no rows
-    would change ``rows_examined``. The first indexed column (primary
-    key first) with a bound is used.
+    would change ``rows_examined``.
     """
     if where is None or ast.contains_subquery(where):
         return None
     base_table = getattr(resolver, "base_table", None)
     storage = base_table(ref.name) if base_table is not None else None
-    if storage is None:
+    if storage is None or storage.range_column is None:
         return None
-    for rng in key_ranges(where, schema, storage.range_columns, params):
-        index = storage.sorted_index(rng.column)
-        if index is not None:
-            return rng, index
-    return None
+    rng = key_range(where, schema, storage.range_column, params)
+    index = None if rng is None else storage.sorted_index()
+    return None if index is None else (rng, index)
 
 
 @functools.total_ordering

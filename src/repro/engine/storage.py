@@ -1,12 +1,11 @@
-"""Row storage for one table, with constraints and sorted range indexes.
+"""Row storage for one table, with constraints and a sorted range index.
 
 Rows are stored as tuples in insertion order. A primary-key hash map
 enforces uniqueness and is maintained eagerly. The one access path is a
-sorted ``(keys, positions)`` index on a numeric column: the single-column
-numeric primary key, or a column named by ``CREATE INDEX``. It is built
-lazily on the first range lookup and dropped on every mutation
-(rebuild-on-demand keeps the mutation path simple and is the right trade
-for the read-mostly mart workloads the paper evaluates). A table keeps
+sorted ``(keys, positions)`` index on a single-column numeric primary
+key. It is built lazily on the first range lookup and dropped on every
+mutation (rebuild-on-demand keeps the mutation path simple and is the
+right trade for the read-mostly mart workloads the paper evaluates). A table keeps
 no byte count: ETL sizes what it extracts and the codec what it ships.
 """
 
@@ -88,6 +87,9 @@ _MAX_INSERT_PLANS = 64
 #: (sorted keys, their row positions) — the range-index shape
 SortedIndex = tuple[list, list[int]]
 
+#: the range index of a table mutated since it was last built
+_STALE = object()
+
 
 class TableStorage:
     """Storage and constraint enforcement for a single table."""
@@ -106,18 +108,19 @@ class TableStorage:
         self.rows: list[tuple] = []
         self._col_index = {c.name.lower(): i for i, c in enumerate(self.columns)}
         # INSERT column list -> its insert plan; cleared when a column is
-        # added or dropped
+        # added
         self._plans: dict[tuple[str, ...], list[tuple[int | None, object]] | None] = {}
         pk_cols = [i for i, c in enumerate(self.columns) if c.primary_key]
         self._pk_positions: tuple[int, ...] = tuple(pk_cols)
         self._pk_index: dict[tuple, int] | None = {} if pk_cols else None
-        # lowercased names of the columns with a sorted access path
-        self._range_columns: list[str] = []
+        # the single numeric primary-key column: the one with a sorted
+        # access path
+        self.range_column: str | None = None
         if len(pk_cols) == 1 and self.columns[pk_cols[0]].type.kind.is_numeric:
-            self._range_columns.append(self.columns[pk_cols[0]].name.lower())
-        # column name -> sorted index (None: keys not all finite numbers);
-        # cleared on every mutation
-        self._sorted: dict[str, SortedIndex | None] = {}
+            self.range_column = self.columns[pk_cols[0]].name
+        # the range column's sorted index (None: keys not all finite
+        # numbers), or _STALE until first use after a mutation
+        self._sorted: SortedIndex | None | object = _STALE
 
     # Introspection -------------------------------------------------------------
 
@@ -208,7 +211,7 @@ class TableStorage:
                 )
             self._pk_index[key] = len(self.rows)
         self.rows.append(row)
-        self._sorted.clear()
+        self._sorted = _STALE
         return row
 
     def append_rows(
@@ -240,7 +243,7 @@ class TableStorage:
             base = len(self.rows)
             self._pk_index.update(zip(keys, range(base, base + len(keys))))
         self.rows.extend(staged)
-        self._sorted.clear()
+        self._sorted = _STALE
         return len(staged)
 
     def _in_place(self, columns: list[str] | None) -> bool:
@@ -319,22 +322,13 @@ class TableStorage:
             # of an earlier row that the row path meets first
             return None
 
-    def delete_where(self, keep_predicate) -> int:
-        """Delete rows for which ``keep_predicate(row)`` is False; returns count."""
-        kept = [r for r in self.rows if keep_predicate(r)]
-        deleted = len(self.rows) - len(kept)
-        if deleted:
-            self.rows = kept
-            self._rebuild_after_mutation()
-        return deleted
-
     def replace_rows(self, rows: list[tuple]) -> None:
-        """Wholesale row replacement (used by UPDATE)."""
+        """Wholesale row replacement (the monitor's system tables)."""
         self.rows = list(rows)
         self._rebuild_after_mutation()
 
     def _rebuild_after_mutation(self) -> None:
-        self._sorted.clear()
+        self._sorted = _STALE
         if self._pk_index is not None:
             self._pk_index = {}
             for pos, row in enumerate(self.rows):
@@ -364,50 +358,19 @@ class TableStorage:
         self._plans.clear()
         self._rebuild_after_mutation()
 
-    def drop_column(self, name: str) -> None:
-        pos = self.column_position(name)
-        if self.columns[pos].primary_key:
-            raise IntegrityError(f"cannot drop primary-key column {name!r}")
-        del self.columns[pos]
-        if name.lower() in self._range_columns:
-            self._range_columns.remove(name.lower())
-        self.rows = [row[:pos] + row[pos + 1 :] for row in self.rows]
-        self._col_index = {c.name.lower(): i for i, c in enumerate(self.columns)}
-        self._plans.clear()
-        self._pk_positions = tuple(
-            i for i, c in enumerate(self.columns) if c.primary_key
-        )
-        self._rebuild_after_mutation()
+    # Index ----------------------------------------------------------------------
 
-    # Indexes --------------------------------------------------------------------
-
-    def add_range_index(self, column: str) -> bool:
-        """Give ``column`` the sorted access path; False (and no index)
-        unless it is numeric. Idempotent."""
-        col = self.columns[self.column_position(column)]
-        if not col.type.kind.is_numeric:
-            return False
-        if col.name.lower() not in self._range_columns:
-            self._range_columns.append(col.name.lower())
-        return True
-
-    @property
-    def range_columns(self) -> list[str]:
-        """Columns with a sorted access path, primary key first."""
-        return [self.columns[self._col_index[c]].name for c in self._range_columns]
-
-    def sorted_index(self, column: str) -> SortedIndex | None:
-        """``(keys, positions)`` of ``column``'s non-NULL values in key
-        order (ties in storage order), built on first use after a
-        mutation. None when the column has no access path or holds a
+    def sorted_index(self) -> SortedIndex | None:
+        """``(keys, positions)`` of the range column's non-NULL values in
+        key order (ties in storage order), built on first use after a
+        mutation. None when the table has no range column or it holds a
         value that is not a finite int or float: only a total order
         over the keys makes a bisected range equal to a scan."""
-        name = column.lower()
-        if name not in self._range_columns:
+        if self.range_column is None:
             return None
-        if name in self._sorted:
-            return self._sorted[name]
-        pos = self._col_index[name]
+        if self._sorted is not _STALE:
+            return self._sorted
+        pos = self._col_index[self.range_column.lower()]
         values = [row[pos] for row in self.rows]
         index: SortedIndex | None = None
         if all(
@@ -419,5 +382,5 @@ class TableStorage:
                 key=values.__getitem__,
             )
             index = ([values[i] for i in order], order)
-        self._sorted[name] = index
+        self._sorted = index
         return index

@@ -411,9 +411,10 @@ def lint_sql(
     *,
     prefer_databases: dict[str, str] | None = None,
 ) -> LintReport:
-    """Parse and lint one statement of SQL text; parse failures become
-    an ``RPR001`` diagnostic instead of an exception, and non-query DDL
-    yields an empty report. ``prefer_databases`` is the federated
+    """Parse and lint one statement of SQL text; parse failures, a
+    statement form the engine does not run among them, become an
+    ``RPR001`` diagnostic instead of an exception, and CREATE TABLE and
+    ALTER TABLE yield an empty report. ``prefer_databases`` is the federated
     planner's replica choice (see :func:`repro.unity.decompose.decompose`);
     pass the one the query executes with so the plan-derived findings
     describe the plan that runs. The engine context ignores it."""
@@ -439,12 +440,11 @@ def lint_sql(
                 f"UNION branches select different column counts: "
                 f"{sorted(widths)}",
             )
-    elif isinstance(statement, (ast.CreateTableAs, ast.CreateView)):
+        _lint_union_order(statement, analyzer)
+    elif isinstance(statement, ast.CreateView):
         analyzer.analyze(statement.select)
     elif isinstance(statement, ast.Insert):
         _lint_insert(statement, analyzer)
-    elif isinstance(statement, (ast.Update, ast.Delete)):
-        _lint_write(statement, analyzer)
     return LintReport(analyzer.diagnostics)
 
 
@@ -453,6 +453,35 @@ def _syntax_report(exc: Exception, config: LintConfig) -> LintReport:
     if severity is None:
         return LintReport([])
     return LintReport([Diagnostic("RPR001", severity, str(exc))])
+
+
+def _lint_union_order(statement: ast.Union, analyzer: _Analyzer) -> None:
+    """A UNION's ORDER BY terms as the engine resolves them: each names
+    one of the first branch's output names or positions. A star in that
+    branch leaves its width to the tables, so nothing is checked."""
+    first = statement.selects[0]
+    if any(isinstance(item.expr, ast.Star) for item in first.items):
+        return
+    names = first.output_names()
+    for order in statement.order_by:
+        expr = order.expr
+        try:
+            if ast.position_index(expr, len(first.items), "ORDER BY") is not None:
+                continue
+        except PlanningError as exc:
+            analyzer.emit("RPR102", str(exc))
+            continue
+        if not (
+            isinstance(expr, ast.ColumnRef)
+            and expr.table is None
+            and expr.column.lower() in names
+        ):
+            analyzer.emit(
+                "RPR102",
+                f"UNION ORDER BY term {expr.unparse()!r} is not an output "
+                f"column or position",
+                expr.unparse(),
+            )
 
 
 def _lint_insert(statement: ast.Insert, analyzer: _Analyzer) -> None:
@@ -478,31 +507,3 @@ def _lint_insert(statement: ast.Insert, analyzer: _Analyzer) -> None:
                 f"INSERT row has {len(row)} values for {width} column(s)",
             )
             break
-    if statement.select is not None:
-        analyzer.analyze(statement.select)
-
-
-def _lint_write(statement, analyzer: _Analyzer) -> None:
-    """Shared UPDATE/DELETE checks: table, columns, predicate types."""
-    provider = analyzer.provider
-    if not provider.has_table(statement.table):
-        analyzer.emit(
-            "RPR101", f"unknown table {statement.table!r}", statement.table
-        )
-        return
-    scope = [_ScopeTable(ast.TableRef(name=statement.table), provider)]
-    resolve = analyzer._make_resolver(scope, has_unknown=False)
-    typer = ExprTyper(resolve, analyzer.emit, analyzer._on_subquery)
-    if isinstance(statement, ast.Update):
-        known = scope[0].columns
-        for column, expr in statement.assignments:
-            if column.lower() not in known:
-                analyzer.emit(
-                    "RPR102",
-                    f"table {statement.table!r} has no column {column!r}",
-                    column,
-                )
-            typer.type_of(expr, agg_ok=False)
-    if statement.where is not None:
-        where_type = typer.type_of(statement.where, agg_ok=False)
-        analyzer._check_boolean(statement.where, where_type, "WHERE")

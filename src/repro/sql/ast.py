@@ -332,14 +332,27 @@ def _is_position(expr: Expr) -> bool:
     return isinstance(expr, Literal) and type(expr.value) is int
 
 
+def position_index(expr: Expr, width: int, clause: str) -> int | None:
+    """The 0-based output column a GROUP BY or ORDER BY term names when
+    it is a bare integer literal, as sqlite3 and MySQL read it: ``ORDER
+    BY 1`` sorts by the first column. None for any other term, so
+    ``1.5`` and ``1 + 0`` are constants. A position below 1 or past
+    ``width`` raises :class:`~repro.common.errors.PlanningError`, as
+    sqlite3 refuses it."""
+    if not _is_position(expr):
+        return None
+    if not 1 <= expr.value <= width:
+        raise PlanningError(
+            f"{clause} position {expr.value} is not in the select list "
+            f"(1 to {width})"
+        )
+    return expr.value - 1
+
+
 def resolve_positions(select: Select, expand_star) -> Select:
-    """``select`` with each GROUP BY or ORDER BY term that is a bare
-    integer literal replaced by the select item at that 1-based
-    position, as sqlite3 and MySQL read it: ``ORDER BY 1`` sorts by the
-    first item. Any other term stays, so ``1.5`` and ``1 + 0`` are
-    constants. A star counts as the column refs ``expand_star(star)``
-    lists. A position below 1 or past the last item raises
-    :class:`~repro.common.errors.PlanningError`, as sqlite3 refuses it."""
+    """``select`` with each GROUP BY or ORDER BY term that is a position
+    (:func:`position_index`) replaced by the select item there. A star
+    counts as the column refs ``expand_star(star)`` lists."""
     terms = (*select.group_by, *(o.expr for o in select.order_by))
     if not any(map(_is_position, terms)):
         return select
@@ -348,14 +361,8 @@ def resolve_positions(select: Select, expand_star) -> Select:
         items.extend(expand_star(item.expr) if isinstance(item.expr, Star) else [item.expr])
 
     def at(expr: Expr, clause: str) -> Expr:
-        if not _is_position(expr):
-            return expr
-        if not 1 <= expr.value <= len(items):
-            raise PlanningError(
-                f"{clause} position {expr.value} is not in the select list "
-                f"(1 to {len(items)})"
-            )
-        return items[expr.value - 1]
+        index = position_index(expr, len(items), clause)
+        return expr if index is None else items[index]
 
     return replace(
         select,
@@ -583,39 +590,10 @@ class ColumnDef:
 class CreateTable(Statement):
     name: str
     columns: tuple[ColumnDef, ...]
-    if_not_exists: bool = False
 
     def unparse(self) -> str:
-        head = "CREATE TABLE "
-        if self.if_not_exists:
-            head += "IF NOT EXISTS "
         cols = ", ".join(c.unparse() for c in self.columns)
-        return f"{head}{self.name} ({cols})"
-
-
-@dataclass(frozen=True)
-class CreateTableAs(Statement):
-    """CREATE TABLE name AS SELECT ... — schema inferred from the result."""
-
-    name: str
-    select: Select
-    if_not_exists: bool = False
-
-    def unparse(self) -> str:
-        head = "CREATE TABLE "
-        if self.if_not_exists:
-            head += "IF NOT EXISTS "
-        return f"{head}{self.name} AS {self.select.unparse()}"
-
-
-@dataclass(frozen=True)
-class DropTable(Statement):
-    name: str
-    if_exists: bool = False
-
-    def unparse(self) -> str:
-        mid = "IF EXISTS " if self.if_exists else ""
-        return f"DROP TABLE {mid}{self.name}"
+        return f"CREATE TABLE {self.name} ({cols})"
 
 
 @dataclass(frozen=True)
@@ -628,40 +606,15 @@ class CreateView(Statement):
 
 
 @dataclass(frozen=True)
-class DropView(Statement):
-    name: str
-    if_exists: bool = False
-
-    def unparse(self) -> str:
-        mid = "IF EXISTS " if self.if_exists else ""
-        return f"DROP VIEW {mid}{self.name}"
-
-
-@dataclass(frozen=True)
-class CreateIndex(Statement):
-    name: str
-    table: str
-    columns: tuple[str, ...]
-    unique: bool = False
-
-    def unparse(self) -> str:
-        kind = "UNIQUE INDEX" if self.unique else "INDEX"
-        return f"CREATE {kind} {self.name} ON {self.table} ({', '.join(self.columns)})"
-
-
-@dataclass(frozen=True)
 class Insert(Statement):
     table: str
     columns: tuple[str, ...] = ()
     rows: tuple[tuple[Expr, ...], ...] = ()
-    select: Select | None = None
 
     def unparse(self) -> str:
         head = f"INSERT INTO {self.table}"
         if self.columns:
             head += f" ({', '.join(self.columns)})"
-        if self.select is not None:
-            return f"{head} {self.select.unparse()}"
         rows = ", ".join(
             "(" + ", ".join(v.unparse() for v in row) + ")" for row in self.rows
         )
@@ -669,45 +622,11 @@ class Insert(Statement):
 
 
 @dataclass(frozen=True)
-class Update(Statement):
-    table: str
-    assignments: tuple[tuple[str, Expr], ...]
-    where: Expr | None = None
-
-    def unparse(self) -> str:
-        sets = ", ".join(f"{c} = {e.unparse()}" for c, e in self.assignments)
-        text = f"UPDATE {self.table} SET {sets}"
-        if self.where is not None:
-            text += f" WHERE {self.where.unparse()}"
-        return text
-
-
-@dataclass(frozen=True)
-class Delete(Statement):
-    table: str
-    where: Expr | None = None
-
-    def unparse(self) -> str:
-        text = f"DELETE FROM {self.table}"
-        if self.where is not None:
-            text += f" WHERE {self.where.unparse()}"
-        return text
-
-
-@dataclass(frozen=True)
 class AlterTable(Statement):
-    """ALTER TABLE ... ADD COLUMN / DROP COLUMN / RENAME TO."""
+    """ALTER TABLE ... ADD COLUMN."""
 
     table: str
-    action: str  # 'ADD', 'DROP', 'RENAME'
-    column: ColumnDef | None = None
-    column_name: str | None = None
-    new_name: str | None = None
+    column: ColumnDef
 
     def unparse(self) -> str:
-        if self.action == "ADD":
-            assert self.column is not None
-            return f"ALTER TABLE {self.table} ADD COLUMN {self.column.unparse()}"
-        if self.action == "DROP":
-            return f"ALTER TABLE {self.table} DROP COLUMN {self.column_name}"
-        return f"ALTER TABLE {self.table} RENAME TO {self.new_name}"
+        return f"ALTER TABLE {self.table} ADD COLUMN {self.column.unparse()}"

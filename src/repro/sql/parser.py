@@ -1,8 +1,9 @@
 """Recursive-descent SQL parser producing :mod:`repro.sql.ast` trees.
 
-The accepted grammar is the vendor-neutral core every dialect in the
-system can emit: SELECT (joins, grouping, ordering, limits), INSERT,
-UPDATE, DELETE, CREATE/DROP TABLE/VIEW/INDEX, and ALTER TABLE. MS-SQL
+The accepted grammar is the vendor-neutral core the system issues and
+every dialect can emit: SELECT (joins, grouping, ordering, limits) and
+UNION [ALL], INSERT … VALUES, CREATE TABLE, CREATE VIEW and ALTER TABLE
+… ADD COLUMN. MS-SQL
 ``SELECT TOP n`` is accepted and normalized into ``limit`` so that text
 produced by the MSSQL dialect re-parses.
 """
@@ -139,14 +140,8 @@ class _Parser:
             return self.parse_select_chain()
         if self.check_keyword("INSERT"):
             return self.parse_insert()
-        if self.check_keyword("UPDATE"):
-            return self.parse_update()
-        if self.check_keyword("DELETE"):
-            return self.parse_delete()
         if self.check_keyword("CREATE"):
             return self.parse_create()
-        if self.check_keyword("DROP"):
-            return self.parse_drop()
         if self.check_keyword("ALTER"):
             return self.parse_alter()
         raise SQLSyntaxError(
@@ -317,9 +312,6 @@ class _Parser:
             while self.accept_punct(","):
                 columns.append(self.expect_identifier())
             self.expect_punct(")")
-        if self.check_keyword("SELECT"):
-            select = self.parse_select()
-            return ast.Insert(table=table, columns=tuple(columns), select=select)
         self.expect_keyword("VALUES")
         rows: list[tuple[ast.Expr, ...]] = []
         while True:
@@ -333,45 +325,10 @@ class _Parser:
                 break
         return ast.Insert(table=table, columns=tuple(columns), rows=tuple(rows))
 
-    def parse_update(self) -> ast.Update:
-        self.expect_keyword("UPDATE")
-        table = self.expect_identifier()
-        self.expect_keyword("SET")
-        assignments: list[tuple[str, ast.Expr]] = []
-        while True:
-            col = self.expect_identifier()
-            if not self.accept_operator("="):
-                raise SQLSyntaxError(
-                    "expected '=' in SET clause", self.current.position, self.sql
-                )
-            assignments.append((col, self.parse_expression()))
-            if not self.accept_punct(","):
-                break
-        where = self.parse_expression() if self.accept_keyword("WHERE") else None
-        return ast.Update(table=table, assignments=tuple(assignments), where=where)
-
-    def parse_delete(self) -> ast.Delete:
-        self.expect_keyword("DELETE")
-        self.expect_keyword("FROM")
-        table = self.expect_identifier()
-        where = self.parse_expression() if self.accept_keyword("WHERE") else None
-        return ast.Delete(table=table, where=where)
-
     def parse_create(self) -> ast.Statement:
         self.expect_keyword("CREATE")
-        unique = self.accept_keyword("UNIQUE")
         if self.accept_keyword("TABLE"):
-            if_not_exists = False
-            if self.accept_keyword("IF"):
-                self.expect_keyword("NOT")
-                self.expect_keyword("EXISTS")
-                if_not_exists = True
             name = self.expect_identifier()
-            if self.accept_keyword("AS"):
-                select = self.parse_select()
-                return ast.CreateTableAs(
-                    name=name, select=select, if_not_exists=if_not_exists
-                )
             self.expect_punct("(")
             columns: list[ast.ColumnDef] = []
             pk_names: list[str] = []
@@ -397,26 +354,14 @@ class _Parser:
                     )
                     for c in columns
                 ]
-            return ast.CreateTable(
-                name=name, columns=tuple(columns), if_not_exists=if_not_exists
-            )
+            return ast.CreateTable(name=name, columns=tuple(columns))
         if self.accept_keyword("VIEW"):
             name = self.expect_identifier()
             self.expect_keyword("AS")
             select = self.parse_select()
             return ast.CreateView(name=name, select=select)
-        if self.accept_keyword("INDEX"):
-            name = self.expect_identifier()
-            self.expect_keyword("ON")
-            table = self.expect_identifier()
-            self.expect_punct("(")
-            cols = [self.expect_identifier()]
-            while self.accept_punct(","):
-                cols.append(self.expect_identifier())
-            self.expect_punct(")")
-            return ast.CreateIndex(name=name, table=table, columns=tuple(cols), unique=unique)
         raise SQLSyntaxError(
-            "expected TABLE, VIEW or INDEX after CREATE", self.current.position, self.sql
+            "expected TABLE or VIEW after CREATE", self.current.position, self.sql
         )
 
     def parse_column_def(self) -> ast.ColumnDef:
@@ -482,43 +427,13 @@ class _Parser:
         # NUMBER(p,0)/DECIMAL(p,0) with no fraction behaves as an integer type.
         return SQLType(kind, length=length, precision=precision, scale=scale)
 
-    def parse_drop(self) -> ast.Statement:
-        self.expect_keyword("DROP")
-        is_view = False
-        if self.accept_keyword("VIEW"):
-            is_view = True
-        else:
-            self.expect_keyword("TABLE")
-        if_exists = False
-        if self.accept_keyword("IF"):
-            self.expect_keyword("EXISTS")
-            if_exists = True
-        name = self.expect_identifier()
-        if is_view:
-            return ast.DropView(name=name, if_exists=if_exists)
-        return ast.DropTable(name=name, if_exists=if_exists)
-
     def parse_alter(self) -> ast.AlterTable:
         self.expect_keyword("ALTER")
         self.expect_keyword("TABLE")
         table = self.expect_identifier()
-        if self.accept_keyword("ADD"):
-            self.accept_keyword("COLUMN")
-            column = self.parse_column_def()
-            return ast.AlterTable(table=table, action="ADD", column=column)
-        if self.accept_keyword("DROP"):
-            self.accept_keyword("COLUMN")
-            name = self.expect_identifier()
-            return ast.AlterTable(table=table, action="DROP", column_name=name)
-        if self.accept_keyword("RENAME"):
-            self.expect_keyword("TO")
-            new_name = self.expect_identifier()
-            return ast.AlterTable(table=table, action="RENAME", new_name=new_name)
-        raise SQLSyntaxError(
-            "expected ADD, DROP or RENAME after ALTER TABLE",
-            self.current.position,
-            self.sql,
-        )
+        self.expect_keyword("ADD")
+        self.accept_keyword("COLUMN")
+        return ast.AlterTable(table=table, column=self.parse_column_def())
 
     # Expressions (precedence climbing) ----------------------------------------
 

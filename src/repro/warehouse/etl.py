@@ -52,19 +52,14 @@ class StagingFile:
     columns: list[str] = field(default_factory=list)
     nbytes: int = 0
 
-    def write(
-        self, columns: list[str], rows: list[tuple], nbytes: int | None = None
-    ) -> None:
-        """Append rows, paying disk-write time at staging bandwidth.
-        ``nbytes`` is the rows' size when the caller has already
-        sized them; otherwise they are sized here."""
+    def write(self, columns: list[str], rows: list[tuple], nbytes: int) -> None:
+        """Append rows of size ``nbytes`` (:attr:`Extract.nbytes`),
+        paying disk-write time at staging bandwidth."""
         if not self.columns:
             self.columns = list(columns)
         elif self.columns != list(columns):
             raise ETLError("staging file cannot mix row shapes")
         self.rows.extend(rows)
-        if nbytes is None:
-            nbytes = sum(estimate_row_bytes(r) for r in rows)
         self.nbytes += nbytes
         # serialize each row to the file's text format, then hit the disk
         self.clock.advance_ms(len(rows) * costs.STAGE_SERIALIZE_ROW_MS)
@@ -216,8 +211,6 @@ class ETLPipeline:
         self.reports: list[ETLReport] = []
         #: target table -> highest watermark value shipped so far
         self.watermarks: dict[str, object] = {}
-        self._last_loaded_columns: list[str] = []
-        self._last_loaded_rows: list[tuple] = []
 
     # -- phase 1: extraction -------------------------------------------------------
 
@@ -259,8 +252,6 @@ class ETLPipeline:
         self.clock.advance_ms(costs.STREAM_OPEN_CLOSE_MS)
         target_columns = list(job.target_columns or columns)
         storage = self.target.catalog.get_table(job.target_table)
-        self._last_loaded_columns = list(columns)
-        self._last_loaded_rows = list(rows)
         # One INSERT statement per row: driver marshalling + statement
         # round-trip to the target's listener + the engine's insert work;
         # autocommit (marts) additionally flushes the log every row.
@@ -431,19 +422,18 @@ class ETLPipeline:
             transform=job.transform,
             target_columns=job.target_columns,
         )
-        report = self.run(delta_job)
+        delta = extract(delta_job)
+        columns = [c.lower() for c in delta.columns]
+        if delta.rows and output_col.lower() not in columns:
+            # refused before any row lands, so a retry does not load twice
+            raise ETLError(
+                f"watermark column {output_col!r} is not in the extracted rows"
+            )
+        report = self.run(delta_job, extracted=delta)
         # advance the watermark from what actually arrived
         if report.rows:
-            loaded = self._last_loaded_rows
-            try:
-                idx = [c.lower() for c in self._last_loaded_columns].index(
-                    output_col.lower()
-                )
-            except ValueError:
-                raise ETLError(
-                    f"watermark column {output_col!r} is not in the loaded rows"
-                ) from None
-            values = [r[idx] for r in loaded if r[idx] is not None]
+            idx = columns.index(output_col.lower())
+            values = [r[idx] for r in delta.rows if r[idx] is not None]
             if values:
                 peak = max(values)
                 if last is None or peak > last:

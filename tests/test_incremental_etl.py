@@ -90,6 +90,10 @@ class TestIncrementalETL:
         _, wh, job, _ = world
         with pytest.raises(ETLError):
             wh.pipeline.run_incremental(job, "e.ghost")
+        # refused before loading: nothing landed, so a retry cannot
+        # double-load, and the first good run loads every row once
+        assert wh.db.catalog.get_table(job.target_table).row_count == 0
+        assert wh.pipeline.run_incremental(job, "e.event_id").rows == 20
 
     def test_values_identical_to_full_load(self, world):
         source, wh, job, rng = world

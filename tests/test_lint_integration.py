@@ -83,6 +83,22 @@ class TestLintBeforeExecution:
             with pytest.raises(ReproError):
                 s1.service.execute(sql)
 
+    @pytest.mark.parametrize("sql", [
+        "SELECT event_id FROM events UNION SELECT event_id FROM events",
+        "INSERT INTO events VALUES (1, 2, 3.0)",
+        "CREATE VIEW v AS SELECT event_id FROM events",
+    ])
+    def test_text_query_refuses_at_parse_is_one_syntax_error(self, sql):
+        # lint answers for the method it stands in front of: query takes
+        # one SELECT, so anything else is RPR001 with query's own message
+        fed, s1, _ = two_server_federation()
+        with pytest.raises(SQLSyntaxError) as refused:
+            s1.service.execute(sql)
+        diags = fed.client("laptop").call(s1.server, "dataaccess.lint", sql)
+        assert [(d["code"], d["severity"]) for d in diags] == [("RPR001", "error")]
+        assert diags[0]["message"] == str(refused.value)
+        assert "expected a SELECT statement" in diags[0]["message"]
+
     def test_good_join_lints_clean_and_executes(self):
         fed, s1 = one_server_federation()
         assert _errors(s1.service.lint(GOOD_JOIN)) == []

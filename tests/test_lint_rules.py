@@ -89,7 +89,7 @@ class TestLintConfig:
 
 
 class TestWriteStatementsAndSelectText:
-    """INSERT/UPDATE/DELETE and SELECT text through ``lint_sql``, pinned
+    """INSERT and SELECT text through ``lint_sql``, pinned
     against ``t (a INT PRIMARY KEY, b DOUBLE)``."""
 
     @pytest.fixture
@@ -107,13 +107,6 @@ class TestWriteStatementsAndSelectText:
              "table 't' has no column 'c'"),
             ("INSERT INTO u VALUES (1)", "RPR101", Severity.ERROR,
              "unknown table 'u'"),
-            ("UPDATE t SET b = 1 WHERE a", "RPR202", Severity.WARNING,
-             "WHERE predicate has type INTEGER, not BOOLEAN "
-             "(rows only match on boolean TRUE)"),
-            ("DELETE FROM t WHERE zz = 1", "RPR102", Severity.ERROR,
-             "unknown column 'zz'"),
-            ("INSERT INTO t SELECT a, b FROM t WHERE q = 1", "RPR102",
-             Severity.ERROR, "unknown column 'q'"),
         ],
     )
     def test_write_statement(self, provider, sql, code, severity, message):

@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 from repro.common import ReproError
 from repro.common.types import SQLType, TypeKind
 from repro.core import GridFederation
-from repro.engine import Database
+from repro.engine import Column, Database
 from repro.unity.driver import QueryAnswer
 
 ROWS = (
@@ -323,5 +323,9 @@ def test_text_mixed_with_temporal_is_plain_text():
     db.execute("INSERT INTO e VALUES (1, NULL, '2005-04-18'), (2, 'abc', NULL)")
     result = db.execute("SELECT COALESCE(v, day), COALESCE(day, 'n/a') FROM e")
     assert [str(t) for t in result.types] == ["TEXT", "TEXT"]
-    db.execute("CREATE TABLE f AS SELECT COALESCE(v, day) AS w FROM e")
+    # a table made from the result, as a mart materializes a view
+    copy = db.execute("SELECT COALESCE(v, day) AS w FROM e")
+    db.catalog.create_table(
+        "f", [Column(name=n, type=t) for n, t in zip(copy.columns, copy.types)]
+    ).append_rows(copy.rows)
     assert db.execute("SELECT w FROM f ORDER BY w").rows == [("2005-04-18",), ("abc",)]
