@@ -1,11 +1,14 @@
-"""SQL lexer: one compiled pattern, matched token by token.
+"""SQL lexer: one compiled pattern, one match per token.
 
-Keywords are recognized case-insensitively and carried upper-cased.
-Identifiers may be quoted as "x", MySQL `x` or MS-SQL [x], so text that
-any of our dialects generates re-lexes. Numbers are ASCII digits with an
-optional fraction and exponent; ``1e+`` is a syntax error, not a number,
-and so is a number glued to a word (``1ex``, ``12_000``, ``1and``), which
-would otherwise lex as a number and an alias.
+Each match skips whitespace and ``--``/``/* */`` comments and then takes
+one token, so the loop makes a single regex call per token and ends on
+a match that found only a trailing skip. Keywords are recognized
+case-insensitively and carried upper-cased. Identifiers may be quoted
+as "x", MySQL `x` or MS-SQL [x], so text that any of our dialects
+generates re-lexes. Numbers are ASCII digits with an optional fraction
+and exponent; ``1e+`` is a syntax error, not a number, and so is a
+number glued to a word (``1ex``, ``12_000``, ``1and``), which would
+otherwise lex as a number and an alias.
 """
 
 import enum
@@ -39,20 +42,25 @@ KEYWORDS = frozenset("""
     TIMESTAMP BLOB PRECISION
 """.split())
 
-# Tried in order at each position; operators longest first. A string ends at
-# the first quote not in a '' pair. tokenize rejects a word's non-letter start,
-# and a number that ends in an exponent sign or runs into a word character.
+# One match per token: a leading skip of whitespace and comments, then the
+# token, tried in order (operators longest first). The token is optional, so
+# a match never fails and never backtracks into the skip to give a comment
+# back; a match with no token is the end of input or a character no token
+# starts with. A string ends at the first quote not in a '' pair; an
+# unterminated /* is a comment token. tokenize rejects a word's non-letter
+# start, and a number that ends in an exponent sign or runs into a word
+# character.
 _TOKEN = re.compile(
-    r"""(?P<skip>\s+|--[^\n]*)
-    |(?P<comment>/\*)
-    |(?P<string>'[^']*(?:''[^']*)*'(?!'))
-    |(?P<quoted>"[^"]*"|`[^`]*`|\[[^\]]*\])
+    r"""(?:\s+|--[^\n]*|/\*.*?\*/)*
+    (?:(?P<word>[^\W\d][\w$]*)
     |(?P<number>(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[eE](?:[+-]?[0-9]+|[+-]))?\w?)
-    |(?P<word>\w[\w$]*)
-    |(?P<param>\?)
+    |(?P<punct>[(),.;])
+    |(?P<comment>/\*)
     |(?P<operator><>|!=|<=|>=|\|\||[=<>+\-*/%])
-    |(?P<punct>[(),.;])""",
-    re.VERBOSE,
+    |(?P<string>'[^']*(?:''[^']*)*'(?!'))
+    |(?P<param>\?)
+    |(?P<quoted>"[^"]*"|`[^`]*`|\[[^\]]*\]))?""",
+    re.VERBOSE | re.DOTALL,
 )
 _AS_IS = {kind: TokenType[kind.upper()] for kind in ("number", "param", "operator", "punct")}
 _UNTERMINATED = {"'": "unterminated string literal", '"': "unterminated quoted identifier",
@@ -71,33 +79,39 @@ class Token(NamedTuple):
 def tokenize(sql: str) -> list[Token]:
     """Tokenize ``sql``; raises :class:`SQLSyntaxError` on bad input."""
     tokens: list[Token] = []
+    append = tokens.append
+    new = tuple.__new__  # skips the NamedTuple's Python-level __new__
+    match = _TOKEN.match
+    keyword, ident = TokenType.KEYWORD, TokenType.IDENT
     pos = 0
-    while pos < len(sql):
-        m = _TOKEN.match(sql, pos)
-        kind, text = (m.lastgroup, m.group()) if m else (None, "")
-        if kind == "skip":
-            pass
-        elif kind == "word" and (text[0].isalpha() or text[0] == "_"):
-            upper = text.upper()
-            tokens.append(Token(TokenType.KEYWORD, upper, pos) if upper in KEYWORDS
-                          else Token(TokenType.IDENT, text, pos))
-        elif kind == "comment":
-            end = sql.find("*/", pos + 2)
-            if end == -1:
-                raise SQLSyntaxError("unterminated block comment", pos, sql)
-            pos = end + 2
-            continue
-        elif kind == "string":
-            tokens.append(Token(TokenType.STRING, text[1:-1].replace("''", "'"), pos))
-        elif kind == "quoted":
-            tokens.append(Token(TokenType.IDENT, text[1:-1], pos))
-        elif kind == "number" and text[-1] not in "0123456789.":
-            raise SQLSyntaxError("malformed number", pos, sql)
-        elif kind in _AS_IS:
-            tokens.append(Token(_AS_IS[kind], text, pos))
-        else:
+    while True:
+        m = match(sql, pos)
+        kind = m.lastgroup
+        pos = m.end()
+        if kind is None:
+            if pos == len(sql):
+                break
             ch = sql[pos]
             raise SQLSyntaxError(_UNTERMINATED.get(ch, f"unexpected character {ch!r}"), pos, sql)
-        pos = m.end()
-    tokens.append(Token(TokenType.EOF, "", len(sql)))
+        text = m[kind]
+        start = pos - len(text)
+        if kind == "word":
+            upper = text.upper()
+            if upper in KEYWORDS:
+                append(new(Token, (keyword, upper, start)))
+            elif text[0].isalpha() or text[0] == "_":
+                append(new(Token, (ident, text, start)))
+            else:
+                raise SQLSyntaxError(f"unexpected character {text[0]!r}", start, sql)
+        elif kind in _AS_IS:
+            if kind == "number" and text[-1] not in "0123456789.":
+                raise SQLSyntaxError("malformed number", start, sql)
+            append(new(Token, (_AS_IS[kind], text, start)))
+        elif kind == "string":
+            append(new(Token, (TokenType.STRING, text[1:-1].replace("''", "'"), start)))
+        elif kind == "quoted":
+            append(new(Token, (ident, text[1:-1], start)))
+        else:
+            raise SQLSyntaxError("unterminated block comment", start, sql)
+    append(new(Token, (TokenType.EOF, "", len(sql))))
     return tokens

@@ -3,9 +3,13 @@
 The accepted grammar is the vendor-neutral core the system issues and
 every dialect can emit: SELECT (joins, grouping, ordering, limits) and
 UNION [ALL], INSERT … VALUES, CREATE TABLE, CREATE VIEW and ALTER TABLE
-… ADD COLUMN. MS-SQL
-``SELECT TOP n`` is accepted and normalized into ``limit`` so that text
-produced by the MSSQL dialect re-parses.
+… ADD COLUMN. MS-SQL ``SELECT TOP n`` is accepted and normalized into
+``limit`` so that text produced by the MSSQL dialect re-parses.
+
+Binary operators are parsed by two precedence-climbing loops, each
+building left-associative ``BinaryOp`` chains from a binding table: OR
+and AND over NOT-terms, and ``+ - ||`` and ``* / %`` over unary terms.
+Comparisons, IS/IN/BETWEEN/LIKE and unary NOT sit between the two.
 """
 
 from __future__ import annotations
@@ -19,32 +23,30 @@ from repro.sql.lexer import Token, TokenType, tokenize
 
 # Vendor type-name spellings normalized to logical kinds.
 _TYPE_KEYWORDS = {
-    "INT": TypeKind.INTEGER,
-    "INTEGER": TypeKind.INTEGER,
-    "SMALLINT": TypeKind.INTEGER,
+    **dict.fromkeys(("INT", "INTEGER", "SMALLINT"), TypeKind.INTEGER),
     "BIGINT": TypeKind.BIGINT,
-    "FLOAT": TypeKind.FLOAT,
-    "REAL": TypeKind.FLOAT,
+    **dict.fromkeys(("FLOAT", "REAL"), TypeKind.FLOAT),
     "DOUBLE": TypeKind.DOUBLE,
-    "DECIMAL": TypeKind.DECIMAL,
-    "NUMERIC": TypeKind.DECIMAL,
-    "NUMBER": TypeKind.DECIMAL,
-    "VARCHAR": TypeKind.VARCHAR,
-    "VARCHAR2": TypeKind.VARCHAR,
-    "NVARCHAR": TypeKind.VARCHAR,
+    **dict.fromkeys(("DECIMAL", "NUMERIC", "NUMBER"), TypeKind.DECIMAL),
+    **dict.fromkeys(("VARCHAR", "VARCHAR2", "NVARCHAR"), TypeKind.VARCHAR),
     "CHAR": TypeKind.CHAR,
-    "TEXT": TypeKind.TEXT,
-    "CLOB": TypeKind.TEXT,
-    "BOOLEAN": TypeKind.BOOLEAN,
-    "BOOL": TypeKind.BOOLEAN,
+    **dict.fromkeys(("TEXT", "CLOB"), TypeKind.TEXT),
+    **dict.fromkeys(("BOOLEAN", "BOOL"), TypeKind.BOOLEAN),
     "DATE": TypeKind.DATE,
-    "DATETIME": TypeKind.TIMESTAMP,
-    "TIMESTAMP": TypeKind.TIMESTAMP,
+    **dict.fromkeys(("DATETIME", "TIMESTAMP"), TypeKind.TIMESTAMP),
     "BLOB": TypeKind.BLOB,
 }
 
 _COMPARISON_OPS = {"=", "<>", "!=", "<", "<=", ">", ">="}
 _LITERAL_KEYWORDS = {"NULL": None, "TRUE": True, "FALSE": False}
+_AGGREGATES = ("COUNT", "SUM", "AVG", "MIN", "MAX")
+# Binding strength of the binary operators, one table per climbing loop.
+_LOGICAL = {"OR": 1, "AND": 2}
+_ARITHMETIC = {"+": 1, "-": 1, "||": 1, "*": 2, "/": 2, "%": 2}
+
+_KEYWORD, _IDENT, _OPERATOR, _PUNCT = (
+    TokenType.KEYWORD, TokenType.IDENT, TokenType.OPERATOR, TokenType.PUNCT
+)
 
 
 class _Parser:
@@ -52,56 +54,68 @@ class _Parser:
         self.sql = sql
         self.tokens = tokenize(sql)
         self.pos = 0
+        self.current = self.tokens[0]
         self.param_count = 0
 
     # Token plumbing -----------------------------------------------------------
-
-    @property
-    def current(self) -> Token:
-        return self.tokens[self.pos]
+    # ``current`` is ``tokens[pos]``, kept as a plain attribute: advance moves
+    # both, and the one-word checks inline it past a token known not to be EOF.
 
     def advance(self) -> Token:
-        tok = self.tokens[self.pos]
+        tok = self.current
         if tok.type is not TokenType.EOF:
             self.pos += 1
+            self.current = self.tokens[self.pos]
         return tok
 
-    def check_keyword(self, *words: str) -> bool:
-        return self.current.type is TokenType.KEYWORD and self.current.value in words
+    def check_keyword(self, word: str) -> bool:
+        tok = self.current
+        return tok.value == word and tok.type is _KEYWORD
 
-    def accept_keyword(self, *words: str) -> bool:
-        if self.check_keyword(*words):
-            self.advance()
+    def accept_keyword(self, word: str) -> bool:
+        tok = self.current
+        if tok.value == word and tok.type is _KEYWORD:
+            self.pos += 1
+            self.current = self.tokens[self.pos]
             return True
         return False
 
-    def expect_keyword(self, word: str) -> Token:
-        if not self.check_keyword(word):
-            raise SQLSyntaxError(
-                f"expected {word}, found {self.current.value!r}", self.current.position, self.sql
-            )
-        return self.advance()
+    def error(self, message: str, tok: Token | None = None) -> SQLSyntaxError:
+        """``message`` at ``tok``'s position (the current token by default)."""
+        return SQLSyntaxError(message, (tok or self.current).position, self.sql)
+
+    def expect_keyword(self, word: str) -> None:
+        tok = self.current
+        if tok.value != word or tok.type is not _KEYWORD:
+            raise self.error(f"expected {word}, found {tok.value!r}")
+        self.pos += 1
+        self.current = self.tokens[self.pos]
 
     def accept_punct(self, value: str) -> bool:
-        if self.current.matches(TokenType.PUNCT, value):
-            self.advance()
+        tok = self.current
+        if tok.value == value and tok.type is _PUNCT:
+            self.pos += 1
+            self.current = self.tokens[self.pos]
             return True
         return False
 
-    def expect_punct(self, value: str) -> Token:
-        if not self.current.matches(TokenType.PUNCT, value):
-            raise SQLSyntaxError(
-                f"expected {value!r}, found {self.current.value!r}",
-                self.current.position,
-                self.sql,
-            )
-        return self.advance()
+    def expect_punct(self, value: str) -> None:
+        tok = self.current
+        if tok.value != value or tok.type is not _PUNCT:
+            raise self.error(f"expected {value!r}, found {tok.value!r}")
+        self.pos += 1
+        self.current = self.tokens[self.pos]
 
-    def accept_operator(self, value: str) -> bool:
-        if self.current.matches(TokenType.OPERATOR, value):
-            self.advance()
-            return True
-        return False
+    def comma_list(self, parse_one) -> list:
+        """One or more ``parse_one()`` results separated by commas."""
+        items = [parse_one()]
+        while self.accept_punct(","):
+            items.append(parse_one())
+        return items
+
+    def expect_end(self) -> None:
+        if self.current.type is not TokenType.EOF:
+            raise self.error(f"unexpected trailing input {self.current.value!r}")
 
     def expect_identifier(self) -> str:
         tok = self.current
@@ -113,16 +127,12 @@ class _Parser:
         if tok.type is TokenType.KEYWORD and tok.value in ("DATE", "KEY", "INDEX", "COLUMN"):
             self.advance()
             return tok.value.lower()
-        raise SQLSyntaxError(
-            f"expected identifier, found {tok.value!r}", tok.position, self.sql
-        )
+        raise self.error(f"expected identifier, found {tok.value!r}")
 
     def expect_integer(self) -> int:
         tok = self.current
         if tok.type is not TokenType.NUMBER or not tok.value.isdigit():
-            raise SQLSyntaxError(
-                f"expected integer, found {tok.value!r}", tok.position, self.sql
-            )
+            raise self.error(f"expected integer, found {tok.value!r}")
         return self.parse_number()
 
     def parse_number(self) -> int | float:
@@ -131,24 +141,21 @@ class _Parser:
         try:
             return int(tok.value) if tok.value.isdigit() else float(tok.value)
         except ValueError as exc:  # e.g. an int longer than int() converts
-            raise SQLSyntaxError("malformed number", tok.position, self.sql) from exc
+            raise self.error("malformed number", tok) from exc
 
     # Statements ---------------------------------------------------------------
 
     def parse_statement(self) -> ast.Statement:
-        if self.check_keyword("SELECT"):
-            return self.parse_select_chain()
-        if self.check_keyword("INSERT"):
-            return self.parse_insert()
-        if self.check_keyword("CREATE"):
-            return self.parse_create()
-        if self.check_keyword("ALTER"):
-            return self.parse_alter()
-        raise SQLSyntaxError(
-            f"unsupported statement starting with {self.current.value!r}",
-            self.current.position,
-            self.sql,
-        )
+        tok = self.current
+        parse = {
+            "SELECT": self.parse_select_chain,
+            "INSERT": self.parse_insert,
+            "CREATE": self.parse_create,
+            "ALTER": self.parse_alter,
+        }.get(tok.value) if tok.type is _KEYWORD else None
+        if parse is None:
+            raise self.error(f"unsupported statement starting with {tok.value!r}")
+        return parse()
 
     def parse_select_chain(self) -> ast.Statement:
         """A SELECT, or a UNION [ALL] chain of SELECTs."""
@@ -161,18 +168,10 @@ class _Parser:
             all_flags.add(self.accept_keyword("ALL"))
             selects.append(self.parse_select())
         if len(all_flags) > 1:
-            raise SQLSyntaxError(
-                "mixing UNION and UNION ALL in one chain is not supported",
-                self.current.position,
-                self.sql,
-            )
+            raise self.error("mixing UNION and UNION ALL in one chain is not supported")
         for branch in selects[:-1]:
             if branch.order_by or branch.limit is not None or branch.offset is not None:
-                raise SQLSyntaxError(
-                    "ORDER BY/LIMIT are only allowed after the last UNION branch",
-                    self.current.position,
-                    self.sql,
-                )
+                raise self.error("ORDER BY/LIMIT are only allowed after the last UNION branch")
         # the trailing ORDER BY/LIMIT the last branch swallowed belong to
         # the whole union
         last = selects[-1]
@@ -188,17 +187,13 @@ class _Parser:
     def parse_select(self) -> ast.Select:
         self.expect_keyword("SELECT")
         limit: int | None = None
-        distinct = False
-        if self.accept_keyword("DISTINCT"):
-            distinct = True
-        elif self.accept_keyword("ALL"):
-            pass
+        distinct = self.accept_keyword("DISTINCT")
+        if not distinct:
+            self.accept_keyword("ALL")
         if self.accept_keyword("TOP"):  # MS-SQL spelling, normalized to limit
             limit = self.expect_integer()
 
-        items = [self.parse_select_item()]
-        while self.accept_punct(","):
-            items.append(self.parse_select_item())
+        items = self.comma_list(self.parse_select_item)
 
         from_: list[ast.TableRef] = []
         joins: list[ast.Join] = []
@@ -218,18 +213,14 @@ class _Parser:
         group_by: list[ast.Expr] = []
         if self.accept_keyword("GROUP"):
             self.expect_keyword("BY")
-            group_by.append(self.parse_expression())
-            while self.accept_punct(","):
-                group_by.append(self.parse_expression())
+            group_by = self.comma_list(self.parse_expression)
 
         having = self.parse_expression() if self.accept_keyword("HAVING") else None
 
         order_by: list[ast.OrderItem] = []
         if self.accept_keyword("ORDER"):
             self.expect_keyword("BY")
-            order_by.append(self.parse_order_item())
-            while self.accept_punct(","):
-                order_by.append(self.parse_order_item())
+            order_by = self.comma_list(self.parse_order_item)
 
         offset: int | None = None
         if self.accept_keyword("LIMIT"):
@@ -255,7 +246,7 @@ class _Parser:
         alias = None
         if self.accept_keyword("AS"):
             alias = self.expect_identifier()
-        elif self.current.type is TokenType.IDENT:
+        elif self.current.type is _IDENT:
             alias = self.advance().value
         return ast.SelectItem(expr=expr, alias=alias)
 
@@ -273,22 +264,21 @@ class _Parser:
         alias = None
         if self.accept_keyword("AS"):
             alias = self.expect_identifier()
-        elif self.current.type is TokenType.IDENT:
+        elif self.current.type is _IDENT:
             alias = self.advance().value
         return ast.TableRef(name=name, alias=alias)
 
     def try_parse_join(self) -> ast.Join | None:
-        kind: str | None = None
-        if self.accept_keyword("JOIN") or (
-            self.check_keyword("INNER") and self._accept_join_prefix("INNER")
-        ):
-            kind = "INNER"
-        elif self.check_keyword("LEFT") and self._accept_join_prefix("LEFT"):
-            kind = "LEFT"
-        elif self.check_keyword("CROSS") and self._accept_join_prefix("CROSS"):
-            kind = "CROSS"
-        if kind is None:
+        tok = self.current
+        if tok.type is not _KEYWORD or tok.value not in ("JOIN", "INNER", "LEFT", "CROSS"):
             return None
+        self.advance()
+        if tok.value == "JOIN":
+            kind = "INNER"
+        else:  # INNER, LEFT or CROSS [OUTER] JOIN
+            kind = tok.value
+            self.accept_keyword("OUTER")
+            self.expect_keyword("JOIN")
         table = self.parse_table_ref()
         on = None
         if kind != "CROSS":
@@ -296,34 +286,23 @@ class _Parser:
             on = self.parse_expression()
         return ast.Join(kind=kind, table=table, on=on)
 
-    def _accept_join_prefix(self, word: str) -> bool:
-        self.expect_keyword(word)
-        self.accept_keyword("OUTER")
-        self.expect_keyword("JOIN")
-        return True
-
     def parse_insert(self) -> ast.Insert:
         self.expect_keyword("INSERT")
         self.expect_keyword("INTO")
         table = self.expect_identifier()
         columns: list[str] = []
         if self.accept_punct("("):
-            columns.append(self.expect_identifier())
-            while self.accept_punct(","):
-                columns.append(self.expect_identifier())
+            columns = self.comma_list(self.expect_identifier)
             self.expect_punct(")")
         self.expect_keyword("VALUES")
-        rows: list[tuple[ast.Expr, ...]] = []
-        while True:
-            self.expect_punct("(")
-            values = [self.parse_expression()]
-            while self.accept_punct(","):
-                values.append(self.parse_expression())
-            self.expect_punct(")")
-            rows.append(tuple(values))
-            if not self.accept_punct(","):
-                break
+        rows = self.comma_list(self.parse_row)
         return ast.Insert(table=table, columns=tuple(columns), rows=tuple(rows))
+
+    def parse_row(self) -> tuple[ast.Expr, ...]:
+        self.expect_punct("(")
+        values = self.comma_list(self.parse_expression)
+        self.expect_punct(")")
+        return tuple(values)
 
     def parse_create(self) -> ast.Statement:
         self.expect_keyword("CREATE")
@@ -336,9 +315,7 @@ class _Parser:
                 if self.accept_keyword("PRIMARY"):
                     self.expect_keyword("KEY")
                     self.expect_punct("(")
-                    pk_names.append(self.expect_identifier())
-                    while self.accept_punct(","):
-                        pk_names.append(self.expect_identifier())
+                    pk_names += self.comma_list(self.expect_identifier)
                     self.expect_punct(")")
                 else:
                     columns.append(self.parse_column_def())
@@ -360,9 +337,7 @@ class _Parser:
             self.expect_keyword("AS")
             select = self.parse_select()
             return ast.CreateView(name=name, select=select)
-        raise SQLSyntaxError(
-            "expected TABLE or VIEW after CREATE", self.current.position, self.sql
-        )
+        raise self.error("expected TABLE or VIEW after CREATE")
 
     def parse_column_def(self) -> ast.ColumnDef:
         name = self.expect_identifier()
@@ -379,16 +354,12 @@ class _Parser:
             elif self.accept_keyword("NOT"):
                 self.expect_keyword("NULL")
                 not_null = True
-            elif self.accept_keyword("NULL"):
-                pass
-            elif self.accept_keyword("UNIQUE"):
+            elif self.accept_keyword("NULL") or self.accept_keyword("UNIQUE"):
                 pass
             elif self.accept_keyword("DEFAULT"):
                 expr = self.parse_primary()
                 if not isinstance(expr, ast.Literal):
-                    raise SQLSyntaxError(
-                        "DEFAULT must be a literal", self.current.position, self.sql
-                    )
+                    raise self.error("DEFAULT must be a literal")
                 default = expr.value
                 has_default = True
             else:
@@ -406,7 +377,7 @@ class _Parser:
         tok = self.current
         word = tok.value.upper() if tok.type in (TokenType.KEYWORD, TokenType.IDENT) else ""
         if word not in _TYPE_KEYWORDS:
-            raise SQLSyntaxError(f"unknown type name {tok.value!r}", tok.position, self.sql)
+            raise self.error(f"unknown type name {tok.value!r}")
         self.advance()
         kind = _TYPE_KEYWORDS[word]
         if word == "DOUBLE":
@@ -437,18 +408,21 @@ class _Parser:
 
     # Expressions (precedence climbing) ----------------------------------------
 
-    def fold(self, operand, ttype: TokenType, ops: tuple[str, ...]) -> ast.Expr:
-        """A left-associative chain of ``operand``s joined by ``ttype`` tokens in ``ops``."""
-        left = operand()
-        while self.current.type is ttype and self.current.value in ops:
-            left = ast.BinaryOp(self.advance().value, left, operand())
-        return left
-
     def parse_expression(self) -> ast.Expr:
-        return self.fold(self.parse_and, TokenType.KEYWORD, ("OR",))
+        return self.parse_logical(1)
 
-    def parse_and(self) -> ast.Expr:
-        return self.fold(self.parse_not, TokenType.KEYWORD, ("AND",))
+    def parse_logical(self, min_binding: int) -> ast.Expr:
+        """Left-associative OR/AND chains over NOT-terms; AND binds tighter."""
+        left = self.parse_not()
+        tok = self.current
+        while tok.type is _KEYWORD:
+            binding = _LOGICAL.get(tok.value, 0)
+            if binding < min_binding:
+                break
+            self.advance()
+            left = ast.BinaryOp(tok.value, left, self.parse_logical(binding + 1))
+            tok = self.current
+        return left
 
     def parse_not(self) -> ast.Expr:
         if self.accept_keyword("NOT"):
@@ -456,78 +430,100 @@ class _Parser:
         return self.parse_comparison()
 
     def parse_comparison(self) -> ast.Expr:
-        left = self.parse_additive()
+        left = self.parse_arithmetic(1)
         tok = self.current
-        if tok.type is TokenType.OPERATOR and tok.value in _COMPARISON_OPS:
+        if tok.type is _OPERATOR and tok.value in _COMPARISON_OPS:
             self.advance()
             op = "<>" if tok.value == "!=" else tok.value
-            return ast.BinaryOp(op, left, self.parse_additive())
+            return ast.BinaryOp(op, left, self.parse_arithmetic(1))
+        if tok.type is not _KEYWORD:
+            return left
+        word = tok.value
         negated = False
-        if self.check_keyword("NOT"):
+        if word == "NOT":
             # lookahead for NOT IN / NOT BETWEEN / NOT LIKE
-            nxt = self.tokens[self.pos + 1]
-            if nxt.type is TokenType.KEYWORD and nxt.value in ("IN", "BETWEEN", "LIKE"):
-                self.advance()
-                negated = True
-        if self.accept_keyword("IS"):
+            word = self.tokens[self.pos + 1].value
+            if self.tokens[self.pos + 1].type is not _KEYWORD or word not in (
+                "IN", "BETWEEN", "LIKE"
+            ):
+                return left
+            self.advance()
+            negated = True
+        if word == "IS":
+            self.advance()
             is_not = self.accept_keyword("NOT")
             self.expect_keyword("NULL")
             return ast.IsNull(left, negated=is_not)
-        if self.accept_keyword("IN"):
+        if word == "IN":
+            self.advance()
             self.expect_punct("(")
             if self.check_keyword("SELECT"):
                 subselect = self.parse_select()
                 self.expect_punct(")")
                 return ast.InSubquery(left, subselect, negated=negated)
-            items = [self.parse_expression()]
-            while self.accept_punct(","):
-                items.append(self.parse_expression())
+            items = self.comma_list(self.parse_expression)
             self.expect_punct(")")
             return ast.InList(left, tuple(items), negated=negated)
-        if self.accept_keyword("BETWEEN"):
-            low = self.parse_additive()
+        if word == "BETWEEN":
+            self.advance()
+            low = self.parse_arithmetic(1)
             self.expect_keyword("AND")
-            high = self.parse_additive()
+            high = self.parse_arithmetic(1)
             return ast.Between(left, low, high, negated=negated)
-        if self.accept_keyword("LIKE"):
-            return ast.Like(left, self.parse_additive(), negated=negated)
+        if word == "LIKE":
+            self.advance()
+            return ast.Like(left, self.parse_arithmetic(1), negated=negated)
         return left
 
-    def parse_additive(self) -> ast.Expr:
-        return self.fold(self.parse_multiplicative, TokenType.OPERATOR, ("+", "-", "||"))
-
-    def parse_multiplicative(self) -> ast.Expr:
-        return self.fold(self.parse_unary, TokenType.OPERATOR, ("*", "/", "%"))
+    def parse_arithmetic(self, min_binding: int) -> ast.Expr:
+        """Left-associative ``+ - ||`` / ``* / %`` chains over unary terms."""
+        left = self.parse_unary()
+        tok = self.current
+        while tok.type is _OPERATOR:
+            binding = _ARITHMETIC.get(tok.value, 0)
+            if binding < min_binding:
+                break
+            self.advance()
+            left = ast.BinaryOp(tok.value, left, self.parse_arithmetic(binding + 1))
+            tok = self.current
+        return left
 
     def parse_unary(self) -> ast.Expr:
-        if self.accept_operator("-"):
-            operand = self.parse_unary()
-            if isinstance(operand, ast.Literal) and isinstance(operand.value, (int, float)):
-                return ast.Literal(-operand.value)
-            return ast.UnaryOp("-", operand)
-        if self.accept_operator("+"):
-            return self.parse_unary()
-        return self.parse_primary()
+        tok = self.current
+        if tok.type is not _OPERATOR or tok.value not in ("-", "+"):
+            return self.parse_primary()
+        self.advance()
+        operand = self.parse_unary()
+        if tok.value == "+":
+            return operand
+        if isinstance(operand, ast.Literal) and isinstance(operand.value, (int, float)):
+            return ast.Literal(-operand.value)
+        return ast.UnaryOp("-", operand)
 
     def parse_primary(self) -> ast.Expr:
         tok = self.current
-        if tok.type is TokenType.NUMBER:
+        ttype = tok.type
+        if ttype is _IDENT:
+            self.advance()
+            return self.parse_name(tok.value)
+        if ttype is TokenType.NUMBER:
             return ast.Literal(self.parse_number())
-        if tok.type is TokenType.STRING:
+        if ttype is TokenType.STRING:
             self.advance()
             return ast.Literal(tok.value)
-        if tok.type is TokenType.PARAM:
+        if ttype is TokenType.PARAM:
             self.advance()
             param = ast.Param(self.param_count)
             self.param_count += 1
             return param
-        if tok.type is TokenType.KEYWORD:
-            if tok.value in _LITERAL_KEYWORDS:
+        if ttype is _KEYWORD:
+            word = tok.value
+            if word in _LITERAL_KEYWORDS:
                 self.advance()
-                return ast.Literal(_LITERAL_KEYWORDS[tok.value])
-            if tok.value == "CASE":
+                return ast.Literal(_LITERAL_KEYWORDS[word])
+            if word == "CASE":
                 return self.parse_case()
-            if tok.value == "CAST":
+            if word == "CAST":
                 self.advance()
                 self.expect_punct("(")
                 operand = self.parse_expression()
@@ -535,19 +531,22 @@ class _Parser:
                 target = self.parse_type()
                 self.expect_punct(")")
                 return ast.Cast(operand, target)
-            if tok.value in ("COUNT", "SUM", "AVG", "MIN", "MAX"):
+            if word in _AGGREGATES:
                 self.advance()
-                return self.parse_function_call(tok.value)
-        if tok.matches(TokenType.OPERATOR, "*"):
+                return self.parse_function_call(word)
+            if word == "EXISTS":
+                self.advance()
+                self.expect_punct("(")
+                subselect = self.parse_select()
+                self.expect_punct(")")
+                return ast.Exists(subselect)
+            if word in ("DATE", "KEY"):
+                self.advance()
+                return self.parse_name(word.lower())
+        elif ttype is _OPERATOR and tok.value == "*":
             self.advance()
             return ast.Star()
-        if tok.type is TokenType.KEYWORD and tok.value == "EXISTS":
-            self.advance()
-            self.expect_punct("(")
-            subselect = self.parse_select()
-            self.expect_punct(")")
-            return ast.Exists(subselect)
-        if self.accept_punct("("):
+        elif self.accept_punct("("):
             if self.check_keyword("SELECT"):
                 subselect = self.parse_select()
                 self.expect_punct(")")
@@ -555,33 +554,28 @@ class _Parser:
             expr = self.parse_expression()
             self.expect_punct(")")
             return expr
-        if tok.type is TokenType.IDENT or (
-            tok.type is TokenType.KEYWORD and tok.value in ("DATE", "KEY")
-        ):
-            name = self.expect_identifier()
-            # function call?
-            if self.current.matches(TokenType.PUNCT, "("):
+        raise self.error(f"unexpected token {tok.value!r} in expression")
+
+    def parse_name(self, name: str) -> ast.Expr:
+        """What follows a name: a function call, ``name.column``, ``name.*`` or nothing."""
+        tok = self.current
+        if tok.type is _PUNCT:
+            if tok.value == "(":
                 return self.parse_function_call(name.upper())
-            # qualified reference table.column or table.*
-            if self.accept_punct("."):
-                if self.current.matches(TokenType.OPERATOR, "*"):
+            if tok.value == ".":
+                self.advance()
+                if self.current.matches(_OPERATOR, "*"):
                     self.advance()
                     return ast.Star(table=name)
-                column = self.expect_identifier()
-                return ast.ColumnRef(column=column, table=name)
-            return ast.ColumnRef(column=name)
-        raise SQLSyntaxError(
-            f"unexpected token {tok.value!r} in expression", tok.position, self.sql
-        )
+                return ast.ColumnRef(column=self.expect_identifier(), table=name)
+        return ast.ColumnRef(column=name)
 
     def parse_function_call(self, name: str) -> ast.Expr:
         self.expect_punct("(")
         distinct = self.accept_keyword("DISTINCT")
         args: list[ast.Expr] = []
-        if not self.current.matches(TokenType.PUNCT, ")"):
-            args.append(self.parse_expression())
-            while self.accept_punct(","):
-                args.append(self.parse_expression())
+        if not self.current.matches(_PUNCT, ")"):
+            args = self.comma_list(self.parse_expression)
         self.expect_punct(")")
         return ast.FunctionCall(name=name, args=tuple(args), distinct=distinct)
 
@@ -596,7 +590,7 @@ class _Parser:
         else_ = self.parse_expression() if self.accept_keyword("ELSE") else None
         self.expect_keyword("END")
         if not whens:
-            raise SQLSyntaxError("CASE requires at least one WHEN", self.current.position, self.sql)
+            raise self.error("CASE requires at least one WHEN")
         return ast.Case(tuple(whens), else_)
 
 
@@ -605,12 +599,7 @@ def parse_statement(sql: str) -> ast.Statement:
     parser = _Parser(sql)
     stmt = parser.parse_statement()
     parser.accept_punct(";")
-    if parser.current.type is not TokenType.EOF:
-        raise SQLSyntaxError(
-            f"unexpected trailing input {parser.current.value!r}",
-            parser.current.position,
-            sql,
-        )
+    parser.expect_end()
     return stmt
 
 
@@ -626,10 +615,5 @@ def parse_expression(sql: str) -> ast.Expr:
     """Parse a standalone scalar/boolean expression."""
     parser = _Parser(sql)
     expr = parser.parse_expression()
-    if parser.current.type is not TokenType.EOF:
-        raise SQLSyntaxError(
-            f"unexpected trailing input {parser.current.value!r}",
-            parser.current.position,
-            sql,
-        )
+    parser.expect_end()
     return expr
