@@ -33,9 +33,9 @@ KEYWORDS = frozenset("""
     SELECT FROM WHERE GROUP BY HAVING ORDER ASC DESC LIMIT OFFSET TOP
     DISTINCT ALL AS AND OR NOT IN IS NULL LIKE BETWEEN EXISTS UNION
     INSERT INTO VALUES UPDATE SET DELETE CREATE TABLE VIEW INDEX DROP
-    ALTER ADD COLUMN RENAME TO PRIMARY KEY FOREIGN REFERENCES UNIQUE
+    ALTER ADD COLUMN TO PRIMARY KEY FOREIGN REFERENCES UNIQUE
     DEFAULT CHECK JOIN INNER LEFT RIGHT FULL OUTER CROSS ON USING
-    CASE WHEN THEN ELSE END CAST TRUE FALSE IF
+    CASE WHEN THEN ELSE END CAST TRUE FALSE
     COUNT SUM AVG MIN MAX
     INTEGER INT BIGINT SMALLINT FLOAT DOUBLE REAL DECIMAL NUMERIC NUMBER
     VARCHAR VARCHAR2 CHAR TEXT CLOB NVARCHAR BOOLEAN BOOL DATE DATETIME

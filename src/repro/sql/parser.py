@@ -40,6 +40,9 @@ _TYPE_KEYWORDS = {
 _COMPARISON_OPS = {"=", "<>", "!=", "<", "<=", ">", ">="}
 _LITERAL_KEYWORDS = {"NULL": None, "TRUE": True, "FALSE": False}
 _AGGREGATES = ("COUNT", "SUM", "AVG", "MIN", "MAX")
+# Keywords that also name columns and tables, wherever an identifier may
+# stand (sqlite3 takes these three as names, and refuses INDEX).
+_KEYWORD_NAMES = ("COLUMN", "DATE", "KEY")
 # Binding strength of the binary operators, one table per climbing loop.
 _LOGICAL = {"OR": 1, "AND": 2}
 _ARITHMETIC = {"+": 1, "-": 1, "||": 1, "*": 2, "/": 2, "%": 2}
@@ -119,12 +122,10 @@ class _Parser:
 
     def expect_identifier(self) -> str:
         tok = self.current
-        # Unreserved keywords used as identifiers are common (e.g. a column
-        # named "date"); allow a small safe subset.
-        if tok.type is TokenType.IDENT:
+        if tok.type is _IDENT:
             self.advance()
             return tok.value
-        if tok.type is TokenType.KEYWORD and tok.value in ("DATE", "KEY", "INDEX", "COLUMN"):
+        if tok.type is _KEYWORD and tok.value in _KEYWORD_NAMES:
             self.advance()
             return tok.value.lower()
         raise self.error(f"expected identifier, found {tok.value!r}")
@@ -540,7 +541,7 @@ class _Parser:
                 subselect = self.parse_select()
                 self.expect_punct(")")
                 return ast.Exists(subselect)
-            if word in ("DATE", "KEY"):
+            if word in _KEYWORD_NAMES:
                 self.advance()
                 return self.parse_name(word.lower())
         elif ttype is _OPERATOR and tok.value == "*":

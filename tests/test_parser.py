@@ -1,5 +1,7 @@
 """Unit tests for the SQL parser."""
 
+import sqlite3
+
 import pytest
 
 from repro.common import SQLSyntaxError, TypeKind
@@ -343,3 +345,34 @@ class TestDroppedForms:
         assert db.execute("SELECT * FROM t").rows == [(1, 2)]
         report = lint_sql(sql, CatalogSchema(db))
         assert [d.code for d in report.diagnostics] == ["RPR001"]
+
+
+class TestKeywordNames:
+    """COLUMN, DATE and KEY are keywords that also name columns, in DDL,
+    select lists and WHERE alike; IF and RENAME are not keywords; INDEX is
+    never a name. The engine, lint and sqlite3 agree on each."""
+
+    NAMES = {"column": True, "date": True, "key": True, "if": True, "rename": True,
+             "index": False}
+
+    @pytest.mark.parametrize("name", sorted(NAMES))
+    def test_engine_lint_and_sqlite3_agree(self, name):
+        texts = [f"CREATE TABLE t ({name} INT)", f"INSERT INTO t ({name}) VALUES (7)",
+                 f"SELECT {name} FROM t", f"SELECT {name} FROM t WHERE {name} = 7"]
+        lite = sqlite3.connect(":memory:")
+        db = Database("names", "generic")
+        for sql in texts:
+            if not self.NAMES[name]:
+                with pytest.raises(sqlite3.OperationalError, match="syntax error"):
+                    lite.execute(sql)
+                with pytest.raises(SQLSyntaxError):
+                    db.execute(sql)
+                codes = [d.code for d in lint_sql(sql, CatalogSchema(db)).diagnostics]
+                assert codes == ["RPR001"], sql
+                continue
+            expected = lite.execute(sql).fetchall()
+            assert "RPR001" not in [d.code for d in lint_sql(sql, CatalogSchema(db)).diagnostics]
+            result = db.execute(sql)
+            if sql.startswith("SELECT"):
+                assert result.columns == [name]
+                assert result.rows == expected == [(7,)]
