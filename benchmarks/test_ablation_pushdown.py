@@ -12,7 +12,6 @@ import pytest
 from repro.common.rng import DeterministicRNG
 from repro.dialects import get_dialect
 from repro.driver import Directory
-from repro.engine import Database
 from repro.metadata import DataDictionary, generate_lower_xspec
 from repro.net import Network, SimClock
 from repro.unity import UnityDriver

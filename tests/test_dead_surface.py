@@ -36,6 +36,14 @@ count. The parameters of a method named in a Clarens ``exposed`` tuple
 (input from the wire), ``argv`` of a CLI ``main``, and the parameters
 of a definition in :data:`ALLOWED` are exempt.
 
+The third rule flags a name that an ``import`` or ``from … import``
+binds and its module never reads, in ``src``, ``tests``, ``benchmarks``
+and ``examples`` (ruff's F401, which CI runs but a bare checkout may
+not have). A read is an ``ast.Name`` anywhere in the module (a
+lenient, scope-blind check) or a name in a string annotation. An
+``__init__.py`` (its imports are re-exports), a name listed in
+``__all__`` and an import line marked ``# noqa: F401`` are exempt.
+
 Run it as a script to print what it finds as ``path:line name`` or
 ``path:line name(param)``.
 """
@@ -51,6 +59,8 @@ from typing import NamedTuple
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 #: the non-test code whose references keep a definition alive
 REFERENCE_ROOTS = ("src", "benchmarks", "perfbench", "examples", "setup.py")
+#: the code whose imports must each be read
+IMPORT_ROOTS = ("src", "tests", "benchmarks", "examples")
 
 #: decorators that wrap a definition without registering it anywhere
 PLAIN_DECORATORS = frozenset({
@@ -407,6 +417,56 @@ def report(root: pathlib.Path, allowed: dict[str, str]) -> list[str]:
     return problems
 
 
+def _read_names(tree: ast.Module) -> set[str]:
+    """Names the module reads: every ``ast.Name``, the names inside
+    string annotations, and the entries of ``__all__``."""
+    read = set()
+    annotations = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            read.add(node.id)
+        elif isinstance(node, ast.arg):
+            annotations.append(node.annotation)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            annotations.append(node.returns)
+        elif isinstance(node, ast.AnnAssign):
+            annotations.append(node.annotation)
+    for note in annotations:
+        if isinstance(note, ast.Constant) and isinstance(note.value, str):
+            read |= {n.id for n in ast.walk(ast.parse(note.value, mode="eval"))
+                     if isinstance(n, ast.Name)}
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            read |= {n.value for n in ast.walk(node.value) if isinstance(n, ast.Constant)}
+    return read
+
+
+def unused_imports(root: pathlib.Path) -> list[str]:
+    """``path:line name`` for each imported name its module never reads."""
+    found = []
+    for top in IMPORT_ROOTS:
+        for path in sorted((root / top).rglob("*.py")):
+            if path.name == "__init__.py":
+                continue
+            text = path.read_text(encoding="utf-8")
+            lines = text.splitlines()
+            tree = ast.parse(text, filename=str(path))
+            read = _read_names(tree)
+            for node in ast.walk(tree):
+                if not isinstance(node, (ast.Import, ast.ImportFrom)):
+                    continue
+                if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                    continue
+                if any("noqa: F401" in line for line in lines[node.lineno - 1:node.end_lineno]):
+                    continue
+                for alias in node.names:
+                    bound = alias.asname or alias.name.split(".")[0]
+                    if alias.name != "*" and bound not in read:
+                        found.append(f"{path.relative_to(root).as_posix()}:{node.lineno} {bound}")
+    return found
+
+
 # ---------------------------------------------------------------- the gate
 
 
@@ -421,6 +481,14 @@ def test_no_dead_surface_in_src():
 
 def test_every_allowed_entry_has_a_reason():
     assert all(reason.strip() for reason in ALLOWED.values())
+
+
+def test_every_import_is_read():
+    unused = unused_imports(ROOT)
+    assert not unused, (
+        "imported names their module never reads (delete the import, or mark "
+        "the line '# noqa: F401 - <reason>'):\n  " + "\n  ".join(unused)
+    )
 
 
 # ------------------------------------------------- the scanner on a toy tree
@@ -679,5 +747,40 @@ def test_report_names_stale_knob_entries(tmp_path):
     assert report(root, {"mod.py:K": "api"}) == ["src/repro/mod.py:1 f(b)"]
 
 
+# ------------------------------------------- the unused-import rule on a toy tree
+
+
+def test_unused_import_rule(tmp_path):
+    root = _tree(tmp_path, {
+        "src/repro/__init__.py": "from repro.mod import f\n",
+        "src/repro/mod.py": (
+            "from __future__ import annotations\n"
+            "import os\n"
+            "import os.path\n"
+            "import json as j\n"
+            "from typing import Any, Optional\n"
+            "from repro.other import kept  # noqa: F401 - a binding other code patches\n"
+            "from repro.other import (\n"
+            "    listed,\n"
+            "    unread,\n"
+            ")\n"
+            "__all__ = ['listed']\n"
+            "def f(x: 'Optional[int]') -> Any:\n"
+            "    import re\n"
+            "    return os.sep\n"
+        ),
+        "tests/test_mod.py": "import pytest\nfrom repro.mod import f\nf(1)\n",
+        "examples/demo.py": "import sys\nprint(sys.argv)\n",
+        "benchmarks/bench.py": "from repro.mod import f, g\ng()\n",
+    })
+    assert unused_imports(root) == [
+        "src/repro/mod.py:4 j",
+        "src/repro/mod.py:7 unread",
+        "src/repro/mod.py:13 re",
+        "tests/test_mod.py:1 pytest",
+        "benchmarks/bench.py:1 f",
+    ]
+
+
 if __name__ == "__main__":
-    print("\n".join(report(ROOT, ALLOWED)) or "no dead surface")
+    print("\n".join(report(ROOT, ALLOWED) + unused_imports(ROOT)) or "no dead surface")
