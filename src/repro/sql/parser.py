@@ -443,13 +443,11 @@ class _Parser:
         negated = False
         if word == "NOT":
             # lookahead for NOT IN / NOT BETWEEN / NOT LIKE
-            word = self.tokens[self.pos + 1].value
-            if self.tokens[self.pos + 1].type is not _KEYWORD or word not in (
-                "IN", "BETWEEN", "LIKE"
-            ):
+            nxt = self.tokens[self.pos + 1]
+            if nxt.type is not _KEYWORD or nxt.value not in ("IN", "BETWEEN", "LIKE"):
                 return left
             self.advance()
-            negated = True
+            word, negated = nxt.value, True
         if word == "IS":
             self.advance()
             is_not = self.accept_keyword("NOT")
