@@ -376,7 +376,7 @@ class _Parser:
 
     def parse_type(self) -> SQLType:
         tok = self.current
-        word = tok.value.upper() if tok.type in (TokenType.KEYWORD, TokenType.IDENT) else ""
+        word = tok.value.upper() if tok.type in (_KEYWORD, _IDENT) else ""
         if word not in _TYPE_KEYWORDS:
             raise self.error(f"unknown type name {tok.value!r}")
         self.advance()
