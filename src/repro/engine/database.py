@@ -197,12 +197,10 @@ class Database:
 
     def _execute_insert(self, stmt: ast.Insert, params: tuple) -> ExecResult:
         table = self.catalog.get_table(stmt.table)
-        columns = list(stmt.columns) or None
         empty = RowSchema([])
-        for row_exprs in stmt.rows:
-            values = [compile_expr(e, empty, params)(()) for e in row_exprs]
-            table.insert(values, columns)
-        return ExecResult(rowcount=len(stmt.rows))
+        rows = [[compile_expr(e, empty, params)(()) for e in row_exprs] for row_exprs in stmt.rows]
+        # one batch: a row that fails leaves the whole statement unstored
+        return ExecResult(rowcount=table.append_rows(rows, list(stmt.columns) or None))
 
     # -- bulk API used by ETL/materialization ------------------------------------------
 

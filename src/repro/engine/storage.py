@@ -1,6 +1,10 @@
 """Row storage for one table, with constraints and a sorted range index.
 
-Rows are stored as tuples in insertion order. A primary-key hash map
+Rows are stored as tuples in insertion order. Every write goes through
+one staging routine (``TableStorage._stage``), which coerces a batch,
+checks NOT NULL and primary-key uniqueness, and raises before any row
+lands: SQL INSERT (one batch per statement), bulk appends and the
+monitor's wholesale system-table refreshes alike. A primary-key hash map
 enforces uniqueness and is maintained eagerly. The one access path is a
 sorted ``(keys, positions)`` index on a single-column numeric primary
 key. It is built lazily on the first range lookup and dropped on every
@@ -112,7 +116,8 @@ class TableStorage:
         self._plans: dict[tuple[str, ...], list[tuple[int | None, object]] | None] = {}
         pk_cols = [i for i, c in enumerate(self.columns) if c.primary_key]
         self._pk_positions: tuple[int, ...] = tuple(pk_cols)
-        self._pk_index: dict[tuple, int] | None = {} if pk_cols else None
+        # primary key -> row position (empty without a primary key)
+        self._pk_index: dict[tuple, int] = {}
         # the single numeric primary-key column: the one with a sorted
         # access path
         self.range_column: str | None = None
@@ -170,81 +175,61 @@ class TableStorage:
         self._plans[key] = plan
         return plan
 
-    def _check_and_coerce(
-        self, values: Sequence, partial_columns: list[str] | None
-    ) -> tuple:
-        """Coerce ``values`` onto full column order, applying defaults."""
-        if partial_columns is None:
-            if len(values) != len(self.columns):
-                raise IntegrityError(
-                    f"table {self.name!r} expects {len(self.columns)} values, got {len(values)}"
-                )
-            ordered = values
-        else:
-            if len(values) != len(partial_columns):
-                raise IntegrityError(
-                    f"INSERT column list has {len(partial_columns)} names but "
-                    f"{len(values)} values"
-                )
-            plan = self._insert_plan(partial_columns)
-            ordered = values if plan is None else [
-                default if index is None else values[index] for index, default in plan
-            ]
-        out = []
-        for col, value in zip(self.columns, ordered):
-            coerced = None if value is None else coerce_value(value, col.type)
-            if coerced is None and col.not_null:
-                raise IntegrityError(
-                    f"NULL violates NOT NULL on {self.name}.{col.name}"
-                )
-            out.append(coerced)
-        return tuple(out)
-
     def insert(self, values: Sequence, columns: list[str] | None = None) -> tuple:
-        """Insert one row; returns the stored (coerced) tuple."""
-        row = self._check_and_coerce(values, columns)
-        if self._pk_index is not None:
-            key = tuple(row[i] for i in self._pk_positions)
-            if key in self._pk_index:
-                raise IntegrityError(
-                    f"duplicate primary key {key!r} in table {self.name!r}"
-                )
-            self._pk_index[key] = len(self.rows)
-        self.rows.append(row)
-        self._sorted = _STALE
-        return row
+        """Insert one row, as a one-row :meth:`append_rows`; returns the
+        stored (coerced) tuple. The ETL load's per-row fallback uses it."""
+        self.append_rows([values], columns)
+        return self.rows[-1]
 
     def append_rows(
         self, rows: list[Sequence], columns: list[str] | None = None
     ) -> int:
-        """Bulk insert: validate every row, then commit the batch at once.
+        """Bulk insert: stage every row (:meth:`_stage`), then commit the
+        batch at once.
 
         All-or-nothing — constraint violations (including duplicate keys
         *within* the batch) raise before any row lands, and the range
-        indexes are dropped once instead of per row. This is what the
-        scratch-engine merge, the testbed loaders and the ETL loads use;
-        per-row :meth:`insert` serves SQL INSERT, and the ETL load falls
-        back to it when a batch raises.
+        index is dropped once instead of per row. SQL INSERT lands each
+        statement's VALUES rows as one batch; the scratch-engine merge,
+        the testbed loaders and the ETL loads append here too.
+        """
+        if not rows:
+            return 0
+        staged, keys = self._stage(rows, columns, self._pk_index)
+        base = len(self.rows)
+        self._pk_index.update(zip(keys, range(base, base + len(keys))))
+        self.rows.extend(staged)
+        self._sorted = _STALE
+        return len(staged)
+
+    def replace_rows(self, rows: list[Sequence]) -> None:
+        """Wholesale row replacement (the monitor's system tables),
+        staged like :meth:`append_rows` against no stored key: a batch
+        that an append would refuse raises and leaves the table as it
+        was."""
+        staged, keys = self._stage(rows, None, {})
+        self.rows = staged
+        self._pk_index = dict(zip(keys, range(len(keys))))
+        self._sorted = _STALE
+
+    def _stage(
+        self, rows: list[Sequence], columns: list[str] | None, stored_keys: dict[tuple, int]
+    ) -> tuple[list[tuple], list[tuple]]:
+        """The one write check: ``rows`` coerced onto the table's columns
+        and their primary keys (none without a primary key). Raises when
+        a row breaks a constraint, or its key is in ``stored_keys`` or
+        repeats an earlier row's.
 
         A batch without a column list, or with one that names every
         column in table order, is checked a column at a time
         (:meth:`_coerce_columns`); any other column list, or a batch that
-        check cannot vouch for, takes the row path, so the first error
-        raised is the one the row path raises.
+        check cannot vouch for, takes the row path (:meth:`_stage_rows`),
+        so the first error raised is the one the row path raises.
         """
-        if not rows:
-            return 0
         staged = self._coerce_columns(rows) if self._in_place(columns) else None
         if staged is None:
-            staged, keys = self._stage_rows(rows, columns)
-        else:
-            keys = self._batch_keys(staged)
-        if self._pk_index is not None:
-            base = len(self.rows)
-            self._pk_index.update(zip(keys, range(base, base + len(keys))))
-        self.rows.extend(staged)
-        self._sorted = _STALE
-        return len(staged)
+            return self._stage_rows(rows, columns, stored_keys)
+        return staged, self._batch_keys(staged, stored_keys)
 
     def _in_place(self, columns: list[str] | None) -> bool:
         """True when values given for ``columns`` are already in table
@@ -259,17 +244,37 @@ class TableStorage:
             return False
 
     def _stage_rows(
-        self, rows: list[Sequence], columns: list[str] | None
+        self, rows: list[Sequence], columns: list[str] | None, stored_keys: dict[tuple, int]
     ) -> tuple[list[tuple], list[tuple]]:
-        """The row path: ``_check_and_coerce`` and the primary-key check
-        on each row in turn; returns the staged rows and their keys."""
+        """The row path: each row in turn is put in table order (with
+        defaults for the columns ``columns`` leaves out), coerced,
+        checked for NOT NULL a column at a time, and key-checked."""
+        width = len(self.columns if columns is None else columns)
         staged: list[tuple] = []
         staged_keys: dict[tuple, None] = {}
         for values in rows:
-            row = self._check_and_coerce(values, columns)
-            if self._pk_index is not None:
+            if len(values) != width:
+                raise IntegrityError(
+                    f"table {self.name!r} expects {width} values, got {len(values)}"
+                    if columns is None
+                    else f"INSERT column list has {width} names but {len(values)} values"
+                )
+            plan = None if columns is None else self._insert_plan(columns)
+            ordered = values if plan is None else [
+                default if index is None else values[index] for index, default in plan
+            ]
+            coerced_row = []
+            for col, value in zip(self.columns, ordered):
+                coerced = None if value is None else coerce_value(value, col.type)
+                if coerced is None and col.not_null:
+                    raise IntegrityError(
+                        f"NULL violates NOT NULL on {self.name}.{col.name}"
+                    )
+                coerced_row.append(coerced)
+            row = tuple(coerced_row)
+            if self._pk_positions:
                 key = tuple(row[i] for i in self._pk_positions)
-                if key in self._pk_index or key in staged_keys:
+                if key in stored_keys or key in staged_keys:
                     raise IntegrityError(
                         f"duplicate primary key {key!r} in table {self.name!r}"
                     )
@@ -277,17 +282,17 @@ class TableStorage:
             staged.append(row)
         return staged, list(staged_keys)
 
-    def _batch_keys(self, staged: list[tuple]) -> list[tuple]:
+    def _batch_keys(self, staged: list[tuple], stored_keys: dict[tuple, int]) -> list[tuple]:
         """Primary keys of already-coerced rows (none without a primary
-        key), raising on the first row in batch order whose key is stored
-        or repeats an earlier one."""
-        if self._pk_index is None:
+        key), raising on the first row in batch order whose key is in
+        ``stored_keys`` or repeats an earlier one."""
+        if not self._pk_positions:
             return []
         keys = list(zip(*[map(itemgetter(i), staged) for i in self._pk_positions]))
-        if len(dict.fromkeys(keys)) < len(keys) or not self._pk_index.keys().isdisjoint(keys):
+        if len(dict.fromkeys(keys)) < len(keys) or not stored_keys.keys().isdisjoint(keys):
             seen: set[tuple] = set()
             for key in keys:
-                if key in self._pk_index or key in seen:
+                if key in stored_keys or key in seen:
                     raise IntegrityError(
                         f"duplicate primary key {key!r} in table {self.name!r}"
                     )
@@ -322,23 +327,6 @@ class TableStorage:
             # of an earlier row that the row path meets first
             return None
 
-    def replace_rows(self, rows: list[tuple]) -> None:
-        """Wholesale row replacement (the monitor's system tables)."""
-        self.rows = list(rows)
-        self._rebuild_after_mutation()
-
-    def _rebuild_after_mutation(self) -> None:
-        self._sorted = _STALE
-        if self._pk_index is not None:
-            self._pk_index = {}
-            for pos, row in enumerate(self.rows):
-                key = tuple(row[i] for i in self._pk_positions)
-                if key in self._pk_index:
-                    raise IntegrityError(
-                        f"duplicate primary key {key!r} in table {self.name!r}"
-                    )
-                self._pk_index[key] = pos
-
     # Schema evolution ----------------------------------------------------------
 
     def add_column(self, column: Column) -> None:
@@ -356,7 +344,8 @@ class TableStorage:
         self.rows = [row + (fill,) for row in self.rows]
         self._col_index[column.name.lower()] = len(self.columns) - 1
         self._plans.clear()
-        self._rebuild_after_mutation()
+        # the new column is last: row positions and primary keys stay
+        self._sorted = _STALE
 
     # Index ----------------------------------------------------------------------
 

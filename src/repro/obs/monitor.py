@@ -35,43 +35,43 @@ TIMESTAMP_TYPE = "DOUBLE"
 #: the logical names the federation publishes).
 _DDL = (
     """CREATE TABLE monitor_spans (
-        trace_id VARCHAR(64), span_id VARCHAR(64), parent_id VARCHAR(64),
-        stage VARCHAR(32), server VARCHAR(64),
+        trace_id TEXT, span_id TEXT, parent_id TEXT,
+        stage TEXT, server TEXT,
         start_ms DOUBLE, end_ms DOUBLE, duration_ms DOUBLE,
-        route VARCHAR(16), row_count INT, error VARCHAR(200),
+        route TEXT, row_count INT, error TEXT,
         ts_ms DOUBLE
     )""",
     """CREATE TABLE monitor_metrics (
-        metric VARCHAR(100), kind VARCHAR(16), stat VARCHAR(8), value DOUBLE,
+        metric TEXT, kind TEXT, stat TEXT, value DOUBLE,
         ts_ms DOUBLE
     )""",
     """CREATE TABLE monitor_queries (
-        trace_id VARCHAR(64), server VARCHAR(64), sql_text VARCHAR(500),
+        trace_id TEXT, server TEXT, sql_text TEXT,
         distributed INT, row_count INT, duration_ms DOUBLE,
-        servers INT, status VARCHAR(80), ts_ms DOUBLE
+        servers INT, status TEXT, ts_ms DOUBLE
     )""",
     """CREATE TABLE monitor_cache (
-        cache_level VARCHAR(16), stat VARCHAR(20), value DOUBLE, ts_ms DOUBLE
+        cache_level TEXT, stat TEXT, value DOUBLE, ts_ms DOUBLE
     )""",
     """CREATE TABLE monitor_breakers (
-        breaker_key VARCHAR(120), state VARCHAR(12),
+        breaker_key TEXT, state TEXT,
         consecutive_failures INT, opens INT, fast_fails INT,
         opened_at_ms DOUBLE, ts_ms DOUBLE
     )""",
     """CREATE TABLE monitor_history (
-        ts_ms DOUBLE, metric VARCHAR(100), kind VARCHAR(16), res_ms DOUBLE,
+        ts_ms DOUBLE, metric TEXT, kind TEXT, res_ms DOUBLE,
         samples INT, total DOUBLE, vmin DOUBLE, vmax DOUBLE,
         mean_val DOUBLE, last_val DOUBLE, bad INT
     )""",
     """CREATE TABLE monitor_profile (
-        ts_ms DOUBLE, trace_id VARCHAR(64), shape VARCHAR(500),
-        server VARCHAR(64), stage VARCHAR(32), op_server VARCHAR(64),
+        ts_ms DOUBLE, trace_id TEXT, shape TEXT,
+        server TEXT, stage TEXT, op_server TEXT,
         calls INT, self_ms DOUBLE, cum_ms DOUBLE, total_ms DOUBLE
     )""",
     """CREATE TABLE monitor_alerts (
-        ts_ms DOUBLE, slo VARCHAR(64), severity VARCHAR(12),
-        state VARCHAR(12), burn_rate DOUBLE, window_ms DOUBLE,
-        message VARCHAR(200)
+        ts_ms DOUBLE, slo TEXT, severity TEXT,
+        state TEXT, burn_rate DOUBLE, window_ms DOUBLE,
+        message TEXT
     )""",
 )
 

@@ -251,12 +251,21 @@ class TestAccessPathChoice:
         assert result.stats.rows_examined == 150  # outer scan + filter + inner
         assert result.stats.rows_visited == result.stats.rows_examined
 
-    def test_non_numeric_key_falls_back_to_scan(self):
+    def test_replace_rows_refuses_an_uncoercible_key(self):
         db = self._db(5)
         table = db.catalog.get_table("t")
-        # replace_rows stores rows as given, here a key the INT column
-        # would never coerce to
-        table.replace_rows(table.rows + [("x", 0, 0.0, "x")])
+        rows, keys = list(table.rows), dict(table._pk_index)
+        with pytest.raises(SQLTypeError, match="not a numeric literal"):
+            table.replace_rows(table.rows + [("x", 0, 0.0, "x")])
+        assert table.rows == rows and table._pk_index == keys
+
+    def test_non_numeric_key_falls_back_to_scan(self):
+        db = Database("ap", "generic")
+        db.execute(DDL)
+        table = db.catalog.get_table("t")
+        # rows assigned past the write path: a key the INT column would
+        # never coerce to
+        table.rows = [(1, 0, 0.0, "x"), ("x", 0, 0.0, "x")]
         assert table.range_column == "pk" and table.sorted_index() is None
         # the scan compares the row's 'x' with 1, as it would unindexed
         with pytest.raises(SQLTypeError, match="cannot compare str with int"):

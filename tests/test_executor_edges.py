@@ -187,14 +187,14 @@ class TestErrorPaths:
 
 
 class TestInsertSelectEdges:
-    def test_insert_wrong_arity_fails_atomically_per_row(self, db):
+    def test_insert_duplicate_key_fails_atomically_per_statement(self, db):
         from repro.common.errors import IntegrityError
 
         with pytest.raises(IntegrityError):
             db.execute("INSERT INTO t (id, grp) VALUES (100, 'z'), (100, 'z')")
-        # the first row landed before the duplicate-PK failure (the
-        # engine is non-transactional, like the prototype's autocommit)
-        assert db.execute("SELECT COUNT(*) FROM t WHERE id = 100").rows == [(1,)]
+        # the statement's rows land as one batch, so the first row did
+        # not land before the duplicate-PK failure (as in sqlite3)
+        assert db.execute("SELECT COUNT(*) FROM t WHERE id = 100").rows == [(0,)]
 
     def test_multi_column_pk(self, db):
         from repro.common.errors import IntegrityError

@@ -74,6 +74,20 @@ class TestSelfQuerying:
         )
         assert answer.rows[0][0] == 1
 
+    def test_long_query_text_keeps_every_monitor_table_readable(self, observed):
+        # every refresh stages the telemetry like an INSERT: a text column
+        # of bounded capacity would refuse this query's text, and with it
+        # every later read of any monitor table
+        fed, server = observed
+        where = " OR ".join(f"ENERGY = {i}.5" for i in range(60))
+        long_sql = f"SELECT COUNT(*) FROM events WHERE {where}"
+        assert len(long_sql) > 500
+        server.service.execute(long_sql)
+        texts = server.service.execute("SELECT sql_text FROM monitor_queries").rows
+        assert max(len(text) for text, in texts) > 500
+        shapes = server.service.execute("SELECT shape FROM monitor_profile").rows
+        assert max(len(shape) for shape, in shapes) >= 500
+
 
 class TestRemoteMonitorAccess:
     def test_peer_queries_anothers_monitor_tables(self):

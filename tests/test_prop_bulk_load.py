@@ -2,9 +2,10 @@
 
 ``TableStorage.append_rows`` checks a full-width batch a column at a
 time. Whatever the batch holds, the result must equal running the row
-path (``_check_and_coerce`` and the primary-key check, row by row): the
-same stored tuples, value types included, or the same exception type
-and message with the table left unchanged.
+path (``TableStorage._stage_rows``: coercion, NOT NULL and the
+primary-key check, row by row): the same stored tuples, value types
+included, or the same exception type and message with the table left
+unchanged.
 """
 
 import math
@@ -106,20 +107,6 @@ def batches(draw, columns):
     return rows, names
 
 
-def row_path(table: TableStorage, rows, names, stored_keys: dict) -> tuple[list, dict]:
-    """The reference: coerce and key-check each row in turn."""
-    staged, keys = [], {}
-    for values in rows:
-        row = table._check_and_coerce(values, names)
-        if table._pk_index is not None:
-            key = tuple(row[i] for i in table._pk_positions)
-            if key in stored_keys or key in keys:
-                raise IntegrityError(f"duplicate primary key {key!r} in table {table.name!r}")
-            keys[key] = None
-        staged.append(row)
-    return staged, keys
-
-
 def assert_loads_like_row_path(columns: list[Column], batches) -> None:
     """Load each ``(rows, names)`` batch in turn; after every batch the
     table must hold what the row path would have stored, and a batch
@@ -129,7 +116,7 @@ def assert_loads_like_row_path(columns: list[Column], batches) -> None:
     stored_keys: dict[tuple, int] = {}
     for rows, names in batches:
         try:
-            staged, keys = row_path(table, rows, names, stored_keys)
+            staged, keys = table._stage_rows(rows, names, stored_keys)
             expected = None
         except Exception as exc:
             expected = exc
@@ -148,8 +135,7 @@ def assert_loads_like_row_path(columns: list[Column], batches) -> None:
             assert str(got) == str(expected)
         # repr tells 1, 1.0 and True apart
         assert repr(table.rows) == repr(stored_rows)
-        if table._pk_index is not None:
-            assert table._pk_index == stored_keys
+        assert table._pk_index == stored_keys
 
 
 @given(st.data())
@@ -157,6 +143,41 @@ def assert_loads_like_row_path(columns: list[Column], batches) -> None:
 def test_column_wise_load_equals_row_path(data):
     columns = data.draw(tables())
     assert_loads_like_row_path(columns, [data.draw(batches(columns)) for _ in range(3)])
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_replace_rows_refuses_what_an_append_refuses(data):
+    """``replace_rows`` stages its rows like an append to an empty table,
+    and leaves the rows it held when it raises."""
+    columns = data.draw(tables())
+    held, _ = data.draw(batches(columns))
+    rows, _ = data.draw(batches(columns))
+    appended = TableStorage("t", columns)
+    try:
+        appended.append_rows(rows)
+        expected = None
+    except Exception as exc:
+        expected = exc
+    replaced = TableStorage("t", columns)
+    try:
+        replaced.append_rows(held)
+    except Exception:
+        pass  # a refused batch leaves the table empty: a start as good as any
+    before = (repr(replaced.rows), dict(replaced._pk_index))
+    try:
+        replaced.replace_rows(rows)
+        got = None
+    except Exception as exc:
+        got = exc
+    if expected is None:
+        assert got is None
+        assert (repr(replaced.rows), replaced._pk_index) == (
+            repr(appended.rows), appended._pk_index
+        )
+    else:
+        assert (type(got), str(got)) == (type(expected), str(expected))
+        assert (repr(replaced.rows), replaced._pk_index) == before
 
 
 KEY = Column("id", SQLType.integer(), not_null=True, primary_key=True)

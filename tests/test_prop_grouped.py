@@ -352,8 +352,9 @@ def _engine(rows, kinds) -> Database:
         f"{c} {'TEXT' if k in _TEXT_KINDS else 'DOUBLE'}" for c, k in zip(COLUMNS, kinds)
     )
     db.execute(f"CREATE TABLE t (id INT PRIMARY KEY, {types})")
-    # stored as drawn, past coercion, so one column can mix value types
-    db.catalog.get_table("t").replace_rows(rows)
+    # stored as drawn, past the write path's coercion, so one column can
+    # mix value types
+    db.catalog.get_table("t").rows = list(rows)
     return db
 
 

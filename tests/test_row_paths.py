@@ -77,8 +77,9 @@ def reference_sort(rows, keys):
 def _db_with(rows) -> Database:
     db = Database("order_db")
     db.execute("CREATE TABLE t (id INT PRIMARY KEY, c0 TEXT, c1 TEXT, c2 TEXT)")
-    # stored as drawn, past coercion, so one column can mix value types
-    db.catalog.get_table("t").replace_rows(rows)
+    # stored as drawn, past the write path's coercion, so one column can
+    # mix value types
+    db.catalog.get_table("t").rows = list(rows)
     return db
 
 
