@@ -41,7 +41,7 @@ from repro.obs import (
     Tracer,
     format_span_tree,
 )
-from repro.poolral import PoolRAL, PoolRALWrapper
+from repro.poolral import PoolRAL
 from repro.resilience import (
     ChaosSchedule,
     CircuitBreaker,
@@ -75,7 +75,6 @@ __all__ = [
     "Network",
     "Ntuple",
     "PoolRAL",
-    "PoolRALWrapper",
     "QueryAnswer",
     "RLSClient",
     "RLSServer",

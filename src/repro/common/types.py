@@ -148,8 +148,8 @@ def infer_literal_type(value: object) -> SQLType:
 def common_supertype(a: SQLType, b: SQLType) -> SQLType:
     """The narrowest logical type both ``a`` and ``b`` widen to.
 
-    Used when a UNION/merge or cross-database join combines columns whose
-    backing vendors disagree about representation.
+    Used to type a CASE or COALESCE whose branches disagree, and
+    ``+ - * %`` over two numeric operands.
     """
     if a.kind == b.kind:
         if a.kind in _TEXT_KINDS:

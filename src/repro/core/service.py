@@ -738,7 +738,7 @@ class DataAccessService(ClarensService):
         lints picks replicas as ``explain`` and ``query`` do; a table
         this server has not discovered yet is reported unknown rather
         than looked up in the RLS. Text that ``query`` refuses at parse,
-        a UNION, an INSERT or DDL among it, is one RPR001 error.
+        an INSERT or DDL among it, is one RPR001 error.
         """
         from repro.lint import DictionarySchema, Diagnostic, Severity, lint_sql
 

@@ -9,13 +9,9 @@ warehouse exposes its read-only analysis views.
 
 from __future__ import annotations
 
-from collections.abc import Callable
-from operator import itemgetter
-
 from repro.common.errors import PlanningError, SQLSyntaxError, TableNotFoundError
-from repro.common.types import SQLType
 from repro.engine.catalog import Catalog, ViewDef
-from repro.engine.executor import ExecResult, ExecStats, SelectExecutor, order_rows
+from repro.engine.executor import ExecResult, SelectExecutor
 from repro.engine.storage import Column, TableStorage
 from repro.sql import ast
 from repro.sql.eval import RowSchema, SchemaColumn, compile_expr
@@ -85,8 +81,6 @@ class Database:
         """Execute an already-parsed statement."""
         if isinstance(stmt, ast.Select):
             return SelectExecutor(self, params).execute(stmt)
-        if isinstance(stmt, ast.Union):
-            return self._execute_union(stmt, params)
         if isinstance(stmt, ast.CreateTable):
             columns = [
                 Column(
@@ -120,78 +114,6 @@ class Database:
             )
             return ExecResult()
         raise SQLSyntaxError(f"unsupported statement type {type(stmt).__name__}")
-
-    def _execute_union(self, stmt: ast.Union, params: tuple) -> ExecResult:
-        """UNION [ALL]: branch results combined by position.
-
-        Column names come from the first branch; types are widened to a
-        common supertype per position; trailing ORDER BY/LIMIT apply to
-        the combined set. An ORDER BY term names one of the first
-        branch's output names or, as a bare integer, an output position
-        (:func:`~repro.sql.ast.position_index`).
-        """
-        from repro.common.errors import SQLTypeError
-        from repro.common.types import common_supertype
-
-        branches = [
-            SelectExecutor(self, params).execute(branch) for branch in stmt.selects
-        ]
-        width = len(branches[0].columns)
-        for branch in branches[1:]:
-            if len(branch.columns) != width:
-                raise PlanningError(
-                    f"UNION branches have {width} vs {len(branch.columns)} columns"
-                )
-        types = list(branches[0].types)
-        for branch in branches[1:]:
-            for i, t in enumerate(branch.types):
-                try:
-                    types[i] = common_supertype(types[i], t)
-                except SQLTypeError:
-                    types[i] = SQLType.text()
-        rows: list[tuple] = []
-        for branch in branches:
-            rows.extend(branch.rows)
-        if not stmt.all:
-            rows = list(dict.fromkeys(rows))
-        columns = branches[0].columns
-        if stmt.order_by:
-            lowered = [c.lower() for c in columns]
-            keys: list[tuple[Callable, bool]] = []
-            for item in stmt.order_by:
-                index = ast.position_index(item.expr, width, "ORDER BY")
-                if index is None:
-                    if not (
-                        isinstance(item.expr, ast.ColumnRef) and item.expr.table is None
-                    ):
-                        raise PlanningError(
-                            "UNION ORDER BY must name an output column or position"
-                        )
-                    name = item.expr.column.lower()
-                    if name not in lowered:
-                        raise PlanningError(
-                            f"UNION ORDER BY column {item.expr.column!r} is not an output"
-                        )
-                    index = lowered.index(name)
-                keys.append((itemgetter(index), item.ascending))
-            rows = order_rows(rows, keys)
-        offset = stmt.offset or 0
-        if offset:
-            rows = rows[offset:]
-        if stmt.limit is not None:
-            rows = rows[: stmt.limit]
-        stats = ExecStats(
-            rows_examined=sum(b.stats.rows_examined for b in branches),
-            rows_visited=sum(b.stats.rows_visited for b in branches),
-            rows_returned=len(rows),
-            tables_accessed=[
-                t for b in branches for t in b.stats.tables_accessed
-            ],
-        )
-        return ExecResult(
-            columns=list(columns), types=types, rows=rows, rowcount=len(rows),
-            stats=stats,
-        )
 
     # -- DML --------------------------------------------------------------------------
 

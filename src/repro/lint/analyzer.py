@@ -428,19 +428,6 @@ def lint_sql(
     analyzer = _Analyzer(provider, config, sql, prefer_databases)
     if isinstance(statement, ast.Select):
         analyzer.analyze(statement)
-    elif isinstance(statement, ast.Union):
-        widths = set()
-        for member in statement.selects:
-            analyzer.analyze(member)
-            if not any(isinstance(i.expr, ast.Star) for i in member.items):
-                widths.add(len(member.items))
-        if len(widths) > 1:
-            analyzer.emit(
-                "RPR201",
-                f"UNION branches select different column counts: "
-                f"{sorted(widths)}",
-            )
-        _lint_union_order(statement, analyzer)
     elif isinstance(statement, ast.CreateView):
         analyzer.analyze(statement.select)
     elif isinstance(statement, ast.Insert):
@@ -453,35 +440,6 @@ def _syntax_report(exc: Exception, config: LintConfig) -> LintReport:
     if severity is None:
         return LintReport([])
     return LintReport([Diagnostic("RPR001", severity, str(exc))])
-
-
-def _lint_union_order(statement: ast.Union, analyzer: _Analyzer) -> None:
-    """A UNION's ORDER BY terms as the engine resolves them: each names
-    one of the first branch's output names or positions. A star in that
-    branch leaves its width to the tables, so nothing is checked."""
-    first = statement.selects[0]
-    if any(isinstance(item.expr, ast.Star) for item in first.items):
-        return
-    names = first.output_names()
-    for order in statement.order_by:
-        expr = order.expr
-        try:
-            if ast.position_index(expr, len(first.items), "ORDER BY") is not None:
-                continue
-        except PlanningError as exc:
-            analyzer.emit("RPR102", str(exc))
-            continue
-        if not (
-            isinstance(expr, ast.ColumnRef)
-            and expr.table is None
-            and expr.column.lower() in names
-        ):
-            analyzer.emit(
-                "RPR102",
-                f"UNION ORDER BY term {expr.unparse()!r} is not an output "
-                f"column or position",
-                expr.unparse(),
-            )
 
 
 def _lint_insert(statement: ast.Insert, analyzer: _Analyzer) -> None:

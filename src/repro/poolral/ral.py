@@ -36,9 +36,6 @@ class PoolRAL:
         dialect, _ = sniff_vendor(url)
         return dialect.pool_supported
 
-    def has_handle(self, url: str) -> bool:
-        return url in self._handles
-
     def initialize(self, url: str, user: str = "grid", password: str = "grid") -> RALHandle:
         """Initialize (or return the cached) session handle for ``url``."""
         cached = self._handles.get(url)

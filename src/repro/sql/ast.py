@@ -545,28 +545,6 @@ class Select(Statement):
 
 
 @dataclass(frozen=True)
-class Union(Statement):
-    """UNION [ALL] chain; trailing ORDER BY/LIMIT apply to the whole set."""
-
-    selects: tuple[Select, ...]
-    all: bool = False
-    order_by: tuple[OrderItem, ...] = ()
-    limit: int | None = None
-    offset: int | None = None
-
-    def unparse(self) -> str:
-        joiner = " UNION ALL " if self.all else " UNION "
-        text = joiner.join(s.unparse() for s in self.selects)
-        if self.order_by:
-            text += " ORDER BY " + ", ".join(o.unparse() for o in self.order_by)
-        if self.limit is not None:
-            text += f" LIMIT {self.limit}"
-        if self.offset is not None:
-            text += f" OFFSET {self.offset}"
-        return text
-
-
-@dataclass(frozen=True)
 class ColumnDef:
     name: str
     type: SQLType

@@ -1,9 +1,9 @@
 """Recursive-descent SQL parser producing :mod:`repro.sql.ast` trees.
 
 The accepted grammar is the vendor-neutral core the system issues and
-every dialect can emit: SELECT (joins, grouping, ordering, limits) and
-UNION [ALL], INSERT … VALUES, CREATE TABLE, CREATE VIEW and ALTER TABLE
-… ADD COLUMN. MS-SQL ``SELECT TOP n`` is accepted and normalized into
+every dialect can emit: SELECT (joins, grouping, ordering, limits),
+INSERT … VALUES, CREATE TABLE, CREATE VIEW and ALTER TABLE … ADD
+COLUMN. MS-SQL ``SELECT TOP n`` is accepted and normalized into
 ``limit`` so that text produced by the MSSQL dialect re-parses.
 
 Binary operators are parsed by two precedence-climbing loops, each
@@ -149,7 +149,7 @@ class _Parser:
     def parse_statement(self) -> ast.Statement:
         tok = self.current
         parse = {
-            "SELECT": self.parse_select_chain,
+            "SELECT": self.parse_select,
             "INSERT": self.parse_insert,
             "CREATE": self.parse_create,
             "ALTER": self.parse_alter,
@@ -157,33 +157,6 @@ class _Parser:
         if parse is None:
             raise self.error(f"unsupported statement starting with {tok.value!r}")
         return parse()
-
-    def parse_select_chain(self) -> ast.Statement:
-        """A SELECT, or a UNION [ALL] chain of SELECTs."""
-        first = self.parse_select()
-        if not self.check_keyword("UNION"):
-            return first
-        selects = [first]
-        all_flags: set[bool] = set()
-        while self.accept_keyword("UNION"):
-            all_flags.add(self.accept_keyword("ALL"))
-            selects.append(self.parse_select())
-        if len(all_flags) > 1:
-            raise self.error("mixing UNION and UNION ALL in one chain is not supported")
-        for branch in selects[:-1]:
-            if branch.order_by or branch.limit is not None or branch.offset is not None:
-                raise self.error("ORDER BY/LIMIT are only allowed after the last UNION branch")
-        # the trailing ORDER BY/LIMIT the last branch swallowed belong to
-        # the whole union
-        last = selects[-1]
-        selects[-1] = replace(last, order_by=(), limit=None, offset=None)
-        return ast.Union(
-            selects=tuple(selects),
-            all=all_flags.pop(),
-            order_by=last.order_by,
-            limit=last.limit,
-            offset=last.offset,
-        )
 
     def parse_select(self) -> ast.Select:
         self.expect_keyword("SELECT")

@@ -81,8 +81,6 @@ ALLOWED = {
         "tests/test_golden_query_path.py passes it and must stay unedited",
     "engine/executor.py:RowSet.to_vector":
         "the paper's 2-D vector answer shape (§4.7 wrapper method 2)",
-    "poolral/wrapper.py:PoolRALWrapper":
-        "the paper's two-method JNI surface (§4.7); PAPER.md maps it here",
     "unity/driver.py:UnityDriver.__init__(cache)":
         "tests/test_golden_query_path.py passes it through **layers and must stay unedited",
     "unity/driver.py:UnityDriver.__init__(observe)":

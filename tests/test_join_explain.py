@@ -1,10 +1,8 @@
-"""Tests for UNION execution, the engine's join choice and federated EXPLAIN."""
+"""Tests for the engine's join choice and federated EXPLAIN."""
 
 import pytest
 
-from repro.common import PlanningError, SQLSyntaxError, TypeKind
 from repro.engine import Database
-from repro.sql import ast, parse_statement
 
 
 @pytest.fixture
@@ -15,95 +13,6 @@ def db():
     d.execute("INSERT INTO a VALUES (1,'one'),(2,'two'),(3,'three')")
     d.execute("INSERT INTO b VALUES (3,'three'),(4,'four')")
     return d
-
-
-class TestUnionParsing:
-    def test_union_parses(self):
-        stmt = parse_statement("SELECT x FROM a UNION SELECT x FROM b")
-        assert isinstance(stmt, ast.Union)
-        assert not stmt.all
-        assert len(stmt.selects) == 2
-
-    def test_union_all_parses(self):
-        stmt = parse_statement("SELECT x FROM a UNION ALL SELECT x FROM b")
-        assert stmt.all
-
-    def test_three_branch_chain(self):
-        stmt = parse_statement(
-            "SELECT x FROM a UNION SELECT x FROM b UNION SELECT x FROM a"
-        )
-        assert len(stmt.selects) == 3
-
-    def test_trailing_order_limit_lifted_to_union(self):
-        stmt = parse_statement(
-            "SELECT x FROM a UNION SELECT x FROM b ORDER BY x DESC LIMIT 2"
-        )
-        assert stmt.limit == 2
-        assert stmt.order_by[0].ascending is False
-        assert stmt.selects[-1].limit is None
-        assert stmt.selects[-1].order_by == ()
-
-    def test_mixed_union_and_union_all_rejected(self):
-        with pytest.raises(SQLSyntaxError):
-            parse_statement(
-                "SELECT x FROM a UNION SELECT x FROM b UNION ALL SELECT x FROM a"
-            )
-
-    def test_union_unparse_round_trip(self):
-        text = "SELECT x FROM a UNION ALL SELECT x FROM b ORDER BY x ASC LIMIT 3"
-        stmt = parse_statement(text)
-        assert parse_statement(stmt.unparse()).unparse() == stmt.unparse()
-
-
-class TestUnionExecution:
-    def test_union_deduplicates(self, db):
-        r = db.execute("SELECT x FROM a UNION SELECT x FROM b ORDER BY x")
-        assert r.rows == [(1,), (2,), (3,), (4,)]
-
-    def test_union_all_keeps_duplicates(self, db):
-        r = db.execute("SELECT x FROM a UNION ALL SELECT x FROM b ORDER BY x")
-        assert r.rows == [(1,), (2,), (3,), (3,), (4,)]
-
-    def test_columns_named_from_first_branch(self, db):
-        r = db.execute("SELECT x AS id FROM a UNION SELECT x FROM b")
-        assert r.columns == ["id"]
-
-    def test_types_widen_across_branches(self, db):
-        db.execute("CREATE TABLE c (x DOUBLE)")
-        db.execute("INSERT INTO c VALUES (9.5)")
-        r = db.execute("SELECT x FROM a UNION SELECT x FROM c")
-        assert r.types[0].kind is TypeKind.DOUBLE
-
-    def test_arity_mismatch_rejected(self, db):
-        with pytest.raises(PlanningError):
-            db.execute("SELECT x FROM a UNION SELECT x, label FROM b")
-
-    def test_order_by_output_column(self, db):
-        r = db.execute(
-            "SELECT x, label FROM a UNION ALL SELECT x, label FROM b "
-            "ORDER BY label"
-        )
-        assert r.rows[0][1] == "four"
-
-    def test_order_by_unknown_column_rejected(self, db):
-        with pytest.raises(PlanningError):
-            db.execute("SELECT x FROM a UNION SELECT x FROM b ORDER BY nosuch")
-
-    def test_limit_offset_apply_to_whole_union(self, db):
-        r = db.execute(
-            "SELECT x FROM a UNION SELECT x FROM b ORDER BY x LIMIT 2 OFFSET 1"
-        )
-        assert r.rows == [(2,), (3,)]
-
-    def test_union_with_where_and_aggregate_branches(self, db):
-        r = db.execute(
-            "SELECT COUNT(*) FROM a WHERE x > 1 UNION ALL SELECT COUNT(*) FROM b"
-        )
-        assert sorted(r.rows) == [(2,), (2,)]
-
-    def test_stats_accumulate(self, db):
-        r = db.execute("SELECT x FROM a UNION SELECT x FROM b")
-        assert set(r.stats.tables_accessed) == {"a", "b"}
 
 
 class TestJoinStrategy:

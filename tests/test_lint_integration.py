@@ -91,13 +91,15 @@ class TestLintBeforeExecution:
     def test_text_query_refuses_at_parse_is_one_syntax_error(self, sql):
         # lint answers for the method it stands in front of: query takes
         # one SELECT, so anything else is RPR001 with query's own message
+        # (a UNION stops the SELECT's parse as trailing input)
         fed, s1, _ = two_server_federation()
         with pytest.raises(SQLSyntaxError) as refused:
             s1.service.execute(sql)
         diags = fed.client("laptop").call(s1.server, "dataaccess.lint", sql)
         assert [(d["code"], d["severity"]) for d in diags] == [("RPR001", "error")]
         assert diags[0]["message"] == str(refused.value)
-        assert "expected a SELECT statement" in diags[0]["message"]
+        if not sql.startswith("SELECT"):
+            assert "expected a SELECT statement" in diags[0]["message"]
 
     def test_good_join_lints_clean_and_executes(self):
         fed, s1 = one_server_federation()

@@ -153,34 +153,3 @@ class TestStatsView:
         assert stats["failovers"] == 0
         assert stats["rows_returned"] == 1
 
-
-class TestPipelineInstruments:
-    def test_poolral_wrapper_counters_and_span(self):
-        from repro.driver import Directory
-        from repro.net import SimClock
-        from repro.obs.trace import Tracer
-        from repro.poolral.ral import PoolRAL
-        from repro.poolral.wrapper import PoolRALWrapper
-
-        clock = SimClock()
-        directory = Directory()
-        db = Database("mart", "mysql")
-        db.execute("CREATE TABLE T (A INT PRIMARY KEY)")
-        db.execute("INSERT INTO T VALUES (1)")
-        db.execute("INSERT INTO T VALUES (2)")
-        url = "jdbc:mysql://pc1:3306/mart"
-        directory.register(url, db, host_name="pc1")
-        metrics = MetricsRegistry()
-        tracer = Tracer(clock, "jni")
-        wrapper = PoolRALWrapper(
-            PoolRAL(directory, clock), tracer=tracer, metrics=metrics
-        )
-        wrapper.initialize_handler(url)
-        rows = wrapper.execute(url, ["A"], ["T"])
-        assert rows == [[1], [2]]
-        assert metrics.counter("poolral.handles_initialized").value == 1
-        assert metrics.counter("poolral.executes").value == 1
-        assert metrics.counter("poolral.rows").value == 2
-        span = tracer.spans[0]
-        assert span.stage == "poolral_execute"
-        assert span.attrs["rows"] == 2

@@ -10,7 +10,9 @@ one error position fails here. The sources are:
   ``repro.demo``, ``repro.tools.validate``, the four report CLIs,
   ``pytest benchmarks`` and the three perfbench ``--counts-only`` runs),
   captured once with a wrapper around ``parse_statement``;
-* ``ddl``: the warehouse star schema and analysis views;
+* ``ddl``: the DDL src holds (the warehouse star schema and analysis
+  views, the monitor's system tables); a test checks these lines against
+  src, so a DDL text changed there fails until the corpus is rebuilt;
 * ``pool``: perfbench ``analysis_refresh``'s 2,000-query pool at seed 1;
 * ``fragment``: seeded random texts that stress the lexer and the
   expression grammar (comments next to ``-``, chains of one operator,
@@ -19,7 +21,7 @@ one error position fails here. The sources are:
 Rewrite the digests after an intended change to trees or errors with
 ``PYTHONPATH=src python tests/test_parse_corpus.py``: it keeps the
 ``entry`` texts, rebuilds the other sources and prints how many lines
-changed.
+changed in each.
 """
 
 from __future__ import annotations
@@ -66,6 +68,11 @@ def test_corpus_covers_each_source_and_both_outcomes():
     errors = sum(outcome(text).startswith("SQLSyntaxError") for text in fragments)
     assert 0 < errors < len(fragments)
     assert len(fragments) >= 3000
+
+
+def test_ddl_lines_are_the_ddl_held_in_src():
+    pinned = [text for source, text, _ in load() if source == "ddl"]
+    assert pinned == _ddl_texts()
 
 
 # Fragment generator --------------------------------------------------------
@@ -147,6 +154,7 @@ def fragments(n: int = 4000, seed: int = 2005) -> list[str]:
 
 
 def _ddl_texts() -> list[str]:
+    from repro.obs.monitor import _DDL as monitor_ddl
     from repro.warehouse.schema import create_warehouse_schema, create_warehouse_views
 
     class Recorder:
@@ -161,7 +169,7 @@ def _ddl_texts() -> list[str]:
         create_warehouse_schema(rec, nvar)
         create_warehouse_views(rec, nvar)
         create_warehouse_views(rec, nvar, wide_vars=2)
-    return list(dict.fromkeys(rec.texts))
+    return list(dict.fromkeys([*rec.texts, *monitor_ddl]))
 
 
 def _pool_texts() -> list[str]:
@@ -182,12 +190,14 @@ def main() -> None:
         "fragment": fragments(),
     }
     entries = [(source, text, digest(text)) for source, texts in sources.items() for text in texts]
-    changed = len(set(entries) - set(old))
+    changed = set(entries) - set(old)
     CORPUS.parent.mkdir(exist_ok=True)
     with CORPUS.open("w", encoding="utf-8") as f:
         for entry in entries:
             f.write(json.dumps(entry) + "\n")
-    print(f"{len(entries)} texts, {changed} lines new or changed")
+    print(f"{len(entries)} texts, {len(changed)} lines new or changed")
+    for source in sources:
+        print(f"  {source}: {sum(entry[0] == source for entry in changed)}")
 
 
 if __name__ == "__main__":

@@ -1,14 +1,13 @@
-"""Unit tests for the POOL-RAL layer and its two-method wrapper."""
+"""Unit tests for the POOL-RAL layer: vendor matrix and handle cache."""
 
 import pytest
 
 from repro.common import UnsupportedVendorError
-from repro.common.errors import DriverError
 from repro.dialects import get_dialect
 from repro.driver import Directory
 from repro.engine import Database
 from repro.net import SimClock, costs
-from repro.poolral import PoolRAL, PoolRALWrapper
+from repro.poolral import PoolRAL
 
 
 @pytest.fixture
@@ -83,40 +82,3 @@ class TestHandleCache:
         ral.execute_sql(url, "SELECT b FROM t")
         assert handle.queries_executed == 2
 
-
-class TestWrapperFacade:
-    def test_method1_then_method2(self, world):
-        _, _, ral = world
-        wrapper = PoolRALWrapper(ral)
-        url = url_for("mysql", "m1")
-        assert wrapper.initialize_handler(url, "grid", "grid") is True
-        result = wrapper.execute(url, ["a", "b"], ["t"], "a > 1")
-        assert result == [[2, "y"]]
-
-    def test_execute_without_init_raises(self, world):
-        _, _, ral = world
-        wrapper = PoolRALWrapper(ral)
-        with pytest.raises(DriverError):
-            wrapper.execute(url_for("mysql", "m1"), ["a"], ["t"], "")
-
-    def test_empty_fields_rejected(self, world):
-        _, _, ral = world
-        wrapper = PoolRALWrapper(ral)
-        wrapper.initialize_handler(url_for("mysql", "m1"))
-        with pytest.raises(DriverError):
-            wrapper.execute(url_for("mysql", "m1"), [], ["t"], "")
-
-    def test_no_where_clause(self, world):
-        _, _, ral = world
-        wrapper = PoolRALWrapper(ral)
-        url = url_for("sqlite", "l1")
-        wrapper.initialize_handler(url)
-        assert len(wrapper.execute(url, ["a"], ["t"])) == 2
-
-    def test_returns_2d_lists(self, world):
-        _, _, ral = world
-        wrapper = PoolRALWrapper(ral)
-        url = url_for("mysql", "m1")
-        wrapper.initialize_handler(url)
-        result = wrapper.execute(url, ["a"], ["t"], "")
-        assert all(isinstance(row, list) for row in result)

@@ -3,8 +3,8 @@
 ORDER BY sorts row indexes on natively compared keys when a key's
 non-NULL values are all numbers or all strings, and wraps each value in
 ``_SortKey`` otherwise; the property below checks both against a
-reference that sorts with ``_SortKey`` alone, on SELECT, on an output
-alias and on UNION. The hash join keys one column by its value and
+reference that sorts with ``_SortKey`` alone, on SELECT and on an
+output alias. The hash join keys one column by its value and
 several by a tuple; both are checked against sqlite3 with NULL keys.
 INSERT maps values onto table columns through a plan cached per column
 list; the tests check that the plans follow ALTER TABLE, that failed
@@ -99,13 +99,6 @@ def test_order_by_matches_sortkey(rows, keys):
         f"ORDER BY {_order_by(keys, 'k')}"
     )
     assert aliased.rows == expected
-    split = len(rows) // 2
-    union = db.execute(
-        f"SELECT id, c0, c1, c2 FROM t WHERE id < {split} UNION ALL "
-        f"SELECT id, c0, c1, c2 FROM t WHERE id >= {split} "
-        f"ORDER BY {_order_by(keys, 'c')}"
-    )
-    assert union.rows == expected
 
 
 def test_order_by_ties_int_and_float_and_keeps_input_order():

@@ -68,6 +68,15 @@ class TestExitCodes:
         assert code == 1
         assert "RPR102" in capsys.readouterr().out
 
+    def test_union_is_one_syntax_error_exits_one(self, xspec_file, capsys):
+        # dataaccess.query refuses a UNION at parse, so the gate does too
+        code = main(["--xspec", xspec_file, "--sql",
+                     "SELECT run FROM events UNION SELECT run FROM events"])
+        assert code == 1
+        out = capsys.readouterr().out
+        assert out.count("RPR001 error: unexpected trailing input 'UNION'") == 1
+        assert "1 error(s)" in out
+
     def test_vendor_incompatible_function_exits_one(self, xspec_file, capsys):
         # the simulated sqlite dialect has no SQRT
         code = main(["--xspec", xspec_file, "--sql",
