@@ -14,14 +14,22 @@ from repro.dialects.oracle import OracleDialect
 from repro.dialects.sqlite import SQLiteDialect
 
 _REGISTRY: dict[str, Dialect] = {}
+#: every registered dialect, longest URL scheme first (ties by vendor name)
+_BY_SCHEME: tuple[Dialect, ...] = ()
 
 
 def register_dialect(dialect: Dialect, replace: bool = False) -> None:
     """Register a dialect instance under its ``name``."""
+    global _BY_SCHEME
     key = dialect.name.lower()
     if key in _REGISTRY and not replace:
         raise DuplicateObjectError(f"dialect {dialect.name!r} already registered")
     _REGISTRY[key] = dialect
+    _BY_SCHEME = tuple(sorted(
+        (_REGISTRY[v] for v in available_vendors()),
+        key=lambda d: len(d.url_scheme),
+        reverse=True,
+    ))
 
 
 def get_dialect(vendor: str) -> Dialect:
@@ -34,6 +42,11 @@ def get_dialect(vendor: str) -> Dialect:
 
 def available_vendors() -> list[str]:
     return sorted(_REGISTRY)
+
+
+def dialects_by_scheme() -> tuple[Dialect, ...]:
+    """Every registered dialect, longest URL scheme first."""
+    return _BY_SCHEME
 
 
 def _register_builtins() -> None:

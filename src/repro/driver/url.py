@@ -8,20 +8,14 @@ claimed by a hypothetical ``jdbc:sql`` vendor.
 from __future__ import annotations
 
 from repro.common.errors import ConnectionFailedError
-from repro.dialects import available_vendors, get_dialect
 from repro.dialects.base import ConnectionURL, Dialect
+from repro.dialects.registry import dialects_by_scheme
 
 
 def sniff_vendor(url: str) -> tuple[Dialect, ConnectionURL]:
     """Resolve ``url`` to (dialect, parsed URL) by scheme prefix."""
-    candidates = sorted(
-        (get_dialect(v) for v in available_vendors()),
-        key=lambda d: len(d.url_scheme),
-        reverse=True,
-    )
-    for dialect in candidates:
-        if url.startswith(dialect.url_scheme + ":") or url.startswith(
-            dialect.url_scheme + "@"
-        ):
+    for dialect in dialects_by_scheme():
+        scheme = dialect.url_scheme
+        if url.startswith((scheme + ":", scheme + "@")):
             return dialect, dialect.parse_url(url)
     raise ConnectionFailedError(f"no registered vendor understands URL {url!r}")

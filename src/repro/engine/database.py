@@ -37,14 +37,13 @@ class Database:
 
     # -- TableResolver protocol ----------------------------------------------------
 
-    def resolve_table(self, name: str) -> tuple[list[SchemaColumn], list[tuple]]:
-        """(columns, rows) of a base table, or of a view expanded now."""
+    def resolve_table(self, name: str) -> tuple[list, list[tuple]]:
+        """(columns, rows) of a base table, or of a view expanded now.
+        Each column has a ``name`` and a ``type``; a base table's are its
+        stored :class:`Column` list, read in place."""
         if self.catalog.has_table(name):
             table = self.catalog.get_table(name)
-            cols = [
-                SchemaColumn(None, c.name, c.type) for c in table.columns
-            ]
-            return cols, table.rows
+            return table.columns, table.rows
         view = self.catalog.get_view(name)
         if view is not None:
             if self._view_depth > 16:

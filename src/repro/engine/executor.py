@@ -63,8 +63,9 @@ class TableResolver(Protocol):
     :func:`access_path`.
     """
 
-    def resolve_table(self, name: str) -> tuple[list[SchemaColumn], list[tuple]]:
-        """Return (columns, rows) for a base table or view."""
+    def resolve_table(self, name: str) -> tuple[list, list[tuple]]:
+        """Return (columns, rows) for a base table or view; each column
+        has a ``name`` and a ``type``."""
         ...
 
 
@@ -455,10 +456,12 @@ class SelectExecutor:
             select = ast.resolve_positions(select, functools.partial(_star_refs, schema))
         types = self._typecheck(select, schema)
         if select.where is not None:
-            predicate = self._compile(select.where, schema)
             self._examine(logical, len(rows))
             kept = filter_columnwise(select.where, schema, self.params, rows)
-            rows = kept if kept is not None else [r for r in rows if truthy(predicate(r))]
+            if kept is None:
+                predicate = self._compile(select.where, schema)
+                kept = [r for r in rows if truthy(predicate(r))]
+            rows = kept
         if select.is_grouped:
             result = self._execute_aggregate(select, schema, rows, types)
         else:
@@ -596,25 +599,37 @@ class SelectExecutor:
         only hash matches fail the residual is padded, not dropped).
 
         One key column keys the table by the value itself, several by a
-        tuple. NULL never equi-joins: the build side's keys holding one
-        are dropped, so a probe with one finds nothing."""
+        tuple. The table maps each key to its build rows in input order:
+        a 1-tuple per key when every key is distinct (a primary-key
+        join), else a list. NULL never equi-joins: the build side's keys
+        holding one are dropped, so a probe with one finds nothing.
+
+        Without a residual, the probe is one comprehension: a LEFT row
+        with no match finds ``(pad,)`` as its one match."""
         self._examine(len(lrows) + len(rrows))
         lkey, rkey = itemgetter(*left_keys), itemgetter(*right_keys)
-        table: dict[object, list[tuple]] = {}
-        for rr in rrows:
-            table.setdefault(rkey(rr), []).append(rr)
+        keys = list(map(rkey, rrows))
+        table: dict[object, tuple | list] = dict(zip(keys, zip(rrows)))
+        if len(table) < len(rrows):
+            table = {}
+            for key, rr in zip(keys, rrows):
+                table.setdefault(key, []).append(rr)
         if len(right_keys) == 1:
             table.pop(None, None)
         else:
             for key in [k for k in table if None in k]:
                 del table[key]
-        out: list[tuple] = []
+        get = table.get
         pad = (None,) * right_width
+        if residual_fn is None:
+            miss = (pad,) if kind == "LEFT" else ()
+            return [lr + rr for lr in lrows for rr in get(lkey(lr), miss)]
+        out: list[tuple] = []
         for lr in lrows:
             matched = False
-            for rr in table.get(lkey(lr), ()):
+            for rr in get(lkey(lr), ()):
                 row = lr + rr
-                if residual_fn is None or residual_fn(row):
+                if residual_fn(row):
                     out.append(row)
                     matched = True
             if not matched and kind == "LEFT":

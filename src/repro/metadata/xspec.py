@@ -53,12 +53,21 @@ class XSpecTable:
     columns: tuple[XSpecColumn, ...]
     row_count: int = 0
 
-    def column_by_logical(self, logical: str) -> XSpecColumn | None:
-        lowered = logical.lower()
+    @functools.cached_property
+    def _by_logical(self) -> dict[str, XSpecColumn]:
+        """Lower-cased logical name -> column; the first column wins."""
+        index: dict[str, XSpecColumn] = {}
         for col in self.columns:
-            if col.logical_name.lower() == lowered:
-                return col
-        return None
+            index.setdefault(col.logical_name.lower(), col)
+        return index
+
+    @functools.cached_property
+    def logical_by_physical(self) -> dict[str, str]:
+        """Lower-cased physical name -> logical name; the last column wins."""
+        return {c.name.lower(): c.logical_name for c in self.columns}
+
+    def column_by_logical(self, logical: str) -> XSpecColumn | None:
+        return self._by_logical.get(logical.lower())
 
 
 @dataclass(frozen=True)

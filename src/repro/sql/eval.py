@@ -204,31 +204,39 @@ def filter_columnwise(
     """The rows ``expr`` keeps, one conjunct at a time in C, or None when
     ``expr`` and ``rows`` fall outside the batch rule.
 
-    The rule: every conjunct is ``column op literal-or-?`` with an int,
-    float or str constant, and every value in each such column, over all
-    of ``rows``, is in the constant's ``_DIRECT`` family. Then no
-    conjunct can raise or yield NULL, so filtering by each in turn keeps
-    the rows the Kleene AND keeps, though that evaluates every side.
+    The rule: every conjunct is ``column op literal-or-?`` or ``column
+    BETWEEN c1 AND c2`` (the two tests ``>= c1`` and ``<= c2``; NOT
+    BETWEEN runs per row) with int, float or str constants, and every
+    value in each such column, over all of ``rows``, is in each of its
+    constants' ``_DIRECT`` families. Then no conjunct can raise or
+    yield NULL, so filtering by each test in turn keeps the rows the
+    Kleene AND keeps, though that evaluates every side.
     """
+
+    def constant(expr: ast.Expr):
+        if isinstance(expr, ast.Literal):
+            return expr.value
+        if isinstance(expr, ast.Param) and expr.index < len(params):
+            return params[expr.index]
+        return None  # no int, float or str: declines below
+
     tests = []
     for conj in ast.conjuncts(expr):
-        if not (
-            isinstance(conj, ast.BinaryOp) and conj.op in _COMPARATORS
-            and isinstance(conj.left, ast.ColumnRef)
-        ):
-            return None
-        right = conj.right
-        if isinstance(right, ast.Literal):
-            c = right.value
-        elif isinstance(right, ast.Param) and right.index < len(params):
-            c = params[right.index]
+        if isinstance(conj, ast.BinaryOp) and conj.op in _COMPARATORS:
+            column, bounds = conj.left, ((conj.op, conj.right),)
+        elif isinstance(conj, ast.Between) and not conj.negated:
+            column, bounds = conj.operand, ((">=", conj.low), ("<=", conj.high))
         else:
             return None
-        family = _DIRECT.get(type(c))
-        if family is None:
+        if not isinstance(column, ast.ColumnRef):
             return None
-        get = operator.itemgetter(schema.resolve(conj.left))
-        tests.append((get, _COMPARATORS[conj.op], c, family))
+        get = operator.itemgetter(schema.resolve(column))
+        for op, bound in bounds:
+            c = constant(bound)
+            family = _DIRECT.get(type(c))
+            if family is None:
+                return None
+            tests.append((get, _COMPARATORS[op], c, family))
     columns = []
     for get, _compare, _c, family in tests:
         column = list(map(get, rows))

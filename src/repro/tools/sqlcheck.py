@@ -12,6 +12,10 @@ query sets an analysis site maintains::
 ``--disable CODE`` switches a rule off and ``--severity CODE=LEVEL``
 re-grades one (e.g. ``--severity RPR501=error`` to fail the build on
 whole-table shipping).
+
+Each finding prints as ``FILE:LINE: CODE severity: message``, where LINE
+is the statement's first line (``<sql>`` for ``--sql`` text) and an
+offset counts from the statement's first token.
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from repro.common.errors import ReproError
+from repro.common.errors import ReproError, SQLSyntaxError
 from repro.lint import (
     RULES,
     LintConfig,
@@ -28,32 +32,36 @@ from repro.lint import (
     lint_sql,
 )
 from repro.metadata.xspec import LowerXSpec
+from repro.sql.lexer import TokenType, tokenize
 
 
-def split_statements(text: str) -> list[str]:
-    """Split ``;``-separated SQL, respecting single-quoted strings."""
-    out: list[str] = []
-    buf: list[str] = []
-    in_string = False
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch == "'":
-            # '' inside a string is an escaped quote, not a terminator.
-            if in_string and i + 1 < len(text) and text[i + 1] == "'":
-                buf.append("''")
-                i += 2
-                continue
-            in_string = not in_string
-            buf.append(ch)
-        elif ch == ";" and not in_string:
-            out.append("".join(buf))
-            buf = []
-        else:
-            buf.append(ch)
-        i += 1
-    out.append("".join(buf))
-    return [s.strip() for s in out if s.strip()]
+def split_statements(text: str) -> list[tuple[int, str]]:
+    """``(first line, statement)`` for each ``;``-separated statement.
+
+    The split is on the lexer's ``;`` tokens, so quotes and comments
+    follow the parser's rules, and a statement starts at its first
+    token (offsets in a finding count from there). From the statement
+    where the text stops lexing, the rest is one statement, so lint
+    reports its syntax error.
+    """
+    try:
+        tokens, lexed = tokenize(text), len(text)
+    except SQLSyntaxError as exc:
+        tokens, lexed = tokenize(text[: exc.position]), exc.position
+    spans: list[tuple[int, int]] = []
+    start = None
+    for token in tokens[:-1]:  # the last is EOF
+        if token.matches(TokenType.PUNCT, ";"):
+            if start is not None:
+                spans.append((start, token.position))
+            start = None
+        elif start is None:
+            start = token.position
+    if start is None and lexed < len(text):
+        start = lexed
+    if start is not None:
+        spans.append((start, len(text)))
+    return [(text.count("\n", 0, a) + 1, text[a:b].rstrip()) for a, b in spans]
 
 
 def _build_config(args) -> LintConfig:
@@ -70,19 +78,20 @@ def _build_config(args) -> LintConfig:
 
 
 def _gather_sql(args) -> list[tuple[str, str]]:
-    """(origin, statement) pairs from --sql options and file operands."""
+    """(``origin:line``, statement) pairs from --sql options and file
+    operands; the line is the statement's first."""
     work: list[tuple[str, str]] = []
     for text in args.sql or []:
-        for statement in split_statements(text):
-            work.append(("<sql>", statement))
+        for line, statement in split_statements(text):
+            work.append((f"<sql>:{line}", statement))
     for path in args.files:
         if path == "-":
             text = sys.stdin.read()
         else:
             with open(path, encoding="utf-8") as handle:
                 text = handle.read()
-        for statement in split_statements(text):
-            work.append((path, statement))
+        for line, statement in split_statements(text):
+            work.append((f"{path}:{line}", statement))
     return work
 
 

@@ -185,9 +185,7 @@ def integrate_plan(plan: DecomposedQuery, fetched: dict, ctx, clock) -> QueryAns
 
 def _logicalize_columns(columns: list[str], sub: SubQuery) -> list[str]:
     """Map physical output names back to logical ones (star pushdowns)."""
-    reverse = {
-        c.name.lower(): c.logical_name for c in sub.location.table.columns
-    }
+    reverse = sub.location.table.logical_by_physical
     return [reverse.get(c.lower(), c) for c in columns]
 
 

@@ -1,6 +1,7 @@
 -- The three Table 1 query classes (repro.hep.testbed.PaperTestbed)
 SELECT event_id, e FROM ntuple_a WHERE event_id <= 15;
 
+-- The one-server join (a comment's quote opens no string)
 SELECT n.event_id, m.detector FROM ntuple_a n JOIN runmeta_a m
 ON n.run_id = m.run_id WHERE n.event_id <= 100;
 

@@ -4,7 +4,8 @@ import pytest
 
 from repro.common import AuthenticationError, ConnectionFailedError
 from repro.common.errors import DriverError, DuplicateObjectError
-from repro.dialects import get_dialect
+from repro.dialects import Dialect, get_dialect, register_dialect
+from repro.dialects import registry
 from repro.driver import Directory, connect, sniff_vendor
 from repro.engine import Database
 from repro.net import SimClock
@@ -33,6 +34,28 @@ class TestSniffing:
     def test_unknown_scheme_raises(self):
         with pytest.raises(ConnectionFailedError):
             sniff_vendor("odbc:whatever://h/db")
+
+
+@pytest.fixture
+def scratch_registry(monkeypatch):
+    """The dialect registry, restored after the test."""
+    monkeypatch.setattr(registry, "_REGISTRY", dict(registry._REGISTRY))
+    monkeypatch.setattr(registry, "_BY_SCHEME", registry._BY_SCHEME)
+
+
+class _PluginDialect(Dialect):
+    name = "plugin"
+    url_scheme = "jdbc:mysql:plugin"  # extends MySQL's scheme
+
+
+def test_dialect_registered_after_a_sniff_is_found_by_the_next(scratch_registry):
+    url = _PluginDialect().make_url("h", 1, "db")
+    with pytest.raises(ConnectionFailedError):  # MySQL claims it, then refuses it
+        sniff_vendor(url)
+    register_dialect(_PluginDialect())
+    sniffed, parsed = sniff_vendor(url)
+    assert sniffed.name == "plugin" and parsed.database == "db"
+    assert sniff_vendor(get_dialect("mysql").make_url("h", None, "db"))[0].name == "mysql"
 
 
 class TestDirectory:

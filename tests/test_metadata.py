@@ -4,6 +4,7 @@ import pytest
 
 from repro.common import TableNotRegisteredError, TypeKind
 from repro.common.errors import XSpecError
+from repro.common.types import SQLType
 from repro.engine import Database
 from repro.metadata import (
     DataDictionary,
@@ -13,7 +14,7 @@ from repro.metadata import (
     UpperXSpecEntry,
     generate_lower_xspec,
 )
-from repro.metadata.xspec import XSpecRelationship
+from repro.metadata.xspec import XSpecColumn, XSpecRelationship, XSpecTable
 
 
 @pytest.fixture
@@ -167,6 +168,20 @@ class TestXSpecXML:
         assert len(one.tables) == 1
         with pytest.raises(XSpecError):
             spec.single_table_spec("zzz")
+
+
+def test_column_by_logical_ignores_case_and_takes_the_first_of_a_name():
+    def column(name, logical):
+        return XSpecColumn(name, logical, "INTEGER", SQLType.integer())
+
+    table = XSpecTable("EVT", "evt", (
+        column("RUN_NO", "Run"), column("E1", "energy"), column("E2", "ENERGY"),
+    ))
+    assert table.column_by_logical("run").name == "RUN_NO"
+    assert table.column_by_logical("RUN").name == "RUN_NO"
+    assert table.column_by_logical("Energy").name == "E1"
+    assert table.column_by_logical("e1") is None
+    assert table.logical_by_physical == {"run_no": "Run", "e1": "energy", "e2": "ENERGY"}
 
 
 class TestUpperXSpec:

@@ -3,8 +3,9 @@
 The executor groups rows on one ``itemgetter`` when every GROUP BY term
 is a plain column, reads aggregate arguments with ``map``, compares
 MIN/MAX natively when the values are all numbers or all strings, and
-filters a WHERE of ``column op constant`` conjuncts one column at a time
-when every value is in the constant's family. Each has a per-row
+filters a WHERE of ``column op constant`` and ``column BETWEEN c1 AND
+c2`` conjuncts one column at a time when every value is in each
+constant's family. Each has a per-row
 fallback. The property runs generated GROUP BY / HAVING (on an output
 alias) / ORDER BY ... LIMIT queries, their GROUP BY and ORDER BY spelled
 by name or by select-list position, on the engine, on stdlib sqlite3 and
@@ -108,8 +109,13 @@ def queries(draw, kinds):
         aggregates.append((name, column))
     where = []
     for _ in range(draw(st.integers(0, 3))):
-        target = draw(st.sampled_from(["id", "isnull", *COLUMNS, *COLUMNS]))
-        if target == "id":
+        target = draw(st.sampled_from(["id", "isnull", "between", *COLUMNS, *COLUMNS]))
+        if target == "between":
+            column, param = draw(st.sampled_from(COLUMNS)), draw(st.booleans())
+            kind = kinds[COLUMNS.index(column)]
+            where.append(("between", column, _constant(draw, kind, param),
+                          _constant(draw, kind, param), draw(st.booleans()), param))
+        elif target == "id":
             where.append(("id", draw(st.sampled_from(_OPS)), draw(st.integers(-1, 12)),
                           draw(st.booleans())))
         elif target == "isnull":
@@ -158,6 +164,15 @@ def render(q, ordered=True, sqlite=False) -> tuple[str, tuple]:
     for conj in q["where"]:
         if conj[0] == "isnull":
             conjuncts.append(f"{conj[1]} IS NULL")
+            continue
+        if conj[0] == "between":
+            _, column, low, high, negated, param = conj
+            if param:
+                params += [low, high]
+                low = high = "?"
+            else:
+                low, high = repr(low), repr(high)
+            conjuncts.append(f"{column} {'NOT ' if negated else ''}BETWEEN {low} AND {high}")
             continue
         column, op, value, param = conj
         if param:
@@ -236,6 +251,14 @@ def reference(q, rows, ordered=True):
         for conj in where:
             if conj[0] == "isnull":
                 results.append(row[1 + COLUMNS.index(conj[1])] is None)
+                continue
+            if conj[0] == "between":
+                _, target, low, high, negated, _param = conj
+                a = row[1 + COLUMNS.index(target)]
+                # both sides are evaluated, so either can raise
+                sides = (_cmp(">=", a, low), _cmp("<=", a, high))
+                inside = False if False in sides else None if None in sides else True
+                results.append(None if inside is None else inside != negated)
                 continue
             target, op, value, _param = conj
             a = row[0] if target == "id" else row[1 + COLUMNS.index(target)]
@@ -394,6 +417,18 @@ def _case(kinds, rows, aggregates=(), group=(), where=(), order=(), positions=Fa
     [(0, 1, "a", 1, 1), (1, 2, 2, 1, 1)],
     where=[("v0", ">", 1, False), ("v1", "<", 3, True)],
 ))
+# BETWEEN keeps both bounds, column-wise
+@example(_case(
+    ["int", "float", "int", "int"],
+    [(0, 0, 1.0, 0, 0), (1, 1, 2.0, 0, 0), (2, 2, 2.5, 0, 0), (3, 3, 1.5, 0, 0)],
+    where=[("between", "v0", 1, 2.0, False, False), ("between", "v1", 1, 2, False, True)],
+))
+# NOT BETWEEN row by row, where a NULL operand is unknown
+@example(_case(
+    ["int", "float", "int", "int"],
+    [(0, 0, 1.0, 0, 0), (1, 1, None, 0, 0), (2, 2, 2.5, 0, 0)],
+    where=[("between", "v1", 1, 2, True, False)],
+))
 # GROUP BY 1 ORDER BY 2 DESC, 1 over a = 3, 1, 2, 1
 @example(_case(
     ["int", "int", "int", "int"],
@@ -471,8 +506,11 @@ def test_batch_paths_and_fallbacks_both_run(monkeypatch):
     ]
     # COALESCE(v3, v0) is 1 for row 0 and True for row 1: one group
     assert db.execute("SELECT COUNT(*) FROM t GROUP BY COALESCE(v3, v0)").rows == [(2,), (1,)]
+    # BETWEEN is two column tests; NOT BETWEEN runs row by row
+    assert db.execute("SELECT id FROM t WHERE v1 BETWEEN 1 AND ?", (2.5,)).rows == [(0,), (2,)]
+    assert db.execute("SELECT id FROM t WHERE v1 NOT BETWEEN 1 AND 2").rows == [(0,), (1,)]
     assert seen == [
-        "batch", "zip", "per-row", "zip", "per-row", "map", "generator",
+        "batch", "zip", "per-row", "zip", "per-row", "map", "generator", "batch", "per-row",
     ]
 
 

@@ -39,20 +39,49 @@ def xspec_file(tmp_path):
 
 
 class TestSplitStatements:
+    """Each statement comes with its first line and starts at its first
+    token; the split is on the lexer's ``;`` tokens."""
+
     def test_basic(self):
-        assert split_statements("SELECT 1; SELECT 2") == ["SELECT 1", "SELECT 2"]
+        assert split_statements("SELECT 1; SELECT 2") == [(1, "SELECT 1"), (1, "SELECT 2")]
 
     def test_semicolon_inside_string(self):
-        assert split_statements("SELECT 'a;b' FROM t") == ["SELECT 'a;b' FROM t"]
+        assert split_statements("SELECT 'a;b' FROM t") == [(1, "SELECT 'a;b' FROM t")]
 
     def test_escaped_quote(self):
         assert split_statements("SELECT 'it''s;ok' FROM t; SELECT 1") == [
-            "SELECT 'it''s;ok' FROM t",
-            "SELECT 1",
+            (1, "SELECT 'it''s;ok' FROM t"),
+            (1, "SELECT 1"),
         ]
 
     def test_trailing_and_empty(self):
-        assert split_statements(" ;; SELECT 1 ; ") == ["SELECT 1"]
+        assert split_statements(" ;; SELECT 1 ; ") == [(1, "SELECT 1")]
+
+    def test_apostrophe_in_line_comment(self):
+        assert split_statements("-- don't\nSELECT 1; SELECT 2") == [
+            (2, "SELECT 1"), (2, "SELECT 2"),
+        ]
+
+    def test_semicolon_inside_quoted_identifier(self):
+        assert split_statements('SELECT "a;b" FROM t') == [(1, 'SELECT "a;b" FROM t')]
+
+    def test_apostrophe_and_semicolon_in_block_comment(self):
+        assert split_statements("SELECT 1 /* it's; */; SELECT 2") == [
+            (1, "SELECT 1 /* it's; */"), (1, "SELECT 2"),
+        ]
+
+    def test_leading_comments_and_lines(self):
+        text = "-- first\n\nSELECT 1\nFROM t;\n/* two\nlines */ SELECT 2;\n-- tail"
+        assert split_statements(text) == [(3, "SELECT 1\nFROM t"), (6, "SELECT 2")]
+
+    def test_text_that_does_not_lex_is_one_statement(self):
+        # the unterminated string swallows the rest, as the lexer reads it
+        assert split_statements("SELECT 1;\nSELECT 'x; SELECT 2") == [
+            (1, "SELECT 1"), (2, "SELECT 'x; SELECT 2"),
+        ]
+        assert split_statements("SELECT 1; -- c\n #; SELECT 2") == [
+            (1, "SELECT 1"), (2, "#; SELECT 2"),
+        ]
 
 
 class TestExitCodes:
@@ -100,6 +129,26 @@ class TestExitCodes:
         assert code == 1
         out = capsys.readouterr().out
         assert "queries.sql" in out and "RPR102" in out
+
+    def test_findings_name_the_first_line_and_count_from_the_first_token(
+        self, xspec_file, tmp_path, capsys
+    ):
+        sql_path = tmp_path / "queries.sql"
+        sql_path.write_text(
+            "-- the run's events; one query per line\n"
+            "SELECT run FROM events;\n\n"
+            "-- a bad column\nSELECT bogus FROM events;\n"
+            "SELECT 'x FROM events;\n",
+            encoding="utf-8",
+        )
+        assert main(["--xspec", xspec_file, str(sql_path)]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert lines == [
+            f"{sql_path}:5: RPR102 error: unknown column 'bogus' ['bogus' at offset 7]",
+            f"{sql_path}:6: RPR001 error: unterminated string literal "
+            "(at position 7: ...\"SELECT 'x FROM events;\"...)",
+            "checked 3 statement(s): 2 error(s), 0 warning(s)",
+        ]
 
     def test_missing_xspec_file_exits_two(self, tmp_path, capsys):
         code = main(["--xspec", str(tmp_path / "nope.xml"), "--sql", "SELECT 1"])
