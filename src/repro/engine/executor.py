@@ -20,7 +20,8 @@ index-using DBMS.
 Join strategy: conjunctive equi-join predicates become hash joins
 (build on the right input, probe from the left); remaining conjuncts
 are applied as residual filters. Everything else falls back to a
-nested-loop join.
+nested-loop join. Consecutive hash joins with no residual are probed
+together, so only their last stage's rows are built.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ import math
 import operator
 from collections import defaultdict
 from dataclasses import dataclass, field
+from itertools import accumulate, count, repeat
 from operator import itemgetter
 from typing import Callable, NamedTuple, Protocol
 
@@ -128,17 +130,8 @@ def equi_join_keys(conj: ast.Expr, lschema: RowSchema, rschema: RowSchema):
         return None
 
     def side(ref: ast.ColumnRef) -> str | None:
-        in_left = in_right = False
-        try:
-            lschema.resolve(ref)
-            in_left = True
-        except ColumnNotFoundError:
-            pass
-        try:
-            rschema.resolve(ref)
-            in_right = True
-        except ColumnNotFoundError:
-            pass
+        in_left = lschema.find(ref) is not None
+        in_right = rschema.find(ref) is not None
         if in_left and not in_right:
             return "L"
         if in_right and not in_left:
@@ -151,6 +144,85 @@ def equi_join_keys(conj: ast.Expr, lschema: RowSchema, rschema: RowSchema):
     if sa == "R" and sb == "L":
         return b, a
     return None
+
+
+def _split_on(on: ast.Expr | None, lschema: RowSchema, rschema: RowSchema):
+    """``(left key positions, right key positions, residual conjuncts)``
+    of an ON clause; None without one (a cross join)."""
+    if on is None:
+        return None
+    left_keys: list[int] = []
+    right_keys: list[int] = []
+    residual: list[ast.Expr] = []
+    for conj in ast.conjuncts(on):
+        pair = equi_join_keys(conj, lschema, rschema)
+        if pair is None:
+            residual.append(conj)
+        else:
+            left_keys.append(lschema.resolve(pair[0]))
+            right_keys.append(rschema.resolve(pair[1]))
+    return left_keys, right_keys, residual
+
+
+def _hash_table(rrows: list[tuple], right_keys: list[int]) -> dict:
+    """The build side of a hash join: each key of ``rrows`` at positions
+    ``right_keys`` to its rows in input order, as a 1-tuple per key when
+    every key is distinct (a primary-key join), else a list. One key
+    column keys by the value itself, several by a tuple. NULL never
+    equi-joins: keys holding one are dropped, so a probe with one finds
+    nothing."""
+    keys = list(map(itemgetter(*right_keys), rrows))
+    table: dict[object, tuple | list] = dict(zip(keys, zip(rrows)))
+    if len(table) < len(rrows):
+        table = {}
+        for key, rr in zip(keys, rrows):
+            table.setdefault(key, []).append(rr)
+    if len(right_keys) == 1:
+        table.pop(None, None)
+    else:
+        for key in [k for k in table if None in k]:
+            del table[key]
+    return table
+
+
+class _HashStage(NamedTuple):
+    """An equi-join with no residual, waiting in a run to be probed."""
+
+    #: the build side (:func:`_hash_table`)
+    table: dict
+    #: the key columns' positions in the rows the stage joins onto
+    keys: list[int]
+    #: what a probe that finds nothing matches: nothing for an INNER
+    #: join, the all-NULL pad for a LEFT one
+    miss: tuple
+    #: columns of the joined table
+    width: int
+    #: rows of the joined table, charged as its build rows
+    build_rows: int
+
+
+@functools.cache
+def _run_probe(sources: tuple[int | None, ...]) -> Callable:
+    """The probe of a run of ``len(sources)`` hash-join stages, as one
+    nested comprehension compiled once per run shape. Stage ``i`` (from
+    1) reads its key off part ``sources[i - 1]`` (None: parts 0 to
+    ``i - 1`` joined) and iterates ``get(key(part), miss)``; each level
+    from 2 to the last but one also ticks a counter, which is always
+    truthy. The text is made only of these integers and fixed names.
+    The returned function takes the input rows, then per stage its
+    ``get``, ``key`` and ``miss``, and its counter where it has one."""
+    params, clauses = ["rows"], ["for p0 in rows"]
+    for i, source in enumerate(sources, start=1):
+        part = f"p{source}" if source is not None else " + ".join(f"p{j}" for j in range(i))
+        params += [f"get{i}", f"key{i}", f"miss{i}"]
+        clauses.append(f"for p{i} in get{i}(key{i}({part}), miss{i})")
+        if 1 < i < len(sources):
+            params.append(f"count{i}")
+            clauses.append(f"if count{i}()")
+    row = " + ".join(f"p{i}" for i in range(len(sources) + 1))
+    namespace: dict = {}
+    exec(f"def probe({', '.join(params)}):\n    return [{row} {' '.join(clauses)}]", namespace)
+    return namespace["probe"]
 
 
 #: comparison operator -> the same comparison with its operands swapped
@@ -348,11 +420,15 @@ class _Output(NamedTuple):
     position: int | None
 
 
-def _project(output: list[_Output], rows: list[tuple]) -> list[tuple]:
-    """Project ``rows`` onto ``output``: one ``itemgetter`` when every
-    output is a plain column, else each output's function per row."""
+def _project(output: list[_Output], rows: list[tuple], width: int) -> list[tuple]:
+    """Project ``rows`` (``width`` columns) onto ``output``: the rows
+    themselves, in a new list, when the outputs are every column in
+    order; one ``itemgetter`` when every output is a plain column; else
+    each output's function per row."""
     positions = [o.position for o in output]
     if None not in positions:
+        if positions == list(range(width)):
+            return list(rows)
         if len(positions) == 1:
             return list(zip(map(output[0].fn, rows)))
         return list(map(itemgetter(*positions), rows))
@@ -542,88 +618,116 @@ class SelectExecutor:
         self, select: ast.Select
     ) -> tuple[RowSchema, list[tuple], int]:
         """``(schema, rows, logical rows)``: the rows the WHERE runs on,
-        and how many a scan would have produced."""
+        and how many a scan would have produced.
+
+        Consecutive equi-joins with no residual form a run: each stage's
+        hash table is built as its table is scanned, and the run is
+        probed in one comprehension (:meth:`_probe_run`) when a join of
+        another kind, or the end of the FROM clause, needs its rows."""
         if len(select.from_) == 1 and not select.joins:
             return self._scan(select.from_[0], select.where)
         schema, rows, _ = self._scan(select.from_[0])
         for ref in select.from_[1:]:
             rschema, rrows, _ = self._scan(ref)
-            schema, rows = self._cross_join(schema, rows, rschema, rrows)
+            rows = self._cross_join(rows, rrows)
+            schema = schema.concat(rschema)
+        run: list[_HashStage] = []
+        width = len(schema)  # of ``rows``, the run's input
         for join in select.joins:
             rschema, rrows, _ = self._scan(join.table)
-            schema, rows = self._join(schema, rows, rschema, rrows, join)
+            combined = schema.concat(rschema)
+            on = None if join.kind == "CROSS" else _split_on(join.on, schema, rschema)
+            left_keys, right_keys, residual = on or ((), (), ())
+            if left_keys and not residual:
+                miss = ((None,) * len(rschema),) if join.kind == "LEFT" else ()
+                run.append(_HashStage(
+                    _hash_table(rrows, right_keys), left_keys, miss, len(rschema), len(rrows)
+                ))
+                self.stats.join_strategy.append("hash")
+            else:
+                rows = self._probe_run(rows, width, run)
+                run = []
+                rows = self._join(rows, rrows, combined, join, on, len(rschema))
+                width = len(combined)
+            schema = combined
+        rows = self._probe_run(rows, width, run)
         return schema, rows, len(rows)
 
-    def _cross_join(self, lschema, lrows, rschema, rrows):
-        combined = lschema.concat(rschema)
-        rows = [lr + rr for lr in lrows for rr in rrows]
+    def _cross_join(self, lrows, rrows):
         self.stats.join_strategy.append("cross")
-        return combined, rows
+        return [lr + rr for lr in lrows for rr in rrows]
 
-    def _join(self, lschema, lrows, rschema, rrows, join: ast.Join):
-        combined = lschema.concat(rschema)
-        if join.kind == "CROSS" or join.on is None:
-            return self._cross_join(lschema, lrows, rschema, rrows)
-        left_keys: list[int] = []
-        right_keys: list[int] = []
-        residual: list[ast.Expr] = []
-        for conj in ast.conjuncts(join.on):
-            pair = equi_join_keys(conj, lschema, rschema)
-            if pair is None:
-                residual.append(conj)
-            else:
-                left_keys.append(lschema.resolve(pair[0]))
-                right_keys.append(rschema.resolve(pair[1]))
-        if left_keys:
-            residual_fn = None
-            if residual:
-                pred_fns = [self._compile(c, combined) for c in residual]
-                residual_fn = lambda row: all(truthy(p(row)) for p in pred_fns)  # noqa: E731
-            rows = self._hash_join(
-                lrows, rrows, left_keys, right_keys, join.kind, len(rschema), residual_fn
-            )
-            self.stats.join_strategy.append("hash")
-        else:
-            rows = self._nested_loop(
-                lrows, rrows, combined, join.on, join.kind, len(rschema)
-            )
+    def _join(self, lrows, rrows, combined, join: ast.Join, on, right_width):
+        """One join that is not a run stage: a CROSS join (``on`` None),
+        a hash join with a residual, or a nested loop."""
+        if on is None:
+            return self._cross_join(lrows, rrows)
+        left_keys, right_keys, residual = on
+        if not left_keys:
             self.stats.join_strategy.append("nested-loop")
-        return combined, rows
+            return self._nested_loop(
+                lrows, rrows, combined, join.on, join.kind, right_width
+            )
+        pred_fns = [self._compile(c, combined) for c in residual]
+        self.stats.join_strategy.append("hash")
+        return self._hash_join(
+            lrows, rrows, left_keys, right_keys, join.kind, right_width,
+            lambda row: all(truthy(p(row)) for p in pred_fns),
+        )
+
+    def _probe_run(
+        self, rows: list[tuple], width: int, run: list[_HashStage]
+    ) -> list[tuple]:
+        """``rows`` (``width`` columns) joined through every stage of
+        ``run``, left-major with each stage's matches in build-input
+        order, as one join at a time would give them; only the output
+        rows are built. Each stage charges its input rows and its build
+        rows; the input rows of stages after the first are rows no one
+        builds, so they are counted: the second stage's off one ``map``
+        of the first stage's lookups, each later one's by a counter the
+        probe ticks.
+
+        Part 0 of an output row is the input row, part ``i`` stage
+        ``i``'s match. A stage whose key columns all lie in one part
+        reads them there; any other key is read off the parts before it
+        joined together."""
+        if not run:
+            return rows
+        first = run[0]
+        get, key = first.table.get, itemgetter(*first.keys)
+        sources: list[int | None] = [0]
+        args: list = [rows, get, key, first.miss]
+        examined = len(rows) + first.build_rows
+        counters = []
+        if len(run) > 1:
+            examined += sum(map(len, map(get, map(key, rows), repeat(first.miss))))
+            starts = list(accumulate([width] + [stage.width for stage in run], initial=0))
+            for i, stage in enumerate(run[1:], start=2):
+                parts = {bisect.bisect_right(starts, p, 0, i) - 1 for p in stage.keys}
+                source = parts.pop() if len(parts) == 1 else None
+                offset = 0 if source is None else starts[source]
+                sources.append(source)
+                args += [stage.table.get, itemgetter(*[p - offset for p in stage.keys]), stage.miss]
+                if i < len(run):
+                    counters.append(count(1).__next__)
+                    args.append(counters[-1])
+                examined += stage.build_rows
+        out = _run_probe(tuple(sources))(*args)
+        self._examine(examined + sum(counter() - 1 for counter in counters))
+        return out
 
     def _hash_join(
-        self, lrows, rrows, left_keys, right_keys, kind, right_width, residual_fn=None
+        self, lrows, rrows, left_keys, right_keys, kind, right_width, residual_fn
     ):
         """Hash join on the key columns at positions ``left_keys`` and
-        ``right_keys``; ``residual_fn`` is the non-equi remainder of the ON
-        clause and participates in *match determination* (a LEFT row whose
-        only hash matches fail the residual is padded, not dropped).
-
-        One key column keys the table by the value itself, several by a
-        tuple. The table maps each key to its build rows in input order:
-        a 1-tuple per key when every key is distinct (a primary-key
-        join), else a list. NULL never equi-joins: the build side's keys
-        holding one are dropped, so a probe with one finds nothing.
-
-        Without a residual, the probe is one comprehension: a LEFT row
-        with no match finds ``(pad,)`` as its one match."""
+        ``right_keys`` (see :func:`_hash_table`); ``residual_fn`` is the
+        non-equi remainder of the ON clause and participates in *match
+        determination* (a LEFT row whose only hash matches fail the
+        residual is padded, not dropped)."""
         self._examine(len(lrows) + len(rrows))
-        lkey, rkey = itemgetter(*left_keys), itemgetter(*right_keys)
-        keys = list(map(rkey, rrows))
-        table: dict[object, tuple | list] = dict(zip(keys, zip(rrows)))
-        if len(table) < len(rrows):
-            table = {}
-            for key, rr in zip(keys, rrows):
-                table.setdefault(key, []).append(rr)
-        if len(right_keys) == 1:
-            table.pop(None, None)
-        else:
-            for key in [k for k in table if None in k]:
-                del table[key]
-        get = table.get
+        lkey = itemgetter(*left_keys)
+        get = _hash_table(rrows, right_keys).get
         pad = (None,) * right_width
-        if residual_fn is None:
-            miss = (pad,) if kind == "LEFT" else ()
-            return [lr + rr for lr in lrows for rr in get(lkey(lr), miss)]
         out: list[tuple] = []
         for lr in lrows:
             matched = False
@@ -708,7 +812,7 @@ class SelectExecutor:
         return ExecResult(
             columns=[o.name for o in output],
             types=[o.type for o in output],
-            rows=_project(output, rows),
+            rows=_project(output, rows, len(schema)),
         )
 
     # -- scalar select (no FROM) ----------------------------------------------------
@@ -827,7 +931,7 @@ class SelectExecutor:
         return ExecResult(
             columns=[o.name for o in output],
             types=[o.type for o in output],
-            rows=_project(output, post_rows),
+            rows=_project(output, post_rows, len(post_schema)),
         )
 
     @staticmethod

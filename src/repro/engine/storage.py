@@ -303,14 +303,17 @@ class TableStorage:
         """The coerced rows of a full-width batch, checked a column at a
         time. A column whose values ``coerce_value`` would all return
         unchanged (``coerces_unchanged``) is kept as it is; any other
-        column is coerced value by value. None when a row is ragged, a
-        NOT NULL column holds a NULL or any value fails: the caller then
-        re-runs the row path, which raises that path's first error.
+        column is coerced value by value. When every column is kept, the
+        rows are returned as given: a tuple is stored as the same object,
+        a list becomes a tuple. None when a row is ragged, a NOT NULL
+        column holds a NULL or any value fails: the caller then re-runs
+        the row path, which raises that path's first error.
         """
         try:
             if set(map(len, rows)) != {len(self.columns)}:
                 return None
             coerced = []
+            unchanged = True
             for col, values in zip(self.columns, zip(*rows)):
                 kinds = set(map(type, values))
                 if _NONE_TYPE in kinds:
@@ -320,7 +323,10 @@ class TableStorage:
                 if coerces_unchanged(kinds, values, col.type):
                     coerced.append(values)
                 else:
+                    unchanged = False
                     coerced.append(map(coerce_value, values, repeat(col.type)))
+            if unchanged:
+                return list(map(tuple, rows))
             return list(zip(*coerced))
         except Exception:
             # not swallowed: the row path raises it again, or the error

@@ -54,6 +54,15 @@ class RowSchema:
     def __len__(self) -> int:
         return len(self.columns)
 
+    def find(self, ref: ast.ColumnRef) -> int | None:
+        """Index of the column referenced by ``ref``; None on a miss or
+        an ambiguous bare name."""
+        name = ref.column.lower()
+        if ref.table is not None:
+            return self._by_qualified.get((ref.table.lower(), name))
+        candidates = self._by_name.get(name)
+        return candidates[0] if candidates is not None and len(candidates) == 1 else None
+
     def resolve(self, ref: ast.ColumnRef) -> int:
         """Index of the column referenced by ``ref``; raises on miss/ambiguity."""
         name = ref.column.lower()

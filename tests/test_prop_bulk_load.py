@@ -252,3 +252,65 @@ def test_first_error_is_the_row_paths():
     else:
         raise AssertionError("a duplicate key must raise")
     assert table.rows == [(1, 1.0)]
+
+
+def _clean_table() -> TableStorage:
+    return TableStorage(
+        "t",
+        [
+            Column("id", SQLType.integer(), not_null=True, primary_key=True),
+            Column("e", SQLType.double()),
+            Column("tag", SQLType.varchar(4)),
+        ],
+    )
+
+
+def test_an_unchanged_batch_of_tuples_is_stored_as_the_same_objects():
+    rows = [(1, 2.5, "ab"), (2, None, None)]
+    table = _clean_table()
+    table.append_rows(rows)
+    assert all(stored is given for stored, given in zip(table.rows, rows))
+    replaced = _clean_table()
+    replaced.replace_rows(rows)
+    assert all(stored is given for stored, given in zip(replaced.rows, rows))
+
+
+def test_list_rows_of_an_unchanged_batch_become_tuples():
+    rows = [[1, 2.5, "ab"], (2, None, None)]
+    table = _clean_table()
+    table.append_rows(rows)
+    assert [type(row) for row in table.rows] == [tuple, tuple]
+    assert table.rows == [(1, 2.5, "ab"), (2, None, None)]
+    assert table.rows[1] is rows[1]
+
+
+def test_a_column_that_needs_coercion_is_still_coerced():
+    rows = [(1, 2, "ab"), (2, 0.5, "cd")]  # the int 2 is stored as a DOUBLE
+    table = _clean_table()
+    table.append_rows(rows)
+    assert repr(table.rows) == repr([(1, 2.0, "ab"), (2, 0.5, "cd")])
+    assert table.rows[0] is not rows[0]
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        # every column unchanged: the key check raises on row 3
+        [(1, 1.0), (2, 2.0), (1, 3.0)],
+        # row 2 repeats row 1's key before row 3's NULL breaks NOT NULL
+        [(1, 1.0), (1, 2.0), (2, None)],
+    ],
+)
+def test_first_error_of_an_unchanged_batch_is_the_row_paths(rows):
+    columns = [
+        Column("id", SQLType.integer(), not_null=True, primary_key=True),
+        Column("x", SQLType.double(), not_null=True),
+    ]
+    table = TableStorage("t", columns)
+    with pytest.raises(IntegrityError) as expected:
+        table._stage_rows(rows, None, {})
+    with pytest.raises(IntegrityError) as got:
+        table.append_rows(rows)
+    assert str(got.value) == str(expected.value)
+    assert "duplicate primary key (1,)" in str(got.value)
+    assert table.rows == [] and table._pk_index == {}
