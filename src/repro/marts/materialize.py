@@ -13,7 +13,8 @@ mart's rows with one checked append (see :mod:`repro.warehouse.etl`).
 :func:`~repro.warehouse.etl.extract`, and hands that :class:`Extract` to
 every mart's :func:`materialize_view`. Each mart still pays the whole
 extraction — stream, scan, transfer and staging — so the simulated
-times are those of one query per mart.
+times are those of one query per mart. A view row that is a tuple the
+warehouse load stored keeps the size that load computed.
 """
 
 from __future__ import annotations

@@ -101,6 +101,7 @@ def _lint():
 def _warehouse():
     from repro.common import DeterministicRNG
     from repro.engine import Database
+    from repro.engine.storage import estimate_row_bytes
     from repro.hep import (
         create_source_schema,
         etl_jobs_for_source,
@@ -109,6 +110,7 @@ def _warehouse():
     )
     from repro.net import Network, SimClock
     from repro.warehouse import Warehouse
+    from repro.warehouse.etl import ETLJob, extract
 
     rng = DeterministicRNG("validate")
     net = Network()
@@ -121,6 +123,9 @@ def _warehouse():
     wh.load(job)
     assert wh.row_count("event_fact") == 10
     assert wh.pipeline.verify(job).ok
+    # the marts' read of the view reuses the load's row sizes: still exact
+    view = extract(ETLJob(wh.db, wh.host, "SELECT * FROM v_event_wide", "v_event_wide"))
+    assert view.nbytes == sum(map(estimate_row_bytes, view.rows)), view.nbytes
 
 
 @check("analysis: server-side histogram")

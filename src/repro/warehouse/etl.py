@@ -26,10 +26,21 @@ rows without touching the clock, and ``run`` charges for them. One
 :class:`Extract` can feed several runs of the same job shape (the
 marts' view replication), each paying every charge as if it had queried
 the source itself.
+
+A row is sized once. When a ``run`` has landed every row, it records
+each row with its size under the target database, and :func:`extract`
+reuses the recorded size for a result row that is that very tuple (the
+marts' view read returns the tuples the warehouse load stored). The
+record holds each row, so no other object takes its id while the entry
+lives. A row the target hands back as it was loaded was stored as given,
+which admits only int, float and str values, so it cannot have changed:
+the recorded size is what :func:`~repro.engine.storage.estimate_row_bytes`
+returns again. The record is keyed weakly by database and goes with it.
 """
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field, replace
 from typing import Callable
 
@@ -96,6 +107,7 @@ class Extract:
     nothing: :meth:`ETLPipeline.run` charges for them.
 
     ``rows`` is shared by every run it feeds and must not be mutated.
+    ``sizes`` holds each row's simulated size, in ``rows``' order.
     """
 
     source: Database
@@ -108,7 +120,9 @@ class Extract:
     #: rows the source query returned, before the transform
     source_rows: int
     rows_examined: int
-    #: ``rows``' simulated size, summed once
+    #: ``estimate_row_bytes`` of each of ``rows``
+    sizes: list[int]
+    #: ``rows``' simulated size: the sum of ``sizes``
     nbytes: int
 
     def check(self, job: ETLJob) -> None:
@@ -125,14 +139,27 @@ class Extract:
             )
 
 
+#: database -> {id(row): (row, size)} of the rows its ETL loads landed;
+#: the row is held so that its id names it while the entry lives
+_SIZED: weakref.WeakKeyDictionary[Database, dict[int, tuple[tuple, int]]] = (
+    weakref.WeakKeyDictionary()
+)
+
+
 def extract(job: ETLJob) -> Extract:
     """Run ``job``'s source query and transform and size the rows; the
-    clock is not touched."""
+    clock is not touched. A row an ETL load landed in the source keeps
+    the size recorded then."""
     result = job.source.execute(job.query)
     columns, rows, types = result.columns, result.rows, result.types
     if job.transform is not None:
         columns, rows = job.transform(columns, rows)
         types = None
+    sized = _SIZED.get(job.source, {})
+    sizes = [
+        estimate_row_bytes(row) if (hit := sized.get(id(row))) is None else hit[1]
+        for row in rows
+    ]
     return Extract(
         source=job.source,
         query=job.query,
@@ -142,7 +169,8 @@ def extract(job: ETLJob) -> Extract:
         rows=rows,
         source_rows=len(result.rows),
         rows_examined=result.stats.rows_examined,
-        nbytes=sum(estimate_row_bytes(r) for r in rows),
+        sizes=sizes,
+        nbytes=sum(sizes),
     )
 
 
@@ -309,6 +337,9 @@ class ETLPipeline:
             columns, rows = staging.read_all()
         self._load(columns, rows, job)
         loading_ms = self.clock.now_ms - t1
+        # every row landed: an extract from the target reuses their sizes
+        sized = _SIZED.setdefault(self.target, {})
+        sized.update(zip(map(id, extracted.rows), zip(extracted.rows, extracted.sizes)))
 
         report = ETLReport(
             job_table=job.target_table,
