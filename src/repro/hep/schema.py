@@ -9,46 +9,44 @@ in third normal form and in the warehouse as a wide fact table.
 
 from __future__ import annotations
 
+import functools
+
 from repro.common.rng import DeterministicRNG
 from repro.engine.database import Database
 from repro.hep.ntuple import Ntuple
+from repro.sql import ast
+from repro.sql.parser import parse_each
 
 DETECTORS = ("TRACKER", "ECAL", "HCAL", "MUON")
 #: calibration rows per load; their ids run from the load's first event id
 N_CALIBRATIONS = 16
 
 
-def create_source_schema(db: Database) -> None:
-    """Create the normalized schema on a source database."""
-    db.execute(
+@functools.cache
+def _source_statements() -> tuple[tuple[str, ast.Statement], ...]:
+    return parse_each(
         "CREATE TABLE runs (run_id INTEGER PRIMARY KEY, "
-        "detector VARCHAR(24) NOT NULL, start_time VARCHAR(32), n_events INTEGER)"
-    )
-    db.execute(
+        "detector VARCHAR(24) NOT NULL, start_time VARCHAR(32), n_events INTEGER)",
         "CREATE TABLE ntuples (ntuple_id INTEGER PRIMARY KEY, "
-        "run_id INTEGER NOT NULL, title VARCHAR(64), nvar INTEGER)"
-    )
-    db.execute(
+        "run_id INTEGER NOT NULL, title VARCHAR(64), nvar INTEGER)",
         "CREATE TABLE variables (variable_id INTEGER PRIMARY KEY, "
         "ntuple_id INTEGER NOT NULL, var_index INTEGER, name VARCHAR(24), "
-        "units VARCHAR(12))"
-    )
-    db.execute(
+        "units VARCHAR(12))",
         "CREATE TABLE events (event_id BIGINT PRIMARY KEY, "
-        "ntuple_id INTEGER NOT NULL, run_id INTEGER NOT NULL)"
-    )
-    db.execute(
+        "ntuple_id INTEGER NOT NULL, run_id INTEGER NOT NULL)",
         "CREATE TABLE event_values (event_id BIGINT NOT NULL, "
-        "variable_id INTEGER NOT NULL, value DOUBLE)"
-    )
-    db.execute(
+        "variable_id INTEGER NOT NULL, value DOUBLE)",
         "CREATE TABLE calibrations (calib_id INTEGER PRIMARY KEY, "
-        "detector VARCHAR(24), channel INTEGER, gain DOUBLE, pedestal DOUBLE)"
-    )
-    db.execute(
+        "detector VARCHAR(24), channel INTEGER, gain DOUBLE, pedestal DOUBLE)",
         "CREATE TABLE conditions (condition_id INTEGER PRIMARY KEY, "
-        "run_id INTEGER, name VARCHAR(40), value DOUBLE)"
+        "run_id INTEGER, name VARCHAR(40), value DOUBLE)",
     )
+
+
+def create_source_schema(db: Database) -> None:
+    """Create the normalized schema on a source database."""
+    for text, stmt in _source_statements():
+        db.execute_statement(stmt, sql_text=text)
 
 
 def populate_source(

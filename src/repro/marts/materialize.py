@@ -1,7 +1,7 @@
 """View materialization into vendor marts.
 
 The mart table is created with the *mart vendor's own DDL* (rendered by
-its dialect and re-parsed by the engine — Oracle NUMBER / MySQL INT /
+its dialect and parsed by the engine — Oracle NUMBER / MySQL INT /
 SQLite TEXT really differ), then loaded through the same staged
 streaming pipeline as the warehouse. The model charges one INSERT per
 row as there, but in autocommit mode: every row also pays the vendor's
@@ -15,30 +15,57 @@ every mart's :func:`materialize_view`. Each mart still pays the whole
 extraction — stream, scan, transfer and staging — so the simulated
 times are those of one query per mart. A view row that is a tuple the
 warehouse load stored keeps the size that load computed.
+
+The statements are the same on every refresh, so each is parsed once
+per process: the rendered DDL per vendor dialect, view and ``(name,
+type)`` columns, and the view read per view name.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 from repro.common.errors import ETLError
-from repro.dialects import get_dialect
+from repro.common.types import SQLType
+from repro.dialects import Dialect, get_dialect
 from repro.engine.database import Database
 from repro.engine.storage import Column
+from repro.sql import ast
+from repro.sql.parser import parse_each
 from repro.warehouse.etl import ETLJob, ETLPipeline, ETLReport, Extract, extract
 from repro.warehouse.warehouse import Warehouse
+
+
+@functools.cache
+def _view_read(view: str) -> tuple[str, ast.Statement]:
+    return parse_each(f"SELECT * FROM {view}")[0]
+
+
+@functools.cache
+def _mart_ddl(
+    dialect: Dialect, view: str, columns: tuple[tuple[str, SQLType], ...]
+) -> tuple[str, ast.Statement]:
+    """The mart table's DDL in ``dialect``'s own spelling, with its
+    parse. Keyed by the dialect instance, so a vendor whose dialect is
+    registered anew renders afresh."""
+    text = dialect.render_create_table(view, [Column(name=n, type=t) for n, t in columns])
+    return parse_each(text)[0]
 
 
 def _view_job(warehouse: Warehouse, view: str) -> ETLJob:
     """The job that copies ``view`` into a mart table of the same name."""
     if not warehouse.db.catalog.has_view(view):
         raise ETLError(f"warehouse has no view {view!r}")
-    return ETLJob(
+    parsed = _view_read(view)
+    job = ETLJob(
         source=warehouse.db,
         source_host=warehouse.host,
-        query=f"SELECT * FROM {view}",
+        query=parsed[0],
         target_table=view,
     )
+    job.parsed = parsed
+    return job
 
 
 def materialize_view(
@@ -58,12 +85,13 @@ def materialize_view(
         extracted = extract(job)
     extracted.check(job)  # before the mart is touched
     dialect = get_dialect(mart_db.vendor)
-    columns = [Column(name=n, type=t) for n, t in zip(extracted.columns, extracted.types)]
-    job.target_columns = [c.name for c in columns]
+    job.target_columns = list(extracted.columns)
     if mart_db.catalog.has_table(view):
         mart_db.catalog.drop_table(view)
-    # Vendor DDL round-trip: render in the mart's own spelling, re-parse.
-    mart_db.execute(dialect.render_create_table(view, columns))
+    # Vendor DDL round-trip: render in the mart's own spelling and parse
+    # that, once per vendor, view and columns.
+    text, stmt = _mart_ddl(dialect, view, tuple(zip(extracted.columns, extracted.types)))
+    mart_db.execute_statement(stmt, sql_text=text)
     pipeline = ETLPipeline(
         warehouse.network, warehouse.clock, mart_db, mart_host, autocommit=True
     )

@@ -23,9 +23,13 @@ tables publish that side. Every monitor table carries the same
 
 from __future__ import annotations
 
+import functools
+
 from repro.engine.database import Database
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import Tracer
+from repro.sql import ast
+from repro.sql.parser import parse_each
 
 #: the simclock timestamp column every monitor table carries
 TIMESTAMP_COLUMN = "ts_ms"
@@ -74,6 +78,12 @@ _DDL = (
         message TEXT
     )""",
 )
+
+
+@functools.cache
+def _ddl_statements() -> tuple[tuple[str, ast.Statement], ...]:
+    return parse_each(*_DDL)
+
 
 MONITOR_TABLES = (
     "monitor_spans",
@@ -128,8 +138,8 @@ class MonitorDatabase(Database):
         #: :class:`repro.obs.slo.SLOEngine` → monitor_alerts
         self.slo = slo
         self._refreshing = False
-        for ddl in _DDL:
-            self.execute(ddl)
+        for text, stmt in _ddl_statements():
+            self.execute_statement(stmt, sql_text=text)
 
     # -- refresh-on-read ---------------------------------------------------------
 

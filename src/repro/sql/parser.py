@@ -575,6 +575,14 @@ def parse_statement(sql: str) -> ast.Statement:
     return stmt
 
 
+def parse_each(*texts: str) -> tuple[tuple[str, ast.Statement], ...]:
+    """Each text with its parse. The system's own SQL is built this way
+    once per process, behind ``functools.cache`` on the inputs that shape
+    the text, and run with ``Database.execute_statement(stmt,
+    sql_text=text)``; the trees are immutable, so databases share them."""
+    return tuple((text, parse_statement(text)) for text in texts)
+
+
 def parse_select(sql: str) -> ast.Select:
     """Parse a statement and require it to be a SELECT."""
     stmt = parse_statement(sql)

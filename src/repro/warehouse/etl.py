@@ -52,6 +52,7 @@ from repro.engine.storage import estimate_row_bytes
 from repro.net import costs
 from repro.net.network import Network
 from repro.net.simclock import SimClock
+from repro.sql import ast
 
 
 @dataclass
@@ -99,6 +100,21 @@ class ETLJob:
     transform: Callable[[list[str], list[tuple]], tuple[list[str], list[tuple]]] | None = None
     #: column names in the target table (defaults to transformed columns)
     target_columns: list[str] | None = None
+    #: ``(query, its parse)``, set by the first :meth:`statement`; a pair
+    #: whose text is no longer ``query`` is replaced
+    parsed: tuple[str, ast.Select] | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
+
+    def statement(self) -> ast.Select:
+        """``query`` parsed, once per text the job holds."""
+        if self.parsed is None or self.parsed[0] != self.query:
+            # bound at call time, like run_incremental's: a wrapper
+            # installed on the parser module sees this parse
+            from repro.sql.parser import parse_select
+
+            self.parsed = (self.query, parse_select(self.query))
+        return self.parsed[1]
 
 
 @dataclass(frozen=True)
@@ -150,7 +166,7 @@ def extract(job: ETLJob) -> Extract:
     """Run ``job``'s source query and transform and size the rows; the
     clock is not touched. A row an ETL load landed in the source keeps
     the size recorded then."""
-    result = job.source.execute(job.query)
+    result = job.source.execute_statement(job.statement(), sql_text=job.query)
     columns, rows, types = result.columns, result.rows, result.types
     if job.transform is not None:
         columns, rows = job.transform(columns, rows)
@@ -432,7 +448,6 @@ class ETLPipeline:
         production ETL's answer to re-streaming the whole source every
         night. The delta is staged like a full load.
         """
-        from repro.sql import ast as sql_ast
         from repro.sql.parser import parse_expression, parse_select
 
         output_col = watermark.split(".")[-1]
@@ -440,10 +455,10 @@ class ETLPipeline:
         query = job.query
         if last is not None:
             select = parse_select(job.query)
-            guard = sql_ast.BinaryOp(
-                ">", parse_expression(watermark), sql_ast.Literal(last)
+            guard = ast.BinaryOp(
+                ">", parse_expression(watermark), ast.Literal(last)
             )
-            where = sql_ast.conjoin(c for c in (select.where, guard) if c is not None)
+            where = ast.conjoin(c for c in (select.where, guard) if c is not None)
             query = replace(select, where=where).unparse()
         delta_job = ETLJob(
             source=job.source,

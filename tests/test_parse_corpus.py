@@ -10,9 +10,13 @@ one error position fails here. The sources are:
   ``repro.demo``, ``repro.tools.validate``, the four report CLIs,
   ``pytest benchmarks`` and the three perfbench ``--counts-only`` runs),
   captured once with a wrapper around ``parse_statement``;
-* ``ddl``: the DDL src holds (the warehouse star schema and analysis
-  views, the monitor's system tables); a test checks these lines against
-  src, so a DDL text changed there fails until the corpus is rebuilt;
+* ``ddl``: the SQL src issues itself (the warehouse star schema and
+  analysis views, the monitor's system tables, the sources' normalized
+  schema, the four vendors' mart DDL over ``v_event_wide``, the marts'
+  view reads and the sources' ETL extract queries); a test checks these
+  lines against src, so a text changed there fails until the corpus is
+  rebuilt, and another that each statement src runs prebuilt is the
+  parse of its text;
 * ``pool``: perfbench ``analysis_refresh``'s 2,000-query pool at seed 1;
 * ``fragment``: seeded random texts that stress the lexer and the
   expression grammar (comments next to ``-``, chains of one operator,
@@ -73,6 +77,14 @@ def test_corpus_covers_each_source_and_both_outcomes():
 def test_ddl_lines_are_the_ddl_held_in_src():
     pinned = [text for source, text, _ in load() if source == "ddl"]
     assert pinned == _ddl_texts()
+
+
+def test_prebuilt_statements_are_the_parse_of_their_text():
+    """What src runs for its own SQL is what its text parses to, so the
+    stored text (a view's, the corpus') and the tree cannot drift."""
+    for text, stmt in _system_statements():
+        assert parse_statement(text) == stmt, text
+        assert repr(parse_statement(text)) == repr(stmt), text
 
 
 # Fragment generator --------------------------------------------------------
@@ -153,23 +165,55 @@ def fragments(n: int = 4000, seed: int = 2005) -> list[str]:
     return list(dict.fromkeys(texts))
 
 
-def _ddl_texts() -> list[str]:
-    from repro.obs.monitor import _DDL as monitor_ddl
-    from repro.warehouse.schema import create_warehouse_schema, create_warehouse_views
+def _system_statements() -> list[tuple[str, object]]:
+    """Each SQL text src issues itself, with the statement run for it: the
+    warehouse star schema and views, the monitor's tables, the sources'
+    normalized schema, the four vendors' mart DDL over ``v_event_wide``'s
+    columns, the marts' view reads and the sources' ETL extract queries."""
+    from repro.dialects import get_dialect
+    from repro.engine.database import Database
+    from repro.hep.schema import create_source_schema
+    from repro.hep.workload import etl_jobs_for_source
+    from repro.marts.materialize import _mart_ddl, _view_read
+    from repro.net.network import Network
+    from repro.net.simclock import SimClock
+    from repro.obs.monitor import _ddl_statements as monitor_ddl
+    from repro.warehouse.schema import (
+        WAREHOUSE_VIEWS,
+        create_warehouse_schema,
+        create_warehouse_views,
+    )
+    from repro.warehouse.warehouse import Warehouse
 
     class Recorder:
         def __init__(self):
-            self.texts: list[str] = []
+            self.runs: list[tuple[str, object]] = []
 
         def execute(self, sql: str):
-            self.texts.append(sql)
+            self.runs.append((sql, parse_statement(sql)))
+
+        def execute_statement(self, stmt, params=(), sql_text=None):
+            self.runs.append((sql_text, stmt))
 
     rec = Recorder()
     for nvar in (1, 3, 8):
         create_warehouse_schema(rec, nvar)
         create_warehouse_views(rec, nvar)
         create_warehouse_views(rec, nvar, wide_vars=2)
-    return list(dict.fromkeys([*rec.texts, *monitor_ddl]))
+    rec.runs += monitor_ddl()
+    create_source_schema(rec)
+    wide = Warehouse(Network(), SimClock(), nvar=8).db.execute("SELECT * FROM v_event_wide")
+    columns = tuple(zip(wide.columns, wide.types))
+    for vendor in ("mysql", "mssql", "oracle", "sqlite"):
+        rec.runs.append(_mart_ddl(get_dialect(vendor), "v_event_wide", columns))
+    rec.runs += map(_view_read, WAREHOUSE_VIEWS)
+    for job in etl_jobs_for_source(Database("source"), "source.host", 8):
+        rec.runs.append((job.query, job.statement()))
+    return list(dict(rec.runs).items())
+
+
+def _ddl_texts() -> list[str]:
+    return [text for text, _ in _system_statements()]
 
 
 def _pool_texts() -> list[str]:
