@@ -62,7 +62,8 @@ class Database:
 
     def base_table(self, name: str) -> TableStorage | None:
         """Storage of base table ``name``, None for a view or a miss: the
-        executor reads range indexes through it."""
+        executor reads its derived indexes (range index, kept hash-join
+        build sides) through it."""
         if self.catalog.has_table(name):
             return self.catalog.get_table(name)
         return None

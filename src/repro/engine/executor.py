@@ -20,8 +20,11 @@ index-using DBMS.
 Join strategy: conjunctive equi-join predicates become hash joins
 (build on the right input, probe from the left); remaining conjuncts
 are applied as residual filters. Everything else falls back to a
-nested-loop join. Consecutive hash joins with no residual are probed
-together, so only their last stage's rows are built.
+nested-loop join. A join whose right input is a base table takes its
+build side from the table, which keeps it until the table changes.
+Consecutive hash joins with no residual are probed together, so only
+their last stage's rows are built, and of a run that reads many rows
+only the columns a plain SELECT reads.
 """
 
 from __future__ import annotations
@@ -61,8 +64,10 @@ class TableResolver(Protocol):
 
     A resolver may also offer ``base_table(name)``, returning a base
     table's :class:`~repro.engine.storage.TableStorage` (None for a
-    view), to give the executor its range index; see
-    :func:`access_path`.
+    view), to give the executor the table's derived indexes: its range
+    index (see :func:`access_path`) and the hash-join build sides it
+    keeps (see :meth:`SelectExecutor._build_side`). Without it, every
+    build side is built afresh and every table is scanned.
     """
 
     def resolve_table(self, name: str) -> tuple[list, list[tuple]]:
@@ -201,16 +206,11 @@ class _HashStage(NamedTuple):
     build_rows: int
 
 
-@functools.cache
-def _run_probe(sources: tuple[int | None, ...]) -> Callable:
-    """The probe of a run of ``len(sources)`` hash-join stages, as one
-    nested comprehension compiled once per run shape. Stage ``i`` (from
-    1) reads its key off part ``sources[i - 1]`` (None: parts 0 to
-    ``i - 1`` joined) and iterates ``get(key(part), miss)``; each level
-    from 2 to the last but one also ticks a counter, which is always
-    truthy. The text is made only of these integers and fixed names.
-    The returned function takes the input rows, then per stage its
-    ``get``, ``key`` and ``miss``, and its counter where it has one."""
+def _probe_text(
+    sources: tuple[int | None, ...], picks: tuple[tuple[int, int], ...] | None
+) -> str:
+    """The source of :func:`_run_probe`'s function, made only of the
+    integers in ``sources`` and ``picks`` and fixed names."""
     params, clauses = ["rows"], ["for p0 in rows"]
     for i, source in enumerate(sources, start=1):
         part = f"p{source}" if source is not None else " + ".join(f"p{j}" for j in range(i))
@@ -219,9 +219,42 @@ def _run_probe(sources: tuple[int | None, ...]) -> Callable:
         if 1 < i < len(sources):
             params.append(f"count{i}")
             clauses.append(f"if count{i}()")
-    row = " + ".join(f"p{i}" for i in range(len(sources) + 1))
+    if picks is None:
+        row = " + ".join(f"p{i}" for i in range(len(sources) + 1))
+    else:
+        row = "(" + "".join(f"p{part}[{offset}], " for part, offset in picks) + ")"
+    return f"def probe({', '.join(params)}):\n    return [{row} {' '.join(clauses)}]"
+
+
+#: run probes kept compiled: a bound against a client that keeps selecting
+#: new column lists through a join run
+_MAX_RUN_PROBES = 256
+
+#: rows a join run reads (its input and build rows) from which it builds
+#: only the columns read: finding them, the narrowed schema and probe cost
+#: ~10-15 us a query and each narrowed row saves ~50-90 ns, so a smaller
+#: run (a federated query's integration join reads 250-500) is built full
+#: width
+_NARROW_MIN_ROWS = 1024
+
+
+@functools.lru_cache(maxsize=_MAX_RUN_PROBES)
+def _run_probe(
+    sources: tuple[int | None, ...], picks: tuple[tuple[int, int], ...] | None
+) -> Callable:
+    """The probe of a run of ``len(sources)`` hash-join stages, as one
+    nested comprehension compiled once per run shape (the last
+    :data:`_MAX_RUN_PROBES` shapes are kept). Stage ``i`` (from
+    1) reads its key off part ``sources[i - 1]`` (None: parts 0 to
+    ``i - 1`` joined) and iterates ``get(key(part), miss)``; each level
+    from 2 to the last but one also ticks a counter, which is always
+    truthy. Each output row is every part joined, or with ``picks``
+    only the value at ``offset`` of part ``part`` for each
+    ``(part, offset)``, in that order. The returned function takes the
+    input rows, then per stage its ``get``, ``key`` and ``miss``, and
+    its counter where it has one."""
     namespace: dict = {}
-    exec(f"def probe({', '.join(params)}):\n    return [{row} {' '.join(clauses)}]", namespace)
+    exec(_probe_text(sources, picks), namespace)
     return namespace["probe"]
 
 
@@ -317,6 +350,38 @@ def key_range(
     return rng
 
 
+def _storage(resolver, ref: ast.TableRef):
+    """The storage of base table ``ref`` through the resolver's
+    ``base_table``; None for a view or a resolver without it."""
+    base_table = getattr(resolver, "base_table", None)
+    return None if base_table is None else base_table(ref.name)
+
+
+def _read_columns(select: ast.Select, schema: RowSchema) -> list[int] | None:
+    """Positions in ``schema`` of the only columns a plain SELECT reads:
+    its items in item order, then each column that only its ORDER BY
+    or WHERE reads. None, so the rows stay full width, when the SELECT
+    groups, selects a star or holds a subquery, when an item or ORDER
+    BY key is not a bare column that ``schema`` resolves uniquely, or
+    when it reads every column in order."""
+    if select.group_by or select.having is not None:
+        return None
+    refs = [item.expr for item in select.items] + [order.expr for order in select.order_by]
+    # bare columns hold no aggregate, so this is the rest of is_grouped
+    if not all(isinstance(ref, ast.ColumnRef) for ref in refs):
+        return None
+    if select.where is not None:
+        nodes = list(ast.walk(select.where))
+        if any(isinstance(node, ast.SUBQUERY_NODES) for node in nodes):
+            return None
+        refs += [node for node in nodes if isinstance(node, ast.ColumnRef)]
+    positions = list(map(schema.find, refs))
+    if None in positions:
+        return None
+    positions = list(dict.fromkeys(positions))
+    return None if positions == list(range(len(schema))) else positions
+
+
 def access_path(
     resolver, ref: ast.TableRef, schema: RowSchema, where: ast.Expr | None,
     params: tuple = (),
@@ -333,8 +398,7 @@ def access_path(
     """
     if where is None or ast.contains_subquery(where):
         return None
-    base_table = getattr(resolver, "base_table", None)
-    storage = base_table(ref.name) if base_table is not None else None
+    storage = _storage(resolver, ref)
     if storage is None or storage.range_column is None:
         return None
     rng = key_range(where, schema, storage.range_column, params)
@@ -621,9 +685,13 @@ class SelectExecutor:
         and how many a scan would have produced.
 
         Consecutive equi-joins with no residual form a run: each stage's
-        hash table is built as its table is scanned, and the run is
-        probed in one comprehension (:meth:`_probe_run`) when a join of
-        another kind, or the end of the FROM clause, needs its rows."""
+        hash table is taken (:meth:`_build_side`) as its table is
+        scanned, and the run is probed in one comprehension
+        (:meth:`_probe_run`) when a join of another kind, or the end of
+        the FROM clause, needs its rows. The last run, if it reads at
+        least :data:`_NARROW_MIN_ROWS` rows, builds only the columns a
+        plain SELECT reads (:func:`_read_columns`), and the schema
+        returned is theirs."""
         if len(select.from_) == 1 and not select.joins:
             return self._scan(select.from_[0], select.where)
         schema, rows, _ = self._scan(select.from_[0])
@@ -640,9 +708,8 @@ class SelectExecutor:
             left_keys, right_keys, residual = on or ((), (), ())
             if left_keys and not residual:
                 miss = ((None,) * len(rschema),) if join.kind == "LEFT" else ()
-                run.append(_HashStage(
-                    _hash_table(rrows, right_keys), left_keys, miss, len(rschema), len(rrows)
-                ))
+                table = self._build_side(join.table, rrows, right_keys)
+                run.append(_HashStage(table, left_keys, miss, len(rschema), len(rrows)))
                 self.stats.join_strategy.append("hash")
             else:
                 rows = self._probe_run(rows, width, run)
@@ -650,8 +717,24 @@ class SelectExecutor:
                 rows = self._join(rows, rrows, combined, join, on, len(rschema))
                 width = len(combined)
             schema = combined
-        rows = self._probe_run(rows, width, run)
+        picks = None
+        if run and len(rows) + sum(stage.build_rows for stage in run) >= _NARROW_MIN_ROWS:
+            picks = _read_columns(select, schema)
+        rows = self._probe_run(rows, width, run, picks)
+        if picks is not None:
+            schema = RowSchema([schema.columns[p] for p in picks])
         return schema, rows, len(rows)
+
+    def _build_side(
+        self, ref: ast.TableRef, rrows: list[tuple], right_keys: list[int]
+    ) -> dict:
+        """The hash table (:func:`_hash_table`) of ``rrows``, ``ref``'s
+        rows, on ``right_keys``: for a base table, the one its storage
+        keeps until the table changes; else built afresh."""
+        storage = _storage(self.resolver, ref)
+        if storage is None:
+            return _hash_table(rrows, right_keys)
+        return storage.derived(tuple(right_keys), lambda rows: _hash_table(rows, right_keys))
 
     def _cross_join(self, lrows, rrows):
         self.stats.join_strategy.append("cross")
@@ -671,21 +754,23 @@ class SelectExecutor:
         pred_fns = [self._compile(c, combined) for c in residual]
         self.stats.join_strategy.append("hash")
         return self._hash_join(
-            lrows, rrows, left_keys, right_keys, join.kind, right_width,
-            lambda row: all(truthy(p(row)) for p in pred_fns),
+            lrows, rrows, self._build_side(join.table, rrows, right_keys), left_keys,
+            join.kind, right_width, lambda row: all(truthy(p(row)) for p in pred_fns),
         )
 
     def _probe_run(
-        self, rows: list[tuple], width: int, run: list[_HashStage]
+        self, rows: list[tuple], width: int, run: list[_HashStage],
+        picks: list[int] | None = None,
     ) -> list[tuple]:
         """``rows`` (``width`` columns) joined through every stage of
         ``run``, left-major with each stage's matches in build-input
         order, as one join at a time would give them; only the output
-        rows are built. Each stage charges its input rows and its build
-        rows; the input rows of stages after the first are rows no one
-        builds, so they are counted: the second stage's off one ``map``
-        of the first stage's lookups, each later one's by a counter the
-        probe ticks.
+        rows are built, and with ``picks`` only their columns at those
+        positions, in that order. Each stage charges its input rows and
+        its build rows; the input rows of stages after the first are
+        rows no one builds, so they are counted: the second stage's off
+        one ``map`` of the first stage's lookups, each later one's by a
+        counter the probe ticks.
 
         Part 0 of an output row is the input row, part ``i`` stage
         ``i``'s match. A stage whose key columns all lie in one part
@@ -699,9 +784,10 @@ class SelectExecutor:
         args: list = [rows, get, key, first.miss]
         examined = len(rows) + first.build_rows
         counters = []
+        # where each part starts in a joined row
+        starts = list(accumulate([width] + [stage.width for stage in run], initial=0))
         if len(run) > 1:
             examined += sum(map(len, map(get, map(key, rows), repeat(first.miss))))
-            starts = list(accumulate([width] + [stage.width for stage in run], initial=0))
             for i, stage in enumerate(run[1:], start=2):
                 parts = {bisect.bisect_right(starts, p, 0, i) - 1 for p in stage.keys}
                 source = parts.pop() if len(parts) == 1 else None
@@ -712,21 +798,27 @@ class SelectExecutor:
                     counters.append(count(1).__next__)
                     args.append(counters[-1])
                 examined += stage.build_rows
-        out = _run_probe(tuple(sources))(*args)
+        spec = None
+        if picks is not None:
+            # each picked column as (its part, its offset in the part)
+            owners = [bisect.bisect_right(starts, p, 0, len(run) + 1) - 1 for p in picks]
+            spec = tuple((part, p - starts[part]) for part, p in zip(owners, picks))
+        out = _run_probe(tuple(sources), spec)(*args)
         self._examine(examined + sum(counter() - 1 for counter in counters))
         return out
 
     def _hash_join(
-        self, lrows, rrows, left_keys, right_keys, kind, right_width, residual_fn
+        self, lrows, rrows, table, left_keys, kind, right_width, residual_fn
     ):
-        """Hash join on the key columns at positions ``left_keys`` and
-        ``right_keys`` (see :func:`_hash_table`); ``residual_fn`` is the
-        non-equi remainder of the ON clause and participates in *match
-        determination* (a LEFT row whose only hash matches fail the
-        residual is padded, not dropped)."""
+        """Hash join probing ``table``, the build side of ``rrows``
+        (:meth:`_build_side`), with the key columns at positions
+        ``left_keys``; ``residual_fn`` is the non-equi remainder of the
+        ON clause and participates in *match determination* (a LEFT row
+        whose only hash matches fail the residual is padded, not
+        dropped)."""
         self._examine(len(lrows) + len(rrows))
         lkey = itemgetter(*left_keys)
-        get = _hash_table(rrows, right_keys).get
+        get = table.get
         pad = (None,) * right_width
         out: list[tuple] = []
         for lr in lrows:

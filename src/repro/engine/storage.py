@@ -5,18 +5,21 @@ one staging routine (``TableStorage._stage``), which coerces a batch,
 checks NOT NULL and primary-key uniqueness, and raises before any row
 lands: SQL INSERT (one batch per statement), bulk appends and the
 monitor's wholesale system-table refreshes alike. A primary-key hash map
-enforces uniqueness and is maintained eagerly. The one access path is a
-sorted ``(keys, positions)`` index on a single-column numeric primary
-key. It is built lazily on the first range lookup and dropped on every
+enforces uniqueness and is maintained eagerly. Everything else a query
+reads off a table's rows is a derived index, kept in one store: the
+sorted ``(keys, positions)`` range index on a single-column numeric
+primary key, and each hash-join build side the executor asks for. Each
+is built lazily on first use and the whole store is dropped on every
 mutation (rebuild-on-demand keeps the mutation path simple and is the
-right trade for the read-mostly mart workloads the paper evaluates). A table keeps
-no byte count: ETL sizes what it extracts and the codec what it ships.
+right trade for the read-mostly mart and source workloads the paper
+evaluates). A table keeps no byte count: ETL sizes what it extracts and
+the codec what it ships.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from itertools import repeat
 from operator import itemgetter
@@ -88,11 +91,15 @@ _NONE_TYPE = type(None)
 #: client that keeps sending new INSERT column lists
 _MAX_INSERT_PLANS = 64
 
+#: derived indexes a table keeps before it drops them all: a bound against
+#: a client that keeps joining on new key columns
+_MAX_DERIVED = 16
+
 #: (sorted keys, their row positions) — the range-index shape
 SortedIndex = tuple[list, list[int]]
 
-#: the range index of a table mutated since it was last built
-_STALE = object()
+#: the range index's key in the derived-index store
+_RANGE = "range"
 
 
 class TableStorage:
@@ -123,9 +130,9 @@ class TableStorage:
         self.range_column: str | None = None
         if len(pk_cols) == 1 and self.columns[pk_cols[0]].type.kind.is_numeric:
             self.range_column = self.columns[pk_cols[0]].name
-        # the range column's sorted index (None: keys not all finite
-        # numbers), or _STALE until first use after a mutation
-        self._sorted: SortedIndex | None | object = _STALE
+        # derived indexes over ``rows`` (:meth:`derived`), dropped at
+        # every mutation
+        self._derived: dict[object, object] = {}
 
     # Introspection -------------------------------------------------------------
 
@@ -199,7 +206,7 @@ class TableStorage:
         base = len(self.rows)
         self._pk_index.update(zip(keys, range(base, base + len(keys))))
         self.rows.extend(staged)
-        self._sorted = _STALE
+        self._derived.clear()
         return len(staged)
 
     def replace_rows(self, rows: list[Sequence]) -> None:
@@ -210,7 +217,7 @@ class TableStorage:
         staged, keys = self._stage(rows, None, {})
         self.rows = staged
         self._pk_index = dict(zip(keys, range(len(keys))))
-        self._sorted = _STALE
+        self._derived.clear()
 
     def _stage(
         self, rows: list[Sequence], columns: list[str] | None, stored_keys: dict[tuple, int]
@@ -350,10 +357,24 @@ class TableStorage:
         self.rows = [row + (fill,) for row in self.rows]
         self._col_index[column.name.lower()] = len(self.columns) - 1
         self._plans.clear()
-        # the new column is last: row positions and primary keys stay
-        self._sorted = _STALE
+        # the new column is last: row positions and primary keys stay,
+        # but every derived index holds the old row tuples
+        self._derived.clear()
 
-    # Index ----------------------------------------------------------------------
+    # Derived indexes -------------------------------------------------------------
+
+    def derived(self, key: object, build: Callable[[list[tuple]], object]) -> object:
+        """The index ``build(rows)`` stored under ``key``, built on first
+        use after a mutation and kept until the next one (or until
+        :data:`_MAX_DERIVED` others crowd the store). The caller must
+        not change what it is handed."""
+        try:
+            return self._derived[key]
+        except KeyError:
+            if len(self._derived) >= _MAX_DERIVED:
+                self._derived.clear()
+            index = self._derived[key] = build(self.rows)
+            return index
 
     def sorted_index(self) -> SortedIndex | None:
         """``(keys, positions)`` of the range column's non-NULL values in
@@ -363,19 +384,18 @@ class TableStorage:
         over the keys makes a bisected range equal to a scan."""
         if self.range_column is None:
             return None
-        if self._sorted is not _STALE:
-            return self._sorted
+        return self.derived(_RANGE, self._build_sorted_index)
+
+    def _build_sorted_index(self, rows: list[tuple]) -> SortedIndex | None:
         pos = self._col_index[self.range_column.lower()]
-        values = [row[pos] for row in self.rows]
-        index: SortedIndex | None = None
-        if all(
+        values = [row[pos] for row in rows]
+        if not all(
             type(v) is int or (type(v) is float and math.isfinite(v)) or v is None
             for v in values
         ):
-            order = sorted(
-                (i for i, v in enumerate(values) if v is not None),
-                key=values.__getitem__,
-            )
-            index = ([values[i] for i in order], order)
-        self._sorted = index
-        return index
+            return None
+        order = sorted(
+            (i for i, v in enumerate(values) if v is not None),
+            key=values.__getitem__,
+        )
+        return [values[i] for i in order], order

@@ -218,11 +218,13 @@ def contains_aggregate(expr: Expr) -> bool:
     return any(is_aggregate_call(node) for node in walk(expr))
 
 
+#: the node types that embed a subquery
+SUBQUERY_NODES = (ScalarSubquery, InSubquery, Exists)
+
+
 def contains_subquery(expr: Expr) -> bool:
     """True if any node under ``expr`` embeds a subquery."""
-    return any(
-        isinstance(node, (ScalarSubquery, InSubquery, Exists)) for node in walk(expr)
-    )
+    return any(isinstance(node, SUBQUERY_NODES) for node in walk(expr))
 
 
 def _case_children(expr: Case) -> tuple[Expr, ...]:
@@ -519,7 +521,7 @@ class Select(Statement):
                 out.append(expr.index)
             for child in _children(expr):
                 visit(child)
-            if isinstance(expr, (ScalarSubquery, InSubquery, Exists)):
+            if isinstance(expr, SUBQUERY_NODES):
                 out.extend(expr.select.param_order())
 
         for item in self.items:

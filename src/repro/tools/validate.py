@@ -30,6 +30,13 @@ def _engine():
     db.execute("CREATE TABLE t (a INT PRIMARY KEY, b DOUBLE)")
     db.execute("INSERT INTO t VALUES (1, 2.5), (2, 3.5)")
     assert db.execute("SELECT SUM(b) FROM t WHERE a IN (SELECT a FROM t)").rows == [(6.0,)]
+    # a join keeps its build side on the table until the table changes
+    db.execute("CREATE TABLE u (a INT PRIMARY KEY, c INT)")
+    db.execute("INSERT INTO u VALUES (1, 5)")
+    join = "SELECT t.b, u.c FROM t JOIN u ON t.a = u.a ORDER BY t.a"
+    assert db.execute(join).rows == [(2.5, 5)]
+    db.execute("INSERT INTO u VALUES (2, 7)")
+    assert db.execute(join).rows == [(2.5, 5), (3.5, 7)]
 
 
 @check("dialects: vendor DDL round trips")

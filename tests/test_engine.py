@@ -4,7 +4,38 @@ import pytest
 
 from repro.common import SQLType, TableNotFoundError
 from repro.common.errors import DuplicateObjectError, IntegrityError
-from repro.engine import Column, Database, TableStorage
+from repro.engine import Column, Database, TableStorage, executor
+
+
+def _kept_side_db() -> Database:
+    d = Database("kept", "generic")
+    d.execute("CREATE TABLE l (id INT PRIMARY KEY, k INT)")
+    d.execute("CREATE TABLE r (id INT PRIMARY KEY, k INT, v INT)")
+    d.execute("INSERT INTO l VALUES (1, 10), (2, 20), (3, 30)")
+    d.execute("INSERT INTO r VALUES (1, 10, 5), (2, 20, -5)")
+    return d
+
+
+def _recreate_r(d: Database) -> None:
+    d.catalog.drop_table("r")
+    d.execute("CREATE TABLE r (id INT PRIMARY KEY, k INT, v INT)")
+    d.execute("INSERT INTO r VALUES (7, 30, 9)")
+
+
+#: a write to the build-side table ``r`` between two runs of a join
+KEPT_SIDE_WRITES = {
+    "sql_insert": lambda d: d.execute("INSERT INTO r VALUES (3, 30, 1)"),
+    "bulk_insert": lambda d: d.bulk_insert("r", [[3, 10, 2]]),
+    "replace_rows": lambda d: d.catalog.get_table("r").replace_rows([(1, 30, 4)]),
+    "add_column": lambda d: d.execute("ALTER TABLE r ADD COLUMN w INT DEFAULT 3"),
+    "drop_recreate": _recreate_r,
+}
+#: a join run, a join with a residual, and a full-width star
+KEPT_SIDE_QUERIES = [
+    "SELECT l.id, r.v FROM l JOIN r ON l.k = r.k",
+    "SELECT l.id, r.id FROM l LEFT JOIN r ON l.k = r.k AND r.v > 0",
+    "SELECT * FROM l JOIN r ON l.k = r.k",
+]
 
 
 @pytest.fixture
@@ -89,6 +120,34 @@ class TestTableStorage:
         t.insert([2])
         second, _ = t.sorted_index()
         assert 2 in second and 2 not in first
+
+    @pytest.mark.parametrize("write", sorted(KEPT_SIDE_WRITES))
+    @pytest.mark.parametrize("query", KEPT_SIDE_QUERIES)
+    def test_kept_build_side_never_serves_stale_rows(self, write, query):
+        db = _kept_side_db()
+        db.execute(query)
+        KEPT_SIDE_WRITES[write](db)
+        fresh = _kept_side_db()
+        KEPT_SIDE_WRITES[write](fresh)
+        got, want = db.execute(query), fresh.execute(query)
+        assert (got.columns, repr(got.rows)) == (want.columns, repr(want.rows))
+        assert got.stats.rows_examined == want.stats.rows_examined
+        assert got.stats.join_strategy == want.stats.join_strategy
+
+    def test_build_side_is_kept_on_a_base_table_only(self, monkeypatch):
+        db = _kept_side_db()
+        db.execute("CREATE VIEW rv AS SELECT k, v FROM r")
+        builds = []
+        real = executor._hash_table
+        monkeypatch.setattr(
+            executor, "_hash_table", lambda rows, keys: builds.append(1) or real(rows, keys)
+        )
+        for _ in range(2):
+            db.execute(KEPT_SIDE_QUERIES[0])
+        assert len(builds) == 1
+        for _ in range(2):
+            db.execute("SELECT l.id, rv.v FROM l JOIN rv ON l.k = rv.k")
+        assert len(builds) == 3
 
     def test_add_column_backfills(self):
         t = TableStorage("t", [Column("a", SQLType.integer())])

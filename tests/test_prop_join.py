@@ -13,20 +13,31 @@ storage order.
 A second property joins chains of two and three tables. Consecutive
 equi-joins without a residual are probed together as one run, with no
 intermediate rows built; a stage with a residual ends the run. The
-chain's rows must equal a stagewise reference (one join at a time, as
-above) in order and sqlite3 3.40.1 as a multiset, and its
-``rows_examined`` and ``join_strategy`` must be the stagewise values:
-each stage charges its input rows and its build rows.
+chain selects every column or a drawn list of them in any order,
+with an optional WHERE and ORDER BY keys that may be unselected
+columns, descending or NULL. Each chain runs twice: built full width,
+as a run that reads few rows is, and with the narrowing threshold at 0,
+so a plain SELECT of bare columns builds only the columns it reads.
+Both times the chain's rows must equal a stagewise
+reference (one join at a time, as above, at full width, then
+filtered, sorted and projected) in order and sqlite3 3.40.1 as a
+multiset, its column names and types must be the full-width ones,
+and its ``rows_examined`` and ``join_strategy`` must be the stagewise
+values: each stage charges its input rows and its build rows.
 """
 
 from __future__ import annotations
 
+import re
 import sqlite3
+from unittest import mock
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.engine import Database
+from repro.engine import Database, executor
+from repro.engine.executor import _probe_text
 
 #: key values: small ints, an int-valued float (equal to its int) and NULL
 KEYS = st.one_of(st.none(), st.integers(0, 3), st.just(1.0))
@@ -149,6 +160,8 @@ CHAIN_RESIDUALS = {
     "t{i}.v > 0": lambda parts, rr: _lt(0, rr[3]),
     "t0.v < t{i}.v": lambda parts, rr: _lt(parts[0][3], rr[3]),
 }
+#: each chain table's columns, in storage order
+CHAIN_COLUMNS = ("id", "a", "b", "v")
 
 
 @st.composite
@@ -169,11 +182,29 @@ def chains(draw):
             if i < k else None,
             "rows": draw(sides(draw(st.booleans()))),
         })
-    return {"base": draw(sides(False)), "stages": stages}
+    columns = st.tuples(st.integers(0, k), st.sampled_from(CHAIN_COLUMNS))
+    return {
+        "base": draw(sides(False)),
+        "stages": stages,
+        # None: SELECT *
+        "select": draw(st.one_of(st.none(), st.lists(columns, min_size=1, max_size=6))),
+        # None, or the column of ``column > 0``
+        "where": draw(st.one_of(st.none(), columns)),
+        "order": draw(st.lists(st.tuples(columns, st.booleans()), max_size=3)),
+    }
+
+
+def _column(ref) -> str:
+    return f"t{ref[0]}.{ref[1]}"
+
+
+def _position(ref) -> int:
+    return 4 * ref[0] + CHAIN_COLUMNS.index(ref[1])
 
 
 def render_chain(c) -> str:
-    sql = "SELECT * FROM t0"
+    items = "*" if c.get("select") is None else ", ".join(map(_column, c["select"]))
+    sql = f"SELECT {items} FROM t0"
     for i, stage in enumerate(c["stages"], start=1):
         conjuncts = [
             f"t{j}.{col} = t{i}.{col}" if stage["flipped"] else f"t{i}.{col} = t{j}.{col}"
@@ -182,7 +213,31 @@ def render_chain(c) -> str:
         if stage["residual"] is not None:
             conjuncts.append(stage["residual"].format(i=i))
         sql += f" {stage['kind']} JOIN t{i} ON {' AND '.join(conjuncts)}"
+    if c.get("where") is not None:
+        sql += f" WHERE {_column(c['where'])} > 0"
+    if c.get("order"):
+        sql += " ORDER BY " + ", ".join(
+            _column(ref) + ("" if ascending else " DESC") for ref, ascending in c["order"]
+        )
     return sql
+
+
+def finish(c, rows: list[tuple], examined: int) -> tuple[list[tuple], int]:
+    """Full-width joined ``rows`` through the chain's WHERE (which
+    examines each of them), ORDER BY (NULL greatest, ties in input
+    order) and select list."""
+    if c.get("where") is not None:
+        examined += len(rows)
+        p = _position(c["where"])
+        rows = [row for row in rows if _lt(0, row[p])]
+    for ref, ascending in reversed(c.get("order") or []):
+        p = _position(ref)
+        rows.sort(key=lambda row: (row[p] is None, 0 if row[p] is None else row[p]),
+                  reverse=not ascending)
+    if c.get("select") is not None:
+        positions = list(map(_position, c["select"]))
+        rows = [tuple(row[p] for p in positions) for row in rows]
+    return rows, examined
 
 
 def stagewise(c) -> tuple[list[tuple], int]:
@@ -252,11 +307,44 @@ def _stage(kind, keys, rows, residual=None, flipped=False):
            residual="t{i}.v > 0"),
     _stage("INNER", [("a", 2)], [(0, 1.0, 0, 0), (1, 1, 0, 1)]),
 ]})
+# a narrowed run: an unselected DESC key over NULLs, a WHERE-only
+# column, a repeated item, a LEFT pad read by position
+@example({"base": [(0, 1, None, 1), (1, 2, 0, 3), (2, 1, 2, 2)], "stages": [
+    _stage("INNER", [("a", 0)], [(0, 1, 5, None), (1, 2.0, 0, 4), (2, 1.0, 3, 7)]),
+    _stage("LEFT", [("b", 0)], [(0, 0, 2, 0)]),
+], "select": [(2, "b"), (0, "id"), (2, "b")], "where": (1, "v"),
+   "order": [((1, "a"), False), ((0, "b"), False)]})
 def test_join_run_matches_sqlite_and_the_stagewise_reference(c):
-    result = _chain_engine(c).execute(render_chain(c))
-    expected, examined = stagewise(c)
-    assert repr(result.rows) == repr(expected)
-    theirs = _chain_sqlite(c).execute(render_chain(c)).fetchall()
-    assert _multiset(result.rows) == _multiset(theirs)
-    assert result.stats.join_strategy == ["hash"] * len(c["stages"])
-    assert result.stats.rows_examined == examined
+    db = _chain_engine(c)
+    sql = render_chain(c)
+    expected, examined = finish(c, *stagewise(c))
+    theirs = _chain_sqlite(c).execute(sql).fetchall()
+    full = db.execute(render_chain({"base": c["base"], "stages": c["stages"]}))
+    positions = map(_position, c["select"]) if c.get("select") else range(len(full.columns))
+    names_types = [(full.columns[p], full.types[p]) for p in positions]
+    # the run built full width (too few rows to narrow), then narrowed
+    # wherever the SELECT allows it
+    for narrow_min in (executor._NARROW_MIN_ROWS, 0):
+        with mock.patch.object(executor, "_NARROW_MIN_ROWS", narrow_min):
+            result = db.execute(sql)
+        assert repr(result.rows) == repr(expected)
+        assert _multiset(result.rows) == _multiset(theirs)
+        assert result.stats.join_strategy == ["hash"] * len(c["stages"])
+        assert result.stats.rows_examined == examined
+        assert list(zip(result.columns, result.types)) == names_types
+
+
+#: every name a run probe's text may hold, apart from integers
+PROBE_NAME = re.compile(r"def|probe|return|for|in|if|rows|(p|get|key|miss|count)\d+")
+
+
+@pytest.mark.parametrize("sources, picks", [
+    ((0,), None),
+    ((0, 1, None), ((3, 0), (0, 2), (1, 14), (3, 0))),
+    ((0, None), ((2, 1),)),
+])
+def test_run_probe_text_is_integers_and_fixed_names(sources, picks):
+    text = _probe_text(sources, picks)
+    assert re.fullmatch(r"[\w\s()\[\],:+]*", text)
+    for word in re.findall(r"[A-Za-z_]\w*", text):
+        assert PROBE_NAME.fullmatch(word), word
