@@ -24,7 +24,6 @@ from repro.driver.connection import connect
 from repro.driver.directory import Directory
 from repro.engine.storage import estimate_row_bytes  # noqa: F401 - perfbench counts calls at this binding
 from repro.net import costs
-from repro.net.simclock import SimClock
 from repro.poolral.ral import PoolRAL
 from repro.unity.decompose import SubQuery
 
@@ -47,7 +46,7 @@ class SubQueryRouter:
         self,
         ral: PoolRAL | None,
         directory: Directory,
-        clock=None,
+        clock,
         network=None,
         host: str | None = None,
         force_jdbc: bool = False,
@@ -57,7 +56,7 @@ class SubQueryRouter:
     ):
         self.ral = ral
         self.directory = directory
-        self.clock = clock or SimClock()
+        self.clock = clock
         self.network = network
         self.host = host
         self.force_jdbc = force_jdbc

@@ -25,18 +25,19 @@ from repro.common.errors import (
 from repro.core.pipeline import QueryContext, SubQueryPipeline
 from repro.core.router import SubQueryRouter
 from repro.driver.directory import Directory
+from repro.engine.executor import HeldRows, SelectExecutor
 from repro.metadata.dictionary import DataDictionary
 from repro.metadata.tracker import SchemaTracker
 from repro.metadata.xspec import LowerXSpec
 from repro.net import costs
-from repro.net.simclock import SimClock
 from repro.obs.metrics import MetricsRegistry
 from repro.poolral.ral import PoolRAL
 from repro.rls.client import RLSClient
 from repro.sql import ast
+from repro.sql.eval import SchemaColumn
 from repro.sql.parser import parse_select
 from repro.unity.decompose import SubQuery, decompose
-from repro.unity.driver import QueryAnswer, integrate_plan
+from repro.unity.driver import QueryAnswer, _logicalize_columns, integrate_plan
 
 
 class DataAccessService(ClarensService):
@@ -65,8 +66,8 @@ class DataAccessService(ClarensService):
         slos=None,
     ):
         self.server_ = server  # 'server' attr is set by register_service too
-        #: the server's virtual clock (a fresh one for a clock-less server)
-        self.clock = server.clock or SimClock()
+        #: the server's virtual clock
+        self.clock = server.clock
         self.directory = directory
         self.rls = rls_client
         self.server_resolver = server_resolver
@@ -369,23 +370,15 @@ class DataAccessService(ClarensService):
     def _empty_sub_result(self, sub: SubQuery, params: tuple):
         """Zero-row stand-in for a sub-query whose backend is lost.
 
-        Shaped by running the physical sub-select against an empty
-        scratch copy of the target table, so columns and types match
-        what a live backend would have returned.
+        Shaped by running the physical sub-select over the target table
+        held empty, so columns and types match what a live backend
+        would have returned.
         """
-        from repro.engine.database import Database
-        from repro.engine.storage import Column
-        from repro.unity.driver import _logicalize_columns
-
         table = sub.location.table
-        scratch = Database("__degraded__", "generic")
-        scratch.catalog.create_table(
-            table.name,
-            [Column(name=c.name, type=c.logical_type) for c in table.columns],
-        )
-        result = scratch.execute_statement(sub.select, params)
-        columns = _logicalize_columns(list(result.columns), sub)
-        return columns, list(result.types), [], "failed"
+        columns = [SchemaColumn(None, c.name, c.logical_type) for c in table.columns]
+        held = HeldRows({table.name.lower(): (columns, [])})
+        result = SelectExecutor(held, params).execute(sub.select)
+        return _logicalize_columns(result.columns, sub), result.types, [], "failed"
 
     def _failover(self, run, sub: SubQuery, ctx: QueryContext):
         """Run one sub-query; on a dead database, fail over to a replica.

@@ -38,7 +38,7 @@ class PoolStats:
 class ConnectionPool:
     """A simple keyed pool of open driver connections."""
 
-    def __init__(self, directory: Directory, clock=None):
+    def __init__(self, directory: Directory, clock):
         self.directory = directory
         self.clock = clock
         self._idle: dict[tuple[str, str], list[Connection]] = {}

@@ -43,6 +43,7 @@ from repro.common.errors import (
     ColumnNotFoundError,
     PlanningError,
     SQLTypeError,
+    TableNotFoundError,
 )
 from repro.common.types import SQLType
 from repro.sql import ast
@@ -60,7 +61,9 @@ UNTYPED = SQLType.text()
 
 
 class TableResolver(Protocol):
-    """What the executor needs from its host database.
+    """What the executor needs from its host: a :class:`Database
+    <repro.engine.database.Database>`, or :class:`HeldRows` over rows
+    already in hand.
 
     A resolver may also offer ``base_table(name)``, returning a base
     table's :class:`~repro.engine.storage.TableStorage` (None for a
@@ -74,6 +77,19 @@ class TableResolver(Protocol):
         """Return (columns, rows) for a base table or view; each column
         has a ``name`` and a ``type``."""
         ...
+
+
+class HeldRows(dict):
+    """A :class:`TableResolver` over rows already in hand: a dict from
+    lower-cased table name to ``(columns, rows)``, read as they are. It
+    has no ``base_table``, so every build side is built per query and
+    every table is scanned."""
+
+    def resolve_table(self, name: str) -> tuple[list, list[tuple]]:
+        held = self.get(name.lower())
+        if held is None:
+            raise TableNotFoundError(name)
+        return held
 
 
 @dataclass
@@ -188,6 +204,27 @@ def _hash_table(rrows: list[tuple], right_keys: list[int]) -> dict:
         for key in [k for k in table if None in k]:
             del table[key]
     return table
+
+
+def _loop_join(
+    lrows: list[tuple], candidates: Callable, predicate: Callable, kind: str,
+    right_width: int,
+) -> list[tuple]:
+    """Each left row joined with those of its ``candidates(row)`` whose
+    joined row passes ``predicate``, in candidate order; a LEFT row
+    with no such match is padded with NULLs."""
+    pad = (None,) * right_width
+    out: list[tuple] = []
+    for lr in lrows:
+        matched = False
+        for rr in candidates(lr):
+            row = lr + rr
+            if predicate(row):
+                out.append(row)
+                matched = True
+        if not matched and kind == "LEFT":
+            out.append(lr + pad)
+    return out
 
 
 class _HashStage(NamedTuple):
@@ -748,14 +785,22 @@ class SelectExecutor:
         left_keys, right_keys, residual = on
         if not left_keys:
             self.stats.join_strategy.append("nested-loop")
-            return self._nested_loop(
-                lrows, rrows, combined, join.on, join.kind, right_width
+            self._examine(len(lrows) * max(1, len(rrows)))
+            predicate = self._compile(join.on, combined)
+            return _loop_join(
+                lrows, lambda lr: rrows, lambda row: truthy(predicate(row)),
+                join.kind, right_width,
             )
+        # the residual (the ON clause's non-equi rest) decides a match: a
+        # LEFT row whose hash matches all fail it is padded, not dropped
         pred_fns = [self._compile(c, combined) for c in residual]
         self.stats.join_strategy.append("hash")
-        return self._hash_join(
-            lrows, rrows, self._build_side(join.table, rrows, right_keys), left_keys,
-            join.kind, right_width, lambda row: all(truthy(p(row)) for p in pred_fns),
+        get = self._build_side(join.table, rrows, right_keys).get
+        self._examine(len(lrows) + len(rrows))
+        lkey = itemgetter(*left_keys)
+        return _loop_join(
+            lrows, lambda lr: get(lkey(lr), ()),
+            lambda row: all(truthy(p(row)) for p in pred_fns), join.kind, right_width,
         )
 
     def _probe_run(
@@ -805,47 +850,6 @@ class SelectExecutor:
             spec = tuple((part, p - starts[part]) for part, p in zip(owners, picks))
         out = _run_probe(tuple(sources), spec)(*args)
         self._examine(examined + sum(counter() - 1 for counter in counters))
-        return out
-
-    def _hash_join(
-        self, lrows, rrows, table, left_keys, kind, right_width, residual_fn
-    ):
-        """Hash join probing ``table``, the build side of ``rrows``
-        (:meth:`_build_side`), with the key columns at positions
-        ``left_keys``; ``residual_fn`` is the non-equi remainder of the
-        ON clause and participates in *match determination* (a LEFT row
-        whose only hash matches fail the residual is padded, not
-        dropped)."""
-        self._examine(len(lrows) + len(rrows))
-        lkey = itemgetter(*left_keys)
-        get = table.get
-        pad = (None,) * right_width
-        out: list[tuple] = []
-        for lr in lrows:
-            matched = False
-            for rr in get(lkey(lr), ()):
-                row = lr + rr
-                if residual_fn(row):
-                    out.append(row)
-                    matched = True
-            if not matched and kind == "LEFT":
-                out.append(lr + pad)
-        return out
-
-    def _nested_loop(self, lrows, rrows, combined, on, kind, right_width):
-        self._examine(len(lrows) * max(1, len(rrows)))
-        predicate = self._compile(on, combined)
-        out: list[tuple] = []
-        pad = (None,) * right_width
-        for lr in lrows:
-            matched = False
-            for rr in rrows:
-                row = lr + rr
-                if truthy(predicate(row)):
-                    out.append(row)
-                    matched = True
-            if not matched and kind == "LEFT":
-                out.append(lr + pad)
         return out
 
     # -- projection --------------------------------------------------------------

@@ -53,6 +53,7 @@ from repro.net import costs
 from repro.net.network import Network
 from repro.net.simclock import SimClock
 from repro.sql import ast
+from repro.sql.parser import parse_expression
 
 
 @dataclass
@@ -109,8 +110,8 @@ class ETLJob:
     def statement(self) -> ast.Select:
         """``query`` parsed, once per text the job holds."""
         if self.parsed is None or self.parsed[0] != self.query:
-            # bound at call time, like run_incremental's: a wrapper
-            # installed on the parser module sees this parse
+            # bound at call time: a wrapper installed on the parser
+            # module sees this parse
             from repro.sql.parser import parse_select
 
             self.parsed = (self.query, parse_select(self.query))
@@ -448,18 +449,16 @@ class ETLPipeline:
         production ETL's answer to re-streaming the whole source every
         night. The delta is staged like a full load.
         """
-        from repro.sql.parser import parse_expression, parse_select
-
         output_col = watermark.split(".")[-1]
         last = self.watermarks.get(job.target_table)
-        query = job.query
+        query, select = job.query, job.statement()
         if last is not None:
-            select = parse_select(job.query)
             guard = ast.BinaryOp(
                 ">", parse_expression(watermark), ast.Literal(last)
             )
             where = ast.conjoin(c for c in (select.where, guard) if c is not None)
-            query = replace(select, where=where).unparse()
+            select = replace(select, where=where)
+            query = select.unparse()
         delta_job = ETLJob(
             source=job.source,
             source_host=job.source_host,
@@ -468,6 +467,8 @@ class ETLPipeline:
             transform=job.transform,
             target_columns=job.target_columns,
         )
+        # the delta's text is this tree's unparse: extract runs the tree
+        delta_job.parsed = (query, select)
         delta = extract(delta_job)
         columns = [c.lower() for c in delta.columns]
         if delta.rows and output_col.lower() not in columns:

@@ -106,7 +106,7 @@ def _consumers_agree(rows) -> None:
     assert payload_bytes("m", rows) == _CALL_BYTES + len("m") + wire
     assert _answer_bytes({"rows": rows}) == 256 + storage
     network = _Wire()
-    router = SubQueryRouter(None, Directory(), network=network, host="origin")
+    router = SubQueryRouter(None, Directory(), SimClock(), network=network, host="origin")
     router._transfer_rows("mart", rows)
     assert network.charged == [storage + 256]
     cache = CacheManager(SimClock())

@@ -4,14 +4,13 @@ import pytest
 
 from repro.core import GridFederation
 from repro.core.pipeline import QueryContext, SubQueryPipeline
-from repro.core.router import SubQueryRouter
 from repro.driver.directory import Directory
 from repro.engine import Database
 from repro.metadata import DataDictionary
 from repro.net import costs
 from repro.net.simclock import SimClock
 from repro.sql.parser import parse_select
-from repro.unity import Integrator, UnityDriver, decompose
+from repro.unity import UnityDriver, decompose
 
 
 def make_events_db(name, vendor="mysql", n=10):
@@ -86,10 +85,7 @@ class TestQueryContext:
 
 
 class TestClockDefaults:
-    def test_every_clock_less_constructor_gets_a_clock(self):
-        router = SubQueryRouter(None, Directory())
-        assert isinstance(router.clock, SimClock)
-        assert isinstance(Integrator().clock, SimClock)
+    def test_a_clock_less_driver_gets_a_clock(self):
         driver = UnityDriver(DataDictionary(), Directory())
         assert isinstance(driver.clock, SimClock)
         assert driver.router.clock is driver.clock

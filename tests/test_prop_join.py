@@ -136,6 +136,12 @@ def _case(kind, keys, left, right, residual=None, flipped=False):
 @given(joins())
 # a LEFT row whose only key match fails the residual is padded
 @example(_case("LEFT", ("a",), [(0, 1, 0, 1)], [(0, 1, 0, 0)], residual="l.x < r.y"))
+# ... and so is one whose several key matches all fail it, beside a row
+# whose matches all pass
+@example(_case(
+    "LEFT", ("a",), [(0, 1, 0, 1), (1, 1, 0, -1)], [(0, 1, 0, 0), (1, 1.0, 0, 1)],
+    residual="l.x < r.y",
+))
 # duplicate build keys keep their storage order; NULL keys never match
 @example(_case(
     "LEFT", ("a", "b"),

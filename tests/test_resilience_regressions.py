@@ -6,7 +6,8 @@ One class per fixed bug:
    discovery (``except (FederationError, Exception)``) — a programming
    error in the RLS client came back as a bogus connection failure.
 2. A clock-less service crashed on multi-branch plans
-   (``None.run_parallel``).
+   (``None.run_parallel``). A service now always runs on its server's
+   clock, which ``ClarensServer`` requires, so this one has no class.
 3. The client session cache keyed only on the user, so a reconnect
    with a wrong password silently rode the old authenticated session;
    and a server restart left clients holding dead session ids.
@@ -18,17 +19,13 @@ One class per fixed bug:
 
 import pytest
 
-from repro.clarens.server import ClarensServer
 from repro.common import ConnectionFailedError
 from repro.common.errors import AuthenticationError
 from repro.core import GridFederation
 from repro.core.replicas import ReplicaSelector
-from repro.core.service import DataAccessService
-from repro.driver.directory import Directory
 from repro.engine import Database
-from repro.dialects import get_dialect
 from repro.net import costs
-from repro.net.network import WAN, Network
+from repro.net.network import WAN
 
 
 def make_events_db(name, vendor="mysql", n=10):
@@ -82,43 +79,6 @@ class TestDiscoveryExceptionNarrowed:
             server.service.execute("SELECT COUNT(*) FROM events")
         assert isinstance(info.value.__cause__, ConnectionFailedError)
         assert info.value.__cause__ is not info.value
-
-
-class TestClocklessService:
-    def make_clockless_service(self):
-        network = Network()
-        for host in ("pc1", "dbh"):
-            network.add_host(host)
-        server = ClarensServer("jc1", "pc1", network, None)
-        directory = Directory()
-        service = DataAccessService(server, directory, force_jdbc=True)
-        # non-pool vendors: POOL-RAL handle initialization charges the
-        # clock, and a clock-less service must stay on the JDBC path
-        for db in (
-            make_events_db("mart_a", vendor="mssql"),
-            make_runs_db("mart_b", vendor="mssql"),
-        ):
-            url = get_dialect(db.vendor).make_url("dbh", None, db.name)
-            directory.register(url, db, user="grid", password="grid", host_name="dbh")
-            service.register_database(url)
-        return service
-
-    def test_multi_branch_plan_without_a_clock(self):
-        """Bug 2: two local backends used to hit ``None.run_parallel``."""
-        service = self.make_clockless_service()
-        answer = service.execute(
-            "SELECT COUNT(*) FROM evt e JOIN runs r ON e.event_id = r.run_id"
-        )
-        assert answer.rows == [(3,)]
-        assert answer.distributed
-
-
-def make_runs_db(name, vendor="sqlite"):
-    db = Database(name, vendor)
-    db.execute("CREATE TABLE RUNS (RUN_ID INT PRIMARY KEY)")
-    for i in range(3):
-        db.execute(f"INSERT INTO RUNS VALUES ({i})")
-    return db
 
 
 class TestSessionCacheCredentials:

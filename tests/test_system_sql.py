@@ -11,6 +11,8 @@ from __future__ import annotations
 import dataclasses
 import typing
 
+import pytest
+
 from repro.common.rng import DeterministicRNG
 from repro.engine.database import Database
 from repro.hep.ntuple import generate_ntuple
@@ -20,7 +22,8 @@ from repro.marts.materialize import MartSet
 from repro.net.network import Network
 from repro.net.simclock import SimClock
 from repro.sql import ast, parser
-from repro.warehouse.etl import ETLJob, extract
+from repro.warehouse import etl
+from repro.warehouse.etl import ETLJob, ETLPipeline, extract
 from repro.warehouse.warehouse import Warehouse
 
 NVAR = 8
@@ -54,14 +57,7 @@ def test_a_second_etl_pass_parses_nothing(monkeypatch):
     job = etl_jobs_for_source(source, SOURCE_HOST, NVAR)[0]
     first_rows, first_figures = _etl_pass(job)
 
-    parsed: list[str] = []
-    parse = parser._Parser.parse_statement
-
-    def counting(self):
-        parsed.append(self.sql)
-        return parse(self)
-
-    monkeypatch.setattr(parser._Parser, "parse_statement", counting)
+    parsed = _count_statement_parses(monkeypatch)
     second_rows, second_figures = _etl_pass(job)
     assert parsed == []
     assert second_rows == first_rows
@@ -82,6 +78,72 @@ def test_a_jobs_parse_follows_its_query():
     job.query = "SELECT detector FROM runs"
     assert job.statement() == parser.parse_select("SELECT detector FROM runs")
     assert extract(job).rows == [("ECAL",)]
+
+
+def _count_statement_parses(monkeypatch) -> list[str]:
+    """The text of every statement parsed from now on."""
+    parsed: list[str] = []
+    parse = parser._Parser.parse_statement
+
+    def counting(self):
+        parsed.append(self.sql)
+        return parse(self)
+
+    monkeypatch.setattr(parser._Parser, "parse_statement", counting)
+    return parsed
+
+
+def test_a_second_incremental_pass_parses_nothing(monkeypatch):
+    """The delta query is built from the job's parse, and extract runs
+    that tree rather than parsing the delta's text."""
+    source = Database("tier1_source", "oracle")
+    create_source_schema(source)
+    rng = DeterministicRNG("system-sql-incremental", 1)
+    populate_source(source, rng, {1: generate_ntuple(rng.fork("nt1"), 20, NVAR)})
+    network = Network()
+    network.add_host(SOURCE_HOST, 1)
+    warehouse = Warehouse(network, SimClock(), nvar=NVAR)
+    job = etl_jobs_for_source(source, SOURCE_HOST, NVAR)[0]
+    assert warehouse.pipeline.run_incremental(job, "e.event_id").rows == 20
+    populate_source(
+        source, rng, {2: generate_ntuple(rng.fork("nt2"), 15, NVAR)}, first_event_id=100
+    )
+    parsed = _count_statement_parses(monkeypatch)
+    assert warehouse.pipeline.run_incremental(job, "e.event_id").rows == 15
+    assert warehouse.pipeline.run_incremental(job, "e.event_id").rows == 0
+    assert parsed == []
+
+
+@pytest.mark.parametrize("watermark, last", [
+    ("r.run_id", 7), ("r.run_id", -3), ("r.energy", 2.5), ("r.energy", -0.125),
+    ("r.energy", 1e-07), ("r.tag", "it's"),
+])
+def test_a_delta_query_reparses_to_the_tree_extract_runs(monkeypatch, watermark, last):
+    source = Database("s")
+    source.execute("CREATE TABLE runs (run_id INTEGER, energy DOUBLE, tag VARCHAR(8))")
+    source.execute("INSERT INTO runs VALUES (9, 3.5, 'zz'), (-5, -1.0, 'a')")
+    target = Database("w")
+    target.execute("CREATE TABLE runs (run_id INTEGER, energy DOUBLE, tag VARCHAR(8))")
+    network = Network()
+    for host in ("src", "wh"):
+        network.add_host(host, 1)
+    pipeline = ETLPipeline(network, SimClock(), target, "wh")
+    job = ETLJob(source=source, source_host="src", target_table="runs",
+                 query="SELECT r.run_id, r.energy, r.tag FROM runs r WHERE r.run_id <> 0")
+    pipeline.watermarks["runs"] = last
+    deltas = []
+
+    def capturing(delta_job):
+        deltas.append(delta_job)
+        return extract(delta_job)
+
+    monkeypatch.setattr(etl, "extract", capturing)
+    pipeline.run_incremental(job, watermark)
+    (delta,) = deltas
+    text, tree = delta.parsed
+    assert text == delta.query
+    assert parser.parse_select(text) == tree
+    assert extract(delta).rows == source.execute(text).rows
 
 
 def _mutable(hint) -> bool:
